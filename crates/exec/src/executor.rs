@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use crate::sink::{IdentityBuild, IdentityHasher};
+pub use crate::sink::{plan_sink_kinds, IdentityBuild, IdentityHasher, SinkKind};
 
 /// Execution failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -261,8 +261,19 @@ fn run_node(
         .iter()
         .map(|a| node.attrs.iter().position(|x| x == a).unwrap())
         .collect();
-    let program = JoinProgram::compile(node.attrs.len(), output_levels, &build.atoms, is_agg, op);
-    let mut sink = Sink::for_output(is_agg, node.output_attrs.len(), op);
+    let program = JoinProgram::compile(
+        node.attrs.len(),
+        output_levels,
+        &build.atoms,
+        build.tries,
+        is_agg,
+        op,
+    );
+    let mut sink = Sink::new(
+        crate::sink::sink_kind(node, is_agg, catalog),
+        node.output_attrs.len(),
+        op,
+    );
     let mut node_profile = NodeProfile::default();
     // A node is level-0-splittable when there is an outer loop to slice:
     // more than one attribute and at least one atom participating at
@@ -272,7 +283,7 @@ fn run_node(
     let splittable = program.attrs_len > 1 && !program.levels[0].steps.is_empty();
     let run_here = !build.empty && (shard.is_none() || splittable || shard.unwrap().0 == 0);
     if run_here {
-        let mut ctx = GjContext::new(build.atoms, program.attrs_len, cfg);
+        let mut ctx = GjContext::new(&build.atoms, &program, cfg);
         let threads = cfg.effective_threads();
         let sharded_here = shard.is_some() && splittable;
         if sharded_here || (threads > 1 && splittable) {

@@ -1,26 +1,41 @@
-//! The Generic-Join recursion (paper Algorithm 1), allocation-free.
+//! The Generic-Join recursion (paper Algorithm 1), allocation-free and
+//! aggregation-aware.
 //!
 //! Every loop level runs off the participation tables precomputed in
 //! [`crate::program::JoinProgram`] and scratch owned by
 //! [`crate::program::GjContext`]: candidate values merge into reusable
-//! per-level buffers via [`eh_set::intersect::intersect_all_with`], trie
-//! cursors advance in fixed-size slot arrays, and the innermost count fast
-//! path folds through [`eh_set::intersect::count_all_with`] — no heap
-//! allocation happens anywhere in this module's recursion: no `Vec::new()`,
-//! no `collect()`, scratch must come from `GjContext`. The `alloc-free`
-//! rule of `eh_lint` enforces this whole-file (it lexes real tokens, so
-//! this very sentence naming `Vec::new()` no longer trips the gate the
-//! way the old CI grep would have).
+//! per-level buffers via [`eh_set::intersect::intersect_all_with`], a
+//! level with a single participant walks that atom's trie set in place by
+//! `(rank, value)`, trie cursors advance in fixed-size slot arrays, and
+//! the innermost count fast path folds through
+//! [`eh_set::intersect::count_all_with`] — no heap allocation happens
+//! anywhere in this module's recursion: no `Vec::new()`, no `collect()`,
+//! scratch must come from `GjContext`. The `alloc-free` rule of `eh_lint`
+//! enforces this whole-file (it lexes real tokens, so this very sentence
+//! naming `Vec::new()` no longer trips the gate the way the old CI grep
+//! would have).
+//!
+//! Aggregates never pay a sink emit per binding (paper §3.3 "early
+//! aggregation"): from [`JoinProgram::fold_from`] down, [`fold`] `⊕`-folds
+//! the subtree into a local accumulator and [`gj`] emits once per output
+//! prefix; when the group-by key is the innermost attribute instead,
+//! [`scatter`] pushes the constant running product over the whole
+//! innermost set in one sink call. The fold order this fixes — per output
+//! prefix, contributions in ascending attribute-order position; per key,
+//! prefix folds in the same order — is the engine's specified outcome for
+//! non-associative `⊕` (`f64` sums); see README "Aggregation and
+//! recursion".
 //!
 //! The level-0 prologue ([`fill_level`] + [`step_value`]) is shared
 //! between the serial driver ([`gj`]) and the parallel schedulers in
 //! [`crate::parallel`], so the two can no longer drift.
 
 use crate::program::{AtomExec, GjContext, JoinProgram, ObsCell, ValueBuf};
-use crate::sink::{emit, Sink};
+use crate::sink::{Keys, Sink};
 use eh_semiring::{AggOp, DynValue};
 use eh_set::intersect::{count_all_with, intersect_all_with};
 use eh_set::MultiwayScratch;
+use eh_trie::TrieNode;
 use std::time::Instant;
 
 /// Only 1 in `CLOCK_SAMPLE_MASK + 1` profiled intersections reads the
@@ -50,6 +65,14 @@ pub(crate) fn sample_clock(ctx: &mut GjContext<'_>, level: usize) -> Option<Inst
     }
 }
 
+/// Stateless ~1-in-(`CLOCK_SAMPLE_MASK`+1) child sampling: xor the value
+/// bits into the loop index so the rate holds even when every parent
+/// loop is shorter than the mask period.
+#[inline]
+pub(crate) fn child_sample(v: u32, idx: usize) -> bool {
+    (v as u64 ^ idx as u64) & CLOCK_SAMPLE_MASK == 0
+}
+
 /// Observation cells keep recording every intersection until they have
 /// this many reads; past the warm-up only `sample`d calls record, so a
 /// cell's cost is bounded at `OBS_WARMUP + ticks / (CLOCK_SAMPLE_MASK+1)`
@@ -71,18 +94,17 @@ pub(crate) const OBS_WARMUP: u64 = 4096;
 fn observe_level(
     program: &JoinProgram,
     level: usize,
-    atoms: &[AtomExec],
+    atoms: &[AtomExec<'_>],
     obs: &mut [Vec<ObsCell>],
     sample: bool,
 ) {
     for st in &program.levels[level].steps {
-        let a = &atoms[st.atom];
-        if !a.observe {
+        if !atoms[st.atom].observe {
             continue;
         }
         let cell = &mut obs[st.atom][st.depth];
         if sample || cell.reads < OBS_WARMUP {
-            let set = a.set_at(st.depth);
+            let set = &atoms[st.atom].node_at(st.depth).set;
             cell.record(set.len(), set.span());
         }
     }
@@ -97,7 +119,7 @@ fn observe_level(
 pub(crate) fn fill_level(
     program: &JoinProgram,
     level: usize,
-    atoms: &[AtomExec],
+    atoms: &[AtomExec<'_>],
     cfg: &crate::config::Config,
     mw: &mut MultiwayScratch,
     obs: &mut [Vec<ObsCell>],
@@ -112,23 +134,104 @@ pub(crate) fn fill_level(
     let steps = &program.levels[level].steps;
     intersect_all_with(
         steps.len(),
-        |k| {
-            let st = &steps[k];
-            atoms[st.atom].set_at(st.depth)
-        },
+        |k| &atoms[steps[k].atom].node_at(steps[k].depth).set,
         &cfg.intersect,
         mw,
         out,
     );
 }
 
+/// The candidate values of one loop level (the level prologue of the
+/// serial recursion): a level with a single participant hands back that
+/// atom's trie node, to be walked in place by `(rank, value)` — no copy
+/// into `merged`, and no rank probe later, since a value's position in
+/// its own set *is* its rank; any other level intersects its participants
+/// into `merged` and returns `None`. Work counters and profile tallies
+/// are charged exactly as [`fill_level`] charges them either way.
+#[inline]
+fn level_candidates<'c>(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'c>,
+    level: usize,
+    merged: &mut ValueBuf,
+    sample: bool,
+) -> Option<&'c TrieNode> {
+    let started = if ctx.cfg.profile {
+        sample_clock(ctx, level)
+    } else {
+        None
+    };
+    let steps = &program.levels[level].steps;
+    let (single, len) = if let [st] = steps.as_slice() {
+        if ctx.observe_any {
+            observe_level(program, level, &ctx.atoms, &mut ctx.obs, sample);
+        }
+        let node = ctx.atoms[st.atom].node_at(st.depth);
+        ctx.mw.stats.values_scanned += node.set.len() as u64;
+        (Some(node), node.set.len())
+    } else {
+        fill_level(
+            program,
+            level,
+            &ctx.atoms,
+            ctx.cfg,
+            &mut ctx.mw,
+            &mut ctx.obs,
+            merged,
+            ctx.observe_any,
+            sample,
+        );
+        // Fresh ascent at this level: reset each participant's cursor.
+        for st in steps {
+            ctx.atoms[st.atom].hints[st.depth] = 0;
+        }
+        (None, merged.len())
+    };
+    if let Some(t) = started {
+        let cell = &mut ctx.level_prof[level];
+        cell.ns += t.elapsed().as_nanos() as u64;
+        cell.values += len as u64;
+    }
+    single
+}
+
 /// Bind `v` at `level`: advance every participating atom's trie cursor
-/// (multiplying in leaf annotations), and recurse into the next level if
-/// every atom still matches. The per-value body shared by the serial
-/// recursion and the parallel level-0 drivers. `sample` marks this value
-/// as a profiling timing sample — derived from the caller's loop index
-/// (see [`gj`]'s recursion step), so the innermost count fast path never
-/// touches a counter to decide whether to read the clock.
+/// and multiply in leaf annotations. `None` when some atom lacks `v` (a
+/// larger participant produced it): the binding dies, nothing to undo.
+#[inline]
+fn bind(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'_>,
+    level: usize,
+    v: u32,
+    product: DynValue,
+) -> Option<DynValue> {
+    ctx.bindings[level] = v;
+    let mut prod = product;
+    for st in &program.levels[level].steps {
+        let a = &mut ctx.atoms[st.atom];
+        let n = a.node_at(st.depth);
+        let mut hint = a.hints[st.depth];
+        let rank = n.set.rank_hinted(v, &mut hint);
+        a.hints[st.depth] = hint;
+        let rank = rank?;
+        if !st.leaf {
+            a.stack[st.depth + 1] = n.children[rank];
+            a.hints[st.depth + 1] = 0;
+        } else if a.annotated {
+            if let Some(an) = n.annots.get(rank).copied() {
+                prod = program.op.times(prod, an);
+            }
+        }
+    }
+    Some(prod)
+}
+
+/// Bind `v` at `level` and recurse into the next level if every atom
+/// still matches — the per-value body the parallel level-0 drivers run.
+/// `sample` marks this value as a profiling timing sample — derived from
+/// the caller's loop index (see [`child_sample`]), so the innermost count
+/// fast path never touches a counter to decide whether to read the clock.
 #[inline]
 pub(crate) fn step_value(
     program: &JoinProgram,
@@ -139,34 +242,56 @@ pub(crate) fn step_value(
     sink: &mut Sink,
     sample: bool,
 ) {
-    ctx.bindings[level] = v;
-    let mut prod = product;
-    for st in &program.levels[level].steps {
-        let a = &mut ctx.atoms[st.atom];
-        let n = a.trie.node(a.stack[st.depth]);
-        let mut hint = a.hints[st.depth];
-        let rank = n.set.rank_hinted(v, &mut hint);
-        a.hints[st.depth] = hint;
-        let Some(rank) = rank else {
-            // `v` is absent from this atom (a larger participant produced
-            // it): the binding dies here, nothing to undo.
-            return;
-        };
-        if !st.leaf {
-            a.stack[st.depth + 1] = n.children[rank];
-            a.hints[st.depth + 1] = 0;
-        } else if a.annotated {
-            if let Some(an) = n.annots.get(rank).copied() {
-                prod = program.op.times(prod, an);
+    if let Some(prod) = bind(program, ctx, level, v, product) {
+        gj(program, ctx, level + 1, prod, sink, sample);
+    }
+}
+
+/// Run `body(ctx, product, sample)` once per binding of `level` that
+/// survives every participating atom, cursors advanced and leaf
+/// annotations multiplied in — the loop both [`gj`] (recurse and emit)
+/// and [`fold`] (recurse and accumulate) are built from.
+#[inline(always)]
+fn for_each_binding<'c>(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'c>,
+    level: usize,
+    product: DynValue,
+    sample: bool,
+    mut body: impl FnMut(&mut GjContext<'c>, DynValue, bool),
+) {
+    let mut merged = std::mem::take(&mut ctx.scratch[level]);
+    if let Some(node) = level_candidates(program, ctx, level, &mut merged, sample) {
+        let st = program.levels[level].steps[0];
+        let annotated = st.leaf && ctx.atoms[st.atom].annotated;
+        for (rank, v) in node.set.iter().enumerate() {
+            ctx.bindings[level] = v;
+            let mut prod = product;
+            if !st.leaf {
+                let a = &mut ctx.atoms[st.atom];
+                a.stack[st.depth + 1] = node.children[rank];
+                a.hints[st.depth + 1] = 0;
+            } else if annotated {
+                if let Some(an) = node.annots.get(rank).copied() {
+                    prod = program.op.times(prod, an);
+                }
+            }
+            body(ctx, prod, child_sample(v, rank));
+        }
+    } else {
+        for idx in 0..merged.len() {
+            let v = merged[idx];
+            if let Some(prod) = bind(program, ctx, level, v, product) {
+                body(ctx, prod, child_sample(v, idx));
             }
         }
     }
-    gj(program, ctx, level + 1, prod, sink, sample);
+    // Return the buffer for reuse by sibling invocations at this level.
+    ctx.scratch[level] = merged;
 }
 
-/// The generic worst-case optimal join over one node (Algorithm 1), with
-/// early aggregation and the innermost count fast path. All scratch comes
-/// from `ctx`; nothing is allocated per call.
+/// The generic worst-case optimal join over one node (Algorithm 1). All
+/// scratch comes from `ctx`; nothing is allocated per call.
 pub(crate) fn gj(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
@@ -176,18 +301,66 @@ pub(crate) fn gj(
     sample: bool,
 ) {
     if level == program.attrs_len {
-        emit(program, &ctx.bindings, product, sink);
+        sink.emit(program, &ctx.bindings, product);
         return;
     }
-    let steps = &program.levels[level].steps;
-    if steps.is_empty() {
+    if level >= program.fold_from {
+        // Nothing below is output: one emit for the whole subtree.
+        let mut acc = None;
+        fold(program, ctx, level, product, &mut acc, sample);
+        if let Some(folded) = acc {
+            sink.emit(program, &ctx.bindings, folded);
+        }
+        return;
+    }
+    if program.levels[level].steps.is_empty() {
         // Attribute bound by no live atom at this node (can happen when a
         // selection removed the only binding atom): nothing to iterate.
         return;
     }
+    if program.scatter && level + 1 == program.attrs_len {
+        scatter(program, ctx, level, product, sink, sample);
+        return;
+    }
+    for_each_binding(program, ctx, level, product, sample, |ctx, prod, s| {
+        gj(program, ctx, level + 1, prod, sink, s)
+    });
+}
+
+/// `⊕` one contribution into a local accumulator (`None` = nothing yet:
+/// a fold starts from its first contribution, not from the ⊕-identity).
+#[inline(always)]
+fn accumulate(acc: &mut Option<DynValue>, op: AggOp, c: DynValue) {
+    *acc = Some(match *acc {
+        Some(a) => op.plus(a, c),
+        None => c,
+    });
+}
+
+/// `⊕`-fold every binding of levels `level..` under the current prefix
+/// into `acc`, in ascending attribute-order position: the
+/// early-aggregation half of the recursion, entered at
+/// [`JoinProgram::fold_from`] with an empty accumulator.
+fn fold(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'_>,
+    level: usize,
+    product: DynValue,
+    acc: &mut Option<DynValue>,
+    sample: bool,
+) {
+    if level == program.attrs_len {
+        accumulate(acc, program.op, product);
+        return;
+    }
+    let steps = &program.levels[level].steps;
+    if steps.is_empty() {
+        return;
+    }
+    let innermost = level + 1 == program.attrs_len;
     // Innermost count fast path (paper §5.3: aggregate queries never
     // materialize the deepest intersection) — applicability precomputed.
-    if level + 1 == program.attrs_len && program.count_fast {
+    if innermost && program.count_fast {
         // The hottest loop in the engine: even one counter bump per call
         // shows up against the <2% profiling-overhead ceiling, so this
         // path keeps NO per-call state. The timing decision rides in on
@@ -207,10 +380,7 @@ pub(crate) fn gj(
             }
             count_all_with(
                 steps.len(),
-                |k| {
-                    let st = &steps[k];
-                    atoms[st.atom].set_at(st.depth)
-                },
+                |k| &atoms[steps[k].atom].node_at(steps[k].depth).set,
                 &ctx.cfg.intersect,
                 &mut ctx.mw,
             )
@@ -221,61 +391,46 @@ pub(crate) fn gj(
             cell.values += count as u64;
         }
         if count > 0 {
-            let folded = fold_count(program.op, product, count);
-            emit(program, &ctx.bindings, folded, sink);
+            accumulate(acc, program.op, fold_count(program.op, product, count));
         }
         return;
     }
-    // Fill this level's value buffer from scratch owned by the context.
-    let profiling = ctx.cfg.profile;
-    let started = if profiling {
-        sample_clock(ctx, level)
+    if innermost {
+        // The annotated sibling of the count fast path: one fused Σ⊗ over
+        // the innermost candidates, leaf annotations fetched by rank.
+        for_each_binding(program, ctx, level, product, sample, |_, prod, _| {
+            accumulate(acc, program.op, prod)
+        });
     } else {
-        None
-    };
+        for_each_binding(program, ctx, level, product, sample, |ctx, prod, s| {
+            fold(program, ctx, level + 1, prod, acc, s)
+        });
+    }
+}
+
+/// Innermost level of a query grouped by its innermost attribute, no
+/// annotated atom bottoming out there: every candidate value is a group
+/// key receiving the same `product`, so the whole set goes to the sink in
+/// one scatter-`⊕` — no per-value bind, recursion or emit.
+fn scatter(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'_>,
+    level: usize,
+    product: DynValue,
+    sink: &mut Sink,
+    sample: bool,
+) {
     let mut merged = std::mem::take(&mut ctx.scratch[level]);
-    fill_level(
-        program,
-        level,
-        &ctx.atoms,
-        ctx.cfg,
-        &mut ctx.mw,
-        &mut ctx.obs,
-        &mut merged,
-        ctx.observe_any,
-        sample,
-    );
-    if let Some(t) = started {
-        let cell = &mut ctx.level_prof[level];
-        cell.ns += t.elapsed().as_nanos() as u64;
-        cell.values += merged.len() as u64;
+    match level_candidates(program, ctx, level, &mut merged, sample) {
+        Some(node) => sink.scatter(Keys::Set(&node.set), product, program.op),
+        None => sink.scatter(Keys::Values(&merged), product, program.op),
     }
-    // Fresh ascent at this level: reset each participating atom's cursor.
-    for st in steps {
-        ctx.atoms[st.atom].hints[st.depth] = 0;
-    }
-    for idx in 0..merged.len() {
-        // Stateless ~1-in-(CLOCK_SAMPLE_MASK+1) child sampling: xor the
-        // value bits into the loop index so the rate holds even when
-        // every parent loop is shorter than the mask period.
-        let child_sample = (merged[idx] as u64 ^ idx as u64) & CLOCK_SAMPLE_MASK == 0;
-        step_value(
-            program,
-            ctx,
-            level,
-            merged[idx],
-            product,
-            sink,
-            child_sample,
-        );
-    }
-    // Return the buffer for reuse by sibling invocations at this level.
     ctx.scratch[level] = merged;
 }
 
 /// Fold `count` identical contributions of `product` into one value:
 /// `⊕`-ing `product` with itself `count` times.
-pub(crate) fn fold_count(op: AggOp, product: DynValue, count: usize) -> DynValue {
+fn fold_count(op: AggOp, product: DynValue, count: usize) -> DynValue {
     match op {
         // x ⊕ ... ⊕ x (count times) = count·x in ℕ/ℝ semirings.
         AggOp::Count => DynValue::U64(product.as_u64().wrapping_mul(count as u64)),

@@ -39,11 +39,11 @@ mod parallel;
 pub use config::{Config, Scheduler};
 pub use executor::{
     execute_plan, execute_plan_profiled, execute_plan_sharded, execute_plan_sharded_profiled,
-    execute_rule, execute_rule_profiled, ExecError,
+    execute_rule, execute_rule_profiled, plan_sink_kinds, ExecError, SinkKind,
 };
 pub use plan::{PhysicalPlan, PlanNode};
 pub use recursion::execute_recursive_rule;
-pub use storage::{Catalog, CatalogStats, MemCatalog, Relation};
+pub use storage::{Catalog, CatalogStats, ColumnExtent, MemCatalog, Relation};
 
 // Profiling vocabulary, re-exported so executor callers can consume
 // query profiles without depending on `eh_obs` directly.

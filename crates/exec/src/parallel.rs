@@ -25,7 +25,7 @@
 //! only moves forward), so the monotone rank hints stay effective.
 
 use crate::config::Scheduler;
-use crate::gj::step_value;
+use crate::gj::{child_sample, step_value};
 use crate::program::{GjContext, JoinProgram};
 use crate::sink::Sink;
 use eh_obs::WorkerProfile;
@@ -47,6 +47,8 @@ pub(crate) fn run(
     threads: usize,
 ) {
     let keys = program.output_levels.len();
+    // Workers only read the node's sink, to shape their chunk sinks.
+    let shape: &Sink = sink;
     let locals: Vec<Sink> = match ctx.cfg.scheduler {
         Scheduler::Morsel => {
             let morsel = ctx.cfg.effective_morsel(merged.len(), threads);
@@ -72,12 +74,9 @@ pub(crate) fn run(
                                 }
                                 let end = (start + morsel).min(merged.len());
                                 seen += (end - start) as u64;
-                                let mut chunk_sink =
-                                    Sink::for_output(program.is_agg, keys, program.op);
+                                let mut chunk_sink = shape.chunk(keys, program.op);
                                 for (i, &v) in merged[start..end].iter().enumerate() {
-                                    let sample = (v as u64 ^ (start + i) as u64)
-                                        & crate::gj::CLOCK_SAMPLE_MASK
-                                        == 0;
+                                    let sample = child_sample(v, start + i);
                                     step_value(
                                         program,
                                         &mut local,
@@ -126,10 +125,9 @@ pub(crate) fn run(
                     .map(|vals| {
                         let mut local = ctx_ref.fork();
                         scope.spawn(move || {
-                            let mut local_sink = Sink::for_output(program.is_agg, keys, program.op);
+                            let mut local_sink = shape.chunk(keys, program.op);
                             for (i, &v) in vals.iter().enumerate() {
-                                let sample =
-                                    (v as u64 ^ i as u64) & crate::gj::CLOCK_SAMPLE_MASK == 0;
+                                let sample = child_sample(v, i);
                                 step_value(
                                     program,
                                     &mut local,

@@ -18,72 +18,83 @@ use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::storage::{Catalog, Relation};
 use eh_obs::{WorkCounters, WorkerProfile};
 use eh_semiring::{AggOp, DynValue};
-use eh_set::{KernelStats, LayoutPolicy, MultiwayScratch, Set};
-use eh_trie::{NodeId, Trie};
+use eh_set::{KernelStats, LayoutPolicy, MultiwayScratch};
+use eh_trie::{NodeId, Trie, TrieNode};
 use std::sync::Arc;
 
 /// A reusable per-level set-value scratch buffer (not a tuple table —
 /// one flat run of candidate values per Generic-Join level).
 pub(crate) type ValueBuf = Vec<u32>;
 
-/// Per-atom execution state during Generic-Join.
-///
-/// `stack` and `hints` are fixed-length (one slot per bound level),
-/// preallocated here so descending the trie writes slots instead of
-/// pushing — the recursion never grows them.
-#[derive(Clone)]
-pub(crate) struct AtomExec {
-    pub(crate) trie: Arc<Trie>,
+/// One live atom of a node as [`build_node`] produces it: where its trie
+/// cursor starts and how it participates. The trie itself travels beside
+/// it ([`NodeBuild::tries`]) and ends up owned by the [`JoinProgram`].
+#[derive(Clone, Debug)]
+pub(crate) struct AtomSpec {
     /// Node-attr indices this atom binds, ascending.
     pub(crate) attr_levels: Vec<usize>,
-    /// Trie path: `stack[k]` is consulted when binding `attr_levels[k]`.
-    pub(crate) stack: Vec<NodeId>,
-    /// Monotone rank cursors parallel to `stack` — values at each depth
-    /// arrive ascending, so rank probes only ever move forward.
-    pub(crate) hints: Vec<usize>,
+    /// Trie node the cursor starts at (past the constant prefix).
+    pub(crate) start: NodeId,
     /// Whether leaf values carry annotations to multiply in.
     pub(crate) annotated: bool,
     /// Trie level of stack depth 0 (= constant-prefix length): stack depth
     /// `d` reads sets at trie level `level_offset + d`. The adaptive-layout
     /// feedback uses this to map observations back onto trie levels.
     pub(crate) level_offset: usize,
-    /// Whether this atom still feeds the adaptive-layout observation
-    /// cells. False for child-result atoms (their tries are transient)
-    /// and for catalog atoms whose (relation, order) layout has already
-    /// converged — see [`crate::storage::Relation::layout_converged`].
+    /// Whether this atom feeds the adaptive-layout observation cells.
+    /// False for child-result atoms (their tries are transient) and for
+    /// catalog atoms whose (relation, order) layout has already converged
+    /// — see [`crate::storage::Relation::layout_converged`].
     pub(crate) observe: bool,
 }
 
-impl AtomExec {
-    fn new(
-        trie: Arc<Trie>,
-        attr_levels: Vec<usize>,
-        start: NodeId,
-        annotated: bool,
-        level_offset: usize,
-        observe: bool,
-    ) -> AtomExec {
+/// Per-atom cursor state during Generic-Join.
+///
+/// `trie` is a plain borrow of the program's trie, so a loop can hold a
+/// `&'a TrieNode` — iterate a set in place — while the recursion below it
+/// advances the cursors. `stack` and `hints` are fixed-length (one slot
+/// per bound level), preallocated here so descending the trie writes
+/// slots instead of pushing — the recursion never grows them.
+#[derive(Clone)]
+pub(crate) struct AtomExec<'a> {
+    pub(crate) trie: &'a Trie,
+    /// Trie path: `stack[k]` is consulted when binding the atom's `k`-th
+    /// attribute level.
+    pub(crate) stack: Vec<NodeId>,
+    /// Monotone rank cursors parallel to `stack` — values at each depth
+    /// arrive ascending, so rank probes only ever move forward.
+    pub(crate) hints: Vec<usize>,
+    /// See [`AtomSpec::annotated`].
+    pub(crate) annotated: bool,
+    /// See [`AtomSpec::level_offset`].
+    pub(crate) level_offset: usize,
+    /// See [`AtomSpec::observe`].
+    pub(crate) observe: bool,
+}
+
+impl<'a> AtomExec<'a> {
+    fn new(spec: &AtomSpec, trie: &'a Trie) -> AtomExec<'a> {
         // A child atom with an empty interface binds no level at all (it
         // joins the parent as a bare cross product); keep one slot so the
         // root cursor exists but nothing ever advances it.
-        let depth = attr_levels.len().max(1);
+        let depth = spec.attr_levels.len().max(1);
         let mut stack = vec![0; depth];
-        stack[0] = start;
+        stack[0] = spec.start;
         AtomExec {
             trie,
-            attr_levels,
             stack,
             hints: vec![0; depth],
-            annotated,
-            level_offset,
-            observe,
+            annotated: spec.annotated,
+            level_offset: spec.level_offset,
+            observe: spec.observe,
         }
     }
 
-    /// The set this atom contributes at stack depth `d`.
+    /// The trie node this cursor currently stands on at stack depth `d`.
+    /// The borrow is of the trie, not of the cursor.
     #[inline]
-    pub(crate) fn set_at(&self, d: usize) -> &Set {
-        &self.trie.node(self.stack[d]).set
+    pub(crate) fn node_at(&self, d: usize) -> &'a TrieNode {
+        self.trie.node(self.stack[d])
     }
 }
 
@@ -156,20 +167,31 @@ pub(crate) struct LevelProgram {
 /// output positions, and aggregate flags, precomputed once so the
 /// recursion in [`crate::gj`] does no per-call discovery or allocation.
 pub(crate) struct JoinProgram {
+    /// The trie each atom walks, parallel to [`GjContext::atoms`], whose
+    /// cursors borrow from here.
+    pub(crate) tries: Vec<Arc<Trie>>,
     /// Number of attribute levels (`levels.len()`).
     pub(crate) attrs_len: usize,
     /// One participation table per level.
     pub(crate) levels: Vec<LevelProgram>,
     /// For each output column, the node-attr index it reads.
     pub(crate) output_levels: Vec<usize>,
-    /// Whether the rule aggregates (early aggregation inside the node).
-    pub(crate) is_agg: bool,
     /// The carrier semiring operator.
     pub(crate) op: AggOp,
     /// The innermost count fast path applies (paper §5.3: aggregate
     /// queries never materialize the deepest intersection): the last
     /// level is not output and no annotated atom bottoms out there.
     pub(crate) count_fast: bool,
+    /// Early aggregation (paper §3.3): the first level below which nothing
+    /// is output — last output level + 1, so 0 for a scalar. From here
+    /// down an aggregate folds into a local accumulator and emits once per
+    /// output prefix. `usize::MAX` when the rule does not aggregate.
+    pub(crate) fold_from: usize,
+    /// The push-side dual of the count fast path: the last level is the
+    /// only output key and no annotated atom bottoms out there, so the
+    /// running product is constant across the innermost set and scatters
+    /// `⊕` straight into the sink.
+    pub(crate) scatter: bool,
 }
 
 impl JoinProgram {
@@ -177,10 +199,12 @@ impl JoinProgram {
     pub(crate) fn compile(
         attrs_len: usize,
         output_levels: Vec<usize>,
-        atoms: &[AtomExec],
+        atoms: &[AtomSpec],
+        tries: Vec<Arc<Trie>>,
         is_agg: bool,
         op: AggOp,
     ) -> JoinProgram {
+        debug_assert_eq!(atoms.len(), tries.len());
         let mut levels: Vec<LevelProgram> = Vec::with_capacity(attrs_len);
         for level in 0..attrs_len {
             let steps: Vec<LevelStep> = atoms
@@ -202,23 +226,28 @@ impl JoinProgram {
                 is_output: output_levels.contains(&level),
             });
         }
-        let count_fast = match levels.last() {
-            Some(last) => {
-                let no_leaf_annots = last
-                    .steps
-                    .iter()
-                    .all(|st| !(atoms[st.atom].annotated && st.leaf));
-                is_agg && !last.is_output && no_leaf_annots
-            }
-            None => false,
+        // No annotated atom bottoms out at the last level: every binding
+        // there carries the same running product.
+        let plain_last = levels.last().is_some_and(|last| {
+            last.steps
+                .iter()
+                .all(|st| !(atoms[st.atom].annotated && st.leaf))
+        });
+        let last_is_output = levels.last().is_some_and(|last| last.is_output);
+        let fold_from = if is_agg {
+            output_levels.iter().max().map_or(0, |&l| l + 1)
+        } else {
+            usize::MAX
         };
         JoinProgram {
+            tries,
             attrs_len,
             levels,
+            count_fast: is_agg && plain_last && !last_is_output,
+            scatter: is_agg && plain_last && last_is_output && output_levels.len() == 1,
+            fold_from,
             output_levels,
-            is_agg,
             op,
-            count_fast,
         }
     }
 }
@@ -229,7 +258,7 @@ impl JoinProgram {
 /// comes from here.
 pub(crate) struct GjContext<'a> {
     /// Per-atom cursor state (stacks and rank hints).
-    pub(crate) atoms: Vec<AtomExec>,
+    pub(crate) atoms: Vec<AtomExec<'a>>,
     /// The current partial assignment, one slot per level.
     pub(crate) bindings: ValueBuf,
     /// Reusable per-level value buffers.
@@ -300,8 +329,18 @@ impl LevelTally {
 }
 
 impl<'a> GjContext<'a> {
-    /// Fresh context over the built atoms.
-    pub(crate) fn new(atoms: Vec<AtomExec>, attrs_len: usize, cfg: &'a Config) -> GjContext<'a> {
+    /// Fresh context: one cursor per atom of `program`, at its start node.
+    pub(crate) fn new(
+        specs: &[AtomSpec],
+        program: &'a JoinProgram,
+        cfg: &'a Config,
+    ) -> GjContext<'a> {
+        let attrs_len = program.attrs_len;
+        let atoms: Vec<AtomExec<'a>> = specs
+            .iter()
+            .zip(&program.tries)
+            .map(|(spec, trie)| AtomExec::new(spec, trie))
+            .collect();
         let obs = atoms
             .iter()
             .map(|a| vec![ObsCell::default(); a.stack.len()])
@@ -327,7 +366,7 @@ impl<'a> GjContext<'a> {
     }
 
     /// Clone for a worker thread: same atom cursors (cheap — tries are
-    /// behind `Arc`), fresh scratch. Worker observation and profiling
+    /// borrowed), fresh scratch. Worker observation and profiling
     /// counters start at zero and are merged back by the parallel driver.
     pub(crate) fn fork(&self) -> GjContext<'a> {
         GjContext {
@@ -391,7 +430,9 @@ impl<'a> GjContext<'a> {
 /// prefixes, plus the constant-only annotation product.
 pub(crate) struct NodeBuild {
     /// Live atoms (query atoms and child-interface atoms).
-    pub(crate) atoms: Vec<AtomExec>,
+    pub(crate) atoms: Vec<AtomSpec>,
+    /// The trie each live atom walks, parallel to `atoms`.
+    pub(crate) tries: Vec<Arc<Trie>>,
     /// For each live atom, the catalog relation and trie order it reads —
     /// `None` for child-result atoms (their tries are transient). The
     /// adaptive-layout feedback uses this to re-layout cached tries.
@@ -413,14 +454,16 @@ pub(crate) fn build_node(
     is_agg: bool,
     op: AggOp,
 ) -> Result<NodeBuild, ExecError> {
-    let mut atoms: Vec<AtomExec> = Vec::new();
+    let mut atoms: Vec<AtomSpec> = Vec::new();
+    let mut tries: Vec<Arc<Trie>> = Vec::new();
     let mut sources: Vec<Option<(String, Vec<usize>)>> = Vec::new();
     let mut base_product = op.one();
     let mut empty = false;
     for ap in &node.atoms {
         match build_atom(ap, node, catalog, cfg, is_agg, op)? {
-            BuiltAtom::Live(a) => {
+            BuiltAtom::Live(a, trie) => {
                 atoms.push(a);
+                tries.push(trie);
                 sources.push(Some((ap.relation.clone(), ap.trie_order.clone())));
             }
             BuiltAtom::ConstOnly(annot) => {
@@ -464,18 +507,19 @@ pub(crate) fn build_node(
         order.sort_by_key(|&i| attr_levels[i]);
         let sorted_levels: Vec<usize> = order.iter().map(|&i| attr_levels[i]).collect();
         let trie = rel.trie_threads(&order, cfg.layout_policy, cfg.effective_threads());
-        atoms.push(AtomExec::new(
-            trie,
-            sorted_levels,
-            0,
-            fully_folded && is_agg,
-            0,
-            false,
-        ));
+        atoms.push(AtomSpec {
+            attr_levels: sorted_levels,
+            start: 0,
+            annotated: fully_folded && is_agg,
+            level_offset: 0,
+            observe: false,
+        });
+        tries.push(trie);
         sources.push(None);
     }
     Ok(NodeBuild {
         atoms,
+        tries,
         sources,
         base_product,
         empty,
@@ -483,7 +527,7 @@ pub(crate) fn build_node(
 }
 
 enum BuiltAtom {
-    Live(AtomExec),
+    Live(AtomSpec, Arc<Trie>),
     /// All positions constant and present: contributes only an annotation.
     ConstOnly(DynValue),
     /// Constant prefix missing from the relation: node result is empty.
@@ -560,14 +604,16 @@ fn build_atom(
     let observe = cfg.adaptive
         && cfg.layout_policy == LayoutPolicy::SetLevel
         && !rel.layout_converged(&ap.trie_order);
-    Ok(BuiltAtom::Live(AtomExec::new(
+    Ok(BuiltAtom::Live(
+        AtomSpec {
+            attr_levels,
+            start,
+            annotated,
+            level_offset: consts.len(),
+            observe,
+        },
         trie,
-        attr_levels,
-        start,
-        annotated,
-        consts.len(),
-        observe,
-    )))
+    ))
 }
 
 /// Walk a constant prefix from the root; returns the reached node id.
@@ -611,7 +657,7 @@ fn child_as_relation(
         .collect();
     let mut proj = result.tuples.reorder(&iface_idx);
     proj.drop_annotations();
-    (Relation::from_buffer(proj.sorted_dedup(op), op), false)
+    (Relation::from_buffer(proj.into_sorted_dedup(op), op), false)
 }
 
 #[cfg(test)]
@@ -621,18 +667,30 @@ mod tests {
     use eh_ghd::plan_rule;
     use eh_query::parse_rule;
 
-    fn triangle_program() -> (JoinProgram, NodeBuild) {
+    /// The root node of `query` over a three-edge `E` and a two-edge
+    /// annotated `W`, built and compiled the way `run_node` does it.
+    fn root_program(query: &str, cfg: &Config) -> (JoinProgram, NodeBuild) {
         let mut cat = MemCatalog::new();
         cat.insert(
             "E",
             Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![0, 2]]),
         );
-        let rule = parse_rule("T(x,y,z) :- E(x,y),E(y,z),E(x,z).").unwrap();
-        let cfg = Config::default();
+        cat.insert(
+            "W",
+            Relation::from_annotated_rows(
+                2,
+                vec![vec![0, 1], vec![1, 2]],
+                vec![DynValue::F64(0.5), DynValue::F64(2.0)],
+                AggOp::Sum,
+            ),
+        );
+        let rule = parse_rule(query).unwrap();
         let gp = plan_rule(&rule, &cfg.plan).unwrap();
         let plan = PhysicalPlan::compile(&rule, &gp);
+        let is_agg = plan.agg.is_some();
+        let op = plan.agg.as_ref().map_or(AggOp::Count, |a| a.op);
         let node = plan.root();
-        let build = build_node(node, &plan, &cat, &cfg, &[], false, AggOp::Count).unwrap();
+        let build = build_node(node, &plan, &cat, cfg, &[], is_agg, op).unwrap();
         let output_levels: Vec<usize> = node
             .output_attrs
             .iter()
@@ -642,10 +700,15 @@ mod tests {
             node.attrs.len(),
             output_levels,
             &build.atoms,
-            false,
-            AggOp::Count,
+            build.tries.clone(),
+            is_agg,
+            op,
         );
         (program, build)
+    }
+
+    fn triangle_program() -> (JoinProgram, NodeBuild) {
+        root_program("T(x,y,z) :- E(x,y),E(y,z),E(x,z).", &Config::default())
     }
 
     #[test]
@@ -668,53 +731,76 @@ mod tests {
             .filter(|st| st.leaf)
             .count();
         assert_eq!(leaves, 3, "each binary atom bottoms out once");
-        // A listing query has no count fast path.
-        assert!(!program.count_fast);
+        // A listing query has no count fast path and never folds.
+        assert!(!program.count_fast && !program.scatter);
+        assert_eq!(program.fold_from, usize::MAX);
     }
 
     #[test]
     fn count_fast_path_detected() {
-        let mut cat = MemCatalog::new();
-        cat.insert(
-            "E",
-            Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![0, 2]]),
-        );
-        let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
-        let cfg = Config::default();
-        let gp = plan_rule(&rule, &cfg.plan).unwrap();
-        let plan = PhysicalPlan::compile(&rule, &gp);
-        let node = plan.root();
-        let build = build_node(node, &plan, &cat, &cfg, &[], true, AggOp::Count).unwrap();
-        let program = JoinProgram::compile(
-            node.attrs.len(),
-            Vec::new(),
-            &build.atoms,
-            true,
-            AggOp::Count,
+        let (program, _) = root_program(
+            "C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.",
+            &Config::default(),
         );
         assert!(program.count_fast, "innermost count never materializes");
+        assert_eq!(program.fold_from, 0, "a scalar folds from the top");
+        assert!(!program.scatter);
     }
 
     #[test]
-    fn atom_cursors_are_fixed_size() {
-        let (_, build) = triangle_program();
-        for a in &build.atoms {
-            assert_eq!(a.stack.len(), a.attr_levels.len());
-            assert_eq!(a.hints.len(), a.attr_levels.len());
+    fn aggregate_shapes_pick_their_fold_paths() {
+        // (query, fold_from, scatter, count_fast) as single-node plans
+        // under the structural order.
+        for (q, fold_from, scatter, count_fast) in [
+            // Planned y, x, z — key in the middle: the innermost level
+            // folds through the count fast path, once per (y, x) prefix.
+            (
+                "D(x;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.",
+                2,
+                false,
+                true,
+            ),
+            // Key outermost: everything below it folds.
+            ("D(x;w:long) :- E(x,y); w=<<COUNT(*)>>.", 1, false, true),
+            // Key innermost over a plain atom: the PageRank/SSSP shape.
+            ("P(y;w:long) :- E(x,y); w=<<COUNT(*)>>.", 2, true, false),
+            // Key innermost, but its atom's annotation varies per key.
+            ("S(y;w:float) :- W(x,y); w=<<SUM(y)>>.", 2, false, false),
+            // Annotated innermost below the key: the fused Σ⊗ fold.
+            ("S(x;w:float) :- W(x,y); w=<<SUM(y)>>.", 1, false, false),
+        ] {
+            let (program, _) = root_program(q, &Config::no_ghd());
+            assert_eq!(
+                (program.fold_from, program.scatter, program.count_fast),
+                (fold_from, scatter, count_fast),
+                "{q}"
+            );
         }
     }
 
     #[test]
-    fn fork_shares_tries_but_not_scratch() {
+    fn atom_cursors_are_fixed_size() {
         let (program, build) = triangle_program();
         let cfg = Config::default();
-        let mut ctx = GjContext::new(build.atoms, program.attrs_len, &cfg);
+        let ctx = GjContext::new(&build.atoms, &program, &cfg);
+        for (a, spec) in ctx.atoms.iter().zip(&build.atoms) {
+            assert_eq!(a.stack.len(), spec.attr_levels.len());
+            assert_eq!(a.hints.len(), spec.attr_levels.len());
+        }
+    }
+
+    #[test]
+    fn fork_copies_cursors_but_not_scratch() {
+        let (program, build) = triangle_program();
+        let cfg = Config::default();
+        let mut ctx = GjContext::new(&build.atoms, &program, &cfg);
         ctx.scratch[0].push(7);
         ctx.bindings[0] = 9;
         let fork = ctx.fork();
         assert!(fork.scratch[0].is_empty(), "fresh scratch per worker");
         assert_eq!(fork.bindings[0], 0);
         assert_eq!(fork.atoms.len(), ctx.atoms.len());
-        assert!(Arc::ptr_eq(&fork.atoms[0].trie, &ctx.atoms[0].trie));
+        // Cursors borrow the program's tries; forking copies the borrow.
+        assert!(std::ptr::eq(fork.atoms[0].trie, &*program.tries[0]));
     }
 }

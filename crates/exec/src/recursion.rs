@@ -17,7 +17,6 @@ use eh_query::ast::Recursion;
 use eh_query::Rule;
 use eh_semiring::{AggOp, DynValue};
 use eh_trie::TupleBuffer;
-use std::collections::HashMap;
 
 /// A catalog overlay that substitutes one relation (the recursive one)
 /// without mutating the base catalog.
@@ -47,6 +46,11 @@ impl Catalog for Overlay<'_> {
 
 /// Evaluate a recursive rule to convergence, starting from `initial` (the
 /// result of the rule's base case). Returns the final relation.
+///
+/// The running state is always a *canonical* buffer — annotated, strictly
+/// key-ascending — which is also what every iteration's result is, so
+/// versions combine by a lock-step walk with no hashing, no per-tuple keys
+/// and no final sort.
 pub fn execute_recursive_rule(
     rule: &Rule,
     initial: Relation,
@@ -65,6 +69,11 @@ pub fn execute_recursive_rule(
     // algorithm" — compilation is not repeated per iteration).
     let ghd_plan = eh_ghd::plan_rule(rule, &cfg.plan).map_err(ExecError::Plan)?;
     let plan = PhysicalPlan::compile(rule, &ghd_plan);
+    // A user-registered base case may be unsorted or repeat keys:
+    // canonicalise it under the rule's own ⊕.
+    let mut base = initial.rows().clone();
+    base.fill_annotations(op.one());
+    let initial = Relation::from_buffer(base.into_sorted_dedup(op), op);
     let seminaive = !cfg.force_naive_recursion && op.is_monotone();
     if seminaive {
         seminaive_loop(rule, &plan, initial, catalog, cfg, op, criterion)
@@ -109,14 +118,14 @@ fn naive_loop(
             // Fixpoint rules follow the paper's Kleene semantics: "new
             // tuples are added to R" — merge with ⊕ until nothing changes.
             Recursion::Fixpoint => {
-                let merged = merge(&current, &next, op);
-                if relations_equal(&current, &merged, 0.0) {
-                    return Ok(merged);
+                let (merged, changed) = merge(current.rows(), next.rows(), op);
+                current = Relation::from_buffer(merged, op);
+                if !changed {
+                    return Ok(current);
                 }
-                current = merged;
             }
             Recursion::Epsilon(eps) => {
-                let delta = max_delta(&current, &next, op);
+                let delta = max_delta(current.rows(), next.rows(), op);
                 current = next;
                 if delta <= eps {
                     return Ok(current);
@@ -141,9 +150,8 @@ fn seminaive_loop(
     criterion: Recursion,
 ) -> Result<Relation, ExecError> {
     let name = rule.head.relation.as_str();
-    let arity = initial.arity();
-    // best: key → annotation (the running fixpoint state).
-    let mut best: HashMap<Vec<u32>, DynValue> = relation_map(&initial, op);
+    // The running fixpoint state; the first frontier is all of it.
+    let mut best = initial.rows().clone();
     let mut frontier = initial;
     let max_iters = match criterion {
         Recursion::Iterations(n) => n,
@@ -161,98 +169,91 @@ fn seminaive_loop(
             };
             execute_plan(plan, &overlay, cfg)?
         };
-        // Keep only strict improvements; they form the next frontier —
-        // a flat delta buffer, no per-tuple allocation.
-        let mut improved = TupleBuffer::new(arity);
+        // Keep only strict improvements; they form the next frontier.
+        let mut improved = TupleBuffer::new(best.arity());
         improved.set_annotations(Vec::new());
-        let d_annots = derived.annotations();
-        for (ri, row) in derived.rows().iter().enumerate() {
-            let an = d_annots.map(|a| a[ri]).unwrap_or_else(|| op.one());
-            let entry = best.get(row).copied();
-            let merged = match entry {
-                Some(old) => op.plus(old, an),
-                None => an,
-            };
-            let changed = match entry {
-                Some(old) => merged != old,
-                None => true,
-            };
-            if changed {
-                best.insert(row.to_vec(), merged);
-                improved.extend_row_annotated(row.iter().copied(), merged);
+        let mut merged = TupleBuffer::with_capacity(best.arity(), best.len());
+        zip_sorted(&best, derived.rows(), op, |key, old, new| {
+            let value = union(op, old, new);
+            if new.is_some() && old != Some(value) {
+                improved.push_annotated(key, value);
             }
-        }
+            merged.push_annotated(key, value);
+        });
+        best = merged;
         frontier = Relation::from_buffer(improved, op);
     }
-    // Materialize the fixpoint.
-    let mut entries: Vec<(Vec<u32>, DynValue)> = best.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = TupleBuffer::with_capacity(arity, entries.len());
+    Ok(Relation::from_buffer(best, op))
+}
+
+/// Walk two canonical (strictly key-ascending) buffers in lock step,
+/// visiting every key of either once, in ascending order, with its
+/// annotation on each side (`None` where the side lacks the key; an
+/// unannotated side counts as `op.one()` everywhere).
+fn zip_sorted(
+    a: &TupleBuffer,
+    b: &TupleBuffer,
+    op: AggOp,
+    mut visit: impl FnMut(&[u32], Option<DynValue>, Option<DynValue>),
+) {
+    use std::cmp::Ordering;
+    debug_assert!(a.is_strictly_sorted() && b.is_strictly_sorted());
+    let annot = |t: &TupleBuffer, i: usize| Some(t.annot(i).unwrap_or_else(|| op.one()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let order = if j == b.len() {
+            Ordering::Less
+        } else if i == a.len() {
+            Ordering::Greater
+        } else {
+            a.row(i).cmp(b.row(j))
+        };
+        match order {
+            Ordering::Less => visit(a.row(i), annot(a, i), None),
+            Ordering::Greater => visit(b.row(j), None, annot(b, j)),
+            Ordering::Equal => visit(a.row(i), annot(a, i), annot(b, j)),
+        }
+        i += (order != Ordering::Greater) as usize;
+        j += (order != Ordering::Less) as usize;
+    }
+}
+
+/// One key's annotation in the union of two versions: `⊕` where both hold
+/// the key (a [`zip_sorted`] visit always has at least one side).
+fn union(op: AggOp, a: Option<DynValue>, b: Option<DynValue>) -> DynValue {
+    match (a, b) {
+        (Some(x), Some(y)) => op.plus(x, y),
+        (Some(v), None) | (None, Some(v)) => v,
+        (None, None) => unreachable!("zip_sorted visits present keys"),
+    }
+}
+
+/// Union two relation versions, combining annotations with `⊕`; also
+/// reports whether the union differs from `a` (a new key, or a changed
+/// annotation) — the fixpoint test.
+fn merge(a: &TupleBuffer, b: &TupleBuffer, op: AggOp) -> (TupleBuffer, bool) {
+    let mut out = TupleBuffer::with_capacity(a.arity(), a.len().max(b.len()));
     out.set_annotations(Vec::new());
-    for (k, v) in entries {
-        out.push_annotated(&k, v);
-    }
-    Ok(Relation::from_buffer(out, op))
-}
-
-/// Union two relation versions, combining annotations with `⊕`.
-fn merge(a: &Relation, b: &Relation, op: AggOp) -> Relation {
-    let mut map = relation_map(a, op);
-    let annots = b.annotations();
-    for (ri, row) in b.rows().iter().enumerate() {
-        let an = annots.map(|x| x[ri]).unwrap_or_else(|| op.one());
-        map.entry(row.to_vec())
-            .and_modify(|v| *v = op.plus(*v, an))
-            .or_insert(an);
-    }
-    let mut entries: Vec<(Vec<u32>, DynValue)> = map.into_iter().collect();
-    entries.sort_by(|x, y| x.0.cmp(&y.0));
-    let mut out = TupleBuffer::with_capacity(a.arity(), entries.len());
-    out.set_annotations(Vec::new());
-    for (k, v) in entries {
-        out.push_annotated(&k, v);
-    }
-    Relation::from_buffer(out, op)
-}
-
-/// Key → annotation map of a relation.
-fn relation_map(rel: &Relation, op: AggOp) -> HashMap<Vec<u32>, DynValue> {
-    let mut map = HashMap::with_capacity(rel.len());
-    let annots = rel.annotations();
-    for (ri, row) in rel.rows().iter().enumerate() {
-        let an = annots.map(|a| a[ri]).unwrap_or_else(|| op.one());
-        map.entry(row.to_vec())
-            .and_modify(|v| *v = op.plus(*v, an))
-            .or_insert(an);
-    }
-    map
-}
-
-/// Structural + value equality up to `eps`.
-fn relations_equal(a: &Relation, b: &Relation, eps: f64) -> bool {
-    let ma = relation_map(a, AggOp::Sum);
-    let mb = relation_map(b, AggOp::Sum);
-    if ma.len() != mb.len() {
-        return false;
-    }
-    ma.iter()
-        .all(|(k, va)| mb.get(k).is_some_and(|vb| va.approx_eq(*vb, eps)))
+    let mut changed = false;
+    zip_sorted(a, b, op, |key, va, vb| {
+        let value = union(op, va, vb);
+        changed |= !va.is_some_and(|old| old.approx_eq(value, 0.0));
+        out.push_annotated(key, value);
+    });
+    (out, changed)
 }
 
 /// Largest absolute annotation change between two relation versions.
-fn max_delta(a: &Relation, b: &Relation, op: AggOp) -> f64 {
-    let ma = relation_map(a, op);
-    let mb = relation_map(b, op);
+fn max_delta(a: &TupleBuffer, b: &TupleBuffer, op: AggOp) -> f64 {
     let mut delta: f64 = 0.0;
-    for (k, vb) in &mb {
-        let va = ma.get(k).copied().unwrap_or_else(|| op.zero());
-        delta = delta.max((va.as_f64() - vb.as_f64()).abs());
-    }
-    for (k, va) in &ma {
-        if !mb.contains_key(k) {
-            delta = delta.max(va.as_f64().abs());
-        }
-    }
+    zip_sorted(a, b, op, |_, va, vb| {
+        let change = match (va, vb) {
+            (va, Some(vb)) => va.unwrap_or_else(|| op.zero()).as_f64() - vb.as_f64(),
+            (Some(va), None) => va.as_f64(),
+            (None, None) => unreachable!("zip_sorted visits present keys"),
+        };
+        delta = delta.max(change.abs());
+    });
     delta
 }
 
@@ -353,6 +354,72 @@ mod tests {
         let out = execute_recursive_rule(&rec, initial, &cat, &Config::default()).unwrap();
         let annots = out.annotations().unwrap();
         assert!(annots[0].as_f64() <= 0.002, "decayed close to zero");
+    }
+
+    fn annotated(rows: &[(u32, u64)]) -> TupleBuffer {
+        let mut t = TupleBuffer::new(1);
+        t.set_annotations(Vec::new());
+        for &(k, v) in rows {
+            t.push_annotated(&[k], DynValue::U64(v));
+        }
+        t
+    }
+
+    #[test]
+    fn lock_step_merge_and_delta() {
+        let a = annotated(&[(1, 5), (3, 2), (9, 7)]);
+        let b = annotated(&[(0, 4), (3, 1), (9, 8)]);
+        let mut seen = Vec::new();
+        zip_sorted(&a, &b, AggOp::Min, |k, x, y| {
+            seen.push((k[0], x.map(|v| v.as_u64()), y.map(|v| v.as_u64())));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (0, None, Some(4)),
+                (1, Some(5), None),
+                (3, Some(2), Some(1)),
+                (9, Some(7), Some(8)),
+            ]
+        );
+        let (merged, changed) = merge(&a, &b, AggOp::Min);
+        assert_eq!(merged, annotated(&[(0, 4), (1, 5), (3, 1), (9, 7)]));
+        assert!(changed, "a new key and an improved one");
+        // Merging a version into itself — or into a superset of worse
+        // values — is the fixpoint.
+        assert!(!merge(&merged, &a, AggOp::Min).1);
+        assert!(!merge(&merged, &TupleBuffer::new(1), AggOp::Min).1);
+        // Largest change: key 0 appears (|zero − 4| is huge under MIN, so
+        // use SUM's zero), key 1 vanishes (5), key 3 moves by 1.
+        assert_eq!(max_delta(&a, &b, AggOp::Sum), 5.0);
+        assert_eq!(max_delta(&a, &a, AggOp::Sum), 0.0);
+    }
+
+    #[test]
+    fn non_canonical_min_base_folds_under_the_rules_own_op() {
+        // The base case lists node 1 twice (distances 7 and 1), out of
+        // key order, and was registered under SUM: the recursion must
+        // canonicalise it with MIN — the rule's ⊕ — not add the two up.
+        let cat = sssp_catalog();
+        let initial = Relation::from_annotated_rows(
+            1,
+            vec![vec![3], vec![1], vec![1]],
+            vec![DynValue::U64(1), DynValue::U64(7), DynValue::U64(1)],
+            AggOp::Sum,
+        );
+        let rec = parse_rule("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.").unwrap();
+        for naive in [false, true] {
+            let cfg = Config {
+                force_naive_recursion: naive,
+                ..Config::default()
+            };
+            let out = execute_recursive_rule(&rec, initial.clone(), &cat, &cfg).unwrap();
+            assert!(out.rows().is_strictly_sorted(), "naive={naive}");
+            assert_eq!(dist_of(&out, 1), Some(1), "naive={naive}");
+            assert_eq!(dist_of(&out, 2), Some(2), "naive={naive}");
+            assert_eq!(dist_of(&out, 3), Some(1), "naive={naive}");
+            assert_eq!(dist_of(&out, 0), Some(2), "naive={naive}");
+        }
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Emission sinks and result assembly: where Generic-Join bindings land.
 //!
-//! A [`Sink`] absorbs one binding at a time — scalar `⊕`-accumulator,
-//! packed-key aggregate maps, or a flat row buffer — with no per-emit
-//! allocation for the common key arities. Per-thread sinks from the
-//! parallel runtime merge with [`Sink::merge`] (`⊕` on aggregates, flat
-//! append on rows). The Yannakakis top-down pass ([`assemble`]) and the
-//! final projection/group-by ([`finalize`]) also live here.
+//! A [`Sink`] absorbs contributions — one binding's value, one folded
+//! subtree, or one scattered set — into a scalar `⊕`-accumulator, a
+//! group-by accumulator, or a flat row buffer, with no per-emit allocation
+//! for the common key arities. A one-key group-by over a dense id space
+//! folds into a flat id-indexed array ([`DenseAgg`]); the hash map is the
+//! fallback for sparse raw-id spaces ([`sink_kind`] decides, from column
+//! statistics alone). Per-chunk sinks from the parallel runtime merge in
+//! range order with [`Sink::merge`]. The Yannakakis top-down pass
+//! ([`assemble`]) and the final projection/group-by ([`finalize`]) also
+//! live here.
 
 use crate::executor::NodeResult;
 use crate::plan::{PhysicalPlan, PlanNode};
@@ -13,6 +17,7 @@ use crate::program::JoinProgram;
 use crate::storage::{Catalog, Relation};
 use eh_query::ast::Expr;
 use eh_semiring::{AggOp, DynValue};
+use eh_set::Set;
 use eh_trie::TupleBuffer;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,13 +61,80 @@ impl std::hash::BuildHasher for IdentityBuild {
     }
 }
 
+/// Which accumulator a plan node's bindings fold into — decided per
+/// execution from the plan node and catalog statistics (see
+/// [`plan_sink_kinds`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SinkKind {
+    /// Not an aggregate: rows collect into a flat buffer.
+    Rows,
+    /// Aggregate with no group-by key: one accumulator.
+    Scalar,
+    /// One group-by key whose id space is dense: a flat array of this many
+    /// slots, indexed by the key's dictionary id.
+    Dense(usize),
+    /// Any other group-by: a hash map keyed on the (packed) key columns.
+    Hash,
+}
+
+/// A one-key group-by takes the dense array only when the key column's id
+/// space (`max id + 1`) is within this factor of its distinct count, so
+/// the array is never more than a small multiple of the data it indexes.
+const DENSE_SLACK: u64 = 4;
+
+/// Pick the sink for one plan node. A one-key aggregate goes dense when
+/// some catalog atom binding the key has a dense id space in the bound
+/// column — every key the join can produce is one of that column's ids, so
+/// `max id + 1` slots hold them all; raw sparse ids (or keys bound only by
+/// child results) keep the hash map.
+pub(crate) fn sink_kind(node: &PlanNode, is_agg: bool, catalog: &dyn Catalog) -> SinkKind {
+    if !is_agg {
+        return SinkKind::Rows;
+    }
+    let key = match node.output_attrs.as_slice() {
+        [] => return SinkKind::Scalar,
+        [key] => key,
+        _ => return SinkKind::Hash,
+    };
+    let level = node.attrs.iter().position(|a| a == key);
+    node.atoms
+        .iter()
+        .filter_map(|ap| {
+            let depth = ap.attr_levels.iter().position(|&l| Some(l) == level)?;
+            let column = *ap.trie_order.get(ap.const_prefix.len() + depth)?;
+            let extent = catalog.relation(&ap.relation)?.column_extent(column)?;
+            let slots = extent.max as u64 + 1;
+            (slots <= DENSE_SLACK * extent.distinct).then_some(slots as usize)
+        })
+        .min()
+        .map_or(SinkKind::Hash, SinkKind::Dense)
+}
+
+/// The sink every node of `plan` would fold into against `catalog`, in
+/// plan (bottom-up) order — the executor's own decision, exposed so tests
+/// and tools can see which accumulator a query takes.
+pub fn plan_sink_kinds(plan: &PhysicalPlan, catalog: &dyn Catalog) -> Vec<SinkKind> {
+    let is_agg = plan.agg.is_some();
+    plan.nodes
+        .iter()
+        .map(|node| sink_kind(node, is_agg, catalog))
+        .collect()
+}
+
 /// Emission sink: scalar accumulator (no key vars), aggregate fold, or
 /// flat row collection.
 pub(crate) enum Sink {
     /// Scalar aggregate (COUNT(*)-style) — no hashing in the hot loop.
     Scalar { acc: DynValue, any: bool },
-    /// Single-key aggregate — u32 keys, cheap hash, no per-emit allocation.
+    /// Single-key aggregate over a dense id space — no hashing at all.
+    Dense1(DenseAgg),
+    /// Single-key aggregate over sparse raw ids — u32 keys, cheap hash.
     Agg1(HashMap<u32, DynValue, IdentityBuild>),
+    /// Single-key aggregate of one parallel chunk: the contributions in
+    /// arrival order, never O(id space), replayed into the node's
+    /// `Dense1`/`Agg1` in range order — so every key folds exactly the
+    /// contribution sequence the serial loop would have fed it.
+    Log1 { keys: Vec<u32>, vals: Vec<DynValue> },
     /// Two-key aggregate — both u32 keys packed into one u64 so multi-key
     /// group-bys stop allocating per emitted row.
     Agg2(HashMap<u64, DynValue, IdentityBuild>),
@@ -72,27 +144,252 @@ pub(crate) enum Sink {
     Rows(TupleBuffer),
 }
 
-impl Sink {
-    /// Sink for a node with `keys` output columns.
-    pub(crate) fn for_output(is_agg: bool, keys: usize, op: AggOp) -> Sink {
-        if is_agg {
-            match keys {
-                0 => Sink::Scalar {
-                    acc: op.zero(),
-                    any: false,
-                },
-                1 => Sink::Agg1(HashMap::with_hasher(IdentityBuild)),
-                2 => Sink::Agg2(HashMap::with_hasher(IdentityBuild)),
-                _ => Sink::AggN(HashMap::new()),
-            }
+/// One-key `⊕`-accumulator over a dense id space: a flat value array plus
+/// a presence bitmap, both indexed by the key's dictionary id. Values are
+/// stored as the carrier's raw 64 bits (`u64` for COUNT/MIN, `f64` bits
+/// for SUM/MAX) so both arrays come zeroed straight from the allocator.
+pub(crate) struct DenseAgg {
+    vals: Vec<u64>,
+    present: Vec<u64>,
+}
+
+/// `v` as the raw bits [`DenseAgg`] stores for `op`'s carrier.
+#[inline(always)]
+fn to_raw(op: AggOp, v: DynValue) -> u64 {
+    match op {
+        AggOp::Count | AggOp::Min => v.as_u64(),
+        AggOp::Sum | AggOp::Max => v.as_f64().to_bits(),
+    }
+}
+
+/// Inverse of [`to_raw`].
+#[inline(always)]
+fn from_raw(op: AggOp, raw: u64) -> DynValue {
+    match op {
+        AggOp::Count | AggOp::Min => DynValue::U64(raw),
+        AggOp::Sum | AggOp::Max => DynValue::F64(f64::from_bits(raw)),
+    }
+}
+
+// lint:region-start(alloc-free): per-binding sink paths — emit, scatter and the dense fold run once per join binding (or per innermost set) and must never allocate
+impl DenseAgg {
+    /// `⊕` one contribution, already in raw form, into `key`'s slot.
+    #[inline(always)]
+    fn add(&mut self, key: u32, raw: u64, op: AggOp) {
+        let k = key as usize;
+        let (word, bit) = (k >> 6, 1u64 << (k & 63));
+        if self.present[word] & bit != 0 {
+            let folded = op.plus(from_raw(op, self.vals[k]), from_raw(op, raw));
+            self.vals[k] = to_raw(op, folded);
         } else {
-            Sink::Rows(TupleBuffer::new(keys))
+            self.present[word] |= bit;
+            self.vals[k] = raw;
         }
     }
 
-    /// Merge a worker's sink into this one: `⊕` on aggregates, one flat
-    /// append on rows. Both sinks must come from the same
-    /// [`Sink::for_output`] shape.
+    /// `⊕` the same contribution into every key of `keys`. One out-of-line
+    /// instance per carrier: `op` is a constant inside each, and the loops
+    /// of one do not compete with the others' for registers.
+    fn scatter(&mut self, keys: Keys<'_>, v: DynValue, op: AggOp) {
+        #[inline(never)]
+        fn count(dense: &mut DenseAgg, keys: Keys<'_>, v: DynValue) {
+            dense.scatter_op(keys, v, AggOp::Count)
+        }
+        #[inline(never)]
+        fn sum(dense: &mut DenseAgg, keys: Keys<'_>, v: DynValue) {
+            dense.scatter_op(keys, v, AggOp::Sum)
+        }
+        #[inline(never)]
+        fn min(dense: &mut DenseAgg, keys: Keys<'_>, v: DynValue) {
+            dense.scatter_op(keys, v, AggOp::Min)
+        }
+        #[inline(never)]
+        fn max(dense: &mut DenseAgg, keys: Keys<'_>, v: DynValue) {
+            dense.scatter_op(keys, v, AggOp::Max)
+        }
+        match op {
+            AggOp::Count => count(self, keys, v),
+            AggOp::Sum => sum(self, keys, v),
+            AggOp::Min => min(self, keys, v),
+            AggOp::Max => max(self, keys, v),
+        }
+    }
+
+    /// [`DenseAgg::scatter`] with `op` a constant at every call site: one
+    /// plain loop per layout over the raw contribution, dispatching on
+    /// the layout once instead of once per key as [`Set::iter`] must.
+    #[inline(always)]
+    fn scatter_op(&mut self, keys: Keys<'_>, v: DynValue, op: AggOp) {
+        let raw = to_raw(op, v);
+        match keys {
+            Keys::Values(values) => {
+                for &k in values {
+                    self.add(k, raw, op);
+                }
+            }
+            Keys::Set(Set::Uint(s)) => {
+                for &k in s.values() {
+                    self.add(k, raw, op);
+                }
+            }
+            Keys::Set(Set::Bitset(s)) => {
+                // A block's words line up with presence words: split each
+                // into first-touch and already-present keys with two ANDs,
+                // then walk both with no per-key presence test.
+                for (&offset, block) in s.offsets().iter().zip(s.blocks()) {
+                    let first_word = offset as usize * eh_set::BLOCK_WORDS;
+                    for (w, &word) in block.iter().enumerate() {
+                        let base = (first_word + w) * 64;
+                        let seen = self.present[first_word + w];
+                        self.present[first_word + w] = seen | word;
+                        let (mut fresh, mut again) = (word & !seen, word & seen);
+                        while fresh != 0 {
+                            self.vals[base + fresh.trailing_zeros() as usize] = raw;
+                            fresh &= fresh - 1;
+                        }
+                        while again != 0 {
+                            let k = base + again.trailing_zeros() as usize;
+                            let folded = op.plus(from_raw(op, self.vals[k]), from_raw(op, raw));
+                            self.vals[k] = to_raw(op, folded);
+                            again &= again - 1;
+                        }
+                    }
+                }
+            }
+            Keys::Set(Set::Block(s)) => {
+                for k in s.iter() {
+                    self.add(k, raw, op);
+                }
+            }
+        }
+    }
+}
+
+/// The group keys of one scatter: a trie set walked in place, or the
+/// merged candidates of a multi-participant level.
+#[derive(Clone, Copy)]
+pub(crate) enum Keys<'a> {
+    Set(&'a Set),
+    Values(&'a [u32]),
+}
+
+impl Keys<'_> {
+    fn for_each(self, f: impl FnMut(u32)) {
+        match self {
+            Keys::Set(set) => set.iter().for_each(f),
+            Keys::Values(values) => values.iter().copied().for_each(f),
+        }
+    }
+}
+
+impl Sink {
+    /// Emit one contribution under the current `bindings`: fold into the
+    /// scalar/aggregate accumulator or push a row.
+    #[inline]
+    pub(crate) fn emit(&mut self, program: &JoinProgram, bindings: &[u32], product: DynValue) {
+        let op = program.op;
+        let key = |i: usize| bindings[program.output_levels[i]];
+        match self {
+            Sink::Scalar { acc, any } => {
+                *acc = op.plus(*acc, product);
+                *any = true;
+            }
+            Sink::Dense1(dense) => dense.add(key(0), to_raw(op, product), op),
+            Sink::Agg1(map) => fold_entry(map, key(0), product, op),
+            Sink::Log1 { keys, vals } => {
+                keys.push(key(0));
+                vals.push(product);
+            }
+            Sink::Agg2(map) => fold_entry(map, pack2(key(0), key(1)), product, op),
+            Sink::AggN(map) => emit_wide(map, program, bindings, product),
+            Sink::Rows(rows) => {
+                rows.extend_row(program.output_levels.iter().map(|&l| bindings[l]));
+            }
+        }
+    }
+
+    /// Scatter-`⊕`: fold `product` into every key of `keys` (a one-key
+    /// aggregate grouped by its innermost attribute, see
+    /// [`JoinProgram::scatter`]).
+    pub(crate) fn scatter(&mut self, keys: Keys<'_>, product: DynValue, op: AggOp) {
+        match self {
+            Sink::Dense1(dense) => dense.scatter(keys, product, op),
+            Sink::Agg1(map) => keys.for_each(|k| fold_entry(map, k, product, op)),
+            Sink::Log1 { keys: log, vals } => {
+                keys.for_each(|k| log.push(k));
+                vals.resize(log.len(), product);
+            }
+            _ => unreachable!("scatter needs a one-key aggregate sink"),
+        }
+    }
+}
+
+/// `⊕` one contribution into a hash-keyed group.
+#[inline(always)]
+fn fold_entry<K: std::hash::Hash + Eq, S: std::hash::BuildHasher>(
+    map: &mut HashMap<K, DynValue, S>,
+    key: K,
+    v: DynValue,
+    op: AggOp,
+) {
+    map.entry(key)
+        .and_modify(|x| *x = op.plus(*x, v))
+        .or_insert(v);
+}
+// lint:region-end(alloc-free)
+
+/// The ≥3-key emit: the heap-keyed fallback allocates its key per call.
+fn emit_wide(
+    map: &mut HashMap<Vec<u32>, DynValue>,
+    program: &JoinProgram,
+    bindings: &[u32],
+    product: DynValue,
+) {
+    let tuple: Vec<u32> = program.output_levels.iter().map(|&l| bindings[l]).collect();
+    fold_entry(map, tuple, product, program.op);
+}
+
+impl Sink {
+    /// The sink of one node: `kind` as chosen by [`sink_kind`], `keys`
+    /// output columns.
+    pub(crate) fn new(kind: SinkKind, keys: usize, op: AggOp) -> Sink {
+        match kind {
+            SinkKind::Rows => Sink::Rows(TupleBuffer::new(keys)),
+            SinkKind::Scalar => Sink::Scalar {
+                acc: op.zero(),
+                any: false,
+            },
+            SinkKind::Dense(slots) => Sink::Dense1(DenseAgg {
+                vals: vec![0; slots],
+                // Whole 256-bit blocks, so a bitset block's words always
+                // have presence words to line up with.
+                present: vec![0; slots.div_ceil(eh_set::BLOCK_BITS as usize) * eh_set::BLOCK_WORDS],
+            }),
+            SinkKind::Hash => match keys {
+                1 => Sink::Agg1(HashMap::with_hasher(IdentityBuild)),
+                2 => Sink::Agg2(HashMap::with_hasher(IdentityBuild)),
+                _ => Sink::AggN(HashMap::new()),
+            },
+        }
+    }
+
+    /// An empty sink for one parallel chunk of the join feeding `self`:
+    /// the same shape, except that one-key aggregates log their
+    /// contributions instead of folding them (see [`Sink::Log1`]).
+    pub(crate) fn chunk(&self, keys: usize, op: AggOp) -> Sink {
+        match self {
+            Sink::Dense1(_) | Sink::Agg1(_) | Sink::Log1 { .. } => Sink::Log1 {
+                keys: Vec::new(),
+                vals: Vec::new(),
+            },
+            Sink::Scalar { .. } => Sink::new(SinkKind::Scalar, keys, op),
+            Sink::Agg2(_) | Sink::AggN(_) => Sink::new(SinkKind::Hash, keys, op),
+            Sink::Rows(_) => Sink::new(SinkKind::Rows, keys, op),
+        }
+    }
+
+    /// Merge a chunk's sink (from [`Sink::chunk`]) into this one: replay
+    /// on one-key aggregates, `⊕` on the others, one flat append on rows.
     pub(crate) fn merge(&mut self, other: Sink, op: AggOp) {
         match (self, other) {
             (Sink::Scalar { acc, any }, Sink::Scalar { acc: a2, any: n2 }) => {
@@ -101,40 +398,53 @@ impl Sink {
                     *any = true;
                 }
             }
-            (Sink::Agg1(map), Sink::Agg1(m2)) => {
-                for (k, v) in m2 {
-                    map.entry(k)
-                        .and_modify(|x| *x = op.plus(*x, v))
-                        .or_insert(v);
+            (Sink::Dense1(dense), Sink::Log1 { keys, vals }) => {
+                for (k, v) in keys.into_iter().zip(vals) {
+                    dense.add(k, to_raw(op, v), op);
+                }
+            }
+            (Sink::Agg1(map), Sink::Log1 { keys, vals }) => {
+                for (k, v) in keys.into_iter().zip(vals) {
+                    fold_entry(map, k, v, op);
                 }
             }
             (Sink::Agg2(map), Sink::Agg2(m2)) => {
                 for (k, v) in m2 {
-                    map.entry(k)
-                        .and_modify(|x| *x = op.plus(*x, v))
-                        .or_insert(v);
+                    fold_entry(map, k, v, op);
                 }
             }
             (Sink::AggN(map), Sink::AggN(m2)) => {
                 for (k, v) in m2 {
-                    map.entry(k)
-                        .and_modify(|x| *x = op.plus(*x, v))
-                        .or_insert(v);
+                    fold_entry(map, k, v, op);
                 }
             }
             // Per-thread row buffers merge with one flat copy each.
             (Sink::Rows(rows), Sink::Rows(r2)) => rows.append(&r2),
-            _ => unreachable!("sink kinds match across threads"),
+            _ => unreachable!("chunk sinks come from Sink::chunk"),
         }
     }
 
-    /// Drain the sink into a node's canonical tuple buffer: aggregates
-    /// sort by key, rows sort-and-dedup, scalars become a nullary row.
+    /// Drain the sink into a node's canonical tuple buffer: the dense
+    /// array drains in key order, hash groups sort by key, rows
+    /// sort-and-dedup, scalars become a nullary row.
     pub(crate) fn into_node_tuples(self, keys: usize, op: AggOp) -> TupleBuffer {
         match self {
             Sink::Scalar { acc, any } => {
                 let mut t = TupleBuffer::nullary(if any { 1 } else { 0 });
                 t.set_annotations(if any { vec![acc] } else { Vec::new() });
+                t
+            }
+            Sink::Dense1(dense) => {
+                let groups = dense.present.iter().map(|w| w.count_ones() as usize).sum();
+                let mut t = TupleBuffer::with_capacity(1, groups);
+                for (word, &bits) in dense.present.iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        let k = word * 64 + bits.trailing_zeros() as usize;
+                        t.push_annotated(&[k as u32], from_raw(op, dense.vals[k]));
+                        bits &= bits - 1;
+                    }
+                }
                 t
             }
             Sink::Agg1(map) => {
@@ -146,7 +456,15 @@ impl Sink {
                 }
                 t
             }
-            Sink::Agg2(map) => packed_groups_to_buffer(map, 2, |v| v),
+            Sink::Agg2(map) => {
+                let mut entries: Vec<(u64, DynValue)> = map.into_iter().collect();
+                entries.sort_unstable_by_key(|e| e.0);
+                let mut t = TupleBuffer::with_capacity(2, entries.len());
+                for (k, v) in entries {
+                    t.push_annotated(&[(k >> 32) as u32, k as u32], v);
+                }
+                t
+            }
             Sink::AggN(map) => {
                 let mut entries: Vec<(Vec<u32>, DynValue)> = map.into_iter().collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -156,45 +474,8 @@ impl Sink {
                 }
                 t
             }
-            Sink::Rows(rows) => rows.sorted_dedup(op),
-        }
-    }
-}
-
-/// Emit one assignment: fold into the scalar/aggregate sink or push a row.
-#[inline]
-pub(crate) fn emit(program: &JoinProgram, bindings: &[u32], product: DynValue, sink: &mut Sink) {
-    match sink {
-        Sink::Scalar { acc, any } => {
-            *acc = program.op.plus(*acc, product);
-            *any = true;
-        }
-        Sink::Agg1(map) => {
-            let key = bindings[program.output_levels[0]];
-            let op = program.op;
-            map.entry(key)
-                .and_modify(|v| *v = op.plus(*v, product))
-                .or_insert(product);
-        }
-        Sink::Agg2(map) => {
-            let key = pack2(
-                bindings[program.output_levels[0]],
-                bindings[program.output_levels[1]],
-            );
-            let op = program.op;
-            map.entry(key)
-                .and_modify(|v| *v = op.plus(*v, product))
-                .or_insert(product);
-        }
-        Sink::AggN(map) => {
-            let tuple: Vec<u32> = program.output_levels.iter().map(|&l| bindings[l]).collect();
-            let op = program.op;
-            map.entry(tuple)
-                .and_modify(|v| *v = op.plus(*v, product))
-                .or_insert(product);
-        }
-        Sink::Rows(rows) => {
-            rows.extend_row(program.output_levels.iter().map(|&l| bindings[l]));
+            Sink::Rows(rows) => rows.into_sorted_dedup(op),
+            Sink::Log1 { .. } => unreachable!("chunk sinks merge, never drain"),
         }
     }
 }
@@ -203,27 +484,6 @@ pub(crate) fn emit(program: &JoinProgram, bindings: &[u32], product: DynValue, s
 #[inline]
 pub(crate) fn pack2(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
-}
-
-/// Drain a u64-packed group-by map into a sorted annotated buffer
-/// (`keys` ∈ {1, 2}), applying `value` to each folded annotation. u64
-/// order on packed keys equals lexicographic order on the columns.
-fn packed_groups_to_buffer(
-    map: HashMap<u64, DynValue, IdentityBuild>,
-    keys: usize,
-    value: impl Fn(DynValue) -> DynValue,
-) -> TupleBuffer {
-    let mut entries: Vec<(u64, DynValue)> = map.into_iter().collect();
-    entries.sort_unstable_by_key(|e| e.0);
-    let mut t = TupleBuffer::with_capacity(keys, entries.len());
-    for (k, v) in entries {
-        if keys == 1 {
-            t.push_annotated(&[k as u32], value(v));
-        } else {
-            t.push_annotated(&[(k >> 32) as u32, k as u32], value(v));
-        }
-    }
-    t
 }
 
 /// Yannakakis top-down pass: extend each node's rows with its children's
@@ -322,10 +582,17 @@ pub(crate) fn finalize(
                 .expect("output var must be in assembled attrs")
         })
         .collect();
+    // The assembled columns usually ARE the head keys, in order (a
+    // single-node plan's sink output): no projection copy then.
+    let in_head_order = key_idx.iter().copied().eq(0..result.attrs.len());
+    let mut out = if in_head_order {
+        result.tuples
+    } else {
+        result.tuples.reorder(&key_idx)
+    };
     if !is_agg {
-        let mut proj = result.tuples.reorder(&key_idx);
-        proj.drop_annotations();
-        return Ok(Relation::from_buffer(proj.sorted_dedup(op), op));
+        out.drop_annotations();
+        return Ok(Relation::from_buffer(out.into_sorted_dedup(op), op));
     }
     let spec = plan.agg.as_ref().unwrap();
     let scalars = |name: &str| -> Option<f64> {
@@ -346,45 +613,22 @@ pub(crate) fn finalize(
             }
         }
     };
-    let annot_of = |ri: usize| result.tuples.annot(ri).unwrap_or_else(|| op.one());
+    out.fill_annotations(op.one());
     if plan.output_vars.is_empty() {
         // Scalar result: ⊕-fold every assembled row.
-        let total = (0..result.tuples.len()).fold(op.zero(), |acc, ri| op.plus(acc, annot_of(ri)));
+        let annots = out.annotations().unwrap_or_default();
+        let total = annots.iter().fold(op.zero(), |acc, &an| op.plus(acc, an));
         return Ok(Relation::new_scalar(apply(total)));
     }
-    // Group by key, ⊕-fold; keys of arity ≤ 2 pack into a u64 with the
-    // identity hasher (no per-row key allocation).
-    let out = if key_idx.len() <= 2 {
-        let mut map: HashMap<u64, DynValue, IdentityBuild> = HashMap::with_hasher(IdentityBuild);
-        for (ri, row) in result.tuples.iter().enumerate() {
-            let key = if key_idx.len() == 1 {
-                row[key_idx[0]] as u64
-            } else {
-                pack2(row[key_idx[0]], row[key_idx[1]])
-            };
-            let an = annot_of(ri);
-            map.entry(key)
-                .and_modify(|v| *v = op.plus(*v, an))
-                .or_insert(an);
+    // Group by key, ⊕-folding duplicates in row order (the radix sort is
+    // stable). A sink's output is already grouped and key-sorted, so the
+    // usual case is just the head expression applied in place.
+    let mut out = out.into_sorted_dedup(op);
+    if !matches!(spec.expr, Expr::Agg(..)) {
+        for an in out.annotations_mut().unwrap_or_default() {
+            *an = apply(*an);
         }
-        packed_groups_to_buffer(map, key_idx.len(), apply)
-    } else {
-        let mut map: HashMap<Vec<u32>, DynValue> = HashMap::new();
-        for (ri, row) in result.tuples.iter().enumerate() {
-            let key: Vec<u32> = key_idx.iter().map(|&i| row[i]).collect();
-            let an = annot_of(ri);
-            map.entry(key)
-                .and_modify(|v| *v = op.plus(*v, an))
-                .or_insert(an);
-        }
-        let mut entries: Vec<(Vec<u32>, DynValue)> = map.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut t = TupleBuffer::with_capacity(plan.output_vars.len(), entries.len());
-        for (k, v) in entries {
-            t.push_annotated(&k, apply(v));
-        }
-        t
-    };
+    }
     Ok(Relation::from_buffer(out, op))
 }
 
@@ -401,32 +645,139 @@ mod tests {
     }
 
     #[test]
-    fn sink_merge_folds_aggregates() {
-        let op = AggOp::Count;
-        let mut a = Sink::for_output(true, 1, op);
-        let mut b = Sink::for_output(true, 1, op);
-        if let Sink::Agg1(m) = &mut a {
-            m.insert(1, DynValue::U64(2));
-            m.insert(2, DynValue::U64(5));
+    fn one_key_sinks_replay_chunk_logs_in_order() {
+        // Dense and hash fallback fold the same logged contributions to
+        // the same key-sorted groups, for every carrier.
+        let log = |sink: &Sink, op: AggOp, entries: &[(u32, DynValue)]| {
+            let mut chunk = sink.chunk(1, op);
+            assert!(matches!(chunk, Sink::Log1 { .. }));
+            if let Sink::Log1 { keys, vals } = &mut chunk {
+                for &(k, v) in entries {
+                    keys.push(k);
+                    vals.push(v);
+                }
+            }
+            chunk
+        };
+        let u = DynValue::U64;
+        let f = DynValue::F64;
+        for (op, first, second, want) in [
+            (
+                AggOp::Count,
+                vec![(1, u(2)), (2, u(5)), (1, u(1))],
+                vec![(1, u(3)), (70, u(1))],
+                vec![(1, u(6)), (2, u(5)), (70, u(1))],
+            ),
+            (
+                AggOp::Min,
+                vec![(9, u(7)), (0, u(4))],
+                vec![(9, u(3)), (0, u(8))],
+                vec![(0, u(4)), (9, u(3))],
+            ),
+            (
+                AggOp::Sum,
+                vec![(64, f(0.5)), (3, f(-0.0))],
+                vec![(64, f(0.25)), (64, f(1.0))],
+                vec![(3, f(-0.0)), (64, f(1.75))],
+            ),
+            (
+                AggOp::Max,
+                vec![(5, f(-2.0))],
+                vec![(5, f(-3.0)), (6, f(0.0))],
+                vec![(5, f(-2.0)), (6, f(0.0))],
+            ),
+        ] {
+            for kind in [SinkKind::Dense(71), SinkKind::Hash] {
+                let mut sink = Sink::new(kind, 1, op);
+                let (a, b) = (log(&sink, op, &first), log(&sink, op, &second));
+                sink.merge(a, op);
+                sink.merge(b, op);
+                let t = sink.into_node_tuples(1, op);
+                let got: Vec<(u32, DynValue)> = t
+                    .iter()
+                    .zip(t.annotations().unwrap())
+                    .map(|(r, &v)| (r[0], v))
+                    .collect();
+                assert_eq!(got, want, "{op:?} {kind:?}");
+                // -0.0 == 0.0 under PartialEq: pin the sign bit too.
+                for ((_, g), (_, w)) in got.iter().zip(&want) {
+                    assert_eq!(g.as_f64().to_bits(), w.as_f64().to_bits(), "{op:?}");
+                }
+            }
         }
-        if let Sink::Agg1(m) = &mut b {
-            m.insert(1, DynValue::U64(3));
-            m.insert(9, DynValue::U64(1));
+    }
+
+    #[test]
+    fn scatter_equals_repeated_emit() {
+        let op = AggOp::Sum;
+        let keys = [3u32, 4, 64, 65, 200];
+        let set = Set::from_sorted(&keys, eh_set::LayoutKind::Bitset);
+        for kind in [SinkKind::Dense(201), SinkKind::Hash] {
+            let mut scattered = Sink::new(kind, 1, op);
+            scattered.scatter(Keys::Set(&set), DynValue::F64(0.5), op);
+            scattered.scatter(Keys::Values(&keys[1..3]), DynValue::F64(0.25), op);
+            let t = scattered.into_node_tuples(1, op);
+            assert_eq!(t.flat(), &keys);
+            let annots: Vec<f64> = t
+                .annotations()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_f64())
+                .collect();
+            assert_eq!(annots, vec![0.5, 0.75, 0.75, 0.5, 0.5], "{kind:?}");
         }
-        a.merge(b, op);
-        let t = a.into_node_tuples(1, op);
-        assert_eq!(t.flat(), &[1, 2, 9]);
-        let annots = t.annotations().unwrap();
-        assert_eq!(annots[0].as_u64(), 5, "1 folds 2⊕3");
-        assert_eq!(annots[1].as_u64(), 5);
-        assert_eq!(annots[2].as_u64(), 1);
+    }
+
+    #[test]
+    fn dense_sink_only_for_dense_id_spaces() {
+        use crate::storage::MemCatalog;
+        let plan_for = |q: &str| {
+            let rule = eh_query::parse_rule(q).unwrap();
+            let ghd = eh_ghd::plan_rule(&rule, &Default::default()).unwrap();
+            PhysicalPlan::compile(&rule, &ghd)
+        };
+        let mut cat = MemCatalog::new();
+        let dense: Vec<[u32; 2]> = (0..50u32).map(|i| [i, (i * 7) % 50]).collect();
+        let sparse: Vec<[u32; 2]> = dense.iter().map(|r| [u32::MAX - 60 + r[0], r[1]]).collect();
+        cat.insert("D", Relation::from_rows(2, dense));
+        cat.insert("S", Relation::from_rows(2, sparse));
+        let grouped = |rel: &str| format!("G(x;w:long) :- {rel}(x,y); w=<<COUNT(*)>>.");
+        assert_eq!(
+            plan_sink_kinds(&plan_for(&grouped("D")), &cat),
+            vec![SinkKind::Dense(50)]
+        );
+        // Raw ids near u32::MAX: nothing O(max id) may be allocated.
+        assert_eq!(
+            plan_sink_kinds(&plan_for(&grouped("S")), &cat),
+            vec![SinkKind::Hash]
+        );
+        // Keyed on S's dense second column instead: dense again.
+        assert_eq!(
+            plan_sink_kinds(&plan_for("G(y;w:long) :- S(x,y); w=<<COUNT(*)>>."), &cat),
+            vec![SinkKind::Dense(50)]
+        );
+        // Two binding columns in one node: the dense one bounds the key.
+        let rule = eh_query::parse_rule("G(x;w:long) :- S(x,y),D(x,z); w=<<COUNT(*)>>.").unwrap();
+        let single_node = eh_ghd::PlanOptions {
+            ghd_optimizations: false,
+            ..Default::default()
+        };
+        let plan = PhysicalPlan::compile(&rule, &eh_ghd::plan_rule(&rule, &single_node).unwrap());
+        assert_eq!(plan_sink_kinds(&plan, &cat), vec![SinkKind::Dense(50)]);
+        for (q, want) in [
+            ("C(;w:long) :- D(x,y); w=<<COUNT(*)>>.", SinkKind::Scalar),
+            ("L(x,y) :- D(x,y).", SinkKind::Rows),
+            ("P(x,y;w:long) :- D(x,y); w=<<COUNT(*)>>.", SinkKind::Hash),
+        ] {
+            assert_eq!(plan_sink_kinds(&plan_for(q), &cat), vec![want], "{q}");
+        }
     }
 
     #[test]
     fn sink_merge_appends_rows_then_dedups() {
         let op = AggOp::Count;
-        let mut a = Sink::for_output(false, 2, op);
-        let mut b = Sink::for_output(false, 2, op);
+        let mut a = Sink::new(SinkKind::Rows, 2, op);
+        let mut b = a.chunk(2, op);
         if let Sink::Rows(r) = &mut a {
             r.push_row(&[4, 5]);
             r.push_row(&[1, 2]);
@@ -443,7 +794,7 @@ mod tests {
     #[test]
     fn scalar_sink_roundtrip() {
         let op = AggOp::Count;
-        let mut a = Sink::for_output(true, 0, op);
+        let mut a = Sink::new(SinkKind::Scalar, 0, op);
         let b = Sink::Scalar {
             acc: DynValue::U64(4),
             any: true,
@@ -453,7 +804,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.annot(0).unwrap().as_u64(), 4);
         // An untouched scalar sink drains to zero rows.
-        let empty = Sink::for_output(true, 0, op).into_node_tuples(0, op);
+        let empty = Sink::new(SinkKind::Scalar, 0, op).into_node_tuples(0, op);
         assert_eq!(empty.len(), 0);
     }
 }

@@ -21,13 +21,13 @@ pub struct Relation {
     /// ⊕ used to combine duplicate-tuple annotations.
     combine: AggOp,
     tries: RwLock<TrieCache>,
-    /// Per-column distinct counts, filled opportunistically at trie build
-    /// (the root set of a trie ordered `[c, ...]` is exactly column `c`'s
-    /// distinct values) and on demand otherwise. A `Relation`'s tuples are
-    /// immutable — catalog mutations replace the whole relation — so the
-    /// cache can never go stale; the database's epoch machinery invalidates
-    /// at that granularity.
-    distinct: RwLock<Vec<Option<u64>>>,
+    /// Per-column distinct count and largest id, filled opportunistically
+    /// at trie build (the root set of a trie ordered `[c, ...]` is exactly
+    /// column `c`'s distinct values) and on demand otherwise. A
+    /// `Relation`'s tuples are immutable — catalog mutations replace the
+    /// whole relation — so the cache can never go stale; the database's
+    /// epoch machinery invalidates at that granularity.
+    columns: RwLock<Vec<Option<ColumnExtent>>>,
     /// Trie orders whose set-level layout census the adaptive feedback has
     /// verified against observed access (see
     /// [`Relation::mark_layout_converged`]): once an order converges the
@@ -37,6 +37,18 @@ pub struct Relation {
     /// re-layout, which deliberately leaves the order unconverged for one
     /// more verification pass.
     converged: RwLock<HashSet<Vec<usize>>>,
+}
+
+/// What one column's id space looks like: how many distinct ids it holds
+/// and the largest of them. The planner reads `distinct`; the executor
+/// compares the two to decide whether a group-by keyed on the column can
+/// fold into a flat id-indexed array (see [`crate::plan_sink_kinds`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ColumnExtent {
+    /// Number of distinct ids in the column.
+    pub distinct: u64,
+    /// Largest id in the column.
+    pub max: u32,
 }
 
 /// Cache of materialized tries, keyed by attribute order + layout policy.
@@ -69,7 +81,7 @@ impl Clone for Relation {
             tuples: self.tuples.clone(),
             combine: self.combine,
             tries: RwLock::new(self.tries.read().clone()),
-            distinct: RwLock::new(self.distinct.read().clone()),
+            columns: RwLock::new(self.columns.read().clone()),
             converged: RwLock::new(self.converged.read().clone()),
         }
     }
@@ -84,7 +96,7 @@ impl Relation {
             tuples,
             combine,
             tries: RwLock::new(HashMap::new()),
-            distinct: RwLock::new(vec![None; arity]),
+            columns: RwLock::new(vec![None; arity]),
             converged: RwLock::new(HashSet::new()),
         }
     }
@@ -188,13 +200,11 @@ impl Relation {
         let trie = Arc::new(builder.build_buffer(&reordered));
         // Opportunistic stats seeding: the root set of this trie holds
         // exactly the distinct values of the order's first source column.
-        if let Some(&first) = order.first() {
-            if !trie.is_empty() {
-                let mut distinct = self.distinct.write();
-                if distinct[first].is_none() {
-                    distinct[first] = Some(trie.root().set.len() as u64);
-                }
-            }
+        if let (Some(&first), Some(max)) = (order.first(), trie.root().set.max()) {
+            self.columns.write()[first].get_or_insert(ColumnExtent {
+                distinct: trie.root().set.len() as u64,
+                max,
+            });
         }
         self.tries.write().insert(key, Arc::clone(&trie));
         trie
@@ -211,27 +221,40 @@ impl Relation {
     /// computed by a one-off column scan otherwise — so repeated calls
     /// (one per atom per planning pass) are O(columns) lookups.
     pub fn stats(&self) -> RelationStats {
-        let need: Vec<usize> = {
-            let distinct = self.distinct.read();
-            (0..self.arity())
-                .filter(|&c| distinct[c].is_none())
-                .collect()
-        };
-        if !need.is_empty() {
-            let flat = self.tuples.flat();
-            let arity = self.arity();
-            for c in need {
-                let mut vals: Vec<u32> = flat.iter().skip(c).step_by(arity).copied().collect();
-                vals.sort_unstable();
-                vals.dedup();
-                self.distinct.write()[c] = Some(vals.len() as u64);
-            }
-        }
-        let distinct = self.distinct.read();
         RelationStats {
             cardinality: self.tuples.len() as u64,
-            distinct: distinct.iter().map(|d| d.unwrap_or(0)).collect(),
+            distinct: (0..self.arity())
+                .map(|c| self.column_extent(c).map_or(0, |e| e.distinct))
+                .collect(),
         }
+    }
+
+    /// Distinct count and largest id of one column (cached, see
+    /// [`Relation::stats`]). `None` for an out-of-range column or an empty
+    /// relation.
+    pub fn column_extent(&self, column: usize) -> Option<ColumnExtent> {
+        if column >= self.arity() || self.tuples.is_empty() {
+            return None;
+        }
+        if let Some(extent) = self.columns.read()[column] {
+            return Some(extent);
+        }
+        let mut vals: Vec<u32> = self
+            .tuples
+            .flat()
+            .iter()
+            .skip(column)
+            .step_by(self.arity())
+            .copied()
+            .collect();
+        vals.sort_unstable();
+        vals.dedup();
+        let extent = ColumnExtent {
+            distinct: vals.len() as u64,
+            max: *vals.last()?,
+        };
+        self.columns.write()[column] = Some(extent);
+        Some(extent)
     }
 
     /// Distinct count of one column (cached, see [`Relation::stats`]).
@@ -239,7 +262,7 @@ impl Relation {
         if column >= self.arity() {
             return None;
         }
-        self.stats().distinct.get(column).copied()
+        Some(self.column_extent(column).map_or(0, |e| e.distinct))
     }
 
     /// Replace the cached trie for `(order, policy)` with one rebuilt under

@@ -4,9 +4,12 @@
 //! intersection kernels get their speed from reusing caller-provided
 //! buffers; a stray `Vec::new()` or `collect()` inside them turns an
 //! O(1)-allocation join into one allocation per recursion level. The
-//! whole of `gj.rs` is covered; in the `eh_set` modules only the marked
-//! kernel regions are (the materializing entry points above them
-//! allocate by design).
+//! whole of `gj.rs` is covered — the fused fold and scatter loops of the
+//! aggregation-aware recursion included; in the `eh_set` modules and in
+//! `crates/exec/src/sink.rs` only the marked regions are: the kernels,
+//! and the per-binding sink paths (emit, scatter, the dense fold). The
+//! entry points around them — materializing intersections, sink
+//! construction and drain — allocate by design.
 
 use super::{match_seq, FileCtx, Rule, Scope};
 use crate::report::Finding;
@@ -34,13 +37,17 @@ impl Rule for AllocFree {
 
     fn description(&self) -> &'static str {
         "no Vec::new/vec!/collect/Box::new/format!/to_vec in hot-path regions \
-         (gj.rs whole-file; eh_set kernels via lint:region markers)"
+         (gj.rs whole-file; eh_set kernels and the exec sink's emit/scatter \
+         paths via lint:region markers)"
     }
 
     fn applies(&self, path: &str) -> Option<Scope> {
         if path == "crates/exec/src/gj.rs" {
             Some(Scope::WholeFile)
-        } else if path == "crates/set/src/intersect.rs" || path == "crates/set/src/uint.rs" {
+        } else if matches!(
+            path,
+            "crates/set/src/intersect.rs" | "crates/set/src/uint.rs" | "crates/exec/src/sink.rs"
+        ) {
             Some(Scope::Marked)
         } else {
             None

@@ -99,6 +99,29 @@ pub fn also_materialize() -> Vec<u32> {
 }
 
 #[test]
+fn alloc_free_covers_the_sinks_fused_scatter_loop() {
+    // The exec sink's emit/scatter/dense-fold region runs once per join
+    // binding: an allocation inside it must be flagged, while the sink
+    // constructor outside the region allocates its arrays by design.
+    let src = "\
+pub fn new_dense(slots: usize) -> Vec<u64> {
+    vec![0; slots]
+}
+// lint:region-start(alloc-free): per-binding sink paths
+pub fn scatter(vals: &mut [u64], keys: &[u32], raw: u64) {
+    let touched: Vec<u32> = Vec::new();
+    for &k in keys {
+        vals[k as usize] += raw;
+    }
+    let _ = touched;
+}
+// lint:region-end(alloc-free)
+";
+    let f = run("crates/exec/src/sink.rs", src);
+    assert_eq!(lines_of(&f, "alloc-free"), vec![6]);
+}
+
+#[test]
 fn alloc_free_does_not_apply_outside_hot_paths() {
     let src = "fn anywhere() { let v: Vec<u32> = Vec::new(); let _ = v; }\n";
     assert!(run("crates/query/src/parse.rs", src).is_empty());

@@ -12,6 +12,7 @@ use crate::tuple::TupleBuffer;
 use crate::{NodeId, Trie, TrieNode};
 use eh_semiring::{AggOp, DynValue};
 use eh_set::{LayoutKind, LayoutPolicy};
+use std::borrow::Cow;
 
 /// Builder for [`Trie`]s.
 #[derive(Clone, Debug)]
@@ -91,7 +92,13 @@ impl TrieBuilder {
         if tuples.is_empty() || self.arity == 0 {
             return Trie::empty(self.arity);
         }
-        let sorted = tuples.sorted_dedup_parallel(self.combine, self.threads);
+        // Canonical (strictly ascending) input — every executor result and
+        // recursion frontier — is grouped in place, without a sorted copy.
+        let sorted = if tuples.is_strictly_sorted() {
+            Cow::Borrowed(tuples)
+        } else {
+            Cow::Owned(tuples.sorted_dedup_parallel(self.combine, self.threads))
+        };
         let tuple_count = sorted.len();
         let mut nodes: Vec<TrieNode> = Vec::new();
         // Reserve the root slot.

@@ -164,6 +164,12 @@ impl TupleBuffer {
         self.annots.is_some()
     }
 
+    /// The annotation column for in-place updates (e.g. applying a head
+    /// expression to already-grouped aggregates), if present.
+    pub fn annotations_mut(&mut self) -> Option<&mut [DynValue]> {
+        self.annots.as_deref_mut()
+    }
+
     /// Attach an annotation column (must cover every row).
     pub fn set_annotations(&mut self, annots: Vec<DynValue>) {
         assert_eq!(annots.len(), self.len, "one annotation per row");
@@ -333,10 +339,43 @@ impl TupleBuffer {
         perm
     }
 
+    /// Whether rows are strictly ascending in lexicographic order — i.e.
+    /// the buffer is already its own [`TupleBuffer::sorted_dedup`] (sorted,
+    /// no duplicate to fold). One linear scan; nullary buffers qualify
+    /// with at most one row.
+    pub fn is_strictly_sorted(&self) -> bool {
+        if self.arity == 0 {
+            return self.len <= 1;
+        }
+        self.data
+            .chunks_exact(self.arity)
+            .zip(self.data.chunks_exact(self.arity).skip(1))
+            .all(|(a, b)| a < b)
+    }
+
     /// Sorted, duplicate-free copy. Duplicate rows collapse; annotations
     /// of duplicates combine with `combine.plus` (⊕), matching trie
-    /// construction semantics.
+    /// construction semantics. Already strictly ascending input (every
+    /// sink drain, `finalize` output and recursion frontier) is returned
+    /// as-is after one linear pre-scan instead of being radix-sorted.
     pub fn sorted_dedup(&self, combine: AggOp) -> TupleBuffer {
+        if self.is_strictly_sorted() {
+            return self.clone();
+        }
+        self.radix_dedup(combine)
+    }
+
+    /// [`TupleBuffer::sorted_dedup`] of an owned buffer: already strictly
+    /// ascending input is handed back without even the copy.
+    pub fn into_sorted_dedup(self, combine: AggOp) -> TupleBuffer {
+        if self.is_strictly_sorted() {
+            return self;
+        }
+        self.radix_dedup(combine)
+    }
+
+    /// [`TupleBuffer::sorted_dedup`] past the already-sorted pre-scan.
+    fn radix_dedup(&self, combine: AggOp) -> TupleBuffer {
         if self.arity == 0 {
             // All rows are the empty tuple: collapse to at most one.
             let mut out = TupleBuffer::nullary(self.len.min(1));
@@ -356,9 +395,12 @@ impl TupleBuffer {
     /// `threads` ranges, sort each on its own `std::thread::scope` worker,
     /// then k-way merge the sorted runs (combining duplicate annotations).
     pub fn sorted_dedup_parallel(&self, combine: AggOp, threads: usize) -> TupleBuffer {
+        if self.is_strictly_sorted() {
+            return self.clone();
+        }
         let threads = threads.max(1);
         if threads == 1 || self.len < 2 * threads || self.arity == 0 {
-            return self.sorted_dedup(combine);
+            return self.radix_dedup(combine);
         }
         let chunk = self.len.div_ceil(threads);
         let runs: Vec<TupleBuffer> = std::thread::scope(|scope| {
@@ -539,6 +581,52 @@ mod tests {
         assert_eq!(
             s.annotations().unwrap(),
             &[DynValue::F64(1.0), DynValue::F64(5.0)]
+        );
+    }
+
+    #[test]
+    fn sorted_dedup_skips_the_sort_only_when_strictly_ascending() {
+        let annots = |vals: &[f64]| vals.iter().map(|&v| DynValue::F64(v)).collect::<Vec<_>>();
+        // Strictly ascending: returned as-is, annotations untouched.
+        let sorted = TupleBuffer::from_annotated_rows(
+            2,
+            &[[0u32, 3], [0, 9], [2, 1]],
+            annots(&[1., 2., 3.]),
+        );
+        assert!(sorted.is_strictly_sorted());
+        assert_eq!(sorted.sorted_dedup(AggOp::Sum), sorted);
+        assert_eq!(sorted.clone().into_sorted_dedup(AggOp::Sum), sorted);
+        assert_eq!(sorted.sorted_dedup_parallel(AggOp::Sum, 3), sorted);
+        // Sorted but with a duplicate: not strictly ascending, so the
+        // duplicate's annotations must still fold.
+        let dup = TupleBuffer::from_annotated_rows(
+            2,
+            &[[0u32, 3], [0, 3], [2, 1], [2, 1]],
+            annots(&[1., 2., 3., 4.]),
+        );
+        assert!(!dup.is_strictly_sorted());
+        for out in [
+            dup.sorted_dedup(AggOp::Sum),
+            dup.sorted_dedup_parallel(AggOp::Sum, 2),
+        ] {
+            assert_eq!(rows_of(&out), vec![vec![0, 3], vec![2, 1]]);
+            assert_eq!(out.annotations().unwrap(), annots(&[3., 7.]).as_slice());
+        }
+        // Reverse order takes the radix path.
+        let rev = TupleBuffer::from_rows(1, &[[9u32], [5], [1]]);
+        assert!(!rev.is_strictly_sorted());
+        assert_eq!(rev.sorted_dedup(AggOp::Sum).flat(), &[1, 5, 9]);
+        // Nullary: zero or one empty tuple is canonical, more must fold.
+        assert!(TupleBuffer::nullary(0).is_strictly_sorted());
+        let mut one = TupleBuffer::nullary(1);
+        one.set_annotations(vec![DynValue::U64(4)]);
+        assert_eq!(one.sorted_dedup(AggOp::Count), one);
+        let mut two = TupleBuffer::nullary(2);
+        two.set_annotations(vec![DynValue::U64(4), DynValue::U64(5)]);
+        assert!(!two.is_strictly_sorted());
+        assert_eq!(
+            two.sorted_dedup(AggOp::Count).annot(0),
+            Some(DynValue::U64(9))
         );
     }
 

@@ -41,5 +41,41 @@ fn bench_table7_sssp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_table6_pagerank, bench_table7_sssp);
+/// SSSP where the seminaive frontier is a few rows for thousands of
+/// iterations (a path, a road-like grid) — the opposite end from the
+/// low-diameter analogs above, where it is most of the graph. Time per
+/// node should not grow with the path's length.
+fn bench_sssp_high_diameter(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sssp_high_diameter");
+    group.sample_size(10);
+    let grid = |cols: u32, rows: u32| {
+        let mut edges = Vec::new();
+        for v in 0..cols * rows {
+            if v % cols + 1 < cols {
+                edges.extend([(v, v + 1), (v + 1, v)]);
+            }
+            if v / cols + 1 < rows {
+                edges.extend([(v, v + cols), (v + cols, v)]);
+            }
+        }
+        eh_graph::Graph::from_dense(cols * rows, edges)
+    };
+    for (name, g) in [
+        ("path_5k", grid(5_000, 1)),
+        ("path_20k", grid(20_000, 1)),
+        ("grid_150x150", grid(150, 150)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| eh_core::algorithms::sssp(&g, 0, Config::default()).unwrap())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_table6_pagerank,
+    bench_table7_sssp,
+    bench_sssp_high_diameter
+);
 criterion_main!(benches);

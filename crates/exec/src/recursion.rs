@@ -47,10 +47,11 @@ impl Catalog for Overlay<'_> {
 /// Evaluate a recursive rule to convergence, starting from `initial` (the
 /// result of the rule's base case). Returns the final relation.
 ///
-/// The running state is always a *canonical* buffer — annotated, strictly
+/// The running state is always *canonical* buffers — annotated, strictly
 /// key-ascending — which is also what every iteration's result is, so
-/// versions combine by a lock-step walk with no hashing, no per-tuple keys
-/// and no final sort.
+/// versions combine by walking them in key order with no hashing, no
+/// per-tuple keys and no final sort (one buffer and a lock-step walk for
+/// naive evaluation, `Runs` and a galloping one for seminaive).
 pub fn execute_recursive_rule(
     rule: &Rule,
     initial: Relation,
@@ -151,7 +152,7 @@ fn seminaive_loop(
 ) -> Result<Relation, ExecError> {
     let name = rule.head.relation.as_str();
     // The running fixpoint state; the first frontier is all of it.
-    let mut best = initial.rows().clone();
+    let mut state = Runs(vec![initial.rows().clone()]);
     let mut frontier = initial;
     let max_iters = match criterion {
         Recursion::Iterations(n) => n,
@@ -169,21 +170,98 @@ fn seminaive_loop(
             };
             execute_plan(plan, &overlay, cfg)?
         };
-        // Keep only strict improvements; they form the next frontier.
-        let mut improved = TupleBuffer::new(best.arity());
-        improved.set_annotations(Vec::new());
-        let mut merged = TupleBuffer::with_capacity(best.arity(), best.len());
-        zip_sorted(&best, derived.rows(), op, |key, old, new| {
-            let value = union(op, old, new);
-            if new.is_some() && old != Some(value) {
-                improved.push_annotated(key, value);
-            }
-            merged.push_annotated(key, value);
-        });
-        best = merged;
-        frontier = Relation::from_buffer(improved, op);
+        // Only strict improvements form the next frontier.
+        frontier = Relation::from_buffer(state.absorb(derived.rows(), op), op);
     }
-    Ok(Relation::from_buffer(best, op))
+    Ok(Relation::from_buffer(state.into_buffer(op), op))
+}
+
+/// The seminaive fixpoint state: every key derived so far with its best
+/// annotation, as canonical runs over disjoint key sets, each at least
+/// twice the size of the next. There are O(log n) runs, an existing key
+/// improves in place and new keys arrive as one more run, so absorbing an
+/// iteration costs O(|derived| · log n) — proportional to the frontier,
+/// not to the state. (A chain or road grid runs thousands of iterations
+/// whose frontier is a handful of rows; rebuilding the state in each is
+/// quadratic.)
+struct Runs(Vec<TupleBuffer>);
+
+impl Runs {
+    /// `⊕` a canonical `derived` into the state. Returns its strict
+    /// improvements — new keys and changed annotations — in `derived`'s
+    /// order, hence canonical too.
+    fn absorb(&mut self, derived: &TupleBuffer, op: AggOp) -> TupleBuffer {
+        let mut improved = TupleBuffer::new(derived.arity());
+        improved.set_annotations(Vec::new());
+        let mut fresh = improved.clone();
+        // Keys ascend, so each run is searched forward from its last hit.
+        let mut cursors = vec![0; self.0.len()];
+        for (i, key) in derived.iter().enumerate() {
+            let new = derived.annot(i).unwrap_or_else(|| op.one());
+            let held = self.0.iter_mut().zip(&mut cursors).find_map(|(run, at)| {
+                *at = seek(run, *at, key);
+                let found = *at < run.len() && run.row(*at) == key;
+                found.then(|| &mut run.annotations_mut().expect("runs are annotated")[*at])
+            });
+            match held {
+                Some(old) => {
+                    let value = op.plus(*old, new);
+                    if value != *old {
+                        *old = value;
+                        improved.push_annotated(key, value);
+                    }
+                }
+                None => {
+                    fresh.push_annotated(key, new);
+                    improved.push_annotated(key, new);
+                }
+            }
+        }
+        if !fresh.is_empty() {
+            self.0.push(fresh);
+            // Restore the size invariant from the small end.
+            while let [.., a, b] = self.0.as_slice() {
+                if a.len() >= 2 * b.len() {
+                    break;
+                }
+                let merged = merge(a, b, op).0;
+                self.0.truncate(self.0.len() - 2);
+                self.0.push(merged);
+            }
+        }
+        improved
+    }
+
+    /// The whole state as one canonical buffer (smallest runs first, so
+    /// the merges sum to O(n)).
+    fn into_buffer(mut self, op: AggOp) -> TupleBuffer {
+        let mut out = self.0.pop().expect("the base case is a run");
+        while let Some(run) = self.0.pop() {
+            out = merge(&run, &out, op).0;
+        }
+        out
+    }
+}
+
+/// First row of canonical `run` at or after `from` that is `>= key`
+/// (`run.len()` if none): gallop then bisect, so a dense ascending probe
+/// sequence costs O(1) a probe and a sparse one O(log gap).
+fn seek(run: &TupleBuffer, from: usize, key: &[u32]) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= run.len() && run.row(lo + step - 1) < key {
+        lo += step;
+        step *= 2;
+    }
+    let mut hi = (lo + step - 1).min(run.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if run.row(mid) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Walk two canonical (strictly key-ascending) buffers in lock step,
@@ -393,6 +471,49 @@ mod tests {
         // use SUM's zero), key 1 vanishes (5), key 3 moves by 1.
         assert_eq!(max_delta(&a, &b, AggOp::Sum), 5.0);
         assert_eq!(max_delta(&a, &a, AggOp::Sum), 0.0);
+    }
+
+    #[test]
+    fn seek_finds_the_first_row_at_or_after_the_key() {
+        let keys = [1u32, 3, 4, 9, 12, 13, 20];
+        let run = annotated(&keys.map(|k| (k, 0)));
+        for from in 0..=keys.len() {
+            for key in 0..22u32 {
+                let want = keys.partition_point(|&k| k < key).max(from);
+                assert_eq!(seek(&run, from, &[key]), want, "from {from} key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_absorb_in_place_and_stay_logarithmic() {
+        // One new key per iteration — a path graph's frontier — arriving
+        // out of key order across iterations.
+        let mut state = Runs(vec![annotated(&[(500, 9)])]);
+        let mut want = std::collections::BTreeMap::from([(500u32, 9u64)]);
+        for i in 0..300u32 {
+            let key = (i * 7) % 300;
+            let improved = state.absorb(&annotated(&[(key, 50), (500, 9)]), AggOp::Min);
+            assert_eq!(improved, annotated(&[(key, 50)]), "500 did not improve");
+            want.insert(key, 50);
+            assert!(state.0.windows(2).all(|w| w[0].len() >= 2 * w[1].len()));
+            assert!(
+                state.0.len() <= 10,
+                "{} runs for {} keys",
+                state.0.len(),
+                i + 2
+            );
+        }
+        // Improvements land in whichever run holds the key; worse values
+        // and equal ones are not improvements.
+        let improved = state.absorb(
+            &annotated(&[(0, 50), (3, 70), (8, 2), (500, 1)]),
+            AggOp::Min,
+        );
+        assert_eq!(improved, annotated(&[(8, 2), (500, 1)]));
+        want.extend([(8, 2), (500, 1)]);
+        let rows: Vec<(u32, u64)> = want.into_iter().collect();
+        assert_eq!(state.into_buffer(AggOp::Min), annotated(&rows));
     }
 
     #[test]

@@ -96,6 +96,73 @@ fn pagerank_and_sssp_match_lowlevel_under_every_configuration() {
     }
 }
 
+/// Undirected `cols × rows` grid, node `v` at column `v % cols`; a path
+/// is `grid(n, 1)`.
+fn grid(cols: u32, rows: u32) -> Graph {
+    let mut edges = Vec::new();
+    for v in 0..cols * rows {
+        if v % cols + 1 < cols {
+            edges.extend([(v, v + 1), (v + 1, v)]);
+        }
+        if v / cols + 1 < rows {
+            edges.extend([(v, v + cols), (v + cols, v)]);
+        }
+    }
+    Graph::from_dense(cols * rows, edges)
+}
+
+#[test]
+fn high_diameter_sssp_matches_lowlevel() {
+    // The other end from the power-law graphs above: thousands of
+    // seminaive iterations whose frontier is one or two rows (a path) or
+    // one anti-diagonal (a grid), so the fixpoint state grows by new runs
+    // far smaller than itself and every iteration takes the hash sink.
+    for (gname, g) in [("path", grid(1_500, 1)), ("grid", grid(30, 30))] {
+        let want = lowlevel::sssp_bfs(&g, 0);
+        assert_eq!(
+            want.iter().max(),
+            Some(&(if gname == "path" { 1_499 } else { 58 }))
+        );
+        for (threads, scheduler) in partitionings() {
+            let cfg = Config::default()
+                .with_threads(threads)
+                .with_scheduler(scheduler);
+            assert_eq!(
+                sssp(&g, 0, cfg).unwrap(),
+                want,
+                "{gname} / {threads} threads {scheduler:?}"
+            );
+        }
+    }
+    let g = grid(200, 1);
+    let naive = Config {
+        force_naive_recursion: true,
+        ..Config::default()
+    };
+    assert_eq!(sssp(&g, 0, naive).unwrap(), lowlevel::sssp_bfs(&g, 0));
+}
+
+#[test]
+fn a_tiny_frontier_takes_the_hash_sink() {
+    // Same rule body, same dense Edge ids: the sink follows the size of
+    // the smallest input, so a recursion's two-row frontier never
+    // allocates or drains an array over the whole id space.
+    let g = grid(5_000, 1);
+    let mut db = Database::new();
+    db.load_graph("Edge", &g);
+    db.register("SSSP", Relation::from_rows(1, vec![[0u32]]));
+    let plan_kinds = |frontier: Vec<[u32; 1]>| {
+        let mut catalog = MemCatalog::new();
+        catalog.insert("Edge", db.relation("Edge").unwrap().clone());
+        catalog.insert("SSSP", Relation::from_rows(1, frontier));
+        let body = "SP(x;y:int) :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.";
+        plan_sink_kinds(db.prepare(body).unwrap().plan(), &catalog)
+    };
+    assert_eq!(plan_kinds(vec![[7], [9]]), vec![SinkKind::Hash]);
+    let whole: Vec<[u32; 1]> = (0..g.num_nodes).map(|v| [v]).collect();
+    assert_eq!(plan_kinds(whole), vec![SinkKind::Dense(5_000)]);
+}
+
 /// The engine-side twin of `algorithms::{PageRankRunner, SsspRunner}` over
 /// an arbitrary id space: node `v` of `g` is stored as `offset + v`.
 fn run_shifted(g: &Graph, offset: u32, cfg: Config) -> (Database, Vec<f64>, Vec<u32>) {

@@ -2,7 +2,7 @@
 //!
 //! EmptyHeaded's compile-once design (paper §3) means a request that
 //! re-parses and re-plans pays the GHD search and code generation every
-//! time, while `ExecPrepared` through the plan cache pays a hash lookup
+//! time, while a request through the plan cache pays a hash lookup
 //! and runs the compiled artifact. Measured on the googleplus-analog
 //! triangle count (the paper's canonical query), in-process — the same
 //! code paths a server session dispatches, minus socket I/O.
@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use eh_bench::queries;
 use eh_core::Database;
 use eh_graph::paper_datasets;
-use eh_server::PlanCache;
+use eh_server::Shared;
 
 fn loaded_db() -> Database {
     let g = paper_datasets()[0].generate_scaled(0.05).prune_by_degree();
@@ -26,7 +26,8 @@ fn loaded_db() -> Database {
 fn bench_prepared_vs_adhoc(c: &mut Criterion) {
     let mut group = c.benchmark_group("prepared_vs_adhoc");
     group.sample_size(10);
-    let db = loaded_db();
+    let shared = Shared::new(loaded_db(), 64);
+    let db = shared.db.read();
 
     // Every request re-parses, re-validates, re-runs the GHD search,
     // and re-compiles the physical plan (a server with no plan cache).
@@ -36,12 +37,11 @@ fn bench_prepared_vs_adhoc(c: &mut Criterion) {
 
     // Every request goes through the shared LRU cache: one compile on
     // the first request, a normalized-text hash lookup afterwards —
-    // the server's `Query`/`ExecPrepared` fast path.
-    let mut cache = PlanCache::new(64);
-    cache.get_or_prepare(&db, queries::TRIANGLE).unwrap();
+    // the server's `Exec` fast path.
+    shared.cached_plan(&db, queries::TRIANGLE).unwrap();
     group.bench_function("plan_cache", |b| {
         b.iter(|| {
-            let (plan, _) = cache.get_or_prepare(&db, queries::TRIANGLE).unwrap();
+            let (plan, _) = shared.cached_plan(&db, queries::TRIANGLE).unwrap();
             plan.execute(&db).unwrap().scalar_u64()
         })
     });

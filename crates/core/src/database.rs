@@ -2,8 +2,8 @@
 
 use crate::result::QueryResult;
 use eh_exec::{
-    execute_recursive_rule, execute_rule_profiled, Catalog, Config, ExecError, MemCatalog,
-    QueryProfile, Relation, TupleBuffer,
+    execute_recursive_rule, execute_rule, Catalog, Config, ExecError, Executed, MemCatalog,
+    Relation, TupleBuffer,
 };
 use eh_graph::Graph;
 use eh_query::{parse_program, Rule};
@@ -12,7 +12,6 @@ use eh_storage::{
     ColumnDef, ColumnType, CsvOptions, LoadReport, RelationSchema, StorageCatalog, StorageError,
     TypedValue,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
@@ -81,44 +80,33 @@ impl Default for Database {
 /// domains when the column is dictionary-backed (so `Follows('alice',x)`
 /// means the *same* `alice` the loader encoded; a key absent from the
 /// dictionary makes the atom empty rather than falling back to integer
-/// parsing).
-struct TypedView<'a> {
-    mem: &'a MemCatalog,
-    types: &'a StorageCatalog,
-}
-
-impl Catalog for TypedView<'_> {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.mem.relation(name)
-    }
-
-    fn resolve_const(&self, text: &str) -> Option<u32> {
-        self.mem.resolve_const(text)
-    }
-
-    fn resolve_const_at(&self, relation: &str, column: usize, text: &str) -> Option<u32> {
-        if self.types.key_is_dictionary(relation, column) {
-            self.types.lookup_key_text(relation, column, text)
-        } else {
-            self.mem.resolve_const(text)
-        }
-    }
-}
-
-/// [`TypedView`] extended with an overlay of rule results produced
-/// earlier in the same read-only program ([`Database::query_ref`]):
-/// relation lookups hit the overlay first, so later rules see earlier
-/// heads without anything being registered in the database.
+/// parsing) — under an overlay of the heads earlier rules of the same
+/// program produced, so later rules see them without anything being
+/// registered in the database. Prepared statements run under the empty
+/// overlay.
 struct OverlayView<'a> {
     mem: &'a MemCatalog,
     types: &'a StorageCatalog,
-    local: &'a HashMap<String, Relation>,
-    local_schemas: &'a HashMap<String, RelationSchema>,
+    /// Rule order; a later head shadows an earlier one of the same name.
+    local: &'a [QueryResult],
+}
+
+/// The newest overlay entry named `name`.
+fn derived<'a>(local: &'a [QueryResult], name: &str) -> Option<&'a QueryResult> {
+    local.iter().rev().find(|d| d.name == name)
+}
+
+/// Dictionary domain of key column `pos` of an overlay entry.
+fn derived_domain(head: &QueryResult, pos: usize) -> Option<String> {
+    let (_, col) = head.schema.as_ref()?.key_columns().nth(pos)?;
+    col.domain_key()
 }
 
 impl Catalog for OverlayView<'_> {
     fn relation(&self, name: &str) -> Option<&Relation> {
-        self.local.get(name).or_else(|| self.mem.relation(name))
+        derived(self.local, name)
+            .map(|d| &d.relation)
+            .or_else(|| self.mem.relation(name))
     }
 
     fn resolve_const(&self, text: &str) -> Option<u32> {
@@ -128,16 +116,11 @@ impl Catalog for OverlayView<'_> {
     fn resolve_const_at(&self, relation: &str, column: usize, text: &str) -> Option<u32> {
         // Overlay results inherit domains from the rules that produced
         // them; resolve constants through those dictionaries first.
-        if let Some(schema) = self.local_schemas.get(relation) {
-            if let Some((_, col)) = schema.key_columns().nth(column) {
-                if col.ty.is_dictionary() {
-                    return col
-                        .domain_key()
-                        .and_then(|k| self.types.domain(&k))
-                        .and_then(|d| d.lookup_text(text));
-                }
-            }
-            return self.mem.resolve_const(text);
+        if let Some(head) = derived(self.local, relation) {
+            return match derived_domain(head, column) {
+                Some(key) => self.types.domain(&key)?.lookup_text(text),
+                None => self.mem.resolve_const(text),
+            };
         }
         if self.types.key_is_dictionary(relation, column) {
             self.types.lookup_key_text(relation, column, text)
@@ -152,11 +135,16 @@ impl Catalog for OverlayView<'_> {
 /// typed provenance) — everything in the database has *a* schema, so
 /// whole-database images always round-trip.
 fn implicit_schema(name: &str, rel: &Relation) -> RelationSchema {
-    let mut schema = RelationSchema::new(name).combining(rel.combine());
-    for i in 0..rel.arity() {
+    positional_schema(name, rel.arity(), rel.is_annotated()).combining(rel.combine())
+}
+
+/// `c0..c{arity}` u32 key columns, plus an `annot` payload if `annotated`.
+fn positional_schema(name: &str, arity: usize, annotated: bool) -> RelationSchema {
+    let mut schema = RelationSchema::new(name);
+    for i in 0..arity {
         schema = schema.column(&format!("c{i}"), ColumnType::U32);
     }
-    if rel.is_annotated() {
+    if annotated {
         schema = schema.column("annot", ColumnType::F64);
     }
     schema
@@ -205,6 +193,15 @@ impl Database {
 
     fn bump_epoch(&mut self) {
         self.epoch += 1;
+    }
+
+    /// The executor's view of the stored relations alone (no overlay).
+    fn view(&self) -> OverlayView<'_> {
+        OverlayView {
+            mem: &self.catalog,
+            types: &self.types,
+            local: &[],
+        }
     }
 
     /// Register a binary edge relation from (src, dst) pairs — loaded
@@ -471,28 +468,32 @@ impl Database {
     /// Recursive rules (`*` heads) use the stored relation of the same
     /// name as the base case, per the paper's PageRank/SSSP programs.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, CoreError> {
-        let program = parse_program(text).map_err(|e| CoreError::Parse(e.to_string()))?;
-        let mut last: Option<(String, Relation, Option<QueryProfile>)> = None;
-        for rule in &program.rules {
-            eh_query::validate_rule(rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
-            let name = rule.head.relation.clone();
-            let (result, profile) = self.execute_one(rule)?;
-            let schema = self.infer_result_schema(rule, &result);
-            if self.types.register_schema(schema).is_err() {
+        let mut heads = Vec::new();
+        let config = self.config;
+        let outcome = self.run_program(text, &config, &mut heads);
+        // The one copy of a result `query` makes: the caller's. Every
+        // head itself moves into the catalog below.
+        let returned = outcome.is_ok().then(|| heads.last().cloned()).flatten();
+        // Commit every head that ran, even when a later rule failed.
+        for head in heads {
+            let typed = head.schema.map(|s| self.types.register_schema(s));
+            if !matches!(typed, Some(Ok(()))) {
                 // Inference produced a conflicting schema (e.g. a domain
                 // reused at another carrier type): fall back to untyped.
-                let _ = self.types.register_schema(implicit_schema(&name, &result));
+                let _ = self
+                    .types
+                    .register_schema(implicit_schema(&head.name, &head.relation));
             }
-            self.catalog.insert(&name, result.clone());
+            self.catalog.insert(&head.name, head.relation);
             // Bump per registered rule (not once at the end): a later
             // rule failing must not leave the catalog changed with the
             // epoch — and therefore every plan cache — stale.
             self.bump_epoch();
-            last = Some((name, result, profile));
         }
-        let (name, relation, profile) = last.expect("parser guarantees at least one rule");
-        let schema = self.types.schema(&name).cloned();
-        Ok(QueryResult::with_schema(name, relation, schema).with_profile(profile))
+        outcome?;
+        let mut result = returned.expect("parser guarantees at least one rule");
+        result.schema = self.types.schema(&result.name).cloned();
+        Ok(result)
     }
 
     /// Execute a program read-only: like [`Database::query`], but takes
@@ -508,107 +509,67 @@ impl Database {
     /// [`Database::query_ref`] under an explicit engine configuration
     /// (per-session thread-count / scheduler overrides).
     pub fn query_ref_with(&self, text: &str, config: &Config) -> Result<QueryResult, CoreError> {
+        let mut heads = Vec::new();
+        self.run_program(text, config, &mut heads)?;
+        Ok(heads.pop().expect("parser guarantees at least one rule"))
+    }
+
+    /// The program runner: execute `text`'s rules in order, each under
+    /// an overlay of the heads before it, pushing every rule's result
+    /// onto `heads` — which therefore holds what ran even when a later
+    /// rule fails.
+    fn run_program(
+        &self,
+        text: &str,
+        config: &Config,
+        heads: &mut Vec<QueryResult>,
+    ) -> Result<(), CoreError> {
         let program = parse_program(text).map_err(|e| CoreError::Parse(e.to_string()))?;
-        let mut local: HashMap<String, Relation> = HashMap::new();
-        let mut local_schemas: HashMap<String, RelationSchema> = HashMap::new();
-        let mut last: Option<String> = None;
-        let mut last_profile: Option<QueryProfile> = None;
         for rule in &program.rules {
             eh_query::validate_rule(rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
             let name = rule.head.relation.clone();
-            let recursive = rule.head.recursion.is_some() || rule.is_recursive();
-            let result = {
-                let view = OverlayView {
-                    mem: &self.catalog,
-                    types: &self.types,
-                    local: &local,
-                    local_schemas: &local_schemas,
-                };
-                if recursive {
-                    let initial = local
-                        .get(&name)
-                        .cloned()
-                        .or_else(|| self.catalog.relation(&name).cloned())
-                        .ok_or_else(|| {
-                            CoreError::Invalid(format!(
-                                "recursive rule '{name}' has no base case relation"
-                            ))
-                        })?;
-                    last_profile = None;
-                    execute_recursive_rule(rule, initial, &view, config)?
-                } else {
-                    let (rel, profile) = execute_rule_profiled(rule, &view, config)?;
-                    last_profile = profile;
-                    rel
-                }
+            let view = OverlayView {
+                mem: &self.catalog,
+                types: &self.types,
+                local: heads,
             };
-            let mut schema = self.infer_result_schema_overlay(rule, &result, &local_schemas);
-            if schema.validate().is_err() {
-                // Inference can produce an invalid schema (e.g. a head
-                // like T(x,x) repeats a column name): fall back to the
-                // positional form, exactly like query() does when
-                // register_schema rejects — the result must stay
-                // encodable as a wire batch.
-                schema = implicit_schema(&name, &result);
-            }
-            local_schemas.insert(name.clone(), schema);
-            local.insert(name.clone(), result);
-            last = Some(name);
-        }
-        let name = last.expect("parser guarantees at least one rule");
-        let relation = local.remove(&name).expect("stored above");
-        let schema = local_schemas.remove(&name);
-        Ok(QueryResult::with_schema(name, relation, schema).with_profile(last_profile))
-    }
-
-    fn execute_one(&self, rule: &Rule) -> Result<(Relation, Option<QueryProfile>), CoreError> {
-        let view = TypedView {
-            mem: &self.catalog,
-            types: &self.types,
-        };
-        let recursive = rule.head.recursion.is_some() || rule.is_recursive();
-        if recursive {
-            let initial = self
-                .catalog
-                .relation(&rule.head.relation)
-                .cloned()
-                .ok_or_else(|| {
-                    CoreError::Invalid(format!(
-                        "recursive rule '{}' has no base case relation",
-                        rule.head.relation
-                    ))
+            let out = if rule.head.recursion.is_some() || rule.is_recursive() {
+                let initial = view.relation(&name).cloned().ok_or_else(|| {
+                    CoreError::Invalid(format!("recursive rule '{name}' has no base case relation"))
                 })?;
-            // Recursive rules run unprofiled: the profile vocabulary
-            // describes one plan execution, not an iteration sequence.
-            Ok((
-                execute_recursive_rule(rule, initial, &view, &self.config)?,
-                None,
-            ))
-        } else {
-            Ok(execute_rule_profiled(rule, &view, &self.config)?)
+                // Recursive rules run unprofiled: the profile vocabulary
+                // describes one plan execution, not an iteration sequence.
+                Executed {
+                    relation: execute_recursive_rule(rule, initial, &view, config)?,
+                    level0: 0,
+                    profile: None,
+                }
+            } else {
+                execute_rule(rule, &view, config)?
+            };
+            let annotated = out.relation.is_annotated();
+            let schema = self.head_schema(rule, heads, annotated, out.relation.combine());
+            heads.push(QueryResult {
+                name,
+                relation: out.relation,
+                schema: Some(schema),
+                profile: out.profile,
+                level0: out.level0,
+            });
         }
+        Ok(())
     }
 
     /// Typed schema of a rule's *key* columns: each head variable
     /// inherits the dictionary domain of the first body-atom column that
     /// binds it, so decoded output maps ids back to the loader's
-    /// original keys — including across chained rules (each result
-    /// registers its own schema for the next rule to inherit from).
-    fn infer_key_schema(&self, rule: &Rule) -> RelationSchema {
-        self.infer_key_schema_overlay(rule, &HashMap::new())
-    }
-
-    /// [`Database::infer_key_schema`] with an overlay of schemas from
-    /// earlier rules in the same read-only program, consulted before the
-    /// registered catalog (so `query_ref` chains decode like `query`).
-    fn infer_key_schema_overlay(
-        &self,
-        rule: &Rule,
-        overlay: &HashMap<String, RelationSchema>,
-    ) -> RelationSchema {
+    /// original keys — including across chained rules: `overlay` holds
+    /// the heads of earlier rules in the same program and is consulted
+    /// before the registered catalog.
+    fn infer_key_schema(&self, rule: &Rule, overlay: &[QueryResult]) -> RelationSchema {
         let key_domain = |relation: &str, pos: usize| -> Option<String> {
-            match overlay.get(relation) {
-                Some(s) => s.key_columns().nth(pos).and_then(|(_, c)| c.domain_key()),
+            match derived(overlay, relation) {
+                Some(head) => derived_domain(head, pos),
                 None => self.types.key_domain(relation, pos),
             }
         };
@@ -638,31 +599,28 @@ impl Database {
         schema
     }
 
-    /// [`Database::infer_key_schema`] completed with the executed
-    /// result's combine op and annotation column (for registration).
-    fn infer_result_schema(&self, rule: &Rule, result: &Relation) -> RelationSchema {
-        self.infer_result_schema_overlay(rule, result, &HashMap::new())
-    }
-
-    fn infer_result_schema_overlay(
+    /// Schema of `rule`'s head relation: [`Database::infer_key_schema`]
+    /// completed with the annotation column (if the relation carries
+    /// one) and its combine op. Inference can produce an invalid schema
+    /// (a head like `T(x,x)` repeats a column name); the positional
+    /// form then stands in — the result must stay encodable as a wire
+    /// batch.
+    fn head_schema(
         &self,
         rule: &Rule,
-        result: &Relation,
-        overlay: &HashMap<String, RelationSchema>,
+        overlay: &[QueryResult],
+        annotated: bool,
+        combine: AggOp,
     ) -> RelationSchema {
-        let mut schema = self
-            .infer_key_schema_overlay(rule, overlay)
-            .combining(result.combine());
-        if result.is_annotated() {
-            let name = rule
-                .head
-                .annotation
-                .as_ref()
-                .map(|a| a.name.clone())
-                .unwrap_or_else(|| "annot".into());
-            schema.columns.push(ColumnDef::new(&name, ColumnType::F64));
+        let mut schema = self.infer_key_schema(rule, overlay);
+        if annotated {
+            let name = rule.head.annotation.as_ref().map_or("annot", |a| &a.name);
+            schema.columns.push(ColumnDef::new(name, ColumnType::F64));
         }
-        schema
+        if schema.validate().is_err() {
+            schema = positional_schema(&rule.head.relation, rule.head.key_vars.len(), annotated);
+        }
+        schema.combining(combine)
     }
 
     /// Access the underlying catalog (for advanced integrations).
@@ -682,43 +640,16 @@ impl Database {
                 "prepare() supports non-recursive rules; use query() for recursion".into(),
             ));
         }
-        let view = TypedView {
-            mem: &self.catalog,
-            types: &self.types,
-        };
-        let stats = eh_exec::CatalogStats(&view);
-        let ghd_plan = eh_ghd::plan_rule_with_stats(&rule, &self.config.plan, &stats)
-            .map_err(CoreError::Invalid)?;
-        let plan = eh_exec::PhysicalPlan::compile(&rule, &ghd_plan);
+        let plan =
+            eh_exec::compile_rule(&rule, &self.view(), &self.config).map_err(CoreError::Invalid)?;
         // Key-column provenance is captured now, so prepared results
         // decode exactly like query() results (body relations the typed
-        // catalog doesn't know yet at prepare time decode as u32), and
-        // the head annotation appears in the schema just as it does for
-        // query() results.
-        let mut schema = self.infer_key_schema(&rule);
-        if let Some(annot) = &rule.head.annotation {
-            schema
-                .columns
-                .push(ColumnDef::new(&annot.name, ColumnType::F64));
-        }
-        if schema.validate().is_err() {
-            // Repeated head variables etc.: positional fallback, same
-            // shape query() registers in that case.
-            let mut s = RelationSchema::new(&rule.head.relation);
-            for i in 0..rule.head.key_vars.len() {
-                s = s.column(&format!("c{i}"), ColumnType::U32);
-            }
-            if rule.head.annotation.is_some() {
-                s = s.column("annot", ColumnType::F64);
-            }
-            schema = s;
-        }
-        // Stamp the head aggregate's ⊕ into the schema (query() results
+        // catalog doesn't know yet at prepare time decode as u32). The
+        // head aggregate's ⊕ is stamped into the schema (query() results
         // get it from the executed relation): a cluster coordinator
         // folds per-shard partial batches with exactly this operator.
-        if let Some(agg) = &plan.agg {
-            schema.combine = agg.op;
-        }
+        let combine = plan.agg.as_ref().map_or(AggOp::Sum, |a| a.op);
+        let schema = self.head_schema(&rule, &[], rule.head.annotation.is_some(), combine);
         Ok(Prepared {
             name: rule.head.relation.clone(),
             plan,
@@ -744,40 +675,19 @@ impl Prepared {
 
     /// [`Prepared::execute`] under an explicit engine configuration —
     /// server sessions execute one shared compiled plan under their own
-    /// thread-count/scheduler overrides.
+    /// thread-count/scheduler overrides, a traced request turns
+    /// `profile` on, and a cluster worker sets `shard` to run one
+    /// level-0 slice (the result then reports the slice's size through
+    /// [`QueryResult::level0_values`]).
     pub fn execute_with(&self, db: &Database, config: &Config) -> Result<QueryResult, CoreError> {
-        let view = TypedView {
-            mem: &db.catalog,
-            types: &db.types,
-        };
-        let (rel, profile) = eh_exec::execute_plan_profiled(&self.plan, &view, config)?;
-        Ok(
-            QueryResult::with_schema(self.name.clone(), rel, Some(self.schema.clone()))
-                .with_profile(profile),
-        )
-    }
-
-    /// Execute one level-0 shard of the compiled plan
-    /// ([`eh_exec::Config::shard`] must be set on `config` by the
-    /// caller, via `with_shard`). Returns the shard's partial result
-    /// plus the number of level-0 values the shard owned — the
-    /// coordinator's estimated-share signal for skew diagnosis.
-    pub fn execute_sharded_with(
-        &self,
-        db: &Database,
-        config: &Config,
-    ) -> Result<(QueryResult, u64), CoreError> {
-        let view = TypedView {
-            mem: &db.catalog,
-            types: &db.types,
-        };
-        let (rel, level0, profile) =
-            eh_exec::execute_plan_sharded_profiled(&self.plan, &view, config)?;
-        Ok((
-            QueryResult::with_schema(self.name.clone(), rel, Some(self.schema.clone()))
-                .with_profile(profile),
-            level0,
-        ))
+        let out = eh_exec::execute(&self.plan, &db.view(), config)?;
+        Ok(QueryResult {
+            name: self.name.clone(),
+            relation: out.relation,
+            schema: Some(self.schema.clone()),
+            profile: out.profile,
+            level0: out.level0,
+        })
     }
 
     /// Head relation name of the compiled rule.
@@ -1119,18 +1029,111 @@ mod tests {
         assert_eq!(prepared.rows(), out.rows());
     }
 
+    /// `query` is `query_ref` plus a commit: over every program shape
+    /// the two must return the same result (or the same error), and only
+    /// `query` may touch the catalog — one registered head and one epoch
+    /// bump per rule that ran.
     #[test]
     fn query_ref_matches_query() {
-        let mut db = social();
-        let q = "T(x,y,z) :- Follows(x,y),Follows(y,z),Follows(z,x).";
-        let by_ref = db.query_ref(q).unwrap();
-        let by_query = db.query(q).unwrap();
-        assert_eq!(by_ref.rows(), by_query.rows());
-        assert_eq!(by_ref.typed_rows(&db), by_query.typed_rows(&db));
-        assert!(db.relation("T").is_some(), "query() registered its head");
-        db.drop_relation("T");
-        db.query_ref(q).unwrap();
-        assert!(db.relation("T").is_none(), "query_ref stores nothing");
+        fn edges() -> Database {
+            let mut db = Database::new();
+            db.load_edges("Edge", &[(0, 1), (1, 2), (2, 3), (0, 2)]);
+            db
+        }
+        fn sssp_base() -> Database {
+            let mut db = edges();
+            db.query("SSSP(x;y:int) :- Edge('0',x); y=1.").unwrap();
+            db
+        }
+        // (database, program, heads `query` registers — one per rule run)
+        type Case = (fn() -> Database, &'static str, &'static [&'static str]);
+        let cases: &[Case] = &[
+            (
+                social,
+                "T(x,y,z) :- Follows(x,y),Follows(y,z),Follows(z,x).",
+                &["T"],
+            ),
+            (
+                social,
+                "C(;w:long) :- Follows(x,y),Follows(y,z),Follows(z,x); w=<<COUNT(*)>>.",
+                &["C"],
+            ),
+            (
+                edges,
+                "D(x;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(*)>>.",
+                &["D"],
+            ),
+            // Chained rules: rule 2 reads rule 1's head, inherits its
+            // dictionary domains and anchors a constant through them.
+            (
+                social,
+                "Hop2(x,z) :- Follows(x,y),Follows(y,z).\nFrom(z) :- Hop2('alice',z).",
+                &["Hop2", "From"],
+            ),
+            // Repeated head variable: the inferred schema is invalid and
+            // both paths fall back to the positional one.
+            (social, "D(x,x) :- Follows(x,y).", &["D"]),
+            // Recursion from a stored base case.
+            (
+                sssp_base,
+                "SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.",
+                &["SSSP"],
+            ),
+            // Same head twice: the second rule recurses from the first's
+            // overlay entry; two rules ran, so two commits.
+            (
+                edges,
+                "SSSP(x;y:int) :- Edge('0',x); y=1.\n\
+                 SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.",
+                &["SSSP", "SSSP"],
+            ),
+            // The second rule fails: the first still commits.
+            (edges, "D(x,y) :- Edge(y,x).\nBad(q) :- Nope(q,r).", &["D"]),
+        ];
+        for (setup, program, heads) in cases {
+            let mut db = setup();
+            let before = db.epoch();
+            let stored_before = db.catalog().names().count();
+            let by_ref = db.query_ref(program);
+            assert_eq!(db.epoch(), before, "query_ref moved the epoch: {program}");
+            assert_eq!(
+                db.catalog().names().count(),
+                stored_before,
+                "query_ref stored something: {program}"
+            );
+            let by_query = db.query(program);
+            assert_eq!(
+                db.epoch() - before,
+                heads.len() as u64,
+                "one epoch bump per committed rule: {program}"
+            );
+            for head in *heads {
+                assert!(db.relation(head).is_some(), "{head} registered: {program}");
+                assert!(
+                    db.storage().schema(head).is_some(),
+                    "{head} typed: {program}"
+                );
+            }
+            match (by_ref, by_query) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.name(), b.name(), "{program}");
+                    assert_eq!(a.rows(), b.rows(), "{program}");
+                    assert_eq!(
+                        a.relation().annotations(),
+                        b.relation().annotations(),
+                        "{program}"
+                    );
+                    assert_eq!(a.schema(), b.schema(), "{program}");
+                    assert_eq!(a.typed_rows(&db), b.typed_rows(&db), "{program}");
+                    // What `query` returned is what it stored.
+                    let stored = db.relation(b.name()).unwrap();
+                    assert_eq!(stored.rows(), b.rows(), "{program}");
+                    assert_eq!(db.storage().schema(b.name()), b.schema(), "{program}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{program}"),
+                (a, b) => panic!("{program}: query_ref {a:?} vs query {b:?}"),
+            }
+        }
     }
 
     #[test]

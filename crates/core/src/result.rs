@@ -11,38 +11,28 @@ use eh_storage::{Domain, RelationSchema, TypedValue};
 /// like `query()` results, without touching the database).
 #[derive(Clone, Debug)]
 pub struct QueryResult {
-    name: String,
-    relation: Relation,
-    schema: Option<RelationSchema>,
+    pub(crate) name: String,
+    pub(crate) relation: Relation,
+    pub(crate) schema: Option<RelationSchema>,
     /// Execution profile, present when the run was configured with
     /// `Config::profile` (recursive rules execute unprofiled).
-    profile: Option<QueryProfile>,
+    pub(crate) profile: Option<QueryProfile>,
+    /// Level-0 values the root node's scheduler loop owned (see
+    /// [`eh_exec::Executed::level0`]).
+    pub(crate) level0: u64,
 }
 
 impl QueryResult {
-    pub(crate) fn with_schema(
-        name: String,
-        relation: Relation,
-        schema: Option<RelationSchema>,
-    ) -> QueryResult {
-        QueryResult {
-            name,
-            relation,
-            schema,
-            profile: None,
-        }
-    }
-
-    /// Attach an execution profile (builder form used by the profiled
-    /// execution paths).
-    pub(crate) fn with_profile(mut self, profile: Option<QueryProfile>) -> QueryResult {
-        self.profile = profile;
-        self
-    }
-
     /// The execution profile, when the query ran under `Config::profile`.
     pub fn profile(&self) -> Option<&QueryProfile> {
         self.profile.as_ref()
+    }
+
+    /// Level-0 values of the root node this execution owned — under
+    /// `Config::shard`, the size of the shard's slice (a cluster
+    /// coordinator's estimated-share signal for skew diagnosis).
+    pub fn level0_values(&self) -> u64 {
+        self.level0
     }
 
     /// Per-output-column dictionary domains, resolved once (the decode
@@ -185,6 +175,16 @@ mod tests {
     use super::*;
     use eh_semiring::AggOp;
 
+    fn result(name: &str, relation: Relation) -> QueryResult {
+        QueryResult {
+            name: name.into(),
+            relation,
+            schema: None,
+            profile: None,
+            level0: 0,
+        }
+    }
+
     #[test]
     fn accessors() {
         let rel = Relation::from_annotated_rows(
@@ -193,7 +193,7 @@ mod tests {
             vec![DynValue::U64(10), DynValue::U64(20)],
             AggOp::Sum,
         );
-        let r = QueryResult::with_schema("Q".into(), rel, None);
+        let r = result("Q", rel);
         assert_eq!(r.name(), "Q");
         assert_eq!(r.num_rows(), 2);
         assert!(!r.is_empty());
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn scalar_result() {
-        let r = QueryResult::with_schema("C".into(), Relation::new_scalar(DynValue::U64(42)), None);
+        let r = result("C", Relation::new_scalar(DynValue::U64(42)));
         assert_eq!(r.scalar_u64(), Some(42));
         assert_eq!(r.scalar_f64(), Some(42.0));
     }

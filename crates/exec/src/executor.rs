@@ -74,6 +74,23 @@ pub struct NodeResult {
     pub tuples: TupleBuffer,
 }
 
+/// What one plan execution produced.
+#[derive(Debug)]
+pub struct Executed {
+    /// The head relation.
+    pub relation: Relation,
+    /// Level-0 values the root node's scheduler loop owned: the shard's
+    /// slice under [`Config::shard`] (the coordinator's skew signal), the
+    /// whole merged range for an unsharded parallel run, 0 when the root
+    /// ran the serial recursion (which never materialises the range).
+    pub level0: u64,
+    /// `Some` when [`Config::profile`] is on: the planner's estimated
+    /// intersection work next to the observed counters, per-node span
+    /// timings and worker balance. Rows and annotations are
+    /// byte-identical either way — profiling only observes.
+    pub profile: Option<QueryProfile>,
+}
+
 /// Compile and execute a single (non-recursive) rule. Planning reads the
 /// catalog's statistics (cardinalities, per-column distinct counts) so the
 /// attribute-order search is cost-based whenever stats are available.
@@ -81,117 +98,52 @@ pub fn execute_rule(
     rule: &Rule,
     catalog: &dyn Catalog,
     cfg: &Config,
-) -> Result<Relation, ExecError> {
-    execute_rule_profiled(rule, catalog, cfg).map(|(rel, _)| rel)
+) -> Result<Executed, ExecError> {
+    let plan = compile_rule(rule, catalog, cfg).map_err(ExecError::Plan)?;
+    execute(&plan, catalog, cfg)
 }
 
-/// [`execute_rule`] returning the query profile too: `Some` when
-/// [`Config::profile`] is on, `None` otherwise. Rows and annotations are
-/// byte-identical either way — profiling only observes.
-pub fn execute_rule_profiled(
+/// Plan `rule` against `catalog`'s statistics and compile the physical
+/// plan; `Err` carries the query compiler's message.
+pub fn compile_rule(
     rule: &Rule,
     catalog: &dyn Catalog,
     cfg: &Config,
-) -> Result<(Relation, Option<QueryProfile>), ExecError> {
+) -> Result<PhysicalPlan, String> {
     let stats = crate::storage::CatalogStats(catalog);
-    let ghd_plan =
-        eh_ghd::plan_rule_with_stats(rule, &cfg.plan, &stats).map_err(ExecError::Plan)?;
-    let plan = PhysicalPlan::compile(rule, &ghd_plan);
-    execute_plan_profiled(&plan, catalog, cfg)
+    let ghd_plan = eh_ghd::plan_rule_with_stats(rule, &cfg.plan, &stats)?;
+    Ok(PhysicalPlan::compile(rule, &ghd_plan))
 }
 
-/// Execute a compiled physical plan.
-pub fn execute_plan(
+/// Execute a compiled physical plan — the engine's one entry point;
+/// profiling and sharding are read off `cfg`.
+///
+/// Under [`Config::shard`] only the ROOT node is sharded: children run in
+/// full on every shard (broadcast inputs), so the top-down assembly sees
+/// complete child results while each root-level binding lands in exactly
+/// one contiguous shard. The per-shard partial results therefore ⊕-merge
+/// (in shard order) to exactly the single-process answer, and the
+/// scheduler's range-ordered sink merge makes every shard's rows — and
+/// so the merged fold order — independent of thread count.
+pub fn execute(
     plan: &PhysicalPlan,
     catalog: &dyn Catalog,
     cfg: &Config,
-) -> Result<Relation, ExecError> {
-    execute_plan_inner(plan, catalog, cfg, None, None)
-}
-
-/// Execute one level-0 shard of a compiled plan ([`Config::shard`]) and
-/// report how many level-0 values the shard owned (the coordinator's
-/// skew signal). With `shard: None` this is [`execute_plan`] plus the
-/// full level-0 count. The per-shard partial results ⊕-merge (in shard
-/// order) to exactly the single-process answer: each root-node level-0
-/// value lands in exactly one contiguous shard, and the scheduler's
-/// range-ordered sink merge makes every shard's rows — and therefore
-/// the merged fold order — independent of thread count.
-pub fn execute_plan_sharded(
-    plan: &PhysicalPlan,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-) -> Result<(Relation, u64), ExecError> {
-    execute_plan_sharded_profiled(plan, catalog, cfg).map(|(rel, level0, _)| (rel, level0))
-}
-
-/// [`execute_plan_sharded`] returning the query profile too: `Some`
-/// when [`Config::profile`] is on, `None` otherwise. This is what a
-/// traced `ShardExec` runs — the worker's span tree is built from the
-/// profile (`eh_obs::profile_to_span`) and shipped home tagged with the
-/// coordinator's trace id. Rows stay byte-identical either way.
-pub fn execute_plan_sharded_profiled(
-    plan: &PhysicalPlan,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-) -> Result<(Relation, u64, Option<QueryProfile>), ExecError> {
+) -> Result<Executed, ExecError> {
+    let started = cfg.profile.then(Instant::now);
+    let mut profile = cfg.profile.then(|| QueryProfile {
+        estimated_work: plan.estimated_cost,
+        ..QueryProfile::default()
+    });
     let mut level0 = 0u64;
-    if !cfg.profile {
-        let rel = execute_plan_inner(plan, catalog, cfg, None, Some(&mut level0))?;
-        return Ok((rel, level0, None));
-    }
-    let mut profile = QueryProfile {
-        estimated_work: plan.estimated_cost,
-        ..QueryProfile::default()
-    };
-    let started = Instant::now();
-    let rel = execute_plan_inner(plan, catalog, cfg, Some(&mut profile), Some(&mut level0))?;
-    profile.total_ns = started.elapsed().as_nanos() as u64;
-    profile.rows = rel.rows().len() as u64;
-    Ok((rel, level0, Some(profile)))
-}
-
-/// [`execute_plan`] returning the query profile too: `Some` when
-/// [`Config::profile`] is on, `None` otherwise. The profile records the
-/// planner's estimated intersection work next to the observed counters,
-/// per-node span timings, and worker balance.
-pub fn execute_plan_profiled(
-    plan: &PhysicalPlan,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-) -> Result<(Relation, Option<QueryProfile>), ExecError> {
-    if !cfg.profile {
-        return execute_plan_inner(plan, catalog, cfg, None, None).map(|rel| (rel, None));
-    }
-    let mut profile = QueryProfile {
-        estimated_work: plan.estimated_cost,
-        ..QueryProfile::default()
-    };
-    let started = Instant::now();
-    let rel = execute_plan_inner(plan, catalog, cfg, Some(&mut profile), None)?;
-    profile.total_ns = started.elapsed().as_nanos() as u64;
-    profile.rows = rel.rows().len() as u64;
-    Ok((rel, Some(profile)))
-}
-
-fn execute_plan_inner(
-    plan: &PhysicalPlan,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-    mut profile: Option<&mut QueryProfile>,
-    mut level0_out: Option<&mut u64>,
-) -> Result<Relation, ExecError> {
     let is_agg = plan.agg.is_some();
     let op = plan.agg.as_ref().map(|a| a.op).unwrap_or(AggOp::Count);
     let root_id = plan.root().id;
     // Bottom-up pass: children execute before parents (plan order).
-    // Only the ROOT node is sharded: children run in full on every
-    // shard (broadcast inputs), so the top-down assembly sees complete
-    // child results while each root-level binding lands in exactly one
-    // shard — the per-shard contributions partition the full answer.
     let mut results: Vec<Option<Arc<NodeResult>>> = vec![None; plan.nodes.len()];
     for node in &plan.nodes {
-        let shard = if node.id == root_id { cfg.shard } else { None };
+        let is_root = node.id == root_id;
+        let shard = if is_root { cfg.shard } else { None };
         if shard.is_none() {
             if let Some(j) = node.equiv_to {
                 // Redundant-work elimination (paper App. B.2): reuse the
@@ -219,24 +171,29 @@ fn execute_plan_inner(
             &results,
             is_agg,
             op,
-            profile.as_deref_mut(),
+            profile.as_mut(),
             shard,
-            if node.id == root_id {
-                level0_out.as_deref_mut()
-            } else {
-                None
-            },
+            is_root.then_some(&mut level0),
         )?;
         results[node.id] = Some(Arc::new(result));
     }
-    let root = results[plan.root().id].as_ref().unwrap();
+    let root = results[root_id].as_ref().unwrap();
     // Top-down pass (Yannakakis): assemble full tuples unless skippable.
     let assembled = if plan.skip_top_down {
         NodeResult::clone(root)
     } else {
-        crate::sink::assemble(plan.root().id, plan, &results, is_agg, op)
+        crate::sink::assemble(root_id, plan, &results, is_agg, op)
     };
-    crate::sink::finalize(plan, assembled, catalog, is_agg, op)
+    let relation = crate::sink::finalize(plan, assembled, catalog, is_agg, op)?;
+    if let (Some(p), Some(t)) = (&mut profile, started) {
+        p.total_ns = t.elapsed().as_nanos() as u64;
+        p.rows = relation.rows().len() as u64;
+    }
+    Ok(Executed {
+        relation,
+        level0,
+        profile,
+    })
 }
 
 /// Execute Generic-Join at one GHD node: compile the join program, then
@@ -623,7 +580,7 @@ mod tests {
             .trie(&[0, 1], LayoutPolicy::SetLevel)
             .level_census(1);
         assert!(before.0 > before.1, "uint majority at build time");
-        let static_out = execute_rule(&rule, &cat, &cfg_static).unwrap();
+        let static_out = execute_rule(&rule, &cat, &cfg_static).unwrap().relation;
         let after_static = cat
             .relation("E")
             .unwrap()
@@ -634,7 +591,7 @@ mod tests {
         // Adaptive: the hot level flips to bitset, results are identical,
         // and the feedback is idempotent (no further changes on re-run).
         let cfg = Config::default();
-        let adaptive_out = execute_rule(&rule, &cat, &cfg).unwrap();
+        let adaptive_out = execute_rule(&rule, &cat, &cfg).unwrap().relation;
         assert_eq!(static_out.scalar(), adaptive_out.scalar());
         let after = cat
             .relation("E")
@@ -645,7 +602,7 @@ mod tests {
             after.1 > before.1,
             "observed-dense level re-laid to bitset: {before:?} -> {after:?}"
         );
-        let rerun = execute_rule(&rule, &cat, &cfg).unwrap();
+        let rerun = execute_rule(&rule, &cat, &cfg).unwrap().relation;
         assert_eq!(static_out.scalar(), rerun.scalar());
         let after2 = cat
             .relation("E")
@@ -706,9 +663,7 @@ mod tests {
     }
 
     fn compile(rule: &Rule, cat: &dyn Catalog, cfg: &Config) -> PhysicalPlan {
-        let stats = crate::storage::CatalogStats(cat);
-        let ghd = eh_ghd::plan_rule_with_stats(rule, &cfg.plan, &stats).unwrap();
-        PhysicalPlan::compile(rule, &ghd)
+        compile_rule(rule, cat, cfg).unwrap()
     }
 
     fn skewed_catalog() -> MemCatalog {
@@ -739,7 +694,7 @@ mod tests {
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let full = execute_plan(&plan, &cat, &cfg).unwrap();
+        let full = execute(&plan, &cat, &cfg).unwrap().relation;
         let want = full.scalar().unwrap().as_u64();
         assert!(want > 0);
         for n in [1u32, 2, 3, 5, 8] {
@@ -747,7 +702,11 @@ mod tests {
             let mut level0_total = 0u64;
             for k in 0..n {
                 let shard_cfg = cfg.with_shard(k, n);
-                let (rel, level0) = execute_plan_sharded(&plan, &cat, &shard_cfg).unwrap();
+                let Executed {
+                    relation: rel,
+                    level0,
+                    ..
+                } = execute(&plan, &cat, &shard_cfg).unwrap();
                 // Scalar plans always emit exactly one row, even for an
                 // empty shard (the ⊕-identity) — the coordinator never
                 // needs a missing-row special case.
@@ -768,12 +727,12 @@ mod tests {
         let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let full = execute_plan(&plan, &cat, &cfg).unwrap();
+        let full = execute(&plan, &cat, &cfg).unwrap().relation;
         for n in [2u32, 4] {
             let mut merged = TupleBuffer::new(2);
             for k in 0..n {
                 let shard_cfg = cfg.with_shard(k, n);
-                let (rel, _) = execute_plan_sharded(&plan, &cat, &shard_cfg).unwrap();
+                let rel = execute(&plan, &cat, &shard_cfg).unwrap().relation;
                 merged.append(rel.rows());
             }
             // Rows may repeat across shards after projection (two root
@@ -807,17 +766,18 @@ mod tests {
         .unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let want = execute_plan(&plan, &cat, &cfg)
+        let want = execute(&plan, &cat, &cfg)
             .unwrap()
+            .relation
             .scalar()
             .unwrap()
             .as_u64();
         for n in [2u32, 3] {
             let got: u64 = (0..n)
                 .map(|k| {
-                    execute_plan_sharded(&plan, &cat, &cfg.with_shard(k, n))
+                    execute(&plan, &cat, &cfg.with_shard(k, n))
                         .unwrap()
-                        .0
+                        .relation
                         .scalar()
                         .unwrap()
                         .as_u64()
@@ -833,17 +793,18 @@ mod tests {
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let want = execute_plan(&plan, &cat, &cfg)
+        let want = execute(&plan, &cat, &cfg)
             .unwrap()
+            .relation
             .scalar()
             .unwrap()
             .as_u64();
         let threaded = cfg.with_threads(4);
         let got: u64 = (0..3u32)
             .map(|k| {
-                execute_plan_sharded(&plan, &cat, &threaded.with_shard(k, 3))
+                execute(&plan, &cat, &threaded.with_shard(k, 3))
                     .unwrap()
-                    .0
+                    .relation
                     .scalar()
                     .unwrap()
                     .as_u64()
@@ -857,21 +818,20 @@ mod tests {
         let cat = path_catalog();
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.").unwrap();
         let plain = execute_rule(&rule, &cat, &Config::default()).unwrap();
-        let (profiled, profile) =
-            execute_rule_profiled(&rule, &cat, &Config::default().with_profile(true)).unwrap();
-        assert_eq!(plain.scalar(), profiled.scalar());
-        let p = profile.expect("profile requested");
+        // Off by default: no profile comes back.
+        assert!(plain.profile.is_none());
+        let plain = plain.relation;
+        let profiled = execute_rule(&rule, &cat, &Config::default().with_profile(true)).unwrap();
+        assert_eq!(plain.scalar(), profiled.relation.scalar());
+        let p = profiled.profile.expect("profile requested");
         assert!(p.observed_work() > 0, "values were scanned: {p:?}");
         assert!(p.work.count_fast_hits > 0, "innermost count path profiled");
         assert!(!p.nodes.is_empty());
-        // Off by default: no profile comes back.
-        let (_, none) = execute_rule_profiled(&rule, &cat, &Config::default()).unwrap();
-        assert!(none.is_none());
         // Parallel runs record worker balance and the same totals shape.
         let cfg = Config::default().with_profile(true).with_threads(4);
-        let (par, par_profile) = execute_rule_profiled(&rule, &cat, &cfg).unwrap();
-        assert_eq!(plain.scalar(), par.scalar());
-        let pp = par_profile.unwrap();
+        let par = execute_rule(&rule, &cat, &cfg).unwrap();
+        assert_eq!(plain.scalar(), par.relation.scalar());
+        let pp = par.profile.unwrap();
         assert!(pp.observed_work() > 0);
         assert!(
             pp.nodes.iter().any(|n| !n.workers.is_empty()),
@@ -896,15 +856,19 @@ mod tests {
             "B(;w:long) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c); w=<<COUNT(*)>>.",
         )
         .unwrap();
-        let with = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let with = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         let mut cfg = Config::default();
         cfg.plan.dedup_nodes = false;
-        let without = execute_rule(&rule, &cat, &cfg).unwrap();
+        let without = execute_rule(&rule, &cat, &cfg).unwrap().relation;
         assert_eq!(
             with.scalar().unwrap().as_u64(),
             without.scalar().unwrap().as_u64()
         );
-        let single = execute_rule(&rule, &cat, &Config::no_ghd()).unwrap();
+        let single = execute_rule(&rule, &cat, &Config::no_ghd())
+            .unwrap()
+            .relation;
         assert_eq!(
             with.scalar().unwrap().as_u64(),
             single.scalar().unwrap().as_u64()
@@ -933,8 +897,12 @@ mod tests {
             "S(;w:long) :- E(x,y),E(y,z),E(x,z),E(x,'0'),E('0',a),E(a,b),E(b,c),E(a,c); w=<<COUNT(*)>>.",
         )
         .unwrap();
-        let ghd = execute_rule(&rule, &cat, &Config::default()).unwrap();
-        let single = execute_rule(&rule, &cat, &Config::no_ghd()).unwrap();
+        let ghd = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
+        let single = execute_rule(&rule, &cat, &Config::no_ghd())
+            .unwrap()
+            .relation;
         assert_eq!(
             ghd.scalar().unwrap().as_u64(),
             single.scalar().unwrap().as_u64()
@@ -956,7 +924,9 @@ mod tests {
         let rule =
             parse_rule("B(x,y,z,a,b,c) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c).")
                 .unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert!(!out.is_empty());
         // Every emitted row must satisfy all seven body atoms.
         let has = |a: u32, b: u32| cat.relation("E").unwrap().rows().contains_row(&[a, b]);
@@ -975,7 +945,9 @@ mod tests {
             .iter()
             .any(|r| (r[0] == 0 && r[3] == 3) || (r[0] == 3 && r[3] == 0)));
         // Cross-check the full result against the single-node plan.
-        let single = execute_rule(&rule, &cat, &Config::no_ghd()).unwrap();
+        let single = execute_rule(&rule, &cat, &Config::no_ghd())
+            .unwrap()
+            .relation;
         assert_eq!(out.rows().len(), single.rows().len());
         assert_eq!(out.rows(), single.rows());
     }

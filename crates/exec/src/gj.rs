@@ -461,7 +461,9 @@ mod tests {
     fn two_hop_join() {
         let cat = path_catalog();
         let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         let mut rows: Vec<Vec<u32>> = out.rows().iter().map(|r| r.to_vec()).collect();
         rows.sort();
         assert_eq!(rows, vec![vec![0, 2], vec![0, 3], vec![1, 3]]);
@@ -471,7 +473,9 @@ mod tests {
     fn projection_dedups() {
         let cat = path_catalog();
         let rule = parse_rule("S(x) :- E(x,y).").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert_eq!(out.rows().flat(), &[0, 1, 2]);
     }
 
@@ -479,7 +483,9 @@ mod tests {
     fn count_two_hops() {
         let cat = path_catalog();
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert_eq!(out.scalar().unwrap().as_u64(), 3);
     }
 
@@ -487,7 +493,9 @@ mod tests {
     fn count_grouped_by_key() {
         let cat = path_catalog();
         let rule = parse_rule("D(x;w:long) :- E(x,y); w=<<COUNT(*)>>.").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert_eq!(out.rows().flat(), &[0, 1, 2]);
         let annots = out.annotations().unwrap();
         assert_eq!(annots[0].as_u64(), 1); // 0 -> {1}
@@ -499,7 +507,9 @@ mod tests {
     fn selection_filters() {
         let cat = path_catalog();
         let rule = parse_rule("Q(y) :- E('1',y).").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert_eq!(out.rows().flat(), &[2, 3]);
     }
 
@@ -507,7 +517,9 @@ mod tests {
     fn selection_missing_constant_is_empty() {
         let cat = path_catalog();
         let rule = parse_rule("Q(y) :- E('99',y).").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert!(out.is_empty());
     }
 
@@ -527,7 +539,9 @@ mod tests {
             ),
         );
         let rule = parse_rule("C(;w:float) :- W(x,y),W(y,z); w=<<SUM(z)>>.").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         // paths: (0,1,2): 2*3=6, (0,1,3): 2*5=10 → 16.
         assert_eq!(out.scalar().unwrap().as_f64(), 16.0);
     }

@@ -38,8 +38,7 @@ mod parallel;
 
 pub use config::{Config, Scheduler};
 pub use executor::{
-    execute_plan, execute_plan_profiled, execute_plan_sharded, execute_plan_sharded_profiled,
-    execute_rule, execute_rule_profiled, plan_sink_kinds, ExecError, SinkKind,
+    compile_rule, execute, execute_rule, plan_sink_kinds, ExecError, Executed, SinkKind,
 };
 pub use plan::{PhysicalPlan, PlanNode};
 pub use recursion::execute_recursive_rule;
@@ -81,7 +80,9 @@ mod tests {
     fn triangle_listing() {
         let cat = triangle_catalog();
         let rule = parse_rule("T(x,y,z) :- E(x,y),E(y,z),E(x,z).").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         // Ordered triangles with x<y<z as directed: (0,1,2),(0,1,3),(0,2,3),(1,2,3)
         let mut rows: Vec<Vec<u32>> = out.rows().iter().map(|r| r.to_vec()).collect();
         rows.sort();
@@ -95,7 +96,9 @@ mod tests {
     fn triangle_count() {
         let cat = triangle_catalog();
         let rule = parse_rule("TC(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
-        let out = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let out = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert_eq!(out.scalar().unwrap().as_u64(), 4);
     }
 
@@ -110,7 +113,7 @@ mod tests {
             Config::no_layout_no_algorithms(),
             Config::no_ghd(),
         ] {
-            let out = execute_rule(&rule, &cat, &cfg).unwrap();
+            let out = execute_rule(&rule, &cat, &cfg).unwrap().relation;
             assert_eq!(out.scalar().unwrap().as_u64(), 4, "{cfg:?}");
         }
     }

@@ -215,13 +215,15 @@ mod tests {
             "D(x;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.",
         ] {
             let rule = parse_rule(q).unwrap();
-            let serial = execute_rule(&rule, &cat, &Config::default()).unwrap();
+            let serial = execute_rule(&rule, &cat, &Config::default())
+                .unwrap()
+                .relation;
             for scheduler in [Scheduler::Morsel, Scheduler::Static] {
                 for threads in [2usize, 3, 8] {
                     let cfg = Config::default()
                         .with_threads(threads)
                         .with_scheduler(scheduler);
-                    let par = execute_rule(&rule, &cat, &cfg).unwrap();
+                    let par = execute_rule(&rule, &cat, &cfg).unwrap().relation;
                     assert_eq!(serial.rows(), par.rows(), "{q} {scheduler:?} x{threads}");
                     assert_eq!(
                         serial.annotations(),
@@ -244,10 +246,12 @@ mod tests {
         // result must not change.
         let cat = skewed_catalog();
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
-        let serial = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let serial = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         for morsel in [1usize, 2, 7, 1000] {
             let cfg = Config::default().with_threads(4).with_morsel(morsel);
-            let par = execute_rule(&rule, &cat, &cfg).unwrap();
+            let par = execute_rule(&rule, &cat, &cfg).unwrap().relation;
             assert_eq!(serial.scalar(), par.scalar(), "morsel={morsel}");
         }
     }
@@ -279,14 +283,14 @@ mod tests {
                 .with_morsel(4)
                 .with_scheduler(Scheduler::Morsel)
         };
-        let first = execute_rule(&rule, &cat, &pinned(4)).unwrap();
+        let first = execute_rule(&rule, &cat, &pinned(4)).unwrap().relation;
         for _ in 0..5 {
-            let again = execute_rule(&rule, &cat, &pinned(4)).unwrap();
+            let again = execute_rule(&rule, &cat, &pinned(4)).unwrap().relation;
             assert_eq!(first.scalar(), again.scalar(), "run-to-run");
         }
         // Same morsel size, different worker count: same chunk partition,
         // same fold order, bit-identical result.
-        let other = execute_rule(&rule, &cat, &pinned(2)).unwrap();
+        let other = execute_rule(&rule, &cat, &pinned(2)).unwrap().relation;
         assert_eq!(first.scalar(), other.scalar(), "across thread counts");
     }
 
@@ -295,10 +299,12 @@ mod tests {
         let mut cat = MemCatalog::new();
         cat.insert("E", Relation::from_rows(2, vec![vec![0, 1], vec![1, 2]]));
         let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
-        let serial = execute_rule(&rule, &cat, &Config::default()).unwrap();
+        let serial = execute_rule(&rule, &cat, &Config::default())
+            .unwrap()
+            .relation;
         for scheduler in [Scheduler::Morsel, Scheduler::Static] {
             let cfg = Config::default().with_threads(16).with_scheduler(scheduler);
-            let par = execute_rule(&rule, &cat, &cfg).unwrap();
+            let par = execute_rule(&rule, &cat, &cfg).unwrap().relation;
             assert_eq!(serial.rows(), par.rows(), "{scheduler:?}");
         }
     }

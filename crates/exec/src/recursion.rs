@@ -10,7 +10,7 @@
 //! operator".
 
 use crate::config::Config;
-use crate::executor::{execute_plan, ExecError};
+use crate::executor::{execute, ExecError};
 use crate::plan::PhysicalPlan;
 use crate::storage::{Catalog, Relation};
 use eh_query::ast::Recursion;
@@ -108,7 +108,7 @@ fn naive_loop(
                 name,
                 rel: &current,
             };
-            execute_plan(plan, &overlay, cfg)?
+            execute(plan, &overlay, cfg)?.relation
         };
         match criterion {
             // Fixed-iteration rules (PageRank) recompute the whole relation
@@ -168,7 +168,7 @@ fn seminaive_loop(
                 name,
                 rel: &frontier,
             };
-            execute_plan(plan, &overlay, cfg)?
+            execute(plan, &overlay, cfg)?.relation
         };
         // Only strict improvements form the next frontier.
         frontier = Relation::from_buffer(state.absorb(derived.rows(), op), op);
@@ -368,7 +368,9 @@ mod tests {
         // Base: distance 1 to neighbours of node 0 (paper Table 1 writes
         // the base rule with y=1).
         let base = parse_rule("SSSP(x;y:int) :- Edge('0',x); y=1.").unwrap();
-        let initial = execute_rule(&base, &cat, &Config::default()).unwrap();
+        let initial = execute_rule(&base, &cat, &Config::default())
+            .unwrap()
+            .relation;
         assert_eq!(dist_of(&initial, 1), Some(1));
         assert_eq!(dist_of(&initial, 3), Some(1));
         let rec = parse_rule("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.").unwrap();
@@ -382,7 +384,9 @@ mod tests {
     fn sssp_naive_matches_seminaive() {
         let cat = sssp_catalog();
         let base = parse_rule("SSSP(x;y:int) :- Edge('0',x); y=1.").unwrap();
-        let initial = execute_rule(&base, &cat, &Config::default()).unwrap();
+        let initial = execute_rule(&base, &cat, &Config::default())
+            .unwrap()
+            .relation;
         let rec = parse_rule("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.").unwrap();
         let semi = execute_recursive_rule(&rec, initial.clone(), &cat, &Config::default()).unwrap();
         let cfg = Config {
@@ -553,7 +557,9 @@ mod tests {
             Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4]]),
         );
         let base = parse_rule("R(x;y:int) :- Edge('0',x); y=1.").unwrap();
-        let initial = execute_rule(&base, &cat, &Config::default()).unwrap();
+        let initial = execute_rule(&base, &cat, &Config::default())
+            .unwrap()
+            .relation;
         let rec = parse_rule("R(x;y:int)* :- Edge(w,x),R(w); y=<<MIN(w)>>+1.").unwrap();
         let out = execute_recursive_rule(&rec, initial, &cat, &Config::default()).unwrap();
         assert_eq!(dist_of(&out, 4), Some(4));

@@ -2,7 +2,10 @@
 //!
 //! Bytes arriving off a socket or out of a file are attacker-shaped:
 //! a malformed frame must surface as an `Err`, never unwind a server
-//! thread. In the covered files this rule flags `unwrap`/`expect`,
+//! thread — or, on the response-handling side (the client and the
+//! cluster coordinator), the process embedding it: a worker's answer is
+//! as untrusted as a client's request. In the covered files this rule
+//! flags `unwrap`/`expect`,
 //! the panicking macro family, and slice indexing whose index is an
 //! expression (a literal index after an explicit length check is
 //! considered guarded — `b[0]` following `take(4)?` cannot panic).
@@ -19,6 +22,8 @@ const COVERED: &[&str] = &[
     "crates/storage/src/image.rs",
     "crates/storage/src/trace_wire.rs",
     "crates/server/src/protocol.rs",
+    "crates/server/src/client.rs",
+    "crates/server/src/cluster.rs",
 ];
 
 /// Macros that unwind.
@@ -38,7 +43,7 @@ impl Rule for DecodePanicFree {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic!/unguarded indexing in storage wire+image and server protocol decode paths"
+        "no unwrap/expect/panic!/unguarded indexing in storage wire+image decode paths and the server protocol, client and cluster coordinator"
     }
 
     fn applies(&self, path: &str) -> Option<Scope> {

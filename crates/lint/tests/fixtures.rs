@@ -268,6 +268,29 @@ fn decode_trace(b: &[u8]) -> u64 {
 }
 
 #[test]
+fn decode_covers_the_response_handling_side() {
+    // A worker's answer is as untrusted as a client's request: the
+    // coordinator's gather and the client's response handling must turn
+    // a missing slot, an empty fleet or a short batch into an error.
+    let src = "\
+fn gather(slots: Vec<Option<u32>>, addrs: &[String]) -> u32 {
+    assert!(!addrs.is_empty());
+    let first = slots[0].expect(\"scatter thread wrote its slot\");
+    first + slots[addrs.len()].unwrap_or(0)
+}
+";
+    for path in [
+        "crates/server/src/cluster.rs",
+        "crates/server/src/client.rs",
+    ] {
+        let f = run(path, src);
+        assert_eq!(lines_of(&f, "decode-panic-free"), vec![2, 3, 4], "{path}");
+    }
+    // The shell renders what those two hand it; it stays uncovered.
+    assert!(run("crates/server/src/shell.rs", src).is_empty());
+}
+
+#[test]
 fn decode_does_not_flag_unwrap_or_family() {
     let src = "\
 fn decode(b: &[u8]) -> u8 {

@@ -123,6 +123,11 @@ impl Span {
         self
     }
 
+    /// The named scalar attribute, if attached.
+    pub fn value(&self, key: &str) -> Option<u64> {
+        self.values.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
     /// Total spans in this tree, the root included.
     pub fn span_count(&self) -> usize {
         1 + self.children.iter().map(Span::span_count).sum::<usize>()
@@ -235,8 +240,18 @@ impl Trace {
 /// `k`'s loop), so level spans all start at their node's offset and
 /// their elapsed times are totals, not disjoint intervals — the same
 /// reading `QueryProfile::render` gives them.
+///
+/// The root span carries the profile's scalars as values: `rows`,
+/// `observed_work` (values scanned) and — when the attribute order was
+/// cost-based — the planner's `estimated_work`, rounded.
 pub fn profile_to_span(name: &str, profile: &QueryProfile) -> Span {
-    let mut root = Span::new(name, 0, profile.total_ns).with_value("rows", profile.rows);
+    let mut root = Span::new(name, 0, profile.total_ns)
+        .with_value("rows", profile.rows)
+        .with_value("observed_work", profile.observed_work());
+    if let Some(est) = profile.estimated_work {
+        root.values
+            .push(("estimated_work".into(), est.round() as u64));
+    }
     let mut cursor = 0u64;
     for (i, node) in profile.nodes.iter().enumerate() {
         let mut ns = Span::new(format!("node {i}"), cursor, node.ns).with_value("rows", node.rows);
@@ -328,7 +343,7 @@ pub fn truncate_query(text: &str) -> String {
 
 /// A lock-bounded ring buffer of recent slow queries.
 ///
-/// `observe` takes the mutex only when the threshold is crossed (the
+/// `observe_with` takes the mutex only when the threshold is crossed (the
 /// common fast path is one relaxed atomic load + add), and the critical
 /// section is a bounded push/pop — no allocation growth beyond the
 /// fixed capacity, no I/O, so the lock cannot become a serving
@@ -392,14 +407,18 @@ impl SlowQueryLog {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Record one finished query. Returns true when it was retained.
-    /// The query text is truncated here, so callers can pass the raw
-    /// statement.
-    pub fn observe(&self, mut entry: SlowQueryEntry) -> bool {
+    /// Record one finished query that took `elapsed_ns`. Returns true
+    /// when it was retained. The threshold is checked *before* `entry`
+    /// runs, so the common fast path builds nothing — no copy of the
+    /// query text, no span tree walked for its hottest leaf. The query
+    /// text is truncated here, so the closure can pass the raw statement.
+    pub fn observe_with(&self, elapsed_ns: u64, entry: impl FnOnce() -> SlowQueryEntry) -> bool {
         self.seen.fetch_add(1, Ordering::Relaxed);
-        if entry.elapsed_ns < self.threshold_ns() {
+        if elapsed_ns < self.threshold_ns() {
             return false;
         }
+        let mut entry = entry();
+        entry.elapsed_ns = elapsed_ns;
         entry.query = truncate_query(&entry.query);
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.entries.lock().expect("slow-query log poisoned");
@@ -490,15 +509,11 @@ mod tests {
     fn slow_log_threshold_ring_and_truncation() {
         let log = SlowQueryLog::with_capacity(2);
         log.set_threshold_ns(100);
-        assert!(!log.observe(SlowQueryEntry {
-            elapsed_ns: 99,
-            ..SlowQueryEntry::default()
-        }));
+        assert!(!log.observe_with(99, SlowQueryEntry::default));
         for i in 0..3u64 {
-            assert!(log.observe(SlowQueryEntry {
+            assert!(log.observe_with(100 + i, || SlowQueryEntry {
                 trace_id: i,
                 query: "q".repeat(500),
-                elapsed_ns: 100 + i,
                 ..SlowQueryEntry::default()
             }));
         }
@@ -508,16 +523,28 @@ mod tests {
         let recent = log.recent(10);
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].trace_id, 2); // newest first
+        assert_eq!(recent[0].elapsed_ns, 102, "stamped with the observed time");
         assert_eq!(recent[1].trace_id, 1); // oldest (0) evicted
         assert!(recent[0].query.ends_with('…'));
         assert!(recent[0].query.len() <= SLOW_QUERY_TEXT_MAX + '…'.len_utf8());
     }
 
     #[test]
+    fn sub_threshold_observations_never_build_an_entry() {
+        let log = SlowQueryLog::new();
+        for _ in 0..3 {
+            assert!(!log.observe_with(DEFAULT_SLOW_THRESHOLD_NS - 1, || {
+                unreachable!("entry built for a query under the threshold")
+            }));
+        }
+        assert_eq!((log.seen(), log.recorded(), log.len()), (3, 0, 0));
+    }
+
+    #[test]
     fn slow_log_zero_threshold_retains_everything() {
         let log = SlowQueryLog::new();
         log.set_threshold_ns(0);
-        assert!(log.observe(SlowQueryEntry::default()));
+        assert!(log.observe_with(0, SlowQueryEntry::default));
         assert_eq!(log.len(), 1);
         assert!(log.recent(0).is_empty());
     }

@@ -7,18 +7,21 @@
 //! distinct query text*, not once per request: [`PlanCache`] is an LRU
 //! map from normalized query text to the shared [`Prepared`] plan
 //! (`Arc`, so concurrent readers execute one compiled artifact in
-//! parallel).
+//! parallel). The cache itself only maps and counts: compiling on a
+//! miss is [`crate::Shared::cached_plan`]'s job, which holds the cache
+//! mutex around `lookup` and `insert` but not around the compilation
+//! between them.
 //!
 //! Correctness is epoch-based: every catalog mutation
 //! (`register` / `drop_relation` / `load_*`) bumps
-//! [`Database::epoch`], and every cache operation carries the epoch of
+//! [`eh_core::Database::epoch`], and every cache operation carries the epoch of
 //! the database it is about to run against. An epoch mismatch discards
 //! the whole cache — a plan compiled against a dropped or re-registered
 //! schema is never returned, so no stale plan ever runs against a
 //! changed catalog (see `stale_plans_never_survive_a_schema_change`
 //! below for the drop/re-register-with-different-arity regression).
 
-use eh_core::{CoreError, Database, Prepared};
+use eh_core::Prepared;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -130,8 +133,10 @@ impl PlanCache {
     }
 
     /// Discard everything if `epoch` differs from the epoch the cached
-    /// plans were compiled against.
-    fn sync_epoch(&mut self, epoch: u64) {
+    /// plans were compiled against. Every lookup and insert does this;
+    /// the `Stats` frame calls it directly so reported entry and
+    /// invalidation counts reflect the epoch the caller observes.
+    pub fn sync(&mut self, epoch: u64) {
         if epoch != self.epoch {
             self.invalidations += self.entries.len() as u64;
             self.entries.clear();
@@ -139,20 +144,12 @@ impl PlanCache {
         }
     }
 
-    /// Reconcile the cache with the catalog epoch it is about to serve
-    /// (discarding stale plans) without a lookup — used by the `Stats`
-    /// frame so reported entry/invalidation counts reflect the epoch
-    /// the caller observes.
-    pub fn sync(&mut self, epoch: u64) {
-        self.sync_epoch(epoch);
-    }
-
     /// Look up a plan for `text` valid at `epoch`; counts a hit when
     /// found. Absence counts nothing — the miss counter tracks actual
     /// compilations (it bumps in [`PlanCache::insert`]), so uncacheable
     /// traffic (multi-rule programs, recursion) never inflates it.
     pub fn lookup(&mut self, epoch: u64, text: &str) -> Option<Arc<Prepared>> {
-        self.sync_epoch(epoch);
+        self.sync(epoch);
         let key = Self::normalize(text);
         self.tick += 1;
         match self.entries.get_mut(&key) {
@@ -169,7 +166,7 @@ impl PlanCache {
     /// compilation), evicting the least-recently used entry if the
     /// cache is full.
     pub fn insert(&mut self, epoch: u64, text: &str, plan: Arc<Prepared>) {
-        self.sync_epoch(epoch);
+        self.sync(epoch);
         self.misses += 1;
         let key = Self::normalize(text);
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
@@ -190,42 +187,6 @@ impl PlanCache {
                 last_used: self.tick,
             },
         );
-    }
-
-    /// The ad-hoc query path: cached plan if present (no parsing at
-    /// all), compile-and-cache if the text is a single non-recursive
-    /// rule, `None` if it is a program/fixpoint the caller should run
-    /// through the uncached read-only path.
-    pub fn get_preparable(
-        &mut self,
-        db: &Database,
-        text: &str,
-    ) -> Result<Option<Arc<Prepared>>, CoreError> {
-        if let Some(plan) = self.lookup(db.epoch(), text) {
-            return Ok(Some(plan));
-        }
-        if !is_preparable(text) {
-            return Ok(None);
-        }
-        let plan = Arc::new(db.prepare(text)?);
-        self.insert(db.epoch(), text, Arc::clone(&plan));
-        Ok(Some(plan))
-    }
-
-    /// One-stop lookup-or-compile against `db` (callers holding other
-    /// locks should prefer `lookup` + `insert` around an uncontended
-    /// `db.prepare`). Returns the plan and whether it was a cache hit.
-    pub fn get_or_prepare(
-        &mut self,
-        db: &Database,
-        text: &str,
-    ) -> Result<(Arc<Prepared>, bool), CoreError> {
-        if let Some(plan) = self.lookup(db.epoch(), text) {
-            return Ok((plan, true));
-        }
-        let plan = Arc::new(db.prepare(text)?);
-        self.insert(db.epoch(), text, Arc::clone(&plan));
-        Ok((plan, false))
     }
 
     /// Plans currently cached.
@@ -262,7 +223,8 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eh_core::Relation;
+    use crate::Shared;
+    use eh_core::{Database, Relation};
 
     fn edges_db() -> Database {
         let mut db = Database::new();
@@ -270,27 +232,34 @@ mod tests {
         db
     }
 
+    /// Server state with a cache of `capacity` plans over the edge db.
+    fn shared(capacity: usize) -> Shared {
+        Shared::new(edges_db(), capacity)
+    }
+
+    /// Fetch-or-compile through the server's one caching path.
+    fn plan(shared: &Shared, text: &str) -> (Arc<Prepared>, bool) {
+        shared.cached_plan(&shared.db.read(), text).unwrap()
+    }
+
     #[test]
     fn second_lookup_is_a_hit_with_the_same_plan() {
-        let db = edges_db();
-        let mut cache = PlanCache::new(8);
+        let shared = shared(8);
         let q = "T(x,y) :- E(x,y).";
-        let (p1, hit1) = cache.get_or_prepare(&db, q).unwrap();
-        let (p2, hit2) = cache.get_or_prepare(&db, q).unwrap();
+        let (p1, hit1) = plan(&shared, q);
+        let (p2, hit2) = plan(&shared, q);
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&p1, &p2), "one shared compiled artifact");
+        let cache = shared.cache.lock();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
     fn normalization_shares_plans_across_whitespace() {
-        let db = edges_db();
-        let mut cache = PlanCache::new(8);
-        let (p1, _) = cache.get_or_prepare(&db, "T(x,y) :- E(x,y).").unwrap();
-        let (p2, hit) = cache
-            .get_or_prepare(&db, "  T(x,y)   :-\n\tE(x,y).  ")
-            .unwrap();
+        let shared = shared(8);
+        let (p1, _) = plan(&shared, "T(x,y) :- E(x,y).");
+        let (p2, hit) = plan(&shared, "  T(x,y)   :-\n\tE(x,y).  ");
         assert!(hit);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(
@@ -372,31 +341,31 @@ mod tests {
 
     #[test]
     fn string_constants_differing_in_whitespace_are_distinct_entries() {
-        let db = edges_db();
-        let mut cache = PlanCache::new(8);
-        let (plan, _) = cache.get_or_prepare(&db, "T(x,y) :- E(x,y).").unwrap();
+        let shared = shared(8);
+        let (plan, _) = plan(&shared, "T(x,y) :- E(x,y).");
+        let epoch = shared.db.read().epoch();
+        let mut cache = shared.cache.lock();
         // Same shape, different string constants: must occupy separate
         // slots so neither ever serves the other's plan.
-        cache.insert(db.epoch(), "R(x) :- S(x,'a b').", Arc::clone(&plan));
-        cache.insert(db.epoch(), "R(x) :- S(x,'a  b').", Arc::clone(&plan));
+        cache.insert(epoch, "R(x) :- S(x,'a b').", Arc::clone(&plan));
+        cache.insert(epoch, "R(x) :- S(x,'a  b').", Arc::clone(&plan));
         assert_eq!(cache.len(), 3);
-        assert!(cache.lookup(db.epoch(), "R(x) :- S(x,'a  b').").is_some());
-        assert!(cache.lookup(db.epoch(), "R(x) :-  S(x,'a b').").is_some());
+        assert!(cache.lookup(epoch, "R(x) :- S(x,'a  b').").is_some());
+        assert!(cache.lookup(epoch, "R(x) :-  S(x,'a b').").is_some());
     }
 
     #[test]
     fn lru_evicts_the_coldest_plan() {
-        let db = edges_db();
-        let mut cache = PlanCache::new(2);
-        cache.get_or_prepare(&db, "A(x,y) :- E(x,y).").unwrap();
-        cache.get_or_prepare(&db, "B(y,x) :- E(x,y).").unwrap();
+        let shared = shared(2);
+        plan(&shared, "A(x,y) :- E(x,y).");
+        plan(&shared, "B(y,x) :- E(x,y).");
         // Touch A so B is the LRU entry, then overflow.
-        cache.get_or_prepare(&db, "A(x,y) :- E(x,y).").unwrap();
-        cache.get_or_prepare(&db, "C(x) :- E(x,y).").unwrap();
-        assert_eq!(cache.len(), 2);
-        let (_, hit_a) = cache.get_or_prepare(&db, "A(x,y) :- E(x,y).").unwrap();
+        plan(&shared, "A(x,y) :- E(x,y).");
+        plan(&shared, "C(x) :- E(x,y).");
+        assert_eq!(shared.cache.lock().len(), 2);
+        let (_, hit_a) = plan(&shared, "A(x,y) :- E(x,y).");
         assert!(hit_a, "hot entry survived");
-        let (_, hit_b) = cache.get_or_prepare(&db, "B(y,x) :- E(x,y).").unwrap();
+        let (_, hit_b) = plan(&shared, "B(y,x) :- E(x,y).");
         assert!(!hit_b, "cold entry was evicted");
     }
 
@@ -405,51 +374,70 @@ mod tests {
     /// panic, no wrong answer.
     #[test]
     fn stale_plans_never_survive_a_schema_change() {
-        let mut db = edges_db();
-        let mut cache = PlanCache::new(8);
+        let shared = shared(8);
         let q = "T(x,y) :- E(x,y).";
-        let (old_plan, _) = cache.get_or_prepare(&db, q).unwrap();
-        assert_eq!(old_plan.execute(&db).unwrap().num_rows(), 3);
+        let (old_plan, _) = plan(&shared, q);
+        assert_eq!(old_plan.execute(&shared.db.read()).unwrap().num_rows(), 3);
 
         // Same name, arity 3 now.
-        db.drop_relation("E");
-        db.register(
-            "E",
-            Relation::from_rows(3, vec![vec![0u32, 1, 2], vec![3, 4, 5]]),
-        );
+        {
+            let mut db = shared.db.write();
+            db.drop_relation("E");
+            db.register(
+                "E",
+                Relation::from_rows(3, vec![vec![0u32, 1, 2], vec![3, 4, 5]]),
+            );
+        }
 
-        let (new_plan, hit) = cache.get_or_prepare(&db, q).unwrap();
+        let (new_plan, hit) = plan(&shared, q);
         assert!(!hit, "epoch change must invalidate the cached plan");
         assert!(
             !Arc::ptr_eq(&old_plan, &new_plan),
             "a fresh plan was compiled"
         );
-        assert!(cache.invalidations() >= 1);
+        assert!(shared.cache.lock().invalidations() >= 1);
         // Under the new ternary schema the old binary rule is an arity
         // mismatch: a recoverable error, never a panic or a wrong answer.
-        assert!(new_plan.execute(&db).is_err());
+        assert!(new_plan.execute(&shared.db.read()).is_err());
         // And a rule matching the new schema compiles fresh and answers
         // correctly.
-        let (tern, hit) = cache.get_or_prepare(&db, "U(x,y,z) :- E(x,y,z).").unwrap();
+        let (tern, hit) = plan(&shared, "U(x,y,z) :- E(x,y,z).");
         assert!(!hit);
-        let out = tern.execute(&db).unwrap();
+        let out = tern.execute(&shared.db.read()).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.relation().arity(), 3);
     }
 
     #[test]
     fn epoch_reuse_within_one_epoch_is_stable() {
-        let mut db = edges_db();
-        let mut cache = PlanCache::new(8);
+        let shared = shared(8);
         let q = "T(x,y) :- E(x,y).";
-        cache.get_or_prepare(&db, q).unwrap();
+        plan(&shared, q);
         // A mutation that does NOT touch E still invalidates (coarse,
         // but never wrong).
-        db.load_edges("F", &[(7, 8)]);
-        let (_, hit) = cache.get_or_prepare(&db, q).unwrap();
+        shared.db.write().load_edges("F", &[(7, 8)]);
+        let (_, hit) = plan(&shared, q);
         assert!(!hit);
         // No mutation since: now it hits.
-        let (_, hit) = cache.get_or_prepare(&db, q).unwrap();
+        let (_, hit) = plan(&shared, q);
         assert!(hit);
+    }
+
+    #[test]
+    fn programs_and_fixpoints_are_neither_cached_nor_counted() {
+        let shared = shared(8);
+        let db = shared.db.read();
+        for text in [
+            "A(x,z) :- E(x,y),E(y,z). B(z) :- A('0',z).",
+            "R(x;y:int)* :- E(w,x),R(w); y=<<MIN(w)>>+1.",
+        ] {
+            assert!(shared.cached_plan_gated(&db, text).unwrap().is_none());
+        }
+        assert!(shared
+            .cached_plan_gated(&db, "T(x,y) :- E(x,y).")
+            .unwrap()
+            .is_some());
+        let cache = shared.cache.lock();
+        assert_eq!((cache.len(), cache.misses()), (1, 1));
     }
 }

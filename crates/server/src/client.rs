@@ -7,20 +7,19 @@
 //! strings/u64s with no server round-trips.
 
 use crate::protocol::{
-    read_response, write_request, ProtoError, RelationInfo, Request, Response, ServerStats,
-    WireDelimiter, PROTOCOL_VERSION,
+    read_response, write_request, ExecTarget, ProtoError, RelationInfo, Request, Response,
+    ServerStats, WireDelimiter, PROTOCOL_VERSION,
 };
 use crate::server::Addr;
-use eh_obs::{SlowQueryEntry, Trace};
+use eh_obs::{SlowQueryEntry, Trace, TraceId};
 use eh_semiring::DynValue;
-use eh_storage::wire::{decode_profile, ResultBatch};
+use eh_storage::wire::ResultBatch;
 use eh_storage::{decode_trace, TypedValue};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
-use std::path::Path;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -167,34 +166,81 @@ impl ResultSet {
     }
 }
 
-/// One worker's answer to a [`EhClient::shard_exec`] call.
+/// The answer to one `Exec` round trip ([`EhClient::exec_request`]).
 #[derive(Debug)]
-pub struct ShardOutcome {
-    /// True when the worker executed only its level-0 slice; false when
-    /// the plan was not shard-mergeable and `result` is the full answer.
+pub struct ExecOutcome {
+    /// True when the server executed only the requested level-0 slice;
+    /// false when no shard was requested, or the plan was not
+    /// shard-mergeable and `result` is the full answer.
     pub sharded: bool,
     /// Level-0 values the shard owned (0 when `sharded` is false).
     pub level0_values: u64,
     /// Server-side execution time, nanoseconds.
     pub elapsed_ns: u64,
-    /// The shard's partial (or full) result.
+    /// The result, or the shard's partial of it.
     pub result: ResultSet,
-    /// The worker's span tree, present iff the request carried a trace
-    /// id and the worker could profile the plan.
+    /// The server's span tree, present iff the request carried a trace
+    /// id and the plan could be profiled (recursive rules cannot). Its
+    /// root span carries `rows`, `observed_work` and, for cost-based
+    /// orders, `estimated_work` as values.
     pub trace: Option<Trace>,
 }
 
-/// A traced execution's answer: the rows plus whatever observability
-/// payloads the server attached (absent for recursive rules, which
-/// execute unprofiled).
-#[derive(Debug)]
-pub struct TraceOutcome {
-    /// The server's span tree, when tracing was requested and available.
-    pub trace: Option<Trace>,
-    /// The raw query profile (tree timings + kernel counters).
-    pub profile: Option<eh_obs::QueryProfile>,
-    /// The query result.
-    pub result: ResultSet,
+/// The failure to report when `resp` is not the `want`ed variant: an
+/// `Error` frame is the server's own message, anything else means the
+/// peer broke the protocol.
+fn unexpected(resp: Response, want: &str) -> ClientError {
+    match resp {
+        Response::Error { message } => ClientError::Server(message),
+        other => ClientError::Protocol(format!("expected {want}, got {other:?}")),
+    }
+}
+
+/// The message of a bare `Ok` answer.
+pub(crate) fn expect_ok(resp: Response) -> Result<String, ClientError> {
+    match resp {
+        Response::Ok { message } => Ok(message),
+        other => Err(unexpected(other, "Ok")),
+    }
+}
+
+/// The answer to `Stats`.
+pub(crate) fn expect_stats(resp: Response) -> Result<ServerStats, ClientError> {
+    match resp {
+        Response::Stats(s) => Ok(s),
+        other => Err(unexpected(other, "Stats")),
+    }
+}
+
+/// The answer to `ListRelations`.
+pub(crate) fn expect_relations(resp: Response) -> Result<Vec<RelationInfo>, ClientError> {
+    match resp {
+        Response::Relations { entries } => Ok(entries),
+        other => Err(unexpected(other, "Relations")),
+    }
+}
+
+/// The answer to `Exec`, batch and span tree decoded.
+pub(crate) fn expect_result(resp: Response) -> Result<ExecOutcome, ClientError> {
+    match resp {
+        Response::Result {
+            sharded,
+            level0_values,
+            elapsed_ns,
+            batch,
+            spans,
+        } => Ok(ExecOutcome {
+            sharded,
+            level0_values,
+            elapsed_ns,
+            result: ResultSet::from_bytes(batch)?,
+            trace: spans
+                .map(|bytes| decode_trace(&bytes))
+                .transpose()
+                .map_err(|e| ClientError::Protocol(e.to_string()))?,
+        }),
+        other => Err(unexpected(other, "Result")),
+    }
 }
 
 /// A prepared-statement handle returned by [`EhClient::prepare`].
@@ -210,7 +256,6 @@ pub struct StatementHandle {
 pub struct EhClient {
     stream: Stream,
     server_banner: String,
-    protocol_version: u32,
 }
 
 impl EhClient {
@@ -232,22 +277,15 @@ impl EhClient {
         let mut client = EhClient {
             stream,
             server_banner: String::new(),
-            protocol_version: PROTOCOL_VERSION,
         };
-        let resp = client.round_trip(&Request::Hello {
+        let hello = client.round_trip(&Request::Hello {
             version: PROTOCOL_VERSION,
         })?;
-        match resp {
-            Response::Hello { version, server } => {
-                client.server_banner = server;
-                client.protocol_version = version;
-                Ok(client)
-            }
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Hello, got {other:?}"
-            ))),
+        match hello {
+            Response::Hello { server, .. } => client.server_banner = server,
+            other => return Err(unexpected(other, "Hello")),
         }
+        Ok(client)
     }
 
     /// The server's banner string from the handshake.
@@ -255,128 +293,70 @@ impl EhClient {
         &self.server_banner
     }
 
-    /// The protocol version negotiated at handshake.
-    pub fn protocol_version(&self) -> u32 {
-        self.protocol_version
-    }
-
-    fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
+    /// One request, one response: the whole wire surface. Server-side
+    /// failures come back as [`Response::Error`] frames, not `Err`.
+    pub(crate) fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_request(&mut self.stream, req)?;
         Ok(read_response(&mut self.stream)?)
     }
 
-    /// Dispatch a request whose answer should be a result batch.
-    fn batch_request(&mut self, req: &Request) -> Result<ResultSet, ClientError> {
-        match self.round_trip(req)? {
-            Response::Batch { bytes } => ResultSet::from_bytes(bytes),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Batch, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Dispatch a request whose answer should be a bare Ok.
-    fn ok_request(&mut self, req: &Request) -> Result<String, ClientError> {
-        match self.round_trip(req)? {
-            Response::Ok { message } => Ok(message),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!("expected Ok, got {other:?}"))),
-        }
+    /// The one query-running round trip: `target` is text or a prepared
+    /// statement, `shard` restricts execution to one level-0 slice
+    /// `(index, count)`, and `trace` asks for a profiled run whose span
+    /// tree comes back tagged with that id.
+    pub fn exec_request(
+        &mut self,
+        target: ExecTarget,
+        shard: Option<(u32, u32)>,
+        trace: Option<u64>,
+    ) -> Result<ExecOutcome, ClientError> {
+        expect_result(self.round_trip(&Request::Exec {
+            target,
+            shard,
+            trace,
+        })?)
     }
 
     /// Execute a program read-only and fetch the last rule's result.
     pub fn query(&mut self, text: &str) -> Result<ResultSet, ClientError> {
-        self.batch_request(&Request::Query { text: text.into() })
+        let outcome = self.exec_request(ExecTarget::Text(text.into()), None, None)?;
+        Ok(outcome.result)
+    }
+
+    /// Execute a statement previously prepared on this connection.
+    pub fn exec(&mut self, stmt: StatementHandle) -> Result<ResultSet, ClientError> {
+        let outcome = self.exec_request(ExecTarget::Stmt(stmt.id), None, None)?;
+        Ok(outcome.result)
     }
 
     /// Execute one level-0 shard of `text` (coordinator side of the
-    /// cluster scatter-gather; requires protocol ≥ 2 on the wire, which
-    /// this client always speaks).
+    /// cluster scatter-gather).
     pub fn shard_exec(
         &mut self,
         text: &str,
         shard_index: u32,
         shard_count: u32,
         trace_id: Option<u64>,
-    ) -> Result<ShardOutcome, ClientError> {
-        let req = Request::ShardExec {
-            text: text.into(),
-            shard_index,
-            shard_count,
+    ) -> Result<ExecOutcome, ClientError> {
+        self.exec_request(
+            ExecTarget::Text(text.into()),
+            Some((shard_index, shard_count)),
             trace_id,
-        };
-        match self.round_trip(&req)? {
-            Response::ShardResult {
-                sharded,
-                level0_values,
-                elapsed_ns,
-                batch,
-                trace,
-            } => Ok(ShardOutcome {
-                sharded,
-                level0_values,
-                elapsed_ns,
-                result: ResultSet::from_bytes(batch)?,
-                trace: match trace {
-                    Some(bytes) => Some(
-                        decode_trace(&bytes).map_err(|e| ClientError::Protocol(e.to_string()))?,
-                    ),
-                    None => None,
-                },
-            }),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected ShardResult, got {other:?}"
-            ))),
-        }
+        )
     }
 
-    /// Execute `text` with profiling on, returning rows plus the
-    /// server's span tree (`trace: true`) and wire-encoded profile.
-    /// Requires protocol ≥ 2.
-    pub fn trace_exec(&mut self, text: &str, trace: bool) -> Result<TraceOutcome, ClientError> {
-        let req = Request::TraceExec {
-            text: text.into(),
-            trace,
-        };
-        match self.round_trip(&req)? {
-            Response::Trace {
-                trace,
-                profile,
-                batch,
-            } => Ok(TraceOutcome {
-                trace: if trace.is_empty() {
-                    None
-                } else {
-                    Some(decode_trace(&trace).map_err(|e| ClientError::Protocol(e.to_string()))?)
-                },
-                profile: if profile.is_empty() {
-                    None
-                } else {
-                    Some(
-                        decode_profile(&profile)
-                            .map_err(|e| ClientError::Protocol(e.to_string()))?,
-                    )
-                },
-                result: ResultSet::from_bytes(batch)?,
-            }),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Trace, got {other:?}"
-            ))),
-        }
+    /// Execute `text` profiled under a freshly minted trace id,
+    /// returning rows plus the server's span tree.
+    pub fn trace_exec(&mut self, text: &str) -> Result<ExecOutcome, ClientError> {
+        let id = TraceId::mint().as_u64();
+        self.exec_request(ExecTarget::Text(text.into()), None, Some(id))
     }
 
     /// The server's most recent slow-query entries, newest first.
-    /// Requires protocol ≥ 2.
     pub fn slow_log(&mut self, limit: u32) -> Result<Vec<SlowQueryEntry>, ClientError> {
         match self.round_trip(&Request::SlowLog { limit })? {
             Response::SlowLog { entries } => Ok(entries),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected SlowLog, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "SlowLog")),
         }
     }
 
@@ -384,16 +364,8 @@ impl EhClient {
     pub fn prepare(&mut self, text: &str) -> Result<StatementHandle, ClientError> {
         match self.round_trip(&Request::Prepare { text: text.into() })? {
             Response::Prepared { id, cache_hit } => Ok(StatementHandle { id, cache_hit }),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Prepared, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "Prepared")),
         }
-    }
-
-    /// Execute a statement previously prepared on this connection.
-    pub fn exec(&mut self, stmt: StatementHandle) -> Result<ResultSet, ClientError> {
-        self.batch_request(&Request::ExecPrepared { id: stmt.id })
     }
 
     /// Bulk-load delimited bytes (first line a `name:type[@domain]`
@@ -404,66 +376,41 @@ impl EhClient {
         delimiter: WireDelimiter,
         data: Vec<u8>,
     ) -> Result<String, ClientError> {
-        self.ok_request(&Request::LoadCsv {
+        expect_ok(self.round_trip(&Request::LoadCsv {
             relation: relation.into(),
             delimiter,
             data,
-        })
-    }
-
-    /// [`EhClient::load_csv`] from a client-side file (delimiter from
-    /// the extension: `.tsv`/`.txt` → tab, else comma).
-    pub fn load_csv_path(
-        &mut self,
-        relation: &str,
-        path: impl AsRef<Path>,
-    ) -> Result<String, ClientError> {
-        let path = path.as_ref();
-        let data = std::fs::read(path)?;
-        self.load_csv(relation, WireDelimiter::for_path(path), data)
+        })?)
     }
 
     /// Ask the server to persist its database as an image at `path`,
     /// resolved (relative, no `..`) under the server's configured image
     /// directory; servers without one reject the request.
     pub fn save_image(&mut self, path: &str) -> Result<String, ClientError> {
-        self.ok_request(&Request::SaveImage { path: path.into() })
+        expect_ok(self.round_trip(&Request::SaveImage { path: path.into() })?)
     }
 
     /// Stored relations, in name order.
     pub fn list_relations(&mut self) -> Result<Vec<RelationInfo>, ClientError> {
-        match self.round_trip(&Request::ListRelations)? {
-            Response::Relations { entries } => Ok(entries),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Relations, got {other:?}"
-            ))),
-        }
+        expect_relations(self.round_trip(&Request::ListRelations)?)
     }
 
     /// Server + plan-cache statistics.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Stats, got {other:?}"
-            ))),
-        }
+        expect_stats(self.round_trip(&Request::Stats)?)
     }
 
     /// Set a session-scoped engine option (`threads`, `scheduler`,
     /// `morsel`).
     pub fn set_option(&mut self, key: &str, value: &str) -> Result<String, ClientError> {
-        self.ok_request(&Request::SetOption {
+        expect_ok(self.round_trip(&Request::SetOption {
             key: key.into(),
             value: value.into(),
-        })
+        })?)
     }
 
     /// Close the session gracefully.
     pub fn quit(mut self) -> Result<(), ClientError> {
-        self.ok_request(&Request::Quit)?;
-        Ok(())
+        expect_ok(self.round_trip(&Request::Quit)?).map(drop)
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every frame is `u8 tag | u32 payload_len (LE) | payload`. A
 //! connection opens with a [`Request::Hello`] carrying the protocol
-//! magic and version; the server answers [`Response::Hello`] or an
-//! error and closes. Payloads use the same little-endian, length-
-//! prefixed-string vocabulary as the storage layer
+//! magic and version; the server answers [`Response::Hello`], or — for
+//! any version but [`PROTOCOL_VERSION`], the only one served — an
+//! `Error` frame, and closes. Payloads use the same little-endian,
+//! length-prefixed-string vocabulary as the storage layer
 //! ([`eh_storage::wire`]), and query results travel as
 //! [`eh_storage::ResultBatch`] payloads — schema + flat columnar
 //! tuples + the dictionary domains the schema references — so string
@@ -13,33 +14,29 @@
 //! | tag | frame | payload |
 //! |-----|-------|---------|
 //! | 0x01 | `Hello` | magic `EHSP`, u32 version |
-//! | 0x02 | `Query` | query text (one or more rules) |
+//! | 0x02 | `Exec` | u8 flags (1 = statement, 2 = shard, 4 = trace), query text *or* u64 statement id, then — per flag — u32 shard index + u32 shard count, u64 trace id |
 //! | 0x03 | `Prepare` | single-rule query text |
-//! | 0x04 | `ExecPrepared` | u64 statement id |
 //! | 0x05 | `LoadCsv` | relation, delimiter tag, CSV/TSV bytes |
 //! | 0x06 | `SaveImage` | relative path under the server's image dir |
 //! | 0x07 | `ListRelations` | — |
 //! | 0x08 | `Stats` | — |
 //! | 0x09 | `SetOption` | key, value (session-scoped) |
 //! | 0x0A | `Quit` | — |
-//! | 0x0B | `ShardExec` | query text, u32 shard index, u32 shard count, optional u64 trace id tail |
-//! | 0x0C | `TraceExec` | query text, u8 trace flag |
 //! | 0x0D | `SlowLog` | u32 entry limit |
 //! | 0x81 | `Hello` | u32 version, server banner |
 //! | 0x82 | `Ok` | message |
 //! | 0x83 | `Error` | message |
-//! | 0x84 | `Batch` | encoded [`eh_storage::ResultBatch`] |
+//! | 0x84 | `Result` | u8 flags (1 = sharded, 2 = spans), u64 level-0 values, u64 elapsed ns, length-prefixed [`eh_storage::ResultBatch`], then — if flagged — a length-prefixed [`eh_storage::trace_wire`] span tree |
 //! | 0x85 | `Prepared` | u64 id, u8 plan-cache hit |
 //! | 0x86 | `Relations` | count, then name/arity/rows/schema each |
 //! | 0x87 | `Stats` | see [`ServerStats`] |
-//! | 0x88 | `ShardResult` | u8 sharded flag, u64 level-0 values, u64 elapsed ns, length-prefixed [`eh_storage::ResultBatch`], optional length-prefixed trace tail |
-//! | 0x89 | `Trace` | length-prefixed encoded trace, profile, and [`eh_storage::ResultBatch`] |
 //! | 0x8A | `SlowLog` | count, then trace id / query / rows / elapsed ns / sharded / hot span each |
 //!
-//! The optional tails on `ShardExec`/`ShardResult` follow the same
-//! version-gating discipline as the `Stats` extension: a PR 9-era peer
-//! that stops at the base fields never sees them, and an absent tail
-//! decodes as `None`.
+//! One request frame runs a query — [`Request::Exec`] — whatever it is
+//! (ad-hoc text or prepared statement), whichever slice of it (whole or
+//! one level-0 shard) and however observed (plain or traced); one
+//! response frame — [`Response::Result`] — answers it. No payload has
+//! an optional tail: a flags byte says exactly which fields follow.
 //!
 //! Frames come off the network, so every decode path returns errors
 //! instead of panicking on malformed bytes — enforced file-wide by the
@@ -52,12 +49,12 @@ use std::io::{self, Read, Write};
 
 /// First bytes of every connection's `Hello` payload.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"EHSP";
-/// Current protocol version. Version 2 extends the `Stats` payload
-/// with byte totals and per-frame latency histograms ([`StatsExt`]).
-pub const PROTOCOL_VERSION: u32 = 2;
-/// Oldest client version the server still serves. A version-1 client
-/// gets version-1 payloads (`Stats` without the [`StatsExt`] tail).
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
+/// The protocol version — the only one served. Version 3 folded the
+/// four query-running frames of version 2 into [`Request::Exec`] and
+/// their three answers into [`Response::Result`].
+pub const PROTOCOL_VERSION: u32 = 3;
+/// Frame header: `u8 tag | u32 payload_len (LE)`.
+const HEADER_LEN: usize = 5;
 /// Upper bound on a single frame's payload (256 MiB) — a corrupt or
 /// hostile length field must not cause an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
@@ -134,6 +131,18 @@ impl WireDelimiter {
     }
 }
 
+/// What an [`Request::Exec`] runs.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ExecTarget {
+    /// Query text: one or more rules, `.`-terminated. Parsed, planned
+    /// and executed read-only; results are not registered server-side
+    /// (rules within one program see each other through the executor's
+    /// overlay).
+    Text(String),
+    /// A statement id from [`Response::Prepared`].
+    Stmt(u64),
+}
+
 /// A client-to-server frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -142,23 +151,25 @@ pub enum Request {
         /// Client protocol version (must equal [`PROTOCOL_VERSION`]).
         version: u32,
     },
-    /// Parse, plan, and execute a program read-only; results are not
-    /// registered server-side (rules within one `Query` see each other
-    /// through the executor's overlay).
-    Query {
-        /// One or more rules, `.`-terminated.
-        text: String,
+    /// Run a query; answered by [`Response::Result`].
+    Exec {
+        /// The query: text, or a statement pinned by `Prepare`.
+        target: ExecTarget,
+        /// `Some((index, count))` executes one contiguous level-0 shard,
+        /// `index < count`. A cluster coordinator sends the same target
+        /// to every worker with a distinct index; each worker joins only
+        /// its slice of the root node's level-0 values and the
+        /// coordinator ⊕-merges the partial batches in shard order.
+        shard: Option<(u32, u32)>,
+        /// `Some(id)` runs profiled and returns the span tree, tagged
+        /// with this (client- or coordinator-minted) trace id.
+        trace: Option<u64>,
     },
     /// Compile a single rule through the shared plan cache and pin it
     /// to this session; answers [`Response::Prepared`].
     Prepare {
         /// The rule text.
         text: String,
-    },
-    /// Execute a statement previously returned by `Prepare`.
-    ExecPrepared {
-        /// Statement id from [`Response::Prepared`].
-        id: u64,
     },
     /// Bulk-load delimited text (shipped inline — the file lives
     /// client-side) into a relation; takes the server's write lock.
@@ -192,35 +203,7 @@ pub enum Request {
     },
     /// Close the session gracefully.
     Quit,
-    /// Execute one contiguous level-0 shard of a query (protocol ≥ 2).
-    /// A cluster coordinator sends the same text to every worker with a
-    /// distinct `shard_index`; each worker joins only its slice of the
-    /// root node's level-0 values and the coordinator ⊕-merges the
-    /// partial [`Response::ShardResult`] batches in shard order.
-    ShardExec {
-        /// Single-rule query text (shared plan cache applies).
-        text: String,
-        /// This worker's shard, `0 <= shard_index < shard_count`.
-        shard_index: u32,
-        /// Total shards across the cluster (≥ 1).
-        shard_count: u32,
-        /// Coordinator's trace id (version-gated tail). `Some` asks the
-        /// worker to run profiled and return its span tree — tagged
-        /// with this id — in the [`Response::ShardResult`] trace tail.
-        trace_id: Option<u64>,
-    },
-    /// Execute a query with profiling on and return a [`Response::Trace`]
-    /// frame (protocol ≥ 2): the span tree, the wire-encoded
-    /// [`eh_obs::QueryProfile`], and the result batch in one answer.
-    TraceExec {
-        /// Query text (one or more rules).
-        text: String,
-        /// True to collect the span tree; false returns only the
-        /// profile + batch (what remote `\explain` needs).
-        trace: bool,
-    },
-    /// Fetch recent entries from the server's slow-query log
-    /// (protocol ≥ 2).
+    /// Fetch recent entries from the server's slow-query log.
     SlowLog {
         /// Most-recent entry limit.
         limit: u32,
@@ -228,86 +211,105 @@ pub enum Request {
 }
 
 const REQ_HELLO: u8 = 0x01;
-const REQ_QUERY: u8 = 0x02;
+const REQ_EXEC: u8 = 0x02;
 const REQ_PREPARE: u8 = 0x03;
-const REQ_EXEC: u8 = 0x04;
 const REQ_LOAD_CSV: u8 = 0x05;
 const REQ_SAVE_IMAGE: u8 = 0x06;
 const REQ_LIST: u8 = 0x07;
 const REQ_STATS: u8 = 0x08;
 const REQ_SET: u8 = 0x09;
 const REQ_QUIT: u8 = 0x0A;
-const REQ_SHARD_EXEC: u8 = 0x0B;
-const REQ_TRACE_EXEC: u8 = 0x0C;
 const REQ_SLOW_LOG: u8 = 0x0D;
+
+const EXEC_STMT: u8 = 1;
+const EXEC_SHARD: u8 = 2;
+const EXEC_TRACE: u8 = 4;
+const EXEC_FLAGS: u8 = EXEC_STMT | EXEC_SHARD | EXEC_TRACE;
+
+const RESULT_SHARDED: u8 = 1;
+const RESULT_SPANS: u8 = 2;
+const RESULT_FLAGS: u8 = RESULT_SHARDED | RESULT_SPANS;
+
+/// Read a flags byte, rejecting bits this version does not define: a
+/// frame carrying one has fields this decoder would misread.
+fn read_flags(r: &mut ByteReader<'_>, known: u8, what: &str) -> Result<u8, ProtoError> {
+    let flags = r.u8(what)?;
+    if flags & !known != 0 {
+        return Err(ProtoError::Malformed(format!("bad {what} {flags:#04x}")));
+    }
+    Ok(flags)
+}
 
 impl Request {
     /// Serialize to `(tag, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut p = Vec::new();
+        let tag = self.encode_into(&mut p);
+        (tag, p)
+    }
+
+    /// Append the payload to `p`; returns the tag.
+    fn encode_into(&self, p: &mut Vec<u8>) -> u8 {
         match self {
             Request::Hello { version } => {
                 p.extend_from_slice(&PROTOCOL_MAGIC);
-                put_u32(&mut p, *version);
-                (REQ_HELLO, p)
+                put_u32(p, *version);
+                REQ_HELLO
             }
-            Request::Query { text } => {
-                put_str(&mut p, text);
-                (REQ_QUERY, p)
+            Request::Exec {
+                target,
+                shard,
+                trace,
+            } => {
+                let stmt = matches!(target, ExecTarget::Stmt(_));
+                p.push(
+                    if stmt { EXEC_STMT } else { 0 }
+                        | if shard.is_some() { EXEC_SHARD } else { 0 }
+                        | if trace.is_some() { EXEC_TRACE } else { 0 },
+                );
+                match target {
+                    ExecTarget::Text(text) => put_str(p, text),
+                    ExecTarget::Stmt(id) => put_u64(p, *id),
+                }
+                if let Some((index, count)) = shard {
+                    put_u32(p, *index);
+                    put_u32(p, *count);
+                }
+                if let Some(id) = trace {
+                    put_u64(p, *id);
+                }
+                REQ_EXEC
             }
             Request::Prepare { text } => {
-                put_str(&mut p, text);
-                (REQ_PREPARE, p)
-            }
-            Request::ExecPrepared { id } => {
-                put_u64(&mut p, *id);
-                (REQ_EXEC, p)
+                put_str(p, text);
+                REQ_PREPARE
             }
             Request::LoadCsv {
                 relation,
                 delimiter,
                 data,
             } => {
-                put_str(&mut p, relation);
+                put_str(p, relation);
                 p.push(delimiter.tag());
-                put_u32(&mut p, data.len() as u32);
+                put_u32(p, data.len() as u32);
                 p.extend_from_slice(data);
-                (REQ_LOAD_CSV, p)
+                REQ_LOAD_CSV
             }
             Request::SaveImage { path } => {
-                put_str(&mut p, path);
-                (REQ_SAVE_IMAGE, p)
+                put_str(p, path);
+                REQ_SAVE_IMAGE
             }
-            Request::ListRelations => (REQ_LIST, p),
-            Request::Stats => (REQ_STATS, p),
+            Request::ListRelations => REQ_LIST,
+            Request::Stats => REQ_STATS,
             Request::SetOption { key, value } => {
-                put_str(&mut p, key);
-                put_str(&mut p, value);
-                (REQ_SET, p)
+                put_str(p, key);
+                put_str(p, value);
+                REQ_SET
             }
-            Request::Quit => (REQ_QUIT, p),
-            Request::ShardExec {
-                text,
-                shard_index,
-                shard_count,
-                trace_id,
-            } => {
-                put_str(&mut p, text);
-                put_u32(&mut p, *shard_index);
-                put_u32(&mut p, *shard_count);
-                if let Some(id) = trace_id {
-                    put_u64(&mut p, *id);
-                }
-                (REQ_SHARD_EXEC, p)
-            }
-            Request::TraceExec { text, trace } => {
-                put_str(&mut p, text);
-                p.push(*trace as u8);
-                (REQ_TRACE_EXEC, p)
-            }
+            Request::Quit => REQ_QUIT,
             Request::SlowLog { limit } => {
-                put_u32(&mut p, *limit);
-                (REQ_SLOW_LOG, p)
+                put_u32(p, *limit);
+                REQ_SLOW_LOG
             }
         }
     }
@@ -327,14 +329,38 @@ impl Request {
                     version: r.u32("hello version")?,
                 }
             }
-            REQ_QUERY => Request::Query {
-                text: r.str("query text")?,
-            },
+            REQ_EXEC => {
+                let flags = read_flags(&mut r, EXEC_FLAGS, "exec flags")?;
+                let target = if flags & EXEC_STMT != 0 {
+                    ExecTarget::Stmt(r.u64("statement id")?)
+                } else {
+                    ExecTarget::Text(r.str("query text")?)
+                };
+                let shard = if flags & EXEC_SHARD != 0 {
+                    let index = r.u32("shard index")?;
+                    let count = r.u32("shard count")?;
+                    if index >= count {
+                        return Err(ProtoError::Malformed(format!(
+                            "shard index {index} out of range for {count} shards"
+                        )));
+                    }
+                    Some((index, count))
+                } else {
+                    None
+                };
+                let trace = if flags & EXEC_TRACE != 0 {
+                    Some(r.u64("trace id")?)
+                } else {
+                    None
+                };
+                Request::Exec {
+                    target,
+                    shard,
+                    trace,
+                }
+            }
             REQ_PREPARE => Request::Prepare {
                 text: r.str("prepare text")?,
-            },
-            REQ_EXEC => Request::ExecPrepared {
-                id: r.u64("statement id")?,
             },
             REQ_LOAD_CSV => {
                 let relation = r.str("relation name")?;
@@ -357,38 +383,6 @@ impl Request {
                 value: r.str("option value")?,
             },
             REQ_QUIT => Request::Quit,
-            REQ_SHARD_EXEC => {
-                let text = r.str("shard query text")?;
-                let shard_index = r.u32("shard index")?;
-                let shard_count = r.u32("shard count")?;
-                if shard_count == 0 || shard_index >= shard_count {
-                    return Err(ProtoError::Malformed(format!(
-                        "shard index {shard_index} out of range for {shard_count} shards"
-                    )));
-                }
-                // Version-gated tail (absent from PR 9-era coordinators):
-                // the trace id under which this shard should run.
-                let trace_id = if r.is_empty() {
-                    None
-                } else {
-                    Some(r.u64("shard trace id")?)
-                };
-                Request::ShardExec {
-                    text,
-                    shard_index,
-                    shard_count,
-                    trace_id,
-                }
-            }
-            REQ_TRACE_EXEC => {
-                let text = r.str("trace query text")?;
-                let trace = match r.u8("trace flag")? {
-                    0 => false,
-                    1 => true,
-                    f => return Err(ProtoError::Malformed(format!("bad trace flag {f}"))),
-                };
-                Request::TraceExec { text, trace }
-            }
             REQ_SLOW_LOG => Request::SlowLog {
                 limit: r.u32("slow-log limit")?,
             },
@@ -428,9 +422,9 @@ pub struct ServerStats {
     pub sessions_total: u64,
     /// Sessions currently connected.
     pub sessions_active: u64,
-    /// Ad-hoc `Query` frames served.
+    /// `Exec` frames that carried query text.
     pub queries: u64,
-    /// `ExecPrepared` frames served.
+    /// `Exec` frames that named a prepared statement.
     pub exec_prepared: u64,
     /// Plan-cache hits.
     pub cache_hits: u64,
@@ -442,16 +436,18 @@ pub struct ServerStats {
     pub cache_entries: u64,
     /// Plan-cache capacity.
     pub cache_capacity: u64,
-    /// Protocol-2 extension (byte totals, per-frame latency). `None`
-    /// when talking to (or decoding from) a version-1 peer.
+    /// Byte totals and per-frame latency. Always on the wire — `None`
+    /// (what `..Default::default()` builds in-process) encodes as the
+    /// empty extension, and a decoded frame always holds `Some`.
     pub ext: Option<StatsExt>,
 }
 
-/// Latency/count statistics for one frame kind, carried in the
-/// protocol-2 `Stats` extension.
+/// Latency/count statistics for one frame kind, carried in
+/// [`StatsExt`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FrameStat {
-    /// Frame kind (`query`, `prepare`, `exec_prepared`, ...).
+    /// Frame kind (`query`, `prepare`, `exec_prepared`, ... — see
+    /// [`crate::FRAME_KINDS`]).
     pub name: String,
     /// Frames of this kind served.
     pub count: u64,
@@ -480,9 +476,8 @@ impl FrameStat {
     }
 }
 
-/// The protocol-2 `Stats` extension: appended after the version-1
-/// fields, so version-1 decoders that stop at the base fields never
-/// see it and version-2 decoders treat an absent tail as `None`.
+/// The wire half of [`ServerStats`] read from the server's metrics
+/// registry rather than its counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsExt {
     /// Bytes read off client sockets since startup.
@@ -513,11 +508,30 @@ pub enum Response {
         /// What went wrong.
         message: String,
     },
-    /// A query result: an encoded [`eh_storage::ResultBatch`]. Kept as
-    /// raw bytes here so the transport layer never re-encodes it.
-    Batch {
-        /// `ResultBatch::encode()` output.
-        bytes: Vec<u8>,
+    /// The answer to [`Request::Exec`]. The batch and span tree are
+    /// kept as raw encoded bytes so the transport layer never
+    /// re-encodes them.
+    Result {
+        /// True when the worker actually restricted level 0 to the
+        /// requested shard. False on a shard request means the plan was
+        /// not shard-mergeable (e.g. a non-trivial head expression or a
+        /// multi-rule program) and `batch` holds the *full* answer — the
+        /// coordinator must use exactly one such batch and discard the
+        /// rest.
+        sharded: bool,
+        /// Level-0 values this shard owned, 0 unless `sharded` (skew
+        /// diagnosis: the coordinator compares each worker's share of
+        /// these against its share of elapsed time).
+        level0_values: u64,
+        /// Server-side execution time, nanoseconds.
+        elapsed_ns: u64,
+        /// `ResultBatch::encode()` output: the result, or this shard's
+        /// partial of it.
+        batch: Vec<u8>,
+        /// `eh_storage::trace_wire::encode_trace` output, tagged with
+        /// the request's trace id: present iff the request carried one
+        /// and the plan could be profiled (recursive rules cannot).
+        spans: Option<Vec<u8>>,
     },
     /// A statement was compiled (or fetched from the shared cache).
     Prepared {
@@ -533,43 +547,7 @@ pub enum Response {
     },
     /// Server statistics.
     Stats(ServerStats),
-    /// One worker's answer to [`Request::ShardExec`] (protocol ≥ 2).
-    ShardResult {
-        /// True when the worker actually restricted level 0 to its
-        /// shard. False means the plan was not shard-mergeable (e.g. a
-        /// non-trivial head expression or a multi-rule program) and
-        /// `batch` holds the *full* answer — the coordinator must use
-        /// exactly one such batch and discard the rest.
-        sharded: bool,
-        /// Level-0 values this shard owned (skew diagnosis: the
-        /// coordinator compares each worker's share of these against
-        /// its share of elapsed time).
-        level0_values: u64,
-        /// Server-side execution time for this shard, nanoseconds.
-        elapsed_ns: u64,
-        /// Encoded [`eh_storage::ResultBatch`] holding this shard's
-        /// partial (or full, when `sharded` is false) result.
-        batch: Vec<u8>,
-        /// Version-gated tail: this worker's span tree (an
-        /// `eh_storage::trace_wire` payload, tagged with the
-        /// coordinator's trace id), present iff the request carried a
-        /// trace id.
-        trace: Option<Vec<u8>>,
-    },
-    /// Answer to [`Request::TraceExec`] (protocol ≥ 2). All three
-    /// payloads are kept as raw encoded bytes so the transport layer
-    /// never re-encodes them.
-    Trace {
-        /// `eh_storage::trace_wire::encode_trace` output; empty when
-        /// the request's trace flag was off.
-        trace: Vec<u8>,
-        /// `eh_storage::encode_profile` output; empty when the
-        /// execution produced no profile.
-        profile: Vec<u8>,
-        /// `ResultBatch::encode()` output.
-        batch: Vec<u8>,
-    },
-    /// Recent slow-query-log entries, newest first (protocol ≥ 2).
+    /// Recent slow-query-log entries, newest first.
     SlowLog {
         /// One entry per retained slow query.
         entries: Vec<eh_obs::SlowQueryEntry>,
@@ -579,47 +557,71 @@ pub enum Response {
 const RESP_HELLO: u8 = 0x81;
 const RESP_OK: u8 = 0x82;
 const RESP_ERROR: u8 = 0x83;
-const RESP_BATCH: u8 = 0x84;
+const RESP_RESULT: u8 = 0x84;
 const RESP_PREPARED: u8 = 0x85;
 const RESP_RELATIONS: u8 = 0x86;
 const RESP_STATS: u8 = 0x87;
-const RESP_SHARD_RESULT: u8 = 0x88;
-const RESP_TRACE: u8 = 0x89;
 const RESP_SLOW_LOG: u8 = 0x8A;
 
 impl Response {
     /// Serialize to `(tag, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut p = Vec::new();
+        let tag = self.encode_into(&mut p);
+        (tag, p)
+    }
+
+    /// Append the payload to `p`; returns the tag.
+    fn encode_into(&self, p: &mut Vec<u8>) -> u8 {
         match self {
             Response::Hello { version, server } => {
-                put_u32(&mut p, *version);
-                put_str(&mut p, server);
-                (RESP_HELLO, p)
+                put_u32(p, *version);
+                put_str(p, server);
+                RESP_HELLO
             }
             Response::Ok { message } => {
-                put_str(&mut p, message);
-                (RESP_OK, p)
+                put_str(p, message);
+                RESP_OK
             }
             Response::Error { message } => {
-                put_str(&mut p, message);
-                (RESP_ERROR, p)
+                put_str(p, message);
+                RESP_ERROR
             }
-            Response::Batch { bytes } => (RESP_BATCH, bytes.clone()),
+            Response::Result {
+                sharded,
+                level0_values,
+                elapsed_ns,
+                batch,
+                spans,
+            } => {
+                p.push(
+                    if *sharded { RESULT_SHARDED } else { 0 }
+                        | if spans.is_some() { RESULT_SPANS } else { 0 },
+                );
+                put_u64(p, *level0_values);
+                put_u64(p, *elapsed_ns);
+                put_u32(p, batch.len() as u32);
+                p.extend_from_slice(batch);
+                if let Some(t) = spans {
+                    put_u32(p, t.len() as u32);
+                    p.extend_from_slice(t);
+                }
+                RESP_RESULT
+            }
             Response::Prepared { id, cache_hit } => {
-                put_u64(&mut p, *id);
+                put_u64(p, *id);
                 p.push(*cache_hit as u8);
-                (RESP_PREPARED, p)
+                RESP_PREPARED
             }
             Response::Relations { entries } => {
-                put_u32(&mut p, entries.len() as u32);
+                put_u32(p, entries.len() as u32);
                 for e in entries {
-                    put_str(&mut p, &e.name);
-                    put_u32(&mut p, e.arity);
-                    put_u64(&mut p, e.rows);
-                    put_str(&mut p, &e.schema);
+                    put_str(p, &e.name);
+                    put_u32(p, e.arity);
+                    put_u64(p, e.rows);
+                    put_str(p, &e.schema);
                 }
-                (RESP_RELATIONS, p)
+                RESP_RELATIONS
             }
             Response::Stats(s) => {
                 for v in [
@@ -635,67 +637,36 @@ impl Response {
                     s.cache_entries,
                     s.cache_capacity,
                 ] {
-                    put_u64(&mut p, v);
+                    put_u64(p, v);
                 }
-                if let Some(ext) = &s.ext {
-                    put_u64(&mut p, ext.bytes_in);
-                    put_u64(&mut p, ext.bytes_out);
-                    put_u32(&mut p, ext.frames.len() as u32);
-                    for f in &ext.frames {
-                        put_str(&mut p, &f.name);
-                        put_u64(&mut p, f.count);
-                        put_u64(&mut p, f.total_ns);
-                        put_u32(&mut p, f.buckets.len() as u32);
-                        for (bucket, c) in &f.buckets {
-                            put_u32(&mut p, *bucket);
-                            put_u64(&mut p, *c);
-                        }
+                let empty = StatsExt::default();
+                let ext = s.ext.as_ref().unwrap_or(&empty);
+                put_u64(p, ext.bytes_in);
+                put_u64(p, ext.bytes_out);
+                put_u32(p, ext.frames.len() as u32);
+                for f in &ext.frames {
+                    put_str(p, &f.name);
+                    put_u64(p, f.count);
+                    put_u64(p, f.total_ns);
+                    put_u32(p, f.buckets.len() as u32);
+                    for (bucket, c) in &f.buckets {
+                        put_u32(p, *bucket);
+                        put_u64(p, *c);
                     }
                 }
-                (RESP_STATS, p)
-            }
-            Response::ShardResult {
-                sharded,
-                level0_values,
-                elapsed_ns,
-                batch,
-                trace,
-            } => {
-                p.push(*sharded as u8);
-                put_u64(&mut p, *level0_values);
-                put_u64(&mut p, *elapsed_ns);
-                put_u32(&mut p, batch.len() as u32);
-                p.extend_from_slice(batch);
-                if let Some(t) = trace {
-                    put_u32(&mut p, t.len() as u32);
-                    p.extend_from_slice(t);
-                }
-                (RESP_SHARD_RESULT, p)
-            }
-            Response::Trace {
-                trace,
-                profile,
-                batch,
-            } => {
-                put_u32(&mut p, trace.len() as u32);
-                p.extend_from_slice(trace);
-                put_u32(&mut p, profile.len() as u32);
-                p.extend_from_slice(profile);
-                put_u32(&mut p, batch.len() as u32);
-                p.extend_from_slice(batch);
-                (RESP_TRACE, p)
+                RESP_STATS
             }
             Response::SlowLog { entries } => {
-                put_u32(&mut p, entries.len() as u32);
+                put_u32(p, entries.len() as u32);
                 for e in entries {
-                    put_u64(&mut p, e.trace_id);
-                    put_str(&mut p, &e.query);
-                    put_u64(&mut p, e.rows);
-                    put_u64(&mut p, e.elapsed_ns);
+                    put_u64(p, e.trace_id);
+                    put_str(p, &e.query);
+                    put_u64(p, e.rows);
+                    put_u64(p, e.elapsed_ns);
                     p.push(e.sharded as u8);
-                    put_str(&mut p, &e.hot_span);
+                    put_str(p, &e.hot_span);
                 }
-                (RESP_SLOW_LOG, p)
+                RESP_SLOW_LOG
             }
         }
     }
@@ -714,10 +685,25 @@ impl Response {
             RESP_ERROR => Response::Error {
                 message: r.str("error message")?,
             },
-            RESP_BATCH => {
-                return Ok(Response::Batch {
-                    bytes: payload.to_vec(),
-                })
+            RESP_RESULT => {
+                let flags = read_flags(&mut r, RESULT_FLAGS, "result flags")?;
+                let level0_values = r.u64("level-0 values")?;
+                let elapsed_ns = r.u64("elapsed ns")?;
+                let len = r.u32("batch length")? as usize;
+                let batch = r.take(len, "batch")?.to_vec();
+                let spans = if flags & RESULT_SPANS != 0 {
+                    let len = r.u32("span tree length")? as usize;
+                    Some(r.take(len, "span tree")?.to_vec())
+                } else {
+                    None
+                };
+                Response::Result {
+                    sharded: flags & RESULT_SHARDED != 0,
+                    level0_values,
+                    elapsed_ns,
+                    batch,
+                    spans,
+                }
             }
             RESP_PREPARED => Response::Prepared {
                 id: r.u64("statement id")?,
@@ -752,78 +738,32 @@ impl Response {
                     cache_capacity: take()?,
                     ext: None,
                 };
-                // Version-gated tail: a version-1 server stops at the
-                // base fields; anything further is the protocol-2
-                // extension.
-                if !r.is_empty() {
-                    let bytes_in = r.u64("bytes in")?;
-                    let bytes_out = r.u64("bytes out")?;
-                    let nframes = r.u32("frame-stat count")? as usize;
-                    let mut frames = Vec::with_capacity(nframes.min(256));
-                    for _ in 0..nframes {
-                        let name = r.str("frame name")?;
-                        let count = r.u64("frame count")?;
-                        let total_ns = r.u64("frame total ns")?;
-                        let nbuckets = r.u32("bucket count")? as usize;
-                        let mut buckets = Vec::with_capacity(nbuckets.min(256));
-                        for _ in 0..nbuckets {
-                            buckets.push((r.u32("bucket index")?, r.u64("bucket value")?));
-                        }
-                        frames.push(FrameStat {
-                            name,
-                            count,
-                            total_ns,
-                            buckets,
-                        });
+                let bytes_in = r.u64("bytes in")?;
+                let bytes_out = r.u64("bytes out")?;
+                let nframes = r.u32("frame-stat count")? as usize;
+                let mut frames = Vec::with_capacity(nframes.min(256));
+                for _ in 0..nframes {
+                    let name = r.str("frame name")?;
+                    let count = r.u64("frame count")?;
+                    let total_ns = r.u64("frame total ns")?;
+                    let nbuckets = r.u32("bucket count")? as usize;
+                    let mut buckets = Vec::with_capacity(nbuckets.min(256));
+                    for _ in 0..nbuckets {
+                        buckets.push((r.u32("bucket index")?, r.u64("bucket value")?));
                     }
-                    stats.ext = Some(StatsExt {
-                        bytes_in,
-                        bytes_out,
-                        frames,
+                    frames.push(FrameStat {
+                        name,
+                        count,
+                        total_ns,
+                        buckets,
                     });
                 }
+                stats.ext = Some(StatsExt {
+                    bytes_in,
+                    bytes_out,
+                    frames,
+                });
                 Response::Stats(stats)
-            }
-            RESP_SHARD_RESULT => {
-                let sharded = match r.u8("sharded flag")? {
-                    0 => false,
-                    1 => true,
-                    f => {
-                        return Err(ProtoError::Malformed(format!("bad sharded flag {f}")));
-                    }
-                };
-                let level0_values = r.u64("shard level-0 values")?;
-                let elapsed_ns = r.u64("shard elapsed ns")?;
-                let len = r.u32("shard batch length")? as usize;
-                let batch = r.take(len, "shard batch")?.to_vec();
-                // Version-gated tail: the worker's encoded span tree,
-                // present only for traced scatters.
-                let trace = if r.is_empty() {
-                    None
-                } else {
-                    let tlen = r.u32("shard trace length")? as usize;
-                    Some(r.take(tlen, "shard trace")?.to_vec())
-                };
-                Response::ShardResult {
-                    sharded,
-                    level0_values,
-                    elapsed_ns,
-                    batch,
-                    trace,
-                }
-            }
-            RESP_TRACE => {
-                let tlen = r.u32("trace length")? as usize;
-                let trace = r.take(tlen, "trace payload")?.to_vec();
-                let plen = r.u32("profile length")? as usize;
-                let profile = r.take(plen, "profile payload")?.to_vec();
-                let blen = r.u32("batch length")? as usize;
-                let batch = r.take(blen, "batch payload")?.to_vec();
-                Response::Trace {
-                    trace,
-                    profile,
-                    batch,
-                }
             }
             RESP_SLOW_LOG => {
                 let n = r.u32("slow-log entry count")? as usize;
@@ -872,25 +812,32 @@ impl Response {
     }
 }
 
-/// Write one frame: tag, length, payload — a single `write_all` so a
-/// frame is never interleaved mid-write by buffering layers.
-pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
+/// Write one frame. The header is reserved up front and `encode`
+/// appends the payload in place (returning the tag), so the frame goes
+/// out in a single `write_all` — never interleaved mid-write by
+/// buffering layers — and its payload, however large, is copied once on
+/// the way to the socket (`payload_hint` sizes the buffer so that copy
+/// never regrows it).
+fn write_frame(
+    w: &mut impl Write,
+    payload_hint: usize,
+    encode: impl FnOnce(&mut Vec<u8>) -> u8,
+) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload_hint);
+    frame.resize(HEADER_LEN, 0);
+    frame[0] = encode(&mut frame);
+    let len = frame.len() - HEADER_LEN;
+    if len > MAX_FRAME_LEN {
         // Refusing here (not just on the receive side) keeps the u32
         // length field exact and the stream framed: a silently wrapped
         // length would desynchronize the peer with no error anywhere.
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
-                payload.len()
-            ),
+            format!("frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"),
         ));
     }
-    let mut frame = Vec::with_capacity(5 + payload.len());
-    frame.push(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+    // lint:allow(decode-panic-free): `frame` starts as HEADER_LEN zero bytes and only grows
+    frame[1..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -899,7 +846,7 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()
 /// [`io::ErrorKind::UnexpectedEof`] — the session layer treats that as
 /// a clean disconnect.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
-    let mut header = [0u8; 5];
+    let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let tag = header[0];
     let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
@@ -916,18 +863,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
 
 /// Write a request frame.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
-    let (tag, payload) = req.encode();
-    write_frame(w, tag, &payload)
+    write_frame(w, 0, |p| req.encode_into(p))
 }
 
-/// Write a response frame. Batch payloads — the large ones — are
-/// written by reference, skipping the `Response::encode` clone.
+/// Write a response frame.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    if let Response::Batch { bytes } = resp {
-        return write_frame(w, RESP_BATCH, bytes);
-    }
-    let (tag, payload) = resp.encode();
-    write_frame(w, tag, &payload)
+    // Sized for the batch — the large part — and the fields around it.
+    let hint = match resp {
+        Response::Result { batch, .. } => 32 + batch.len(),
+        _ => 0,
+    };
+    write_frame(w, hint, |p| resp.encode_into(p))
 }
 
 /// Read and parse a request frame.
@@ -960,18 +906,64 @@ mod tests {
         assert_eq!(back, resp);
     }
 
+    /// All eight `{text|stmt} × shard? × trace?` shapes of `Exec`.
+    fn exec_shapes() -> Vec<Request> {
+        let mut out = Vec::new();
+        for target in [
+            ExecTarget::Text("C(;w:long) :- E(x,y); w=<<COUNT(*)>>.".into()),
+            ExecTarget::Stmt(7),
+        ] {
+            for shard in [None, Some((1, 4))] {
+                for trace in [None, Some(0xabcd_ef01_2345_6789)] {
+                    out.push(Request::Exec {
+                        target: target.clone(),
+                        shard,
+                        trace,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The result frame with and without spans, sharded and not.
+    fn result_shapes() -> Vec<Response> {
+        vec![
+            Response::Result {
+                sharded: false,
+                level0_values: 0,
+                elapsed_ns: 1,
+                batch: vec![1, 2, 3],
+                spans: None,
+            },
+            Response::Result {
+                sharded: true,
+                level0_values: 1234,
+                elapsed_ns: 56_789,
+                batch: vec![9, 8, 7, 6, 5],
+                spans: Some(vec![4; 16]),
+            },
+            Response::Result {
+                sharded: false,
+                level0_values: 0,
+                elapsed_ns: 2,
+                batch: Vec::new(),
+                spans: Some(Vec::new()),
+            },
+        ]
+    }
+
     #[test]
     fn every_request_round_trips() {
         round_trip_request(Request::Hello {
             version: PROTOCOL_VERSION,
         });
-        round_trip_request(Request::Query {
-            text: "T(x,y) :- E(x,y).".into(),
-        });
+        for exec in exec_shapes() {
+            round_trip_request(exec);
+        }
         round_trip_request(Request::Prepare {
             text: "C(;w:long) :- E(x,y); w=<<COUNT(*)>>.".into(),
         });
-        round_trip_request(Request::ExecPrepared { id: 7 });
         round_trip_request(Request::LoadCsv {
             relation: "E".into(),
             delimiter: WireDelimiter::Tab,
@@ -987,26 +979,6 @@ mod tests {
             value: "4".into(),
         });
         round_trip_request(Request::Quit);
-        round_trip_request(Request::ShardExec {
-            text: "C(;w:long) :- E(x,y); w=<<COUNT(*)>>.".into(),
-            shard_index: 1,
-            shard_count: 4,
-            trace_id: None,
-        });
-        round_trip_request(Request::ShardExec {
-            text: "C(;w:long) :- E(x,y); w=<<COUNT(*)>>.".into(),
-            shard_index: 0,
-            shard_count: 2,
-            trace_id: Some(0xabcd_ef01_2345_6789),
-        });
-        round_trip_request(Request::TraceExec {
-            text: "T(x,y) :- E(x,y).".into(),
-            trace: true,
-        });
-        round_trip_request(Request::TraceExec {
-            text: "T(x,y) :- E(x,y).".into(),
-            trace: false,
-        });
         round_trip_request(Request::SlowLog { limit: 32 });
     }
 
@@ -1022,9 +994,9 @@ mod tests {
         round_trip_response(Response::Error {
             message: "parse error".into(),
         });
-        round_trip_response(Response::Batch {
-            bytes: vec![1, 2, 3],
-        });
+        for result in result_shapes() {
+            round_trip_response(result);
+        }
         round_trip_response(Response::Prepared {
             id: 3,
             cache_hit: true,
@@ -1036,44 +1008,6 @@ mod tests {
                 rows: 6,
                 schema: "E(src:u32, dst:u32)".into(),
             }],
-        });
-        round_trip_response(Response::Stats(ServerStats {
-            epoch: 1,
-            relations: 2,
-            sessions_total: 3,
-            sessions_active: 1,
-            queries: 9,
-            exec_prepared: 4,
-            cache_hits: 5,
-            cache_misses: 2,
-            cache_invalidations: 1,
-            cache_entries: 2,
-            cache_capacity: 64,
-            ext: None,
-        }));
-        round_trip_response(Response::ShardResult {
-            sharded: true,
-            level0_values: 1234,
-            elapsed_ns: 56_789,
-            batch: vec![9, 8, 7, 6],
-            trace: None,
-        });
-        round_trip_response(Response::ShardResult {
-            sharded: false,
-            level0_values: 0,
-            elapsed_ns: 1,
-            batch: Vec::new(),
-            trace: Some(vec![1, 2, 3]),
-        });
-        round_trip_response(Response::Trace {
-            trace: vec![4, 5],
-            profile: vec![6],
-            batch: vec![7, 8, 9],
-        });
-        round_trip_response(Response::Trace {
-            trace: Vec::new(),
-            profile: Vec::new(),
-            batch: vec![1],
         });
         round_trip_response(Response::SlowLog {
             entries: vec![
@@ -1094,142 +1028,110 @@ mod tests {
     }
 
     #[test]
-    fn shard_exec_rejects_bad_index() {
-        // index == count and count == 0 are both structurally invalid.
-        let (tag, payload) = Request::ShardExec {
-            text: "T(x) :- E(x,y).".into(),
-            shard_index: 2,
-            shard_count: 2,
-            trace_id: None,
+    fn exec_frames_reject_truncation_trailing_bytes_and_bad_flags() {
+        for exec in exec_shapes() {
+            let (tag, payload) = exec.encode();
+            // Truncated at every prefix length: must error, never panic
+            // — the flags byte fixes the layout, so no prefix of a valid
+            // payload is itself valid.
+            for cut in 0..payload.len() {
+                assert!(
+                    Request::decode(tag, &payload[..cut]).is_err(),
+                    "{exec:?} cut at {cut}"
+                );
+            }
+            let mut noisy = payload.clone();
+            noisy.push(0);
+            assert!(Request::decode(tag, &noisy).is_err(), "{exec:?} + 1 byte");
+            // An undefined flag bit is rejected, not ignored.
+            let mut flagged = payload;
+            flagged[0] |= 0x80;
+            assert!(
+                Request::decode(tag, &flagged).is_err(),
+                "{exec:?} flag 0x80"
+            );
         }
-        .encode();
-        assert!(matches!(
-            Request::decode(tag, &payload),
-            Err(ProtoError::Malformed(_))
-        ));
-        let mut p = Vec::new();
-        put_str(&mut p, "T(x) :- E(x,y).");
-        put_u32(&mut p, 0);
-        put_u32(&mut p, 0);
-        assert!(Request::decode(REQ_SHARD_EXEC, &p).is_err());
     }
 
     #[test]
-    fn shard_frames_reject_truncation_and_corruption() {
-        // Truncated at every prefix length: must error, never panic.
-        let (tag, payload) = Request::ShardExec {
-            text: "T(x) :- E(x,y).".into(),
-            shard_index: 0,
-            shard_count: 2,
-            trace_id: None,
+    fn exec_rejects_bad_shards() {
+        // count == 0 and index >= count are structurally invalid, for
+        // text and statement targets alike.
+        for target in [
+            ExecTarget::Text("T(x) :- E(x,y).".into()),
+            ExecTarget::Stmt(1),
+        ] {
+            for shard in [(0, 0), (2, 2), (5, 3)] {
+                let (tag, payload) = Request::Exec {
+                    target: target.clone(),
+                    shard: Some(shard),
+                    trace: None,
+                }
+                .encode();
+                assert!(
+                    matches!(
+                        Request::decode(tag, &payload),
+                        Err(ProtoError::Malformed(_))
+                    ),
+                    "{target:?} shard {shard:?}"
+                );
+            }
         }
-        .encode();
-        for cut in 0..payload.len() {
-            assert!(Request::decode(tag, &payload[..cut]).is_err());
-        }
-        let (tag, payload) = Response::ShardResult {
-            sharded: true,
-            level0_values: 42,
-            elapsed_ns: 77,
-            batch: vec![1, 2, 3, 4, 5],
-            trace: None,
-        }
-        .encode();
-        for cut in 0..payload.len() {
-            assert!(Response::decode(tag, &payload[..cut]).is_err());
-        }
-        // Trailing garbage after a complete payload is rejected too.
-        let mut noisy = payload.clone();
-        noisy.push(0xFF);
-        assert!(Response::decode(tag, &noisy).is_err());
-        // A corrupt sharded flag is rejected.
-        let mut flipped = payload.clone();
-        flipped[0] = 7;
-        assert!(Response::decode(tag, &flipped).is_err());
-        // A batch length field pointing past the payload is rejected.
-        let mut overlong = payload;
-        let off = 1 + 8 + 8;
-        overlong[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Response::decode(tag, &overlong).is_err());
     }
 
     #[test]
-    fn shard_trace_tails_are_version_gated() {
-        // A PR 9-era ShardExec payload (no tail) decodes as trace_id
-        // None; the traced form appends exactly 8 bytes.
-        let base = Request::ShardExec {
-            text: "T(x) :- E(x,y).".into(),
-            shard_index: 0,
-            shard_count: 2,
-            trace_id: None,
-        };
-        let traced = Request::ShardExec {
-            text: "T(x) :- E(x,y).".into(),
-            shard_index: 0,
-            shard_count: 2,
-            trace_id: Some(42),
-        };
-        let (tag, base_p) = base.encode();
-        let (_, traced_p) = traced.encode();
-        assert_eq!(traced_p.len(), base_p.len() + 8);
-        assert_eq!(Request::decode(tag, &base_p).unwrap(), base);
-        assert_eq!(Request::decode(tag, &traced_p).unwrap(), traced);
-        // A partial tail (1..=7 bytes) is an error, not a silent None.
-        for cut in base_p.len() + 1..traced_p.len() {
-            assert!(Request::decode(tag, &traced_p[..cut]).is_err());
+    fn result_frames_reject_truncation_and_corruption() {
+        for result in result_shapes() {
+            let (tag, payload) = result.encode();
+            for cut in 0..payload.len() {
+                assert!(
+                    Response::decode(tag, &payload[..cut]).is_err(),
+                    "{result:?} cut at {cut}"
+                );
+            }
+            // Trailing garbage after a complete payload is rejected too.
+            let mut noisy = payload.clone();
+            noisy.push(0xFF);
+            assert!(Response::decode(tag, &noisy).is_err());
+            // An undefined flag bit is rejected.
+            let mut flagged = payload.clone();
+            flagged[0] |= 4;
+            assert!(Response::decode(tag, &flagged).is_err());
+            // A batch length field pointing past the payload is rejected.
+            let mut overlong = payload;
+            let off = 1 + 8 + 8;
+            overlong[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(Response::decode(tag, &overlong).is_err());
         }
-        // Same discipline for the ShardResult trace tail.
-        let resp = Response::ShardResult {
+    }
+
+    #[test]
+    fn spans_are_flagged_never_inferred() {
+        // The traced forms append exactly their fields...
+        let exec = |trace| Request::Exec {
+            target: ExecTarget::Text("T(x) :- E(x,y).".into()),
+            shard: Some((0, 2)),
+            trace,
+        };
+        let (_, base) = exec(None).encode();
+        let (tag, traced) = exec(Some(42)).encode();
+        assert_eq!(traced.len(), base.len() + 8);
+        // ...and stripping them without clearing the flag is an error,
+        // not a silent `None` (what a version-gated tail would give).
+        assert!(Request::decode(tag, &traced[..base.len()]).is_err());
+        let (tag, payload) = Response::Result {
             sharded: true,
             level0_values: 1,
             elapsed_ns: 2,
             batch: vec![1, 2, 3],
-            trace: Some(vec![9; 16]),
-        };
-        let (tag, payload) = resp.encode();
-        let base_len = payload.len() - (4 + 16);
-        assert_eq!(
-            Response::decode(tag, &payload[..base_len]).unwrap(),
-            Response::ShardResult {
-                sharded: true,
-                level0_values: 1,
-                elapsed_ns: 2,
-                batch: vec![1, 2, 3],
-                trace: None,
-            }
-        );
-        for cut in base_len + 1..payload.len() {
-            assert!(Response::decode(tag, &payload[..cut]).is_err());
+            spans: Some(vec![9; 16]),
         }
+        .encode();
+        assert!(Response::decode(tag, &payload[..payload.len() - (4 + 16)]).is_err());
     }
 
     #[test]
-    fn trace_frames_reject_truncation_and_corruption() {
-        let (tag, payload) = Request::TraceExec {
-            text: "T(x) :- E(x,y).".into(),
-            trace: true,
-        }
-        .encode();
-        for cut in 0..payload.len() {
-            assert!(Request::decode(tag, &payload[..cut]).is_err());
-        }
-        // A corrupt trace flag is rejected.
-        let mut flipped = payload.clone();
-        let last = flipped.len() - 1;
-        flipped[last] = 9;
-        assert!(Request::decode(tag, &flipped).is_err());
-        let (tag, payload) = Response::Trace {
-            trace: vec![1, 2, 3],
-            profile: vec![4, 5],
-            batch: vec![6],
-        }
-        .encode();
-        for cut in 0..payload.len() {
-            assert!(Response::decode(tag, &payload[..cut]).is_err());
-        }
-        let mut noisy = payload;
-        noisy.push(0xFF);
-        assert!(Response::decode(tag, &noisy).is_err());
+    fn slow_log_frames_reject_truncation_and_hostile_counts() {
         let (tag, payload) = Response::SlowLog {
             entries: vec![eh_obs::SlowQueryEntry {
                 trace_id: 1,
@@ -1252,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn extended_stats_round_trip_and_v1_compat() {
+    fn stats_always_carry_the_extension() {
         let stats = ServerStats {
             epoch: 4,
             queries: 7,
@@ -1269,15 +1171,15 @@ mod tests {
             ..Default::default()
         };
         round_trip_response(Response::Stats(stats.clone()));
-        // The base-only payload (what a v1 server sends, or what the
-        // server sends a v1 client) decodes with ext = None.
-        let mut base = stats.clone();
-        base.ext = None;
-        let (tag, payload) = Response::Stats(base.clone()).encode();
-        assert_eq!(payload.len(), 11 * 8, "v1 Stats payload is 11 u64s");
+        // `ext: None` is an in-process convenience: on the wire it is
+        // the empty extension, and decodes as `Some`.
+        let (tag, payload) = Response::Stats(ServerStats::default()).encode();
         assert_eq!(
             Response::decode(tag, &payload).unwrap(),
-            Response::Stats(base)
+            Response::Stats(ServerStats {
+                ext: Some(StatsExt::default()),
+                ..Default::default()
+            })
         );
         // The rehydrated histogram preserves count/sum and buckets.
         let ext = stats.ext.clone().unwrap();
@@ -1285,15 +1187,36 @@ mod tests {
         assert_eq!(h.count, 7);
         assert_eq!(h.sum, 70_000);
         assert_eq!(h.nonzero(), vec![(13, 5), (14, 2)]);
-        // A truncated extension tail is an error, not a silent None.
+        // Truncation anywhere — inside the extension or cutting it off
+        // whole, which is what a version-2 peer's frame looks like — is
+        // an error.
         let (tag, payload) = Response::Stats(stats).encode();
-        assert!(Response::decode(tag, &payload[..payload.len() - 3]).is_err());
+        for cut in 0..payload.len() {
+            assert!(
+                Response::decode(tag, &payload[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    /// One raw frame: what `write_frame` produces for `(tag, payload)`.
+    fn raw_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![tag];
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn frames_are_tag_length_payload() {
+        let mut buf = Vec::new();
+        write_request(&mut buf, &Request::SlowLog { limit: 9 }).unwrap();
+        assert_eq!(buf, raw_frame(REQ_SLOW_LOG, &9u32.to_le_bytes()));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 0x01, b"XXXX\x01\x00\x00\x00").unwrap();
+        let buf = raw_frame(REQ_HELLO, b"XXXX\x01\x00\x00\x00");
         assert!(matches!(
             read_request(&mut buf.as_slice()),
             Err(ProtoError::Malformed(_))
@@ -1304,11 +1227,18 @@ mod tests {
     fn unknown_tags_rejected() {
         assert!(Request::decode(0x7F, &[]).is_err());
         assert!(Response::decode(0x10, &[]).is_err());
+        // The version-2 query frames are gone, not aliased.
+        for retired in [0x04, 0x0B, 0x0C] {
+            assert!(Request::decode(retired, &[0; 16]).is_err());
+        }
+        for retired in [0x88, 0x89] {
+            assert!(Response::decode(retired, &[0; 32]).is_err());
+        }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let (tag, mut payload) = Request::ExecPrepared { id: 1 }.encode();
+        let (tag, mut payload) = Request::Prepare { text: "q".into() }.encode();
         payload.push(0);
         assert!(Request::decode(tag, &payload).is_err());
     }

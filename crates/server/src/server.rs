@@ -74,6 +74,9 @@ pub(crate) struct Counters {
 
 /// Frame kinds tracked by per-kind latency histograms in the shared
 /// [`MetricsRegistry`] (one histogram each, registered at startup).
+/// An `Exec` frame lands in `shard_exec` when it carries a shard,
+/// else `trace_exec` when it carries a trace id, else `exec_prepared`
+/// or `query` by its target.
 pub const FRAME_KINDS: &[&str] = &[
     "query",
     "prepare",
@@ -104,8 +107,8 @@ pub struct Shared {
     /// Directory `SaveImage` may write into; `None` disables the frame.
     pub image_dir: Option<PathBuf>,
     /// Lock-free server metrics: socket byte totals and per-frame-kind
-    /// service-latency histograms, surfaced through the protocol-2
-    /// `Stats` extension and the shell's `\metrics` command.
+    /// service-latency histograms, surfaced through the `Stats` frame
+    /// and the shell's `\metrics` command.
     pub metrics: MetricsRegistry,
     /// Bounded ring of recent slow queries (default 256 entries, 10 ms
     /// threshold), fed by every execution frame and surfaced through
@@ -138,9 +141,7 @@ impl Shared {
 
     /// Fetch-or-compile a plan for `text` against `db` (the caller
     /// already holds the database read lock and passes the guard's
-    /// target). The cache mutex is held only around the map lookup and
-    /// insert — compilation itself runs unlocked, so a slow GHD search
-    /// never serializes other sessions' cache hits.
+    /// target); the flag says whether it was a cache hit.
     pub fn cached_plan(
         &self,
         db: &Database,
@@ -149,17 +150,13 @@ impl Shared {
         if let Some(plan) = self.cache.lock().lookup(db.epoch(), text) {
             return Ok((plan, true));
         }
-        let plan = Arc::new(db.prepare(text)?);
-        self.cache
-            .lock()
-            .insert(db.epoch(), text, Arc::clone(&plan));
-        Ok((plan, false))
+        Ok((self.compile(db, text)?, false))
     }
 
-    /// Lock-split twin of [`PlanCache::get_preparable`]: cached plan if
-    /// present, compile-and-cache if the text is a single non-recursive
-    /// rule (compilation runs with the cache mutex released), `None`
-    /// for programs/fixpoints the session should run uncached.
+    /// The ad-hoc query path: cached plan if present (no parsing at
+    /// all), compile-and-cache if the text is a single non-recursive
+    /// rule, `None` for programs/fixpoints the session should run
+    /// uncached.
     pub fn cached_plan_gated(
         &self,
         db: &Database,
@@ -171,11 +168,19 @@ impl Shared {
         if !crate::cache::is_preparable(text) {
             return Ok(None);
         }
+        self.compile(db, text).map(Some)
+    }
+
+    /// A cache miss: compile, then insert. The cache mutex is held only
+    /// around the map lookup and insert — compilation itself runs
+    /// unlocked, so a slow GHD search never serializes other sessions'
+    /// cache hits.
+    fn compile(&self, db: &Database, text: &str) -> Result<Arc<Prepared>, CoreError> {
         let plan = Arc::new(db.prepare(text)?);
         self.cache
             .lock()
             .insert(db.epoch(), text, Arc::clone(&plan));
-        Ok(Some(plan))
+        Ok(plan)
     }
 
     /// Snapshot of the server statistics against `db` (the caller holds
@@ -195,32 +200,26 @@ impl Shared {
             cache_invalidations: cache.invalidations(),
             cache_entries: cache.len() as u64,
             cache_capacity: cache.capacity() as u64,
-            ext: Some(self.stats_ext()),
-        }
-    }
-
-    /// The protocol-2 `Stats` extension, read from the metrics
-    /// registry. Sessions strip it before answering version-1 clients.
-    pub(crate) fn stats_ext(&self) -> StatsExt {
-        StatsExt {
-            bytes_in: self.metrics.get("bytes_in"),
-            bytes_out: self.metrics.get("bytes_out"),
-            frames: FRAME_KINDS
-                .iter()
-                .filter_map(|kind| {
-                    let snap = self.metrics.histogram(kind)?.snapshot();
-                    Some(FrameStat {
-                        name: (*kind).to_string(),
-                        count: snap.count,
-                        total_ns: snap.sum,
-                        buckets: snap
-                            .nonzero()
-                            .into_iter()
-                            .map(|(b, c)| (b as u32, c))
-                            .collect(),
+            ext: Some(StatsExt {
+                bytes_in: self.metrics.get("bytes_in"),
+                bytes_out: self.metrics.get("bytes_out"),
+                frames: FRAME_KINDS
+                    .iter()
+                    .filter_map(|kind| {
+                        let snap = self.metrics.histogram(kind)?.snapshot();
+                        Some(FrameStat {
+                            name: (*kind).to_string(),
+                            count: snap.count,
+                            total_ns: snap.sum,
+                            buckets: snap
+                                .nonzero()
+                                .into_iter()
+                                .map(|(b, c)| (b as u32, c))
+                                .collect(),
+                        })
                     })
-                })
-                .collect(),
+                    .collect(),
+            }),
         }
     }
 }

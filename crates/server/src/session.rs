@@ -1,11 +1,11 @@
 //! One session per connection: a dedicated thread that reads frames,
 //! dispatches them against the shared database, and writes responses.
 //!
-//! Sessions are read-mostly: `Query`, `Prepare`, `ExecPrepared`,
-//! `ListRelations`, and `SaveImage` all run under the database's *read*
-//! lock (the trie cache is interior-mutable behind its own `RwLock`, and
-//! plans are shared `Arc`s), so any number of sessions execute in
-//! parallel. Only `LoadCsv` takes the write lock.
+//! Sessions are read-mostly: `Exec`, `Prepare`, `ListRelations`, and
+//! `SaveImage` all run under the database's *read* lock (the trie cache
+//! is interior-mutable behind its own `RwLock`, and plans are shared
+//! `Arc`s), so any number of sessions execute in parallel. Only
+//! `LoadCsv` takes the write lock.
 //!
 //! Each session keeps its own engine [`Config`] (seeded from the
 //! server's database at connect time); `SetOption` adjusts it without
@@ -14,19 +14,23 @@
 //! session with the catalog epoch they were compiled at; executing one
 //! after the catalog changed transparently re-prepares through the
 //! shared cache, so a stale plan is never run.
+//!
+//! A `Session` does not need a socket: `Session::handle` maps one
+//! [`Request`] to one [`Response`], and `run_session` is only the
+//! handshake plus the read-handle-write loop around it. The embedded
+//! shell drives the same `handle` in-process, so embedded and remote
+//! answers agree by construction.
 
 use crate::protocol::{
-    read_request, write_response, ProtoError, Request, Response, WireDelimiter, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_request, write_response, ExecTarget, ProtoError, Request, Response, WireDelimiter,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::server::Shared;
-use eh_core::{profile_to_span, Config, Database, Prepared, QueryProfile, QueryResult, Scheduler};
-use eh_obs::{SlowQueryEntry, Trace, TraceId};
+use eh_core::{profile_to_span, Config, Database, Prepared, QueryResult, Scheduler};
+use eh_obs::{SlowQueryEntry, Trace};
 use eh_storage::trace_wire::encode_trace;
-use eh_storage::wire::encode_profile;
 use eh_storage::wire::ResultBatch;
 use eh_storage::{CsvOptions, Delimiter, RelationSchema, StorageError};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -72,27 +76,8 @@ pub fn batch_from_result(db: &Database, result: &QueryResult) -> ResultBatch {
     }
 }
 
-fn batch_response(db: &Database, result: &QueryResult) -> Response {
-    match batch_from_result(db, result).encode() {
-        // A batch the framing layer would refuse must become an Error
-        // frame here: letting write_frame fail looks like a dead stream
-        // to run_session, and the client would see an unexplained
-        // disconnect instead of a diagnosis.
-        Ok(bytes) if bytes.len() > MAX_FRAME_LEN => Response::Error {
-            message: format!(
-                "result too large for one frame ({} bytes, limit {MAX_FRAME_LEN}); \
-                 narrow the query or aggregate server-side",
-                bytes.len()
-            ),
-        },
-        Ok(bytes) => Response::Batch { bytes },
-        Err(e) => Response::Error {
-            message: format!("result encoding failed: {e}"),
-        },
-    }
-}
-
-fn error(e: impl std::fmt::Display) -> Response {
+/// An `Error` frame carrying `e`'s message.
+pub(crate) fn error(e: impl std::fmt::Display) -> Response {
     Response::Error {
         message: e.to_string(),
     }
@@ -108,15 +93,13 @@ struct SessionStmt {
 }
 
 /// Per-connection state.
-struct Session {
+pub(crate) struct Session {
     /// Session-scoped engine configuration (thread count, scheduler,
     /// morsel size) applied to every execution on this connection.
     config: Config,
-    /// Protocol version negotiated at handshake; version-1 clients get
-    /// version-1 payloads (no `Stats` extension).
-    proto_version: u32,
-    statements: HashMap<u64, SessionStmt>,
-    next_stmt: u64,
+    /// Statement `id` (1-based, as `Prepared` reported it) is entry
+    /// `id - 1`.
+    statements: Vec<SessionStmt>,
 }
 
 /// A socket wrapper that feeds byte totals into the shared metrics
@@ -148,94 +131,27 @@ impl<S: Write> Write for Metered<'_, S> {
 }
 
 /// The metrics-registry histogram a request's service time lands in
-/// (see [`crate::server::FRAME_KINDS`]).
+/// (see [`crate::server::FRAME_KINDS`]). `Exec` keeps the four names
+/// the version-2 frames had, derived from its fields, so dashboards and
+/// `\metrics` read the same series across the protocol change.
 fn frame_kind(request: &Request) -> &'static str {
     match request {
         Request::Hello { .. } => "hello",
-        Request::Query { .. } => "query",
+        Request::Exec { shard: Some(_), .. } => "shard_exec",
+        Request::Exec { trace: Some(_), .. } => "trace_exec",
+        Request::Exec {
+            target: ExecTarget::Stmt(_),
+            ..
+        } => "exec_prepared",
+        Request::Exec { .. } => "query",
         Request::Prepare { .. } => "prepare",
-        Request::ExecPrepared { .. } => "exec_prepared",
         Request::LoadCsv { .. } => "load_csv",
         Request::SaveImage { .. } => "save_image",
         Request::ListRelations => "list_relations",
         Request::Stats => "stats",
         Request::SetOption { .. } => "set_option",
         Request::Quit => "quit",
-        Request::ShardExec { .. } => "shard_exec",
-        Request::TraceExec { .. } => "trace_exec",
         Request::SlowLog { .. } => "slow_log",
-    }
-}
-
-/// Feed one finished execution into the server's slow-query log. The
-/// hot span comes from the profile when the run was profiled (traced
-/// executions); unprofiled runs record `-` — the log still shows what
-/// ran and for how long.
-fn record_slow(
-    shared: &Shared,
-    trace_id: u64,
-    text: &str,
-    result: &QueryResult,
-    elapsed_ns: u64,
-    sharded: bool,
-) {
-    let hot_span = match result.profile() {
-        Some(p) => profile_to_span("query", p).hottest_leaf(),
-        None => "-".to_string(),
-    };
-    shared.slowlog.observe(SlowQueryEntry {
-        trace_id,
-        query: text.to_string(),
-        rows: result.rows().len() as u64,
-        elapsed_ns,
-        sharded,
-        hot_span,
-    });
-}
-
-/// Build the wire-encoded worker [`Trace`] for a profiled execution:
-/// the span tree under `root_name`, tagged with `trace_id`, carrying
-/// the profile's folded kernel counters.
-fn worker_trace(trace_id: u64, root_name: &str, profile: &QueryProfile) -> Vec<u8> {
-    encode_trace(&Trace {
-        trace_id,
-        work: profile.work,
-        root: profile_to_span(root_name, profile),
-    })
-}
-
-/// Apply a session-scoped engine option to a config. One parser shared
-/// by server sessions and the embedded shell, so both modes accept the
-/// same keys and print identical confirmations (the CI smoke diffs
-/// embedded output against remote output).
-pub(crate) fn apply_option(config: &mut Config, key: &str, value: &str) -> Result<String, String> {
-    match key {
-        "threads" => {
-            let n: usize = value
-                .parse()
-                .map_err(|_| format!("threads wants a number, got '{value}'"))?;
-            *config = config.with_threads(n);
-            Ok(format!("threads = {value}"))
-        }
-        "scheduler" => {
-            let s = match value {
-                "morsel" => Scheduler::Morsel,
-                "static" => Scheduler::Static,
-                other => return Err(format!("unknown scheduler '{other}' (morsel|static)")),
-            };
-            *config = config.with_scheduler(s);
-            Ok(format!("scheduler = {value}"))
-        }
-        "morsel" => {
-            let n: usize = value
-                .parse()
-                .map_err(|_| format!("morsel wants a number, got '{value}'"))?;
-            *config = config.with_morsel(n);
-            Ok(format!("morsel = {value}"))
-        }
-        other => Err(format!(
-            "unknown option '{other}' (threads|scheduler|morsel|slow_ms)"
-        )),
     }
 }
 
@@ -244,7 +160,7 @@ pub(crate) fn apply_option(config: &mut Config, key: &str, value: &str) -> Resul
 /// is rejected outright; otherwise the client path must be purely
 /// relative (`Component::Normal` only — no absolute paths, no `..`, no
 /// `.`), so a connected client can never write outside `image_dir`.
-pub(crate) fn resolve_image_path(image_dir: Option<&Path>, path: &str) -> Result<PathBuf, String> {
+fn resolve_image_path(image_dir: Option<&Path>, path: &str) -> Result<PathBuf, String> {
     let Some(dir) = image_dir else {
         return Err(
             "image saves are disabled on this server (start it with an image directory, \
@@ -281,38 +197,29 @@ pub(crate) fn run_session<S: Read + Write>(shared: &Shared, stream: S) {
         inner: stream,
         shared,
     };
-    // Handshake: the first frame must be a Hello carrying a version the
-    // server still serves. The negotiated version (the client's own) is
-    // echoed back and pins the session's payload shapes, so a version-1
-    // client never sees a protocol-2 extension.
-    let negotiated = match read_request(&mut stream) {
-        Ok(Request::Hello { version })
-            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-        {
-            let banner = format!(
-                "eh_server/{} protocol {}",
-                env!("CARGO_PKG_VERSION"),
-                version
-            );
-            if write_response(
-                &mut stream,
-                &Response::Hello {
-                    version,
-                    server: banner,
-                },
-            )
-            .is_err()
-            {
+    // Handshake: the first frame must be a Hello carrying the one
+    // protocol version this server speaks.
+    match read_request(&mut stream) {
+        Ok(Request::Hello {
+            version: PROTOCOL_VERSION,
+        }) => {
+            let hello = Response::Hello {
+                version: PROTOCOL_VERSION,
+                server: format!(
+                    "eh_server/{} protocol {PROTOCOL_VERSION}",
+                    env!("CARGO_PKG_VERSION")
+                ),
+            };
+            if write_response(&mut stream, &hello).is_err() {
                 return;
             }
-            version
         }
         Ok(Request::Hello { version }) => {
             let _ = write_response(
                 &mut stream,
                 &error(format!(
                     "protocol version mismatch: client {version}, server speaks \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+                     {PROTOCOL_VERSION}"
                 )),
             );
             return;
@@ -322,15 +229,9 @@ pub(crate) fn run_session<S: Read + Write>(shared: &Shared, stream: S) {
             return;
         }
         Err(_) => return,
-    };
+    }
 
-    let mut session = Session {
-        config: *shared.db.read().config(),
-        proto_version: negotiated,
-        statements: HashMap::new(),
-        next_stmt: 1,
-    };
-
+    let mut session = Session::new(shared);
     loop {
         let request = match read_request(&mut stream) {
             Ok(r) => r,
@@ -343,343 +244,283 @@ pub(crate) fn run_session<S: Read + Write>(shared: &Shared, stream: S) {
             }
         };
         let quit = matches!(request, Request::Quit);
-        let kind = frame_kind(&request);
-        let started = Instant::now();
-        let response = dispatch(shared, &mut session, request);
-        shared
-            .metrics
-            .observe(kind, started.elapsed().as_nanos() as u64);
+        let response = session.handle(shared, request);
         if write_response(&mut stream, &response).is_err() || quit {
             return;
         }
     }
 }
 
-fn dispatch(shared: &Shared, session: &mut Session, request: Request) -> Response {
-    match request {
-        Request::Hello { .. } => error("unexpected Hello mid-session"),
-        Request::Query { text } => {
-            shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let db = shared.db.read();
-            // Single-rule non-recursive texts run through the shared
-            // plan cache, so repeated ad-hoc queries amortize
-            // compilation exactly like ExecPrepared (a cached text
-            // executes without re-parsing at all); multi-rule programs
-            // and recursion take the uncached read-only path, still
-            // under the read lock.
-            let started = Instant::now();
-            let result = match shared.cached_plan_gated(&db, &text) {
-                Ok(Some(plan)) => plan.execute_with(&db, &session.config),
-                Ok(None) => db.query_ref_with(&text, &session.config),
-                Err(e) => Err(e),
-            };
-            match result {
-                Ok(result) => {
-                    record_slow(
-                        shared,
-                        0,
-                        &text,
-                        &result,
-                        started.elapsed().as_nanos() as u64,
-                        false,
-                    );
-                    batch_response(&db, &result)
-                }
-                Err(e) => error(e),
-            }
+impl Session {
+    /// A fresh session, its engine config seeded from the database's.
+    pub(crate) fn new(shared: &Shared) -> Session {
+        Session {
+            config: *shared.db.read().config(),
+            statements: Vec::new(),
         }
-        Request::Prepare { text } => {
-            let db = shared.db.read();
-            match shared.cached_plan(&db, &text) {
-                Ok((plan, cache_hit)) => {
-                    let id = session.next_stmt;
-                    session.next_stmt += 1;
-                    session.statements.insert(
-                        id,
-                        SessionStmt {
+    }
+
+    /// Answer one request and record its service time — everything a
+    /// connection does between reading a frame and writing one.
+    pub(crate) fn handle(&mut self, shared: &Shared, request: Request) -> Response {
+        let kind = frame_kind(&request);
+        let started = Instant::now();
+        let response = self.dispatch(shared, request);
+        shared
+            .metrics
+            .observe(kind, started.elapsed().as_nanos() as u64);
+        response
+    }
+
+    fn dispatch(&mut self, shared: &Shared, request: Request) -> Response {
+        match request {
+            Request::Hello { .. } => error("unexpected Hello mid-session"),
+            Request::Exec {
+                target,
+                shard,
+                trace,
+            } => self
+                .exec(shared, target, shard, trace)
+                .unwrap_or_else(error),
+            Request::Prepare { text } => {
+                let db = shared.db.read();
+                match shared.cached_plan(&db, &text) {
+                    Ok((plan, cache_hit)) => {
+                        self.statements.push(SessionStmt {
                             epoch: db.epoch(),
                             text,
                             plan,
-                        },
-                    );
-                    Response::Prepared { id, cache_hit }
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::ExecPrepared { id } => {
-            shared.stats.exec_prepared.fetch_add(1, Ordering::Relaxed);
-            let db = shared.db.read();
-            let stmt = match session.statements.get_mut(&id) {
-                Some(s) => s,
-                None => return error(format!("no prepared statement #{id} in this session")),
-            };
-            // The catalog moved under this statement: transparently
-            // re-prepare through the shared cache (which has itself
-            // discarded its stale entries) before executing.
-            if stmt.epoch != db.epoch() {
-                match shared.cached_plan(&db, &stmt.text) {
-                    Ok((plan, _)) => {
-                        stmt.plan = plan;
-                        stmt.epoch = db.epoch();
+                        });
+                        let id = self.statements.len() as u64;
+                        Response::Prepared { id, cache_hit }
                     }
-                    Err(e) => return error(e),
+                    Err(e) => error(e),
                 }
             }
-            let started = Instant::now();
-            match stmt.plan.execute_with(&db, &session.config) {
-                Ok(result) => {
-                    record_slow(
-                        shared,
-                        0,
-                        &stmt.text,
-                        &result,
-                        started.elapsed().as_nanos() as u64,
-                        false,
-                    );
-                    batch_response(&db, &result)
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::LoadCsv {
-            relation,
-            delimiter,
-            data,
-        } => {
-            let opts = csv_options(delimiter);
-            let mut db = shared.db.write();
-            match db.load_csv_reader(&relation, std::io::Cursor::new(data), &opts) {
-                Ok(report) => Response::Ok {
-                    message: format!(
-                        "loaded {} rows into {relation}{}",
-                        report.rows,
-                        if report.skipped > 0 {
-                            format!(" ({} skipped)", report.skipped)
-                        } else {
-                            String::new()
-                        }
-                    ),
-                },
-                Err(e) => error(e),
-            }
-        }
-        Request::SaveImage { path } => {
-            let resolved = match resolve_image_path(shared.image_dir.as_deref(), &path) {
-                Ok(p) => p,
-                Err(msg) => return Response::Error { message: msg },
-            };
-            if let Some(parent) = resolved.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    return error(e);
+            Request::LoadCsv {
+                relation,
+                delimiter,
+                data,
+            } => {
+                let opts = csv_options(delimiter);
+                let mut db = shared.db.write();
+                match db.load_csv_reader(&relation, std::io::Cursor::new(data), &opts) {
+                    Ok(report) => Response::Ok {
+                        message: format!(
+                            "loaded {} rows into {relation}{}",
+                            report.rows,
+                            if report.skipped > 0 {
+                                format!(" ({} skipped)", report.skipped)
+                            } else {
+                                String::new()
+                            }
+                        ),
+                    },
+                    Err(e) => error(e),
                 }
             }
-            let db = shared.db.read();
-            match db.save(&resolved) {
-                Ok(()) => Response::Ok {
-                    message: format!("saved image to {}", resolved.display()),
-                },
-                Err(e) => error(e),
-            }
-        }
-        Request::ListRelations => {
-            let db = shared.db.read();
-            let mut names: Vec<String> = db.catalog().names().map(str::to_string).collect();
-            names.sort();
-            let entries = names
-                .into_iter()
-                .filter_map(|name| {
-                    let rel = db.relation(&name)?;
-                    let schema = db
-                        .storage()
-                        .schema(&name)
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|| name.clone());
-                    Some(crate::protocol::RelationInfo {
-                        name,
-                        arity: rel.arity() as u32,
-                        rows: rel.len() as u64,
-                        schema,
-                    })
-                })
-                .collect();
-            Response::Relations { entries }
-        }
-        Request::Stats => {
-            let db = shared.db.read();
-            let mut stats = shared.stats_snapshot(&db);
-            // Version-1 clients reject trailing bytes: send the base
-            // payload they expect.
-            if session.proto_version < 2 {
-                stats.ext = None;
-            }
-            Response::Stats(stats)
-        }
-        Request::SetOption { key, value } => {
-            // slow_ms adjusts the *server-wide* slow-query threshold
-            // (the log is shared state, not session state), so it is
-            // intercepted here rather than parsed into the config.
-            if key == "slow_ms" {
-                return match value.parse::<u64>() {
-                    Ok(ms) => {
-                        shared
-                            .slowlog
-                            .set_threshold_ns(ms.saturating_mul(1_000_000));
-                        Response::Ok {
-                            message: format!("slow_ms = {ms}"),
-                        }
-                    }
-                    Err(_) => error(format!("slow_ms wants a number, got '{value}'")),
+            Request::SaveImage { path } => {
+                let resolved = match resolve_image_path(shared.image_dir.as_deref(), &path) {
+                    Ok(p) => p,
+                    Err(msg) => return Response::Error { message: msg },
                 };
+                if let Some(parent) = resolved.parent() {
+                    if let Err(e) = std::fs::create_dir_all(parent) {
+                        return error(e);
+                    }
+                }
+                let db = shared.db.read();
+                match db.save(&resolved) {
+                    Ok(()) => Response::Ok {
+                        message: format!("saved image to {}", resolved.display()),
+                    },
+                    Err(e) => error(e),
+                }
             }
-            match apply_option(&mut session.config, &key, &value) {
-                Ok(message) => Response::Ok { message },
+            Request::ListRelations => {
+                let db = shared.db.read();
+                let mut names: Vec<String> = db.catalog().names().map(str::to_string).collect();
+                names.sort();
+                let entries = names
+                    .into_iter()
+                    .filter_map(|name| {
+                        let rel = db.relation(&name)?;
+                        let schema = db
+                            .storage()
+                            .schema(&name)
+                            .map(|s| s.to_string())
+                            .unwrap_or_else(|| name.clone());
+                        Some(crate::protocol::RelationInfo {
+                            name,
+                            arity: rel.arity() as u32,
+                            rows: rel.len() as u64,
+                            schema,
+                        })
+                    })
+                    .collect();
+                Response::Relations { entries }
+            }
+            Request::Stats => Response::Stats(shared.stats_snapshot(&shared.db.read())),
+            Request::SetOption { key, value } => match self.set_option(shared, &key, &value) {
+                Ok(()) => Response::Ok {
+                    message: format!("{key} = {value}"),
+                },
                 Err(message) => Response::Error { message },
-            }
-        }
-        Request::Quit => Response::Ok {
-            message: "bye".into(),
-        },
-        Request::ShardExec {
-            text,
-            shard_index,
-            shard_count,
-            trace_id,
-        } => {
-            if session.proto_version < 2 {
-                return error("ShardExec requires protocol version 2");
-            }
-            shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let db = shared.db.read();
-            let started = Instant::now();
-            // A coordinator trace id turns profiling on for this shard:
-            // the span tree comes home in the response's trace tail,
-            // tagged with that id. Untraced scatters keep the exact
-            // PR 9 execution path (profile off, no timing inside the
-            // join).
-            let cfg = match trace_id {
-                Some(_) => session.config.with_profile(true),
-                None => session.config,
-            };
-            // Shardable = single non-recursive rule (the cacheable set)
-            // whose partial results ⊕-merge (trivial head expression).
-            // Everything else executes in FULL and answers
-            // `sharded: false`: the coordinator then keeps exactly one
-            // worker's batch, so a cluster still answers every query the
-            // single-process engine does — it just doesn't scale the
-            // non-mergeable ones.
-            let (sharded, result) = match shared.cached_plan_gated(&db, &text) {
-                Ok(Some(plan)) if plan.plan().shard_mergeable() => {
-                    let cfg = cfg.with_shard(shard_index, shard_count);
-                    match plan.execute_sharded_with(&db, &cfg) {
-                        Ok((result, level0)) => (Some(level0), Ok(result)),
-                        Err(e) => (None, Err(e)),
-                    }
-                }
-                Ok(Some(plan)) => (None, plan.execute_with(&db, &cfg)),
-                Ok(None) => (None, db.query_ref_with(&text, &cfg)),
-                Err(e) => (None, Err(e)),
-            };
-            match result {
-                Ok(result) => {
-                    let elapsed_ns = started.elapsed().as_nanos() as u64;
-                    record_slow(
-                        shared,
-                        trace_id.unwrap_or(0),
-                        &text,
-                        &result,
-                        elapsed_ns,
-                        sharded.is_some(),
-                    );
-                    let trace = match (trace_id, result.profile()) {
-                        (Some(id), Some(p)) => Some(worker_trace(
-                            id,
-                            &format!("shard {shard_index}/{shard_count}"),
-                            p,
-                        )),
-                        _ => None,
-                    };
-                    let trace_len = trace.as_ref().map(|t| t.len() + 4).unwrap_or(0);
-                    // 32 bytes of headroom for the ShardResult fields
-                    // around the batch, so the framed payload stays
-                    // under the limit.
-                    match batch_from_result(&db, &result).encode() {
-                        Ok(bytes) if bytes.len() + trace_len + 32 <= MAX_FRAME_LEN => {
-                            Response::ShardResult {
-                                sharded: sharded.is_some(),
-                                level0_values: sharded.unwrap_or(0),
-                                elapsed_ns,
-                                batch: bytes,
-                                trace,
-                            }
-                        }
-                        Ok(bytes) => error(format!(
-                            "shard result too large for one frame ({} bytes, limit {MAX_FRAME_LEN}); \
-                             narrow the query or aggregate server-side",
-                            bytes.len()
-                        )),
-                        Err(e) => error(format!("result encoding failed: {e}")),
-                    }
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::TraceExec { text, trace } => {
-            if session.proto_version < 2 {
-                return error("TraceExec requires protocol version 2");
-            }
-            shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let db = shared.db.read();
-            let cfg = session.config.with_profile(true);
-            let trace_id = TraceId::mint().as_u64();
-            let started = Instant::now();
-            let result = match shared.cached_plan_gated(&db, &text) {
-                Ok(Some(plan)) => plan.execute_with(&db, &cfg),
-                Ok(None) => db.query_ref_with(&text, &cfg),
-                Err(e) => Err(e),
-            };
-            match result {
-                Ok(result) => {
-                    let elapsed_ns = started.elapsed().as_nanos() as u64;
-                    record_slow(shared, trace_id, &text, &result, elapsed_ns, false);
-                    // Recursive rules execute unprofiled: the Trace
-                    // frame then carries empty trace/profile payloads
-                    // and the client falls back to rows-only output.
-                    let trace_bytes = match (trace, result.profile()) {
-                        (true, Some(p)) => worker_trace(trace_id, "query", p),
-                        _ => Vec::new(),
-                    };
-                    let profile_bytes = result.profile().map(encode_profile).unwrap_or_default();
-                    match batch_from_result(&db, &result).encode() {
-                        Ok(bytes)
-                            if bytes.len() + trace_bytes.len() + profile_bytes.len() + 32
-                                <= MAX_FRAME_LEN =>
-                        {
-                            Response::Trace {
-                                trace: trace_bytes,
-                                profile: profile_bytes,
-                                batch: bytes,
-                            }
-                        }
-                        Ok(bytes) => error(format!(
-                            "traced result too large for one frame ({} bytes, limit \
-                             {MAX_FRAME_LEN}); narrow the query or aggregate server-side",
-                            bytes.len()
-                        )),
-                        Err(e) => error(format!("result encoding failed: {e}")),
-                    }
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::SlowLog { limit } => {
-            if session.proto_version < 2 {
-                return error("SlowLog requires protocol version 2");
-            }
-            Response::SlowLog {
+            },
+            Request::Quit => Response::Ok {
+                message: "bye".into(),
+            },
+            Request::SlowLog { limit } => Response::SlowLog {
                 entries: shared.slowlog.recent(limit as usize),
+            },
+        }
+    }
+
+    /// Apply one option. `threads`, `scheduler` and `morsel` are this
+    /// session's engine config; `slow_ms` is the *server-wide*
+    /// slow-query threshold (the log is shared state, not session state).
+    fn set_option(&mut self, shared: &Shared, key: &str, value: &str) -> Result<(), String> {
+        let number = || {
+            let parsed = value.parse::<u64>();
+            parsed.map_err(|_| format!("{key} wants a number, got '{value}'"))
+        };
+        match key {
+            "threads" => self.config = self.config.with_threads(number()? as usize),
+            "morsel" => self.config = self.config.with_morsel(number()? as usize),
+            "scheduler" => {
+                self.config = self.config.with_scheduler(match value {
+                    "morsel" => Scheduler::Morsel,
+                    "static" => Scheduler::Static,
+                    other => return Err(format!("unknown scheduler '{other}' (morsel|static)")),
+                })
+            }
+            "slow_ms" => shared
+                .slowlog
+                .set_threshold_ns(number()?.saturating_mul(1_000_000)),
+            other => {
+                return Err(format!(
+                    "unknown option '{other}' (threads|scheduler|morsel|slow_ms)"
+                ))
             }
         }
+        Ok(())
+    }
+
+    /// Run a query: resolve the plan, execute it (or, for programs and
+    /// fixpoints, the read-only program runner), feed the slow log, and
+    /// encode the answer. `Err` is the message of the `Error` frame.
+    fn exec(
+        &mut self,
+        shared: &Shared,
+        target: ExecTarget,
+        shard: Option<(u32, u32)>,
+        trace: Option<u64>,
+    ) -> Result<Response, String> {
+        let db = shared.db.read();
+        let (plan, text) = match &target {
+            ExecTarget::Stmt(id) => {
+                shared.stats.exec_prepared.fetch_add(1, Ordering::Relaxed);
+                let stmt = id
+                    .checked_sub(1)
+                    .and_then(|i| self.statements.get_mut(i as usize));
+                let stmt =
+                    stmt.ok_or_else(|| format!("no prepared statement #{id} in this session"))?;
+                // The catalog moved under this statement: transparently
+                // re-prepare through the shared cache (which has itself
+                // discarded its stale entries) before executing.
+                if stmt.epoch != db.epoch() {
+                    let (plan, _) = shared
+                        .cached_plan(&db, &stmt.text)
+                        .map_err(|e| e.to_string())?;
+                    stmt.plan = plan;
+                    stmt.epoch = db.epoch();
+                }
+                (Some(Arc::clone(&stmt.plan)), stmt.text.as_str())
+            }
+            ExecTarget::Text(text) => {
+                shared.stats.queries.fetch_add(1, Ordering::Relaxed);
+                // Single-rule non-recursive texts run through the shared
+                // plan cache, so repeated ad-hoc queries amortize
+                // compilation exactly like prepared statements (a cached
+                // text executes without re-parsing at all); multi-rule
+                // programs and recursion take the uncached read-only
+                // path, still under the read lock.
+                let plan = shared.cached_plan_gated(&db, text);
+                (plan.map_err(|e| e.to_string())?, text.as_str())
+            }
+        };
+        // A trace id turns profiling on: the span tree comes home in the
+        // response, tagged with that id. Untraced requests run with no
+        // timing inside the join.
+        let mut cfg = self.config.with_profile(trace.is_some());
+        // Shardable = single non-recursive rule (the cacheable set)
+        // whose partial results ⊕-merge (trivial head expression).
+        // Everything else executes in FULL and answers `sharded: false`:
+        // the coordinator then keeps exactly one worker's batch, so a
+        // cluster still answers every query the single-process engine
+        // does — it just doesn't scale the non-mergeable ones.
+        let sharded = match (shard, &plan) {
+            (Some((index, count)), Some(plan)) if plan.plan().shard_mergeable() => {
+                cfg = cfg.with_shard(index, count);
+                true
+            }
+            _ => false,
+        };
+        let started = Instant::now();
+        let result = match &plan {
+            Some(plan) => plan.execute_with(&db, &cfg),
+            None => db.query_ref_with(text, &cfg),
+        };
+        let result = result.map_err(|e| e.to_string())?;
+        let elapsed_ns = started.elapsed().as_nanos() as u64;
+        // Recursive rules execute unprofiled: a traced request then
+        // gets rows with no span tree.
+        let spans = trace.zip(result.profile()).map(|(trace_id, profile)| {
+            let root = match shard {
+                Some((index, count)) => format!("shard {index}/{count}"),
+                None => "query".to_string(),
+            };
+            Trace {
+                trace_id,
+                work: profile.work,
+                root: profile_to_span(&root, profile),
+            }
+        });
+        // The hot span comes from the span tree when the run was traced;
+        // untraced runs record `-` — the log still shows what ran and
+        // for how long.
+        shared.slowlog.observe_with(elapsed_ns, || SlowQueryEntry {
+            trace_id: trace.unwrap_or(0),
+            query: text.to_string(),
+            rows: result.rows().len() as u64,
+            elapsed_ns,
+            sharded,
+            hot_span: spans
+                .as_ref()
+                .map_or_else(|| "-".to_string(), |t| t.root.hottest_leaf()),
+        });
+        let spans = spans.as_ref().map(encode_trace);
+        let batch = batch_from_result(&db, &result).encode();
+        let batch = batch.map_err(|e| format!("result encoding failed: {e}"))?;
+        // A result the framing layer would refuse must become an Error
+        // frame here: letting the frame write fail looks like a dead
+        // stream to run_session, and the client would see an unexplained
+        // disconnect instead of a diagnosis. 32 bytes of headroom cover
+        // the Result fields around the batch.
+        if batch.len() + spans.as_ref().map_or(0, Vec::len) + 32 > MAX_FRAME_LEN {
+            return Err(format!(
+                "result too large for one frame ({} bytes, limit {MAX_FRAME_LEN}); \
+                 narrow the query or aggregate server-side",
+                batch.len()
+            ));
+        }
+        Ok(Response::Result {
+            sharded,
+            level0_values: if sharded { result.level0_values() } else { 0 },
+            elapsed_ns,
+            batch,
+            spans,
+        })
     }
 }
 

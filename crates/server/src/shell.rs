@@ -2,8 +2,9 @@
 //!
 //! One binary, four modes:
 //!
-//! * **embedded** (default): an in-process [`Database`] with its own
-//!   [`PlanCache`] — the full query surface with no server.
+//! * **embedded** (default): an in-process [`Shared`] state driven
+//!   through a `Session` — the same request handler a socket session
+//!   runs, with no socket.
 //! * **remote** (`--connect ADDR`): every statement goes over the wire
 //!   to a running `eh_server`.
 //! * **cluster** (`--cluster ADDR`, repeatable): a scatter-gather
@@ -23,24 +24,24 @@
 //! punctuation is kept intact because a query statement only ends at
 //! its final `.`. A multi-rule program is one statement as long as it
 //! stays on one line (rules separated by spaces after the `.`); a
-//! newline after a `.` ends the statement. Non-interactive driving (`-c 'stmts'` or piped
-//! stdin) prints exactly what the interactive loop prints, so CI can
-//! diff embedded output against remote output — both render results
-//! through the same [`ResultBatch`] path.
+//! newline after a `.` ends the statement. Non-interactive driving
+//! (`-c 'stmts'` or piped stdin) prints exactly what the interactive
+//! loop prints, so CI can diff embedded output against remote output.
+//! All three client modes are one `Shell::call` — a [`Request`] in, a
+//! [`Response`] out — so every command renders the same response the
+//! same way whichever mode produced it.
 
-use crate::cache::PlanCache;
-use crate::client::{ClientError, EhClient, StatementHandle};
+use crate::client::{expect_result, expect_stats, ClientError, EhClient, ExecOutcome};
 use crate::cluster::{Cluster, ShardReport};
-use crate::protocol::{ServerStats, WireDelimiter};
-use crate::server::{Server, ServerOptions};
-use crate::session::{apply_option, batch_from_result};
-use eh_core::{profile_to_span, Database, Prepared, Trace, TraceId};
-use eh_obs::{prometheus_line, SlowQueryEntry, SlowQueryLog};
+use crate::protocol::{ExecTarget, Request, Response, ServerStats, WireDelimiter};
+use crate::server::{Server, ServerOptions, Shared};
+use crate::session::Session;
+use eh_core::{Database, TraceId};
+use eh_obs::prometheus_line;
 use eh_semiring::DynValue;
 use eh_storage::wire::ResultBatch;
 use std::collections::HashMap;
 use std::io::{BufRead, IsTerminal, Write};
-use std::sync::Arc;
 use std::time::Instant;
 
 const HELP: &str = "\
@@ -74,7 +75,8 @@ STATEMENTS (separated by ';' or newline):
   \\prepare NAME QUERY            compile once through the plan cache
   \\exec NAME                     run a prepared statement
   \\explain QUERY                 show the compiled plan (embedded: order, cost,
-                                 loops; remote/cluster: profiled span tree)
+                                 loops; remote: profiled span tree; cluster:
+                                 estimated-vs-observed shard skew)
   \\trace QUERY                   run profiled and print the span tree
                                  (cluster: one stitched trace, per-worker lanes)
   \\slow [N]                      recent slow-query log entries (default 10;
@@ -194,11 +196,9 @@ fn split_statements(input: &str) -> Vec<String> {
     stmts
 }
 
-/// Render a remote failure the way the embedded backend would: the
-/// server already sends the engine's own message, so strip the client
-/// wrapper's "server error: " prefix — embedded and remote runs of the
-/// same failing statement must print identical lines (the CI smoke
-/// diffs them).
+/// Render a failure as the engine's own message: an `Error` frame
+/// already carries it, so strip the client wrapper's "server error: "
+/// prefix.
 fn remote_err(e: ClientError) -> String {
     match e {
         ClientError::Server(m) => m,
@@ -213,8 +213,7 @@ fn fmt_dyn(v: &DynValue) -> String {
     }
 }
 
-/// Render a result batch the same way for embedded and remote results
-/// (so the two modes diff clean in CI).
+/// Render a result batch.
 fn render_batch(batch: &ResultBatch) -> String {
     let mut out = String::new();
     out.push_str(&batch.schema.to_string());
@@ -246,413 +245,151 @@ fn render_batch(batch: &ResultBatch) -> String {
     out
 }
 
-/// An embedded prepared statement: plan + the epoch/text needed to
-/// re-prepare transparently if the catalog moves (same contract as a
-/// server session).
-struct EmbeddedStmt {
-    epoch: u64,
-    text: String,
-    plan: Arc<Prepared>,
-}
-
+/// Where requests go. Commands never look inside: they build a
+/// [`Request`], `Shell::call` it, and render the [`Response`].
 enum Backend {
+    /// In-process: the session a socket connection would get, handed
+    /// requests directly.
     Embedded {
-        db: Box<Database>,
-        cache: PlanCache,
-        statements: HashMap<String, EmbeddedStmt>,
-        // The in-process analogue of the server's slow-query ring:
-        // embedded queries record here, `\slow` reads it back.
-        slowlog: SlowQueryLog,
+        shared: Box<Shared>,
+        session: Session,
     },
-    Remote {
-        client: EhClient,
-        statements: HashMap<String, StatementHandle>,
-    },
-    Cluster {
-        cluster: Cluster,
-        // Cluster prepare is client-side: the statement name maps to its
-        // query text, and \exec scatters the text (every worker still
-        // compiles through its own shared plan cache, so re-execution is
-        // a cache hit on each shard).
-        statements: HashMap<String, String>,
-    },
+    Remote(EhClient),
+    Cluster(Cluster),
 }
 
 impl Backend {
-    fn query(&mut self, text: &str) -> Result<String, String> {
-        match self {
-            Backend::Embedded {
-                db, cache, slowlog, ..
-            } => {
-                // Mirror the server: preparable single rules go through
-                // the plan cache (cached texts skip parsing entirely);
-                // programs/recursion take the read-only path.
-                let started = Instant::now();
-                let result = match cache.get_preparable(db, text).map_err(|e| e.to_string())? {
-                    Some(plan) => plan.execute(db).map_err(|e| e.to_string())?,
-                    None => db.query_ref(text).map_err(|e| e.to_string())?,
-                };
-                slowlog.observe(SlowQueryEntry {
-                    trace_id: 0,
-                    query: text.to_string(),
-                    rows: result.rows().len() as u64,
-                    elapsed_ns: started.elapsed().as_nanos() as u64,
-                    sharded: false,
-                    hot_span: "-".into(),
-                });
-                let batch = batch_from_result(db, &result);
-                Ok(render_batch(&batch))
-            }
-            Backend::Remote { client, .. } => {
-                let rs = client.query(text).map_err(remote_err)?;
-                Ok(render_batch(rs.batch()))
-            }
-            Backend::Cluster { cluster, .. } => {
-                let rs = cluster.query(text).map_err(remote_err)?;
-                Ok(render_batch(rs.batch()))
-            }
+    fn embedded(db: Database) -> Backend {
+        let shared = Box::new(Shared::new(db, 64));
+        let session = Session::new(&shared);
+        Backend::Embedded { shared, session }
+    }
+}
+
+/// The shell: a backend plus the statement names `\prepare` bound.
+struct Shell {
+    backend: Backend,
+    statements: HashMap<String, u64>,
+}
+
+/// What the shell prints for a response: each frame kind has exactly
+/// one rendering, whichever mode answered and whichever command asked.
+fn render(resp: Response) -> Result<String, String> {
+    Ok(match resp {
+        Response::Error { message } => return Err(message),
+        Response::Ok { message } => format!("{message}\n"),
+        Response::Hello { server, .. } => format!("{server}\n"),
+        Response::Result { .. } => {
+            let outcome = expect_result(resp).map_err(remote_err)?;
+            render_batch(outcome.result.batch())
+        }
+        Response::Relations { entries } if entries.is_empty() => "(no relations)\n".into(),
+        Response::Relations { entries } => entries
+            .iter()
+            .map(|e| format!("{}\trows={}\t{}\n", e.name, e.rows, e.schema))
+            .collect(),
+        Response::SlowLog { entries } if entries.is_empty() => "(no slow queries)\n".into(),
+        Response::SlowLog { entries } => entries.iter().map(|e| e.render() + "\n").collect(),
+        Response::Stats(s) => render_counters(&s),
+        Response::Prepared {
+            cache_hit: true, ..
+        } => "(plan cache hit)\n".into(),
+        Response::Prepared { .. } => "(compiled)\n".into(),
+    })
+}
+
+impl Shell {
+    fn new(backend: Backend) -> Shell {
+        Shell {
+            backend,
+            statements: HashMap::new(),
         }
     }
 
+    /// One request, one response, whichever mode.
+    fn call(&mut self, req: Request) -> Result<Response, String> {
+        match &mut self.backend {
+            Backend::Embedded { shared, session } => Ok(session.handle(shared, req)),
+            Backend::Remote(client) => client.round_trip(&req).map_err(remote_err),
+            Backend::Cluster(cluster) => cluster.round_trip(&req).map_err(remote_err),
+        }
+    }
+
+    /// Send a request and print its answer.
+    fn send(&mut self, req: Request) -> Result<String, String> {
+        render(self.call(req)?)
+    }
+
+    /// `\prepare NAME QUERY`: pin the statement, remember its id.
     fn prepare(&mut self, name: &str, text: &str) -> Result<String, String> {
-        match self {
-            Backend::Embedded {
-                db,
-                cache,
-                statements,
-                ..
-            } => {
-                let (plan, hit) = cache.get_or_prepare(db, text).map_err(|e| e.to_string())?;
-                statements.insert(
-                    name.to_string(),
-                    EmbeddedStmt {
-                        epoch: db.epoch(),
-                        text: text.to_string(),
-                        plan,
-                    },
-                );
-                Ok(format!(
-                    "prepared {name} ({})\n",
-                    if hit { "plan cache hit" } else { "compiled" }
-                ))
-            }
-            Backend::Remote { client, statements } => {
-                let handle = client.prepare(text).map_err(remote_err)?;
-                statements.insert(name.to_string(), handle);
-                Ok(format!(
-                    "prepared {name} ({})\n",
-                    if handle.cache_hit {
-                        "plan cache hit"
-                    } else {
-                        "compiled"
-                    }
-                ))
-            }
-            Backend::Cluster { statements, .. } => {
-                statements.insert(name.to_string(), text.to_string());
-                Ok(format!("prepared {name} (cluster: compiled per-shard)\n"))
-            }
+        let resp = self.call(Request::Prepare { text: text.into() })?;
+        if let Response::Prepared { id, .. } = resp {
+            self.statements.insert(name.to_string(), id);
         }
+        Ok(format!("prepared {name} {}", render(resp)?))
     }
 
-    fn exec(&mut self, name: &str) -> Result<String, String> {
-        match self {
-            Backend::Embedded {
-                db,
-                cache,
-                statements,
-                ..
-            } => {
-                let stmt = statements
-                    .get_mut(name)
-                    .ok_or_else(|| format!("no prepared statement '{name}'"))?;
-                if stmt.epoch != db.epoch() {
-                    let (plan, _) = cache
-                        .get_or_prepare(db, &stmt.text)
-                        .map_err(|e| e.to_string())?;
-                    stmt.plan = plan;
-                    stmt.epoch = db.epoch();
-                }
-                let result = stmt.plan.execute(db).map_err(|e| e.to_string())?;
-                let batch = batch_from_result(db, &result);
-                Ok(render_batch(&batch))
-            }
-            Backend::Remote { client, statements } => {
-                let handle = *statements
-                    .get(name)
-                    .ok_or_else(|| format!("no prepared statement '{name}'"))?;
-                let rs = client.exec(handle).map_err(remote_err)?;
-                Ok(render_batch(rs.batch()))
-            }
-            Backend::Cluster {
-                cluster,
-                statements,
-            } => {
-                let text = statements
-                    .get(name)
-                    .ok_or_else(|| format!("no prepared statement '{name}'"))?
-                    .clone();
-                let rs = cluster.query(&text).map_err(remote_err)?;
-                Ok(render_batch(rs.batch()))
-            }
-        }
+    /// The `Exec` request that runs statement `name`.
+    fn exec_prepared(&self, name: &str) -> Result<Request, String> {
+        let id = self.statements.get(name);
+        let id = id.ok_or_else(|| format!("no prepared statement '{name}'"))?;
+        Ok(exec(ExecTarget::Stmt(*id), None))
     }
 
-    fn load(&mut self, path: &str, relation: &str) -> Result<String, String> {
-        match self {
-            Backend::Embedded { db, .. } => {
-                let report = db.load_csv(relation, path).map_err(|e| e.to_string())?;
-                Ok(format!(
-                    "loaded {} rows into {relation}{}\n",
-                    report.rows,
-                    if report.skipped > 0 {
-                        format!(" ({} skipped)", report.skipped)
-                    } else {
-                        String::new()
-                    }
-                ))
-            }
-            Backend::Remote { client, .. } => {
-                let msg = client.load_csv_path(relation, path).map_err(remote_err)?;
-                Ok(format!("{msg}\n"))
-            }
-            Backend::Cluster { cluster, .. } => {
-                let data = std::fs::read(path).map_err(|e| e.to_string())?;
-                let delim = WireDelimiter::for_path(std::path::Path::new(path));
-                let msg = cluster
-                    .load_csv(relation, delim, data)
-                    .map_err(remote_err)?;
-                Ok(format!("{msg}\n"))
-            }
-        }
+    /// Run `query` traced and decode the answer.
+    fn traced(&mut self, query: &str) -> Result<ExecOutcome, String> {
+        let id = TraceId::mint().as_u64();
+        let resp = self.call(exec(ExecTarget::Text(query.into()), Some(id)))?;
+        expect_result(resp).map_err(remote_err)
     }
 
-    fn list(&mut self) -> Result<String, String> {
-        let mut out = String::new();
-        match self {
-            Backend::Embedded { db, .. } => {
-                let mut names: Vec<String> = db.catalog().names().map(str::to_string).collect();
-                names.sort();
-                for name in names {
-                    if let Some(rel) = db.relation(&name) {
-                        let schema = db
-                            .storage()
-                            .schema(&name)
-                            .map(|s| s.to_string())
-                            .unwrap_or_else(|| name.clone());
-                        out.push_str(&format!("{name}\trows={}\t{schema}\n", rel.len()));
-                    }
-                }
-            }
-            Backend::Remote { client, .. } => {
-                for e in client.list_relations().map_err(remote_err)? {
-                    out.push_str(&format!("{}\trows={}\t{}\n", e.name, e.rows, e.schema));
-                }
-            }
-            Backend::Cluster { cluster, .. } => {
-                for e in cluster.list_relations().map_err(remote_err)? {
-                    out.push_str(&format!("{}\trows={}\t{}\n", e.name, e.rows, e.schema));
-                }
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no relations)\n");
-        }
-        Ok(out)
-    }
-
+    /// `\explain QUERY`. The compiled plan's text exists only where the
+    /// planner runs, so only the embedded shell prints the loop nest;
+    /// over a wire, explain is what a traced execution observed — a
+    /// single server's span tree, or (when the trace has per-worker
+    /// lanes) how the level-0 range split (estimated share) against
+    /// where the time actually went (observed share).
     fn explain(&mut self, query: &str) -> Result<String, String> {
-        match self {
-            Backend::Embedded { db, .. } => db.explain(query).map_err(|e| e.to_string()),
-            // The plan text lives server-side, but the Trace frame
-            // carries the wire-encoded profile of a profiled run — so
-            // remote \explain shows where a real execution spent its
-            // time instead of erroring.
-            Backend::Remote { client, .. } => {
-                let outcome = client.trace_exec(query, false).map_err(remote_err)?;
-                match outcome.profile {
-                    Some(p) => Ok(format!(
-                        "profiled remotely ({} rows):\n{}",
-                        outcome.result.num_rows(),
-                        profile_to_span("query", &p).render()
-                    )),
-                    None => Ok(format!(
-                        "no profile: plan executes unprofiled (recursive rule); {} rows\n",
-                        outcome.result.num_rows()
-                    )),
-                }
-            }
-            // A cluster has no client-side planner, but it can profile:
-            // scatter the query and report how the level-0 range split
-            // (estimated share) against where the time actually went
-            // (observed share).
-            Backend::Cluster { cluster, .. } => {
-                let rs = cluster.query(query).map_err(remote_err)?;
-                let mut out = format!(
-                    "distributed execution over {} shard(s), {} result row(s)\n",
-                    cluster.num_workers(),
-                    rs.num_rows()
-                );
-                out.push_str(&render_skew(cluster.last_reports()));
-                Ok(out)
-            }
+        if let Backend::Embedded { shared, .. } = &self.backend {
+            return shared.db.read().explain(query).map_err(|e| e.to_string());
         }
-    }
-
-    /// `\trace QUERY`: run profiled and print the span tree. Cluster
-    /// mode scatters with a minted trace id and prints the stitched
-    /// trace — one `worker k` lane per shard, each holding that
-    /// worker's span tree.
-    fn trace(&mut self, text: &str) -> Result<String, String> {
-        const UNPROFILED: &str = "no trace: plan executes unprofiled (recursive rule)";
-        match self {
-            Backend::Embedded {
-                db, cache, slowlog, ..
-            } => {
-                let trace_id = TraceId::mint().as_u64();
-                let cfg = db.config().with_profile(true);
-                let started = Instant::now();
-                let result = match cache.get_preparable(db, text).map_err(|e| e.to_string())? {
-                    Some(plan) => plan.execute_with(db, &cfg).map_err(|e| e.to_string())?,
-                    None => db.query_ref_with(text, &cfg).map_err(|e| e.to_string())?,
-                };
-                let elapsed_ns = started.elapsed().as_nanos() as u64;
-                let rows = result.rows().len() as u64;
-                let (out, hot_span) = match result.profile() {
-                    Some(p) => {
-                        let trace = Trace {
-                            trace_id,
-                            work: p.work,
-                            root: profile_to_span("query", p),
-                        };
-                        (
-                            format!("{}({rows} rows)\n", trace.render()),
-                            trace.root.hottest_leaf(),
-                        )
-                    }
-                    None => (format!("{UNPROFILED}\n({rows} rows)\n"), "-".to_string()),
-                };
-                slowlog.observe(SlowQueryEntry {
-                    trace_id,
-                    query: text.to_string(),
-                    rows,
-                    elapsed_ns,
-                    sharded: false,
-                    hot_span,
-                });
-                Ok(out)
-            }
-            Backend::Remote { client, .. } => {
-                let outcome = client.trace_exec(text, true).map_err(remote_err)?;
-                let rows = outcome.result.num_rows();
-                match outcome.trace {
-                    Some(trace) => Ok(format!("{}({rows} rows)\n", trace.render())),
-                    None => Ok(format!("{UNPROFILED}\n({rows} rows)\n")),
-                }
-            }
-            Backend::Cluster { cluster, .. } => {
-                let (trace, rs) = cluster.trace(text).map_err(remote_err)?;
-                Ok(format!("{}({} rows)\n", trace.render(), rs.num_rows()))
-            }
-        }
-    }
-
-    /// `\slow [N]`: the most recent slow-query entries, newest first.
-    fn slow(&mut self, limit: usize) -> Result<String, String> {
-        fn lines(entries: &[SlowQueryEntry]) -> String {
-            if entries.is_empty() {
-                "(no slow queries)\n".into()
-            } else {
-                entries.iter().map(|e| e.render() + "\n").collect()
-            }
-        }
-        match self {
-            Backend::Embedded { slowlog, .. } => Ok(lines(&slowlog.recent(limit))),
-            Backend::Remote { client, .. } => {
-                Ok(lines(&client.slow_log(limit as u32).map_err(remote_err)?))
-            }
-            Backend::Cluster { cluster, .. } => {
-                let mut out = String::new();
-                for (k, entries) in cluster.slow_log(limit as u32).map_err(remote_err)? {
-                    out.push_str(&format!("worker {k}:\n"));
-                    for line in lines(&entries).lines() {
-                        out.push_str("  ");
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn stats(&mut self) -> Result<String, String> {
-        match self {
-            Backend::Embedded { db, cache, .. } => Ok(format!(
-                "embedded epoch={} relations={} plan_cache hits={} misses={} \
-                 invalidations={} entries={}/{}\n",
-                db.epoch(),
-                db.catalog().names().count(),
-                cache.hits(),
-                cache.misses(),
-                cache.invalidations(),
-                cache.len(),
-                cache.capacity(),
-            )),
-            Backend::Cluster { cluster, .. } => {
-                let s = cluster.stats().map_err(remote_err)?;
-                Ok(format!(
-                    "cluster workers={} queries={} unsharded={}\n\
-                     worker0 epoch={} relations={} queries={} plan_cache hits={} misses={}\n",
-                    cluster.num_workers(),
-                    cluster.metrics().get("cluster_queries"),
-                    cluster.metrics().get("cluster_unsharded_queries"),
-                    s.epoch,
-                    s.relations,
-                    s.queries,
-                    s.cache_hits,
-                    s.cache_misses,
-                ))
-            }
-            Backend::Remote { client, .. } => {
-                let s = client.stats().map_err(remote_err)?;
-                Ok(format!(
-                    "server epoch={} relations={} sessions={}/{} queries={} exec_prepared={} \
-                     plan_cache hits={} misses={} invalidations={} entries={}/{}\n",
-                    s.epoch,
-                    s.relations,
-                    s.sessions_active,
-                    s.sessions_total,
-                    s.queries,
-                    s.exec_prepared,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_invalidations,
-                    s.cache_entries,
-                    s.cache_capacity,
-                ))
-            }
-        }
-    }
-
-    /// `\metrics`: the server's metrics surface. Embedded mode reports
-    /// the in-process analogue (epoch, relations, plan cache) with no
-    /// frame extension — there is no wire to measure.
-    fn metrics(&mut self, json: bool) -> Result<String, String> {
-        let stats = match self {
-            Backend::Embedded { db, cache, .. } => ServerStats {
-                epoch: db.epoch(),
-                relations: db.catalog().names().count() as u64,
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
-                cache_invalidations: cache.invalidations(),
-                cache_entries: cache.len() as u64,
-                cache_capacity: cache.capacity() as u64,
-                ..Default::default()
-            },
-            Backend::Remote { client, .. } => client.stats().map_err(remote_err)?,
-            Backend::Cluster { cluster, .. } => cluster.stats().map_err(remote_err)?,
+        let outcome = self.traced(query)?;
+        let rows = outcome.result.num_rows();
+        let Some(trace) = outcome.trace else {
+            return Ok(format!(
+                "no profile: plan executes unprofiled (recursive rule); {rows} rows\n"
+            ));
         };
+        let shards = ShardReport::from_trace(&trace.root);
+        Ok(if shards.is_empty() {
+            format!("profiled remotely ({rows} rows):\n{}", trace.root.render())
+        } else {
+            format!(
+                "distributed execution over {} shard(s), {rows} result row(s)\n{}",
+                shards.len(),
+                render_skew(&shards)
+            )
+        })
+    }
+
+    /// `\trace QUERY`: run profiled and print the span tree. A cluster
+    /// answers with the stitched trace — one `worker k` lane per shard,
+    /// each holding that worker's span tree.
+    fn trace(&mut self, query: &str) -> Result<String, String> {
+        let outcome = self.traced(query)?;
+        let rows = outcome.result.num_rows();
+        Ok(match outcome.trace {
+            Some(trace) => format!("{}({rows} rows)\n", trace.render()),
+            None => {
+                format!("no trace: plan executes unprofiled (recursive rule)\n({rows} rows)\n")
+            }
+        })
+    }
+
+    /// `\metrics`: the `Stats` frame again, in full — counters plus the
+    /// per-frame latency table, or a Prometheus-style exposition.
+    fn metrics(&mut self, json: bool) -> Result<String, String> {
+        let stats = expect_stats(self.call(Request::Stats)?).map_err(remote_err)?;
         Ok(if json {
             render_metrics_prometheus(&stats)
         } else {
@@ -663,7 +400,7 @@ impl Backend {
     /// `\cluster`: topology, coordinator counters, per-worker latency,
     /// and the last scattered query's shard-skew table.
     fn cluster_status(&mut self) -> Result<String, String> {
-        let Backend::Cluster { cluster, .. } = self else {
+        let Backend::Cluster(cluster) = &self.backend else {
             return Err("\\cluster needs cluster mode (--cluster ADDR ...)".into());
         };
         let mut out = format!(
@@ -697,50 +434,24 @@ impl Backend {
         Ok(out)
     }
 
-    fn set_option(&mut self, key: &str, val: &str) -> Result<String, String> {
-        match self {
-            // Same parser the server sessions use, so both modes accept
-            // and confirm options with identical text. `slow_ms` is
-            // intercepted exactly like a server session intercepts it:
-            // it tunes the slow-query log, not the engine config.
-            Backend::Embedded { db, slowlog, .. } => {
-                if key == "slow_ms" {
-                    return match val.parse::<u64>() {
-                        Ok(ms) => {
-                            slowlog.set_threshold_ns(ms.saturating_mul(1_000_000));
-                            Ok(format!("slow_ms = {ms}\n"))
-                        }
-                        Err(_) => Err(format!("slow_ms wants a number, got '{val}'")),
-                    };
-                }
-                let msg = apply_option(db.config_mut(), key, val)?;
-                Ok(format!("{msg}\n"))
-            }
-            Backend::Remote { client, .. } => {
-                let msg = client.set_option(key, val).map_err(remote_err)?;
-                Ok(format!("{msg}\n"))
-            }
-            Backend::Cluster { cluster, .. } => {
-                let msg = cluster.set_option(key, val).map_err(remote_err)?;
-                Ok(format!("{msg}\n"))
-            }
-        }
-    }
-
+    /// `\save PATH`. The embedded shell owns its database, so it writes
+    /// the image to any local path; over a wire the path is resolved by
+    /// the server under its image directory.
     fn save(&mut self, path: &str) -> Result<String, String> {
-        match self {
-            Backend::Embedded { db, .. } => {
-                db.save(path).map_err(|e| e.to_string())?;
-                Ok(format!("saved image to {path}\n"))
-            }
-            Backend::Remote { client, .. } => {
-                let msg = client.save_image(path).map_err(remote_err)?;
-                Ok(format!("{msg}\n"))
-            }
-            Backend::Cluster { .. } => {
-                Err("\\save is per-worker; --connect to one worker to save its image".into())
-            }
+        if let Backend::Embedded { shared, .. } = &self.backend {
+            shared.db.read().save(path).map_err(|e| e.to_string())?;
+            return Ok(format!("saved image to {path}\n"));
         }
+        self.send(Request::SaveImage { path: path.into() })
+    }
+}
+
+/// An unsharded `Exec` request.
+fn exec(target: ExecTarget, trace: Option<u64>) -> Request {
+    Request::Exec {
+        target,
+        shard: None,
+        trace,
     }
 }
 
@@ -753,25 +464,16 @@ fn render_skew(reports: &[ShardReport]) -> String {
     }
     let total_vals: u64 = reports.iter().map(|r| r.level0_values).sum();
     let total_ns: u64 = reports.iter().map(|r| r.elapsed_ns).sum();
+    let pct = |part: u64, total: u64| 100.0 * part as f64 / total.max(1) as f64;
     let mut out = String::from("shard  level0   est%       ms   obs%    rows\n");
     for r in reports {
-        let est = if total_vals == 0 {
-            0.0
-        } else {
-            100.0 * r.level0_values as f64 / total_vals as f64
-        };
-        let obs = if total_ns == 0 {
-            0.0
-        } else {
-            100.0 * r.elapsed_ns as f64 / total_ns as f64
-        };
         out.push_str(&format!(
             "{:>5}  {:>6}  {:>5.1} {:>8.3}  {:>5.1}  {:>6}{}\n",
             r.worker,
             r.level0_values,
-            est,
+            pct(r.level0_values, total_vals),
             r.elapsed_ns as f64 / 1e6,
-            obs,
+            pct(r.elapsed_ns, total_ns),
             r.rows,
             if r.sharded {
                 ""
@@ -783,11 +485,9 @@ fn render_skew(reports: &[ShardReport]) -> String {
     out
 }
 
-/// Human-readable `\metrics` rendering: counter lines plus a per-frame
-/// latency table (count, mean, coarse p95) from the protocol-2 `Stats`
-/// extension when the backend carries one.
-fn render_metrics_text(s: &ServerStats) -> String {
-    let mut out = format!(
+/// The `\stats` lines: server counters, then the plan cache's.
+fn render_counters(s: &ServerStats) -> String {
+    format!(
         "epoch={} relations={} sessions={}/{} queries={} exec_prepared={}\n\
          plan_cache hits={} misses={} invalidations={} entries={}/{}\n",
         s.epoch,
@@ -801,9 +501,14 @@ fn render_metrics_text(s: &ServerStats) -> String {
         s.cache_invalidations,
         s.cache_entries,
         s.cache_capacity,
-    );
+    )
+}
+
+/// Human-readable `\metrics` rendering: the counter lines plus a
+/// per-frame latency table (count, mean, coarse p95).
+fn render_metrics_text(s: &ServerStats) -> String {
+    let mut out = render_counters(s);
     let Some(ext) = &s.ext else {
-        out.push_str("(no frame metrics: embedded backend or protocol-1 server)\n");
         return out;
     };
     out.push_str(&format!(
@@ -892,96 +597,76 @@ enum StmtOutcome {
     Quit,
 }
 
-fn run_statement(backend: &mut Backend, stmt: &str, json: bool) -> StmtOutcome {
+fn run_statement(shell: &mut Shell, stmt: &str, json: bool) -> StmtOutcome {
     let result = if let Some(rest) = stmt.strip_prefix('\\') {
         let mut parts = rest.splitn(2, char::is_whitespace);
         let cmd = parts.next().unwrap_or("");
-        let arg = parts.next().unwrap_or("").trim().to_string();
+        let arg = parts.next().unwrap_or("").trim();
+        // A command's argument, or the complaint that it is missing.
+        let need = |what: &str| match arg {
+            "" => Err(format!("\\{cmd} needs {what}")),
+            arg => Ok(arg),
+        };
         match cmd {
             "q" | "quit" => return StmtOutcome::Quit,
             "help" | "?" => Ok(HELP.to_string()),
-            "d" => backend.list(),
+            "d" => shell.send(Request::ListRelations),
             "timing" => Err("\\timing takes no arguments".into()),
-            "stats" => backend.stats(),
-            "cluster" => backend.cluster_status(),
-            "metrics" => match arg.as_str() {
-                "" => backend.metrics(json),
-                "--json" => backend.metrics(true),
+            "stats" => shell.send(Request::Stats),
+            "cluster" => shell.cluster_status(),
+            "metrics" => match arg {
+                "" => shell.metrics(json),
+                "--json" => shell.metrics(true),
                 other => Err(format!(
                     "\\metrics takes no argument but --json, got '{other}'"
                 )),
             },
-            "l" | "load" => {
+            "l" | "load" => need("a file path").and_then(|arg| {
                 let mut words = arg.split_whitespace();
-                match words.next() {
-                    None => Err("\\l needs a file path".into()),
-                    Some(path) => {
-                        let name = words
-                            .next()
-                            .map(str::to_string)
-                            .unwrap_or_else(|| relation_name_for(path));
-                        backend.load(path, &name)
-                    }
-                }
-            }
+                let path = words.next().unwrap_or(arg);
+                shell.send(Request::LoadCsv {
+                    relation: words
+                        .next()
+                        .map(str::to_string)
+                        .unwrap_or_else(|| relation_name_for(path)),
+                    delimiter: WireDelimiter::for_path(std::path::Path::new(path)),
+                    data: std::fs::read(path).map_err(|e| format!("io error: {e}"))?,
+                })
+            }),
             "prepare" => {
                 let mut words = arg.splitn(2, char::is_whitespace);
                 match (words.next(), words.next()) {
                     (Some(name), Some(query)) if !query.trim().is_empty() => {
-                        backend.prepare(name, query.trim())
+                        shell.prepare(name, query.trim())
                     }
                     _ => Err("\\prepare needs NAME QUERY".into()),
                 }
             }
-            "exec" => {
-                if arg.is_empty() {
-                    Err("\\exec needs a statement name".into())
-                } else {
-                    backend.exec(&arg)
-                }
-            }
-            "explain" => {
-                if arg.is_empty() {
-                    Err("\\explain needs a query".into())
-                } else {
-                    backend.explain(&arg)
-                }
-            }
-            "trace" => {
-                if arg.is_empty() {
-                    Err("\\trace needs a query".into())
-                } else {
-                    backend.trace(&arg)
-                }
-            }
-            "slow" => {
-                if arg.is_empty() {
-                    backend.slow(10)
-                } else {
-                    match arg.parse::<usize>() {
-                        Ok(n) => backend.slow(n),
-                        Err(_) => Err(format!("\\slow takes an entry count, got '{arg}'")),
-                    }
-                }
-            }
+            "exec" => need("a statement name")
+                .and_then(|name| shell.exec_prepared(name))
+                .and_then(|req| shell.send(req)),
+            "explain" => need("a query").and_then(|q| shell.explain(q)),
+            "trace" => need("a query").and_then(|q| shell.trace(q)),
+            "slow" => match arg.parse::<u32>() {
+                Ok(limit) => shell.send(Request::SlowLog { limit }),
+                Err(_) if arg.is_empty() => shell.send(Request::SlowLog { limit: 10 }),
+                Err(_) => Err(format!("\\slow takes an entry count, got '{arg}'")),
+            },
             "set" => {
                 let mut words = arg.split_whitespace();
                 match (words.next(), words.next()) {
-                    (Some(k), Some(v)) => backend.set_option(k, v),
+                    (Some(key), Some(value)) => shell.send(Request::SetOption {
+                        key: key.into(),
+                        value: value.into(),
+                    }),
                     _ => Err("\\set needs KEY VALUE".into()),
                 }
             }
-            "save" => {
-                if arg.is_empty() {
-                    Err("\\save needs a path".into())
-                } else {
-                    backend.save(&arg)
-                }
-            }
+            "save" => need("a path").and_then(|path| shell.save(path)),
             other => Err(format!("unknown command \\{other} (try \\help)")),
         }
     } else {
-        backend.query(stmt)
+        shell.send(exec(ExecTarget::Text(stmt.into()), None))
     };
     match result {
         Ok(out) => StmtOutcome::Output(out),
@@ -1037,25 +722,14 @@ fn run(args: &[String]) -> Result<i32, String> {
         }
     }
 
-    let mut backend = if !opts.cluster.is_empty() {
-        Backend::Cluster {
-            cluster: Cluster::connect(&opts.cluster).map_err(|e| e.to_string())?,
-            statements: HashMap::new(),
-        }
+    let mut shell = Shell::new(if !opts.cluster.is_empty() {
+        Backend::Cluster(Cluster::connect(&opts.cluster).map_err(|e| e.to_string())?)
     } else {
         match &opts.connect {
-            Some(addr) => Backend::Remote {
-                client: EhClient::connect(addr).map_err(|e| e.to_string())?,
-                statements: HashMap::new(),
-            },
-            None => Backend::Embedded {
-                db: Box::new(open_database(&opts)?),
-                cache: PlanCache::new(64),
-                statements: HashMap::new(),
-                slowlog: SlowQueryLog::new(),
-            },
+            Some(addr) => Backend::Remote(EhClient::connect(addr).map_err(|e| e.to_string())?),
+            None => Backend::embedded(open_database(&opts)?),
         }
-    };
+    });
 
     let mut timing = false;
     let mut had_error = false;
@@ -1082,14 +756,14 @@ fn run(args: &[String]) -> Result<i32, String> {
 
     let json = opts.json;
     let process =
-        |backend: &mut Backend, stmt: &str, timing: &mut bool, had_error: &mut bool| -> bool {
+        |shell: &mut Shell, stmt: &str, timing: &mut bool, had_error: &mut bool| -> bool {
             if stmt == "\\timing" {
                 *timing = !*timing;
                 println!("Timing {}", if *timing { "on" } else { "off" });
                 return true;
             }
             let t0 = Instant::now();
-            let outcome = run_statement(backend, stmt, json);
+            let outcome = run_statement(shell, stmt, json);
             let quit = matches!(outcome, StmtOutcome::Quit);
             if emit(outcome, *timing, t0.elapsed().as_secs_f64() * 1e3) {
                 *had_error = true;
@@ -1099,7 +773,7 @@ fn run(args: &[String]) -> Result<i32, String> {
 
     if let Some(commands) = &opts.commands {
         for stmt in split_statements(commands) {
-            if !process(&mut backend, &stmt, &mut timing, &mut had_error) {
+            if !process(&mut shell, &stmt, &mut timing, &mut had_error) {
                 break;
             }
         }
@@ -1110,12 +784,14 @@ fn run(args: &[String]) -> Result<i32, String> {
     let stdin = std::io::stdin();
     let interactive = stdin.is_terminal();
     if interactive {
-        match &backend {
+        // The banner is the one place all three modes are told apart:
+        // it says which one this is.
+        match &shell.backend {
             Backend::Embedded { .. } => println!("eh_shell (embedded) — \\help for help"),
-            Backend::Remote { client, .. } => {
+            Backend::Remote(client) => {
                 println!("eh_shell — connected to {}", client.server_banner())
             }
-            Backend::Cluster { cluster, .. } => {
+            Backend::Cluster(cluster) => {
                 println!(
                     "eh_shell — coordinating {} shard worker(s)",
                     cluster.num_workers()
@@ -1146,7 +822,7 @@ fn run(args: &[String]) -> Result<i32, String> {
         let (stmts, rest) = split_partial(&pending);
         pending = rest;
         for stmt in stmts {
-            if !process(&mut backend, &stmt, &mut timing, &mut had_error) {
+            if !process(&mut shell, &stmt, &mut timing, &mut had_error) {
                 break 'outer;
             }
         }
@@ -1154,7 +830,7 @@ fn run(args: &[String]) -> Result<i32, String> {
     // EOF with an unfinished statement: run what's there.
     let tail = pending.trim().to_string();
     if !tail.is_empty() {
-        process(&mut backend, &tail, &mut timing, &mut had_error);
+        process(&mut shell, &tail, &mut timing, &mut had_error);
     }
     Ok(if had_error && !interactive { 1 } else { 0 })
 }
@@ -1219,97 +895,140 @@ mod tests {
         assert_eq!(relation_name_for(""), "R");
     }
 
-    #[test]
-    fn embedded_shell_end_to_end() {
-        let dir = std::env::temp_dir().join(format!("eh_shell_test_{}", std::process::id()));
+    /// Run one statement, returning what the shell would print
+    /// (`error: …` for failures, like the REPL).
+    fn run(shell: &mut Shell, stmt: &str) -> String {
+        match run_statement(shell, stmt, false) {
+            StmtOutcome::Output(s) => s,
+            StmtOutcome::Error(e) => format!("error: {e}\n"),
+            StmtOutcome::Quit => "quit\n".into(),
+        }
+    }
+
+    /// A scratch directory holding a three-edge `e.tsv`.
+    fn edges_tsv(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("eh_shell_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let tsv = dir.join("e.tsv");
         std::fs::write(&tsv, "src:u32\tdst:u32\n0\t1\n1\t2\n0\t2\n").unwrap();
-        let mut backend = Backend::Embedded {
-            db: Box::new(Database::new()),
-            cache: PlanCache::new(8),
-            statements: HashMap::new(),
-            slowlog: SlowQueryLog::new(),
-        };
-        let load = format!("\\l {} E", tsv.display());
-        let out = match run_statement(&mut backend, &load, false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("load failed: {other:?}"),
-        };
+        (dir, tsv)
+    }
+
+    #[test]
+    fn embedded_shell_end_to_end() {
+        let (dir, tsv) = edges_tsv("e2e");
+        let mut shell = Shell::new(Backend::embedded(Database::new()));
+        let out = run(&mut shell, &format!("\\l {} E", tsv.display()));
         assert!(out.contains("loaded 3 rows into E"), "{out}");
-        let q = "C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.";
-        let out = match run_statement(&mut backend, q, false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("query failed: {other:?}"),
-        };
+        let out = run(
+            &mut shell,
+            "C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.",
+        );
         assert!(out.contains("1\n(scalar)"), "{out}");
-        let out = match run_statement(&mut backend, "\\prepare t T(x,y) :- E(x,y).", false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("prepare failed: {other:?}"),
-        };
+        let out = run(&mut shell, "\\prepare t T(x,y) :- E(x,y).");
         assert!(out.contains("prepared t (compiled)"), "{out}");
-        let out = match run_statement(&mut backend, "\\exec t", false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("exec failed: {other:?}"),
-        };
+        let out = run(&mut shell, "\\exec t");
         assert!(out.contains("(3 rows)"), "{out}");
-        let out = match run_statement(&mut backend, "\\d", false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("list failed: {other:?}"),
-        };
+        let out = run(&mut shell, "\\d");
         assert!(out.contains("E\trows=3"), "{out}");
         // A one-line multi-rule program runs as one read-only overlay
         // program: rule 2 sees rule 1's head.
-        let program = "Hop2(x,z) :- E(x,y),E(y,z). From(z) :- Hop2('0',z).";
-        let out = match run_statement(&mut backend, program, false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("program failed: {other:?}"),
-        };
+        let out = run(
+            &mut shell,
+            "Hop2(x,z) :- E(x,y),E(y,z). From(z) :- Hop2('0',z).",
+        );
         assert!(out.contains("(1 rows)"), "{out}");
         // \explain shows the compiled loop nest; with E loaded the
         // planner has catalog stats, so the order is cost-based.
-        let out = match run_statement(
-            &mut backend,
-            "\\explain T(x,y,z) :- E(x,y),E(y,z),E(x,z).",
-            false,
-        ) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("explain failed: {other:?}"),
-        };
+        let out = run(&mut shell, "\\explain T(x,y,z) :- E(x,y),E(y,z),E(x,z).");
         assert!(out.contains("order:"), "{out}");
         assert!(out.contains("cost-based"), "{out}");
         assert!(out.contains("for "), "{out}");
-        match run_statement(&mut backend, "\\explain", false) {
-            StmtOutcome::Error(e) => assert!(e.contains("needs a query"), "{e}"),
-            other => panic!("expected error: {other:?}"),
-        }
+        let out = run(&mut shell, "\\explain");
+        assert!(out.contains("needs a query"), "{out}");
         // \trace runs profiled and prints a span tree + row count; with
         // threshold 0 every statement lands in the slow-query log.
-        match run_statement(&mut backend, "\\set slow_ms 0", false) {
-            StmtOutcome::Output(s) => assert_eq!(s, "slow_ms = 0\n"),
-            other => panic!("set slow_ms failed: {other:?}"),
-        }
-        let out = match run_statement(
-            &mut backend,
-            "\\trace T(x,y,z) :- E(x,y),E(y,z),E(x,z).",
-            false,
-        ) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("trace failed: {other:?}"),
-        };
+        assert_eq!(run(&mut shell, "\\set slow_ms 0"), "slow_ms = 0\n");
+        let out = run(&mut shell, "\\trace T(x,y,z) :- E(x,y),E(y,z),E(x,z).");
         assert!(out.starts_with("trace "), "{out}");
         assert!(out.contains("kernels:"), "{out}");
         assert!(out.contains("(1 rows)"), "{out}");
-        let out = match run_statement(&mut backend, "\\slow", false) {
-            StmtOutcome::Output(s) => s,
-            other => panic!("slow failed: {other:?}"),
-        };
+        let out = run(&mut shell, "\\slow");
         assert!(out.contains("slow: trace="), "{out}");
         assert!(out.contains("T(x,y,z)"), "{out}");
-        match run_statement(&mut backend, "\\slow nope", false) {
-            StmtOutcome::Error(e) => assert!(e.contains("entry count"), "{e}"),
-            other => panic!("expected error: {other:?}"),
+        let out = run(&mut shell, "\\slow nope");
+        assert!(out.contains("entry count"), "{out}");
+        // The in-process session is a session: \stats and \metrics show
+        // real counters and frame histograms, not a hand-rolled subset.
+        let out = run(&mut shell, "\\stats");
+        assert!(out.contains("exec_prepared=1"), "{out}");
+        let out = run(&mut shell, "\\metrics");
+        assert!(out.contains("exec_prepared"), "{out}");
+        assert!(out.contains("trace_exec"), "{out}");
+        // \save writes wherever the embedded shell is told to.
+        let image = dir.join("out.ehdb");
+        let out = run(&mut shell, &format!("\\save {}", image.display()));
+        assert!(out.starts_with("saved image to "), "{out}");
+        assert!(image.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Embedded == remote by construction: the same script, statement
+    /// by statement, through an in-process session and through a socket
+    /// session, prints identical output — results, confirmations, error
+    /// text. (`\slow` lines carry timings, so only their count and
+    /// shape are compared.)
+    #[cfg(unix)]
+    #[test]
+    fn embedded_and_remote_print_the_same_script_identically() {
+        let (dir, tsv) = edges_tsv("same");
+        let addr = format!("unix:{}", dir.join("eh.sock").display());
+        let server =
+            Server::bind(Database::new(), &[&addr], ServerOptions::default()).expect("bind");
+        let mut embedded = Shell::new(Backend::embedded(Database::new()));
+        let mut remote = Shell::new(Backend::Remote(EhClient::connect(&addr).expect("connect")));
+        let load = format!("\\l {} E", tsv.display());
+        let script = [
+            load.as_str(),
+            "\\d",
+            "C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.",
+            "T(x,y,z) :- E(x,y),E(y,z),E(x,z).",
+            "Hop2(x,z) :- E(x,y),E(y,z). From(z) :- Hop2('0',z).",
+            "\\prepare t C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.",
+            "\\exec t",
+            "\\exec t",
+            "\\set threads 2",
+            "T(x,y,z) :- E(x,y),E(y,z),E(x,z).",
+            "\\set slow_ms 0",
+            // Regression: the embedded shell's \exec used to skip the
+            // slow log. Both entries below must show up in \slow.
+            "\\exec t",
+            "P(x,z) :- E(x,y),E(y,z).",
+            "\\slow 8",
+            "Q(x) :- Nope(x,y).",
+            "\\exec nope",
+            "\\set colour blue",
+            "\\set threads many",
+        ];
+        for stmt in script {
+            let (a, b) = (run(&mut embedded, stmt), run(&mut remote, stmt));
+            if stmt.starts_with("\\slow") {
+                assert_eq!(a.lines().count(), 2, "{stmt}: {a}");
+                assert_eq!(b.lines().count(), 2, "{stmt}: {b}");
+                for out in [&a, &b] {
+                    assert!(out.lines().all(|l| l.starts_with("slow: trace=")), "{out}");
+                    assert!(
+                        out.contains("P(x,z)") && out.contains("C(;w:long)"),
+                        "{out}"
+                    );
+                }
+            } else {
+                assert_eq!(a, b, "embedded vs remote diverged on: {stmt}");
+            }
         }
+        assert!(run(&mut embedded, "Q(x) :- Nope(x,y).").starts_with("error: "));
+        drop(remote);
+        server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1369,38 +1088,10 @@ mod tests {
                 "{line}"
             );
         }
-        // No ext: the text renderer says so instead of a bare table.
-        let mut bare = stats;
-        bare.ext = None;
-        assert!(render_metrics_text(&bare).contains("no frame metrics"));
         // The embedded backend's \metrics goes through the same path.
-        let mut backend = Backend::Embedded {
-            db: Box::new(Database::new()),
-            cache: PlanCache::new(8),
-            statements: HashMap::new(),
-            slowlog: SlowQueryLog::new(),
-        };
-        match run_statement(&mut backend, "\\metrics", false) {
-            StmtOutcome::Output(s) => assert!(s.contains("plan_cache"), "{s}"),
-            other => panic!("metrics failed: {other:?}"),
-        }
-        match run_statement(&mut backend, "\\metrics --json", false) {
-            StmtOutcome::Output(s) => assert!(s.contains("eh_epoch 0\n"), "{s}"),
-            other => panic!("metrics --json failed: {other:?}"),
-        }
-        match run_statement(&mut backend, "\\metrics bogus", false) {
-            StmtOutcome::Error(e) => assert!(e.contains("--json"), "{e}"),
-            other => panic!("expected error: {other:?}"),
-        }
-    }
-
-    impl std::fmt::Debug for StmtOutcome {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                StmtOutcome::Output(s) => write!(f, "Output({s})"),
-                StmtOutcome::Error(e) => write!(f, "Error({e})"),
-                StmtOutcome::Quit => write!(f, "Quit"),
-            }
-        }
+        let mut shell = Shell::new(Backend::embedded(Database::new()));
+        assert!(run(&mut shell, "\\metrics").contains("plan_cache"));
+        assert!(run(&mut shell, "\\metrics --json").contains("eh_epoch 0\n"));
+        assert!(run(&mut shell, "\\metrics bogus").contains("--json"));
     }
 }

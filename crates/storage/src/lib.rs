@@ -48,7 +48,7 @@ pub use encode::{Domain, StorageCatalog};
 pub use image::{load_image, save_image, LoadedImage, IMAGE_MAGIC, IMAGE_VERSION};
 pub use schema::{ColumnDef, ColumnType, RelationSchema, StorageError, TypedValue};
 pub use trace_wire::{decode_trace, encode_trace};
-pub use wire::{decode_profile, encode_profile, ByteReader, ResultBatch};
+pub use wire::{ByteReader, ResultBatch};
 
 #[cfg(test)]
 mod tests {

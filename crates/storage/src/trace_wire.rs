@@ -2,11 +2,13 @@
 //!
 //! Same vocabulary as the rest of the wire layer — little-endian
 //! [`ByteReader`]/`put_*` primitives, every length bounds-checked — plus
-//! one addition the result/profile payloads don't need: a trailing
-//! 64-bit FNV-1a checksum over the body. Traces are the one payload
-//! that is *re-shipped* (a worker's trace rides inside a `ShardResult`
-//! frame, is decoded by the coordinator, re-encoded into the stitched
-//! tree, and possibly logged), so corruption should be caught at the
+//! one addition the result payloads don't need: a trailing 64-bit
+//! FNV-1a checksum over the body. This is the one observability codec:
+//! a profiled execution's estimated/observed work and row counts ride
+//! as values on the root span. Traces are the one payload that is
+//! *re-shipped* (a worker's trace rides inside its result frame, is
+//! decoded by the coordinator, re-encoded into the stitched tree, and
+//! possibly logged), so corruption should be caught at the
 //! first hop, not after stitching. FNV-1a's per-byte step
 //! `h ← (h ⊕ b) · p` is a bijection in `h`, so any error confined to a
 //! single byte — in particular every single-bit flip — is *guaranteed*
@@ -19,8 +21,8 @@
 //! overflow the stack.
 
 use crate::schema::StorageError;
-use crate::wire::{put_str, put_u32, put_u64, put_work, read_work, ByteReader};
-use eh_obs::{Span, Trace, MAX_SPAN_DEPTH};
+use crate::wire::{put_str, put_u32, put_u64, ByteReader};
+use eh_obs::{Span, Trace, WorkCounters, MAX_SPAN_DEPTH};
 
 /// Tag byte identifying the trace payload layout.
 const TRACE_VERSION: u8 = 1;
@@ -41,6 +43,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+fn put_work(out: &mut Vec<u8>, w: &WorkCounters) {
+    put_u64(out, w.values_scanned);
+    put_u64(out, w.intersections);
+    put_u64(out, w.merge_kernels);
+    put_u64(out, w.gallop_kernels);
+    put_u64(out, w.bitset_kernels);
+    put_u64(out, w.count_fast_hits);
+    put_u64(out, w.relayouts);
+}
+
+fn read_work(r: &mut ByteReader<'_>) -> Result<WorkCounters, StorageError> {
+    Ok(WorkCounters {
+        values_scanned: r.u64("values scanned")?,
+        intersections: r.u64("intersections")?,
+        merge_kernels: r.u64("merge kernels")?,
+        gallop_kernels: r.u64("gallop kernels")?,
+        bitset_kernels: r.u64("bitset kernels")?,
+        count_fast_hits: r.u64("count fast hits")?,
+        relayouts: r.u64("relayouts")?,
+    })
 }
 
 fn put_span(out: &mut Vec<u8>, span: &Span, depth: usize) {
@@ -164,7 +188,6 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eh_obs::WorkCounters;
 
     fn sample_trace() -> Trace {
         Trace {

@@ -528,144 +528,6 @@ impl ResultBatch {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Query profiles on the wire.
-//
-// Profiles travel as a *separate* payload from [`ResultBatch`]: result
-// bytes stay identical whether or not a run was profiled, so cached
-// baselines and old clients keep working. The encoding is versioned by
-// a leading tag byte so future profile fields can extend it.
-
-/// Tag byte identifying the profile payload layout.
-const PROFILE_VERSION: u8 = 1;
-
-pub(crate) fn put_work(out: &mut Vec<u8>, w: &eh_obs::WorkCounters) {
-    put_u64(out, w.values_scanned);
-    put_u64(out, w.intersections);
-    put_u64(out, w.merge_kernels);
-    put_u64(out, w.gallop_kernels);
-    put_u64(out, w.bitset_kernels);
-    put_u64(out, w.count_fast_hits);
-    put_u64(out, w.relayouts);
-}
-
-pub(crate) fn read_work(r: &mut ByteReader<'_>) -> Result<eh_obs::WorkCounters, StorageError> {
-    Ok(eh_obs::WorkCounters {
-        values_scanned: r.u64("values scanned")?,
-        intersections: r.u64("intersections")?,
-        merge_kernels: r.u64("merge kernels")?,
-        gallop_kernels: r.u64("gallop kernels")?,
-        bitset_kernels: r.u64("bitset kernels")?,
-        count_fast_hits: r.u64("count fast hits")?,
-        relayouts: r.u64("relayouts")?,
-    })
-}
-
-/// Encode a query profile (the transport adds its own framing). The
-/// payload is independent of [`ResultBatch::encode`], so attaching a
-/// profile never perturbs result bytes.
-pub fn encode_profile(p: &eh_obs::QueryProfile) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(PROFILE_VERSION);
-    put_u64(&mut out, p.total_ns);
-    put_u64(&mut out, p.rows);
-    match p.estimated_work {
-        Some(est) => {
-            out.push(1);
-            put_u64(&mut out, est.to_bits());
-        }
-        None => out.push(0),
-    }
-    put_work(&mut out, &p.work);
-    put_u32(&mut out, p.nodes.len() as u32);
-    for n in &p.nodes {
-        put_u64(&mut out, n.ns);
-        put_u64(&mut out, n.rows);
-        put_u64(&mut out, n.sink_merge_ns);
-        put_work(&mut out, &n.work);
-        put_u32(&mut out, n.levels.len() as u32);
-        for lvl in &n.levels {
-            put_u64(&mut out, lvl.ns);
-            put_u64(&mut out, lvl.values);
-        }
-        put_u32(&mut out, n.workers.len() as u32);
-        for w in &n.workers {
-            put_u64(&mut out, w.morsels);
-            put_u64(&mut out, w.values);
-        }
-    }
-    out
-}
-
-/// Decode bytes written by [`encode_profile`]. Rejects unknown versions
-/// and trailing bytes; every field is bounds-checked.
-pub fn decode_profile(bytes: &[u8]) -> Result<eh_obs::QueryProfile, StorageError> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.u8("profile version")?;
-    if version != PROFILE_VERSION {
-        return Err(StorageError::Format(format!(
-            "unsupported profile version {version} (expected {PROFILE_VERSION})"
-        )));
-    }
-    let total_ns = r.u64("total ns")?;
-    let rows = r.u64("profile rows")?;
-    let estimated_work = match r.u8("estimated-work flag")? {
-        0 => None,
-        1 => Some(f64::from_bits(r.u64("estimated work")?)),
-        flag => {
-            return Err(StorageError::Format(format!(
-                "bad estimated-work flag {flag}"
-            )))
-        }
-    };
-    let work = read_work(&mut r)?;
-    let nnodes = r.u32("node count")? as usize;
-    let mut nodes = Vec::with_capacity(nnodes.min(1024));
-    for _ in 0..nnodes {
-        let ns = r.u64("node ns")?;
-        let node_rows = r.u64("node rows")?;
-        let sink_merge_ns = r.u64("sink merge ns")?;
-        let node_work = read_work(&mut r)?;
-        let nlevels = r.u32("level count")? as usize;
-        let mut levels = Vec::with_capacity(nlevels.min(1024));
-        for _ in 0..nlevels {
-            levels.push(eh_obs::LevelProfile {
-                ns: r.u64("level ns")?,
-                values: r.u64("level values")?,
-            });
-        }
-        let nworkers = r.u32("worker count")? as usize;
-        let mut workers = Vec::with_capacity(nworkers.min(1024));
-        for _ in 0..nworkers {
-            workers.push(eh_obs::WorkerProfile {
-                morsels: r.u64("worker morsels")?,
-                values: r.u64("worker values")?,
-            });
-        }
-        nodes.push(eh_obs::NodeProfile {
-            ns,
-            rows: node_rows,
-            sink_merge_ns,
-            work: node_work,
-            levels,
-            workers,
-        });
-    }
-    if !r.is_empty() {
-        return Err(StorageError::Format(format!(
-            "profile has {} trailing bytes",
-            r.remaining()
-        )));
-    }
-    Ok(eh_obs::QueryProfile {
-        total_ns,
-        rows,
-        estimated_work,
-        work,
-        nodes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,79 +641,5 @@ mod tests {
         stripped.domains.clear();
         assert_eq!(stripped.decode_value(0, 1), TypedValue::U32(1));
         assert_eq!(batch.decode_value(0, 1), TypedValue::Str("bob".into()));
-    }
-
-    fn sample_profile() -> eh_obs::QueryProfile {
-        eh_obs::QueryProfile {
-            total_ns: 12_345,
-            rows: 4,
-            estimated_work: Some(18.5),
-            work: eh_obs::WorkCounters {
-                values_scanned: 42,
-                intersections: 9,
-                merge_kernels: 5,
-                gallop_kernels: 3,
-                bitset_kernels: 1,
-                count_fast_hits: 2,
-                relayouts: 1,
-            },
-            nodes: vec![eh_obs::NodeProfile {
-                ns: 11_000,
-                rows: 4,
-                sink_merge_ns: 200,
-                work: eh_obs::WorkCounters {
-                    values_scanned: 42,
-                    ..Default::default()
-                },
-                levels: vec![
-                    eh_obs::LevelProfile {
-                        ns: 5_000,
-                        values: 30,
-                    },
-                    eh_obs::LevelProfile {
-                        ns: 6_000,
-                        values: 12,
-                    },
-                ],
-                workers: vec![eh_obs::WorkerProfile {
-                    morsels: 3,
-                    values: 30,
-                }],
-            }],
-        }
-    }
-
-    #[test]
-    fn profile_round_trip() {
-        let profile = sample_profile();
-        let bytes = encode_profile(&profile);
-        let back = decode_profile(&bytes).unwrap();
-        assert_eq!(back, profile);
-        // estimated_work: None survives too.
-        let mut unestimated = profile;
-        unestimated.estimated_work = None;
-        let back = decode_profile(&encode_profile(&unestimated)).unwrap();
-        assert_eq!(back, unestimated);
-    }
-
-    #[test]
-    fn profile_decode_rejects_garbage() {
-        let bytes = encode_profile(&sample_profile());
-        // Trailing byte.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(decode_profile(&long).is_err());
-        // Truncation at every prefix length must error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(decode_profile(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // Unknown version tag.
-        let mut wrong = bytes.clone();
-        wrong[0] = 99;
-        assert!(decode_profile(&wrong).is_err());
-        // Bad estimated-work flag.
-        let mut flag = bytes;
-        flag[17] = 7;
-        assert!(decode_profile(&flag).is_err());
     }
 }

@@ -1,8 +1,11 @@
 //! The query service end-to-end: start an `eh_server` on a Unix
 //! socket, load a string-keyed social network through one client, and
 //! hammer it from two concurrent reader sessions — showing typed
-//! client-side decoding, shared prepared plans (cache hits), and
-//! per-session engine overrides.
+//! client-side decoding, shared prepared plans (cache hits),
+//! per-session engine overrides, and a traced execution. Every call
+//! that runs a query here — `query`, `exec`, `trace_exec` — is the same
+//! `Exec` frame with different fields set, answered by the same
+//! `Result` frame.
 //!
 //! Run with: `cargo run --example query_service`
 
@@ -60,6 +63,17 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join("→"))
             .collect::<Vec<_>>()
+    );
+
+    // The same query once more, traced: identical rows, plus the
+    // server's span tree tagged with a client-minted trace id.
+    let traced = c.trace_exec(TRIANGLE).expect("trace_exec");
+    assert_eq!(traced.result.raw_bytes(), triangles.raw_bytes());
+    let trace = traced.trace.expect("a single rule runs profiled");
+    println!(
+        "traced: {} spans, {} values scanned",
+        trace.root.span_count(),
+        trace.work.values_scanned
     );
 
     let there = reader.join().expect("reader thread");

@@ -75,7 +75,7 @@ fn run_everywhere(
     let mut merged = Groups::new();
     for k in 0..2 {
         let cfg = Config::default().with_shard(k, 2);
-        let (partial, _) = prepared.execute_sharded_with(&db, &cfg).unwrap();
+        let partial = prepared.execute_with(&db, &cfg).unwrap();
         for (key, v) in groups_of(&partial) {
             merged
                 .entry(key)

@@ -58,7 +58,7 @@ fn scheduler_differential(cat: &MemCatalog) {
     ] {
         let rule = parse_rule(q).unwrap();
         for base in all_configs() {
-            let serial = execute_rule(&rule, cat, &base).unwrap();
+            let serial = execute_rule(&rule, cat, &base).unwrap().relation;
             for (scheduler, morsel) in [
                 (Scheduler::Static, 0usize),
                 (Scheduler::Morsel, 0),
@@ -69,7 +69,7 @@ fn scheduler_differential(cat: &MemCatalog) {
                     .with_threads(3)
                     .with_scheduler(scheduler)
                     .with_morsel(morsel);
-                let par = execute_rule(&rule, cat, &cfg).unwrap();
+                let par = execute_rule(&rule, cat, &cfg).unwrap().relation;
                 let label = format!("{q} {scheduler:?} morsel={morsel} base={base:?}");
                 assert_eq!(serial.rows(), par.rows(), "{label}");
                 assert_eq!(serial.annotations(), par.annotations(), "{label}");
@@ -95,8 +95,8 @@ proptest! {
         ] {
             let rule = parse_rule(q).unwrap();
             for cfg in all_configs() {
-                let a = execute_rule(&rule, &catalog_with(legacy.clone()), &cfg).unwrap();
-                let b = execute_rule(&rule, &catalog_with(columnar.clone()), &cfg).unwrap();
+                let a = execute_rule(&rule, &catalog_with(legacy.clone()), &cfg).unwrap().relation;
+                let b = execute_rule(&rule, &catalog_with(columnar.clone()), &cfg).unwrap().relation;
                 prop_assert_eq!(a.rows(), b.rows(), "{} under {:?}", q, cfg);
                 prop_assert_eq!(a.annotations(), b.annotations(), "{} under {:?}", q, cfg);
                 prop_assert_eq!(a.scalar(), b.scalar(), "{} under {:?}", q, cfg);
@@ -124,8 +124,8 @@ proptest! {
         ] {
             let rule = parse_rule(q).unwrap();
             for cfg in all_configs() {
-                let a = execute_rule(&rule, &catalog_with(legacy.clone()), &cfg).unwrap();
-                let b = execute_rule(&rule, &catalog_with(columnar.clone()), &cfg).unwrap();
+                let a = execute_rule(&rule, &catalog_with(legacy.clone()), &cfg).unwrap().relation;
+                let b = execute_rule(&rule, &catalog_with(columnar.clone()), &cfg).unwrap().relation;
                 prop_assert_eq!(a.rows(), b.rows(), "{} under {:?}", q, cfg);
                 prop_assert_eq!(a.annotations(), b.annotations(), "{} under {:?}", q, cfg);
             }
@@ -144,10 +144,10 @@ proptest! {
         ] {
             let rule = parse_rule(q).unwrap();
             let serial = execute_rule(&rule, &catalog_with(columnar.clone()), &Config::default())
-                .unwrap();
+                .unwrap().relation;
             for threads in [2usize, 4] {
                 let cfg = Config::default().with_threads(threads);
-                let par = execute_rule(&rule, &catalog_with(columnar.clone()), &cfg).unwrap();
+                let par = execute_rule(&rule, &catalog_with(columnar.clone()), &cfg).unwrap().relation;
                 prop_assert_eq!(serial.rows(), par.rows(), "{} x{}", q, threads);
                 prop_assert_eq!(serial.annotations(), par.annotations(), "{} x{}", q, threads);
             }

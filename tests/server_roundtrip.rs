@@ -118,8 +118,8 @@ fn n_clients_hammering_are_byte_identical_to_in_process() {
                     .set_option("threads", &threads.to_string())
                     .expect("set threads");
             }
-            // Pin every query as a prepared statement too, so both the
-            // ad-hoc and the ExecPrepared path are differentially
+            // Pin every query as a prepared statement too, so both
+            // `Exec` targets — text and statement — are differentially
             // checked against in-process execution.
             let stmts: Vec<_> = QUERIES
                 .iter()
@@ -139,7 +139,7 @@ fn n_clients_hammering_are_byte_identical_to_in_process() {
                     assert_eq!(
                         prepared.raw_bytes(),
                         &expected[..],
-                        "worker {worker_id}: ExecPrepared response diverged for {q}"
+                        "worker {worker_id}: prepared-statement response diverged for {q}"
                     );
                 }
             }
@@ -370,7 +370,7 @@ fn save_image_is_gated_by_the_server_image_dir() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Extended Stats (protocol 2): the per-frame latency histograms and
+/// Stats: the per-frame latency histograms and
 /// plan-cache counters must be internally consistent (bucket counts sum
 /// to the frame count) and monotone — across snapshots taken by
 /// concurrent clients, counters only ever grow.
@@ -386,12 +386,11 @@ fn extended_stats_are_monotone_and_consistent_across_clients() {
         let barrier = Arc::clone(&barrier);
         workers.push(std::thread::spawn(move || {
             let mut client = EhClient::connect(&addr).expect("connect");
-            assert_eq!(client.protocol_version(), 2, "handshake negotiates v2");
             barrier.wait();
             let frame_count = |s: &emptyheaded::server::ServerStats, name: &str| -> u64 {
                 s.ext
                     .as_ref()
-                    .expect("v2 stats carry the extension")
+                    .expect("stats carry the extension")
                     .frames
                     .iter()
                     .find(|f| f.name == name)
@@ -447,49 +446,43 @@ fn extended_stats_are_monotone_and_consistent_across_clients() {
     server.shutdown();
 }
 
-/// A protocol-1 client (the PR-5 wire format) must still get a valid
-/// Stats answer: its decoder rejects trailing bytes, so the server
-/// version-gates the extension off the frame for v1 sessions.
+/// Only the current protocol version is served: a version-1 or
+/// version-2 `Hello` gets a clean version-mismatch `Error` frame and a
+/// closed stream — never a half-compatible session.
 #[test]
-fn v1_clients_still_decode_stats() {
+fn old_protocol_versions_are_refused_cleanly() {
     use emptyheaded::server::protocol::{read_response, write_request, Request, Response};
+    use emptyheaded::server::PROTOCOL_VERSION;
+    use std::io::Read;
     let (server, addr) = spawn_loaded_server();
     let path = addr.strip_prefix("unix:").expect("unix addr");
-    let mut stream = std::os::unix::net::UnixStream::connect(path).expect("raw connect");
-
-    // Speak protocol 1 exactly as an old client would.
-    write_request(&mut stream, &Request::Hello { version: 1 }).expect("hello");
-    match read_response(&mut stream).expect("hello reply") {
-        Response::Hello { version, .. } => assert_eq!(version, 1, "server echoes the old version"),
-        other => panic!("expected Hello, got {other:?}"),
-    }
-    write_request(&mut stream, &Request::Stats).expect("stats request");
-    match read_response(&mut stream).expect("stats reply") {
-        Response::Stats(s) => {
-            assert!(
-                s.ext.is_none(),
-                "v1 sessions get the 11-field base frame only"
-            );
-            assert_eq!(s.relations, 3);
+    for old in [1u32, 2] {
+        assert!(old < PROTOCOL_VERSION);
+        let mut stream = std::os::unix::net::UnixStream::connect(path).expect("raw connect");
+        write_request(&mut stream, &Request::Hello { version: old }).expect("hello");
+        match read_response(&mut stream).expect("hello reply") {
+            Response::Error { message } => {
+                assert!(message.contains("protocol version mismatch"), "{message}");
+                assert!(message.contains(&format!("client {old}")), "{message}");
+            }
+            other => panic!("v{old} Hello must be refused, got {other:?}"),
         }
-        other => panic!("expected Stats, got {other:?}"),
+        // The server hung up: the next read is a clean EOF.
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).expect("eof"), 0);
     }
-    write_request(&mut stream, &Request::Quit).expect("quit");
-    match read_response(&mut stream).expect("quit reply") {
-        Response::Ok { .. } => {}
-        other => panic!("expected Ok, got {other:?}"),
-    }
-
-    // A current client on the same server still gets the extension.
+    // A current client on the same server is unaffected.
     let mut modern = EhClient::connect(&addr).expect("connect");
-    let stats = modern.stats().expect("stats");
-    assert!(stats.ext.is_some(), "v2 sessions get the extended frame");
+    assert!(modern
+        .server_banner()
+        .ends_with(&format!("protocol {PROTOCOL_VERSION}")));
+    assert!(modern.stats().expect("stats").ext.is_some());
     modern.quit().expect("quit");
     server.shutdown();
 }
 
-/// The degenerate cluster: `ShardExec` with `shard_count = 1` must be
-/// exactly the full query — same bytes as `Query` on the same session,
+/// The degenerate cluster: an `Exec` over shard `0/1` must be exactly
+/// the full query — same bytes as the unsharded `Exec` on the same session,
 /// with the shard telemetry (sharded flag, level-0 count, elapsed time)
 /// filled in. This pins the `n = 1` edge of the range split
 /// `[len·k/n, len·(k+1)/n)` that the coordinator relies on.

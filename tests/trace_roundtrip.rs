@@ -2,7 +2,8 @@
 //! spawn real `eh_server` workers on Unix sockets, run the paper-shaped
 //! query mix traced and untraced, and assert
 //!
-//! * the `Trace` frame round-trips a span tree + profile + batch;
+//! * a traced `Exec` round-trips a span tree + batch, the profile's
+//!   scalars riding as values on the root span;
 //! * a cluster `\trace` stitches every worker's span tree — tagged with
 //!   the coordinator's trace id — into one trace with per-worker lanes;
 //! * tracing is an observer: traced result batches are **byte-identical**
@@ -76,35 +77,39 @@ fn spawn_workers(n: usize) -> (Vec<Server>, Vec<String>) {
 }
 
 #[test]
-fn trace_exec_round_trips_spans_profile_and_batch() {
+fn trace_exec_round_trips_spans_and_batch() {
     let reference = reference_db();
     let (servers, addrs) = spawn_workers(1);
     let mut client = EhClient::connect(&addrs[0]).expect("connect");
 
     for q in QUERIES {
         let expected = expected_bytes(&reference, q);
-        // Tracing on: span tree + profile + byte-identical rows.
-        let traced = client.trace_exec(q, true).expect("trace_exec");
+        // Tracing on: span tree + byte-identical rows.
+        let traced = client.trace_exec(q).expect("trace_exec");
         assert_eq!(traced.result.raw_bytes(), &expected[..], "traced: {q}");
+        assert!(!traced.sharded, "no shard was requested");
         let trace = traced.trace.expect("preparable plans profile");
-        assert_ne!(trace.trace_id, 0, "server mints a real trace id");
+        assert_ne!(trace.trace_id, 0, "the client mints a real trace id");
         let rendered = trace.render();
         assert!(rendered.contains("kernels:"), "{rendered}");
         assert!(rendered.contains("node 0"), "{rendered}");
-        let profile = traced.profile.expect("profile rides along");
-        assert_eq!(profile.rows, reference_rows(&expected) as u64);
-        // Tracing off (`\explain` remote): profile only, same bytes.
-        let explained = client.trace_exec(q, false).expect("trace_exec off");
-        assert!(explained.trace.is_none(), "trace only when asked");
-        assert!(explained.profile.is_some());
-        assert_eq!(explained.result.raw_bytes(), &expected[..]);
+        // What the wire profile used to carry rides on the root span.
+        assert_eq!(
+            trace.root.value("rows"),
+            Some(reference_rows(&expected) as u64)
+        );
+        assert_eq!(
+            trace.root.value("observed_work"),
+            Some(trace.work.values_scanned)
+        );
+        assert!(trace.root.value("estimated_work").is_some(), "{rendered}");
     }
 
     // Multi-rule programs take the read-only path; whether or not that
     // path yields a profile, the rows must be exact and any trace that
     // does come back must be well-formed.
     let program = "H(x,z) :- G(x,y),G(y,z). F(z) :- H('0',z).";
-    let out = client.trace_exec(program, true).expect("program trace");
+    let out = client.trace_exec(program).expect("program trace");
     if let Some(t) = &out.trace {
         assert_ne!(t.trace_id, 0);
     }
@@ -251,7 +256,7 @@ fn slow_query_log_records_over_the_wire() {
     for q in QUERIES {
         client.query(q).expect("query");
     }
-    let traced = client.trace_exec(QUERIES[1], true).expect("trace");
+    let traced = client.trace_exec(QUERIES[1]).expect("trace");
     let entries = client.slow_log(32).expect("slow log");
     assert_eq!(entries.len(), QUERIES.len() + 1);
     assert!(entries[0].query.contains("COUNT"), "{entries:?}");

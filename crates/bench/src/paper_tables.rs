@@ -210,8 +210,9 @@ pub fn main() {
             println!();
             println!("The 'skew' target generates a preferential-attachment power-law");
             println!("graph and compares serial vs static-partition vs morsel-driven");
-            println!("triangle counting; it exits non-zero if any scheduler disagrees");
-            println!("with the serial answer (the CI skew-smoke gate).");
+            println!("triangle counting, then counts 4-cliques, lollipops and barbells");
+            println!("under all six ablation configs; it exits non-zero if any scheduler");
+            println!("or any ablation disagrees (the CI skew-smoke gate).");
             println!();
             println!("--load PATH runs the paper's pattern queries over an external");
             println!("dataset instead: either a text edge list (whitespace/TSV, '#'");
@@ -359,7 +360,9 @@ fn storage_smoke(load: Option<&str>) {
 /// (preferential-attachment power-law) graph — the workload where static
 /// range partitioning straggles on the hub's partition. Also the CI
 /// skew-smoke gate: exits non-zero if any scheduler's triangle count
-/// disagrees with the serial answer.
+/// disagrees with the serial answer, or if any ablation config counts a
+/// different number of 4-cliques, lollipops or barbells
+/// ([`ablation_agreement`]).
 fn skew(scale: f64, reps: usize) {
     let nodes = ((20_000.0 * scale) as u32).max(64);
     let g = Graph::power_law(nodes, 8, 42).prune_by_degree();
@@ -412,6 +415,76 @@ fn skew(scale: f64, reps: usize) {
         std::process::exit(1);
     }
     println!("(morsel should match or beat static on skewed degree distributions)");
+    ablation_agreement(scale);
+}
+
+/// The second half of the skew-smoke gate: 4-clique, lollipop and barbell
+/// counts on a power-law graph under all six ablation configs. The
+/// default config runs the fused k-way bitset pass and the compiled bind
+/// plan's rank shortcuts; `uint_only` and `-RA` have no bitsets to fuse,
+/// `block_level` sends every multiway level down the mixed-layout chain,
+/// `-GHD` compiles one seven-level node — so one divergent count here is
+/// one of those paths disagreeing with the others. Exits non-zero on any.
+fn ablation_agreement(scale: f64) {
+    let nodes = ((4_000.0 * scale) as u32).max(64);
+    let und = Graph::power_law(nodes, 6, 42);
+    let pruned = und.prune_by_degree();
+    println!(
+        "\n== Ablation agreement: power-law graph ({} nodes, {} undirected edges) ==",
+        und.num_nodes,
+        und.num_edges() / 2
+    );
+    let configs: [(&str, Config); 6] = [
+        ("default", Config::default()),
+        ("-S", Config::no_simd()),
+        ("-R", Config::uint_only()),
+        ("-RA", Config::no_layout_no_algorithms()),
+        ("-GHD", Config::no_ghd()),
+        ("block", Config::block_level()),
+    ];
+    let t = Table::new(&[
+        ("query", 10),
+        ("count", 16),
+        ("configs", 8),
+        ("default[s]", 10),
+    ]);
+    let mut diverged = false;
+    for (name, graph, query) in [
+        ("4-clique", &pruned, queries::K4),
+        ("lollipop", &und, queries::LOLLIPOP),
+        ("barbell", &und, queries::BARBELL),
+    ] {
+        let mut counts: Vec<(&str, u64)> = Vec::new();
+        let mut default_time = Duration::ZERO;
+        for (label, cfg) in &configs {
+            let mut pq = PreparedQuery::new(graph, tuned(*cfg), query);
+            let started = std::time::Instant::now();
+            let count = pq.run();
+            if counts.is_empty() {
+                default_time = started.elapsed();
+                record("skew", "skew", name, label, default_time, count);
+            }
+            counts.push((label, count));
+        }
+        let agreed = counts.iter().all(|&(_, c)| c == counts[0].1);
+        t.row(&[
+            name.into(),
+            counts[0].1.to_string(),
+            if agreed {
+                "6/6".into()
+            } else {
+                "DIVERGE".to_string()
+            },
+            secs(default_time),
+        ]);
+        if !agreed {
+            eprintln!("skew smoke FAILED: {name} counts diverge across ablations: {counts:?}");
+            diverged = true;
+        }
+    }
+    if diverged {
+        std::process::exit(1);
+    }
 }
 
 // ----------------------------------------------------- trajectory bench

@@ -19,7 +19,7 @@ use crate::sink::Sink;
 use crate::storage::{Catalog, Relation};
 use eh_obs::{LevelProfile, NodeProfile, QueryProfile, WorkCounters};
 use eh_query::Rule;
-use eh_semiring::AggOp;
+use eh_semiring::{with_carrier, AggOp, Carrier, DynValue};
 use eh_trie::TupleBuffer;
 use std::fmt;
 use std::sync::Arc;
@@ -71,7 +71,9 @@ pub struct NodeResult {
     pub attrs: Vec<String>,
     /// Result tuples, flat and columnar; the buffer's annotation column
     /// holds the early-aggregated value per row (aggregate queries only).
-    pub tuples: TupleBuffer,
+    /// Shared, not copied, between equivalent nodes and with the final
+    /// projection.
+    pub tuples: Arc<TupleBuffer>,
 }
 
 /// What one plan execution produced.
@@ -140,7 +142,7 @@ pub fn execute(
     let op = plan.agg.as_ref().map(|a| a.op).unwrap_or(AggOp::Count);
     let root_id = plan.root().id;
     // Bottom-up pass: children execute before parents (plan order).
-    let mut results: Vec<Option<Arc<NodeResult>>> = vec![None; plan.nodes.len()];
+    let mut results: Vec<Option<NodeResult>> = vec![None; plan.nodes.len()];
     for node in &plan.nodes {
         let is_root = node.id == root_id;
         let shard = if is_root { cfg.shard } else { None };
@@ -154,10 +156,10 @@ pub fn execute(
                 // from every shard (an n-fold overcount after the merge).
                 if let Some(prev) = &results[j] {
                     if prev.attrs.len() == node.output_attrs.len() {
-                        results[node.id] = Some(Arc::new(NodeResult {
+                        results[node.id] = Some(NodeResult {
                             attrs: node.output_attrs.clone(),
-                            tuples: prev.tuples.clone(),
-                        }));
+                            tuples: Arc::clone(&prev.tuples),
+                        });
                         continue;
                     }
                 }
@@ -175,16 +177,20 @@ pub fn execute(
             shard,
             is_root.then_some(&mut level0),
         )?;
-        results[node.id] = Some(Arc::new(result));
+        results[node.id] = Some(result);
     }
-    let root = results[root_id].as_ref().unwrap();
-    // Top-down pass (Yannakakis): assemble full tuples unless skippable.
-    let assembled = if plan.skip_top_down {
-        NodeResult::clone(root)
+    // Top-down pass (Yannakakis): assemble full tuples unless skippable —
+    // then the root's buffer is the answer and moves out (copied only if
+    // an equivalent node still shares it).
+    let (attrs, tuples) = if plan.skip_top_down {
+        let root = results[root_id].take().expect("the root node ran");
+        drop(results);
+        let tuples = Arc::try_unwrap(root.tuples).unwrap_or_else(|shared| (*shared).clone());
+        (root.attrs, tuples)
     } else {
         crate::sink::assemble(root_id, plan, &results, is_agg, op)
     };
-    let relation = crate::sink::finalize(plan, assembled, catalog, is_agg, op)?;
+    let relation = crate::sink::finalize(plan, &attrs, tuples, catalog, is_agg, op)?;
     if let (Some(p), Some(t)) = (&mut profile, started) {
         p.total_ns = t.elapsed().as_nanos() as u64;
         p.rows = relation.rows().len() as u64;
@@ -204,7 +210,7 @@ fn run_node(
     plan: &PhysicalPlan,
     catalog: &dyn Catalog,
     cfg: &Config,
-    results: &[Option<Arc<NodeResult>>],
+    results: &[Option<NodeResult>],
     is_agg: bool,
     op: AggOp,
     profile: Option<&mut QueryProfile>,
@@ -241,63 +247,17 @@ fn run_node(
     let run_here = !build.empty && (shard.is_none() || splittable || shard.unwrap().0 == 0);
     if run_here {
         let mut ctx = GjContext::new(&build.atoms, &program, cfg);
-        let threads = cfg.effective_threads();
-        let sharded_here = shard.is_some() && splittable;
-        if sharded_here || (threads > 1 && splittable) {
-            // Shared level-0 prologue: merge the outermost values once,
-            // then hand the (shard's slice of the) range to the
-            // scheduler. Every shard computes the identical merged list
-            // from its full local inputs, so the contiguous index slice
-            // `[len*k/n, len*(k+1)/n)` partitions the range exactly with
-            // no coordination beyond the two shard integers.
-            let level0_started = if cfg.profile {
-                crate::gj::sample_clock(&mut ctx, 0)
-            } else {
-                None
-            };
-            let mut merged = std::mem::take(&mut ctx.scratch[0]);
-            crate::gj::fill_level(
-                &program,
-                0,
-                &ctx.atoms,
-                cfg,
-                &mut ctx.mw,
-                &mut ctx.obs,
-                &mut merged,
-                ctx.observe_any,
-                true,
-            );
-            let (lo, hi) = match shard {
-                Some((k, n)) if splittable => {
-                    let len = merged.len() as u64;
-                    let (k, n) = (k as u64, n as u64);
-                    ((len * k / n) as usize, (len * (k + 1) / n) as usize)
-                }
-                _ => (0, merged.len()),
-            };
-            let slice = &merged[lo..hi];
-            if let Some(out) = level0_out {
-                *out = slice.len() as u64;
-            }
-            if let Some(t) = level0_started {
-                let cell = &mut ctx.level_prof[0];
-                cell.ns += t.elapsed().as_nanos() as u64;
-                cell.values += slice.len() as u64;
-            }
-            if !slice.is_empty() {
-                crate::parallel::run(
-                    &program,
-                    &mut ctx,
-                    slice,
-                    build.base_product,
-                    &mut sink,
-                    threads,
-                );
-            }
-            ctx.scratch[0] = merged;
-        } else {
-            crate::gj::gj(&program, &mut ctx, 0, build.base_product, &mut sink, true);
-        }
+        // The one place the runtime operator becomes a type: everything
+        // below runs monomorphised over the node's carrier.
+        with_carrier!(op, K => run_join::<K>(
+            &program,
+            &mut ctx,
+            build.base_product,
+            &mut sink,
+            shard.filter(|_| splittable),
+            splittable,
+            level0_out,
+        ));
         let relayouts = adapt_layouts(&build.sources, &ctx, catalog, cfg);
         if profile.is_some() {
             node_profile = fold_node_profile(&mut ctx, &program, relayouts);
@@ -313,8 +273,71 @@ fn run_node(
     }
     Ok(NodeResult {
         attrs: node.output_attrs.clone(),
-        tuples,
+        tuples: Arc::new(tuples),
     })
+}
+
+/// Run one node's join into `sink`: the serial recursion, or — sharded,
+/// or with more than one thread on a node with an outer loop to slice —
+/// the shared level-0 prologue followed by the scheduler.
+fn run_join<K: Carrier>(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'_>,
+    base_product: DynValue,
+    sink: &mut Sink,
+    shard: Option<(u32, u32)>,
+    splittable: bool,
+    level0_out: Option<&mut u64>,
+) {
+    let cfg = ctx.cfg;
+    let base_product = K::from_dyn(base_product);
+    let threads = cfg.effective_threads();
+    if shard.is_none() && !(threads > 1 && splittable) {
+        crate::gj::gj::<K>(program, ctx, 0, base_product, sink, true);
+        return;
+    }
+    // Shared level-0 prologue: merge the outermost values once, then hand
+    // the (shard's slice of the) range to the scheduler. Every shard
+    // computes the identical merged list from its full local inputs, so
+    // the contiguous index slice `[len*k/n, len*(k+1)/n)` partitions the
+    // range exactly with no coordination beyond the two shard integers.
+    let level0_started = if cfg.profile {
+        crate::gj::sample_clock(ctx, 0)
+    } else {
+        None
+    };
+    let mut merged = std::mem::take(&mut ctx.scratch[0]);
+    crate::gj::fill_level(
+        program,
+        0,
+        &ctx.atoms,
+        cfg,
+        &mut ctx.mw,
+        &mut ctx.obs,
+        &mut merged,
+        ctx.observe_any,
+        true,
+    );
+    let range = match shard {
+        Some((k, n)) => {
+            let len = merged.len() as u64;
+            let (k, n) = (k as u64, n as u64);
+            (len * k / n) as usize..(len * (k + 1) / n) as usize
+        }
+        None => 0..merged.len(),
+    };
+    if let Some(out) = level0_out {
+        *out = range.len() as u64;
+    }
+    if let Some(t) = level0_started {
+        let cell = &mut ctx.level_prof[0];
+        cell.ns += t.elapsed().as_nanos() as u64;
+        cell.values += range.len() as u64;
+    }
+    if !range.is_empty() {
+        crate::parallel::run::<K>(program, ctx, &merged, range, base_product, sink, threads);
+    }
+    ctx.scratch[0] = merged;
 }
 
 /// Drain a finished context's profiling state into one [`NodeProfile`]:

@@ -1,19 +1,28 @@
-//! The Generic-Join recursion (paper Algorithm 1), allocation-free and
-//! aggregation-aware.
+//! The Generic-Join recursion (paper Algorithm 1): allocation-free,
+//! aggregation-aware, and typed.
 //!
-//! Every loop level runs off the participation tables precomputed in
+//! Every loop level runs off the tables precomputed in
 //! [`crate::program::JoinProgram`] and scratch owned by
 //! [`crate::program::GjContext`]: candidate values merge into reusable
 //! per-level buffers via [`eh_set::intersect::intersect_all_with`], a
-//! level with a single participant walks that atom's trie set in place by
-//! `(rank, value)`, trie cursors advance in fixed-size slot arrays, and
-//! the innermost count fast path folds through
+//! level with a single participant walks that atom's trie set in place,
+//! and the innermost count fast path folds through
 //! [`eh_set::intersect::count_all_with`] — no heap allocation happens
 //! anywhere in this module's recursion: no `Vec::new()`, no `collect()`,
 //! scratch must come from `GjContext`. The `alloc-free` rule of `eh_lint`
-//! enforces this whole-file (it lexes real tokens, so this very sentence
-//! naming `Vec::new()` no longer trips the gate the way the old CI grep
-//! would have).
+//! enforces this whole-file.
+//!
+//! Binding a value follows the level's compiled **bind plan**
+//! ([`crate::program::Bind`]): a candidate list is the exact intersection
+//! of every participant, so an unannotated leaf has nothing to do, and a
+//! descent or an annotation fetch takes its rank from where it is already
+//! known — the walk position, or a subtraction on a complete-range set —
+//! before falling back to the atom's forward cursor.
+//!
+//! The whole nest is monomorphised over the node's [`Carrier`] (chosen
+//! once in `executor::run_node`): running products and accumulators are
+//! plain `u64`/`f64`, leaf annotations are read out of the trie's raw
+//! column, and a [`eh_semiring::DynValue`] exists only past the sink.
 //!
 //! Aggregates never pay a sink emit per binding (paper §3.3 "early
 //! aggregation"): from [`JoinProgram::fold_from`] down, [`fold`] `⊕`-folds
@@ -30,9 +39,9 @@
 //! between the serial driver ([`gj`]) and the parallel schedulers in
 //! [`crate::parallel`], so the two can no longer drift.
 
-use crate::program::{AtomExec, GjContext, JoinProgram, ObsCell, ValueBuf};
+use crate::program::{AtomExec, Bind, GjContext, JoinProgram, ObsCell, RankBy, ValueBuf};
 use crate::sink::{Keys, Sink};
-use eh_semiring::{AggOp, DynValue};
+use eh_semiring::Carrier;
 use eh_set::intersect::{count_all_with, intersect_all_with};
 use eh_set::MultiwayScratch;
 use eh_trie::TrieNode;
@@ -143,11 +152,11 @@ pub(crate) fn fill_level(
 
 /// The candidate values of one loop level (the level prologue of the
 /// serial recursion): a level with a single participant hands back that
-/// atom's trie node, to be walked in place by `(rank, value)` — no copy
-/// into `merged`, and no rank probe later, since a value's position in
-/// its own set *is* its rank; any other level intersects its participants
-/// into `merged` and returns `None`. Work counters and profile tallies
-/// are charged exactly as [`fill_level`] charges them either way.
+/// atom's trie node, to be walked in place — no copy into `merged`; any
+/// other level intersects its participants into `merged`, rewinds their
+/// rank cursors for the fresh ascent, and returns `None`. Work counters
+/// and profile tallies are charged exactly as [`fill_level`] charges them
+/// either way.
 #[inline]
 fn level_candidates<'c>(
     program: &JoinProgram,
@@ -181,7 +190,6 @@ fn level_candidates<'c>(
             ctx.observe_any,
             sample,
         );
-        // Fresh ascent at this level: reset each participant's cursor.
         for st in steps {
             ctx.atoms[st.atom].hints[st.depth] = 0;
         }
@@ -195,96 +203,96 @@ fn level_candidates<'c>(
     single
 }
 
-/// Bind `v` at `level`: advance every participating atom's trie cursor
-/// and multiply in leaf annotations. `None` when some atom lacks `v` (a
-/// larger participant produced it): the binding dies, nothing to undo.
-#[inline]
-fn bind(
+/// Bind `v` — the `idx`-th candidate of `level` — by the level's bind
+/// plan: advance the trie cursor of every atom that descends here and `⊗`
+/// in the annotation of every annotated atom that bottoms out here.
+/// Candidates are the exact intersection of the participants, so every
+/// rank exists.
+#[inline(always)]
+fn bind<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
     level: usize,
     v: u32,
-    product: DynValue,
-) -> Option<DynValue> {
+    idx: usize,
+    product: K::T,
+) -> K::T {
     ctx.bindings[level] = v;
     let mut prod = product;
     for st in &program.levels[level].steps {
+        let (by, descend) = match st.bind {
+            Bind::Member => continue,
+            Bind::Descend(by) => (by, true),
+            Bind::Annot(by) => (by, false),
+        };
         let a = &mut ctx.atoms[st.atom];
         let n = a.node_at(st.depth);
-        let mut hint = a.hints[st.depth];
-        let rank = n.set.rank_hinted(v, &mut hint);
-        a.hints[st.depth] = hint;
-        let rank = rank?;
-        if !st.leaf {
-            a.stack[st.depth + 1] = n.children[rank];
-            a.hints[st.depth + 1] = 0;
-        } else if a.annotated {
-            if let Some(an) = n.annots.get(rank).copied() {
-                prod = program.op.times(prod, an);
-            }
+        let rank = match by {
+            RankBy::Position => idx,
+            RankBy::Range(base) => (v - base) as usize,
+            RankBy::Cursor => n
+                .set
+                .rank_hinted(v, &mut a.hints[st.depth])
+                .expect("a candidate value is in every participant's set"),
+        };
+        if descend {
+            a.descend(st.depth, n.children[rank]);
+        } else if let Some(&bits) = n.annots.get(rank) {
+            prod = K::times(prod, K::read(bits, a.float_annots));
         }
     }
-    Some(prod)
+    prod
 }
 
-/// Bind `v` at `level` and recurse into the next level if every atom
-/// still matches — the per-value body the parallel level-0 drivers run.
-/// `sample` marks this value as a profiling timing sample — derived from
-/// the caller's loop index (see [`child_sample`]), so the innermost count
-/// fast path never touches a counter to decide whether to read the clock.
+/// Bind `v` (candidate `idx` of `level`) and recurse into the next level
+/// — the per-value body the parallel level-0 drivers run. `sample` marks
+/// this value as a profiling timing sample — derived from the caller's
+/// loop index (see [`child_sample`]), so the innermost count fast path
+/// never touches a counter to decide whether to read the clock.
 #[inline]
-pub(crate) fn step_value(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn step_value<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
     level: usize,
     v: u32,
-    product: DynValue,
+    idx: usize,
+    product: K::T,
     sink: &mut Sink,
     sample: bool,
 ) {
-    if let Some(prod) = bind(program, ctx, level, v, product) {
-        gj(program, ctx, level + 1, prod, sink, sample);
-    }
+    let prod = bind::<K>(program, ctx, level, v, idx, product);
+    gj::<K>(program, ctx, level + 1, prod, sink, sample);
 }
 
-/// Run `body(ctx, product, sample)` once per binding of `level` that
-/// survives every participating atom, cursors advanced and leaf
-/// annotations multiplied in — the loop both [`gj`] (recurse and emit)
-/// and [`fold`] (recurse and accumulate) are built from.
+/// Run `body(ctx, product, sample)` once per binding of `level`, cursors
+/// advanced and leaf annotations multiplied in — the loop both [`gj`]
+/// (recurse and emit) and [`fold`] (recurse and accumulate) are built
+/// from.
 #[inline(always)]
-fn for_each_binding<'c>(
+fn for_each_binding<'c, K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'c>,
     level: usize,
-    product: DynValue,
+    product: K::T,
     sample: bool,
-    mut body: impl FnMut(&mut GjContext<'c>, DynValue, bool),
+    mut body: impl FnMut(&mut GjContext<'c>, K::T, bool),
 ) {
     let mut merged = std::mem::take(&mut ctx.scratch[level]);
-    if let Some(node) = level_candidates(program, ctx, level, &mut merged, sample) {
-        let st = program.levels[level].steps[0];
-        let annotated = st.leaf && ctx.atoms[st.atom].annotated;
-        for (rank, v) in node.set.iter().enumerate() {
-            ctx.bindings[level] = v;
-            let mut prod = product;
-            if !st.leaf {
-                let a = &mut ctx.atoms[st.atom];
-                a.stack[st.depth + 1] = node.children[rank];
-                a.hints[st.depth + 1] = 0;
-            } else if annotated {
-                if let Some(an) = node.annots.get(rank).copied() {
-                    prod = program.op.times(prod, an);
-                }
-            }
-            body(ctx, prod, child_sample(v, rank));
-        }
-    } else {
-        for idx in 0..merged.len() {
-            let v = merged[idx];
-            if let Some(prod) = bind(program, ctx, level, v, product) {
-                body(ctx, prod, child_sample(v, idx));
-            }
-        }
+    let mut visit = |ctx: &mut GjContext<'c>, idx: usize, v: u32| {
+        let prod = bind::<K>(program, ctx, level, v, idx, product);
+        body(ctx, prod, child_sample(v, idx));
+    };
+    match level_candidates(program, ctx, level, &mut merged, sample) {
+        Some(node) => node
+            .set
+            .iter()
+            .enumerate()
+            .for_each(|(idx, v)| visit(ctx, idx, v)),
+        None => merged
+            .iter()
+            .enumerate()
+            .for_each(|(idx, &v)| visit(ctx, idx, v)),
     }
     // Return the buffer for reuse by sibling invocations at this level.
     ctx.scratch[level] = merged;
@@ -292,24 +300,24 @@ fn for_each_binding<'c>(
 
 /// The generic worst-case optimal join over one node (Algorithm 1). All
 /// scratch comes from `ctx`; nothing is allocated per call.
-pub(crate) fn gj(
+pub(crate) fn gj<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
     level: usize,
-    product: DynValue,
+    product: K::T,
     sink: &mut Sink,
     sample: bool,
 ) {
     if level == program.attrs_len {
-        sink.emit(program, &ctx.bindings, product);
+        sink.emit::<K>(program, &ctx.bindings, product);
         return;
     }
     if level >= program.fold_from {
         // Nothing below is output: one emit for the whole subtree.
-        let mut acc = None;
-        fold(program, ctx, level, product, &mut acc, sample);
-        if let Some(folded) = acc {
-            sink.emit(program, &ctx.bindings, folded);
+        let mut acc = Acc::<K>::default();
+        fold::<K>(program, ctx, level, product, &mut acc, sample);
+        if acc.seen {
+            sink.emit::<K>(program, &ctx.bindings, acc.value);
         }
         return;
     }
@@ -319,92 +327,118 @@ pub(crate) fn gj(
         return;
     }
     if program.scatter && level + 1 == program.attrs_len {
-        scatter(program, ctx, level, product, sink, sample);
+        scatter::<K>(program, ctx, level, product, sink, sample);
         return;
     }
-    for_each_binding(program, ctx, level, product, sample, |ctx, prod, s| {
-        gj(program, ctx, level + 1, prod, sink, s)
+    for_each_binding::<K>(program, ctx, level, product, sample, |ctx, prod, s| {
+        gj::<K>(program, ctx, level + 1, prod, sink, s)
     });
 }
 
-/// `⊕` one contribution into a local accumulator (`None` = nothing yet:
-/// a fold starts from its first contribution, not from the ⊕-identity).
-#[inline(always)]
-fn accumulate(acc: &mut Option<DynValue>, op: AggOp, c: DynValue) {
-    *acc = Some(match *acc {
-        Some(a) => op.plus(a, c),
-        None => c,
-    });
+/// A local `⊕`-accumulator: the carrier's plain value plus whether
+/// anything was folded yet — a fold starts from its first contribution,
+/// not from the ⊕-identity (`0.0 + -0.0` is not `-0.0`).
+struct Acc<K: Carrier> {
+    value: K::T,
+    seen: bool,
+}
+
+impl<K: Carrier> Default for Acc<K> {
+    fn default() -> Self {
+        Acc {
+            value: K::ZERO,
+            seen: false,
+        }
+    }
+}
+
+impl<K: Carrier> Acc<K> {
+    /// `⊕` one contribution in.
+    #[inline(always)]
+    fn add(&mut self, c: K::T) {
+        self.value = if self.seen { K::plus(self.value, c) } else { c };
+        self.seen = true;
+    }
 }
 
 /// `⊕`-fold every binding of levels `level..` under the current prefix
 /// into `acc`, in ascending attribute-order position: the
 /// early-aggregation half of the recursion, entered at
 /// [`JoinProgram::fold_from`] with an empty accumulator.
-fn fold(
+fn fold<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
     level: usize,
-    product: DynValue,
-    acc: &mut Option<DynValue>,
+    product: K::T,
+    acc: &mut Acc<K>,
     sample: bool,
 ) {
     if level == program.attrs_len {
-        accumulate(acc, program.op, product);
+        acc.add(product);
         return;
     }
-    let steps = &program.levels[level].steps;
-    if steps.is_empty() {
+    if program.levels[level].steps.is_empty() {
         return;
     }
     let innermost = level + 1 == program.attrs_len;
-    // Innermost count fast path (paper §5.3: aggregate queries never
-    // materialize the deepest intersection) — applicability precomputed.
     if innermost && program.count_fast {
-        // The hottest loop in the engine: even one counter bump per call
-        // shows up against the <2% profiling-overhead ceiling, so this
-        // path keeps NO per-call state. The timing decision rides in on
-        // `sample` (the parent loop index), and the fold reconstructs the
-        // exact call count from the kernel-dispatch stats (see
-        // `fold_node_profile`).
-        let started = if ctx.cfg.profile && sample {
-            ctx.level_prof[level].samples += 1;
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let count = {
-            let atoms = &ctx.atoms;
-            if ctx.observe_any {
-                observe_level(program, level, atoms, &mut ctx.obs, sample);
-            }
-            count_all_with(
-                steps.len(),
-                |k| &atoms[steps[k].atom].node_at(steps[k].depth).set,
-                &ctx.cfg.intersect,
-                &mut ctx.mw,
-            )
-        };
-        if let Some(t) = started {
-            let cell = &mut ctx.level_prof[level];
-            cell.ns += t.elapsed().as_nanos() as u64;
-            cell.values += count as u64;
-        }
-        if count > 0 {
-            accumulate(acc, program.op, fold_count(program.op, product, count));
-        }
-        return;
-    }
-    if innermost {
+        fold_count::<K>(program, ctx, level, product, acc, sample);
+    } else if innermost {
         // The annotated sibling of the count fast path: one fused Σ⊗ over
         // the innermost candidates, leaf annotations fetched by rank.
-        for_each_binding(program, ctx, level, product, sample, |_, prod, _| {
-            accumulate(acc, program.op, prod)
+        for_each_binding::<K>(program, ctx, level, product, sample, |_, prod, _| {
+            acc.add(prod)
         });
     } else {
-        for_each_binding(program, ctx, level, product, sample, |ctx, prod, s| {
-            fold(program, ctx, level + 1, prod, acc, s)
+        for_each_binding::<K>(program, ctx, level, product, sample, |ctx, prod, s| {
+            fold::<K>(program, ctx, level + 1, prod, acc, s)
         });
+    }
+}
+
+/// The innermost count fast path (paper §5.3: aggregate queries never
+/// materialize the deepest intersection; applicability precomputed in
+/// [`JoinProgram::count_fast`]): count the innermost level's candidates
+/// and fold `product` that many times into `acc`.
+///
+/// The hottest loop in the engine: even one counter bump per call shows
+/// up against the <2% profiling-overhead ceiling, so this path keeps NO
+/// per-call state. The timing decision rides in on `sample` (the parent
+/// loop index), and the profile fold reconstructs the exact call count
+/// from the kernel-dispatch stats (see `fold_node_profile`).
+#[inline(always)]
+fn fold_count<K: Carrier>(
+    program: &JoinProgram,
+    ctx: &mut GjContext<'_>,
+    level: usize,
+    product: K::T,
+    acc: &mut Acc<K>,
+    sample: bool,
+) {
+    let steps = &program.levels[level].steps;
+    let started = if ctx.cfg.profile && sample {
+        ctx.level_prof[level].samples += 1;
+        Some(Instant::now())
+    } else {
+        None
+    };
+    if ctx.observe_any {
+        observe_level(program, level, &ctx.atoms, &mut ctx.obs, sample);
+    }
+    let atoms = &ctx.atoms;
+    let count = count_all_with(
+        steps.len(),
+        |k| &atoms[steps[k].atom].node_at(steps[k].depth).set,
+        &ctx.cfg.intersect,
+        &mut ctx.mw,
+    );
+    if let Some(t) = started {
+        let cell = &mut ctx.level_prof[level];
+        cell.ns += t.elapsed().as_nanos() as u64;
+        cell.values += count as u64;
+    }
+    if count > 0 {
+        acc.add(K::repeat(product, count));
     }
 }
 
@@ -412,37 +446,24 @@ fn fold(
 /// annotated atom bottoming out there: every candidate value is a group
 /// key receiving the same `product`, so the whole set goes to the sink in
 /// one scatter-`⊕` — no per-value bind, recursion or emit.
-fn scatter(
+fn scatter<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
     level: usize,
-    product: DynValue,
+    product: K::T,
     sink: &mut Sink,
     sample: bool,
 ) {
     let mut merged = std::mem::take(&mut ctx.scratch[level]);
     match level_candidates(program, ctx, level, &mut merged, sample) {
-        Some(node) => sink.scatter(Keys::Set(&node.set), product, program.op),
-        None => sink.scatter(Keys::Values(&merged), product, program.op),
+        Some(node) => sink.scatter::<K>(Keys::Set(&node.set), product),
+        None => sink.scatter::<K>(Keys::Values(&merged), product),
     }
     ctx.scratch[level] = merged;
 }
 
-/// Fold `count` identical contributions of `product` into one value:
-/// `⊕`-ing `product` with itself `count` times.
-fn fold_count(op: AggOp, product: DynValue, count: usize) -> DynValue {
-    match op {
-        // x ⊕ ... ⊕ x (count times) = count·x in ℕ/ℝ semirings.
-        AggOp::Count => DynValue::U64(product.as_u64().wrapping_mul(count as u64)),
-        AggOp::Sum => DynValue::F64(product.as_f64() * count as f64),
-        // min(x, x, ...) = x.
-        AggOp::Min | AggOp::Max => product,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::Config;
     use crate::executor::execute_rule;
     use crate::storage::{MemCatalog, Relation};
@@ -527,7 +548,7 @@ mod tests {
     fn annotated_sum_aggregation() {
         // Weighted edges; total weight of 2-paths = sum over (x,y,z) of
         // w(x,y)*w(y,z).
-        use eh_semiring::DynValue;
+        use eh_semiring::{AggOp, DynValue};
         let mut cat = MemCatalog::new();
         cat.insert(
             "W",
@@ -544,12 +565,5 @@ mod tests {
             .relation;
         // paths: (0,1,2): 2*3=6, (0,1,3): 2*5=10 → 16.
         assert_eq!(out.scalar().unwrap().as_f64(), 16.0);
-    }
-
-    #[test]
-    fn fold_count_semantics() {
-        assert_eq!(fold_count(AggOp::Count, DynValue::U64(3), 4).as_u64(), 12);
-        assert_eq!(fold_count(AggOp::Sum, DynValue::F64(2.5), 4).as_f64(), 10.0);
-        assert_eq!(fold_count(AggOp::Min, DynValue::U64(7), 9).as_u64(), 7);
     }
 }

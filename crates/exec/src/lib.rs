@@ -8,11 +8,12 @@
 //!
 //! * **within each GHD node** — the generic worst-case optimal join
 //!   (Algorithm 1): each node is first compiled into a `JoinProgram`
-//!   (per-level participation tables, precomputed in `program`), then the
-//!   allocation-free recursion in `gj` runs one loop per attribute in the
-//!   global order, each loop body an [`eh_set::intersect()`] pass over
-//!   the tries that contain the attribute, with all scratch owned by a
-//!   per-node `GjContext`;
+//!   (per-level participation tables and bind plan, precomputed in
+//!   `program`), then the allocation-free recursion in `gj` —
+//!   monomorphised over the node's `(AggOp, carrier)` pair — runs one
+//!   loop per attribute in the global order, each loop body an
+//!   [`eh_set::intersect()`] pass over the tries that contain the
+//!   attribute, with all scratch owned by a per-node `GjContext`;
 //! * **across threads** — the morsel-driven level-0 scheduler in
 //!   `parallel` (workers pull fixed-size value chunks off an atomic
 //!   cursor; a static-partition baseline remains as the ablation),

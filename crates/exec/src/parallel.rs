@@ -29,20 +29,25 @@ use crate::gj::{child_sample, step_value};
 use crate::program::{GjContext, JoinProgram};
 use crate::sink::Sink;
 use eh_obs::WorkerProfile;
-use eh_semiring::DynValue;
+use eh_semiring::Carrier;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Run level 0 over `merged` with `threads` workers and fold the
-/// per-worker sinks into `sink`. `ctx` is the post-prologue context the
-/// workers fork from; its cursors are not advanced, but each worker's
-/// adaptive-layout observation counters are merged back into it so the
-/// feedback sees parallel runs too.
-pub(crate) fn run(
+/// Run level 0 over `candidates[range]` with `threads` workers and fold
+/// the per-worker sinks into `sink`. `candidates` is the whole level-0
+/// list, so a value's index in it is its candidate position (what
+/// [`step_value`] binds by); `range` is this process's slice of it.
+/// `ctx` is the post-prologue context the workers fork from; its cursors
+/// are not advanced, but each worker's adaptive-layout observation
+/// counters are merged back into it so the feedback sees parallel runs
+/// too.
+pub(crate) fn run<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
-    merged: &[u32],
-    base_product: DynValue,
+    candidates: &[u32],
+    range: Range<usize>,
+    base_product: K::T,
     sink: &mut Sink,
     threads: usize,
 ) {
@@ -51,9 +56,9 @@ pub(crate) fn run(
     let shape: &Sink = sink;
     let locals: Vec<Sink> = match ctx.cfg.scheduler {
         Scheduler::Morsel => {
-            let morsel = ctx.cfg.effective_morsel(merged.len(), threads);
+            let morsel = ctx.cfg.effective_morsel(range.len(), threads);
             let profiling = ctx.cfg.profile;
-            let cursor = AtomicUsize::new(0);
+            let cursor = AtomicUsize::new(range.start);
             let mut workers: Vec<GjContext<'_>> = (0..threads).map(|_| ctx.fork()).collect();
             let (mut chunks, worker_obs) = std::thread::scope(|scope| {
                 let handles: Vec<_> = workers
@@ -69,22 +74,23 @@ pub(crate) fn run(
                             let mut seen = 0u64;
                             loop {
                                 let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                                if start >= merged.len() {
+                                if start >= range.end {
                                     break;
                                 }
-                                let end = (start + morsel).min(merged.len());
+                                let end = (start + morsel).min(range.end);
                                 seen += (end - start) as u64;
                                 let mut chunk_sink = shape.chunk(keys, program.op);
-                                for (i, &v) in merged[start..end].iter().enumerate() {
-                                    let sample = child_sample(v, start + i);
-                                    step_value(
+                                for idx in start..end {
+                                    let v = candidates[idx];
+                                    step_value::<K>(
                                         program,
                                         &mut local,
                                         0,
                                         v,
+                                        idx,
                                         base_product,
                                         &mut chunk_sink,
-                                        sample,
+                                        child_sample(v, idx),
                                     );
                                 }
                                 claimed.push((start, chunk_sink));
@@ -117,29 +123,32 @@ pub(crate) fn run(
             chunks.into_iter().map(|(_, s)| s).collect()
         }
         Scheduler::Static => {
-            let chunk = merged.len().div_ceil(threads);
+            let chunk = range.len().div_ceil(threads);
             let ctx_ref = &*ctx;
             let (sinks, worker_obs, tallies) = std::thread::scope(|scope| {
-                let handles: Vec<_> = merged
-                    .chunks(chunk)
-                    .map(|vals| {
+                let handles: Vec<_> = range
+                    .clone()
+                    .step_by(chunk)
+                    .map(|start| {
+                        let end = (start + chunk).min(range.end);
                         let mut local = ctx_ref.fork();
                         scope.spawn(move || {
                             let mut local_sink = shape.chunk(keys, program.op);
-                            for (i, &v) in vals.iter().enumerate() {
-                                let sample = child_sample(v, i);
-                                step_value(
+                            for idx in start..end {
+                                let v = candidates[idx];
+                                step_value::<K>(
                                     program,
                                     &mut local,
                                     0,
                                     v,
+                                    idx,
                                     base_product,
                                     &mut local_sink,
-                                    sample,
+                                    child_sample(v, idx),
                                 );
                             }
                             let tally = local.take_tally();
-                            (local_sink, local.obs, tally, vals.len() as u64)
+                            (local_sink, local.obs, tally, (end - start) as u64)
                         })
                     })
                     .collect();
@@ -177,7 +186,7 @@ pub(crate) fn run(
         None
     };
     for local in locals {
-        sink.merge(local, program.op);
+        sink.merge::<K>(local);
     }
     if let Some(t) = merge_started {
         ctx.sink_merge_ns += t.elapsed().as_nanos() as u64;

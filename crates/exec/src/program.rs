@@ -4,13 +4,14 @@
 //! The paper's code generator emits loops whose participation structure is
 //! baked in at compile time; the interpreted engine recovers that property
 //! here. [`JoinProgram`] precomputes, per attribute level, which atoms
-//! participate (and at what trie depth), whether the level is retained in
-//! the output, where annotated atoms bottom out, and whether the innermost
-//! count fast path applies — so the recursion in [`crate::gj`] does zero
-//! per-call discovery. [`GjContext`] owns every scratch buffer the
-//! recursion touches (per-level value buffers, multiway-intersection
-//! ping-pong buffers, the binding vector, and the per-atom cursor stacks),
-//! so the loop nest allocates nothing.
+//! participate (and at what trie depth), what binding a value does to each
+//! of them and where the rank that needs comes from (the **bind plan**:
+//! [`Bind`], [`RankBy`]), whether the level is retained in the output, and
+//! whether the innermost count fast path applies — so the recursion in
+//! [`crate::gj`] does zero per-call discovery. [`GjContext`] owns every
+//! scratch buffer the recursion touches (per-level value buffers,
+//! multiway-intersection ping-pong buffers, the binding vector, and the
+//! per-atom cursor stacks), so the loop nest allocates nothing.
 
 use crate::config::Config;
 use crate::executor::{ExecError, NodeResult};
@@ -19,7 +20,7 @@ use crate::storage::{Catalog, Relation};
 use eh_obs::{WorkCounters, WorkerProfile};
 use eh_semiring::{AggOp, DynValue};
 use eh_set::{KernelStats, LayoutPolicy, MultiwayScratch};
-use eh_trie::{NodeId, Trie, TrieNode};
+use eh_trie::{NodeId, Trie, TrieNode, TupleBuffer};
 use std::sync::Arc;
 
 /// A reusable per-level set-value scratch buffer (not a tuple table —
@@ -54,18 +55,22 @@ pub(crate) struct AtomSpec {
 /// `&'a TrieNode` — iterate a set in place — while the recursion below it
 /// advances the cursors. `stack` and `hints` are fixed-length (one slot
 /// per bound level), preallocated here so descending the trie writes
-/// slots instead of pushing — the recursion never grows them.
+/// slots instead of pushing — the recursion never grows them. Whether the
+/// atom multiplies annotations in is compiled into its leaf step
+/// ([`Bind::Annot`]), not asked per binding.
 #[derive(Clone)]
 pub(crate) struct AtomExec<'a> {
     pub(crate) trie: &'a Trie,
-    /// Trie path: `stack[k]` is consulted when binding the atom's `k`-th
-    /// attribute level.
-    pub(crate) stack: Vec<NodeId>,
+    /// Trie path: `stack[k]` is the node consulted when binding the
+    /// atom's `k`-th attribute level — resolved to a reference when the
+    /// level above descends, so every later read is one load.
+    pub(crate) stack: Vec<&'a TrieNode>,
     /// Monotone rank cursors parallel to `stack` — values at each depth
     /// arrive ascending, so rank probes only ever move forward.
     pub(crate) hints: Vec<usize>,
-    /// See [`AtomSpec::annotated`].
-    pub(crate) annotated: bool,
+    /// Whether the trie's raw annotation columns hold `f64` bits
+    /// ([`Trie::float_annotations`]), hoisted next to the cursor.
+    pub(crate) float_annots: bool,
     /// See [`AtomSpec::level_offset`].
     pub(crate) level_offset: usize,
     /// See [`AtomSpec::observe`].
@@ -78,13 +83,12 @@ impl<'a> AtomExec<'a> {
         // joins the parent as a bare cross product); keep one slot so the
         // root cursor exists but nothing ever advances it.
         let depth = spec.attr_levels.len().max(1);
-        let mut stack = vec![0; depth];
-        stack[0] = spec.start;
+        let stack = vec![trie.node(spec.start); depth];
         AtomExec {
             trie,
             stack,
             hints: vec![0; depth],
-            annotated: spec.annotated,
+            float_annots: trie.float_annotations(),
             level_offset: spec.level_offset,
             observe: spec.observe,
         }
@@ -94,7 +98,13 @@ impl<'a> AtomExec<'a> {
     /// The borrow is of the trie, not of the cursor.
     #[inline]
     pub(crate) fn node_at(&self, d: usize) -> &'a TrieNode {
-        self.trie.node(self.stack[d])
+        self.stack[d]
+    }
+
+    /// Move the cursor below depth `d` onto `child` of the node there.
+    #[inline]
+    pub(crate) fn descend(&mut self, d: usize, child: NodeId) {
+        self.stack[d + 1] = self.trie.node(child);
     }
 }
 
@@ -145,13 +155,42 @@ impl ObsCell {
     }
 }
 
+/// Where a bind step's rank comes from — decided at compile time, so the
+/// loop nest never searches for the position of a value the intersection
+/// just produced when it is already known.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RankBy {
+    /// The atom is the level's only participant: its set is walked in
+    /// place, and a value's position in the walk *is* its rank.
+    Position,
+    /// The set is the complete range starting here
+    /// ([`eh_set::Set::dense_base`] — the root level of a relation over
+    /// dense ids): the rank is a subtraction.
+    Range(u32),
+    /// Neither: the atom's forward rank cursor finds it.
+    Cursor,
+}
+
+/// What binding a value does to one participating atom.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Bind {
+    /// Unannotated leaf: the candidate list is already the exact
+    /// intersection of every participant, so membership is known and
+    /// nothing hangs off the value — no rank, no work.
+    Member,
+    /// Internal level: move the atom's cursor to the value's child node.
+    Descend(RankBy),
+    /// Annotated leaf: `⊗` the value's annotation into the product.
+    Annot(RankBy),
+}
+
 /// One participation entry: atom `atom` is consulted at trie depth `depth`
-/// when binding this level; `leaf` marks the atom's deepest level.
+/// when binding this level, and `bind` is what binding a value does to it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LevelStep {
     pub(crate) atom: usize,
     pub(crate) depth: usize,
-    pub(crate) leaf: bool,
+    pub(crate) bind: Bind,
 }
 
 /// The participation table for one attribute level.
@@ -207,18 +246,38 @@ impl JoinProgram {
         debug_assert_eq!(atoms.len(), tries.len());
         let mut levels: Vec<LevelProgram> = Vec::with_capacity(attrs_len);
         for level in 0..attrs_len {
-            let steps: Vec<LevelStep> = atoms
+            let participants: Vec<(usize, usize)> = atoms
                 .iter()
                 .enumerate()
-                .filter_map(|(i, a)| {
-                    a.attr_levels
-                        .iter()
-                        .position(|&l| l == level)
-                        .map(|d| LevelStep {
-                            atom: i,
-                            depth: d,
-                            leaf: d + 1 == a.attr_levels.len(),
-                        })
+                .filter_map(|(i, a)| Some((i, a.attr_levels.iter().position(|&l| l == level)?)))
+                .collect();
+            let steps = participants
+                .iter()
+                .map(|&(i, depth)| {
+                    let a = &atoms[i];
+                    let rank = if participants.len() == 1 {
+                        RankBy::Position
+                    } else if depth > 0 {
+                        RankBy::Cursor
+                    } else {
+                        // Depth 0 reads one fixed set for the whole run.
+                        match tries[i].node(a.start).set.dense_base() {
+                            Some(base) => RankBy::Range(base),
+                            None => RankBy::Cursor,
+                        }
+                    };
+                    let bind = if depth + 1 < a.attr_levels.len() {
+                        Bind::Descend(rank)
+                    } else if a.annotated {
+                        Bind::Annot(rank)
+                    } else {
+                        Bind::Member
+                    };
+                    LevelStep {
+                        atom: i,
+                        depth,
+                        bind,
+                    }
                 })
                 .collect();
             levels.push(LevelProgram {
@@ -231,7 +290,7 @@ impl JoinProgram {
         let plain_last = levels.last().is_some_and(|last| {
             last.steps
                 .iter()
-                .all(|st| !(atoms[st.atom].annotated && st.leaf))
+                .all(|st| !matches!(st.bind, Bind::Annot(_)))
         });
         let last_is_output = levels.last().is_some_and(|last| last.is_output);
         let fold_from = if is_agg {
@@ -450,7 +509,7 @@ pub(crate) fn build_node(
     plan: &PhysicalPlan,
     catalog: &dyn Catalog,
     cfg: &Config,
-    results: &[Option<Arc<NodeResult>>],
+    results: &[Option<NodeResult>],
     is_agg: bool,
     op: AggOp,
 ) -> Result<NodeBuild, ExecError> {
@@ -577,7 +636,7 @@ fn build_atom(
             return Ok(BuiltAtom::Empty);
         };
         let annot = if is_agg && rel.is_annotated() && !ap.secondary {
-            n.annots.get(rank).copied().unwrap_or(op.one())
+            trie.annot_at(n, rank).unwrap_or(op.one())
         } else {
             op.one()
         };
@@ -640,7 +699,7 @@ fn child_as_relation(
 ) -> (Relation, bool) {
     let fully_folded = child.output_attrs == child.interface;
     if fully_folded {
-        let mut tuples = result.tuples.clone();
+        let mut tuples = TupleBuffer::clone(&result.tuples);
         if is_agg {
             tuples.fill_annotations(op.one());
         } else {
@@ -723,14 +782,24 @@ mod tests {
             assert!(lp.is_output);
         }
         // Depths ascend with levels, and leaves appear exactly where an
-        // atom's second attribute binds.
+        // atom's second attribute binds; unannotated, they bind nothing.
         let leaves: usize = program
             .levels
             .iter()
             .flat_map(|l| &l.steps)
-            .filter(|st| st.leaf)
+            .filter(|st| st.bind == Bind::Member)
             .count();
         assert_eq!(leaves, 3, "each binary atom bottoms out once");
+        // The other three steps descend from the root set {0, 1}: a
+        // complete range, so their rank is a subtraction.
+        let descents: Vec<Bind> = program
+            .levels
+            .iter()
+            .flat_map(|l| &l.steps)
+            .map(|st| st.bind)
+            .filter(|b| *b != Bind::Member)
+            .collect();
+        assert_eq!(descents, vec![Bind::Descend(RankBy::Range(0)); 3]);
         // A listing query has no count fast path and never folds.
         assert!(!program.count_fast && !program.scatter);
         assert_eq!(program.fold_from, usize::MAX);

@@ -16,11 +16,10 @@ use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::program::JoinProgram;
 use crate::storage::{Catalog, Relation};
 use eh_query::ast::Expr;
-use eh_semiring::{AggOp, DynValue};
+use eh_semiring::{with_carrier, AggOp, Carrier, DynValue};
 use eh_set::Set;
 use eh_trie::TupleBuffer;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A pass-through hasher for u32 keys: node ids are already uniformly
 /// distributed after dictionary encoding, so SipHash is pure overhead in
@@ -168,76 +167,51 @@ pub(crate) enum Sink {
 
 /// One-key `⊕`-accumulator over a dense id space: a flat value array plus
 /// a presence bitmap, both indexed by the key's dictionary id. Values are
-/// stored as the carrier's raw 64 bits (`u64` for COUNT/MIN, `f64` bits
-/// for SUM/MAX) so both arrays come zeroed straight from the allocator.
+/// stored as the carrier's raw 64 bits ([`Carrier::to_bits`]) so both
+/// arrays come zeroed straight from the allocator.
 pub(crate) struct DenseAgg {
     vals: Vec<u64>,
     present: Vec<u64>,
 }
 
-/// `v` as the raw bits [`DenseAgg`] stores for `op`'s carrier.
-#[inline(always)]
-fn to_raw(op: AggOp, v: DynValue) -> u64 {
-    match op {
-        AggOp::Count | AggOp::Min => v.as_u64(),
-        AggOp::Sum | AggOp::Max => v.as_f64().to_bits(),
-    }
-}
-
-/// Inverse of [`to_raw`].
-#[inline(always)]
-fn from_raw(op: AggOp, raw: u64) -> DynValue {
-    match op {
-        AggOp::Count | AggOp::Min => DynValue::U64(raw),
-        AggOp::Sum | AggOp::Max => DynValue::F64(f64::from_bits(raw)),
-    }
-}
-
 // lint:region-start(alloc-free): per-binding sink paths — emit, scatter and the dense fold run once per join binding (or per innermost set) and must never allocate
 impl DenseAgg {
+    /// `⊕` slot `k`, known to be present, with `raw`.
+    #[inline(always)]
+    fn fold<K: Carrier>(&mut self, k: usize, raw: u64) {
+        self.vals[k] = K::to_bits(K::plus(K::from_bits(self.vals[k]), K::from_bits(raw)));
+    }
+
     /// `⊕` one contribution, already in raw form, into `key`'s slot.
     #[inline(always)]
-    fn add(&mut self, key: u32, raw: u64, op: AggOp) {
+    fn add<K: Carrier>(&mut self, key: u32, raw: u64) {
         let k = key as usize;
         let (word, bit) = (k >> 6, 1u64 << (k & 63));
         if self.present[word] & bit != 0 {
-            let folded = op.plus(from_raw(op, self.vals[k]), from_raw(op, raw));
-            self.vals[k] = to_raw(op, folded);
+            self.fold::<K>(k, raw);
         } else {
             self.present[word] |= bit;
             self.vals[k] = raw;
         }
     }
 
-    /// `⊕` the same contribution into every key of `keys`, through one
-    /// copy of the loops per carrier, each with `op` a constant. Measured
-    /// on the `analytics` yardstick's `ops_per_s`: a runtime `op` costs
-    /// 20 %, dropping the bitset word split a further 12 %, dispatching on
-    /// the layout per key instead of per set a further 28 %.
-    fn scatter(&mut self, keys: Keys<'_>, v: DynValue, op: AggOp) {
-        match op {
-            AggOp::Count => self.scatter_op(keys, v, AggOp::Count),
-            AggOp::Sum => self.scatter_op(keys, v, AggOp::Sum),
-            AggOp::Min => self.scatter_op(keys, v, AggOp::Min),
-            AggOp::Max => self.scatter_op(keys, v, AggOp::Max),
-        }
-    }
-
-    /// [`DenseAgg::scatter`] with `op` a constant at every call site: one
-    /// plain loop per layout over the raw contribution, dispatching on
-    /// the layout once instead of once per key as [`Set::iter`] must.
-    #[inline(always)]
-    fn scatter_op(&mut self, keys: Keys<'_>, v: DynValue, op: AggOp) {
-        let raw = to_raw(op, v);
+    /// `⊕` the same contribution into every key of `keys`: one plain loop
+    /// per layout over the raw contribution, dispatching on the layout
+    /// once instead of once per key as [`Set::iter`] must. Measured on the
+    /// `analytics` yardstick's `ops_per_s`: a runtime operator costs 20 %,
+    /// dropping the bitset word split a further 12 %, dispatching on the
+    /// layout per key instead of per set a further 28 %.
+    fn scatter<K: Carrier>(&mut self, keys: Keys<'_>, v: K::T) {
+        let raw = K::to_bits(v);
         match keys {
             Keys::Values(values) => {
                 for &k in values {
-                    self.add(k, raw, op);
+                    self.add::<K>(k, raw);
                 }
             }
             Keys::Set(Set::Uint(s)) => {
                 for &k in s.values() {
-                    self.add(k, raw, op);
+                    self.add::<K>(k, raw);
                 }
             }
             Keys::Set(Set::Bitset(s)) => {
@@ -256,9 +230,7 @@ impl DenseAgg {
                             fresh &= fresh - 1;
                         }
                         while again != 0 {
-                            let k = base + again.trailing_zeros() as usize;
-                            let folded = op.plus(from_raw(op, self.vals[k]), from_raw(op, raw));
-                            self.vals[k] = to_raw(op, folded);
+                            self.fold::<K>(base + again.trailing_zeros() as usize, raw);
                             again &= again - 1;
                         }
                     }
@@ -266,7 +238,7 @@ impl DenseAgg {
             }
             Keys::Set(Set::Block(s)) => {
                 for k in s.iter() {
-                    self.add(k, raw, op);
+                    self.add::<K>(k, raw);
                 }
             }
         }
@@ -292,24 +264,30 @@ impl Keys<'_> {
 
 impl Sink {
     /// Emit one contribution under the current `bindings`: fold into the
-    /// scalar/aggregate accumulator or push a row.
+    /// scalar/aggregate accumulator or push a row. The join hands its
+    /// carrier's plain value over; this is where it becomes a
+    /// [`DynValue`] again (the dense array keeps raw bits).
     #[inline]
-    pub(crate) fn emit(&mut self, program: &JoinProgram, bindings: &[u32], product: DynValue) {
-        let op = program.op;
+    pub(crate) fn emit<K: Carrier>(
+        &mut self,
+        program: &JoinProgram,
+        bindings: &[u32],
+        product: K::T,
+    ) {
         let key = |i: usize| bindings[program.output_levels[i]];
         match self {
             Sink::Scalar { acc, any } => {
-                *acc = op.plus(*acc, product);
+                *acc = K::to_dyn(K::plus(K::from_dyn(*acc), product));
                 *any = true;
             }
-            Sink::Dense1(dense) => dense.add(key(0), to_raw(op, product), op),
-            Sink::Agg1(map) => fold_entry(map, key(0), product, op),
+            Sink::Dense1(dense) => dense.add::<K>(key(0), K::to_bits(product)),
+            Sink::Agg1(map) => fold_entry::<K, _, _>(map, key(0), product),
             Sink::Log1 { keys, runs } => {
                 keys.push(key(0));
-                runs.push((1, product));
+                runs.push((1, K::to_dyn(product)));
             }
-            Sink::Agg2(map) => fold_entry(map, pack2(key(0), key(1)), product, op),
-            Sink::AggN(map) => emit_wide(map, program, bindings, product),
+            Sink::Agg2(map) => fold_entry::<K, _, _>(map, pack2(key(0), key(1)), product),
+            Sink::AggN(map) => emit_wide::<K>(map, program, bindings, product),
             Sink::Rows(rows) => {
                 rows.extend_row(program.output_levels.iter().map(|&l| bindings[l]));
             }
@@ -319,14 +297,14 @@ impl Sink {
     /// Scatter-`⊕`: fold `product` into every key of `keys` (a one-key
     /// aggregate grouped by its innermost attribute, see
     /// [`JoinProgram::scatter`]).
-    pub(crate) fn scatter(&mut self, keys: Keys<'_>, product: DynValue, op: AggOp) {
+    pub(crate) fn scatter<K: Carrier>(&mut self, keys: Keys<'_>, product: K::T) {
         match self {
-            Sink::Dense1(dense) => dense.scatter(keys, product, op),
-            Sink::Agg1(map) => keys.for_each(|k| fold_entry(map, k, product, op)),
+            Sink::Dense1(dense) => dense.scatter::<K>(keys, product),
+            Sink::Agg1(map) => keys.for_each(|k| fold_entry::<K, _, _>(map, k, product)),
             Sink::Log1 { keys: log, runs } => {
                 let before = log.len();
                 keys.for_each(|k| log.push(k));
-                runs.push((log.len() - before, product));
+                runs.push((log.len() - before, K::to_dyn(product)));
             }
             _ => unreachable!("scatter needs a one-key aggregate sink"),
         }
@@ -335,27 +313,26 @@ impl Sink {
 
 /// `⊕` one contribution into a hash-keyed group.
 #[inline(always)]
-fn fold_entry<K: std::hash::Hash + Eq, S: std::hash::BuildHasher>(
-    map: &mut HashMap<K, DynValue, S>,
-    key: K,
-    v: DynValue,
-    op: AggOp,
+fn fold_entry<K: Carrier, Key: std::hash::Hash + Eq, S: std::hash::BuildHasher>(
+    map: &mut HashMap<Key, DynValue, S>,
+    key: Key,
+    v: K::T,
 ) {
     map.entry(key)
-        .and_modify(|x| *x = op.plus(*x, v))
-        .or_insert(v);
+        .and_modify(|x| *x = K::to_dyn(K::plus(K::from_dyn(*x), v)))
+        .or_insert(K::to_dyn(v));
 }
 // lint:region-end(alloc-free)
 
 /// The ≥3-key emit: the heap-keyed fallback allocates its key per call.
-fn emit_wide(
+fn emit_wide<K: Carrier>(
     map: &mut HashMap<Vec<u32>, DynValue>,
     program: &JoinProgram,
     bindings: &[u32],
-    product: DynValue,
+    product: K::T,
 ) {
     let tuple: Vec<u32> = program.output_levels.iter().map(|&l| bindings[l]).collect();
-    fold_entry(map, tuple, product, program.op);
+    fold_entry::<K, _, _>(map, tuple, product);
 }
 
 impl Sink {
@@ -405,11 +382,11 @@ impl Sink {
     /// Merge a chunk's sink (from [`Sink::chunk`]) into this one: replay
     /// or `⊕` on one-key aggregates, `⊕` on the others, one flat append on
     /// rows.
-    pub(crate) fn merge(&mut self, other: Sink, op: AggOp) {
+    pub(crate) fn merge<K: Carrier>(&mut self, other: Sink) {
         match (self, other) {
             (Sink::Scalar { acc, any }, Sink::Scalar { acc: a2, any: n2 }) => {
                 if n2 {
-                    *acc = op.plus(*acc, a2);
+                    *acc = K::OP.plus(*acc, a2);
                     *any = true;
                 }
             }
@@ -417,28 +394,28 @@ impl Sink {
                 let mut rest = keys.as_slice();
                 for (n, v) in runs {
                     let (run, tail) = rest.split_at(n);
-                    node.scatter(Keys::Values(run), v, op);
+                    node.scatter::<K>(Keys::Values(run), K::from_dyn(v));
                     rest = tail;
                 }
             }
             (Sink::Dense1(dense), Sink::Agg1(m2)) => {
                 for (k, v) in m2 {
-                    dense.add(k, to_raw(op, v), op);
+                    dense.add::<K>(k, K::to_bits(K::from_dyn(v)));
                 }
             }
             (Sink::Agg1(map), Sink::Agg1(m2)) => {
                 for (k, v) in m2 {
-                    fold_entry(map, k, v, op);
+                    fold_entry::<K, _, _>(map, k, K::from_dyn(v));
                 }
             }
             (Sink::Agg2(map), Sink::Agg2(m2)) => {
                 for (k, v) in m2 {
-                    fold_entry(map, k, v, op);
+                    fold_entry::<K, _, _>(map, k, K::from_dyn(v));
                 }
             }
             (Sink::AggN(map), Sink::AggN(m2)) => {
                 for (k, v) in m2 {
-                    fold_entry(map, k, v, op);
+                    fold_entry::<K, _, _>(map, k, K::from_dyn(v));
                 }
             }
             // Per-thread row buffers merge with one flat copy each.
@@ -458,13 +435,14 @@ impl Sink {
                 t
             }
             Sink::Dense1(dense) => {
+                let float = with_carrier!(op, K => K::FLOAT);
                 let groups = dense.present.iter().map(|w| w.count_ones() as usize).sum();
                 let mut t = TupleBuffer::with_capacity(1, groups);
                 for (word, &bits) in dense.present.iter().enumerate() {
                     let mut bits = bits;
                     while bits != 0 {
                         let k = word * 64 + bits.trailing_zeros() as usize;
-                        t.push_annotated(&[k as u32], from_raw(op, dense.vals[k]));
+                        t.push_annotated(&[k as u32], DynValue::from_bits(dense.vals[k], float));
                         bits &= bits - 1;
                     }
                 }
@@ -515,39 +493,39 @@ pub(crate) fn pack2(a: u32, b: u32) -> u64 {
 pub(crate) fn assemble(
     node_id: usize,
     plan: &PhysicalPlan,
-    results: &[Option<Arc<NodeResult>>],
+    results: &[Option<NodeResult>],
     is_agg: bool,
     op: AggOp,
-) -> NodeResult {
+) -> (Vec<String>, TupleBuffer) {
     let node = &plan.nodes[node_id];
     let own = results[node_id].as_ref().unwrap();
     let mut attrs = own.attrs.clone();
-    let mut tuples = own.tuples.clone();
+    let mut tuples = TupleBuffer::clone(&own.tuples);
     if is_agg {
         tuples.fill_annotations(op.one());
     }
     for &child_id in &node.children {
-        let child = assemble(child_id, plan, results, is_agg, op);
+        let (child_attrs, child_tuples) = assemble(child_id, plan, results, is_agg, op);
         let child_plan: &PlanNode = &plan.nodes[child_id];
         // Index child extensions by interface tuple; each bucket is a
         // flat buffer of the non-interface columns (plus annotations).
         let iface_idx: Vec<usize> = child_plan
             .interface
             .iter()
-            .map(|a| child.attrs.iter().position(|x| x == a).unwrap())
+            .map(|a| child_attrs.iter().position(|x| x == a).unwrap())
             .collect();
-        let ext_idx: Vec<usize> = (0..child.attrs.len())
+        let ext_idx: Vec<usize> = (0..child_attrs.len())
             .filter(|i| !iface_idx.contains(i))
             .collect();
         let mut index: HashMap<Vec<u32>, TupleBuffer> = HashMap::new();
-        for (ri, row) in child.tuples.iter().enumerate() {
+        for (ri, row) in child_tuples.iter().enumerate() {
             let key: Vec<u32> = iface_idx.iter().map(|&i| row[i]).collect();
             let bucket = index
                 .entry(key)
                 .or_insert_with(|| TupleBuffer::new(ext_idx.len()));
             let ext = ext_idx.iter().map(|&i| row[i]);
             if is_agg {
-                let an = child.tuples.annot(ri).unwrap_or_else(|| op.one());
+                let an = child_tuples.annot(ri).unwrap_or_else(|| op.one());
                 bucket.extend_row_annotated(ext, an);
             } else {
                 bucket.extend_row(ext);
@@ -578,18 +556,19 @@ pub(crate) fn assemble(
             }
         }
         for &i in &ext_idx {
-            attrs.push(child.attrs[i].clone());
+            attrs.push(child_attrs[i].clone());
         }
         tuples = joined;
     }
-    NodeResult { attrs, tuples }
+    (attrs, tuples)
 }
 
 /// Project to the head variables, fold duplicates, and apply the head
 /// expression.
 pub(crate) fn finalize(
     plan: &PhysicalPlan,
-    result: NodeResult,
+    attrs: &[String],
+    tuples: TupleBuffer,
     catalog: &dyn Catalog,
     is_agg: bool,
     op: AggOp,
@@ -598,8 +577,7 @@ pub(crate) fn finalize(
         .output_vars
         .iter()
         .map(|a| {
-            result
-                .attrs
+            attrs
                 .iter()
                 .position(|x| x == a)
                 .expect("output var must be in assembled attrs")
@@ -607,11 +585,11 @@ pub(crate) fn finalize(
         .collect();
     // The assembled columns usually ARE the head keys, in order (a
     // single-node plan's sink output): no projection copy then.
-    let in_head_order = key_idx.iter().copied().eq(0..result.attrs.len());
+    let in_head_order = key_idx.iter().copied().eq(0..attrs.len());
     let mut out = if in_head_order {
-        result.tuples
+        tuples
     } else {
-        result.tuples.reorder(&key_idx)
+        tuples.reorder(&key_idx)
     };
     if !is_agg {
         out.drop_annotations();
@@ -680,7 +658,7 @@ mod tests {
             }
             let program = JoinProgram::compile(1, vec![0], &[], Vec::new(), true, op);
             for &(k, v) in entries {
-                chunk.emit(&program, &[k], v);
+                with_carrier!(op, K => chunk.emit::<K>(&program, &[k], K::from_dyn(v)));
             }
             chunk
         };
@@ -715,8 +693,10 @@ mod tests {
             for kind in [SinkKind::Dense(71), SinkKind::Hash] {
                 let mut sink = Sink::new(kind, 1, op);
                 let (a, b) = (log(&sink, op, &first), log(&sink, op, &second));
-                sink.merge(a, op);
-                sink.merge(b, op);
+                with_carrier!(op, K => {
+                    sink.merge::<K>(a);
+                    sink.merge::<K>(b);
+                });
                 let t = sink.into_node_tuples(1, op);
                 let got: Vec<(u32, DynValue)> = t
                     .iter()
@@ -750,13 +730,15 @@ mod tests {
                     } else {
                         Sink::new(kind, 1, op)
                     };
-                    target.scatter(Keys::Set(&set), v(0.5), op);
-                    target.scatter(Keys::Values(&keys[1..3]), v(0.25), op);
-                    if chunked {
-                        node.merge(target, op);
-                    } else {
-                        node = target;
-                    }
+                    with_carrier!(op, K => {
+                        target.scatter::<K>(Keys::Set(&set), K::from_dyn(v(0.5)));
+                        target.scatter::<K>(Keys::Values(&keys[1..3]), K::from_dyn(v(0.25)));
+                        if chunked {
+                            node.merge::<K>(target);
+                        } else {
+                            node = target;
+                        }
+                    });
                     let t = node.into_node_tuples(1, op);
                     assert_eq!(t.flat(), &keys);
                     let want: Vec<DynValue> = [0.5, 0.75, 0.75, 0.5, 0.5].map(v).to_vec();
@@ -838,7 +820,7 @@ mod tests {
             r.push_row(&[1, 2]);
             r.push_row(&[0, 9]);
         }
-        a.merge(b, op);
+        a.merge::<eh_semiring::CountOp>(b);
         let t = a.into_node_tuples(2, op);
         assert_eq!(t.flat(), &[0, 9, 1, 2, 4, 5], "sorted, duplicate folded");
     }
@@ -851,7 +833,7 @@ mod tests {
             acc: DynValue::U64(4),
             any: true,
         };
-        a.merge(b, op);
+        a.merge::<eh_semiring::CountOp>(b);
         let t = a.into_node_tuples(0, op);
         assert_eq!(t.len(), 1);
         assert_eq!(t.annot(0).unwrap().as_u64(), 4);

@@ -10,6 +10,13 @@
 //! and the per-binding sink paths (emit, scatter, the dense fold). The
 //! entry points around them — materializing intersections, sink
 //! construction and drain — allocate by design.
+//!
+//! Two kinds of evidence count. A token pattern that allocates on the
+//! spot (`Vec::new()`, `.collect()`, …), and a call to one of the
+//! crate's own entry points that are *known* to allocate
+//! (`ALLOCATING_CALLEES`): a kernel that builds its answer through
+//! `intersect(…)` or `BitsetSet::from_parts(…)` allocates per call just
+//! the same, and no token in the kernel itself says so.
 
 use super::{match_seq, FileCtx, Rule, Scope};
 use crate::report::Finding;
@@ -25,9 +32,19 @@ const PATTERNS: &[(&[&str], &str)] = &[
     (&["format", "!"], "format!()"),
     (&["String", ":", ":", "new"], "String::new()"),
     (&[".", "collect"], ".collect()"),
-    (&[".", "to_vec"], ".to_vec()"),
     (&[".", "to_owned"], ".to_owned()"),
     (&[".", "to_string"], ".to_string()"),
+];
+
+/// Functions of the covered crates that allocate their result: calling
+/// one inside a hot-path region is an allocation per call, invisible to
+/// the token patterns above. (`fn name(` — a definition — is not a call.)
+const ALLOCATING_CALLEES: &[&str] = &[
+    "intersect",
+    "intersect_bitset_bitset",
+    "intersect_block_block",
+    "from_parts",
+    "to_vec",
 ];
 
 impl Rule for AllocFree {
@@ -36,9 +53,10 @@ impl Rule for AllocFree {
     }
 
     fn description(&self) -> &'static str {
-        "no Vec::new/vec!/collect/Box::new/format!/to_vec in hot-path regions \
-         (gj.rs whole-file; eh_set kernels and the exec sink's emit/scatter \
-         paths via lint:region markers)"
+        "no Vec::new/vec!/collect/Box::new/format!/to_vec, and no call to a \
+         known-allocating callee (intersect, from_parts, …), in hot-path \
+         regions (gj.rs whole-file; eh_set kernels and the exec sink's \
+         emit/scatter paths via lint:region markers)"
     }
 
     fn applies(&self, path: &str) -> Option<Scope> {
@@ -46,7 +64,11 @@ impl Rule for AllocFree {
             Some(Scope::WholeFile)
         } else if matches!(
             path,
-            "crates/set/src/intersect.rs" | "crates/set/src/uint.rs" | "crates/exec/src/sink.rs"
+            "crates/set/src/intersect.rs"
+                | "crates/set/src/uint.rs"
+                | "crates/set/src/bitset.rs"
+                | "crates/set/src/block.rs"
+                | "crates/exec/src/sink.rs"
         ) {
             Some(Scope::Marked)
         } else {
@@ -57,9 +79,24 @@ impl Rule for AllocFree {
     fn check(&self, ctx: &FileCtx<'_, '_>, out: &mut Vec<Finding>) {
         let toks = &ctx.lexed.tokens;
         for i in 0..toks.len() {
+            let line = toks[i].line;
+            let is_call = ALLOCATING_CALLEES
+                .iter()
+                .any(|callee| match_seq(toks, i, &[callee, "("]))
+                && !(i > 0 && match_seq(toks, i - 1, &["fn"]));
+            if is_call && ctx.active(line) {
+                out.push(ctx.finding(
+                    self.name(),
+                    line,
+                    format!(
+                        "{}() allocates its result; a hot-path region must append to a caller-provided buffer",
+                        toks[i].text
+                    ),
+                ));
+                continue;
+            }
             for (pat, what) in PATTERNS {
                 if match_seq(toks, i, pat) {
-                    let line = toks[i].line;
                     if ctx.active(line) {
                         out.push(ctx.finding(
                             self.name(),

@@ -122,6 +122,33 @@ pub fn scatter(vals: &mut [u64], keys: &[u32], raw: u64) {
 }
 
 #[test]
+fn alloc_free_catches_known_allocating_callees_in_regions() {
+    // The defect the token patterns could not see: a "values into the
+    // caller's buffer" kernel that builds its answer through an
+    // allocating entry point. Calls fire; the definitions themselves,
+    // and the same calls outside a region, do not.
+    let src = "\
+pub fn intersect(a: &Set, b: &Set) -> Set {
+    Set::Bitset(intersect_bitset_bitset(a, b))
+}
+// lint:region-start(alloc-free): kernels append to caller buffers
+pub fn intersect_values(a: &Set, b: &Set, out: &mut Vec<u32>) {
+    let r = intersect_bitset_bitset(a, b);
+    out.extend(r.iter());
+    let s = intersect(a, b);
+    out.extend(BitsetSet::from_parts(offsets, blocks).iter());
+    out.extend(s.iter().to_vec());
+}
+fn from_parts(offsets: &[u32]) {}
+// lint:region-end(alloc-free)
+";
+    for path in ["crates/set/src/intersect.rs", "crates/set/src/bitset.rs"] {
+        let f = run(path, src);
+        assert_eq!(lines_of(&f, "alloc-free"), vec![6, 8, 9, 10], "{path}");
+    }
+}
+
+#[test]
 fn alloc_free_does_not_apply_outside_hot_paths() {
     let src = "fn anywhere() { let v: Vec<u32> = Vec::new(); let _ = v; }\n";
     assert!(run("crates/query/src/parse.rs", src).is_empty());

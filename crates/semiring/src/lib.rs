@@ -10,7 +10,7 @@
 
 pub mod ops;
 
-pub use ops::{AggOp, DynValue};
+pub use ops::{AggOp, Carrier, CountOp, DynValue, MaxOp, MinOp, SumOp};
 
 /// A commutative semiring over the annotation type `Self`.
 ///

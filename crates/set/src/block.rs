@@ -6,6 +6,7 @@
 //! long sparse region followed by a dense run (paper Figure 6) — at the cost
 //! of per-block dispatch.
 
+use crate::bitset::{push_block_values, BitsetSet};
 use crate::simd;
 use crate::{bit_of, block_of, Block, BLOCK_BITS, BLOCK_WORDS};
 
@@ -36,6 +37,21 @@ impl BlockData {
             BlockData::Dense(_) => BLOCK_WORDS * 8,
         }
     }
+
+    fn view(&self) -> BlockRef<'_> {
+        match self {
+            BlockData::Sparse(v) => BlockRef::Sparse(v),
+            BlockData::Dense(b) => BlockRef::Dense(b),
+        }
+    }
+}
+
+/// A borrowed block payload: what the value and count kernels read, so a
+/// [`BitsetSet`] block (always dense) and a composite block share them.
+#[derive(Clone, Copy)]
+enum BlockRef<'a> {
+    Sparse(&'a [u8]),
+    Dense(&'a Block),
 }
 
 /// Composite layout: sorted block ids with per-block sparse/dense payloads.
@@ -275,14 +291,49 @@ pub fn intersect_block_block(a: &BlockSet, b: &BlockSet, simd_on: bool) -> Block
     BlockSet::from_parts(ids, data)
 }
 
+// lint:region-start(alloc-free): composite-layout kernels Generic-Join calls per loop level — count, or append to the caller's buffer
 /// Count-only block ∩ block.
 pub fn count_block_block(a: &BlockSet, b: &BlockSet) -> usize {
     let mut n = 0usize;
+    for_common_ids(&a.ids, &b.ids, |_, i, j| {
+        n += count_block_refs(a.data[i].view(), b.data[j].view());
+    });
+    n
+}
+
+/// block ∩ block as *values* appended to `out` — no intermediate set.
+pub fn values_block_block(a: &BlockSet, b: &BlockSet, simd_on: bool, out: &mut Vec<u32>) {
+    for_common_ids(&a.ids, &b.ids, |id, i, j| {
+        push_block_refs(id, a.data[i].view(), b.data[j].view(), simd_on, out);
+    });
+}
+
+/// Count-only bitset ∩ block: the bitset's blocks are dense blocks.
+pub fn count_bitset_block(a: &BitsetSet, b: &BlockSet) -> usize {
+    let mut n = 0usize;
+    for_common_ids(a.offsets(), &b.ids, |_, i, j| {
+        n += count_block_refs(BlockRef::Dense(&a.blocks()[i]), b.data[j].view());
+    });
+    n
+}
+
+/// bitset ∩ block as *values* appended to `out`.
+pub fn values_bitset_block(a: &BitsetSet, b: &BlockSet, simd_on: bool, out: &mut Vec<u32>) {
+    for_common_ids(a.offsets(), &b.ids, |id, i, j| {
+        let dense = BlockRef::Dense(&a.blocks()[i]);
+        push_block_refs(id, dense, b.data[j].view(), simd_on, out);
+    });
+}
+
+/// Merge-walk two sorted block-id arrays, invoking `f(id, i, j)` for each
+/// id both hold (at positions `i` and `j`).
+#[inline]
+fn for_common_ids(a: &[u32], b: &[u32], mut f: impl FnMut(u32, usize, usize)) {
     let (mut i, mut j) = (0usize, 0usize);
-    while i < a.ids.len() && j < b.ids.len() {
-        let (x, y) = (a.ids[i], b.ids[j]);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
         if x == y {
-            n += count_block_data(&a.data[i], &b.data[j]);
+            f(x, i, j);
             i += 1;
             j += 1;
         } else if x < y {
@@ -291,8 +342,70 @@ pub fn count_block_block(a: &BlockSet, b: &BlockSet) -> usize {
             j += 1;
         }
     }
-    n
 }
+
+/// Whether in-block offset `o` is set in the dense block `b`.
+#[inline]
+fn has_bit(b: &Block, o: u8) -> bool {
+    b[(o / 64) as usize] & (1u64 << (o % 64)) != 0
+}
+
+/// Merge-walk two sorted in-block offset lists, invoking `f` per match.
+#[inline]
+fn for_common_offsets(xs: &[u8], ys: &[u8], mut f: impl FnMut(u8)) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < xs.len() && j < ys.len() {
+        if xs[i] == ys[j] {
+            f(xs[i]);
+            i += 1;
+            j += 1;
+        } else if xs[i] < ys[j] {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+}
+
+fn count_block_refs(a: BlockRef<'_>, b: BlockRef<'_>) -> usize {
+    use BlockRef::*;
+    match (a, b) {
+        (Dense(x), Dense(y)) => simd::and_block_count(x, y) as usize,
+        (Sparse(xs), Sparse(ys)) => {
+            let mut n = 0usize;
+            for_common_offsets(xs, ys, |_| n += 1);
+            n
+        }
+        (Sparse(xs), Dense(y)) | (Dense(y), Sparse(xs)) => {
+            xs.iter().filter(|&&o| has_bit(y, o)).count()
+        }
+    }
+}
+
+/// Append the values block `id` holds in both `a` and `b`.
+fn push_block_refs(id: u32, a: BlockRef<'_>, b: BlockRef<'_>, simd_on: bool, out: &mut Vec<u32>) {
+    use BlockRef::*;
+    let base = id * BLOCK_BITS;
+    match (a, b) {
+        (Dense(x), Dense(y)) => {
+            let anded = if simd_on {
+                simd::and_block(x, y)
+            } else {
+                simd::and_block_scalar(x, y)
+            };
+            push_block_values(id, &anded, out);
+        }
+        (Sparse(xs), Sparse(ys)) => for_common_offsets(xs, ys, |o| out.push(base + o as u32)),
+        (Sparse(xs), Dense(y)) | (Dense(y), Sparse(xs)) => {
+            for &o in xs {
+                if has_bit(y, o) {
+                    out.push(base + o as u32);
+                }
+            }
+        }
+    }
+}
+// lint:region-end(alloc-free)
 
 fn intersect_block_data(a: &BlockData, b: &BlockData, simd_on: bool) -> Option<BlockData> {
     use BlockData::*;
@@ -340,32 +453,6 @@ fn intersect_block_data(a: &BlockData, b: &BlockData, simd_on: bool) -> Option<B
         }
     };
     Some(out)
-}
-
-fn count_block_data(a: &BlockData, b: &BlockData) -> usize {
-    use BlockData::*;
-    match (a, b) {
-        (Dense(x), Dense(y)) => simd::and_block_count(x, y) as usize,
-        (Sparse(xs), Sparse(ys)) => {
-            let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-            while i < xs.len() && j < ys.len() {
-                if xs[i] == ys[j] {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                } else if xs[i] < ys[j] {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            n
-        }
-        (Sparse(xs), Dense(y)) | (Dense(y), Sparse(xs)) => xs
-            .iter()
-            .filter(|&&o| y[(o / 64) as usize] & (1u64 << (o % 64)) != 0)
-            .count(),
-    }
 }
 
 #[cfg(test)]

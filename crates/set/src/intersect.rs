@@ -7,9 +7,9 @@
 //! inherits its worst-case optimality.
 
 use crate::bitset::{self, BitsetSet};
-use crate::block::{self, BlockSet};
+use crate::block;
 use crate::uint::{self, UintSet};
-use crate::{bit_of, block_of, Set};
+use crate::Set;
 
 /// Which uint∩uint algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,21 +65,55 @@ impl IntersectConfig {
             algorithm_optimizer: false,
         }
     }
+}
 
-    fn uint_uint(&self, a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-        if !self.algorithm_optimizer {
-            uint::intersect_merge_scalar(a, b, out);
-        } else {
-            uint::intersect_hybrid(a, b, self.simd, out);
-        }
+/// Kernel-dispatch counters for the intersection paths. Owned by the
+/// [`MultiwayScratch`] so hot-path recording stays a plain field bump —
+/// no atomics, no allocation — and readers drain them between joins with
+/// [`KernelStats::take`]. Every counter is charged *by the dispatch arm
+/// that picks the kernel*, from the lengths it already holds, so the
+/// counts explain which code path did the work and cost no second pass
+/// over the operands.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Multiway intersection calls (n ≥ 2).
+    pub intersections: u64,
+    /// Σ kernel input lengths: both operands of every 2-way kernel
+    /// (intermediate accumulators of a chain included), every participant
+    /// once for a single-pass k-way kernel (probe-smallest, k-way bitset
+    /// AND) — the observed analogue of the cost model's intersection-work
+    /// estimate.
+    pub values_scanned: u64,
+    /// Two-pointer / SIMD-shuffle merge dispatches.
+    pub merge_kernels: u64,
+    /// Gallop (exponential-search / rank-probe) dispatches.
+    pub gallop_kernels: u64,
+    /// Bitset or block kernel dispatches; a k-way bitset AND pass counts
+    /// `k − 1`, one per pairwise AND it fuses.
+    pub bitset_kernels: u64,
+}
+
+impl KernelStats {
+    /// Fold another block into this one (wrapping, order-independent).
+    pub fn merge(&mut self, other: &KernelStats) {
+        self.intersections = self.intersections.wrapping_add(other.intersections);
+        self.values_scanned = self.values_scanned.wrapping_add(other.values_scanned);
+        self.merge_kernels = self.merge_kernels.wrapping_add(other.merge_kernels);
+        self.gallop_kernels = self.gallop_kernels.wrapping_add(other.gallop_kernels);
+        self.bitset_kernels = self.bitset_kernels.wrapping_add(other.bitset_kernels);
     }
 
-    fn uint_uint_count(&self, a: &[u32], b: &[u32]) -> usize {
-        if !self.algorithm_optimizer {
-            uint::count_merge_scalar(a, b)
-        } else {
-            uint::count_hybrid(a, b, self.simd)
-        }
+    /// Drain the counters, leaving zeros behind.
+    pub fn take(&mut self) -> KernelStats {
+        std::mem::take(self)
+    }
+
+    /// Charge one bitset-family (any bitset or composite operand) kernel
+    /// over operands of `a_len` and `b_len` values.
+    #[inline(always)]
+    fn bitset_kernel(&mut self, a_len: usize, b_len: usize) {
+        self.values_scanned += (a_len + b_len) as u64;
+        self.bitset_kernels += 1;
     }
 }
 
@@ -89,78 +123,17 @@ impl IntersectConfig {
 /// combinations stay composite.
 pub fn intersect(a: &Set, b: &Set, cfg: &IntersectConfig) -> Set {
     match (a, b) {
-        (Set::Uint(x), Set::Uint(y)) => {
-            let mut out = Vec::new();
-            cfg.uint_uint(x.values(), y.values(), &mut out);
-            Set::Uint(UintSet::new(out))
-        }
-        (Set::Uint(x), Set::Bitset(y)) | (Set::Bitset(y), Set::Uint(x)) => {
-            let mut out = Vec::new();
-            bitset::intersect_uint_bitset(x.values(), y, &mut out);
-            Set::Uint(UintSet::new(out))
-        }
         (Set::Bitset(x), Set::Bitset(y)) => {
             Set::Bitset(bitset::intersect_bitset_bitset(x, y, cfg.simd))
         }
         (Set::Block(x), Set::Block(y)) => Set::Block(block::intersect_block_block(x, y, cfg.simd)),
-        (Set::Uint(x), Set::Block(y)) | (Set::Block(y), Set::Uint(x)) => {
-            let mut out = Vec::new();
-            intersect_uint_block(x.values(), y, &mut out);
-            Set::Uint(UintSet::new(out))
-        }
-        (Set::Bitset(x), Set::Block(y)) | (Set::Block(y), Set::Bitset(x)) => {
-            let mut out = Vec::new();
-            intersect_bitset_block(x, y, &mut out);
-            Set::Uint(UintSet::new(out))
-        }
-    }
-}
-
-/// Count an intersection without materializing it (used by aggregate-only
-/// queries, where the innermost Generic-Join loop is a pure count).
-pub fn intersect_count(a: &Set, b: &Set, cfg: &IntersectConfig) -> usize {
-    match (a, b) {
-        (Set::Uint(x), Set::Uint(y)) => cfg.uint_uint_count(x.values(), y.values()),
-        (Set::Uint(x), Set::Bitset(y)) | (Set::Bitset(y), Set::Uint(x)) => {
-            bitset::count_uint_bitset(x.values(), y)
-        }
-        (Set::Bitset(x), Set::Bitset(y)) => bitset::count_bitset_bitset(x, y),
-        (Set::Block(x), Set::Block(y)) => block::count_block_block(x, y),
-        (Set::Uint(x), Set::Block(y)) | (Set::Block(y), Set::Uint(x)) => {
-            x.values().iter().filter(|&&v| y.contains(v)).count()
-        }
-        (Set::Bitset(x), Set::Block(y)) | (Set::Block(y), Set::Bitset(x)) => {
-            let mut n = 0;
-            let mut out = Vec::new();
-            intersect_bitset_block(x, y, &mut out);
-            n += out.len();
-            n
-        }
-    }
-}
-
-// lint:region-start(alloc-free): Generic-Join calls these once per loop level; they must only append to caller buffers
-/// Intersect two sets writing the result *values* into a caller-provided
-/// buffer — the allocation-free fast path for Generic-Join's loop levels,
-/// where only the ascending value stream is needed, not a layout.
-pub fn intersect_values(a: &Set, b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
-    match (a, b) {
-        (Set::Uint(x), Set::Uint(y)) => cfg.uint_uint(x.values(), y.values(), out),
-        (Set::Uint(x), Set::Bitset(y)) | (Set::Bitset(y), Set::Uint(x)) => {
-            bitset::intersect_uint_bitset(x.values(), y, out);
-        }
-        (Set::Bitset(x), Set::Bitset(y)) => {
-            let r = bitset::intersect_bitset_bitset(x, y, cfg.simd);
-            out.extend(r.iter());
-        }
         _ => {
-            let r = intersect(a, b, cfg);
-            out.extend(r.iter());
+            let mut out = Vec::new();
+            intersect_values(a, b, cfg, &mut out);
+            Set::Uint(UintSet::new(out))
         }
     }
 }
-
-// lint:region-end(alloc-free)
 
 /// Intersect many sets left-to-right, smallest-first (the standard
 /// Generic-Join ordering: start from the smallest set so every step is
@@ -181,112 +154,152 @@ pub fn intersect_all(sets: &[&Set], cfg: &IntersectConfig) -> Set {
     acc
 }
 
-// lint:region-start(alloc-free): multiway chain + scratch reuse — the whole point of MultiwayScratch is zero per-call allocation
-/// Intersect a sorted value slice (a materialized intermediate) with a set,
-/// appending the surviving values to `out`. The slice side is always the
-/// accumulator of a multiway chain, so this is the uint×layout dispatch
-/// without constructing a [`Set`].
-pub fn intersect_values_slice(a: &[u32], b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
-    match b {
-        Set::Uint(y) => cfg.uint_uint(a, y.values(), out),
-        Set::Bitset(y) => bitset::intersect_uint_bitset(a, y, out),
-        Set::Block(y) => intersect_uint_block(a, y, out),
+// lint:region-start(alloc-free): Generic-Join calls these once per loop level — they only count, or append to caller buffers; MultiwayScratch exists so the multiway chain never allocates per call
+impl IntersectConfig {
+    /// Charge one uint ∩ uint kernel and say whether the `-RA` ablation
+    /// leaves the choice to the hybrid kernel: the class charged is the
+    /// branch [`uint::gallop_pays_off`] sends that kernel down.
+    #[inline]
+    fn charge_uint_uint(&self, a_len: usize, b_len: usize, stats: &mut KernelStats) -> bool {
+        stats.values_scanned += (a_len + b_len) as u64;
+        if self.algorithm_optimizer && uint::gallop_pays_off(a_len, b_len) {
+            stats.gallop_kernels += 1;
+        } else {
+            stats.merge_kernels += 1;
+        }
+        self.algorithm_optimizer
     }
+
+    /// uint ∩ uint values: the hybrid kernel (gallop on ≥32:1 skew,
+    /// shuffle/merge otherwise), or plain scalar merge under `-RA`.
+    #[inline]
+    fn uint_uint(&self, a: &[u32], b: &[u32], stats: &mut KernelStats, out: &mut Vec<u32>) {
+        if self.charge_uint_uint(a.len(), b.len(), stats) {
+            uint::intersect_hybrid(a, b, self.simd, out);
+        } else {
+            uint::intersect_merge_scalar(a, b, out);
+        }
+    }
+
+    /// Count-only twin of [`Self::uint_uint`].
+    #[inline]
+    fn uint_uint_count(&self, a: &[u32], b: &[u32], stats: &mut KernelStats) -> usize {
+        if self.charge_uint_uint(a.len(), b.len(), stats) {
+            uint::count_hybrid(a, b, self.simd)
+        } else {
+            uint::count_merge_scalar(a, b)
+        }
+    }
+}
+
+/// The 2-way value dispatch over every layout pair: append `a ∩ b` to
+/// `out`, charging `stats` in the arm that picks the kernel.
+fn pair_values(
+    a: &Set,
+    b: &Set,
+    cfg: &IntersectConfig,
+    stats: &mut KernelStats,
+    out: &mut Vec<u32>,
+) {
+    match (a, b) {
+        (Set::Uint(x), Set::Uint(y)) => cfg.uint_uint(x.values(), y.values(), stats, out),
+        (Set::Uint(x), y) | (y, Set::Uint(x)) => slice_values(x.values(), y, cfg, stats, out),
+        (Set::Bitset(x), Set::Bitset(y)) => {
+            stats.bitset_kernel(x.len(), y.len());
+            bitset::values_bitset_bitset(x, y, cfg.simd, out);
+        }
+        (Set::Block(x), Set::Block(y)) => {
+            stats.bitset_kernel(x.len(), y.len());
+            block::values_block_block(x, y, cfg.simd, out);
+        }
+        (Set::Bitset(x), Set::Block(y)) | (Set::Block(y), Set::Bitset(x)) => {
+            stats.bitset_kernel(x.len(), y.len());
+            block::values_bitset_block(x, y, cfg.simd, out);
+        }
+    }
+}
+
+/// Count-only twin of [`pair_values`].
+fn pair_count(a: &Set, b: &Set, cfg: &IntersectConfig, stats: &mut KernelStats) -> usize {
+    match (a, b) {
+        (Set::Uint(x), Set::Uint(y)) => cfg.uint_uint_count(x.values(), y.values(), stats),
+        (Set::Uint(x), y) | (y, Set::Uint(x)) => slice_count(x.values(), y, cfg, stats),
+        (Set::Bitset(x), Set::Bitset(y)) => {
+            stats.bitset_kernel(x.len(), y.len());
+            bitset::count_bitset_bitset(x, y)
+        }
+        (Set::Block(x), Set::Block(y)) => {
+            stats.bitset_kernel(x.len(), y.len());
+            block::count_block_block(x, y)
+        }
+        (Set::Bitset(x), Set::Block(y)) | (Set::Block(y), Set::Bitset(x)) => {
+            stats.bitset_kernel(x.len(), y.len());
+            block::count_bitset_block(x, y)
+        }
+    }
+}
+
+/// Sorted value slice (a uint set, or a chain's accumulator) ∩ set,
+/// appended to `out`: the uint×layout dispatch without a [`Set`] around
+/// the slice side.
+fn slice_values(
+    a: &[u32],
+    b: &Set,
+    cfg: &IntersectConfig,
+    stats: &mut KernelStats,
+    out: &mut Vec<u32>,
+) {
+    match b {
+        Set::Uint(y) => cfg.uint_uint(a, y.values(), stats, out),
+        Set::Bitset(y) => {
+            stats.bitset_kernel(a.len(), y.len());
+            bitset::intersect_uint_bitset(a, y, out);
+        }
+        Set::Block(y) => {
+            stats.bitset_kernel(a.len(), y.len());
+            out.extend(a.iter().filter(|&&v| y.contains(v)));
+        }
+    }
+}
+
+/// Count-only twin of [`slice_values`].
+fn slice_count(a: &[u32], b: &Set, cfg: &IntersectConfig, stats: &mut KernelStats) -> usize {
+    match b {
+        Set::Uint(y) => cfg.uint_uint_count(a, y.values(), stats),
+        Set::Bitset(y) => {
+            stats.bitset_kernel(a.len(), y.len());
+            bitset::count_uint_bitset(a, y)
+        }
+        Set::Block(y) => {
+            stats.bitset_kernel(a.len(), y.len());
+            a.iter().filter(|&&v| y.contains(v)).count()
+        }
+    }
+}
+
+/// Count an intersection without materializing it (used by aggregate-only
+/// queries, where the innermost Generic-Join loop is a pure count).
+pub fn intersect_count(a: &Set, b: &Set, cfg: &IntersectConfig) -> usize {
+    pair_count(a, b, cfg, &mut KernelStats::default())
+}
+
+/// Intersect two sets writing the result *values* into a caller-provided
+/// buffer — the allocation-free fast path for Generic-Join's loop levels,
+/// where only the ascending value stream is needed, not a layout.
+pub fn intersect_values(a: &Set, b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
+    pair_values(a, b, cfg, &mut KernelStats::default(), out);
+}
+
+/// Intersect a sorted value slice (a materialized intermediate) with a set,
+/// appending the surviving values to `out`.
+pub fn intersect_values_slice(a: &[u32], b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
+    slice_values(a, b, cfg, &mut KernelStats::default(), out);
 }
 
 /// Count the intersection of a sorted value slice with a set without
 /// materializing it.
 pub fn count_values_slice(a: &[u32], b: &Set, cfg: &IntersectConfig) -> usize {
-    match b {
-        Set::Uint(y) => cfg.uint_uint_count(a, y.values()),
-        Set::Bitset(y) => bitset::count_uint_bitset(a, y),
-        Set::Block(y) => a.iter().filter(|&&v| y.contains(v)).count(),
-    }
-}
-
-/// Kernel-dispatch counters for the multiway intersection paths. Owned by
-/// the [`MultiwayScratch`] so hot-path recording stays a plain field bump —
-/// no atomics, no allocation — and readers drain them between joins with
-/// [`KernelStats::take`]. Counts are *dispatch decisions*, classified the
-/// same way the kernels themselves dispatch (layout pair + cardinality
-/// ratio), so they explain which code path did the work.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Multiway intersection calls (n ≥ 2).
-    pub intersections: u64,
-    /// Σ kernel input lengths (u32 values fed to dispatched kernels,
-    /// intermediate accumulators included) — the observed analogue of the
-    /// cost model's intersection-work estimate. Bumped where the dispatch
-    /// already holds the lengths, so recording adds no extra set reads.
-    pub values_scanned: u64,
-    /// Two-pointer / SIMD-shuffle merge dispatches.
-    pub merge_kernels: u64,
-    /// Gallop (exponential-search / rank-probe) dispatches.
-    pub gallop_kernels: u64,
-    /// Bitset or block kernel dispatches.
-    pub bitset_kernels: u64,
-}
-
-impl KernelStats {
-    /// Fold another block into this one (wrapping, order-independent).
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.intersections = self.intersections.wrapping_add(other.intersections);
-        self.values_scanned = self.values_scanned.wrapping_add(other.values_scanned);
-        self.merge_kernels = self.merge_kernels.wrapping_add(other.merge_kernels);
-        self.gallop_kernels = self.gallop_kernels.wrapping_add(other.gallop_kernels);
-        self.bitset_kernels = self.bitset_kernels.wrapping_add(other.bitset_kernels);
-    }
-
-    /// Drain the counters, leaving zeros behind.
-    pub fn take(&mut self) -> KernelStats {
-        std::mem::take(self)
-    }
-}
-
-/// Classify and record a 2-way set×set dispatch: uint×uint splits into
-/// merge vs gallop by the same skew rule the hybrid kernel uses; any
-/// bitset/block participant is a bitset-family kernel.
-fn note_pair(stats: &mut KernelStats, a: &Set, b: &Set, cfg: &IntersectConfig) {
-    stats.values_scanned += (a.len() + b.len()) as u64;
-    match (a, b) {
-        (Set::Uint(_), Set::Uint(_)) => {
-            let (s, l) = if a.len() <= b.len() {
-                (a.len(), b.len())
-            } else {
-                (b.len(), a.len())
-            };
-            if cfg.algorithm_optimizer
-                && crate::skew::cardinality_ratio(s, l) >= uint::GALLOP_RATIO as f64
-            {
-                stats.gallop_kernels += 1;
-            } else {
-                stats.merge_kernels += 1;
-            }
-        }
-        _ => stats.bitset_kernels += 1,
-    }
-}
-
-/// [`note_pair`] for the slice×set chain steps.
-fn note_slice(stats: &mut KernelStats, a_len: usize, b: &Set, cfg: &IntersectConfig) {
-    stats.values_scanned += (a_len + b.len()) as u64;
-    match b {
-        Set::Uint(_) => {
-            let (s, l) = if a_len <= b.len() {
-                (a_len, b.len())
-            } else {
-                (b.len(), a_len)
-            };
-            if cfg.algorithm_optimizer
-                && crate::skew::cardinality_ratio(s, l) >= uint::GALLOP_RATIO as f64
-            {
-                stats.gallop_kernels += 1;
-            } else {
-                stats.merge_kernels += 1;
-            }
-        }
-        _ => stats.bitset_kernels += 1,
-    }
+    slice_count(a, b, cfg, &mut KernelStats::default())
 }
 
 /// Reusable buffers for multiway intersections: an index ordering plus two
@@ -302,7 +315,7 @@ pub struct MultiwayScratch {
     /// Intermediate accumulator (pong).
     pong: Vec<u32>,
     /// Per-set monotone rank cursors for the probe-smallest path.
-    hints: Vec<usize>,
+    cursors: Vec<usize>,
     /// Kernel-dispatch counters, recorded as plain field bumps on every
     /// multiway call and drained by profiling readers.
     pub stats: KernelStats,
@@ -313,6 +326,79 @@ impl MultiwayScratch {
     pub fn new() -> MultiwayScratch {
         MultiwayScratch::default()
     }
+}
+
+/// How an `n ≥ 3`-way intersection runs, decided once per call from the
+/// participants' layouts and sizes (and charged to the stats there).
+enum Multiway<'s> {
+    /// Every participant is a bitset (the first `n` entries): one
+    /// block-aligned k-way AND pass.
+    Bitsets([&'s BitsetSet; bitset::MAX_FUSED]),
+    /// The smallest participant is `GALLOP_RATIO`× smaller than every
+    /// other: walk it and rank-probe the rest.
+    Probe,
+    /// The mixed-layout chain, smallest-first through the ping-pong
+    /// buffers; `scratch.order` is sorted.
+    Chain,
+}
+
+/// The participants as bitsets, if every one of the `n` is (and they fit
+/// one fused pass); entries past `n` repeat the first.
+#[inline]
+fn all_bitsets<'s, F>(n: usize, set_at: &F) -> Option<[&'s BitsetSet; bitset::MAX_FUSED]>
+where
+    F: Fn(usize) -> &'s Set,
+{
+    let Set::Bitset(first) = set_at(0) else {
+        return None;
+    };
+    if n > bitset::MAX_FUSED {
+        return None;
+    }
+    let mut sets = [first; bitset::MAX_FUSED];
+    for (i, slot) in sets.iter_mut().enumerate().take(n).skip(1) {
+        let Set::Bitset(b) = set_at(i) else {
+            return None;
+        };
+        *slot = b;
+    }
+    Some(sets)
+}
+
+/// Pick the strategy for an `n ≥ 3`-way intersection and charge the
+/// single-pass ones (the chain charges per step).
+fn plan_multiway<'s, F>(
+    n: usize,
+    set_at: &F,
+    cfg: &IntersectConfig,
+    scratch: &mut MultiwayScratch,
+) -> Multiway<'s>
+where
+    F: Fn(usize) -> &'s Set,
+{
+    debug_assert!(n >= 3);
+    scratch.stats.intersections += 1;
+    if let Some(sets) = all_bitsets(n, set_at) {
+        scratch.stats.values_scanned += sets[..n].iter().map(|b| b.len() as u64).sum::<u64>();
+        scratch.stats.bitset_kernels += n as u64 - 1;
+        return Multiway::Bitsets(sets);
+    }
+    scratch.order.clear();
+    for i in 0..n {
+        scratch.order.push((set_at(i).len(), i));
+    }
+    scratch.order.sort_unstable();
+    // The multiway analogue of the 2-way merge↔gallop switch.
+    if cfg.algorithm_optimizer && uint::gallop_pays_off(scratch.order[0].0, scratch.order[1].0) {
+        // One monotone rank-probe (gallop-family) pass per non-smallest
+        // participant, reading its inputs in place.
+        scratch.stats.values_scanned += scratch.order.iter().map(|&(l, _)| l as u64).sum::<u64>();
+        scratch.stats.gallop_kernels += n as u64 - 1;
+        scratch.cursors.clear();
+        scratch.cursors.resize(n, 0);
+        return Multiway::Probe;
+    }
+    Multiway::Chain
 }
 
 /// [`intersect_all_into`] over an accessor instead of a slice: `set_at(i)`
@@ -335,60 +421,19 @@ pub fn intersect_all_with<'s, F>(
             out.extend(set_at(0).iter());
         }
         2 => {
-            let (a, b) = (set_at(0), set_at(1));
             scratch.stats.intersections += 1;
-            note_pair(&mut scratch.stats, a, b, cfg);
-            if a.len() <= b.len() {
-                intersect_values(a, b, cfg, out);
-            } else {
-                intersect_values(b, a, cfg, out);
-            }
+            pair_values(set_at(0), set_at(1), cfg, &mut scratch.stats, out);
         }
-        _ => {
-            sort_by_len(n, &set_at, scratch);
-            scratch.stats.intersections += 1;
-            if probe_pays_off(cfg, scratch) {
-                // One monotone rank-probe (gallop-family) pass per
-                // non-smallest participant.
-                scratch.stats.gallop_kernels += n as u64 - 1;
-                scratch.stats.values_scanned += summed_order_len(scratch);
-                probe_smallest_with(n, &set_at, scratch, |v| out.push(v));
-            } else if let Some(last) = chain_all_but_largest(n, &set_at, cfg, scratch) {
-                let acc_len = scratch.ping.len();
-                note_slice(&mut scratch.stats, acc_len, set_at(last), cfg);
-                intersect_values_slice(&scratch.ping, set_at(last), cfg, out);
+        _ => match plan_multiway(n, &set_at, cfg, scratch) {
+            Multiway::Bitsets(sets) => bitset::values_all_bitsets(&sets[..n], cfg.simd, out),
+            Multiway::Probe => probe_smallest_with(n, &set_at, scratch, |v| out.push(v)),
+            Multiway::Chain => {
+                if let Some(last) = chain_all_but_largest(n, &set_at, cfg, scratch) {
+                    slice_values(&scratch.ping, set_at(last), cfg, &mut scratch.stats, out);
+                }
             }
-        }
+        },
     }
-}
-
-/// Fill `scratch.order` with `(len, index)` pairs sorted smallest-first.
-fn sort_by_len<'s, F>(n: usize, set_at: &F, scratch: &mut MultiwayScratch)
-where
-    F: Fn(usize) -> &'s Set,
-{
-    scratch.order.clear();
-    for i in 0..n {
-        scratch.order.push((set_at(i).len(), i));
-    }
-    scratch.order.sort_unstable();
-}
-
-/// Σ participant lengths over a pre-sorted `scratch.order` — the
-/// values-scanned charge for the probe-smallest path, which reads its
-/// inputs in place instead of dispatching pairwise kernels.
-fn summed_order_len(scratch: &MultiwayScratch) -> u64 {
-    scratch.order.iter().map(|&(l, _)| l as u64).sum()
-}
-
-/// Whether an `n`-way intersection (order already sorted) should skip the
-/// merge chain and probe from the smallest set: the algorithm optimizer is
-/// on and the smallest participant is `GALLOP_RATIO`× smaller than every
-/// other — the multiway analogue of the 2-way merge↔gallop switch.
-fn probe_pays_off(cfg: &IntersectConfig, scratch: &MultiwayScratch) -> bool {
-    cfg.algorithm_optimizer
-        && crate::skew::cardinality_ratio(scratch.order[0].0, scratch.order[1].0)
-            >= uint::GALLOP_RATIO as f64
 }
 
 /// Walk the smallest set once and probe every other participant with a
@@ -402,14 +447,11 @@ where
     F: Fn(usize) -> &'s Set,
     E: FnMut(u32),
 {
-    debug_assert!(n >= 3);
-    scratch.hints.clear();
-    scratch.hints.resize(n, 0);
     let small = set_at(scratch.order[0].1);
     'values: for v in small.iter() {
         for k in 1..n {
             if set_at(scratch.order[k].1)
-                .rank_hinted(v, &mut scratch.hints[k])
+                .rank_hinted(v, &mut scratch.cursors[k])
                 .is_none()
             {
                 continue 'values;
@@ -419,11 +461,11 @@ where
     }
 }
 
-/// The shared 3+-way chain over a pre-sorted `scratch.order` (see
-/// [`sort_by_len`]): fold all but the largest into `scratch.ping` via the
-/// ping-pong buffers, and return the largest set's index for the caller's
-/// terminal step (materialize or count). `None` means the accumulator
-/// emptied early — the overall result is empty/zero.
+/// The shared 3+-way chain over a pre-sorted `scratch.order`: fold all but
+/// the largest into `scratch.ping` via the ping-pong buffers, and return
+/// the largest set's index for the caller's terminal step (materialize or
+/// count). `None` means the accumulator emptied early — the overall
+/// result is empty/zero.
 fn chain_all_but_largest<'s, F>(
     n: usize,
     set_at: &F,
@@ -433,19 +475,12 @@ fn chain_all_but_largest<'s, F>(
 where
     F: Fn(usize) -> &'s Set,
 {
-    debug_assert!(n >= 3);
-    debug_assert_eq!(scratch.order.len(), n);
     scratch.ping.clear();
-    note_pair(
+    pair_values(
+        set_at(scratch.order[0].1),
+        set_at(scratch.order[1].1),
+        cfg,
         &mut scratch.stats,
-        set_at(scratch.order[0].1),
-        set_at(scratch.order[1].1),
-        cfg,
-    );
-    intersect_values(
-        set_at(scratch.order[0].1),
-        set_at(scratch.order[1].1),
-        cfg,
         &mut scratch.ping,
     );
     for k in 2..n - 1 {
@@ -453,12 +488,11 @@ where
             return None;
         }
         scratch.pong.clear();
-        let acc_len = scratch.ping.len();
-        note_slice(&mut scratch.stats, acc_len, set_at(scratch.order[k].1), cfg);
-        intersect_values_slice(
+        slice_values(
             &scratch.ping,
             set_at(scratch.order[k].1),
             cfg,
+            &mut scratch.stats,
             &mut scratch.pong,
         );
         std::mem::swap(&mut scratch.ping, &mut scratch.pong);
@@ -501,29 +535,20 @@ where
         }
         2 => {
             scratch.stats.intersections += 1;
-            note_pair(&mut scratch.stats, set_at(0), set_at(1), cfg);
-            intersect_count(set_at(0), set_at(1), cfg)
+            pair_count(set_at(0), set_at(1), cfg, &mut scratch.stats)
         }
-        _ => {
-            sort_by_len(n, &set_at, scratch);
-            scratch.stats.intersections += 1;
-            if probe_pays_off(cfg, scratch) {
-                scratch.stats.gallop_kernels += n as u64 - 1;
-                scratch.stats.values_scanned += summed_order_len(scratch);
+        _ => match plan_multiway(n, &set_at, cfg, scratch) {
+            Multiway::Bitsets(sets) => bitset::count_all_bitsets(&sets[..n]),
+            Multiway::Probe => {
                 let mut count = 0usize;
                 probe_smallest_with(n, &set_at, scratch, |_| count += 1);
                 count
-            } else {
-                match chain_all_but_largest(n, &set_at, cfg, scratch) {
-                    Some(last) => {
-                        let acc_len = scratch.ping.len();
-                        note_slice(&mut scratch.stats, acc_len, set_at(last), cfg);
-                        count_values_slice(&scratch.ping, set_at(last), cfg)
-                    }
-                    None => 0,
-                }
             }
-        }
+            Multiway::Chain => match chain_all_but_largest(n, &set_at, cfg, scratch) {
+                Some(last) => slice_count(&scratch.ping, set_at(last), cfg, &mut scratch.stats),
+                None => 0,
+            },
+        },
     }
 }
 
@@ -536,41 +561,7 @@ pub fn count_all_into(
 ) -> usize {
     count_all_with(sets.len(), |i| sets[i], cfg, scratch)
 }
-
-fn intersect_uint_block(a: &[u32], b: &BlockSet, out: &mut Vec<u32>) {
-    for &v in a {
-        if b.contains(v) {
-            out.push(v);
-        }
-    }
-}
-
 // lint:region-end(alloc-free)
-
-fn intersect_bitset_block(a: &BitsetSet, b: &BlockSet, out: &mut Vec<u32>) {
-    // Walk the bitset's values and probe the composite set; the bitset is
-    // typically the denser side, so probe the composite's block index once
-    // per block by grouping.
-    let mut iter = a.iter().peekable();
-    while let Some(&v) = iter.peek() {
-        let blk = block_of(v);
-        // Values in this block:
-        let mut vals = Vec::new();
-        while let Some(&w) = iter.peek() {
-            if block_of(w) != blk {
-                break;
-            }
-            vals.push(w);
-            iter.next();
-        }
-        for v in vals {
-            let _ = bit_of(v);
-            if b.contains(v) {
-                out.push(v);
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -766,6 +757,171 @@ mod tests {
             count_all_into(&[&b, &m, &e, &b2], &probing, &mut scratch),
             0
         );
+    }
+
+    /// `n` values out of every `stride`-th of `0..range`, shifted by
+    /// `phase`, plus the block-edge values 255/256/511 when in range.
+    fn strided(range: u32, stride: u32, phase: u32) -> Vec<u32> {
+        let mut v: Vec<u32> = (0..range)
+            .filter(|x| (x + phase).is_multiple_of(stride))
+            .collect();
+        v.extend([255, 256, 511].into_iter().filter(|&e| e < range));
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// Both multiway entry points against the materializing oracle.
+    fn assert_multiway_agrees(sets: &[&Set], scratch: &mut MultiwayScratch, what: &str) {
+        for cfg in [
+            IntersectConfig::full(),
+            IntersectConfig::no_simd(),
+            IntersectConfig::no_algorithms(),
+        ] {
+            let expect = intersect_all(sets, &cfg).to_vec();
+            let mut got = vec![7]; // appended to, never cleared
+            intersect_all_into(sets, &cfg, scratch, &mut got);
+            assert_eq!(got[0], 7, "{what}");
+            assert_eq!(&got[1..], expect, "{what} under {cfg:?}");
+            assert_eq!(
+                count_all_into(sets, &cfg, scratch),
+                expect.len(),
+                "{what} count under {cfg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn kway_kernels_match_intersect_all() {
+        // k ∈ {3,4,5} × {all-bitset, mixed layouts} × three densities
+        // (1/2, 1/5, 1/40 of a 2 000-value range), block-edge values in.
+        let mut scratch = MultiwayScratch::new();
+        for stride in [2u32, 5, 40] {
+            let inputs: Vec<Vec<u32>> =
+                (0..5).map(|p| strided(2_000, stride, p * stride)).collect();
+            for k in 3..=5 {
+                let all_bitsets: Vec<Set> = inputs[..k].iter().map(|v| mk(v, Bitset)).collect();
+                let refs: Vec<&Set> = all_bitsets.iter().collect();
+                assert_multiway_agrees(&refs, &mut scratch, &format!("{k} bitsets /{stride}"));
+                let mixed: Vec<Set> = inputs[..k]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| mk(v, KINDS[i % 3]))
+                    .collect();
+                let refs: Vec<&Set> = mixed.iter().collect();
+                assert_multiway_agrees(&refs, &mut scratch, &format!("{k} mixed /{stride}"));
+            }
+        }
+    }
+
+    #[test]
+    fn kway_bitset_pass_edge_cases() {
+        let mut scratch = MultiwayScratch::new();
+        let bits = |v: &[u32]| mk(v, Bitset);
+        // Only the block edges survive: 255 ends block 0, 256 starts
+        // block 1, 511 ends it.
+        let a = bits(&[0, 255, 256, 300, 511, 600]);
+        let b = bits(&[1, 255, 256, 301, 511, 9_000]);
+        let c = bits(&[255, 256, 511, 512, 100_000]);
+        let mut out = Vec::new();
+        intersect_all_into(
+            &[&a, &b, &c],
+            &IntersectConfig::full(),
+            &mut scratch,
+            &mut out,
+        );
+        assert_eq!(out, vec![255, 256, 511]);
+        assert_multiway_agrees(&[&a, &b, &c], &mut scratch, "block edges");
+        // Disjoint block-id arrays: nothing in common, whoever leads.
+        let lo = bits(&[1, 2, 300]);
+        let mid = bits(&[1_000, 1_001]);
+        let hi = bits(&[70_000, 70_001]);
+        for sets in [[&lo, &mid, &hi], [&hi, &lo, &mid], [&mid, &hi, &lo]] {
+            assert_multiway_agrees(&sets, &mut scratch, "disjoint offsets");
+            assert_eq!(
+                count_all_into(&sets, &IntersectConfig::full(), &mut scratch),
+                0
+            );
+        }
+        // Early exit: one set runs out of blocks long before the others.
+        let long: Vec<u32> = (0..20_000).collect();
+        let short = bits(&[3, 700]);
+        let (l1, l2) = (bits(&long), bits(&long[1..]));
+        assert_multiway_agrees(&[&l1, &short, &l2], &mut scratch, "early exit");
+        assert_multiway_agrees(&[&short, &l1, &l2], &mut scratch, "early exit, short leads");
+        // Shared block ids whose AND is empty contribute nothing.
+        let evens = bits(&(0..600).filter(|v| v % 2 == 0).collect::<Vec<_>>());
+        let odds = bits(&(0..600).filter(|v| v % 2 == 1).collect::<Vec<_>>());
+        assert_multiway_agrees(&[&evens, &odds, &l1], &mut scratch, "empty ANDs");
+        // More bitsets than one fused pass takes: the pairwise chain.
+        let many: Vec<Set> = (0..bitset::MAX_FUSED as u32 + 1)
+            .map(|p| bits(&strided(3_000, 2, 2 * p)))
+            .collect();
+        let refs: Vec<&Set> = many.iter().collect();
+        assert_multiway_agrees(&refs, &mut scratch, "beyond MAX_FUSED");
+    }
+
+    #[test]
+    fn kway_bitset_pass_charges_one_pass() {
+        // Σ participant lengths once, k − 1 fused ANDs, one intersection —
+        // for the count and the value variant alike, whatever the config.
+        let mut scratch = MultiwayScratch::new();
+        let sets: Vec<Set> = (0..4).map(|p| mk(&strided(1_500, 3, p), Bitset)).collect();
+        let refs: Vec<&Set> = sets.iter().collect();
+        let total: u64 = sets.iter().map(|s| s.len() as u64).sum();
+        for cfg in [IntersectConfig::full(), IntersectConfig::no_algorithms()] {
+            count_all_into(&refs, &cfg, &mut scratch);
+            let counted = scratch.stats.take();
+            assert_eq!(
+                counted,
+                KernelStats {
+                    intersections: 1,
+                    values_scanned: total,
+                    bitset_kernels: 3,
+                    ..KernelStats::default()
+                }
+            );
+            intersect_all_into(&refs, &cfg, &mut scratch, &mut Vec::new());
+            assert_eq!(scratch.stats.take(), counted);
+        }
+    }
+
+    #[test]
+    fn two_way_stats_follow_the_kernel_choice() {
+        // Charged in the dispatch arm: both operand lengths, and the class
+        // of the kernel that ran — for every layout pair, count == values.
+        let mut scratch = MultiwayScratch::new();
+        let a_vals: Vec<u32> = (0..400).map(|i| i * 3).collect();
+        let b_vals: Vec<u32> = (0..500).map(|i| i * 2).collect();
+        let cfg = IntersectConfig::full();
+        for ka in KINDS {
+            for kb in KINDS {
+                let (a, b) = (mk(&a_vals, ka), mk(&b_vals, kb));
+                count_all_into(&[&a, &b], &cfg, &mut scratch);
+                let counted = scratch.stats.take();
+                let uints = ka == Uint && kb == Uint;
+                assert_eq!(
+                    counted,
+                    KernelStats {
+                        intersections: 1,
+                        values_scanned: 900,
+                        merge_kernels: uints as u64,
+                        bitset_kernels: !uints as u64,
+                        ..KernelStats::default()
+                    },
+                    "{ka:?} x {kb:?}"
+                );
+                intersect_all_into(&[&b, &a], &cfg, &mut scratch, &mut Vec::new());
+                assert_eq!(scratch.stats.take(), counted, "{kb:?} x {ka:?} values");
+            }
+        }
+        // An empty side gallops (0 : n is past any ratio) unless the
+        // optimizer is off.
+        let (e, b) = (mk(&[], Uint), mk(&b_vals, Uint));
+        count_all_into(&[&e, &b], &cfg, &mut scratch);
+        assert_eq!(scratch.stats.take().gallop_kernels, 1);
+        count_all_into(&[&e, &b], &IntersectConfig::no_algorithms(), &mut scratch);
+        assert_eq!(scratch.stats.take().merge_kernels, 1);
     }
 
     #[test]

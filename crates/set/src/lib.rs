@@ -60,6 +60,14 @@ pub fn bit_of(v: u32) -> u32 {
     v % BLOCK_BITS
 }
 
+/// Rank of `v` in the complete range `[base, base + len)` (see
+/// [`Set::dense_base`]): `None` outside it, else the offset from `base`.
+#[inline]
+pub fn range_rank(base: u32, len: usize, v: u32) -> Option<usize> {
+    let rank = v.checked_sub(base)? as usize;
+    (rank < len).then_some(rank)
+}
+
 /// A set of u32 values in one of the three layouts.
 ///
 /// This is the value type stored at every trie level; the layout is chosen
@@ -138,6 +146,19 @@ impl Set {
         }
     }
 
+    /// `Some(min)` when the set is the complete range `[min, min + len)` —
+    /// the root level of every relation over dense ids. A value's rank in
+    /// such a set is a subtraction ([`range_rank`]), so a compiled join
+    /// can skip the search. Decided at build for uint (first/last) and
+    /// bitset (stored); the composite layout never claims it.
+    pub fn dense_base(&self) -> Option<u32> {
+        match self {
+            Set::Uint(s) => s.dense_base(),
+            Set::Bitset(s) => s.dense_base(),
+            Set::Block(_) => None,
+        }
+    }
+
     /// Rank lookup with a monotone cursor: when callers probe ascending
     /// values (the Generic-Join inner loops always do), `hint` carries the
     /// previous position so each probe searches only forward. `hint` is a
@@ -162,10 +183,7 @@ impl Set {
             Set::Bitset(s) => {
                 let blk = v / BLOCK_BITS;
                 let offsets = s.offsets();
-                let mut i = (*hint).min(offsets.len());
-                while i < offsets.len() && offsets[i] < blk {
-                    i += 1;
-                }
+                let i = s.seek((*hint).min(offsets.len()), blk);
                 *hint = i;
                 if i < offsets.len() && offsets[i] == blk {
                     s.rank_in_block(i, v)
@@ -323,6 +341,99 @@ mod tests {
         let sparse: Vec<u32> = (0..64).map(|i| i * 10_000).collect();
         let s = Set::from_sorted_auto(&sparse);
         assert_eq!(s.kind(), LayoutKind::Uint);
+    }
+
+    #[test]
+    fn dense_base_only_for_complete_ranges() {
+        let near_max = u32::MAX - 700;
+        for (lo, len) in [
+            (0u32, 600u32),
+            (1, 1),
+            (37, 300),
+            (256, 256),
+            (near_max, 701),
+        ] {
+            let range: Vec<u32> = (lo..=lo + (len - 1)).collect();
+            let mut holed = range.clone();
+            if holed.len() > 2 {
+                holed.remove(holed.len() / 2);
+            }
+            for kind in [LayoutKind::Uint, LayoutKind::Bitset] {
+                let full = Set::from_sorted(&range, kind);
+                assert_eq!(full.dense_base(), Some(lo), "{kind:?} {lo}+{len}");
+                if holed.len() < range.len() {
+                    assert_eq!(Set::from_sorted(&holed, kind).dense_base(), None);
+                }
+            }
+            // The composite layout never claims it.
+            assert_eq!(
+                Set::from_sorted(&range, LayoutKind::Block).dense_base(),
+                None
+            );
+        }
+        assert_eq!(Set::empty().dense_base(), None);
+        assert_eq!(Set::from_sorted(&[], LayoutKind::Bitset).dense_base(), None);
+    }
+
+    #[test]
+    fn range_rank_equals_rank_on_complete_ranges() {
+        // min = 0, min > 0, and a range ending at u32::MAX; probes
+        // present, absent, below the minimum and above the maximum.
+        for (lo, hi) in [(0u32, 999u32), (300, 811), (u32::MAX - 520, u32::MAX)] {
+            let values: Vec<u32> = (lo..=hi).collect();
+            for kind in [LayoutKind::Uint, LayoutKind::Bitset] {
+                let set = Set::from_sorted(&values, kind);
+                let base = set.dense_base().expect("a complete range");
+                let probes = [
+                    lo,
+                    lo + 1,
+                    lo + 255,
+                    lo + 256,
+                    hi - 1,
+                    hi,
+                    lo.wrapping_sub(1),
+                    lo / 2,
+                    0,
+                    hi.wrapping_add(1),
+                    hi.saturating_add(1_000),
+                    u32::MAX,
+                ];
+                for v in probes {
+                    assert_eq!(
+                        range_rank(base, set.len(), v),
+                        set.rank(v),
+                        "{kind:?} [{lo}, {hi}] rank({v})"
+                    );
+                    let mut hint = 0;
+                    assert_eq!(set.rank_hinted(v, &mut hint), set.rank(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitset_rank_directory_counts_words() {
+        // Every word of a block, with gaps: rank by directory == position.
+        let values: Vec<u32> = (0..2_000)
+            .filter(|v| v % 7 != 3 && v / 64 % 5 != 2)
+            .collect();
+        let set = Set::from_sorted(&values, LayoutKind::Bitset);
+        let mut hint = 0;
+        for (i, &v) in values.iter().enumerate() {
+            assert_eq!(set.rank(v), Some(i));
+            assert_eq!(set.rank_hinted(v, &mut hint), Some(i), "cursor at {v}");
+        }
+        // A directory with holes between blocks seeks; a run jumps.
+        let gappy: Vec<u32> = [5u32, 300, 9_000, 9_001, 70_000].to_vec();
+        let set = Set::from_sorted(&gappy, LayoutKind::Bitset);
+        let mut hint = 0;
+        for probe in [0u32, 5, 6, 300, 8_999, 9_001, 69_999, 70_000, 80_000] {
+            assert_eq!(
+                set.rank_hinted(probe, &mut hint),
+                set.rank(probe),
+                "{probe}"
+            );
+        }
     }
 
     #[test]

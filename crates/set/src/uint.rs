@@ -69,6 +69,13 @@ impl UintSet {
     pub fn bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<u32>()
     }
+
+    /// `Some(min)` when the set is the complete range `[min, min + len)`
+    /// — sorted and duplicate-free, so first and last decide it.
+    pub fn dense_base(&self) -> Option<u32> {
+        let (lo, hi) = (*self.values.first()?, *self.values.last()?);
+        ((hi - lo) as usize + 1 == self.values.len()).then_some(lo)
+    }
 }
 
 // lint:region-start(alloc-free): scalar/gallop/SIMD intersection kernels — append-only into caller buffers
@@ -193,15 +200,27 @@ pub fn count_shuffle(a: &[u32], b: &[u32]) -> usize {
     simd::count_u32_simd(a, b)
 }
 
+/// The hybrid kernel's merge↔gallop rule (paper §4.2): gallop once one
+/// side is at least [`GALLOP_RATIO`]× the other (an empty side counts).
+/// The one definition both the kernels and the dispatch statistics use.
+#[inline]
+pub fn gallop_pays_off(a_len: usize, b_len: usize) -> bool {
+    let (small, large) = if a_len <= b_len {
+        (a_len, b_len)
+    } else {
+        (b_len, a_len)
+    };
+    // `large / small >= RATIO` without the division (lengths are far
+    // below `usize::MAX / RATIO`).
+    large >= small * GALLOP_RATIO
+}
+
 /// The hybrid uint∩uint kernel EmptyHeaded uses by default: gallop at
 /// cardinality ratio ≥ 32:1, shuffle otherwise (paper §4.2). `simd=false`
 /// forces the scalar variants (paper `-S` ablation).
 pub fn intersect_hybrid(a: &[u32], b: &[u32], simd_on: bool, out: &mut Vec<u32>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return;
-    }
-    if large.len() / small.len() >= GALLOP_RATIO {
+    if gallop_pays_off(a.len(), b.len()) {
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         intersect_gallop(small, large, out);
     } else if simd_on {
         intersect_shuffle(a, b, out);
@@ -212,11 +231,8 @@ pub fn intersect_hybrid(a: &[u32], b: &[u32], simd_on: bool, out: &mut Vec<u32>)
 
 /// Count-only hybrid kernel.
 pub fn count_hybrid(a: &[u32], b: &[u32], simd_on: bool) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return 0;
-    }
-    if large.len() / small.len() >= GALLOP_RATIO {
+    if gallop_pays_off(a.len(), b.len()) {
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         count_gallop(small, large)
     } else if simd_on {
         count_shuffle(a, b)

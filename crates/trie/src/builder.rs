@@ -100,6 +100,12 @@ impl TrieBuilder {
             Cow::Owned(tuples.sorted_dedup_parallel(self.combine, self.threads))
         };
         let tuple_count = sorted.len();
+        // One carrier for the whole trie's raw annotation columns: f64 as
+        // soon as any annotation is one (integers convert exactly enough,
+        // floats would truncate).
+        let float = sorted
+            .annotations()
+            .map(|annots| annots.iter().any(|a| a.is_float()));
         let mut nodes: Vec<TrieNode> = Vec::new();
         // Reserve the root slot.
         nodes.push(TrieNode {
@@ -107,16 +113,27 @@ impl TrieBuilder {
             children: Vec::new(),
             annots: Vec::new(),
         });
-        self.build_level(&sorted, 0, 0, tuple_count, 0, &mut nodes);
-        Trie::from_arena(self.arity, nodes, tuple_count, sorted.is_annotated())
+        self.build_level(
+            &sorted,
+            float == Some(true),
+            0,
+            0,
+            tuple_count,
+            0,
+            &mut nodes,
+        );
+        Trie::from_arena(self.arity, nodes, tuple_count, float)
     }
 
     /// Build the node for sorted rows `lo..hi` at attribute `level`,
     /// writing into arena slot `slot`. Rows in the range share a prefix of
-    /// length `level`.
+    /// length `level`. Leaf annotations are stored raw, as `f64` bits when
+    /// `float`.
+    #[allow(clippy::too_many_arguments)]
     fn build_level(
         &self,
         sorted: &TupleBuffer,
+        float: bool,
         level: usize,
         lo: usize,
         hi: usize,
@@ -161,7 +178,11 @@ impl TrieBuilder {
                         for k in a + 1..b {
                             acc = self.combine.plus(acc, annots[k]);
                         }
-                        acc
+                        if float {
+                            acc.as_f64().to_bits()
+                        } else {
+                            acc.as_u64()
+                        }
                     })
                     .collect();
             }
@@ -181,6 +202,7 @@ impl TrieBuilder {
             for (k, &(a, b)) in ranges.iter().enumerate() {
                 self.build_level(
                     sorted,
+                    float,
                     level + 1,
                     a,
                     b,

@@ -33,8 +33,12 @@ pub struct TrieNode {
     pub set: Set,
     /// Child node per value rank (internal nodes only).
     pub children: Vec<NodeId>,
-    /// Annotation per value rank (leaf nodes of annotated relations only).
-    pub annots: Vec<DynValue>,
+    /// Annotation per value rank (leaf nodes of annotated relations only),
+    /// as one raw 8-byte column: `u64`s, or `f64` bit patterns when
+    /// [`Trie::float_annotations`] — so a typed join loop reads its
+    /// carrier straight out of the column ([`eh_semiring::Carrier::read`])
+    /// and nothing per-value says which.
+    pub annots: Vec<u64>,
 }
 
 impl TrieNode {
@@ -57,6 +61,8 @@ pub struct Trie {
     tuple_count: usize,
     /// Whether leaf values carry annotations.
     annotated: bool,
+    /// Whether the raw annotation columns hold `f64` bits (else `u64`s).
+    float_annots: bool,
 }
 
 impl Trie {
@@ -67,6 +73,7 @@ impl Trie {
             nodes: vec![TrieNode::leaf(Set::empty())],
             tuple_count: 0,
             annotated: false,
+            float_annots: false,
         }
     }
 
@@ -74,13 +81,14 @@ impl Trie {
         arity: usize,
         nodes: Vec<TrieNode>,
         tuple_count: usize,
-        annotated: bool,
+        annotations: Option<bool>,
     ) -> Trie {
         Trie {
             arity,
             nodes,
             tuple_count,
-            annotated,
+            annotated: annotations.is_some(),
+            float_annots: annotations == Some(true),
         }
     }
 
@@ -102,6 +110,12 @@ impl Trie {
     /// Whether tuples carry annotations.
     pub fn is_annotated(&self) -> bool {
         self.annotated
+    }
+
+    /// Whether [`TrieNode::annots`] columns hold `f64` bit patterns
+    /// (else plain `u64`s). One answer for the whole trie.
+    pub fn float_annotations(&self) -> bool {
+        self.float_annots
     }
 
     /// The root node.
@@ -143,7 +157,14 @@ impl Trie {
         let (last, prefix) = tuple.split_last()?;
         let node = self.select_node(prefix)?;
         let rank = node.set.rank(*last)?;
-        node.annots.get(rank).copied()
+        self.annot_at(node, rank)
+    }
+
+    /// The annotation at `rank` of leaf `node`, re-typed from the raw
+    /// column.
+    pub fn annot_at(&self, node: &TrieNode, rank: usize) -> Option<DynValue> {
+        let bits = *node.annots.get(rank)?;
+        Some(DynValue::from_bits(bits, self.float_annots))
     }
 
     /// True if the tuple is present.
@@ -178,8 +199,7 @@ impl Trie {
         for (rank, v) in node.set.iter().enumerate() {
             prefix.push(v);
             if is_leaf {
-                let annot = node.annots.get(rank).copied();
-                out.push((prefix.clone(), annot));
+                out.push((prefix.clone(), self.annot_at(node, rank)));
             } else {
                 self.scan_rec(node.children[rank], prefix, out);
             }

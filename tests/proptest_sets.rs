@@ -1,7 +1,10 @@
 //! Property-based tests for the set layer: every layout and kernel
 //! combination must agree with a `BTreeSet` model.
 
-use emptyheaded::set::{intersect, intersect_count, IntersectConfig, LayoutKind, Set};
+use emptyheaded::set::{
+    count_all_into, intersect, intersect_all_into, intersect_count, range_rank, IntersectConfig,
+    LayoutKind, MultiwayScratch, Set,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -83,6 +86,59 @@ proptest! {
         let sb = Set::from_sorted(&large, LayoutKind::Uint);
         prop_assert_eq!(intersect(&sa, &sb, &cfg).to_vec(), expect.clone());
         prop_assert_eq!(intersect(&sb, &sa, &cfg).to_vec(), expect);
+    }
+
+    #[test]
+    fn multiway_matches_model(
+        inputs in prop::collection::vec(arb_values(400, 3_000), 3..6),
+        kinds in prop::collection::vec(0usize..3, 5),
+        all_bitsets in any::<bool>(),
+        simd in any::<bool>(),
+        algo in any::<bool>(),
+    ) {
+        // 3- to 5-way: the fused k-way bitset pass when every layout is a
+        // bitset, the probe or the mixed-layout chain otherwise.
+        let mut model: BTreeSet<u32> = inputs[0].iter().copied().collect();
+        for v in &inputs[1..] {
+            let other: BTreeSet<u32> = v.iter().copied().collect();
+            model = model.intersection(&other).copied().collect();
+        }
+        let expect: Vec<u32> = model.into_iter().collect();
+        let sets: Vec<Set> = inputs
+            .iter()
+            .zip(&kinds)
+            .map(|(v, &k)| Set::from_sorted(v, if all_bitsets { LayoutKind::Bitset } else { KINDS[k] }))
+            .collect();
+        let refs: Vec<&Set> = sets.iter().collect();
+        let cfg = IntersectConfig { simd, algorithm_optimizer: algo };
+        let mut scratch = MultiwayScratch::new();
+        let mut got = Vec::new();
+        intersect_all_into(&refs, &cfg, &mut scratch, &mut got);
+        prop_assert_eq!(&got, &expect);
+        prop_assert_eq!(count_all_into(&refs, &cfg, &mut scratch), expect.len());
+    }
+
+    #[test]
+    fn dense_base_rank_is_rank(lo in 0u32..5_000, len in 1u32..700, probe in 0u32..7_000, hole in any::<bool>()) {
+        // A complete range ranks by subtraction; knock one value out and
+        // it must stop claiming to be one.
+        let mut vals: Vec<u32> = (lo..lo + len).collect();
+        if hole && len > 2 {
+            vals.remove(len as usize / 2);
+        }
+        for kind in [LayoutKind::Uint, LayoutKind::Bitset] {
+            let s = Set::from_sorted(&vals, kind);
+            match s.dense_base() {
+                Some(base) => {
+                    prop_assert!(!(hole && len > 2));
+                    prop_assert_eq!(base, lo);
+                    prop_assert_eq!(range_rank(base, s.len(), probe), s.rank(probe));
+                }
+                None => prop_assert!(hole && len > 2),
+            }
+            let mut hint = 0usize;
+            prop_assert_eq!(s.rank_hinted(probe, &mut hint), s.rank(probe));
+        }
     }
 
     #[test]

@@ -182,15 +182,23 @@ pub fn execute(
     // Top-down pass (Yannakakis): assemble full tuples unless skippable —
     // then the root's buffer is the answer and moves out (copied only if
     // an equivalent node still shares it).
+    let top_down_started = cfg.profile.then(Instant::now);
     let (attrs, tuples) = if plan.skip_top_down {
         let root = results[root_id].take().expect("the root node ran");
         drop(results);
         let tuples = Arc::try_unwrap(root.tuples).unwrap_or_else(|shared| (*shared).clone());
         (root.attrs, tuples)
     } else {
-        crate::sink::assemble(root_id, plan, &results, is_agg, op)
+        let assembled = crate::sink::assemble(plan, &mut results, is_agg, op);
+        drop(results);
+        assembled
     };
+    let finalize_started = cfg.profile.then(Instant::now);
     let relation = crate::sink::finalize(plan, &attrs, tuples, catalog, is_agg, op)?;
+    if let (Some(p), Some(t0), Some(t1)) = (&mut profile, top_down_started, finalize_started) {
+        p.top_down_ns = (t1 - t0).as_nanos() as u64;
+        p.finalize_ns = t1.elapsed().as_nanos() as u64;
+    }
     if let (Some(p), Some(t)) = (&mut profile, started) {
         p.total_ns = t.elapsed().as_nanos() as u64;
         p.rows = relation.rows().len() as u64;
@@ -860,6 +868,30 @@ mod tests {
             pp.nodes.iter().any(|n| !n.workers.is_empty()),
             "worker profiles recorded: {pp:?}"
         );
+    }
+
+    #[test]
+    fn profile_spans_cover_the_whole_execution() {
+        // A 2-path listing spends most of its time after the join; the
+        // profile must say where. Big enough (20 000 edges) that the
+        // untimed glue between the spans is noise.
+        let rows: Vec<[u32; 2]> = (0..20_000u32)
+            .map(|i| [i % 1_999, i.wrapping_mul(2_654_435_761) % 1_999])
+            .collect();
+        let mut cat = MemCatalog::new();
+        cat.insert("E", Relation::from_rows(2, rows));
+        let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
+        let cfg = Config::default().with_profile(true);
+        let p = execute_rule(&rule, &cat, &cfg).unwrap().profile.unwrap();
+        assert_eq!(p.nodes.len(), 2);
+        assert!(p.top_down_ns > 0 && p.finalize_ns > 0, "{p:?}");
+        let spans = p.nodes.iter().map(|n| n.ns).sum::<u64>() + p.top_down_ns + p.finalize_ns;
+        assert!(spans <= p.total_ns, "{spans} of {}", p.total_ns);
+        assert!(spans * 10 >= p.total_ns * 9, "{spans} of {}", p.total_ns);
+        // A plan that skips the pass reports no time in it.
+        let count = parse_rule("C(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.").unwrap();
+        let p = execute_rule(&count, &cat, &cfg).unwrap().profile.unwrap();
+        assert!(p.top_down_ns < p.total_ns / 10, "{p:?}");
     }
 
     #[test]

@@ -537,8 +537,7 @@ pub(crate) fn build_node(
     for &child_id in &node.children {
         let child_plan = &plan.nodes[child_id];
         let child_result = results[child_id].as_ref().unwrap();
-        let (rel, fully_folded) =
-            child_as_relation(child_plan, child_result, is_agg, op, plan.skip_top_down);
+        let (rel, fully_folded) = child_as_relation(child_plan, child_result, is_agg, op);
         if rel.is_empty() {
             empty = true;
         }
@@ -695,7 +694,6 @@ fn child_as_relation(
     result: &NodeResult,
     is_agg: bool,
     op: AggOp,
-    _skip_top_down: bool,
 ) -> (Relation, bool) {
     let fully_folded = child.output_attrs == child.interface;
     if fully_folded {

@@ -243,19 +243,22 @@ impl Runs {
     }
 }
 
-/// First row of canonical `run` at or after `from` that is `>= key`
-/// (`run.len()` if none): gallop then bisect, so a dense ascending probe
-/// sequence costs O(1) a probe and a sparse one O(log gap).
-fn seek(run: &TupleBuffer, from: usize, key: &[u32]) -> usize {
+/// First row of `run` at or after `from` whose leading `key.len()` columns
+/// are `>= key` (`run.len()` if none), for a `run` ascending on those
+/// columns: gallop then bisect, so a dense ascending probe sequence costs
+/// O(1) a probe and a sparse one O(log gap). The seminaive state probes
+/// whole rows; the top-down pass (`sink::assemble`) an interface prefix.
+pub(crate) fn seek(run: &TupleBuffer, from: usize, key: &[u32]) -> usize {
+    let before = |i: usize| run.row(i)[..key.len()] < *key;
     let (mut lo, mut step) = (from, 1);
-    while lo + step <= run.len() && run.row(lo + step - 1) < key {
+    while lo + step <= run.len() && before(lo + step - 1) {
         lo += step;
         step *= 2;
     }
     let mut hi = (lo + step - 1).min(run.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if run.row(mid) < key {
+        if before(mid) {
             lo = mid + 1;
         } else {
             hi = mid;

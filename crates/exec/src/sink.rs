@@ -14,12 +14,14 @@
 use crate::executor::NodeResult;
 use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::program::JoinProgram;
+use crate::recursion::seek;
 use crate::storage::{Catalog, Relation};
 use eh_query::ast::Expr;
 use eh_semiring::{with_carrier, AggOp, Carrier, DynValue};
 use eh_set::Set;
 use eh_trie::TupleBuffer;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A pass-through hasher for u32 keys: node ids are already uniformly
 /// distributed after dictionary encoding, so SipHash is pure overhead in
@@ -487,80 +489,275 @@ pub(crate) fn pack2(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// Yannakakis top-down pass: extend each node's rows with its children's
-/// non-interface output columns (joined on the interface), multiplying
-/// annotations for aggregate queries.
+/// Yannakakis top-down pass (paper §3.3.2): walk the GHD from the root,
+/// extending each node's rows with the head variables bound in its
+/// children's subtrees, joined on the interface; aggregate queries
+/// multiply annotations along the way. Returns the assembled rows with
+/// the head variables as columns, in head order.
+///
+/// A sort-merge pass over the sorted node results — no hash index, no
+/// per-row key. Three rules fix what it produces:
+///
+/// * **Grouping.** A child hands its rows over grouped ascending on the
+///   interface columns: already so when the interface leads the child's
+///   own attributes (node results are sorted), else by one stable sort on
+///   them.
+/// * **Merge, else seek.** Parent rows are walked in their own order and
+///   find their child run by a galloping [`seek`] that resumes at the end
+///   of the previous run whenever the key grew — a forward merge cursor
+///   when the interface leads the parent's columns too — and starts over
+///   when it shrank. An empty interface's run is the whole child.
+/// * **Pushdown.** A join writes only the columns still needed — head
+///   variables and the interfaces of children not yet joined — once, into
+///   an exactly sized buffer, so the root's rows arrive in head order and
+///   [`finalize`] has nothing to project. A subtree that binds no head
+///   variable outside its interface is not joined at all unless its
+///   annotations still have to be multiplied in.
+///
+/// **Output order**: parent row order, then child row order within a key —
+/// the sequence [`finalize`]'s stable ⊕-fold has always seen, so `f64`
+/// aggregates keep their bits. Inputs are released as they are consumed.
 pub(crate) fn assemble(
-    node_id: usize,
     plan: &PhysicalPlan,
-    results: &[Option<NodeResult>],
+    results: &mut [Option<NodeResult>],
     is_agg: bool,
     op: AggOp,
 ) -> (Vec<String>, TupleBuffer) {
-    let node = &plan.nodes[node_id];
-    let own = results[node_id].as_ref().unwrap();
-    let mut attrs = own.attrs.clone();
-    let mut tuples = TupleBuffer::clone(&own.tuples);
-    if is_agg {
-        tuples.fill_annotations(op.one());
-    }
-    for &child_id in &node.children {
-        let (child_attrs, child_tuples) = assemble(child_id, plan, results, is_agg, op);
-        let child_plan: &PlanNode = &plan.nodes[child_id];
-        // Index child extensions by interface tuple; each bucket is a
-        // flat buffer of the non-interface columns (plus annotations).
-        let iface_idx: Vec<usize> = child_plan
-            .interface
-            .iter()
-            .map(|a| child_attrs.iter().position(|x| x == a).unwrap())
-            .collect();
-        let ext_idx: Vec<usize> = (0..child_attrs.len())
-            .filter(|i| !iface_idx.contains(i))
-            .collect();
-        let mut index: HashMap<Vec<u32>, TupleBuffer> = HashMap::new();
-        for (ri, row) in child_tuples.iter().enumerate() {
-            let key: Vec<u32> = iface_idx.iter().map(|&i| row[i]).collect();
-            let bucket = index
-                .entry(key)
-                .or_insert_with(|| TupleBuffer::new(ext_idx.len()));
-            let ext = ext_idx.iter().map(|&i| row[i]);
-            if is_agg {
-                let an = child_tuples.annot(ri).unwrap_or_else(|| op.one());
-                bucket.extend_row_annotated(ext, an);
-            } else {
-                bucket.extend_row(ext);
-            }
+    let mut head: Vec<String> = Vec::with_capacity(plan.output_vars.len());
+    for v in &plan.output_vars {
+        if !head.contains(v) {
+            head.push(v.clone());
         }
-        // Parent-side interface column positions.
-        let parent_iface_idx: Vec<usize> = child_plan
-            .interface
+    }
+    let mut pass = TopDown {
+        plan,
+        results,
+        head: &head,
+        is_agg,
+        op,
+    };
+    let rows = pass.node(plan.root().id, &head);
+    let rows = Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
+    (head, rows)
+}
+
+/// The state of one top-down pass.
+struct TopDown<'a> {
+    plan: &'a PhysicalPlan,
+    results: &'a mut [Option<NodeResult>],
+    /// The head variables, each once, in head order.
+    head: &'a [String],
+    is_agg: bool,
+    op: AggOp,
+}
+
+impl TopDown<'_> {
+    /// The head variables `id`'s subtree binds outside its interface —
+    /// what its parent needs from it beside the join key — in head order.
+    fn extension(&self, id: usize) -> Vec<String> {
+        fn binds(plan: &PhysicalPlan, id: usize, v: &String) -> bool {
+            let node = &plan.nodes[id];
+            node.output_attrs.contains(v) || node.children.iter().any(|&c| binds(plan, c, v))
+        }
+        let interface = &self.plan.nodes[id].interface;
+        self.head
             .iter()
-            .map(|a| attrs.iter().position(|x| x == a).unwrap())
+            .filter(|v| !interface.contains(v) && binds(self.plan, id, v))
+            .cloned()
+            .collect()
+    }
+
+    /// Whether `id`'s own annotations were multiplied into its parent on
+    /// the way up (its output is exactly its interface, see
+    /// `program::child_as_relation`), so this pass must not do it again.
+    fn folded(&self, id: usize) -> bool {
+        let node = &self.plan.nodes[id];
+        self.is_agg && node.parent.is_some() && node.output_attrs == node.interface
+    }
+
+    /// Whether joining `id`'s subtree would add nothing: no head variable
+    /// beyond the interface, and (aggregates) no annotation the bottom-up
+    /// pass has not already multiplied in. Every parent row has a match —
+    /// the bottom-up pass semijoined — so skipping loses no row either.
+    fn adds_nothing(&self, id: usize) -> bool {
+        self.extension(id).is_empty()
+            && (!self.is_agg
+                || (self.folded(id)
+                    && self.plan.nodes[id]
+                        .children
+                        .iter()
+                        .all(|&c| self.adds_nothing(c))))
+    }
+
+    /// Assemble `id`'s subtree into rows with exactly the columns
+    /// `target`, which start with `id`'s interface; the rows are grouped
+    /// ascending on those leading columns.
+    fn node(&mut self, id: usize, target: &[String]) -> Arc<TupleBuffer> {
+        let plan = self.plan;
+        let node = &plan.nodes[id];
+        let own = self.results[id].take().expect("every node ran bottom-up");
+        let mut attrs = own.attrs;
+        let mut rows = own.tuples;
+        // Until the first join replaces them, a folded node's annotations
+        // count as ⊗-identities.
+        let mut unit_annots = self.folded(id);
+        let children: Vec<usize> = node
+            .children
+            .iter()
+            .copied()
+            .filter(|&c| !self.adds_nothing(c))
             .collect();
-        let mut joined = TupleBuffer::new(attrs.len() + ext_idx.len());
-        let mut key: Vec<u32> = Vec::with_capacity(parent_iface_idx.len());
-        for (ri, row) in tuples.iter().enumerate() {
-            key.clear();
-            key.extend(parent_iface_idx.iter().map(|&i| row[i]));
-            if let Some(bucket) = index.get(key.as_slice()) {
-                for (mi, ext) in bucket.iter().enumerate() {
-                    let values = row.iter().chain(ext.iter()).copied();
-                    if is_agg {
-                        let base = tuples.annot(ri).unwrap_or_else(|| op.one());
-                        let an = bucket.annot(mi).unwrap_or_else(|| op.one());
-                        joined.extend_row_annotated(values, op.times(base, an));
-                    } else {
-                        joined.extend_row(values);
-                    }
+        for (i, &c) in children.iter().enumerate() {
+            let interface = &plan.nodes[c].interface;
+            let extension = self.extension(c);
+            let child_attrs = [interface.as_slice(), &extension].concat();
+            let child_rows = self.node(c, &child_attrs);
+            let later = &children[i + 1..];
+            let out_attrs: Vec<String> = if later.is_empty() {
+                target.to_vec()
+            } else {
+                let needed = |a: &&String| {
+                    target.contains(a) || later.iter().any(|&d| plan.nodes[d].interface.contains(a))
+                };
+                attrs
+                    .iter()
+                    .chain(&extension)
+                    .filter(needed)
+                    .cloned()
+                    .collect()
+            };
+            let joined = Join {
+                parent: &rows,
+                parent_attrs: &attrs,
+                unit_annots,
+                child: &child_rows,
+                child_attrs: &child_attrs,
+                key_len: interface.len(),
+                out_attrs: &out_attrs,
+                annotate: self.is_agg,
+                op: self.op,
+            }
+            .run();
+            rows = Arc::new(joined);
+            attrs = out_attrs;
+            unit_annots = false;
+        }
+        if attrs != target {
+            // A leaf whose columns come in another order than asked for.
+            let order: Vec<usize> = target
+                .iter()
+                .map(|a| attrs.iter().position(|x| x == a).expect("target is bound"))
+                .collect();
+            rows = Arc::new(rows.reorder(&order));
+        }
+        if !node.output_attrs.starts_with(&node.interface) {
+            rows = Arc::new(rows.sorted_by_prefix(node.interface.len()));
+        }
+        rows
+    }
+}
+
+/// One join of the top-down pass: `parent` rows, in order, each extended
+/// by the `child` rows that share its interface key.
+struct Join<'a> {
+    parent: &'a TupleBuffer,
+    parent_attrs: &'a [String],
+    /// Read every parent annotation as the ⊗-identity.
+    unit_annots: bool,
+    /// Rows ascending on their first `key_len` columns, the interface.
+    child: &'a TupleBuffer,
+    child_attrs: &'a [String],
+    key_len: usize,
+    /// The columns to write, each bound by the parent or the child.
+    out_attrs: &'a [String],
+    /// Whether the output carries `parent ⊗ child` annotations.
+    annotate: bool,
+    op: AggOp,
+}
+
+impl Join<'_> {
+    fn run(&self) -> TupleBuffer {
+        let (parent, child, k) = (self.parent, self.child, self.key_len);
+        let position = |attrs: &[String], a: &String| attrs.iter().position(|x| x == a);
+        let key_cols: Vec<usize> = self.child_attrs[..k]
+            .iter()
+            .map(|a| position(self.parent_attrs, a).expect("the parent binds the interface"))
+            .collect();
+        // First pass: each parent row's run of child rows, so the output
+        // can be sized exactly before a value is written.
+        assert!(child.len() <= u32::MAX as usize, "row counts are u32");
+        let mut runs: Vec<(u32, u32)> = Vec::with_capacity(parent.len());
+        let mut total = 0usize;
+        let (mut key, mut prev) = (vec![0u32; k], vec![0u32; k]);
+        let mut first = true;
+        let (mut start, mut end) = (0usize, 0usize);
+        for row in parent.iter() {
+            for (slot, &c) in key.iter_mut().zip(&key_cols) {
+                *slot = row[c];
+            }
+            if first || key != prev {
+                let from = if !first && key > prev { end } else { 0 };
+                start = seek(child, from, &key);
+                end = start;
+                while end < child.len() && child.row(end)[..k] == key[..] {
+                    end += 1;
+                }
+                prev.copy_from_slice(&key);
+                first = false;
+            }
+            runs.push((start as u32, (end - start) as u32));
+            total += end - start;
+        }
+        // Second pass: write each joined row once.
+        let width = self.out_attrs.len();
+        let (mut from_parent, mut from_child) = (Vec::new(), Vec::new());
+        for (slot, a) in self.out_attrs.iter().enumerate() {
+            match position(self.parent_attrs, a) {
+                Some(c) => from_parent.push((slot, c)),
+                None => {
+                    let c = position(self.child_attrs, a).expect("an output column is bound");
+                    from_child.push((slot, c));
                 }
             }
         }
-        for &i in &ext_idx {
-            attrs.push(child_attrs[i].clone());
+        let mut data = vec![0u32; total * width];
+        let mut annots: Vec<DynValue> = Vec::with_capacity(if self.annotate { total } else { 0 });
+        let one = self.op.one();
+        let mut written = 0usize;
+        for (ri, &(start, len)) in runs.iter().enumerate() {
+            if len == 0 {
+                continue;
+            }
+            let row = parent.row(ri);
+            let base = match parent.annot(ri) {
+                Some(a) if !self.unit_annots => a,
+                _ => one,
+            };
+            for ci in start as usize..(start + len) as usize {
+                let child_row = child.row(ci);
+                let out = &mut data[written * width..(written + 1) * width];
+                for &(slot, c) in &from_parent {
+                    out[slot] = row[c];
+                }
+                for &(slot, c) in &from_child {
+                    out[slot] = child_row[c];
+                }
+                written += 1;
+                if self.annotate {
+                    annots.push(self.op.times(base, child.annot(ci).unwrap_or(one)));
+                }
+            }
         }
-        tuples = joined;
+        let mut out = if width == 0 {
+            TupleBuffer::nullary(total)
+        } else {
+            TupleBuffer::from_flat(width, data)
+        };
+        if self.annotate {
+            out.set_annotations(annots);
+        }
+        out
     }
-    (attrs, tuples)
 }
 
 /// Project to the head variables, fold duplicates, and apply the head
@@ -805,6 +1002,61 @@ mod tests {
         ] {
             assert_eq!(plan_sink_kinds(&plan_for(q), &cat), vec![want], "{q}");
         }
+    }
+
+    #[test]
+    fn top_down_regroups_a_child_whose_interface_trails() {
+        // The planner's pre-order attribute orders always put a node's
+        // interface first; a hand-built plan need not. Child rows sorted on
+        // (z, y) are regrouped on y, keeping their z order within a key,
+        // and the root's x-major rows find their runs by restarting seeks.
+        let rule = eh_query::parse_rule("P(x,z;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.").unwrap();
+        let ghd = eh_ghd::plan_rule(&rule, &Default::default()).unwrap();
+        let mut plan = PhysicalPlan::compile(&rule, &ghd);
+        assert_eq!(plan.nodes.len(), 2);
+        assert_eq!(plan.nodes[0].interface, ["y"]);
+        let names = |attrs: &[&str]| attrs.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        plan.nodes[0].attrs = names(&["z", "y"]);
+        plan.nodes[0].output_attrs = names(&["z", "y"]);
+        plan.nodes[1].attrs = names(&["x", "y"]);
+        plan.nodes[1].output_attrs = names(&["x", "y"]);
+        let result = |attrs: &[&str], rows: &[[u32; 2]], annots: &[u64]| {
+            let annots = annots.iter().map(|&a| DynValue::U64(a)).collect();
+            Some(NodeResult {
+                attrs: names(attrs),
+                tuples: Arc::new(TupleBuffer::from_annotated_rows(2, rows, annots)),
+            })
+        };
+        let mut results = vec![
+            result(
+                &["z", "y"],
+                &[[1, 7], [2, 5], [2, 7], [3, 5]],
+                &[2, 3, 5, 7],
+            ),
+            result(
+                &["x", "y"],
+                &[[0, 5], [0, 7], [1, 5], [1, 6]],
+                &[1, 10, 100, 1000],
+            ),
+        ];
+        let (attrs, rows) = assemble(&plan, &mut results, true, AggOp::Count);
+        assert_eq!(attrs, ["x", "z"]);
+        // Parent row order, then child row order within the key.
+        let want: [([u32; 2], u64); 6] = [
+            ([0, 2], 3),
+            ([0, 3], 7),
+            ([0, 1], 20),
+            ([0, 2], 50),
+            ([1, 2], 300),
+            ([1, 3], 700),
+        ];
+        let got: Vec<([u32; 2], u64)> = rows
+            .iter()
+            .zip(rows.annotations().unwrap())
+            .map(|(r, a)| ([r[0], r[1]], a.as_u64()))
+            .collect();
+        assert_eq!(got, want);
+        assert!(results.iter().all(Option::is_none), "inputs are consumed");
     }
 
     #[test]

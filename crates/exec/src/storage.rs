@@ -197,7 +197,7 @@ impl Relation {
             .policy(policy)
             .combine(self.combine)
             .threads(threads);
-        let trie = Arc::new(builder.build_buffer(&reordered));
+        let trie = Arc::new(builder.build_owned(reordered));
         // Opportunistic stats seeding: the root set of this trie holds
         // exactly the distinct values of the order's first source column.
         if let (Some(&first), Some(max)) = (order.first(), trie.root().set.max()) {
@@ -286,7 +286,7 @@ impl Relation {
             .combine(self.combine)
             .threads(threads)
             .level_overrides(overrides.to_vec());
-        let trie = Arc::new(builder.build_buffer(&reordered));
+        let trie = Arc::new(builder.build_owned(reordered));
         let key = (order.to_vec(), policy_key(policy));
         self.tries.write().insert(key, Arc::clone(&trie));
         // The census just changed: the next adaptive run must observe this

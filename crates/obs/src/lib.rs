@@ -177,6 +177,11 @@ pub struct QueryProfile {
     pub work: WorkCounters,
     /// One entry per executed GHD node, bottom-up order.
     pub nodes: Vec<NodeProfile>,
+    /// Wall time of the Yannakakis top-down pass (zero when the plan
+    /// skips it: every head variable already sits in the root).
+    pub top_down_ns: u64,
+    /// Wall time of the final projection, sort and duplicate fold.
+    pub finalize_ns: u64,
 }
 
 impl QueryProfile {
@@ -251,6 +256,11 @@ impl QueryProfile {
                 ));
             }
         }
+        out.push_str(&format!(
+            "  top-down: {:.3} ms\n  finalize: {:.3} ms\n",
+            self.top_down_ns as f64 / 1e6,
+            self.finalize_ns as f64 / 1e6
+        ));
         out
     }
 }
@@ -672,6 +682,8 @@ mod tests {
             estimated_work: Some(123.4),
             rows: 7,
             total_ns: 1_500_000,
+            top_down_ns: 250_000,
+            finalize_ns: 125_000,
             ..QueryProfile::default()
         };
         let mut node = NodeProfile {
@@ -696,6 +708,8 @@ mod tests {
         assert!(text.contains("observed 456"), "{text}");
         assert!(text.contains("node 0"), "{text}");
         assert!(text.contains("morsels 3"), "{text}");
+        assert!(text.contains("  top-down: 0.250 ms\n"), "{text}");
+        assert!(text.contains("  finalize: 0.125 ms\n"), "{text}");
         // Structural orders say so instead of printing an estimate.
         let q = QueryProfile::default();
         assert!(q.render().contains("estimated n/a (structural order)"));

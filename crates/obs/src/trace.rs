@@ -273,6 +273,14 @@ pub fn profile_to_span(name: &str, profile: &QueryProfile) -> Span {
         cursor = cursor.saturating_add(node.ns);
         root.children.push(ns);
     }
+    // What runs after the last node: the top-down pass, then finalize.
+    for (name, ns) in [
+        ("top-down", profile.top_down_ns),
+        ("finalize", profile.finalize_ns),
+    ] {
+        root.children.push(Span::new(name, cursor, ns));
+        cursor = cursor.saturating_add(ns);
+    }
     root
 }
 
@@ -481,8 +489,10 @@ mod tests {
     #[test]
     fn profile_converts_to_cumulative_node_spans() {
         let mut p = QueryProfile {
-            total_ns: 300,
+            total_ns: 360,
             rows: 7,
+            top_down_ns: 50,
+            finalize_ns: 10,
             ..QueryProfile::default()
         };
         p.push_node(NodeProfile {
@@ -497,10 +507,15 @@ mod tests {
             ..NodeProfile::default()
         });
         let span = profile_to_span("query", &p);
-        assert_eq!(span.elapsed_ns, 300);
-        assert_eq!(span.children.len(), 2);
+        assert_eq!(span.elapsed_ns, 360);
         assert_eq!(span.children[0].start_ns_rel, 0);
         assert_eq!(span.children[1].start_ns_rel, 100);
+        // The post-join phases follow the last node, end to end.
+        let tail: Vec<(&str, u64, u64)> = span.children[2..]
+            .iter()
+            .map(|c| (c.name.as_str(), c.start_ns_rel, c.elapsed_ns))
+            .collect();
+        assert_eq!(tail, [("top-down", 300, 50), ("finalize", 350, 10)]);
         assert_eq!(span.children[0].children[0].name, "level 0");
         assert_eq!(span.hottest_leaf(), "query/node 1");
     }

@@ -139,6 +139,12 @@ impl ResultSet {
         &self.batch
     }
 
+    /// Give up the decoded batch (the coordinator merges partials by
+    /// moving their tuples, not copying them).
+    pub(crate) fn into_batch(self) -> ResultBatch {
+        self.batch
+    }
+
     /// The result exactly as it crossed the wire.
     pub fn raw_bytes(&self) -> &[u8] {
         &self.bytes

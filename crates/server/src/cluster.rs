@@ -14,8 +14,9 @@
 //! level-0 value list into contiguous index ranges (worker `k` owns
 //! `[len·k/n, len·(k+1)/n)`), and the coordinator folds partials in
 //! worker order. Per-shard results arrive sorted and deduplicated (the
-//! engine's `finalize` guarantees that), so concatenating them in shard
-//! order and running one stable `sorted_dedup` under the schema's ⊕
+//! engine's `finalize` guarantees that), so one k-way merge of them —
+//! equal keys combining under the schema's ⊕, lower shard first, the
+//! order a stable sort of their concatenation would fold in —
 //! reproduces exactly the tuple sequence — and therefore exactly the
 //! encoded bytes — that a single-process execution produces. Scalar
 //! aggregates fold as `t₀ ⊕ t₁ ⊕ … ⊕ tₙ₋₁`, which equals the
@@ -36,6 +37,7 @@ use crate::protocol::{ExecTarget, RelationInfo, Request, Response, WireDelimiter
 use crate::session::error;
 use eh_obs::{MetricsRegistry, SlowQueryEntry, Span, Trace, TraceId, WorkCounters};
 use eh_storage::encode_trace;
+use eh_trie::merge_sorted_runs;
 use std::time::Instant;
 
 /// One worker's share of the last scattered query, for skew reporting.
@@ -389,27 +391,25 @@ impl Cluster {
 }
 
 /// Fold sharded partials, in shard order, into the single-process
-/// answer. Every partial arrives sorted + deduplicated; the merged
-/// buffer re-sorts (stably) and combines duplicate keys under the
-/// result schema's ⊕, which for contiguous level-0 ranges reproduces
-/// the single-process tuple sequence exactly.
+/// answer. Every partial arrives sorted + deduplicated, so one k-way
+/// merge — equal keys combine under the result schema's ⊕, lower shard
+/// first — reproduces the single-process tuple sequence exactly for
+/// contiguous level-0 ranges, without sorting anything again.
 fn merge_partials(outcomes: Vec<ExecOutcome>) -> Result<ResultSet, ClientError> {
-    let mut iter = outcomes.into_iter();
-    let first = iter
+    let mut batches = outcomes.into_iter().map(|o| o.result.into_batch());
+    let mut merged = batches
         .next()
         .ok_or_else(|| ClientError::Protocol("no shard outcomes to merge".into()))?;
-    let mut merged = first.result.batch().clone();
-    for outcome in iter {
-        let batch = outcome.result.batch();
-        if batch.schema != merged.schema {
+    let mut runs = vec![std::mem::take(&mut merged.tuples)];
+    for batch in batches {
+        if batch.schema != merged.schema || batch.tuples.arity() != runs[0].arity() {
             return Err(ClientError::Protocol(format!(
                 "shard schema mismatch: {:?} vs {:?}",
                 batch.schema.name, merged.schema.name
             )));
         }
-        merged.tuples.append(&batch.tuples);
+        runs.push(batch.tuples);
     }
-    let combine = merged.schema.combine;
-    merged.tuples = merged.tuples.sorted_dedup(combine);
+    merged.tuples = merge_sorted_runs(runs, merged.schema.combine);
     ResultSet::from_batch(merged)
 }

@@ -12,7 +12,6 @@ use crate::tuple::TupleBuffer;
 use crate::{NodeId, Trie, TrieNode};
 use eh_semiring::{AggOp, DynValue};
 use eh_set::{LayoutKind, LayoutPolicy};
-use std::borrow::Cow;
 
 /// Builder for [`Trie`]s.
 #[derive(Clone, Debug)]
@@ -87,18 +86,33 @@ impl TrieBuilder {
 
     /// Build a trie from a flat columnar buffer — the engine's path. The
     /// buffer's annotation column (if any) becomes trie annotations.
+    /// Canonical (strictly ascending) input — every executor result and
+    /// recursion frontier — is grouped in place, without a sorted copy.
     pub fn build_buffer(&self, tuples: &TupleBuffer) -> Trie {
-        assert_eq!(tuples.arity(), self.arity, "buffer arity mismatch");
-        if tuples.is_empty() || self.arity == 0 {
+        if tuples.is_strictly_sorted() {
+            self.build_sorted(tuples)
+        } else {
+            self.build_sorted(&tuples.sorted_dedup_parallel(self.combine, self.threads))
+        }
+    }
+
+    /// [`TrieBuilder::build_buffer`] of a buffer the caller is done with
+    /// (a relation's reordered copy): a serial build sorts it in place
+    /// instead of sorting a second copy.
+    pub fn build_owned(&self, tuples: TupleBuffer) -> Trie {
+        if self.threads == 1 {
+            self.build_sorted(&tuples.into_sorted_dedup(self.combine))
+        } else {
+            self.build_buffer(&tuples)
+        }
+    }
+
+    /// Group canonical rows into the nested sets of a trie.
+    fn build_sorted(&self, sorted: &TupleBuffer) -> Trie {
+        assert_eq!(sorted.arity(), self.arity, "buffer arity mismatch");
+        if sorted.is_empty() || self.arity == 0 {
             return Trie::empty(self.arity);
         }
-        // Canonical (strictly ascending) input — every executor result and
-        // recursion frontier — is grouped in place, without a sorted copy.
-        let sorted = if tuples.is_strictly_sorted() {
-            Cow::Borrowed(tuples)
-        } else {
-            Cow::Owned(tuples.sorted_dedup_parallel(self.combine, self.threads))
-        };
         let tuple_count = sorted.len();
         // One carrier for the whole trie's raw annotation columns: f64 as
         // soon as any annotation is one (integers convert exactly enough,
@@ -114,7 +128,7 @@ impl TrieBuilder {
             annots: Vec::new(),
         });
         self.build_level(
-            &sorted,
+            sorted,
             float == Some(true),
             0,
             0,
@@ -255,6 +269,24 @@ mod tests {
         let serial = TrieBuilder::new(2).build(&rows);
         let parallel = TrieBuilder::new(2).threads(4).build(&rows);
         assert_eq!(serial.scan(), parallel.scan());
+    }
+
+    #[test]
+    fn owned_build_matches_borrowed_build() {
+        let rows: Vec<Vec<u32>> = (0..500u32)
+            .map(|i| vec![i.wrapping_mul(2654435761) % 40, i % 23])
+            .collect();
+        let annots: Vec<DynValue> = (0..500).map(|i| DynValue::U64(i % 7)).collect();
+        for threads in [1, 3] {
+            let builder = TrieBuilder::new(2).combine(AggOp::Count).threads(threads);
+            for buf in [
+                TupleBuffer::from_rows(2, &rows),
+                TupleBuffer::from_annotated_rows(2, &rows, annots.clone()),
+            ] {
+                let borrowed = builder.build_buffer(&buf);
+                assert_eq!(builder.build_owned(buf).scan(), borrowed.scan());
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod tuple;
 
 pub use builder::TrieBuilder;
 pub use dict::Dictionary;
-pub use tuple::TupleBuffer;
+pub use tuple::{merge_sorted_runs, TupleBuffer};
 
 use eh_semiring::DynValue;
 use eh_set::{LayoutPolicy, Set};

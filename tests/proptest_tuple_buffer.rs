@@ -79,6 +79,157 @@ fn scheduler_differential(cat: &MemCatalog) {
     }
 }
 
+/// The sort-kernel oracle: rows gathered in `sort_perm` order — the
+/// permutation radix sort, which handles any arity — with adjacent
+/// duplicates folded left to right. The key-packed sort that
+/// `sorted_dedup` takes for arity 1–2 must be indistinguishable from it.
+fn permutation_sorted_dedup(buf: &TupleBuffer, op: AggOp) -> TupleBuffer {
+    let mut out = TupleBuffer::new(buf.arity());
+    if buf.is_annotated() {
+        out.set_annotations(Vec::new());
+    }
+    let mut groups: Vec<(Vec<u32>, Option<DynValue>)> = Vec::new();
+    for i in buf.sort_perm() {
+        let (row, annot) = (buf.row(i as usize), buf.annot(i as usize));
+        match groups.last_mut() {
+            Some((last, acc)) if last.as_slice() == row => {
+                *acc = acc.map(|a| op.plus(a, annot.unwrap()));
+            }
+            _ => groups.push((row.to_vec(), annot)),
+        }
+    }
+    for (row, annot) in groups {
+        match annot {
+            Some(a) => out.push_annotated(&row, a),
+            None => out.push_row(&row),
+        }
+    }
+    out
+}
+
+/// `rows` as a buffer of `arity`, annotated with distinct powers-of-two
+/// counts when asked (so a fold's operands are readable off its value).
+fn buffer_of(arity: usize, rows: &[Vec<u32>], annotated: bool) -> TupleBuffer {
+    let mut buf = TupleBuffer::from_rows(arity, rows);
+    if annotated {
+        let annots = (0..rows.len()).map(|i| DynValue::U64(1 << (i % 60)));
+        buf.set_annotations(annots.collect());
+    }
+    buf
+}
+
+/// Every public route through the sort agrees with the oracle: borrowed,
+/// owned (in place for unannotated arity 1–2) and chunk-parallel. The
+/// annotations are integers, so chunk partials recombine exactly.
+fn assert_sorts_like_the_oracle(buf: &TupleBuffer) {
+    let want = permutation_sorted_dedup(buf, AggOp::Count);
+    assert!(want.is_strictly_sorted());
+    assert_eq!(buf.sorted_dedup(AggOp::Count), want, "borrowed {buf:?}");
+    assert_eq!(
+        buf.clone().into_sorted_dedup(AggOp::Count),
+        want,
+        "owned {buf:?}"
+    );
+    for threads in [1, 2, 4] {
+        let got = buf.sorted_dedup_parallel(AggOp::Count, threads);
+        assert_eq!(got, want, "x{threads} {buf:?}");
+    }
+}
+
+/// Values that populate every radix digit or none: both ends of the
+/// range, and both sides of each byte boundary.
+const DIGIT_EDGES: [u32; 9] = [
+    0,
+    1,
+    255,
+    256,
+    65_535,
+    65_536,
+    1 << 24,
+    u32::MAX - 1,
+    u32::MAX,
+];
+
+#[test]
+fn packed_sort_matches_the_permutation_sort_on_edge_shapes() {
+    for arity in 0..=4usize {
+        let row = |v: u32| vec![v; arity];
+        // A row whose last column varies fastest: ascending as a sequence.
+        let stepped = |i: u32| -> Vec<u32> {
+            (0..arity)
+                .map(|c| DIGIT_EDGES[(i as usize / 3usize.pow((arity - 1 - c) as u32)) % 3 * 4])
+                .collect()
+        };
+        let ascending: Vec<Vec<u32>> = (0..3u32.pow(arity as u32)).map(stepped).collect();
+        let mut reversed = ascending.clone();
+        reversed.reverse();
+        let mut with_repeats = ascending.clone();
+        with_repeats.extend(ascending.iter().cloned());
+        with_repeats.sort();
+        let shapes: [(&str, Vec<Vec<u32>>); 7] = [
+            ("empty", Vec::new()),
+            ("single row", vec![row(u32::MAX)]),
+            ("all equal", vec![row(7); 9]),
+            (
+                "all zero and all max",
+                vec![row(u32::MAX), row(0), row(u32::MAX), row(0)],
+            ),
+            ("already sorted", ascending),
+            ("sorted with repeats", with_repeats),
+            ("reversed", reversed),
+        ];
+        for (shape, rows) in &shapes {
+            for annotated in [false, true] {
+                let buf = buffer_of(arity, rows, annotated);
+                assert_eq!(buf.len(), rows.len(), "arity {arity} {shape}");
+                assert_sorts_like_the_oracle(&buf);
+            }
+        }
+    }
+}
+
+#[test]
+fn duplicate_annotations_fold_left_to_right_in_original_row_order() {
+    // f64 addition does not associate: (1e16 + 1) − 1e16 = 0 but
+    // (1e16 − 1e16) + 1 = 1. The sort is stable, so each key's duplicates
+    // must fold exactly as a left-to-right pass over the unsorted rows
+    // would — for the packed kernel (arity 1–2) and the permutation sort.
+    let values = [1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3, -0.1];
+    for arity in 1..=3usize {
+        let n = 64usize;
+        let key = |i: usize| -> Vec<u32> {
+            let k = [u32::MAX, 0, 70_000, 3][(i * 7 + i / 5) % 4];
+            vec![k; arity]
+        };
+        let rows: Vec<Vec<u32>> = (0..n).map(key).collect();
+        let annots: Vec<DynValue> = (0..n)
+            .map(|i| DynValue::F64(values[(i * 3 + i / 8) % values.len()]))
+            .collect();
+        let mut want: std::collections::BTreeMap<Vec<u32>, f64> = Default::default();
+        for (row, a) in rows.iter().zip(&annots) {
+            want.entry(row.clone())
+                .and_modify(|acc| *acc += a.as_f64())
+                .or_insert(a.as_f64());
+        }
+        let buf = TupleBuffer::from_annotated_rows(arity, &rows, annots);
+        for got in [
+            buf.sorted_dedup(AggOp::Sum),
+            buf.clone().into_sorted_dedup(AggOp::Sum),
+            buf.sorted_dedup_parallel(AggOp::Sum, 1),
+            permutation_sorted_dedup(&buf, AggOp::Sum),
+        ] {
+            let got: Vec<(Vec<u32>, u64)> = got
+                .iter()
+                .zip(got.annotations().unwrap())
+                .map(|(r, a)| (r.to_vec(), a.as_f64().to_bits()))
+                .collect();
+            let want: Vec<(Vec<u32>, u64)> =
+                want.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+            assert_eq!(got, want, "arity {arity}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -193,5 +344,25 @@ proptest! {
         prop_assert_eq!(&got, &model);
         let par = buf.sorted_dedup_parallel(AggOp::Sum, 3);
         prop_assert_eq!(&sorted, &par);
+    }
+
+    #[test]
+    fn packed_sort_matches_the_permutation_sort(
+        arity in 0usize..=4,
+        annotated in any::<bool>(),
+        cells in prop::collection::vec((0usize..14, any::<u32>()), 0..480))
+    {
+        // Random rows over digit-edge values, a few small ones (so rows
+        // repeat) and arbitrary u32s.
+        let value = |&(pick, random): &(usize, u32)| match pick {
+            0..=8 => DIGIT_EDGES[pick],
+            9..=11 => random % 3,
+            _ => random,
+        };
+        let rows: Vec<Vec<u32>> = cells
+            .chunks_exact(arity.max(1))
+            .map(|c| c.iter().take(arity).map(value).collect())
+            .collect();
+        assert_sorts_like_the_oracle(&buffer_of(arity, &rows, annotated));
     }
 }

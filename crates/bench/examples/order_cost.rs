@@ -1,6 +1,6 @@
 //! Measure the cost-based attribute-order search against the structural
-//! fallback on a skewed three-atom join — the number quoted in the README's
-//! "Performance trajectory" section.
+//! fallback on a skewed three-atom join — the "Cost-based attribute order"
+//! number quoted in the README's "Benchmarks and paper tables" section.
 //!
 //! ```sh
 //! cargo run --release -p eh_bench --example order_cost

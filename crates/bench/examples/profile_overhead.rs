@@ -1,5 +1,5 @@
-//! Measure the cost of `Config::profile` on the trajectory workloads —
-//! the overhead number quoted in the README's "Observability &
+//! Measure the cost of `Config::profile` on three small count workloads
+//! (uniform and skewed triangle, uniform 2-hop) — the overhead number quoted in the README's "Observability &
 //! profiling" section. The counters live in plain struct fields bumped
 //! inside the already-memory-bound intersection loops, so the profiled
 //! run must stay within a ~2% ceiling of the plain one.

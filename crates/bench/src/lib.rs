@@ -10,7 +10,6 @@ use eh_core::{Config, Database};
 use eh_graph::Graph;
 use std::time::{Duration, Instant};
 
-pub mod compare;
 pub mod paper_tables;
 
 /// A query compiled once against a warmed database, ready for repeated
@@ -75,9 +74,9 @@ pub fn measure<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     kept.iter().sum::<Duration>() / kept.len() as u32
 }
 
-/// Time `f` with `reps` repetitions and report the **median** run — the
-/// statistic the performance-trajectory records (`BENCH_*.json`) store,
-/// because it is robust to one-off scheduler hiccups in CI.
+/// Time `f` with `reps` repetitions and report the **median** run —
+/// robust to one-off scheduler hiccups, so small differences between
+/// two measured alternatives (the `order_cost` example) stay readable.
 pub fn measure_median<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     assert!(reps >= 1);
     let mut times = Vec::with_capacity(reps);

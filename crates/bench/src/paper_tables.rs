@@ -11,16 +11,15 @@
 //! roughly what factor, where the crossovers fall — is the reproduction
 //! target. See EXPERIMENTS.md for the side-by-side record.
 
-use crate::{measure, measure_median, measure_once, queries, ratio, secs, PreparedQuery, Table};
+use crate::{measure, measure_once, queries, ratio, secs, PreparedQuery, Table};
 use eh_core::{Config, Database, Scheduler};
 use eh_graph::{apply_ordering, compute_ordering, gen, paper_datasets, Graph, OrderingScheme};
 use eh_semiring::{AggOp, DynValue};
 use eh_set::{IntersectConfig, LayoutKind, Set};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 const TARGETS: &str =
-    "fig5|fig6|fig7|table3|table4|table5|table6|table7|table8|table9|table10|table11|table13|skew|loaded|storage-smoke|bench-trajectory|all";
+    "fig5|fig6|fig7|table3|table4|table5|table6|table7|table8|table9|table10|table11|table13|skew|loaded|storage-smoke|all";
 
 /// `--threads N` override applied to every engine config in this run
 /// (None = flag absent, keep each config's default of 1 worker).
@@ -30,37 +29,15 @@ static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
 /// (None = flag absent, auto-size).
 static MORSEL: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
 
-/// `--profile`: bench-trajectory additionally runs each query once under
-/// `Config::profile` and records the observed work counters alongside
-/// the medians in the `--json` output. Medians themselves are always
-/// measured with profiling off, so profile-bearing documents stay
-/// comparable with pre-profile baselines.
-static PROFILE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
 /// Machine-readable timing sink, enabled by `--json <path>`; human
 /// output is unchanged whether or not it is active.
 static JSON_SINK: std::sync::OnceLock<std::sync::Mutex<Vec<String>>> = std::sync::OnceLock::new();
 
 /// Record one measurement into the `--json` sink (no-op without it).
 fn record(table: &str, dataset: &str, query: &str, config: &str, time: Duration, rows: u64) {
-    record_with_work(table, dataset, query, config, time, rows, None);
-}
-
-/// [`record`] with optional observed-work counters (`--profile` runs).
-/// The extra keys are unknown to older `eh_bench --compare` parsers by
-/// design: the comparator skips fields it does not recognize.
-fn record_with_work(
-    table: &str,
-    dataset: &str,
-    query: &str,
-    config: &str,
-    time: Duration,
-    rows: u64,
-    work: Option<&eh_core::WorkCounters>,
-) {
     let Some(sink) = JSON_SINK.get() else { return };
-    let mut entry = format!(
-        "{{\"table\":{},\"dataset\":{},\"query\":{},\"config\":{},\"median_us\":{},\"rows\":{}",
+    let entry = format!(
+        "{{\"table\":{},\"dataset\":{},\"query\":{},\"config\":{},\"median_us\":{},\"rows\":{}}}",
         json_str(table),
         json_str(dataset),
         json_str(query),
@@ -68,20 +45,6 @@ fn record_with_work(
         time.as_micros(),
         rows
     );
-    if let Some(w) = work {
-        let _ = write!(
-            entry,
-            ",\"values_scanned\":{},\"intersections\":{},\"merge_kernels\":{},\"gallop_kernels\":{},\"bitset_kernels\":{},\"count_fast_hits\":{},\"relayouts\":{}",
-            w.values_scanned,
-            w.intersections,
-            w.merge_kernels,
-            w.gallop_kernels,
-            w.bitset_kernels,
-            w.count_fast_hits,
-            w.relayouts
-        );
-    }
-    entry.push('}');
     sink.lock().expect("json sink").push(entry);
 }
 
@@ -147,7 +110,6 @@ pub fn main() {
     let _ = MORSEL.set(morsel);
     let load = flag("--load");
     let json = flag("--json");
-    let _ = PROFILE.set(args.iter().any(|a| a == "--profile"));
     if json.is_some() {
         let _ = JSON_SINK.set(std::sync::Mutex::new(Vec::new()));
     }
@@ -177,7 +139,6 @@ pub fn main() {
         "table11" => table11(scale),
         "table13" => table13(scale),
         "skew" => skew(scale, reps),
-        "bench-trajectory" => bench_trajectory(scale),
         "loaded" => loaded_tables(load.as_deref(), reps),
         "storage-smoke" => storage_smoke(load.as_deref()),
         "all" => {
@@ -198,7 +159,7 @@ pub fn main() {
         }
         "--help" | "-h" | "help" => {
             println!(
-                "usage: paper_tables [{TARGETS}] [--scale S] [--threads N] [--morsel M] [--load PATH] [--json PATH] [--profile]"
+                "usage: paper_tables [{TARGETS}] [--scale S] [--threads N] [--morsel M] [--load PATH] [--json PATH]"
             );
             println!();
             println!("Regenerates the paper's evaluation tables/figures on synthetic");
@@ -221,15 +182,6 @@ pub fn main() {
             println!("checks the reload answers queries identically).");
             println!("--json PATH additionally writes per-table timing entries");
             println!("(table, dataset, query, config, median_us, rows) as JSON.");
-            println!();
-            println!("The 'bench-trajectory' target runs the fixed query suite behind");
-            println!("the committed BENCH_*.json performance baselines (medians, adaptive");
-            println!("vs static layouts); gate regressions with");
-            println!("  eh_bench --compare BENCH_OLD.json new.json");
-            println!("--profile additionally runs each trajectory query once under");
-            println!("Config::profile and records observed-work counters (values");
-            println!("scanned, intersections, kernel picks) next to each median in");
-            println!("the --json document; medians stay measured with profiling off.");
         }
         other => {
             eprintln!("unknown target '{other}'; use {TARGETS} (or --help)");
@@ -485,87 +437,6 @@ fn ablation_agreement(scale: f64) {
     if diverged {
         std::process::exit(1);
     }
-}
-
-// ----------------------------------------------------- trajectory bench
-
-/// The fixed query suite behind the committed `BENCH_*.json` performance
-/// trajectory: medians (via [`measure_median`]) for triangle count/list,
-/// 2-hop, a power-law skew triangle, and an anchored selection, each under
-/// the adaptive engine and the static-layout ablation. Run with
-/// `--threads 1 --json BENCH_N.json` to (re)generate a baseline;
-/// `eh_bench --compare OLD.json NEW.json` gates regressions in CI.
-fn bench_trajectory(scale: f64) {
-    let reps = 7;
-    println!("\n== Performance trajectory suite (scale {scale}, median of {reps}) ==");
-    let t = Table::new(&[
-        ("dataset", 10),
-        ("query", 14),
-        ("config", 10),
-        ("median[s]", 12),
-        ("rows", 12),
-    ]);
-    let nodes = ((20_000.0 * scale) as u32).max(64);
-    let uniform = gen::erdos_renyi(nodes, 8 * nodes as usize, 7).prune_by_degree();
-    let skewed = Graph::power_law(nodes, 8, 42).prune_by_degree();
-    let hub = skewed.max_degree_node();
-    let two_hop = "H2(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(*)>>.";
-    let triangle_list = "T(x,y,z) :- Edge(x,y),Edge(y,z),Edge(x,z).";
-    let anchored =
-        format!("SA(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,'{hub}'); w=<<COUNT(*)>>.");
-    let suite: [(&str, &Graph, &str, &str); 5] = [
-        ("uniform", &uniform, "triangle", queries::TRIANGLE),
-        ("uniform", &uniform, "triangle-list", triangle_list),
-        ("uniform", &uniform, "2hop", two_hop),
-        ("skew", &skewed, "triangle", queries::TRIANGLE),
-        ("skew", &skewed, "anchored-sel", anchored.as_str()),
-    ];
-    let profiled = PROFILE.get().copied().unwrap_or(false);
-    for (dataset, graph, qname, query) in suite {
-        for (config, cfg) in [
-            ("adaptive", tuned(Config::default())),
-            ("static", tuned(Config::static_layout())),
-        ] {
-            let mut db = Database::with_config(cfg);
-            db.load_graph("Edge", graph);
-            let stmt = db.prepare(query).expect("trajectory query must compile");
-            let run = || stmt.execute(&db).expect("trajectory query must run");
-            let rows = {
-                let out = run(); // warm every cached trie
-                out.scalar_u64().unwrap_or(out.num_rows() as u64)
-            };
-            let d = measure_median(reps, run);
-            // Observed work comes from a separate profiled run so the
-            // medians above are never measured with profiling on.
-            let work = profiled.then(|| {
-                let mut pdb = Database::with_config(cfg.with_profile(true));
-                pdb.load_graph("Edge", graph);
-                let out = pdb
-                    .prepare(query)
-                    .expect("trajectory query must compile")
-                    .execute(&pdb)
-                    .expect("trajectory query must run");
-                out.profile().expect("profiled run attaches a profile").work
-            });
-            record_with_work(
-                "bench-trajectory",
-                dataset,
-                qname,
-                config,
-                d,
-                rows,
-                work.as_ref(),
-            );
-            t.row(&[
-                dataset.into(),
-                qname.into(),
-                config.into(),
-                secs(d),
-                rows.to_string(),
-            ]);
-        }
-    }
-    println!("(adaptive and static must agree on rows; medians feed BENCH_*.json)");
 }
 
 /// Uniform random sorted set of the given density over a domain.

@@ -266,9 +266,8 @@ fn run_node(
             splittable,
             level0_out,
         ));
-        let relayouts = adapt_layouts(&build.sources, &ctx, catalog, cfg);
         if profile.is_some() {
-            node_profile = fold_node_profile(&mut ctx, &program, relayouts);
+            node_profile = fold_node_profile(&mut ctx, &program);
         }
     }
     let tuples = sink.into_node_tuples(node.output_attrs.len(), op);
@@ -315,17 +314,7 @@ fn run_join<K: Carrier>(
         None
     };
     let mut merged = std::mem::take(&mut ctx.scratch[0]);
-    crate::gj::fill_level(
-        program,
-        0,
-        &ctx.atoms,
-        cfg,
-        &mut ctx.mw,
-        &mut ctx.obs,
-        &mut merged,
-        ctx.observe_any,
-        true,
-    );
+    crate::gj::fill_level(program, 0, &ctx.atoms, cfg, &mut ctx.mw, &mut merged);
     let range = match shard {
         Some((k, n)) => {
             let len = merged.len() as u64;
@@ -352,11 +341,7 @@ fn run_join<K: Carrier>(
 /// the per-cell work counters fold into one block, kernel-dispatch stats
 /// come from the multiway scratch (calls, not per-atom participations),
 /// and per-level spans / worker balance transfer verbatim.
-fn fold_node_profile(
-    ctx: &mut GjContext<'_>,
-    program: &JoinProgram,
-    relayouts: u64,
-) -> NodeProfile {
+fn fold_node_profile(ctx: &mut GjContext<'_>, program: &JoinProgram) -> NodeProfile {
     let kernels = ctx.mw.stats.take();
     // The innermost count fast path keeps no per-call tick (see `gj`):
     // reconstruct its exact call count from the kernel-dispatch stats.
@@ -411,7 +396,6 @@ fn fold_node_profile(
     work.merge_kernels = kernels.merge_kernels;
     work.gallop_kernels = kernels.gallop_kernels;
     work.bitset_kernels = kernels.bitset_kernels;
-    work.relayouts = relayouts;
     NodeProfile {
         ns: 0,
         rows: 0,
@@ -439,108 +423,6 @@ fn fold_node_profile(
             .collect(),
         workers: std::mem::take(&mut ctx.worker_profiles),
     }
-}
-
-/// Post-join adaptive-layout feedback (the [`Config::adaptive`] knob):
-/// fold the run's observation cells back onto the cached tries they read.
-/// Observations at stack depth `d` of a catalog-backed atom describe trie
-/// level `level_offset + d`; when the fig. 5 crossover over the *observed*
-/// sets contradicts the layouts the build-time policy chose for that
-/// level, the cached trie is rebuilt with the level pinned to the observed
-/// choice (contents unchanged — only the physical layout moves). The
-/// feedback is idempotent: after the rebuild the level's census matches
-/// the observed choice, so re-running the same workload rebuilds nothing.
-/// Only the per-set optimizer participates; fixed layout policies are
-/// ablation baselines and stay fixed.
-fn adapt_layouts(
-    sources: &[Option<(String, Vec<usize>)>],
-    ctx: &GjContext<'_>,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-) -> u64 {
-    use eh_set::{LayoutKind, LayoutPolicy};
-    let mut relayouts = 0u64;
-    if !cfg.adaptive || cfg.layout_policy != LayoutPolicy::SetLevel || !ctx.observe_any {
-        // Nothing observed this run (converged or non-adaptive): the cells
-        // are all zero, so there is no evidence to fold back.
-        return relayouts;
-    }
-    // Pool observation cells per (relation, trie order, trie level):
-    // several atoms can read the same cached trie at different depths
-    // (a triangle reads Edge three times), and one rebuild should see
-    // their combined evidence.
-    let mut groups: Vec<(&str, &[usize], Vec<crate::program::ObsCell>)> = Vec::new();
-    for (i, src) in sources.iter().enumerate() {
-        let Some((name, order)) = src else { continue };
-        let atom = &ctx.atoms[i];
-        let arity = atom.trie.arity();
-        let slot = match groups
-            .iter()
-            .position(|(n, o, _)| *n == name.as_str() && *o == order.as_slice())
-        {
-            Some(p) => p,
-            None => {
-                groups.push((
-                    name.as_str(),
-                    order.as_slice(),
-                    vec![crate::program::ObsCell::default(); arity],
-                ));
-                groups.len() - 1
-            }
-        };
-        for (d, cell) in ctx.obs[i].iter().enumerate() {
-            let level = atom.level_offset + d;
-            if level < groups[slot].2.len() {
-                groups[slot].2[level].merge(cell);
-            }
-        }
-    }
-    for (name, order, cells) in groups {
-        let Some(rel) = catalog.relation(name) else {
-            continue;
-        };
-        let trie = rel.trie_threads(order, cfg.layout_policy, cfg.effective_threads());
-        let mut overrides: Vec<Option<LayoutKind>> = vec![None; cells.len()];
-        let mut changed = false;
-        let mut evidence = false;
-        for (level, cell) in cells.iter().enumerate() {
-            let Some(desired) = cell.desired() else {
-                continue;
-            };
-            let (uint, bitset, block) = trie.level_census(level);
-            if block > 0 {
-                continue; // never produced by SetLevel; leave foreign layouts alone
-            }
-            evidence = true;
-            let current = if bitset > uint {
-                LayoutKind::Bitset
-            } else {
-                LayoutKind::Uint
-            };
-            if desired != current {
-                overrides[level] = Some(desired);
-                changed = true;
-            }
-        }
-        if changed {
-            // `relayout_trie` drops the order's convergence mark, so the
-            // next adaptive run re-observes and verifies the new layout.
-            rel.relayout_trie(
-                order,
-                cfg.layout_policy,
-                cfg.effective_threads(),
-                &overrides,
-            );
-            relayouts += 1;
-        } else if evidence {
-            // Observed access agreed with the census everywhere it had
-            // enough reads to judge: stop observing this order until a
-            // re-layout invalidates the verdict. This is what caps the
-            // steady-state overhead of `adaptive` relative to `static`.
-            rel.mark_layout_converged(order);
-        }
-    }
-    relayouts
 }
 
 #[cfg(test)]
@@ -579,13 +461,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_feedback_relayouts_hot_levels() {
+    fn execution_never_rewrites_a_cached_trie() {
         use eh_set::LayoutPolicy;
         // E: 20 hub sources with dense (consecutive) neighbour sets, plus
-        // 500 tail sources with singleton neighbours. Build-time census at
-        // level 1 is uint-majority (500 singletons vs 20 bitsets). F only
-        // shares the hub sources, so a join reads *only* the dense sets —
-        // the observed aggregate wants bitset, contradicting the census.
+        // 500 tail sources with singleton neighbours, so level 1 is
+        // uint-majority at build time. F shares only the hub sources: the
+        // join reads nothing but E's dense sets. Whatever it reads, the
+        // catalog's cached trie is the one the build made.
         let mut e_rows: Vec<Vec<u32>> = Vec::new();
         for x in 0..20u32 {
             for y in 0..100u32 {
@@ -602,95 +484,23 @@ mod tests {
         cat.insert("E", Relation::from_rows(2, e_rows));
         cat.insert("F", Relation::from_rows(2, f_rows));
         let rule = parse_rule("C(;w:long) :- E(x,y),F(x,y); w=<<COUNT(*)>>.").unwrap();
-
-        // Static baseline: census unchanged by running the query.
-        let cfg_static = Config::static_layout();
-        let before = cat
-            .relation("E")
-            .unwrap()
-            .trie(&[0, 1], LayoutPolicy::SetLevel)
-            .level_census(1);
-        assert!(before.0 > before.1, "uint majority at build time");
-        let static_out = execute_rule(&rule, &cat, &cfg_static).unwrap().relation;
-        let after_static = cat
-            .relation("E")
-            .unwrap()
-            .trie(&[0, 1], LayoutPolicy::SetLevel)
-            .level_census(1);
-        assert_eq!(before, after_static, "static config must not re-layout");
-
-        // Adaptive: the hot level flips to bitset, results are identical,
-        // and the feedback is idempotent (no further changes on re-run).
-        let cfg = Config::default();
-        let adaptive_out = execute_rule(&rule, &cat, &cfg).unwrap().relation;
-        assert_eq!(static_out.scalar(), adaptive_out.scalar());
-        let after = cat
-            .relation("E")
-            .unwrap()
-            .trie(&[0, 1], LayoutPolicy::SetLevel)
-            .level_census(1);
-        assert!(
-            after.1 > before.1,
-            "observed-dense level re-laid to bitset: {before:?} -> {after:?}"
-        );
-        let rerun = execute_rule(&rule, &cat, &cfg).unwrap().relation;
-        assert_eq!(static_out.scalar(), rerun.scalar());
-        let after2 = cat
-            .relation("E")
-            .unwrap()
-            .trie(&[0, 1], LayoutPolicy::SetLevel)
-            .level_census(1);
-        assert_eq!(after, after2, "feedback is idempotent");
-    }
-
-    #[test]
-    fn adaptive_convergence_gates_observation() {
-        use eh_set::LayoutPolicy;
-        // Same shape as the hot-levels workload: dense hub neighbourhoods
-        // the join actually reads, singleton tails it never touches.
-        let mut e_rows: Vec<Vec<u32>> = Vec::new();
-        for x in 0..20u32 {
-            for y in 0..100u32 {
-                e_rows.push(vec![x, 1000 + y]);
-            }
-        }
-        for t in 0..500u32 {
-            e_rows.push(vec![100 + t, 5000 + t]);
-        }
-        let f_rows: Vec<Vec<u32>> = (0..20u32)
-            .flat_map(|x| (0..100u32).map(move |y| vec![x, 1000 + y]))
-            .collect();
-        let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, e_rows));
-        cat.insert("F", Relation::from_rows(2, f_rows));
-        let rule = parse_rule("C(;w:long) :- E(x,y),F(x,y); w=<<COUNT(*)>>.").unwrap();
-        let cfg = Config::default();
-        // Run 1 re-lays E's hot level, so E stays unconverged for one more
-        // verification pass; run 2 verifies the new layout and converges.
-        execute_rule(&rule, &cat, &cfg).unwrap();
-        assert!(
-            !cat.relation("E").unwrap().layout_converged(&[0, 1]),
-            "a re-layout must leave the order unconverged for verification"
-        );
-        execute_rule(&rule, &cat, &cfg).unwrap();
-        assert!(
-            cat.relation("E").unwrap().layout_converged(&[0, 1]),
-            "verified layout must be marked converged"
-        );
-        // A further re-layout invalidates convergence again.
-        cat.relation("E")
-            .unwrap()
-            .relayout_trie(&[0, 1], LayoutPolicy::SetLevel, 1, &[None, None]);
-        assert!(!cat.relation("E").unwrap().layout_converged(&[0, 1]));
-        // The static ablation gathers no evidence and never converges.
-        let cat2 = {
-            let mut c = MemCatalog::new();
-            c.insert("E", Relation::from_rows(2, vec![vec![0, 1], vec![1, 2]]));
-            c
+        let cached = || {
+            cat.relation("E")
+                .unwrap()
+                .trie(&[0, 1], LayoutPolicy::SetLevel)
         };
-        let rule2 = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
-        execute_rule(&rule2, &cat2, &Config::static_layout()).unwrap();
-        assert!(!cat2.relation("E").unwrap().layout_converged(&[0, 1]));
+        let before = cached();
+        let census = before.level_census(1);
+        assert!(census.0 > census.1, "uint majority at build time");
+        for threads in [1, 4] {
+            let cfg = Config::default().with_threads(threads);
+            for run in 0..3 {
+                let out = execute_rule(&rule, &cat, &cfg).unwrap().relation;
+                assert_eq!(out.scalar().unwrap().as_u64(), 2000, "x{threads} run {run}");
+                assert!(Arc::ptr_eq(&before, &cached()), "x{threads} run {run}");
+                assert_eq!(cached().level_census(1), census, "x{threads} run {run}");
+            }
+        }
     }
 
     fn compile(rule: &Rule, cat: &dyn Catalog, cfg: &Config) -> PhysicalPlan {

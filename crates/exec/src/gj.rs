@@ -38,8 +38,12 @@
 //! The level-0 prologue ([`fill_level`] + [`step_value`]) is shared
 //! between the serial driver ([`gj`]) and the parallel schedulers in
 //! [`crate::parallel`], so the two can no longer drift.
+//!
+//! Which kernel an intersection runs is decided by the layouts of the
+//! sets it reads, fixed when their trie was built; the recursion charges
+//! profiling counters only when [`crate::Config::profile`] asks for them.
 
-use crate::program::{AtomExec, Bind, GjContext, JoinProgram, ObsCell, RankBy, ValueBuf};
+use crate::program::{AtomExec, Bind, GjContext, JoinProgram, RankBy, ValueBuf};
 use crate::sink::{Keys, Sink};
 use eh_semiring::Carrier;
 use eh_set::intersect::{count_all_with, intersect_all_with};
@@ -82,64 +86,20 @@ pub(crate) fn child_sample(v: u32, idx: usize) -> bool {
     (v as u64 ^ idx as u64) & CLOCK_SAMPLE_MASK == 0
 }
 
-/// Observation cells keep recording every intersection until they have
-/// this many reads; past the warm-up only `sample`d calls record, so a
-/// cell's cost is bounded at `OBS_WARMUP + ticks / (CLOCK_SAMPLE_MASK+1)`
-/// regardless of workload size. Cells reset per execution, so one run must
-/// gather all the evidence a re-layout decision needs: the warm-up is
-/// sized to cover typical runs outright (matching full observation, which
-/// matters on heavy-tailed set-size distributions where a thin sample can
-/// flip the fig. 5 crossover), while truly huge runs decay to the
-/// stateless 1-in-`CLOCK_SAMPLE_MASK + 1` rate.
-pub(crate) const OBS_WARMUP: u64 = 4096;
-
-/// Record one intersection's participating sets into the adaptive-layout
-/// observation cells (`obs[atom][depth]`): counter increments only, no
-/// allocation. Shared by the merge prologue and the count fast path.
-/// Atoms whose (relation, order) layout already converged opt out
-/// entirely (`AtomExec::observe`); warm cells record only on `sample`d
-/// calls so steady-state adaptive runs stay within noise of `static`.
-#[inline]
-fn observe_level(
-    program: &JoinProgram,
-    level: usize,
-    atoms: &[AtomExec<'_>],
-    obs: &mut [Vec<ObsCell>],
-    sample: bool,
-) {
-    for st in &program.levels[level].steps {
-        if !atoms[st.atom].observe {
-            continue;
-        }
-        let cell = &mut obs[st.atom][st.depth];
-        if sample || cell.reads < OBS_WARMUP {
-            let set = &atoms[st.atom].node_at(st.depth).set;
-            cell.record(set.len(), set.span());
-        }
-    }
-}
-
 /// Merge the candidate values for `level` into `out` (cleared first):
 /// the multiway intersection of every participating atom's current set,
 /// smallest-first, through the reusable `mw` scratch. This is the level
 /// prologue shared by the serial recursion and the parallel level-0
 /// drivers.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_level(
     program: &JoinProgram,
     level: usize,
     atoms: &[AtomExec<'_>],
     cfg: &crate::config::Config,
     mw: &mut MultiwayScratch,
-    obs: &mut [Vec<ObsCell>],
     out: &mut ValueBuf,
-    observe: bool,
-    sample: bool,
 ) {
     out.clear();
-    if observe {
-        observe_level(program, level, atoms, obs, sample);
-    }
     let steps = &program.levels[level].steps;
     intersect_all_with(
         steps.len(),
@@ -163,7 +123,6 @@ fn level_candidates<'c>(
     ctx: &mut GjContext<'c>,
     level: usize,
     merged: &mut ValueBuf,
-    sample: bool,
 ) -> Option<&'c TrieNode> {
     let started = if ctx.cfg.profile {
         sample_clock(ctx, level)
@@ -172,24 +131,11 @@ fn level_candidates<'c>(
     };
     let steps = &program.levels[level].steps;
     let (single, len) = if let [st] = steps.as_slice() {
-        if ctx.observe_any {
-            observe_level(program, level, &ctx.atoms, &mut ctx.obs, sample);
-        }
         let node = ctx.atoms[st.atom].node_at(st.depth);
         ctx.mw.stats.values_scanned += node.set.len() as u64;
         (Some(node), node.set.len())
     } else {
-        fill_level(
-            program,
-            level,
-            &ctx.atoms,
-            ctx.cfg,
-            &mut ctx.mw,
-            &mut ctx.obs,
-            merged,
-            ctx.observe_any,
-            sample,
-        );
+        fill_level(program, level, &ctx.atoms, ctx.cfg, &mut ctx.mw, merged);
         for st in steps {
             ctx.atoms[st.atom].hints[st.depth] = 0;
         }
@@ -268,14 +214,14 @@ pub(crate) fn step_value<K: Carrier>(
 /// Run `body(ctx, product, sample)` once per binding of `level`, cursors
 /// advanced and leaf annotations multiplied in — the loop both [`gj`]
 /// (recurse and emit) and [`fold`] (recurse and accumulate) are built
-/// from.
+/// from. Each binding's `sample` comes from its own loop index (see
+/// [`child_sample`]).
 #[inline(always)]
 fn for_each_binding<'c, K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'c>,
     level: usize,
     product: K::T,
-    sample: bool,
     mut body: impl FnMut(&mut GjContext<'c>, K::T, bool),
 ) {
     let mut merged = std::mem::take(&mut ctx.scratch[level]);
@@ -283,7 +229,7 @@ fn for_each_binding<'c, K: Carrier>(
         let prod = bind::<K>(program, ctx, level, v, idx, product);
         body(ctx, prod, child_sample(v, idx));
     };
-    match level_candidates(program, ctx, level, &mut merged, sample) {
+    match level_candidates(program, ctx, level, &mut merged) {
         Some(node) => node
             .set
             .iter()
@@ -327,10 +273,10 @@ pub(crate) fn gj<K: Carrier>(
         return;
     }
     if program.scatter && level + 1 == program.attrs_len {
-        scatter::<K>(program, ctx, level, product, sink, sample);
+        scatter::<K>(program, ctx, level, product, sink);
         return;
     }
-    for_each_binding::<K>(program, ctx, level, product, sample, |ctx, prod, s| {
+    for_each_binding::<K>(program, ctx, level, product, |ctx, prod, s| {
         gj::<K>(program, ctx, level + 1, prod, sink, s)
     });
 }
@@ -386,11 +332,9 @@ fn fold<K: Carrier>(
     } else if innermost {
         // The annotated sibling of the count fast path: one fused Σ⊗ over
         // the innermost candidates, leaf annotations fetched by rank.
-        for_each_binding::<K>(program, ctx, level, product, sample, |_, prod, _| {
-            acc.add(prod)
-        });
+        for_each_binding::<K>(program, ctx, level, product, |_, prod, _| acc.add(prod));
     } else {
-        for_each_binding::<K>(program, ctx, level, product, sample, |ctx, prod, s| {
+        for_each_binding::<K>(program, ctx, level, product, |ctx, prod, s| {
             fold::<K>(program, ctx, level + 1, prod, acc, s)
         });
     }
@@ -422,9 +366,6 @@ fn fold_count<K: Carrier>(
     } else {
         None
     };
-    if ctx.observe_any {
-        observe_level(program, level, &ctx.atoms, &mut ctx.obs, sample);
-    }
     let atoms = &ctx.atoms;
     let count = count_all_with(
         steps.len(),
@@ -452,10 +393,9 @@ fn scatter<K: Carrier>(
     level: usize,
     product: K::T,
     sink: &mut Sink,
-    sample: bool,
 ) {
     let mut merged = std::mem::take(&mut ctx.scratch[level]);
-    match level_candidates(program, ctx, level, &mut merged, sample) {
+    match level_candidates(program, ctx, level, &mut merged) {
         Some(node) => sink.scatter::<K>(Keys::Set(&node.set), product),
         None => sink.scatter::<K>(Keys::Values(&merged), product),
     }

@@ -16,7 +16,8 @@
 //!
 //! Each worker forks the context (tries stay shared behind `Arc`; scratch
 //! is per-worker) and emits into private [`Sink`]s; sinks merge with `⊕`
-//! afterwards. Under the morsel scheduler workers keep **one sink per
+//! afterwards, and so do the workers' profiling tallies — nothing else
+//! flows back. Under the morsel scheduler workers keep **one sink per
 //! claimed chunk** and the chunks merge in range order: the chunk→value
 //! mapping is fixed (only the chunk→worker mapping races), so the final
 //! `⊕` fold order is bit-deterministic run-to-run even for
@@ -39,9 +40,8 @@ use std::time::Instant;
 /// list, so a value's index in it is its candidate position (what
 /// [`step_value`] binds by); `range` is this process's slice of it.
 /// `ctx` is the post-prologue context the workers fork from; its cursors
-/// are not advanced, but each worker's adaptive-layout observation
-/// counters are merged back into it so the feedback sees parallel runs
-/// too.
+/// are not advanced, but each worker's profiling tally is merged back
+/// into it.
 pub(crate) fn run<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
@@ -60,7 +60,7 @@ pub(crate) fn run<K: Carrier>(
             let profiling = ctx.cfg.profile;
             let cursor = AtomicUsize::new(range.start);
             let mut workers: Vec<GjContext<'_>> = (0..threads).map(|_| ctx.fork()).collect();
-            let (mut chunks, worker_obs) = std::thread::scope(|scope| {
+            let mut chunks = std::thread::scope(|scope| {
                 let handles: Vec<_> = workers
                     .drain(..)
                     .map(|mut local| {
@@ -95,15 +95,13 @@ pub(crate) fn run<K: Carrier>(
                                 }
                                 claimed.push((start, chunk_sink));
                             }
-                            let tally = local.take_tally();
-                            (claimed, local.obs, tally, seen)
+                            (claimed, local.take_tally(), seen)
                         })
                     })
                     .collect();
                 let mut chunks = Vec::new();
-                let mut obs = Vec::new();
                 for h in handles {
-                    let (claimed, o, tally, seen) = h.join().expect("worker thread panicked");
+                    let (claimed, tally, seen) = h.join().expect("worker thread panicked");
                     ctx.merge_tally(&tally);
                     if profiling {
                         ctx.worker_profiles.push(WorkerProfile {
@@ -112,20 +110,16 @@ pub(crate) fn run<K: Carrier>(
                         });
                     }
                     chunks.extend(claimed);
-                    obs.push(o);
                 }
-                (chunks, obs)
+                chunks
             });
-            for o in &worker_obs {
-                ctx.merge_obs(o);
-            }
             chunks.sort_unstable_by_key(|&(start, _)| start);
             chunks.into_iter().map(|(_, s)| s).collect()
         }
         Scheduler::Static => {
             let chunk = range.len().div_ceil(threads);
             let ctx_ref = &*ctx;
-            let (sinks, worker_obs, tallies) = std::thread::scope(|scope| {
+            let (sinks, tallies) = std::thread::scope(|scope| {
                 let handles: Vec<_> = range
                     .clone()
                     .step_by(chunk)
@@ -147,25 +141,19 @@ pub(crate) fn run<K: Carrier>(
                                     child_sample(v, idx),
                                 );
                             }
-                            let tally = local.take_tally();
-                            (local_sink, local.obs, tally, (end - start) as u64)
+                            (local_sink, local.take_tally(), (end - start) as u64)
                         })
                     })
                     .collect();
                 let mut sinks = Vec::new();
-                let mut obs = Vec::new();
                 let mut tallies = Vec::new();
                 for h in handles {
-                    let (s, o, t, seen) = h.join().expect("worker thread panicked");
+                    let (s, t, seen) = h.join().expect("worker thread panicked");
                     sinks.push(s);
-                    obs.push(o);
                     tallies.push((t, seen));
                 }
-                (sinks, obs, tallies)
+                (sinks, tallies)
             });
-            for o in &worker_obs {
-                ctx.merge_obs(o);
-            }
             for (t, seen) in &tallies {
                 ctx.merge_tally(t);
                 if ctx.cfg.profile {

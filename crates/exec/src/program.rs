@@ -12,6 +12,10 @@
 //! scratch buffer the recursion touches (per-level value buffers,
 //! multiway-intersection ping-pong buffers, the binding vector, and the
 //! per-atom cursor stacks), so the loop nest allocates nothing.
+//!
+//! The tries a program walks are shared and read-only: their layouts are
+//! the ones the catalog's build picked (paper §4.3), and running the
+//! program reads them without recording anything about them.
 
 use crate::config::Config;
 use crate::executor::{ExecError, NodeResult};
@@ -19,7 +23,7 @@ use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::storage::{Catalog, Relation};
 use eh_obs::{WorkCounters, WorkerProfile};
 use eh_semiring::{AggOp, DynValue};
-use eh_set::{KernelStats, LayoutPolicy, MultiwayScratch};
+use eh_set::{KernelStats, MultiwayScratch};
 use eh_trie::{NodeId, Trie, TrieNode, TupleBuffer};
 use std::sync::Arc;
 
@@ -38,15 +42,6 @@ pub(crate) struct AtomSpec {
     pub(crate) start: NodeId,
     /// Whether leaf values carry annotations to multiply in.
     pub(crate) annotated: bool,
-    /// Trie level of stack depth 0 (= constant-prefix length): stack depth
-    /// `d` reads sets at trie level `level_offset + d`. The adaptive-layout
-    /// feedback uses this to map observations back onto trie levels.
-    pub(crate) level_offset: usize,
-    /// Whether this atom feeds the adaptive-layout observation cells.
-    /// False for child-result atoms (their tries are transient) and for
-    /// catalog atoms whose (relation, order) layout has already converged
-    /// — see [`crate::storage::Relation::layout_converged`].
-    pub(crate) observe: bool,
 }
 
 /// Per-atom cursor state during Generic-Join.
@@ -71,10 +66,6 @@ pub(crate) struct AtomExec<'a> {
     /// Whether the trie's raw annotation columns hold `f64` bits
     /// ([`Trie::float_annotations`]), hoisted next to the cursor.
     pub(crate) float_annots: bool,
-    /// See [`AtomSpec::level_offset`].
-    pub(crate) level_offset: usize,
-    /// See [`AtomSpec::observe`].
-    pub(crate) observe: bool,
 }
 
 impl<'a> AtomExec<'a> {
@@ -89,8 +80,6 @@ impl<'a> AtomExec<'a> {
             stack,
             hints: vec![0; depth],
             float_annots: trie.float_annotations(),
-            level_offset: spec.level_offset,
-            observe: spec.observe,
         }
     }
 
@@ -105,53 +94,6 @@ impl<'a> AtomExec<'a> {
     #[inline]
     pub(crate) fn descend(&mut self, d: usize, child: NodeId) {
         self.stack[d + 1] = self.trie.node(child);
-    }
-}
-
-/// One adaptive-layout observation cell: how one atom's sets at one stack
-/// depth were actually touched by intersections. Counters only — recording
-/// is allocation-free so the Generic-Join recursion can feed it.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ObsCell {
-    /// Sets consulted (one per intersection the depth participated in).
-    pub(crate) reads: u64,
-    /// Σ set length over those reads.
-    pub(crate) len_sum: u64,
-    /// Σ set span (`max - min + 1`) over those reads.
-    pub(crate) span_sum: u64,
-}
-
-impl ObsCell {
-    /// Record one observed set.
-    #[inline]
-    pub(crate) fn record(&mut self, len: usize, span: u64) {
-        self.reads += 1;
-        self.len_sum += len as u64;
-        self.span_sum += span;
-    }
-
-    /// Merge a worker's counters into this one.
-    pub(crate) fn merge(&mut self, other: &ObsCell) {
-        self.reads += other.reads;
-        self.len_sum += other.len_sum;
-        self.span_sum += other.span_sum;
-    }
-
-    /// The layout the paper's fig. 5 crossover picks for the *observed*
-    /// aggregate: average length ≥ 8 and `32·Σlen ≥ Σspan` (the density
-    /// rule summed over reads) → bitset, else uint. `None` until at least
-    /// 8 reads accumulate — too few observations to contradict the
-    /// build-time choice.
-    pub(crate) fn desired(&self) -> Option<eh_set::LayoutKind> {
-        if self.reads < 8 {
-            return None;
-        }
-        let dense = self.len_sum >= 8 * self.reads && 32 * self.len_sum >= self.span_sum;
-        Some(if dense {
-            eh_set::LayoutKind::Bitset
-        } else {
-            eh_set::LayoutKind::Uint
-        })
     }
 }
 
@@ -325,16 +267,9 @@ pub(crate) struct GjContext<'a> {
     /// Reusable multiway-intersection intermediates (shared across levels:
     /// only live while one level's merge or count is being computed).
     pub(crate) mw: MultiwayScratch,
-    /// Adaptive-layout observation cells, `obs[atom][stack depth]` —
-    /// preallocated here so the recursion only increments counters.
-    pub(crate) obs: Vec<Vec<ObsCell>>,
-    /// Whether any atom still observes ([`AtomExec::observe`]): hoisted so
-    /// the per-intersection hot path pays one predictable branch — not a
-    /// per-step scan — once every source order has converged.
-    pub(crate) observe_any: bool,
     /// Profiling work counters, `work[atom][stack depth]`, preallocated
-    /// like `obs` so the recursion only bumps fields (only when
-    /// [`Config::profile`] is on).
+    /// so the recursion only bumps fields (only when [`Config::profile`]
+    /// is on).
     pub(crate) work: Vec<Vec<WorkCounters>>,
     /// Profiling: one [`LevelTally`] per attribute level, consolidated so
     /// the hot path's per-call tick costs one bounds check on one cache
@@ -400,22 +335,15 @@ impl<'a> GjContext<'a> {
             .zip(&program.tries)
             .map(|(spec, trie)| AtomExec::new(spec, trie))
             .collect();
-        let obs = atoms
-            .iter()
-            .map(|a| vec![ObsCell::default(); a.stack.len()])
-            .collect();
         let work = atoms
             .iter()
             .map(|a| vec![WorkCounters::default(); a.stack.len()])
             .collect();
-        let observe_any = atoms.iter().any(|a| a.observe);
         GjContext {
             atoms,
             bindings: vec![0; attrs_len],
             scratch: vec![ValueBuf::new(); attrs_len],
             mw: MultiwayScratch::new(),
-            obs,
-            observe_any,
             work,
             level_prof: vec![LevelTally::default(); attrs_len],
             sink_merge_ns: 0,
@@ -425,20 +353,14 @@ impl<'a> GjContext<'a> {
     }
 
     /// Clone for a worker thread: same atom cursors (cheap — tries are
-    /// borrowed), fresh scratch. Worker observation and profiling
-    /// counters start at zero and are merged back by the parallel driver.
+    /// borrowed), fresh scratch. Worker profiling counters start at zero
+    /// and are merged back by the parallel driver.
     pub(crate) fn fork(&self) -> GjContext<'a> {
         GjContext {
             atoms: self.atoms.clone(),
             bindings: vec![0; self.bindings.len()],
             scratch: vec![ValueBuf::new(); self.scratch.len()],
             mw: MultiwayScratch::new(),
-            obs: self
-                .atoms
-                .iter()
-                .map(|a| vec![ObsCell::default(); a.stack.len()])
-                .collect(),
-            observe_any: self.observe_any,
             work: self
                 .atoms
                 .iter()
@@ -448,15 +370,6 @@ impl<'a> GjContext<'a> {
             sink_merge_ns: 0,
             worker_profiles: Vec::new(),
             cfg: self.cfg,
-        }
-    }
-
-    /// Merge a worker's observation counters back into this context.
-    pub(crate) fn merge_obs(&mut self, worker_obs: &[Vec<ObsCell>]) {
-        for (mine, theirs) in self.obs.iter_mut().zip(worker_obs) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                m.merge(t);
-            }
         }
     }
 
@@ -492,10 +405,6 @@ pub(crate) struct NodeBuild {
     pub(crate) atoms: Vec<AtomSpec>,
     /// The trie each live atom walks, parallel to `atoms`.
     pub(crate) tries: Vec<Arc<Trie>>,
-    /// For each live atom, the catalog relation and trie order it reads —
-    /// `None` for child-result atoms (their tries are transient). The
-    /// adaptive-layout feedback uses this to re-layout cached tries.
-    pub(crate) sources: Vec<Option<(String, Vec<usize>)>>,
     /// Annotation product of fully-constant atoms and scalar factors.
     pub(crate) base_product: DynValue,
     /// A constant prefix missed or a child was empty: the node is empty.
@@ -515,7 +424,6 @@ pub(crate) fn build_node(
 ) -> Result<NodeBuild, ExecError> {
     let mut atoms: Vec<AtomSpec> = Vec::new();
     let mut tries: Vec<Arc<Trie>> = Vec::new();
-    let mut sources: Vec<Option<(String, Vec<usize>)>> = Vec::new();
     let mut base_product = op.one();
     let mut empty = false;
     for ap in &node.atoms {
@@ -523,7 +431,6 @@ pub(crate) fn build_node(
             BuiltAtom::Live(a, trie) => {
                 atoms.push(a);
                 tries.push(trie);
-                sources.push(Some((ap.relation.clone(), ap.trie_order.clone())));
             }
             BuiltAtom::ConstOnly(annot) => {
                 base_product = op.times(base_product, annot);
@@ -569,16 +476,12 @@ pub(crate) fn build_node(
             attr_levels: sorted_levels,
             start: 0,
             annotated: fully_folded && is_agg,
-            level_offset: 0,
-            observe: false,
         });
         tries.push(trie);
-        sources.push(None);
     }
     Ok(NodeBuild {
         atoms,
         tries,
-        sources,
         base_product,
         empty,
     })
@@ -656,19 +559,11 @@ fn build_atom(
         })
         .collect();
     let annotated = is_agg && rel.is_annotated() && !ap.secondary;
-    // Observation only pays off where the adapt pass can act on it:
-    // set-level policy, adaptive mode, and an order that has not already
-    // been verified as converged.
-    let observe = cfg.adaptive
-        && cfg.layout_policy == LayoutPolicy::SetLevel
-        && !rel.layout_converged(&ap.trie_order);
     Ok(BuiltAtom::Live(
         AtomSpec {
             attr_levels,
             start,
             annotated,
-            level_offset: consts.len(),
-            observe,
         },
         trie,
     ))

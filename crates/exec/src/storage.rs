@@ -5,13 +5,19 @@
 //! column) and lazily materializes [`eh_trie::Trie`]s per column order —
 //! the paper stores "both orders for each edge relation" (§2.2 "Column
 //! (Index) Order"); we generalize to caching any requested order.
+//!
+//! A cached trie is written once, when its `(order, policy)` is first
+//! requested, and never replaced: each set's layout is the one the
+//! [`LayoutPolicy`] picked from its density at build time (§4.3), so the
+//! kernels a query runs depend on the data and the config, never on which
+//! queries ran before it.
 
 use eh_ghd::RelationStats;
 use eh_semiring::{AggOp, DynValue};
-use eh_set::{LayoutKind, LayoutPolicy};
+use eh_set::LayoutPolicy;
 use eh_trie::{Trie, TrieBuilder, TupleBuffer};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A stored relation: a flat tuple buffer + trie cache.
@@ -28,15 +34,6 @@ pub struct Relation {
     /// whole relation — so the cache can never go stale; the database's
     /// epoch machinery invalidates at that granularity.
     columns: RwLock<Vec<Option<ColumnExtent>>>,
-    /// Trie orders whose set-level layout census the adaptive feedback has
-    /// verified against observed access (see
-    /// [`Relation::mark_layout_converged`]): once an order converges the
-    /// executor stops recording observation cells for atoms reading it, so
-    /// steady-state queries pay no adaptive-observation overhead. Tuples
-    /// are immutable, so convergence can only be invalidated by a
-    /// re-layout, which deliberately leaves the order unconverged for one
-    /// more verification pass.
-    converged: RwLock<HashSet<Vec<usize>>>,
 }
 
 /// What one column's id space looks like: how many distinct ids it holds
@@ -82,7 +79,6 @@ impl Clone for Relation {
             combine: self.combine,
             tries: RwLock::new(self.tries.read().clone()),
             columns: RwLock::new(self.columns.read().clone()),
-            converged: RwLock::new(self.converged.read().clone()),
         }
     }
 }
@@ -97,7 +93,6 @@ impl Relation {
             combine,
             tries: RwLock::new(HashMap::new()),
             columns: RwLock::new(vec![None; arity]),
-            converged: RwLock::new(HashSet::new()),
         }
     }
 
@@ -263,51 +258,6 @@ impl Relation {
             return None;
         }
         Some(self.column_extent(column).map_or(0, |e| e.distinct))
-    }
-
-    /// Replace the cached trie for `(order, policy)` with one rebuilt under
-    /// per-level layout overrides (`overrides[level] = Some(kind)` forces
-    /// that trie level to one layout; `None` keeps the policy's choice).
-    /// This is the runtime-adaptive re-layout hook: observed access
-    /// patterns pick the overrides, the set *contents* are identical by
-    /// construction, and subsequent cache hits for the same key serve the
-    /// re-laid trie. Returns the new trie.
-    pub fn relayout_trie(
-        &self,
-        order: &[usize],
-        policy: LayoutPolicy,
-        threads: usize,
-        overrides: &[Option<LayoutKind>],
-    ) -> Arc<Trie> {
-        assert_eq!(order.len(), self.arity(), "order must cover all columns");
-        let reordered = self.tuples.reorder(order);
-        let builder = TrieBuilder::new(self.arity())
-            .policy(policy)
-            .combine(self.combine)
-            .threads(threads)
-            .level_overrides(overrides.to_vec());
-        let trie = Arc::new(builder.build_owned(reordered));
-        let key = (order.to_vec(), policy_key(policy));
-        self.tries.write().insert(key, Arc::clone(&trie));
-        // The census just changed: the next adaptive run must observe this
-        // order again and verify the new layout before convergence.
-        self.converged.write().remove(order);
-        trie
-    }
-
-    /// Whether the adaptive-layout feedback has verified this trie
-    /// order's layout census against observed access. Converged orders
-    /// are exempt from per-intersection `ObsCell` recording, which is
-    /// the steady-state cost of `adaptive` mode.
-    pub fn layout_converged(&self, order: &[usize]) -> bool {
-        self.converged.read().contains(order)
-    }
-
-    /// Record that observed access agreed with the current layout census
-    /// for `order` (called by the executor's adapt pass when it gathered
-    /// evidence and changed nothing). Cleared by [`Relation::relayout_trie`].
-    pub fn mark_layout_converged(&self, order: &[usize]) {
-        self.converged.write().insert(order.to_vec());
     }
 }
 
@@ -502,32 +452,6 @@ mod tests {
         use eh_ghd::StatsSource;
         let src = CatalogStats(&cat);
         assert_eq!(src.stats("E"), Some(st));
-    }
-
-    #[test]
-    fn relayout_replaces_cache_entry_with_identical_contents() {
-        // 600 consecutive values under one parent: SetLevel picks bitset
-        // for the leaf level; force it back to uint and the cached trie
-        // must swap while scanning identically.
-        let rows: Vec<Vec<u32>> = (0..600u32).map(|i| vec![0, i]).collect();
-        let r = Relation::from_rows(2, rows);
-        let auto = r.trie(&[0, 1], LayoutPolicy::SetLevel);
-        let (_, bitset, _) = auto.layout_census();
-        assert!(bitset > 0, "expected a bitset leaf");
-        let relaid = r.relayout_trie(
-            &[0, 1],
-            LayoutPolicy::SetLevel,
-            1,
-            &[None, Some(eh_set::LayoutKind::Uint)],
-        );
-        let (_, bitset_after, _) = relaid.layout_census();
-        assert_eq!(bitset_after, 0);
-        assert_eq!(auto.scan(), relaid.scan(), "contents must be unchanged");
-        let cached = r.trie(&[0, 1], LayoutPolicy::SetLevel);
-        assert!(
-            Arc::ptr_eq(&cached, &relaid),
-            "cache must serve the re-laid trie"
-        );
     }
 
     #[test]

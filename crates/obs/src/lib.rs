@@ -7,7 +7,7 @@
 //! * [`WorkCounters`] — fixed-size `u64` counter blocks the Generic-Join
 //!   recursion bumps per `(atom, depth)` with plain field increments (no
 //!   allocation, no atomics — blocks are per-worker and merged at join
-//!   end, exactly like the adaptive-layout observation cells).
+//!   end).
 //! * [`QueryProfile`] — what one query execution actually did: per-level
 //!   span timings, per-worker morsel balance, sink merge time, rows, and
 //!   the folded work counters, next to the planner's estimated cost so
@@ -72,7 +72,10 @@ pub struct WorkCounters {
     pub bitset_kernels: u64,
     /// Innermost count-fast-path hits (aggregate-only queries).
     pub count_fast_hits: u64,
-    /// Adaptive trie relayouts triggered after this join.
+    /// Always 0: the engine no longer re-lays out cached tries at run
+    /// time — every set keeps its build-time layout. The field and its
+    /// trace-codec slot stay only because the benchmark's probes read
+    /// them; a benchmark-only follow-up removes both.
     pub relayouts: u64,
 }
 
@@ -118,7 +121,10 @@ pub const WORK_COUNTER_GLOSSARY: &[(&str, &str)] = &[
     ("gallop_kernels", "exponential-search probe dispatches"),
     ("bitset_kernels", "bitset / block kernel dispatches"),
     ("count_fast_hits", "innermost count-fast-path hits"),
-    ("relayouts", "adaptive trie relayouts triggered"),
+    (
+        "relayouts",
+        "always 0 (runtime re-layout is gone); removed in a benchmark-only follow-up",
+    ),
 ];
 
 // ---------------------------------------------------------------------------
@@ -216,13 +222,8 @@ impl QueryProfile {
         let w = &self.work;
         out.push_str(&format!(
             "observed: {} intersections, kernels merge={} gallop={} bitset={}, \
-             count-fast hits {}, relayouts {}\n",
-            w.intersections,
-            w.merge_kernels,
-            w.gallop_kernels,
-            w.bitset_kernels,
-            w.count_fast_hits,
-            w.relayouts
+             count-fast hits {}\n",
+            w.intersections, w.merge_kernels, w.gallop_kernels, w.bitset_kernels, w.count_fast_hits
         ));
         out.push_str(&format!(
             "profile: {} rows in {:.3} ms\n",

@@ -229,9 +229,8 @@ impl Trie {
     }
 
     /// Layout census `(uint, bitset, block)` restricted to the sets at one
-    /// trie level (level 0 = root set). Adaptive re-layout compares this
-    /// against observed access densities to decide whether a level's
-    /// build-time layouts still match its workload.
+    /// trie level (level 0 = root set): which layouts the build-time
+    /// policy picked for that level's sets.
     pub fn level_census(&self, level: usize) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
         if level < self.arity {

@@ -22,11 +22,9 @@ use emptyheaded::{Config, Database, Graph};
 type Work = (u64, u64, u64, u64, u64, u64, u64);
 
 fn work(db: &Database, query: &str) -> Work {
-    let stmt = db.prepare(query).unwrap();
-    // The first run may re-layout cached tries (adaptive feedback); the
-    // pinned numbers are the steady state every later run repeats.
-    stmt.execute(db).unwrap();
-    let result = stmt.execute(db).unwrap();
+    // The first run: layouts are fixed when a trie is built, so it does
+    // exactly the work every later run repeats.
+    let result = db.prepare(query).unwrap().execute(db).unwrap();
     let w = result.profile().expect("profiling is on").work;
     (
         w.values_scanned,

@@ -150,18 +150,24 @@ pub fn execute(
             if let Some(j) = node.equiv_to {
                 // Redundant-work elimination (paper App. B.2): reuse the
                 // earlier node's rows, relabeled to this node's output
-                // attributes (the canonical bijection aligns the columns).
-                // Never taken for a sharded root: node j holds the FULL
-                // result, and reusing it would return the whole answer
-                // from every shard (an n-fold overcount after the merge).
+                // attributes. The planner marks nodes equivalent only when
+                // their positional signatures match, so the buffers are
+                // byte-identical and the relabel is exact column for
+                // column. Never taken for a sharded root: node j holds the
+                // FULL result, and reusing it would return the whole
+                // answer from every shard (an n-fold overcount after the
+                // merge).
                 if let Some(prev) = &results[j] {
-                    if prev.attrs.len() == node.output_attrs.len() {
-                        results[node.id] = Some(NodeResult {
-                            attrs: node.output_attrs.clone(),
-                            tuples: Arc::clone(&prev.tuples),
-                        });
-                        continue;
-                    }
+                    debug_assert_eq!(
+                        output_positions(&plan.nodes[j]),
+                        output_positions(node),
+                        "equivalent nodes keep the same output positions"
+                    );
+                    results[node.id] = Some(NodeResult {
+                        attrs: node.output_attrs.clone(),
+                        tuples: Arc::clone(&prev.tuples),
+                    });
+                    continue;
                 }
             }
         }
@@ -227,14 +233,9 @@ fn run_node(
 ) -> Result<NodeResult, ExecError> {
     let node_started = profile.as_ref().map(|_| Instant::now());
     let build = crate::program::build_node(node, plan, catalog, cfg, results, is_agg, op)?;
-    let output_levels: Vec<usize> = node
-        .output_attrs
-        .iter()
-        .map(|a| node.attrs.iter().position(|x| x == a).unwrap())
-        .collect();
     let program = JoinProgram::compile(
         node.attrs.len(),
-        output_levels,
+        output_positions(node),
         &build.atoms,
         build.tries,
         is_agg,
@@ -282,6 +283,19 @@ fn run_node(
         attrs: node.output_attrs.clone(),
         tuples: Arc::new(tuples),
     })
+}
+
+/// The index in `node.attrs` of each of its output columns.
+fn output_positions(node: &PlanNode) -> Vec<usize> {
+    node.output_attrs
+        .iter()
+        .map(|a| {
+            node.attrs
+                .iter()
+                .position(|x| x == a)
+                .expect("an output attribute is one of the node's attributes")
+        })
+        .collect()
 }
 
 /// Run one node's join into `sink`: the serial recursion, or — sharded,

@@ -210,14 +210,22 @@ impl PhysicalPlan {
                     output_attrs.push(a.clone());
                 }
             }
-            // Compile atoms.
+            // Compile atoms: the node's own, then a filter-only copy of
+            // every selection atom it covers (selection push-down across
+            // nodes, paper App. B.1 step 2). Copies are marked secondary
+            // so their annotations are not multiplied in twice.
+            let copies = hg.selection_copies(&f.chi, &f.lambda);
             let atoms: Vec<AtomPlan> = f
                 .lambda
                 .iter()
-                .map(|&eid| {
-                    let edge = &hg.edges[eid];
-                    let atom = &rule.body[edge.atom_index];
-                    compile_atom(atom, edge.atom_index, &attrs)
+                .map(|&eid| (eid, false))
+                .chain(copies.map(|eid| (eid, true)))
+                .map(|(eid, secondary)| {
+                    let atom_index = hg.edges[eid].atom_index;
+                    AtomPlan {
+                        secondary,
+                        ..compile_atom(&rule.body[atom_index], atom_index, &attrs)
+                    }
                 })
                 .collect();
             nodes.push(PlanNode {
@@ -241,33 +249,6 @@ impl PhysicalPlan {
             if let Some(target_pre) = equiv {
                 let post = pre_to_post[pre_idx];
                 nodes[post].equiv_to = Some(pre_to_post[*target_pre]);
-            }
-        }
-        // Selection push-down across nodes (paper App. B.1 step 2):
-        // duplicate every selection-carrying atom into each node whose
-        // attributes cover its variables, so every subtree filters on the
-        // selection as early as possible. Duplicates are marked secondary
-        // (filter-only) to avoid double-counting annotations; nodes with a
-        // secondary copy lose their equivalence shortcut since their
-        // inputs changed.
-        for (atom_index, atom) in rule.body.iter().enumerate() {
-            let has_const = atom
-                .terms
-                .iter()
-                .any(|t| matches!(t, eh_query::Term::Const(_)));
-            if !has_const {
-                continue;
-            }
-            let atom_vars: Vec<&str> = atom.vars().collect();
-            for node in nodes.iter_mut() {
-                let covered = atom_vars.iter().all(|v| node.attrs.iter().any(|a| a == v));
-                let present = node.atoms.iter().any(|a| a.atom_index == atom_index);
-                if covered && !present {
-                    let mut dup = compile_atom(atom, atom_index, &node.attrs);
-                    dup.secondary = true;
-                    node.atoms.push(dup);
-                    node.equiv_to = None;
-                }
             }
         }
         PhysicalPlan {

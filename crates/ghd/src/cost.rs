@@ -71,18 +71,36 @@ struct AtomModel {
     var_distinct: Vec<Option<f64>>,
 }
 
-/// Build the per-atom models for a node, or `None` if any atom lacks
-/// statistics (mixed information would make scores incomparable).
-fn node_models<S: StatsSource + ?Sized>(
+/// Statistics of each edge's relation, indexed by edge id and fetched
+/// once per planning call: a relation self-joined k times is looked up
+/// once, however many candidate nodes then read it.
+pub(crate) fn edge_stats<S: StatsSource + ?Sized>(
+    hg: &Hypergraph,
+    stats: &S,
+) -> Vec<Option<RelationStats>> {
+    let mut out: Vec<Option<RelationStats>> = Vec::with_capacity(hg.num_edges());
+    for (e, edge) in hg.edges.iter().enumerate() {
+        let earlier = hg.edges[..e]
+            .iter()
+            .position(|p| p.relation == edge.relation);
+        out.push(earlier.map_or_else(|| stats.stats(&edge.relation), |p| out[p].clone()));
+    }
+    out
+}
+
+/// Build the per-atom models for a node from its edges' statistics
+/// ([`edge_stats`]), or `None` if any atom lacks statistics (mixed
+/// information would make scores incomparable).
+fn node_models(
     hg: &Hypergraph,
     node: &GhdNode,
     vars: &[usize],
-    stats: &S,
+    stats: &[Option<RelationStats>],
 ) -> Option<Vec<AtomModel>> {
     let mut models = Vec::with_capacity(node.lambda.len());
     for &e in &node.lambda {
         let edge = &hg.edges[e];
-        let st = stats.stats(&edge.relation)?;
+        let st = stats[e].as_ref()?;
         let arity = edge.vars.len() + edge.selections.len();
         if st.distinct.len() < arity {
             return None;
@@ -189,14 +207,15 @@ fn extend(models: &[AtomModel], state: &BeamState, vi: usize) -> BeamState {
 /// `vars` (vertex ids of the node's χ), with `sel_first` vars constrained
 /// to come first (selection hoisting, paper App. B.1, is kept as a hard
 /// constraint so push-down semantics are unchanged). Returns the chosen
-/// order and its estimated cost, or `None` when statistics are missing
-/// and the caller should fall back to the structural order.
-pub(crate) fn order_node<S: StatsSource + ?Sized>(
+/// order and its estimated cost, or `None` when statistics (indexed by
+/// edge id, see [`edge_stats`]) are missing and the caller should fall
+/// back to the structural order.
+pub(crate) fn order_node(
     hg: &Hypergraph,
     node: &GhdNode,
     vars: &[usize],
     sel_first: &[bool],
-    stats: &S,
+    stats: &[Option<RelationStats>],
 ) -> Option<(Vec<usize>, f64)> {
     if vars.is_empty() || vars.len() > 60 {
         return None;
@@ -246,40 +265,6 @@ pub(crate) fn order_node<S: StatsSource + ?Sized>(
     Some((order, best.cost))
 }
 
-/// Per-node estimated join work of a decomposition, in **pre-order**
-/// (the same walk that numbers plan nodes), each node scored under its
-/// best within-node attribute order. A node without statistics scores
-/// `None`. The observability layer pairs these against the observed
-/// per-node work counters, so estimate-vs-reality drift is attributable
-/// to a specific GHD node rather than only to the whole plan.
-pub fn ghd_node_costs<S: StatsSource + ?Sized>(
-    hg: &Hypergraph,
-    root: &GhdNode,
-    stats: &S,
-) -> Vec<Option<f64>> {
-    let selected = hg.selected_vars();
-    let mut costs = Vec::new();
-    root.preorder(&mut |node| {
-        let vars = node.chi.clone();
-        let sel_first: Vec<bool> = vars.iter().map(|v| selected.contains(v)).collect();
-        costs.push(order_node(hg, node, &vars, &sel_first, stats).map(|(_, c)| c));
-    });
-    costs
-}
-
-/// Estimated total join work of a decomposition: the node costs summed
-/// over a pre-order walk, each node scored under its best within-node
-/// order. `None` when any node lacks statistics.
-pub(crate) fn ghd_cost<S: StatsSource + ?Sized>(
-    hg: &Hypergraph,
-    root: &GhdNode,
-    stats: &S,
-) -> Option<f64> {
-    ghd_node_costs(hg, root, stats)
-        .into_iter()
-        .try_fold(0.0f64, |acc, c| c.map(|x| acc + x))
-}
-
 /// Compare two optional costs for the GHD tie-break: both present →
 /// numeric order (with an epsilon so float noise cannot reorder
 /// structural ties); otherwise equal (stats-free planning is unchanged).
@@ -323,38 +308,65 @@ mod tests {
         )
     }
 
-    #[test]
-    fn no_stats_yields_none() {
-        let rule = eh_query::parse_rule("T(x,y) :- R(x,y).").unwrap();
+    /// `order_node` on the single-node GHD of `query`.
+    fn order_single(
+        query: &str,
+        source: &dyn StatsSource,
+        selected: &str,
+    ) -> (Hypergraph, Option<(Vec<usize>, f64)>) {
+        let rule = eh_query::parse_rule(query).unwrap();
         let hg = Hypergraph::from_rule(&rule);
         let ghd = crate::decompose::single_node_ghd(&hg);
-        assert!(ghd_cost(&hg, &ghd.root, &NoStats).is_none());
+        let vars = ghd.root.chi.clone();
+        let sel: Vec<bool> = vars.iter().map(|&v| hg.vars[v] == selected).collect();
+        let ordered = order_node(&hg, &ghd.root, &vars, &sel, &edge_stats(&hg, source));
+        (hg, ordered)
+    }
+
+    #[test]
+    fn no_stats_yields_none() {
+        assert!(order_single("T(x,y) :- R(x,y).", &NoStats, "").1.is_none());
     }
 
     #[test]
     fn missing_one_relation_disables_the_model() {
-        let rule = eh_query::parse_rule("T(x,y,z) :- R(x,y),S(y,z).").unwrap();
-        let hg = Hypergraph::from_rule(&rule);
-        let ghd = crate::decompose::single_node_ghd(&hg);
         let st = stats(&[("R", 100, &[10, 10])]); // S missing
-        assert!(ghd_cost(&hg, &ghd.root, &st).is_none());
+        assert!(order_single("T(x,y,z) :- R(x,y),S(y,z).", &st, "")
+            .1
+            .is_none());
+    }
+
+    #[test]
+    fn a_self_joined_relation_is_looked_up_once() {
+        struct Counting(std::cell::Cell<usize>);
+        impl StatsSource for Counting {
+            fn stats(&self, _name: &str) -> Option<RelationStats> {
+                self.0.set(self.0.get() + 1);
+                Some(RelationStats {
+                    cardinality: 10,
+                    distinct: vec![5, 5],
+                })
+            }
+        }
+        let rule = eh_query::parse_rule("T(x,y,z) :- E(x,y),E(y,z),F(x,z),E(x,x).").unwrap();
+        let hg = Hypergraph::from_rule(&rule);
+        let source = Counting(std::cell::Cell::new(0));
+        let per_edge = edge_stats(&hg, &source);
+        assert_eq!(source.0.get(), 2, "one lookup each for E and F");
+        assert!(per_edge.iter().all(Option::is_some));
     }
 
     #[test]
     fn low_cardinality_variable_ordered_first() {
         // Skewed 3-atom star: z's columns are tiny everywhere it appears,
         // x's are huge. The cost model must start from z.
-        let rule = eh_query::parse_rule("T(x,y,z) :- R(x,y),S(y,z),U(x,z).").unwrap();
-        let hg = Hypergraph::from_rule(&rule);
-        let ghd = crate::decompose::single_node_ghd(&hg);
         let st = stats(&[
             ("R", 1_000_000, &[100_000, 50_000]),
             ("S", 1_000_000, &[50_000, 4]),
             ("U", 1_000_000, &[100_000, 4]),
         ]);
-        let vars = ghd.root.chi.clone();
-        let sel = vec![false; vars.len()];
-        let (order, cost) = order_node(&hg, &ghd.root, &vars, &sel, &st).unwrap();
+        let (hg, ordered) = order_single("T(x,y,z) :- R(x,y),S(y,z),U(x,z).", &st, "");
+        let (order, cost) = ordered.unwrap();
         let z = hg.lookup("z").unwrap();
         assert_eq!(order[0], z, "low-distinct attribute must lead: {order:?}");
         assert!(cost.is_finite() && cost > 0.0);
@@ -363,39 +375,18 @@ mod tests {
     #[test]
     fn selection_constraint_beats_cost() {
         // y is selected; even though z is cheapest, y must come first.
-        let rule = eh_query::parse_rule("T(x,y,z) :- R(x,y),S(y,z),U(x,z).").unwrap();
-        let hg = Hypergraph::from_rule(&rule);
-        let ghd = crate::decompose::single_node_ghd(&hg);
         let st = stats(&[
             ("R", 1_000_000, &[100_000, 50_000]),
             ("S", 1_000_000, &[50_000, 4]),
             ("U", 1_000_000, &[100_000, 4]),
         ]);
-        let vars = ghd.root.chi.clone();
-        let y = hg.lookup("y").unwrap();
-        let sel: Vec<bool> = vars.iter().map(|&v| v == y).collect();
-        let (order, _) = order_node(&hg, &ghd.root, &vars, &sel, &st).unwrap();
-        assert_eq!(order[0], y, "selected attribute must stay first");
-    }
-
-    #[test]
-    fn node_costs_walk_preorder_and_sum_to_the_total() {
-        let rule = eh_query::parse_rule("T(x,y,z) :- R(x,y),S(y,z),U(x,z).").unwrap();
-        let hg = Hypergraph::from_rule(&rule);
-        let ghd = crate::decompose::single_node_ghd(&hg);
-        let st = stats(&[
-            ("R", 1000, &[100, 50]),
-            ("S", 1000, &[50, 4]),
-            ("U", 1000, &[100, 4]),
-        ]);
-        let per_node = ghd_node_costs(&hg, &ghd.root, &st);
-        assert_eq!(per_node.len(), 1, "single-node GHD has one cost entry");
-        let total: Option<f64> = per_node.iter().copied().sum();
-        assert_eq!(total, ghd_cost(&hg, &ghd.root, &st));
-        // Without statistics every node scores None and the total is None.
-        let none = ghd_node_costs(&hg, &ghd.root, &NoStats);
-        assert!(none.iter().all(Option::is_none));
-        assert!(ghd_cost(&hg, &ghd.root, &NoStats).is_none());
+        let (hg, ordered) = order_single("T(x,y,z) :- R(x,y),S(y,z),U(x,z).", &st, "y");
+        let (order, _) = ordered.unwrap();
+        assert_eq!(
+            order[0],
+            hg.lookup("y").unwrap(),
+            "selected attribute must stay first"
+        );
     }
 
     #[test]

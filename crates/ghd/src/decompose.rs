@@ -121,14 +121,23 @@ fn connected_subtree(root: &GhdNode, v: usize) -> bool {
 /// Cap on candidate subtrees kept per recursion level.
 const CANDIDATE_CAP: usize = 64;
 
+/// Seed subsets one enumeration may examine, summed over every level of
+/// the recursion. The search is exponential in the atoms of a component;
+/// this bounds an ad-hoc query's planning time whatever its size, far
+/// above what the paper's queries (≤ 8 atoms) need.
+const SEED_BUDGET: usize = 1 << 15;
+
 /// Enumerate candidate GHDs for the hypergraph, including the single-node
-/// decomposition. Results are deduplicated structurally and capped.
+/// decomposition. Results are deduplicated structurally and capped; when
+/// the seed budget runs out first the result may be empty, and the
+/// caller falls back to [`single_node_ghd`], which is always valid.
 pub fn enumerate_ghds(hg: &Hypergraph) -> Vec<Ghd> {
     let all_edges: Vec<usize> = (0..hg.num_edges()).collect();
     if all_edges.is_empty() {
         return Vec::new();
     }
-    let subtrees = decompose(hg, &all_edges, &[]);
+    let mut budget = SEED_BUDGET;
+    let subtrees = decompose(hg, &all_edges, &[], &mut budget);
     subtrees
         .into_iter()
         .map(|root| {
@@ -159,19 +168,27 @@ pub fn single_node_ghd(hg: &Hypergraph) -> Ghd {
 
 /// Recursively decompose `edges`; every candidate root's χ must contain
 /// `interface` (the variables shared with the parent — this preserves the
-/// running intersection property).
-fn decompose(hg: &Hypergraph, edges: &[usize], interface: &[usize]) -> Vec<GhdNode> {
-    let n = edges.len();
-    debug_assert!(n <= 20, "edge-count blowup");
+/// running intersection property). Each seed examined spends one unit of
+/// `budget`; an exhausted budget ends every level's search.
+fn decompose(
+    hg: &Hypergraph,
+    edges: &[usize],
+    interface: &[usize],
+    budget: &mut usize,
+) -> Vec<GhdNode> {
+    // Seeds are drawn from the first 64 edges (a `u64` mask); the budget
+    // ends the search long before a mask runs out.
+    let n = edges.len().min(64);
     let mut out: Vec<GhdNode> = Vec::new();
     let mut seen_chi: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
     // Enumerate non-empty subsets of `edges` as the seed of the root bag.
-    for mask in 1u32..(1u32 << n) {
-        if out.len() >= CANDIDATE_CAP {
+    for mask in 1..=u64::MAX >> (64 - n) {
+        if out.len() >= CANDIDATE_CAP || *budget == 0 {
             break;
         }
+        *budget -= 1;
         let seed: Vec<usize> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
+            .filter(|&i| mask >> i & 1 != 0)
             .map(|i| edges[i])
             .collect();
         let chi = hg.vars_of_edges(&seed);
@@ -217,7 +234,7 @@ fn decompose(hg: &Hypergraph, edges: &[usize], interface: &[usize]) -> Vec<GhdNo
                 .copied()
                 .filter(|v| chi.contains(v))
                 .collect();
-            let cands = decompose(hg, comp, &iface);
+            let cands = decompose(hg, comp, &iface, budget);
             if cands.is_empty() {
                 dead = true;
                 break;

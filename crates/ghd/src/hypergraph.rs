@@ -120,6 +120,21 @@ impl Hypergraph {
         (0..self.vars.len()).filter(|&v| seen[v]).collect()
     }
 
+    /// Selection-carrying edges outside `lambda` whose variables all lie
+    /// in `chi`. A node with that χ and λ filters on a copy of each, so
+    /// that every subtree covering a selection applies it as early as
+    /// possible (paper App. B.1 step 2).
+    pub fn selection_copies<'a>(
+        &'a self,
+        chi: &'a [usize],
+        lambda: &'a [usize],
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..self.edges.len()).filter(move |e| {
+            let edge = &self.edges[*e];
+            edge.has_selection() && !lambda.contains(e) && edge.vars.iter().all(|v| chi.contains(v))
+        })
+    }
+
     /// Connected components of the given edges, where two edges connect if
     /// they share a vertex *not* in `separator`. Used by the GHD
     /// decomposition search.

@@ -7,11 +7,14 @@
 //! 1. builds the hypergraph of the rule body ([`hypergraph`]),
 //! 2. enumerates valid GHDs by brute force (the number of relations and
 //!    attributes is small; finding the minimum-width GHD is NP-hard in
-//!    general, paper §3.2),
+//!    general, paper §3.2) under a fixed budget of seed subsets, so a large
+//!    ad-hoc query falls back to the single-node plan instead of planning
+//!    for hours,
 //! 3. scores each GHD by its fractional hypertree width — the AGM bound of
 //!    each node computed with a fractional edge-cover LP ([`lp`]),
 //! 4. breaks ties toward maximal *selection depth* so selections are pushed
-//!    down across nodes (paper Appendix B.1),
+//!    down across nodes (paper Appendix B.1), then toward more equivalent
+//!    nodes (step 6) and lower estimated work,
 //! 5. derives the global attribute order by a pre-order traversal of the
 //!    winning GHD, with selected attributes hoisted first within each node
 //!    (paper §3.2 "Global Attribute Ordering", Appendix B.1); when the
@@ -19,7 +22,19 @@
 //!    under the intersection-work cost model ([`cost`]) instead of the
 //!    structural frequency sort,
 //! 6. marks equivalent GHD nodes so the executor computes them once
-//!    (paper Appendix B.2 "Eliminating Redundant Work").
+//!    (paper Appendix B.2 "Eliminating Redundant Work"). Equivalence is
+//!    *positional*: a node's signature is computed once, bottom-up, from
+//!    its atoms (and the selection atoms copied into it) written over its
+//!    compiled attribute order, the positions of its parent interface and
+//!    of the head variables, and each child's join positions and
+//!    signature. Equal signatures mean byte-identical result buffers, so
+//!    the executor's column relabel is exact — a transposed node is never
+//!    reused.
+//!
+//! Steps 5 and 6 and the last two tie-breaks of step 4 come from one pass
+//! per candidate: one beam per node fixes its within-node order, and the
+//! candidate's global order, estimated cost and equivalences all follow.
+//! Only the candidates tied on width and selection depth take that pass.
 
 pub mod cost;
 pub mod decompose;
@@ -27,7 +42,7 @@ pub mod hypergraph;
 pub mod lp;
 pub mod optimizer;
 
-pub use cost::{ghd_node_costs, NoStats, RelationStats, StatsSource};
+pub use cost::{NoStats, RelationStats, StatsSource};
 pub use decompose::{enumerate_ghds, Ghd, GhdNode};
 pub use hypergraph::{Hyperedge, Hypergraph};
 pub use lp::{agm_exponent, solve_cover_lp};

@@ -1,7 +1,7 @@
 //! GHD selection, attribute ordering, selection push-down, and redundant
 //! node elimination (paper §3.2, Appendix B).
 
-use crate::cost::{cmp_cost, ghd_cost, ghd_node_costs, order_node, NoStats, StatsSource};
+use crate::cost::{cmp_cost, edge_stats, order_node, NoStats, RelationStats, StatsSource};
 use crate::decompose::{enumerate_ghds, single_node_ghd, Ghd, GhdNode};
 use crate::hypergraph::Hypergraph;
 use eh_query::Rule;
@@ -88,19 +88,13 @@ pub fn plan_rule_with_stats(
     } else {
         &NoStats
     };
-    let ghd = if opts.ghd_optimizations {
-        choose_ghd(&hg, opts.push_down_selections, opts.dedup_nodes, costed)
+    let cx = Context::new(&hg, rule, costed, opts.dedup_nodes);
+    let (ghd, analysis) = if opts.ghd_optimizations {
+        choose_ghd(&cx, opts.push_down_selections)
     } else {
-        single_node_ghd(&hg)
-    };
-    let estimated_cost = ghd_cost(&hg, &ghd.root, costed);
-    let estimated_node_costs = ghd_node_costs(&hg, &ghd.root, costed);
-    let attr_order = attribute_order(&hg, &ghd, costed);
-    let node_equiv = if opts.dedup_nodes {
-        equivalent_nodes(&hg, &ghd)
-    } else {
-        let n = ghd.node_count();
-        vec![None; n]
+        let ghd = single_node_ghd(&hg);
+        let analysis = cx.analyse(&ghd);
+        (ghd, analysis)
     };
     // Skip the top-down pass when the root already holds every output
     // attribute (e.g. aggregate-only queries with no key vars).
@@ -111,84 +105,281 @@ pub fn plan_rule_with_stats(
         .iter()
         .all(|v| root_vars.contains(&v.as_str()));
     Ok(GhdPlan {
+        estimated_cost: analysis.cost(),
+        attr_order: analysis.order.iter().map(|&v| hg.vars[v].clone()).collect(),
         hypergraph: hg,
         ghd,
-        attr_order,
-        node_equiv,
+        node_equiv: analysis.equiv,
         skip_top_down,
-        estimated_cost,
-        estimated_node_costs,
+        estimated_node_costs: analysis.node_costs,
     })
+}
+
+/// What one planning call knows before it looks at any candidate: the
+/// hypergraph, each edge's statistics (fetched once, see
+/// [`edge_stats`]), and which variables are selected or in the head.
+struct Context<'h> {
+    hg: &'h Hypergraph,
+    stats: Vec<Option<RelationStats>>,
+    /// Vertices sharing an atom with a constant (hoisted first).
+    selected: Vec<usize>,
+    /// Head key variables (kept in every node's output).
+    head: Vec<usize>,
+    /// Look for equivalent nodes (App. B.2) at all.
+    dedup: bool,
+}
+
+/// One candidate decomposition, analysed in one pre-order pass: every
+/// node's within-node order comes from one beam (or the structural sort),
+/// and the global order, the cost and the equivalences all follow from
+/// those orders.
+struct Analysis {
+    /// Global attribute order (vertex ids).
+    order: Vec<usize>,
+    /// Per-node estimated work, pre-order.
+    node_costs: Vec<Option<f64>>,
+    /// Per node (pre-order), the earlier node whose result it reuses.
+    equiv: Vec<Option<usize>>,
+}
+
+impl Analysis {
+    /// Estimated total work: the node costs summed, `None` when any node
+    /// lacks statistics.
+    fn cost(&self) -> Option<f64> {
+        self.node_costs
+            .iter()
+            .try_fold(0.0f64, |acc, c| c.map(|x| acc + x))
+    }
+}
+
+/// A node's result, up to the names of its attributes: two nodes with
+/// equal signatures produce byte-identical buffers, so one can reuse the
+/// other's by relabeling columns positionally. Every position is an index
+/// into the node's compiled attribute order (global order ∩ χ, the
+/// `attrs` of the physical plan). Atoms and children keep their plan
+/// order — the order the executor multiplies annotations in — so that
+/// `f64` products agree bit for bit too.
+#[derive(PartialEq)]
+struct Signature<'h> {
+    /// The node's atoms, then the selection copies it filters on
+    /// ([`Hypergraph::selection_copies`], in the physical plan's order).
+    atoms: Vec<AtomSignature<'h>>,
+    /// Positions shared with the parent.
+    interface: Vec<usize>,
+    /// Positions holding head key variables.
+    head: Vec<usize>,
+    /// Per child: the positions it joins on, and its signature class.
+    children: Vec<(Vec<usize>, usize)>,
+}
+
+/// One atom of a [`Signature`].
+#[derive(PartialEq)]
+struct AtomSignature<'h> {
+    relation: &'h str,
+    /// The position each variable column binds.
+    columns: Vec<Option<usize>>,
+    /// The constants on the other columns.
+    selections: &'h [(usize, String)],
+    /// A filter-only copy of a selection atom another node joins.
+    copy: bool,
+}
+
+impl<'h> Context<'h> {
+    fn new(hg: &'h Hypergraph, rule: &Rule, stats: &dyn StatsSource, dedup: bool) -> Context<'h> {
+        Context {
+            hg,
+            stats: edge_stats(hg, stats),
+            selected: hg.selected_vars(),
+            head: rule
+                .head
+                .key_vars
+                .iter()
+                .filter_map(|v| hg.lookup(v))
+                .collect(),
+            dedup,
+        }
+    }
+
+    /// Global attribute order: pre-order traversal over the GHD, appending
+    /// each node's attributes to a queue (paper §3.2), with the per-node
+    /// costs and equivalences that order implies.
+    fn analyse(&self, ghd: &Ghd) -> Analysis {
+        let mut order: Vec<usize> = Vec::new();
+        let mut seen = vec![false; self.hg.num_vars()];
+        let mut node_costs = Vec::new();
+        ghd.root.preorder(&mut |node| {
+            let (local, cost) = self.node_order(node);
+            node_costs.push(cost);
+            for v in local {
+                if !seen[v] {
+                    seen[v] = true;
+                    order.push(v);
+                }
+            }
+        });
+        let equiv = if self.dedup {
+            self.equivalences(&ghd.root, &order)
+        } else {
+            vec![None; node_costs.len()]
+        };
+        Analysis {
+            order,
+            node_costs,
+            equiv,
+        }
+    }
+
+    /// Within-node order: attributes with selections come first (App. B.1
+    /// "Within a Node"), then — when the catalog has statistics — by the
+    /// beam-searched cost-model order, falling back to how many of the
+    /// node's relations contain them (descending).
+    fn node_order(&self, node: &GhdNode) -> (Vec<usize>, Option<f64>) {
+        let sel_first: Vec<bool> = node.chi.iter().map(|v| self.selected.contains(v)).collect();
+        if let Some((order, cost)) = order_node(self.hg, node, &node.chi, &sel_first, &self.stats) {
+            return (order, Some(cost));
+        }
+        let mut local = node.chi.clone();
+        local.sort_by_key(|&v| {
+            let freq = node
+                .lambda
+                .iter()
+                .filter(|&&e| self.hg.edges[e].vars.contains(&v))
+                .count();
+            (
+                std::cmp::Reverse(self.selected.contains(&v) as usize),
+                std::cmp::Reverse(freq),
+                v,
+            )
+        });
+        (local, None)
+    }
+
+    /// Pre-order node equivalence (paper App. B.2): `result[i] = Some(j)`
+    /// when node `i`'s signature equals that of the earlier node `j`.
+    fn equivalences(&self, root: &GhdNode, order: &[usize]) -> Vec<Option<usize>> {
+        let mut rank = vec![usize::MAX; self.hg.num_vars()];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v] = i;
+        }
+        let mut classes: Vec<Signature<'h>> = Vec::new();
+        let mut class_of: Vec<usize> = Vec::new();
+        self.classify(root, &[], &rank, &mut classes, &mut class_of);
+        (0..class_of.len())
+            .map(|i| class_of[..i].iter().position(|&c| c == class_of[i]))
+            .collect()
+    }
+
+    /// Compute `node`'s signature bottom-up and return its class (an index
+    /// into `classes`, which interns every distinct signature); records
+    /// the class of every node of the subtree in pre-order in `class_of`.
+    fn classify(
+        &self,
+        node: &GhdNode,
+        parent_chi: &[usize],
+        rank: &[usize],
+        classes: &mut Vec<Signature<'h>>,
+        class_of: &mut Vec<usize>,
+    ) -> usize {
+        let slot = class_of.len();
+        class_of.push(0);
+        let mut attrs = node.chi.clone();
+        attrs.sort_by_key(|&v| rank[v]);
+        let positions = |keep: &dyn Fn(usize) -> bool| -> Vec<usize> {
+            (0..attrs.len()).filter(|&i| keep(attrs[i])).collect()
+        };
+        let children = node
+            .children
+            .iter()
+            .map(|child| {
+                let joins_on = positions(&|v| child.chi.contains(&v));
+                let class = self.classify(child, &node.chi, rank, classes, class_of);
+                (joins_on, class)
+            })
+            .collect();
+        let sig = Signature {
+            atoms: node
+                .lambda
+                .iter()
+                .map(|&e| (e, false))
+                .chain(
+                    self.hg
+                        .selection_copies(&node.chi, &node.lambda)
+                        .map(|e| (e, true)),
+                )
+                .map(|(e, copy)| {
+                    let edge = &self.hg.edges[e];
+                    AtomSignature {
+                        relation: &edge.relation,
+                        columns: edge
+                            .vars
+                            .iter()
+                            .map(|v| attrs.iter().position(|a| a == v))
+                            .collect(),
+                        selections: &edge.selections,
+                        copy,
+                    }
+                })
+                .collect(),
+            interface: positions(&|v| parent_chi.contains(&v)),
+            head: positions(&|v| self.head.contains(&v)),
+            children,
+        };
+        let class = classes.iter().position(|c| *c == sig).unwrap_or_else(|| {
+            classes.push(sig);
+            classes.len() - 1
+        });
+        class_of[slot] = class;
+        class
+    }
 }
 
 /// Pick the minimum-width GHD; tie-break toward maximal selection depth
 /// (push-down across nodes), then toward more reusable (equivalent) nodes
 /// (App. B.2 dedup pays off only if the shape exposes equivalent subtrees),
 /// then by estimated intersection work when statistics are available,
-/// then toward fewer nodes, then toward fewer total attributes.
-fn choose_ghd(
-    hg: &Hypergraph,
-    push_down: bool,
-    prefer_dedup: bool,
-    stats: &dyn StatsSource,
-) -> Ghd {
-    let mut candidates = enumerate_ghds(hg);
+/// then toward fewer nodes, then toward fewer total attributes. Width and
+/// selection depth need no attribute order, so only the candidates tied
+/// on both are analysed.
+fn choose_ghd(cx: &Context, push_down: bool) -> (Ghd, Analysis) {
+    let mut candidates = enumerate_ghds(cx.hg);
     // Drop dominated "wrapper" decompositions: a node with a single child
     // whose χ contains the node's entire χ does no join work of its own —
     // it only forces the child to materialize a large interface. Such
     // plans can trick the selection-depth tie-break.
     candidates.retain(|g| !has_wrapper_node(&g.root));
-    if candidates.is_empty() {
-        return single_node_ghd(hg);
-    }
-    // Precompute all tie-break keys once; signatures are not cheap.
-    struct Keyed {
-        width: f64,
-        sel: usize,
-        equiv: usize,
-        cost: Option<f64>,
-        nodes: usize,
-        chi: usize,
-        ghd: Ghd,
-    }
-    let mut keyed: Vec<Keyed> = candidates
-        .drain(..)
-        .map(|g| {
-            let sel = if push_down {
-                selection_depth(hg, &g.root, 0)
-            } else {
-                0
-            };
-            let equiv = if prefer_dedup {
-                equivalent_nodes(hg, &g)
-                    .iter()
-                    .filter(|e| e.is_some())
-                    .count()
-            } else {
-                0
-            };
-            Keyed {
-                width: g.width,
-                sel,
-                equiv,
-                cost: ghd_cost(hg, &g.root, stats),
-                nodes: g.node_count(),
-                chi: total_chi(&g.root),
-                ghd: g,
-            }
+    let sel_depth = |g: &Ghd| {
+        if push_down {
+            selection_depth(cx.hg, &g.root, 0)
+        } else {
+            0
+        }
+    };
+    let best = candidates
+        .iter()
+        .map(|g| (g.width, sel_depth(g)))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1)));
+    let Some(best) = best else {
+        let ghd = single_node_ghd(cx.hg);
+        let analysis = cx.analyse(&ghd);
+        return (ghd, analysis);
+    };
+    candidates.retain(|g| (g.width, sel_depth(g)) == best);
+    let mut analysed: Vec<(Ghd, Analysis)> = candidates
+        .into_iter()
+        .map(|ghd| {
+            let analysis = cx.analyse(&ghd);
+            (ghd, analysis)
         })
         .collect();
-    keyed.sort_by(|a, b| {
-        a.width
-            .partial_cmp(&b.width)
-            .unwrap()
-            .then_with(|| b.sel.cmp(&a.sel))
-            .then_with(|| b.equiv.cmp(&a.equiv))
-            .then_with(|| cmp_cost(a.cost, b.cost))
-            .then_with(|| a.nodes.cmp(&b.nodes))
-            .then_with(|| a.chi.cmp(&b.chi))
+    let reused = |a: &Analysis| a.equiv.iter().flatten().count();
+    analysed.sort_by(|(ga, a), (gb, b)| {
+        reused(b)
+            .cmp(&reused(a))
+            .then_with(|| cmp_cost(a.cost(), b.cost()))
+            .then_with(|| ga.node_count().cmp(&gb.node_count()))
+            .then_with(|| total_chi(&ga.root).cmp(&total_chi(&gb.root)))
     });
-    keyed.into_iter().next().unwrap().ghd
+    analysed.swap_remove(0)
 }
 
 /// True if any node has exactly one child whose χ is a superset of the
@@ -224,150 +415,10 @@ fn total_chi(node: &GhdNode) -> usize {
     node.chi.len() + node.children.iter().map(total_chi).sum::<usize>()
 }
 
-/// Global attribute order: pre-order traversal over the GHD, appending each
-/// node's attributes to a queue (paper §3.2); within a node, attributes
-/// with selections come first (App. B.1 "Within a Node"), then — when the
-/// catalog has statistics — by the beam-searched cost-model order, falling
-/// back to how many of the node's relations contain them (descending).
-fn attribute_order(hg: &Hypergraph, ghd: &Ghd, stats: &dyn StatsSource) -> Vec<String> {
-    let mut order: Vec<usize> = Vec::new();
-    let mut seen = vec![false; hg.num_vars()];
-    let selected = hg.selected_vars();
-    ghd.root.preorder(&mut |node| {
-        let vars = node.chi.clone();
-        let sel_first: Vec<bool> = vars.iter().map(|v| selected.contains(v)).collect();
-        let local: Vec<usize> = match order_node(hg, node, &vars, &sel_first, stats) {
-            Some((costed, _)) => costed,
-            None => {
-                let mut local = vars;
-                local.sort_by_key(|&v| {
-                    let is_sel = selected.contains(&v);
-                    let freq = node
-                        .lambda
-                        .iter()
-                        .filter(|&&e| hg.edges[e].vars.contains(&v))
-                        .count();
-                    (
-                        std::cmp::Reverse(is_sel as usize),
-                        std::cmp::Reverse(freq),
-                        v,
-                    )
-                });
-                local
-            }
-        };
-        for v in local {
-            if !seen[v] {
-                seen[v] = true;
-                order.push(v);
-            }
-        }
-    });
-    order.into_iter().map(|v| hg.vars[v].clone()).collect()
-}
-
-/// Pre-order node equivalence: `result[i] = Some(j)` when node `i`'s
-/// bottom-up result equals node `j`'s (identical join pattern on the same
-/// relations, identical selections, equivalent subtrees — paper App. B.2).
-fn equivalent_nodes(hg: &Hypergraph, ghd: &Ghd) -> Vec<Option<usize>> {
-    let mut sigs: Vec<String> = Vec::new();
-    ghd.root.preorder(&mut |node| {
-        sigs.push(canonical_signature(hg, node));
-    });
-    let mut out = vec![None; sigs.len()];
-    for i in 0..sigs.len() {
-        for j in 0..i {
-            if sigs[i] == sigs[j] {
-                out[i] = Some(j);
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Canonical form of a subtree, invariant under renaming of its variables:
-/// minimize the serialized atom list over all permutations of the node's
-/// local variables.
-fn canonical_signature(hg: &Hypergraph, node: &GhdNode) -> String {
-    let vars = &node.chi;
-    let k = vars.len();
-    let mut best: Option<String> = None;
-    // Permutations of local variable indices (k ≤ ~5 in practice).
-    let mut perm: Vec<usize> = (0..k).collect();
-    loop {
-        let mapping: std::collections::HashMap<usize, usize> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, perm[i]))
-            .collect();
-        let mut atoms: Vec<String> = node
-            .lambda
-            .iter()
-            .map(|&e| {
-                let edge = &hg.edges[e];
-                let positions: Vec<String> = edge
-                    .vars
-                    .iter()
-                    .map(|v| mapping.get(v).map_or("?".into(), |p| p.to_string()))
-                    .collect();
-                let sels: Vec<String> = edge
-                    .selections
-                    .iter()
-                    .map(|(p, c)| format!("{p}={c}"))
-                    .collect();
-                format!(
-                    "{}({})[{}]",
-                    edge.relation,
-                    positions.join(","),
-                    sels.join(",")
-                )
-            })
-            .collect();
-        atoms.sort();
-        let mut children: Vec<String> = node
-            .children
-            .iter()
-            .map(|c| canonical_signature(hg, c))
-            .collect();
-        children.sort();
-        let sig = format!("{}|{}", atoms.join(";"), children.join(";"));
-        if best.as_ref().is_none_or(|b| sig < *b) {
-            best = Some(sig);
-        }
-        if !next_permutation(&mut perm) {
-            break;
-        }
-    }
-    best.unwrap_or_default()
-}
-
-/// In-place next lexicographic permutation; false when wrapped around.
-fn next_permutation(p: &mut [usize]) -> bool {
-    let n = p.len();
-    if n < 2 {
-        return false;
-    }
-    let mut i = n - 1;
-    while i > 0 && p[i - 1] >= p[i] {
-        i -= 1;
-    }
-    if i == 0 {
-        p.sort_unstable();
-        return false;
-    }
-    let mut j = n - 1;
-    while p[j] <= p[i - 1] {
-        j -= 1;
-    }
-    p.swap(i - 1, j);
-    p[i..].reverse();
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::enumerate_ghds;
     use eh_query::parse_rule;
 
     #[test]
@@ -381,6 +432,121 @@ mod tests {
             "the two triangle nodes must be recognized as equivalent: {:?}",
             plan.node_equiv
         );
+    }
+
+    /// The pre-order equivalences of the candidate GHD of `query` that
+    /// `pick` selects, analysed as the planner would.
+    fn equiv_of(query: &str, pick: impl Fn(&Hypergraph, &Ghd) -> bool) -> Vec<Option<usize>> {
+        let rule = parse_rule(query).unwrap();
+        let hg = Hypergraph::from_rule(&rule);
+        let ghd = enumerate_ghds(&hg)
+            .into_iter()
+            .find(|g| pick(&hg, g))
+            .expect("the enumeration contains the wanted candidate");
+        Context::new(&hg, &rule, &NoStats, true).analyse(&ghd).equiv
+    }
+
+    /// A root joining only `E(y,z)` with two single-atom leaves.
+    fn two_leaves_under_yz(hg: &Hypergraph, g: &Ghd) -> bool {
+        let (y, z) = (hg.lookup("y").unwrap(), hg.lookup("z").unwrap());
+        g.root.chi == [y.min(z), y.max(z)]
+            && g.root.children.len() == 2
+            && g.root.children.iter().all(|c| c.children.is_empty())
+    }
+
+    #[test]
+    fn directed_three_path_transposed_leaves_are_not_equivalent() {
+        // Under χ order (y, x) the leaf E(x,y) holds E's columns swapped;
+        // E(z,u) under (z, u) holds them as stored.
+        let equiv = equiv_of("P(x,u) :- E(x,y),E(y,z),E(z,u).", two_leaves_under_yz);
+        assert_eq!(equiv, vec![None; 3]);
+        let plan = plan_rule(
+            &parse_rule("P(x,u) :- E(x,y),E(y,z),E(z,u).").unwrap(),
+            &PlanOptions::default(),
+        )
+        .unwrap();
+        assert!(plan.node_equiv.iter().all(Option::is_none));
+        // Written so both leaves hold E as stored, they are one result.
+        let equiv = equiv_of("P(x,u) :- E(y,x),E(y,z),E(z,u).", two_leaves_under_yz);
+        assert_eq!(equiv, vec![None, None, Some(1)]);
+    }
+
+    #[test]
+    fn triangles_keeping_different_head_columns_are_not_equivalent() {
+        // The triangles' results keep [x, z] and [a, b]: positions 0, 2
+        // against 0, 1 of identically written joins.
+        let query = "B(z,b) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c).";
+        let plan = plan_rule(&parse_rule(query).unwrap(), &PlanOptions::default()).unwrap();
+        assert_eq!(plan.ghd.node_count(), 3, "{:?}", plan.ghd);
+        assert!(plan.node_equiv.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn node_costs_walk_preorder_and_sum_to_the_total() {
+        use crate::cost::RelationStats;
+        struct E;
+        impl StatsSource for E {
+            fn stats(&self, _name: &str) -> Option<RelationStats> {
+                Some(RelationStats {
+                    cardinality: 1000,
+                    distinct: vec![100, 50],
+                })
+            }
+        }
+        let rule =
+            parse_rule("B(x,y,z,a,b,c) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c).")
+                .unwrap();
+        let plan = plan_rule_with_stats(&rule, &PlanOptions::default(), &E).unwrap();
+        assert_eq!(plan.estimated_node_costs.len(), plan.ghd.node_count());
+        let total: Option<f64> = plan.estimated_node_costs.iter().copied().sum();
+        assert_eq!(total, plan.estimated_cost);
+        assert!(total.is_some());
+        // Without statistics every node scores None and the total is None.
+        let none = plan_rule(&rule, &PlanOptions::default()).unwrap();
+        assert!(none.estimated_node_costs.iter().all(Option::is_none));
+        assert!(none.estimated_cost.is_none());
+    }
+
+    /// Plan `query` in debug or release alike, assert the GHD is valid,
+    /// and return how long planning took.
+    fn plan_time(query: &str) -> std::time::Duration {
+        let rule = parse_rule(query).unwrap();
+        let started = std::time::Instant::now();
+        let plan = plan_rule(&rule, &PlanOptions::default()).unwrap();
+        let took = started.elapsed();
+        plan.ghd.validate(&plan.hypergraph).unwrap();
+        assert_eq!(plan.attr_order.len(), plan.hypergraph.num_vars());
+        took
+    }
+
+    fn path(atoms: usize) -> String {
+        let body: Vec<String> = (0..atoms).map(|i| format!("E(v{i},v{})", i + 1)).collect();
+        format!("P(;w:long) :- {}; w=<<COUNT(*)>>.", body.join(","))
+    }
+
+    #[test]
+    fn long_paths_plan_in_linear_time() {
+        // Renaming-invariant signatures took 93 s (release) on 16 atoms.
+        let took = plan_time(&path(16));
+        assert!(took.as_secs_f64() < 2.0, "16-atom path: {took:?}");
+        let took = plan_time(&path(40));
+        assert!(took.as_secs_f64() < 1.0, "40-atom path: {took:?}");
+    }
+
+    #[test]
+    fn an_eight_clique_plans_within_the_seed_budget() {
+        // 28 atoms: 2.7e8 seed subsets at the top level alone.
+        let mut body = Vec::new();
+        for a in 0..8 {
+            for b in a + 1..8 {
+                body.push(format!("E(v{a},v{b})"));
+            }
+        }
+        let took = plan_time(&format!(
+            "K(;w:long) :- {}; w=<<COUNT(*)>>.",
+            body.join(",")
+        ));
+        assert!(took.as_secs_f64() < 1.0, "8-clique: {took:?}");
     }
 
     #[test]
@@ -508,16 +674,5 @@ mod tests {
         .unwrap();
         assert_eq!(ablated.attr_order, structural.attr_order);
         assert!(ablated.estimated_cost.is_none());
-    }
-
-    #[test]
-    fn next_permutation_cycles() {
-        let mut p = vec![0, 1, 2];
-        let mut count = 1;
-        while next_permutation(&mut p) {
-            count += 1;
-        }
-        assert_eq!(count, 6);
-        assert_eq!(p, vec![0, 1, 2]);
     }
 }

@@ -1,15 +1,16 @@
 //! The Yannakakis top-down pass against an oracle.
 //!
-//! Every query here has head variables outside its GHD's root, so the
-//! answer is assembled by `sink::assemble`: a sort-merge walk over the
-//! node results with projection pushdown. The fixture covers the shapes
-//! that walk distinguishes — an interface that leads the parent's columns
-//! (merge cursor) and one that does not (restarting seek), one- and
-//! two-column and empty interfaces, a root with two children, a child of
-//! a child, join variables projected away, head variables in another
-//! order than the attribute order, nodes shared through the equivalence
-//! shortcut, and aggregate subtrees the bottom-up pass already folded —
-//! and `the_fixture_reaches_every_shape_of_the_pass` checks that it does
+//! Every query of the main list has head variables outside its GHD's
+//! root, so the answer is assembled by `sink::assemble`: a sort-merge
+//! walk over the node results with projection pushdown. The fixture
+//! covers the shapes that walk distinguishes — an interface that leads
+//! the parent's columns (merge cursor) and one that does not (restarting
+//! seek), one- and two-column and empty interfaces, a root with two
+//! children, a child of a child, join variables projected away, head
+//! variables in another order than the attribute order, nodes shared
+//! through the equivalence shortcut, and aggregate subtrees the bottom-up
+//! pass already folded — and
+//! `the_fixture_reaches_every_shape_of_the_pass` checks that it does
 //! rather than assuming the planner cooperates.
 //!
 //! Each query runs under the six ablation configs × threads {1, 4} ×
@@ -21,10 +22,11 @@
 //! non-dyadic SUM is pinned, separately, to the bits the engine produced
 //! before the pass was rewritten.
 //!
-//! Relations are directed and every atom of a query reads a different
-//! one: the node-equivalence shortcut relabels a shared result
-//! positionally, which is only sound for symmetric relations (ROADMAP),
-//! and is exercised here on the symmetric `U` alone.
+//! A second list, run the same way, joins one directed relation with
+//! itself, where the node-equivalence shortcut (paper App. B.2) decides
+//! the answer: a node may reuse another's result only when the two
+//! buffers are identical column for column, never when one is the other's
+//! transpose or keeps different columns.
 
 use emptyheaded::exec::{compile_rule, execute, Catalog, Config, MemCatalog, Relation};
 use emptyheaded::query::ast::{AggOp as QueryAggOp, Expr, Term};
@@ -99,12 +101,27 @@ fn catalog(id: IdMap) -> MemCatalog {
     let mut symmetric = directed(5);
     symmetric.extend(directed(5).iter().map(|&(a, b)| (b, a)));
     cat.insert("U", plain(&symmetric));
+    cat.insert("E9", plain(&NINE_EDGES));
     cat.insert("W", weighted(&directed(1), weight));
     cat.insert("V", weighted(&directed(2), weight));
     cat.insert("R", weighted(&directed(1), ragged_weight));
     cat.insert("S", weighted(&directed(2), ragged_weight));
     cat
 }
+
+/// A small directed graph on which the 3-path has 28 walks between 17
+/// distinct end pairs.
+const NINE_EDGES: [(u32, u32); 9] = [
+    (0, 1),
+    (1, 2),
+    (2, 3),
+    (3, 0),
+    (0, 2),
+    (1, 3),
+    (3, 4),
+    (4, 1),
+    (2, 4),
+];
 
 /// The queries, `{c}` standing for the anchor's id in the space at hand.
 const QUERIES: &[&str] = &[
@@ -123,8 +140,10 @@ const QUERIES: &[&str] = &[
     "D(x,u) :- E(x,y),E(x,z),F(y,z),G(y,u),G(z,u).",
     // A triangle hanging off an edge, its corners wanted in reverse.
     "Tr(x,c,b) :- E(x,a),F(a,b),G(b,c),H(a,c).",
-    // Symmetric relation: the two leaves are one shared node result.
+    // Symmetric relation, the leaves transposed: computed twice.
     "P3u(x,u) :- U(x,y),U(y,z),U(z,u).",
+    // Both leaves hold E as stored: one shared node result.
+    "P3s(x,u) :- E(y,x),E(y,z),E(z,u).",
     // Constant-bridged cross products: empty interfaces.
     "X(x,a) :- E(x,'{c}'),F('{c}',a).",
     "Xt(x,a,b) :- E(x,y),F(y,'{c}'),G('{c}',a),H(a,b).",
@@ -138,6 +157,20 @@ const QUERIES: &[&str] = &[
     "KF(x,z;w:long) :- E(x,y),F(y,z),G(z,u); w=<<COUNT(*)>>.",
     "KFs(y,u;w:float) :- E(x,y),W(x,z),F(z,u),V(z,v); w=<<SUM(v)>>.",
     "KX(x,a;w:long) :- E(x,y),F(y,'{c}'),G('{c}',a),H(a,b); w=<<COUNT(*)>>.",
+];
+
+/// One directed relation joined with itself.
+const SELF_JOINS: &[&str] = &[
+    // The 3-path's leaves E(x,y) and E(z,u) are transposes of each other
+    // under the planned orders (y, x) and (z, u).
+    "C3(;w:long) :- E9(x,y),E9(y,z),E9(z,u); w=<<COUNT(*)>>.",
+    "P3(x,u) :- E9(x,y),E9(y,z),E9(z,u).",
+    "P4(x,v) :- E(x,y),E(y,z),E(z,u),E(u,v).",
+    // Identically written triangles that keep different head columns:
+    // [x, z] and [a, b].
+    "Bd(z,b) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c).",
+    // ... and with an anchor on x: only the first triangle filters on it.
+    "Ba(;w:long) :- E(x,'{c}'),E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c); w=<<COUNT(*)>>.",
 ];
 
 /// The non-dyadic SUM pinned to the parent commit's bits.
@@ -166,10 +199,9 @@ fn answer_of(tuples: &TupleBuffer) -> Answer {
 }
 
 /// Run `rule` as `shards` shard slices and merge the partials in shard
-/// order, the way the cluster coordinator does.
+/// order under the head's ⊕, the way the cluster coordinator does.
 fn run(rule: &Rule, cat: &MemCatalog, cfg: &Config, shards: u32) -> Answer {
     let plan = compile_rule(rule, cat, cfg).unwrap();
-    let mut combine = AggOp::Count;
     let partials: Vec<TupleBuffer> = (0..shards)
         .map(|k| {
             let cfg = if shards > 1 {
@@ -177,11 +209,10 @@ fn run(rule: &Rule, cat: &MemCatalog, cfg: &Config, shards: u32) -> Answer {
             } else {
                 *cfg
             };
-            let relation = execute(&plan, cat, &cfg).unwrap().relation;
-            combine = relation.combine();
-            relation.rows().clone()
+            execute(&plan, cat, &cfg).unwrap().relation.rows().clone()
         })
         .collect();
+    let combine = plan.agg.as_ref().map_or(AggOp::Count, |a| a.op);
     answer_of(&merge_sorted_runs(partials, combine))
 }
 
@@ -265,28 +296,83 @@ fn all_configs() -> [Config; 6] {
     ]
 }
 
+/// Run `query` under every config × threads {1, 4} × shards {1, 2, 3}
+/// in `space` and compare each answer with the oracle's.
+fn matches_the_oracle_everywhere(space: &str, id: IdMap, cat: &MemCatalog, query: &str) {
+    let rule = rule_for(query, id);
+    let want = oracle(&rule, cat);
+    for base in all_configs() {
+        for threads in [1usize, 4] {
+            let cfg = base.with_threads(threads);
+            for shards in [1u32, 2, 3] {
+                assert_eq!(
+                    run(&rule, cat, &cfg, shards),
+                    want,
+                    "{space} ids, x{threads}, {shards} shard(s), {query}\nunder {base:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn every_config_thread_and_shard_count_matches_the_nested_loop_oracle() {
     for (space, id) in id_spaces() {
         let cat = catalog(id);
         for query in QUERIES {
-            let rule = rule_for(query, id);
-            let want = oracle(&rule, &cat);
+            let want = oracle(&rule_for(query, id), &cat);
             assert!(want.len() > 3, "{space}: {query} must not be trivial");
-            for base in all_configs() {
-                for threads in [1usize, 4] {
-                    let cfg = base.with_threads(threads);
-                    for shards in [1u32, 2, 3] {
-                        assert_eq!(
-                            run(&rule, &cat, &cfg, shards),
-                            want,
-                            "{space} ids, x{threads}, {shards} shard(s), {query}\nunder {base:?}"
-                        );
-                    }
-                }
-            }
+            matches_the_oracle_everywhere(space, id, &cat, query);
         }
     }
+}
+
+#[test]
+fn directed_self_joins_match_the_nested_loop_oracle() {
+    for (space, id) in id_spaces() {
+        let cat = catalog(id);
+        for query in SELF_JOINS {
+            let want = oracle(&rule_for(query, id), &cat);
+            let nontrivial = match want.as_slice() {
+                [(key, Some(count))] if key.is_empty() => *count > 3,
+                rows => rows.len() > 3,
+            };
+            assert!(nontrivial, "{space}: {query} must not be trivial");
+            matches_the_oracle_everywhere(space, id, &cat, query);
+        }
+    }
+}
+
+#[test]
+fn the_directed_three_path_counts_28_walks_and_lists_17_pairs() {
+    let id: IdMap = |v| v;
+    let cat = catalog(id);
+    let count = run(&rule_for(SELF_JOINS[0], id), &cat, &Config::default(), 1);
+    assert_eq!(count, vec![(vec![], Some(28))]);
+    let rows: Vec<Vec<u32>> = run(&rule_for(SELF_JOINS[1], id), &cat, &Config::default(), 1)
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect();
+    let truth = [
+        [0, 0],
+        [0, 1],
+        [0, 3],
+        [0, 4],
+        [1, 0],
+        [1, 1],
+        [1, 2],
+        [1, 4],
+        [2, 1],
+        [2, 2],
+        [2, 3],
+        [3, 2],
+        [3, 3],
+        [3, 4],
+        [4, 0],
+        [4, 3],
+        [4, 4],
+    ];
+    assert_eq!(rows, truth.map(|r| r.to_vec()));
 }
 
 #[test]

@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use crate::sink::{plan_sink_kinds, IdentityBuild, IdentityHasher, SinkKind};
+pub use crate::sink::{plan_sink_kinds, SinkKind};
 
 /// Execution failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -271,7 +271,7 @@ fn run_node(
             node_profile = fold_node_profile(&mut ctx, &program);
         }
     }
-    let tuples = sink.into_node_tuples(node.output_attrs.len(), op);
+    let tuples = sink.into_node_tuples(op);
     if let Some(p) = profile {
         node_profile.rows = tuples.len() as u64;
         if let Some(t) = node_started {

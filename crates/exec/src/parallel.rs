@@ -15,13 +15,15 @@
 //!   ablation baseline.
 //!
 //! Each worker forks the context (tries stay shared behind `Arc`; scratch
-//! is per-worker) and emits into private [`Sink`]s; sinks merge with `⊕`
-//! afterwards, and so do the workers' profiling tallies — nothing else
-//! flows back. Under the morsel scheduler workers keep **one sink per
+//! is per-worker) and emits into private [`Sink`]s; sinks merge
+//! afterwards (scalars by `⊕`, everything else by appending or replaying
+//! its contributions), and so do the workers' profiling tallies — nothing
+//! else flows back. Under the morsel scheduler workers keep **one sink per
 //! claimed chunk** and the chunks merge in range order: the chunk→value
 //! mapping is fixed (only the chunk→worker mapping races), so the final
 //! `⊕` fold order is bit-deterministic run-to-run even for
-//! non-associative `f64` sums, not just for exact integer aggregates.
+//! non-associative `f64` sums, not just for exact integer aggregates —
+//! and for a keyed group-by it is the serial order outright.
 //! Within one worker, values still arrive in ascending order (the cursor
 //! only moves forward), so the monotone rank hints stay effective.
 
@@ -51,7 +53,6 @@ pub(crate) fn run<K: Carrier>(
     sink: &mut Sink,
     threads: usize,
 ) {
-    let keys = program.output_levels.len();
     // Workers only read the node's sink, to shape their chunk sinks.
     let shape: &Sink = sink;
     let locals: Vec<Sink> = match ctx.cfg.scheduler {
@@ -79,7 +80,7 @@ pub(crate) fn run<K: Carrier>(
                                 }
                                 let end = (start + morsel).min(range.end);
                                 seen += (end - start) as u64;
-                                let mut chunk_sink = shape.chunk(keys, program.op);
+                                let mut chunk_sink = shape.chunk(program.op);
                                 for idx in start..end {
                                     let v = candidates[idx];
                                     step_value::<K>(
@@ -127,7 +128,7 @@ pub(crate) fn run<K: Carrier>(
                         let end = (start + chunk).min(range.end);
                         let mut local = ctx_ref.fork();
                         scope.spawn(move || {
-                            let mut local_sink = shape.chunk(keys, program.op);
+                            let mut local_sink = shape.chunk(program.op);
                             for idx in start..end {
                                 let v = candidates[idx];
                                 step_value::<K>(

@@ -1,15 +1,18 @@
 //! Emission sinks and result assembly: where Generic-Join bindings land.
 //!
 //! A [`Sink`] absorbs contributions — one binding's value, one folded
-//! subtree, or one scattered set — into a scalar `⊕`-accumulator, a
-//! group-by accumulator, or a flat row buffer, with no per-emit allocation
-//! for the common key arities. A one-key group-by over a dense id space
-//! folds into a flat id-indexed array ([`DenseAgg`]); the hash map is the
-//! fallback for sparse raw-id spaces ([`sink_kind`] decides, from column
-//! statistics alone). Per-chunk sinks from the parallel runtime merge in
-//! range order with [`Sink::merge`]. The Yannakakis top-down pass
-//! ([`assemble`]) and the final projection/group-by ([`finalize`]) also
-//! live here.
+//! subtree, or one scattered set — into a scalar `⊕`-accumulator, a flat
+//! id-indexed array, or a flat buffer of rows. A one-key group-by over a
+//! dense id space folds into the array ([`DenseAgg`]); every other
+//! group-by appends one annotated row per contribution and folds them on
+//! drain with the stable sort-and-⊕ that listings and [`finalize`] use
+//! ([`TupleBuffer::into_sorted_dedup`]) — nothing is hashed between the
+//! join and a node result ([`sink_kind`] decides, from column statistics
+//! alone). Per-chunk sinks from the parallel runtime merge in range order
+//! with [`Sink::merge`], so every keyed group-by folds each key's
+//! contributions in the serial order, whatever the partitioning. The
+//! Yannakakis top-down pass ([`assemble`]) and the final
+//! projection/group-by ([`finalize`]) also live here.
 
 use crate::executor::NodeResult;
 use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
@@ -20,47 +23,7 @@ use eh_query::ast::Expr;
 use eh_semiring::{with_carrier, AggOp, Carrier, DynValue};
 use eh_set::Set;
 use eh_trie::TupleBuffer;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A pass-through hasher for u32 keys: node ids are already uniformly
-/// distributed after dictionary encoding, so SipHash is pure overhead in
-/// the aggregation hot loop.
-#[derive(Clone, Copy, Default)]
-pub struct IdentityHasher(u64);
-
-impl std::hash::Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ b as u64;
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        // Multiplicative scramble keeps clustering harmless.
-        self.0 = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn write_u64(&mut self, v: u64) {
-        // Scramble packed two-column keys, then fold the high half down:
-        // the map picks buckets from the low bits, which after a bare
-        // multiply would depend only on the packed key's second column.
-        let h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-/// `BuildHasher` for [`IdentityHasher`].
-#[derive(Clone, Copy, Default)]
-pub struct IdentityBuild;
-
-impl std::hash::BuildHasher for IdentityBuild {
-    type Hasher = IdentityHasher;
-    fn build_hasher(&self) -> IdentityHasher {
-        IdentityHasher(0)
-    }
-}
 
 /// Which accumulator a plan node's bindings fold into — decided per
 /// execution from the plan node and catalog statistics (see
@@ -74,8 +37,9 @@ pub enum SinkKind {
     /// One group-by key whose id space is dense: a flat array of this many
     /// slots, indexed by the key's dictionary id.
     Dense(usize),
-    /// Any other group-by: a hash map keyed on the (packed) key columns.
-    Hash,
+    /// Any other group-by, of any number of keys: one annotated row per
+    /// contribution, sorted and ⊕-folded when the node drains.
+    Sorted,
 }
 
 /// A one-key group-by takes the dense array only when the key column's id
@@ -94,8 +58,9 @@ const DENSE_FILL: u64 = 64;
 /// column — every key the join can produce is one of that column's ids, so
 /// `max id + 1` slots hold them all — and the node's smallest input is
 /// not tiny next to that space; raw sparse ids, keys bound only by child
-/// results and near-empty frontiers keep the hash map. Both fold a key's
-/// contributions in arrival order, so the choice never shows in a result.
+/// results and near-empty frontiers take the sorted rows. Both fold a
+/// key's contributions in arrival order, so the choice never shows in a
+/// result.
 pub(crate) fn sink_kind(node: &PlanNode, is_agg: bool, catalog: &dyn Catalog) -> SinkKind {
     if !is_agg {
         return SinkKind::Rows;
@@ -103,7 +68,7 @@ pub(crate) fn sink_kind(node: &PlanNode, is_agg: bool, catalog: &dyn Catalog) ->
     let key = match node.output_attrs.as_slice() {
         [] => return SinkKind::Scalar,
         [key] => key,
-        _ => return SinkKind::Hash,
+        _ => return SinkKind::Sorted,
     };
     let level = node.attrs.iter().position(|a| a == key);
     let relation = |ap: &AtomPlan| catalog.relation(&ap.relation);
@@ -125,7 +90,7 @@ pub(crate) fn sink_kind(node: &PlanNode, is_agg: bool, catalog: &dyn Catalog) ->
             let slots = extent.max as u64 + 1;
             (slots <= DENSE_SLACK * extent.distinct && slots <= max_slots).then_some(slots as usize)
         })
-        .map_or(SinkKind::Hash, SinkKind::Dense)
+        .map_or(SinkKind::Sorted, SinkKind::Dense)
 }
 
 /// The sink every node of `plan` would fold into against `catalog`, in
@@ -139,30 +104,28 @@ pub fn plan_sink_kinds(plan: &PhysicalPlan, catalog: &dyn Catalog) -> Vec<SinkKi
         .collect()
 }
 
-/// Emission sink: scalar accumulator (no key vars), aggregate fold, or
-/// flat row collection.
+/// Emission sink: scalar accumulator (no key vars), dense group-by array,
+/// or flat row collection.
 pub(crate) enum Sink {
-    /// Scalar aggregate (COUNT(*)-style) — no hashing in the hot loop.
+    /// Scalar aggregate (COUNT(*)-style): one accumulator.
     Scalar { acc: DynValue, any: bool },
-    /// Single-key aggregate over a dense id space — no hashing at all.
+    /// Single-key aggregate over a dense id space: an array by key id.
     Dense1(DenseAgg),
-    /// Single-key aggregate over sparse raw ids — u32 keys, cheap hash.
-    Agg1(HashMap<u32, DynValue, IdentityBuild>),
-    /// Single-key `f64` aggregate of one parallel chunk: the contributions
-    /// in arrival order, never O(id space), replayed into the node's
-    /// `Dense1`/`Agg1` in range order — so every key folds exactly the
-    /// contribution sequence the serial loop would have fed it. `runs`
+    /// The chunk of a parallel run feeding a `Dense1`, on every carrier:
+    /// the contributions in arrival order, never O(id space), replayed
+    /// into the node's array in range order — so every key folds exactly
+    /// the contribution sequence the serial loop would have fed it. `runs`
     /// holds `(number of keys, value)`: a scatter is one run however many
     /// keys it covers, so its log costs four bytes a contribution.
     Log1 {
         keys: Vec<u32>,
         runs: Vec<(usize, DynValue)>,
     },
-    /// Two-key aggregate — both u32 keys packed into one u64 so multi-key
-    /// group-bys stop allocating per emitted row.
-    Agg2(HashMap<u64, DynValue, IdentityBuild>),
-    /// Three-or-more-key aggregate (rare): heap-keyed fallback.
-    AggN(HashMap<Vec<u32>, DynValue>),
+    /// Any other group-by: one `(keys, value)` row per contribution, in
+    /// arrival order, annotated from construction. The drain's stable sort
+    /// ⊕-folds each key's rows left to right, and chunks append in range
+    /// order, so a key folds the serial sequence whatever the partitioning.
+    Keyed(TupleBuffer),
     /// Row collection into a flat columnar buffer.
     Rows(TupleBuffer),
 }
@@ -283,13 +246,14 @@ impl Sink {
                 *any = true;
             }
             Sink::Dense1(dense) => dense.add::<K>(key(0), K::to_bits(product)),
-            Sink::Agg1(map) => fold_entry::<K, _, _>(map, key(0), product),
             Sink::Log1 { keys, runs } => {
                 keys.push(key(0));
                 runs.push((1, K::to_dyn(product)));
             }
-            Sink::Agg2(map) => fold_entry::<K, _, _>(map, pack2(key(0), key(1)), product),
-            Sink::AggN(map) => emit_wide::<K>(map, program, bindings, product),
+            Sink::Keyed(rows) => rows.extend_row_annotated(
+                program.output_levels.iter().map(|&l| bindings[l]),
+                K::to_dyn(product),
+            ),
             Sink::Rows(rows) => {
                 rows.extend_row(program.output_levels.iter().map(|&l| bindings[l]));
             }
@@ -302,40 +266,20 @@ impl Sink {
     pub(crate) fn scatter<K: Carrier>(&mut self, keys: Keys<'_>, product: K::T) {
         match self {
             Sink::Dense1(dense) => dense.scatter::<K>(keys, product),
-            Sink::Agg1(map) => keys.for_each(|k| fold_entry::<K, _, _>(map, k, product)),
             Sink::Log1 { keys: log, runs } => {
                 let before = log.len();
                 keys.for_each(|k| log.push(k));
                 runs.push((log.len() - before, K::to_dyn(product)));
             }
+            Sink::Keyed(rows) => {
+                let v = K::to_dyn(product);
+                keys.for_each(|k| rows.push_annotated(&[k], v));
+            }
             _ => unreachable!("scatter needs a one-key aggregate sink"),
         }
     }
 }
-
-/// `⊕` one contribution into a hash-keyed group.
-#[inline(always)]
-fn fold_entry<K: Carrier, Key: std::hash::Hash + Eq, S: std::hash::BuildHasher>(
-    map: &mut HashMap<Key, DynValue, S>,
-    key: Key,
-    v: K::T,
-) {
-    map.entry(key)
-        .and_modify(|x| *x = K::to_dyn(K::plus(K::from_dyn(*x), v)))
-        .or_insert(K::to_dyn(v));
-}
 // lint:region-end(alloc-free)
-
-/// The ≥3-key emit: the heap-keyed fallback allocates its key per call.
-fn emit_wide<K: Carrier>(
-    map: &mut HashMap<Vec<u32>, DynValue>,
-    program: &JoinProgram,
-    bindings: &[u32],
-    product: K::T,
-) {
-    let tuple: Vec<u32> = program.output_levels.iter().map(|&l| bindings[l]).collect();
-    fold_entry::<K, _, _>(map, tuple, product);
-}
 
 impl Sink {
     /// The sink of one node: `kind` as chosen by [`sink_kind`], `keys`
@@ -353,37 +297,32 @@ impl Sink {
                 // have presence words to line up with.
                 present: vec![0; slots.div_ceil(eh_set::BLOCK_BITS as usize) * eh_set::BLOCK_WORDS],
             }),
-            SinkKind::Hash => match keys {
-                1 => Sink::Agg1(HashMap::with_hasher(IdentityBuild)),
-                2 => Sink::Agg2(HashMap::with_hasher(IdentityBuild)),
-                _ => Sink::AggN(HashMap::new()),
-            },
+            SinkKind::Sorted => {
+                let mut rows = TupleBuffer::new(keys);
+                rows.set_annotations(Vec::new());
+                Sink::Keyed(rows)
+            }
         }
     }
 
     /// An empty sink for one parallel chunk of the join feeding `self`:
-    /// the same shape, except that a one-key aggregate's chunk is never
-    /// O(id space). `⊕` on the `u64` carriers (COUNT, MIN) is exactly
-    /// associative, so those pre-fold per chunk into a hash map — O(keys
-    /// touched), on the worker; the `f64` carriers (SUM rounds, MAX is
-    /// order-sensitive around NaN) log their contributions instead (see
-    /// [`Sink::Log1`]) so that regrouping can never show in a result.
-    pub(crate) fn chunk(&self, keys: usize, op: AggOp) -> Sink {
-        match (self, op) {
-            (Sink::Dense1(_) | Sink::Agg1(_), AggOp::Sum | AggOp::Max) => Sink::Log1 {
+    /// the same shape, except that a dense array's chunk is a [`Sink::Log1`]
+    /// — O(contributions), never O(id space).
+    pub(crate) fn chunk(&self, op: AggOp) -> Sink {
+        match self {
+            Sink::Scalar { .. } => Sink::new(SinkKind::Scalar, 0, op),
+            Sink::Dense1(_) => Sink::Log1 {
                 keys: Vec::new(),
                 runs: Vec::new(),
             },
-            (Sink::Scalar { .. }, _) => Sink::new(SinkKind::Scalar, keys, op),
-            (Sink::Rows(_), _) => Sink::new(SinkKind::Rows, keys, op),
-            (Sink::Log1 { .. }, _) => unreachable!("chunk sinks are not chunked again"),
-            _ => Sink::new(SinkKind::Hash, keys, op),
+            Sink::Keyed(rows) => Sink::new(SinkKind::Sorted, rows.arity(), op),
+            Sink::Rows(rows) => Sink::new(SinkKind::Rows, rows.arity(), op),
+            Sink::Log1 { .. } => unreachable!("chunk sinks are not chunked again"),
         }
     }
 
-    /// Merge a chunk's sink (from [`Sink::chunk`]) into this one: replay
-    /// or `⊕` on one-key aggregates, `⊕` on the others, one flat append on
-    /// rows.
+    /// Merge a chunk's sink (from [`Sink::chunk`]) into this one: `⊕` on
+    /// scalars, a replay on the dense array, one flat append on buffers.
     pub(crate) fn merge<K: Carrier>(&mut self, other: Sink) {
         match (self, other) {
             (Sink::Scalar { acc, any }, Sink::Scalar { acc: a2, any: n2 }) => {
@@ -392,44 +331,25 @@ impl Sink {
                     *any = true;
                 }
             }
-            (node @ (Sink::Dense1(_) | Sink::Agg1(_)), Sink::Log1 { keys, runs }) => {
+            (Sink::Dense1(dense), Sink::Log1 { keys, runs }) => {
                 let mut rest = keys.as_slice();
                 for (n, v) in runs {
                     let (run, tail) = rest.split_at(n);
-                    node.scatter::<K>(Keys::Values(run), K::from_dyn(v));
+                    dense.scatter::<K>(Keys::Values(run), K::from_dyn(v));
                     rest = tail;
                 }
             }
-            (Sink::Dense1(dense), Sink::Agg1(m2)) => {
-                for (k, v) in m2 {
-                    dense.add::<K>(k, K::to_bits(K::from_dyn(v)));
-                }
+            (Sink::Keyed(rows), Sink::Keyed(r2)) | (Sink::Rows(rows), Sink::Rows(r2)) => {
+                rows.append(&r2)
             }
-            (Sink::Agg1(map), Sink::Agg1(m2)) => {
-                for (k, v) in m2 {
-                    fold_entry::<K, _, _>(map, k, K::from_dyn(v));
-                }
-            }
-            (Sink::Agg2(map), Sink::Agg2(m2)) => {
-                for (k, v) in m2 {
-                    fold_entry::<K, _, _>(map, k, K::from_dyn(v));
-                }
-            }
-            (Sink::AggN(map), Sink::AggN(m2)) => {
-                for (k, v) in m2 {
-                    fold_entry::<K, _, _>(map, k, K::from_dyn(v));
-                }
-            }
-            // Per-thread row buffers merge with one flat copy each.
-            (Sink::Rows(rows), Sink::Rows(r2)) => rows.append(&r2),
             _ => unreachable!("chunk sinks come from Sink::chunk"),
         }
     }
 
     /// Drain the sink into a node's canonical tuple buffer: the dense
-    /// array drains in key order, hash groups sort by key, rows
-    /// sort-and-dedup, scalars become a nullary row.
-    pub(crate) fn into_node_tuples(self, keys: usize, op: AggOp) -> TupleBuffer {
+    /// array drains in key order, keyed and plain rows sort, fold and
+    /// dedup, scalars become a nullary row.
+    pub(crate) fn into_node_tuples(self, op: AggOp) -> TupleBuffer {
         match self {
             Sink::Scalar { acc, any } => {
                 let mut t = TupleBuffer::nullary(if any { 1 } else { 0 });
@@ -450,43 +370,10 @@ impl Sink {
                 }
                 t
             }
-            Sink::Agg1(map) => {
-                let mut entries: Vec<(u32, DynValue)> = map.into_iter().collect();
-                entries.sort_unstable_by_key(|e| e.0);
-                let mut t = TupleBuffer::with_capacity(1, entries.len());
-                for (k, v) in entries {
-                    t.push_annotated(&[k], v);
-                }
-                t
-            }
-            Sink::Agg2(map) => {
-                let mut entries: Vec<(u64, DynValue)> = map.into_iter().collect();
-                entries.sort_unstable_by_key(|e| e.0);
-                let mut t = TupleBuffer::with_capacity(2, entries.len());
-                for (k, v) in entries {
-                    t.push_annotated(&[(k >> 32) as u32, k as u32], v);
-                }
-                t
-            }
-            Sink::AggN(map) => {
-                let mut entries: Vec<(Vec<u32>, DynValue)> = map.into_iter().collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut t = TupleBuffer::with_capacity(keys, entries.len());
-                for (k, v) in entries {
-                    t.push_annotated(&k, v);
-                }
-                t
-            }
-            Sink::Rows(rows) => rows.into_sorted_dedup(op),
+            Sink::Keyed(rows) | Sink::Rows(rows) => rows.into_sorted_dedup(op),
             Sink::Log1 { .. } => unreachable!("chunk sinks merge, never drain"),
         }
     }
-}
-
-/// Pack two u32 key columns into one u64 preserving lexicographic order.
-#[inline]
-pub(crate) fn pack2(a: u32, b: u32) -> u64 {
-    ((a as u64) << 32) | b as u64
 }
 
 /// Yannakakis top-down pass (paper §3.3.2): walk the GHD from the root,
@@ -835,23 +722,86 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack2_preserves_lexicographic_order() {
-        assert!(pack2(0, 5) < pack2(1, 0));
-        assert!(pack2(3, 1) < pack2(3, 2));
-        assert_eq!(pack2(7, 9) >> 32, 7);
-        assert_eq!(pack2(7, 9) as u32, 9);
+    fn keyed_sinks_drain_to_the_serial_fold_however_chunked() {
+        // Non-dyadic SUM contributions, emitted (and, for one key,
+        // scattered) into range-ordered chunks that merge one by one: every
+        // key folds left to right in arrival order, to the bit — the
+        // serial fold. The key whose only contributions are -0.0 stays
+        // negative, which a fold from the ⊕-identity would not.
+        use eh_semiring::SumOp;
+        use std::collections::BTreeMap;
+        let op = AggOp::Sum;
+        for arity in 1..=3usize {
+            let program =
+                JoinProgram::compile(arity, (0..arity).collect(), &[], Vec::new(), true, op);
+            // (scatter?, a key tuple — or a scatter's one-column keys, value)
+            let mut steps: Vec<(bool, Vec<u32>, f64)> = (0..60u32)
+                .map(|i| {
+                    let key = [i * 7 % 5, i * 3 % 4, i * 11 % 3];
+                    (false, key[..arity].to_vec(), 1.0 / (3.0 + i as f64))
+                })
+                .collect();
+            steps.insert(10, (false, vec![9; arity], -0.0));
+            steps.push((false, vec![9; arity], -0.0));
+            if arity == 1 {
+                steps.insert(20, (true, vec![0, 2, 4], 0.1));
+                steps.insert(45, (true, vec![1, 3], 0.3));
+            }
+            let run = |sink: &mut Sink, steps: &[(bool, Vec<u32>, f64)]| {
+                for (scatter, keys, v) in steps {
+                    if *scatter {
+                        sink.scatter::<SumOp>(Keys::Values(keys), *v);
+                    } else {
+                        sink.emit::<SumOp>(&program, keys, *v);
+                    }
+                }
+            };
+            let drain = |sink: Sink| -> Vec<(Vec<u32>, u64)> {
+                let t = sink.into_node_tuples(op);
+                t.iter()
+                    .zip(t.annotations().unwrap())
+                    .map(|(r, v)| (r.to_vec(), v.as_f64().to_bits()))
+                    .collect()
+            };
+            let mut serial: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+            for (scatter, keys, v) in &steps {
+                let groups = match scatter {
+                    true => keys.iter().map(|&k| vec![k]).collect(),
+                    false => vec![keys.clone()],
+                };
+                for key in groups {
+                    serial.entry(key).and_modify(|a| *a += v).or_insert(*v);
+                }
+            }
+            let want: Vec<(Vec<u32>, u64)> =
+                serial.into_iter().map(|(k, v)| (k, v.to_bits())).collect();
+            assert!(want.contains(&(vec![9; arity], (-0.0f64).to_bits())));
+            let mut whole = Sink::new(SinkKind::Sorted, arity, op);
+            run(&mut whole, &steps);
+            assert_eq!(drain(whole), want, "{arity} key(s), unchunked");
+            for cuts in [vec![7, 8, 8, 23, 40], vec![1, 2, 3], vec![31]] {
+                let mut node = Sink::new(SinkKind::Sorted, arity, op);
+                let bounds = [vec![0], cuts.clone(), vec![steps.len()]].concat();
+                for range in bounds.windows(2) {
+                    let mut chunk = node.chunk(op);
+                    run(&mut chunk, &steps[range[0]..range[1]]);
+                    node.merge::<SumOp>(chunk);
+                }
+                assert_eq!(drain(node), want, "{arity} key(s), cut at {cuts:?}");
+            }
+        }
     }
 
     #[test]
     fn one_key_sinks_merge_chunks_in_order() {
-        // Dense and hash fallback fold the same chunk contributions to the
-        // same key-sorted groups, for every carrier: u64 carriers through
-        // pre-folded chunks, f64 carriers through replayed logs.
+        // Dense and sorted sinks fold the same chunk contributions to the
+        // same key-sorted groups, for every carrier; a dense array's chunk
+        // is a log replayed in range order whatever the carrier.
         let log = |sink: &Sink, op: AggOp, entries: &[(u32, DynValue)]| {
-            let mut chunk = sink.chunk(1, op);
-            match op {
-                AggOp::Count | AggOp::Min => assert!(matches!(chunk, Sink::Agg1(_))),
-                AggOp::Sum | AggOp::Max => assert!(matches!(chunk, Sink::Log1 { .. })),
+            let mut chunk = sink.chunk(op);
+            match sink {
+                Sink::Dense1(_) => assert!(matches!(chunk, Sink::Log1 { .. }), "{op:?}"),
+                _ => assert!(matches!(chunk, Sink::Keyed(_)), "{op:?}"),
             }
             let program = JoinProgram::compile(1, vec![0], &[], Vec::new(), true, op);
             for &(k, v) in entries {
@@ -887,14 +837,14 @@ mod tests {
                 vec![(5, f(-2.0)), (6, f(0.0))],
             ),
         ] {
-            for kind in [SinkKind::Dense(71), SinkKind::Hash] {
+            for kind in [SinkKind::Dense(71), SinkKind::Sorted] {
                 let mut sink = Sink::new(kind, 1, op);
                 let (a, b) = (log(&sink, op, &first), log(&sink, op, &second));
                 with_carrier!(op, K => {
                     sink.merge::<K>(a);
                     sink.merge::<K>(b);
                 });
-                let t = sink.into_node_tuples(1, op);
+                let t = sink.into_node_tuples(op);
                 let got: Vec<(u32, DynValue)> = t
                     .iter()
                     .zip(t.annotations().unwrap())
@@ -913,17 +863,18 @@ mod tests {
     fn scatter_equals_repeated_emit() {
         let keys = [3u32, 4, 64, 65, 200];
         let set = Set::from_sorted(&keys, eh_set::LayoutKind::Bitset);
-        // SUM chunks log their scatters as runs, COUNT chunks pre-fold;
-        // either way a chunk merges to what the node sink folds directly.
+        // Dense chunks log their scatters as runs, sorted chunks append a
+        // row per key; either way a chunk merges to what the node sink
+        // folds directly.
         for (op, v) in [
             (AggOp::Sum, DynValue::F64 as fn(f64) -> DynValue),
             (AggOp::Count, |x| DynValue::U64((x * 4.0) as u64)),
         ] {
-            for kind in [SinkKind::Dense(201), SinkKind::Hash] {
+            for kind in [SinkKind::Dense(201), SinkKind::Sorted] {
                 for chunked in [false, true] {
                     let mut node = Sink::new(kind, 1, op);
                     let mut target = if chunked {
-                        node.chunk(1, op)
+                        node.chunk(op)
                     } else {
                         Sink::new(kind, 1, op)
                     };
@@ -936,7 +887,7 @@ mod tests {
                             node = target;
                         }
                     });
-                    let t = node.into_node_tuples(1, op);
+                    let t = node.into_node_tuples(op);
                     assert_eq!(t.flat(), &keys);
                     let want: Vec<DynValue> = [0.5, 0.75, 0.75, 0.5, 0.5].map(v).to_vec();
                     assert_eq!(t.annotations().unwrap(), want, "{op:?} {kind:?} {chunked}");
@@ -966,7 +917,7 @@ mod tests {
         // Raw ids near u32::MAX: nothing O(max id) may be allocated.
         assert_eq!(
             plan_sink_kinds(&plan_for(&grouped("S")), &cat),
-            vec![SinkKind::Hash]
+            vec![SinkKind::Sorted]
         );
         // Keyed on S's dense second column instead: dense again.
         assert_eq!(
@@ -982,7 +933,7 @@ mod tests {
         let plan = PhysicalPlan::compile(&rule, &eh_ghd::plan_rule(&rule, &single_node).unwrap());
         assert_eq!(plan_sink_kinds(&plan, &cat), vec![SinkKind::Dense(50)]);
         // A two-row frontier against 50 ids still fills a presence word
-        // per row; against 5 000 it would not — hash, whatever the ids.
+        // per row; against 5 000 it would not — sorted, whatever the ids.
         let wide: Vec<[u32; 2]> = (0..5000u32).map(|i| [i, (i + 1) % 5000]).collect();
         cat.insert("W", Relation::from_rows(2, wide));
         cat.insert("F", Relation::from_rows(1, vec![[3u32], [4]]));
@@ -993,12 +944,12 @@ mod tests {
         );
         assert_eq!(
             plan_sink_kinds(&plan_for(&via("W")), &cat),
-            vec![SinkKind::Hash]
+            vec![SinkKind::Sorted]
         );
         for (q, want) in [
             ("C(;w:long) :- D(x,y); w=<<COUNT(*)>>.", SinkKind::Scalar),
             ("L(x,y) :- D(x,y).", SinkKind::Rows),
-            ("P(x,y;w:long) :- D(x,y); w=<<COUNT(*)>>.", SinkKind::Hash),
+            ("P(x,y;w:long) :- D(x,y); w=<<COUNT(*)>>.", SinkKind::Sorted),
         ] {
             assert_eq!(plan_sink_kinds(&plan_for(q), &cat), vec![want], "{q}");
         }
@@ -1063,7 +1014,7 @@ mod tests {
     fn sink_merge_appends_rows_then_dedups() {
         let op = AggOp::Count;
         let mut a = Sink::new(SinkKind::Rows, 2, op);
-        let mut b = a.chunk(2, op);
+        let mut b = a.chunk(op);
         if let Sink::Rows(r) = &mut a {
             r.push_row(&[4, 5]);
             r.push_row(&[1, 2]);
@@ -1073,7 +1024,7 @@ mod tests {
             r.push_row(&[0, 9]);
         }
         a.merge::<eh_semiring::CountOp>(b);
-        let t = a.into_node_tuples(2, op);
+        let t = a.into_node_tuples(op);
         assert_eq!(t.flat(), &[0, 9, 1, 2, 4, 5], "sorted, duplicate folded");
     }
 
@@ -1086,11 +1037,11 @@ mod tests {
             any: true,
         };
         a.merge::<eh_semiring::CountOp>(b);
-        let t = a.into_node_tuples(0, op);
+        let t = a.into_node_tuples(op);
         assert_eq!(t.len(), 1);
         assert_eq!(t.annot(0).unwrap().as_u64(), 4);
         // An untouched scalar sink drains to zero rows.
-        let empty = Sink::new(SinkKind::Scalar, 0, op).into_node_tuples(0, op);
+        let empty = Sink::new(SinkKind::Scalar, 0, op).into_node_tuples(op);
         assert_eq!(empty.len(), 0);
     }
 }

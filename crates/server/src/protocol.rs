@@ -58,6 +58,10 @@ const HEADER_LEN: usize = 5;
 /// Upper bound on a single frame's payload (256 MiB) — a corrupt or
 /// hostile length field must not cause an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
+/// What [`read_frame`] reserves for a payload before any of it has
+/// arrived: a frame up to this size is read into one exact allocation,
+/// a larger one grows, at most doubling, as its bytes come in.
+const READ_RESERVE: usize = 64 << 10;
 
 /// Protocol-level failure: a frame that could not be parsed.
 #[derive(Debug)]
@@ -844,7 +848,10 @@ fn write_frame(
 
 /// Read one frame. An EOF before the first header byte surfaces as
 /// [`io::ErrorKind::UnexpectedEof`] — the session layer treats that as
-/// a clean disconnect.
+/// a clean disconnect — and so does a payload shorter than its header
+/// says. The header is not trusted with memory: the payload buffer grows
+/// with the bytes that actually arrive, so a header alone reserves at
+/// most 64 KiB whatever length it claims.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -856,8 +863,21 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Each step at most doubles what has arrived and the last one ends at
+    // exactly `len`: no allocation outruns the bytes that back it, and
+    // none overshoots the frame as read_to_end's own growth would (up to
+    // 2x, a peak-memory cost on every large frame).
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let step = (len - payload.len()).min(payload.len().max(READ_RESERVE));
+        payload.reserve_exact(step);
+        if r.by_ref().take(step as u64).read_to_end(&mut payload)? < step {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("frame payload ended after {} of {len} bytes", payload.len()),
+            ));
+        }
+    }
     Ok((tag, payload))
 }
 

@@ -116,7 +116,7 @@ fn high_diameter_sssp_matches_lowlevel() {
     // The other end from the power-law graphs above: thousands of
     // seminaive iterations whose frontier is one or two rows (a path) or
     // one anti-diagonal (a grid), so the fixpoint state grows by new runs
-    // far smaller than itself and every iteration takes the hash sink.
+    // far smaller than itself and every iteration takes the sorted sink.
     for (gname, g) in [("path", grid(1_500, 1)), ("grid", grid(30, 30))] {
         let want = lowlevel::sssp_bfs(&g, 0);
         assert_eq!(
@@ -143,7 +143,7 @@ fn high_diameter_sssp_matches_lowlevel() {
 }
 
 #[test]
-fn a_tiny_frontier_takes_the_hash_sink() {
+fn a_tiny_frontier_takes_the_sorted_sink() {
     // Same rule body, same dense Edge ids: the sink follows the size of
     // the smallest input, so a recursion's two-row frontier never
     // allocates or drains an array over the whole id space.
@@ -158,7 +158,7 @@ fn a_tiny_frontier_takes_the_hash_sink() {
         let body = "SP(x;y:int) :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.";
         plan_sink_kinds(db.prepare(body).unwrap().plan(), &catalog)
     };
-    assert_eq!(plan_kinds(vec![[7], [9]]), vec![SinkKind::Hash]);
+    assert_eq!(plan_kinds(vec![[7], [9]]), vec![SinkKind::Sorted]);
     let whole: Vec<[u32; 1]> = (0..g.num_nodes).map(|v| [v]).collect();
     assert_eq!(plan_kinds(whole), vec![SinkKind::Dense(5_000)]);
 }
@@ -230,7 +230,7 @@ fn analytics_sink_kinds(db: &Database) -> Vec<SinkKind> {
 }
 
 #[test]
-fn raw_ids_near_u32_max_take_the_hash_fallback() {
+fn raw_ids_near_u32_max_take_the_sorted_fallback() {
     let g = gen::power_law(300, 2_000, 2.2, 11);
     let n = g.num_nodes as usize;
     let degrees = g.degrees();
@@ -250,14 +250,14 @@ fn raw_ids_near_u32_max_take_the_hash_fallback() {
         }
         // The same graph under raw ids just below u32::MAX: an id-indexed
         // array would need ~4·10⁹ slots, so nothing O(max id) may be
-        // allocated — the hash map takes over and the answers are equal.
+        // allocated — sorted rows take over and the answers are equal.
         let offset = u32::MAX - g.num_nodes;
         let (db, shifted_ranks, shifted_dists) = run_shifted(&g, offset, cfg);
         assert_ranks_match(&shifted_ranks, &want_ranks, &degrees, "raw ids");
         assert_eq!(shifted_dists, want_dists, "raw ids");
         assert_eq!(
             analytics_sink_kinds(&db),
-            vec![SinkKind::Hash, SinkKind::Hash],
+            vec![SinkKind::Sorted, SinkKind::Sorted],
             "sparse raw ids must not size an array by max id"
         );
         // One fold order whatever the sink: the ranks agree to the bit.
@@ -266,7 +266,7 @@ fn raw_ids_near_u32_max_take_the_hash_fallback() {
                 .iter()
                 .zip(&shifted_ranks)
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "dense and hash sinks must fold in the same order"
+            "dense and sorted sinks must fold in the same order"
         );
     }
 }

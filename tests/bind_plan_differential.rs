@@ -12,11 +12,12 @@
 //!
 //! Annotation values are dyadic, so `f64` sums are exact and *every*
 //! run must equal the oracle bit for bit, whatever plan the config
-//! compiles. A second, non-dyadic SUM pins fold-order rule 2 on top:
-//! within one config (one plan), a one-key group-by is bit-identical
-//! across thread counts, schedulers and profiling.
+//! compiles. Two non-dyadic SUMs pin fold-order rule 2 on top: within
+//! one config (one plan), a one-key and a two-key group-by are
+//! bit-identical across thread counts, schedulers, morsel sizes and
+//! profiling.
 
-use emptyheaded::exec::{execute_rule, Config, MemCatalog, Relation, Scheduler};
+use emptyheaded::exec::{compile_rule, execute_rule, Config, MemCatalog, Relation, Scheduler};
 use emptyheaded::query::parse_rule;
 use emptyheaded::semiring::{AggOp, DynValue};
 use emptyheaded::TupleBuffer;
@@ -259,6 +260,49 @@ fn a_one_key_float_sum_is_bit_identical_however_one_plan_is_driven() {
                     serial,
                     "{space} ids, {driver}\nunder {base:?}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_two_key_float_sum_is_bit_identical_however_the_level0_range_is_split() {
+    // Keyed on y and z, never on the node's level-0 attribute x: each
+    // (y, z) group takes one non-dyadic contribution per common neighbour
+    // x, and those x fall in different chunks of the level-0 range. Rule 2
+    // says every chunk partition folds them in the serial order anyway.
+    const TWO_KEY: &str = "K(y,z;w:float) :- R(x,y),R(x,z); w=<<SUM(x)>>.";
+    let answer = |cat: &MemCatalog, cfg: &Config| -> Vec<(Vec<u32>, u64)> {
+        let out = execute_rule(&parse_rule(TWO_KEY).unwrap(), cat, cfg)
+            .unwrap()
+            .relation;
+        let values = out.annotations().unwrap().iter().map(|&v| bits(v));
+        out.rows().iter().map(<[u32]>::to_vec).zip(values).collect()
+    };
+    let edges = logical_edges();
+    for (space, id) in id_spaces() {
+        let cat = catalog(&edges, id);
+        for base in all_configs() {
+            if !base.plan.ghd_optimizations {
+                let plan = compile_rule(&parse_rule(TWO_KEY).unwrap(), &cat, &base).unwrap();
+                assert_eq!(plan.nodes.len(), 1);
+                assert_eq!(plan.nodes[0].attrs[0], "x", "{space}: x is the outer loop");
+            }
+            let serial = answer(&cat, &base);
+            assert!(serial.len() > 100, "{space}: {} groups", serial.len());
+            for threads in [1usize, 2, 4] {
+                for scheduler in [Scheduler::Morsel, Scheduler::Static] {
+                    for morsel in [1usize, 0] {
+                        let cfg = base
+                            .with_threads(threads)
+                            .with_scheduler(scheduler)
+                            .with_morsel(morsel);
+                        assert!(
+                            answer(&cat, &cfg) == serial,
+                            "{space} ids, x{threads} {scheduler:?} morsel={morsel}\nunder {base:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -242,7 +242,7 @@ proptest! {
             "S(x) :- E(x,y).",                     // projection + dedup
             "C(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.",   // scalar agg
             "D(x;w:long) :- E(x,y); w=<<COUNT(*)>>.",         // 1-key agg
-            "P(x,z;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.", // 2-key (packed u64) agg
+            "P(x,z;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.", // 2-key (sorted rows) agg
         ] {
             let rule = parse_rule(q).unwrap();
             for cfg in all_configs() {

@@ -8,8 +8,8 @@
 //! seek), one- and two-column and empty interfaces, a root with two
 //! children, a child of a child, join variables projected away, head
 //! variables in another order than the attribute order, nodes shared
-//! through the equivalence shortcut, and aggregate subtrees the bottom-up
-//! pass already folded — and
+//! through the equivalence shortcut, aggregate subtrees the bottom-up
+//! pass already folded, and group-bys of up to four keys — and
 //! `the_fixture_reaches_every_shape_of_the_pass` checks that it does
 //! rather than assuming the planner cooperates.
 //!
@@ -28,7 +28,9 @@
 //! buffers are identical column for column, never when one is the other's
 //! transpose or keeps different columns.
 
-use emptyheaded::exec::{compile_rule, execute, Catalog, Config, MemCatalog, Relation};
+use emptyheaded::exec::{
+    compile_rule, execute, plan_sink_kinds, Catalog, Config, MemCatalog, Relation, SinkKind,
+};
 use emptyheaded::query::ast::{AggOp as QueryAggOp, Expr, Term};
 use emptyheaded::query::{parse_rule, Rule};
 use emptyheaded::semiring::{AggOp, DynValue};
@@ -152,6 +154,12 @@ const QUERIES: &[&str] = &[
     "KS(x,z;w:float) :- W(x,y),V(y,z); w=<<SUM(y)>>.",
     "K3(x,u;w:long) :- E(x,y),F(y,z),G(z,u); w=<<COUNT(*)>>.",
     "K3s(x,u;w:float) :- W(x,y),V(y,z),G(z,u); w=<<SUM(y)>>.",
+    // Three and four keys: wider than the packed sort, so the sink's rows
+    // (one node under no_ghd) and finalize's fold take the permutation sort.
+    "G3(x,y,u;w:long) :- E(x,y),F(y,z),G(z,u); w=<<COUNT(*)>>.",
+    "G3s(x,y,u;w:float) :- W(x,y),V(y,z),G(z,u); w=<<SUM(y)>>.",
+    "G4(x,y,z,u;w:long) :- E(x,y),F(y,z),G(z,u),H(u,v); w=<<COUNT(*)>>.",
+    "G4s(x,y,z,u;w:float) :- W(x,y),V(y,z),G(z,u),H(u,v); w=<<SUM(y)>>.",
     // ... with a third node that binds no key: the bottom-up pass folds
     // it into its parent, and the top-down pass must not fold it again.
     "KF(x,z;w:long) :- E(x,y),F(y,z),G(z,u); w=<<COUNT(*)>>.",
@@ -414,9 +422,15 @@ fn the_fixture_reaches_every_shape_of_the_pass() {
     let cat = catalog(id);
     let (mut leads, mut restarts, mut two_children, mut grandchild) = (0, 0, 0, 0);
     let (mut wide_key, mut empty_key, mut shared, mut folded) = (0, 0, 0, 0);
-    let mut reordered = 0;
+    let (mut reordered, mut wide_sink) = (0, 0);
     for query in QUERIES {
         let rule = rule_for(query, id);
+        let single = compile_rule(&rule, &cat, &Config::no_ghd()).unwrap();
+        wide_sink += plan_sink_kinds(&single, &cat)
+            .iter()
+            .zip(&single.nodes)
+            .filter(|(kind, node)| **kind == SinkKind::Sorted && node.output_attrs.len() >= 3)
+            .count();
         let plan = compile_rule(&rule, &cat, &Config::default()).unwrap();
         assert!(!plan.skip_top_down, "{query} must run the pass");
         assert!(plan.nodes.len() > 1, "{query}");
@@ -465,6 +479,7 @@ fn the_fixture_reaches_every_shape_of_the_pass() {
         ),
         ("a shared node result", shared),
         ("an already folded aggregate child", folded),
+        ("a sorted sink of three or more keys (no_ghd)", wide_sink),
     ] {
         assert!(hits > 0, "no query of the fixture has {shape}");
     }

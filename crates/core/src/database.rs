@@ -442,9 +442,15 @@ impl Database {
     /// When execution fails (e.g. a body relation does not exist yet),
     /// only the structural rendering is returned, exactly as before.
     pub fn explain(&self, text: &str) -> Result<String, CoreError> {
+        self.explain_with(text, &self.config)
+    }
+
+    /// [`Database::explain`], executing under `cfg` (threads, scheduler,
+    /// morsel size) instead of the database's own configuration.
+    pub fn explain_with(&self, text: &str, cfg: &Config) -> Result<String, CoreError> {
         let prepared = self.prepare(text)?;
         let mut out = prepared.plan().render();
-        let cfg = self.config.with_profile(true);
+        let cfg = cfg.with_profile(true);
         if let Ok(result) = prepared.execute_with(self, &cfg) {
             if let Some(profile) = result.profile() {
                 out.push_str(&profile.render());

@@ -22,8 +22,7 @@ pub mod result;
 
 pub use database::{CoreError, Database, Prepared};
 pub use eh_exec::{
-    profile_to_span, Config, LevelProfile, NodeProfile, QueryProfile, Relation, Scheduler, Span,
-    Trace, TraceId, TupleBuffer, WorkCounters, WorkerProfile,
+    Config, QueryProfile, Relation, Scheduler, Span, Trace, TraceId, TupleBuffer, WorkCounters,
 };
 pub use eh_graph::Graph;
 pub use eh_storage::{

@@ -28,6 +28,12 @@ impl QueryResult {
         self.profile.as_ref()
     }
 
+    /// Move the execution profile out, leaving `None` — for a caller that
+    /// ships the span tree on rather than reading it.
+    pub fn take_profile(&mut self) -> Option<QueryProfile> {
+        self.profile.take()
+    }
+
     /// Level-0 values of the root node this execution owned — under
     /// `Config::shard`, the size of the shard's slice (a cluster
     /// coordinator's estimated-share signal for skew diagnosis).

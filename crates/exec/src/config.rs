@@ -46,11 +46,13 @@ pub struct Config {
     /// Force naive recursion even for monotone aggregates (ablation; the
     /// engine normally picks seminaive for MIN/MAX, paper §3.3.2).
     pub force_naive_recursion: bool,
-    /// Collect a [`eh_obs::QueryProfile`] while executing: per-level span
-    /// timings, per-worker morsel balance, and the hot-path work counters
-    /// (values scanned, kernel dispatches, count-fast hits). Off by
-    /// default — the recursion then skips every profiling bump. Results
-    /// are byte-identical either way.
+    /// Collect a [`eh_obs::QueryProfile`] while executing: the span tree
+    /// the executor records as it runs (per-node and per-level timings,
+    /// one `thread k` span per parallel worker with its busy time and
+    /// morsel balance) and the hot-path work counters (values scanned,
+    /// kernel dispatches, count-fast hits). Off by default — the
+    /// recursion then skips every profiling bump and no clock is read.
+    /// Results are byte-identical either way.
     pub profile: bool,
     /// Distributed execution shard, `Some((index, count))`: restrict the
     /// root GHD node's level-0 value range to the `index`-th of `count`

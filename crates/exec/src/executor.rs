@@ -17,7 +17,7 @@ use crate::plan::{PhysicalPlan, PlanNode};
 use crate::program::{GjContext, JoinProgram};
 use crate::sink::Sink;
 use crate::storage::{Catalog, Relation};
-use eh_obs::{LevelProfile, NodeProfile, QueryProfile, WorkCounters};
+use eh_obs::{QueryProfile, Span, WorkCounters};
 use eh_query::Rule;
 use eh_semiring::{with_carrier, AggOp, Carrier, DynValue};
 use eh_trie::TupleBuffer;
@@ -87,9 +87,10 @@ pub struct Executed {
     /// ran the serial recursion (which never materialises the range).
     pub level0: u64,
     /// `Some` when [`Config::profile`] is on: the planner's estimated
-    /// intersection work next to the observed counters, per-node span
-    /// timings and worker balance. Rows and annotations are
-    /// byte-identical either way — profiling only observes.
+    /// intersection work next to the observed counters and the span tree
+    /// (per-node and per-level timings, per-worker balance). Rows and
+    /// annotations are byte-identical either way — profiling only
+    /// observes.
     pub profile: Option<QueryProfile>,
 }
 
@@ -132,7 +133,8 @@ pub fn execute(
     catalog: &dyn Catalog,
     cfg: &Config,
 ) -> Result<Executed, ExecError> {
-    let started = cfg.profile.then(Instant::now);
+    // Profiling: the query's start, the origin of every span offset.
+    let origin = cfg.profile.then(Instant::now);
     let mut profile = cfg.profile.then(|| QueryProfile {
         estimated_work: plan.estimated_cost,
         ..QueryProfile::default()
@@ -179,7 +181,7 @@ pub fn execute(
             &results,
             is_agg,
             op,
-            profile.as_mut(),
+            profile.as_mut().zip(origin),
             shard,
             is_root.then_some(&mut level0),
         )?;
@@ -188,7 +190,7 @@ pub fn execute(
     // Top-down pass (Yannakakis): assemble full tuples unless skippable —
     // then the root's buffer is the answer and moves out (copied only if
     // an equivalent node still shares it).
-    let top_down_started = cfg.profile.then(Instant::now);
+    let top_down_started = origin.map(|_| Instant::now());
     let (attrs, tuples) = if plan.skip_top_down {
         let root = results[root_id].take().expect("the root node ran");
         drop(results);
@@ -199,15 +201,23 @@ pub fn execute(
         drop(results);
         assembled
     };
-    let finalize_started = cfg.profile.then(Instant::now);
+    let finalize_started = origin.map(|_| Instant::now());
     let relation = crate::sink::finalize(plan, &attrs, tuples, catalog, is_agg, op)?;
-    if let (Some(p), Some(t0), Some(t1)) = (&mut profile, top_down_started, finalize_started) {
-        p.top_down_ns = (t1 - t0).as_nanos() as u64;
-        p.finalize_ns = t1.elapsed().as_nanos() as u64;
-    }
-    if let (Some(p), Some(t)) = (&mut profile, started) {
-        p.total_ns = t.elapsed().as_nanos() as u64;
-        p.rows = relation.rows().len() as u64;
+    if let (Some(p), Some(origin), Some(t0), Some(t1)) =
+        (&mut profile, origin, top_down_started, finalize_started)
+    {
+        let ended = Instant::now();
+        let mut root = Span::timed("query", origin, origin, ended)
+            .with_value("rows", relation.rows().len() as u64)
+            .with_value("observed_work", p.observed_work());
+        if let Some(est) = p.estimated_work {
+            root = root.with_value("estimated_work", est.round() as u64);
+        }
+        root.children = std::mem::take(&mut p.root.children);
+        let phases = [("top-down", t0, t1), ("finalize", t1, ended)];
+        root.children
+            .extend(phases.map(|(name, a, b)| Span::timed(name, origin, a, b)));
+        p.root = root;
     }
     Ok(Executed {
         relation,
@@ -227,11 +237,12 @@ fn run_node(
     results: &[Option<NodeResult>],
     is_agg: bool,
     op: AggOp,
-    profile: Option<&mut QueryProfile>,
+    profile: Option<(&mut QueryProfile, Instant)>,
     shard: Option<(u32, u32)>,
     level0_out: Option<&mut u64>,
 ) -> Result<NodeResult, ExecError> {
-    let node_started = profile.as_ref().map(|_| Instant::now());
+    // Profiling: the query's origin and this node's start.
+    let mut profile = profile.map(|(p, origin)| (p, origin, Instant::now()));
     let build = crate::program::build_node(node, plan, catalog, cfg, results, is_agg, op)?;
     let program = JoinProgram::compile(
         node.attrs.len(),
@@ -246,7 +257,8 @@ fn run_node(
         node.output_attrs.len(),
         op,
     );
-    let mut node_profile = NodeProfile::default();
+    let mut sink_merge_ns = 0;
+    let mut children = Vec::new();
     // A node is level-0-splittable when there is an outer loop to slice:
     // more than one attribute and at least one atom participating at
     // level 0. Non-splittable sharded nodes degrade gracefully — shard 0
@@ -256,6 +268,7 @@ fn run_node(
     let run_here = !build.empty && (shard.is_none() || splittable || shard.unwrap().0 == 0);
     if run_here {
         let mut ctx = GjContext::new(&build.atoms, &program, cfg);
+        ctx.origin = profile.as_ref().map(|&(_, origin, _)| origin);
         // The one place the runtime operator becomes a type: everything
         // below runs monomorphised over the node's carrier.
         with_carrier!(op, K => run_join::<K>(
@@ -267,17 +280,22 @@ fn run_node(
             splittable,
             level0_out,
         ));
-        if profile.is_some() {
-            node_profile = fold_node_profile(&mut ctx, &program);
+        if let Some((p, origin, node_started)) = &mut profile {
+            let start = node_started.saturating_duration_since(*origin);
+            children = node_children(&mut ctx, &program, &mut p.work, start.as_nanos() as u64);
+            sink_merge_ns = ctx.sink_merge_ns;
         }
     }
     let tuples = sink.into_node_tuples(op);
-    if let Some(p) = profile {
-        node_profile.rows = tuples.len() as u64;
-        if let Some(t) = node_started {
-            node_profile.ns = t.elapsed().as_nanos() as u64;
+    if let Some((p, origin, node_started)) = profile {
+        let name = format!("node {}", p.root.children.len());
+        let mut span = Span::timed(name, origin, node_started, Instant::now())
+            .with_value("rows", tuples.len() as u64);
+        if sink_merge_ns > 0 {
+            span.values.push(("sink_merge_ns".into(), sink_merge_ns));
         }
-        p.push_node(node_profile);
+        span.children = children;
+        p.root.children.push(span);
     }
     Ok(NodeResult {
         attrs: node.output_attrs.clone(),
@@ -322,11 +340,10 @@ fn run_join<K: Carrier>(
     // computes the identical merged list from its full local inputs, so
     // the contiguous index slice `[len*k/n, len*(k+1)/n)` partitions the
     // range exactly with no coordination beyond the two shard integers.
-    let level0_started = if cfg.profile {
-        crate::gj::sample_clock(ctx, 0)
-    } else {
-        None
-    };
+    let level0_started = cfg
+        .profile
+        .then(|| crate::gj::sample_clock(ctx, 0))
+        .flatten();
     let mut merged = std::mem::take(&mut ctx.scratch[0]);
     crate::gj::fill_level(program, 0, &ctx.atoms, cfg, &mut ctx.mw, &mut merged);
     let range = match shard {
@@ -351,20 +368,28 @@ fn run_join<K: Carrier>(
     ctx.scratch[0] = merged;
 }
 
-/// Drain a finished context's profiling state into one [`NodeProfile`]:
-/// the per-cell work counters fold into one block, kernel-dispatch stats
-/// come from the multiway scratch (calls, not per-atom participations),
-/// and per-level spans / worker balance transfer verbatim.
-fn fold_node_profile(ctx: &mut GjContext<'_>, program: &JoinProgram) -> NodeProfile {
+/// Drain a finished context's profiling state: fold its kernel-dispatch
+/// stats and count-fast hits into `work`, and return the node span's
+/// children — one `level k` span per level that recorded anything (all
+/// starting at the node's offset `start`: levels interleave inside the
+/// recursion, so their times are totals, not disjoint intervals), then
+/// the workers' `thread k` spans.
+fn node_children(
+    ctx: &mut GjContext<'_>,
+    program: &JoinProgram,
+    work: &mut WorkCounters,
+    start: u64,
+) -> Vec<Span> {
     let kernels = ctx.mw.stats.take();
     // The innermost count fast path keeps no per-call tick (see `gj`):
     // reconstruct its exact call count from the kernel-dispatch stats.
     // Every n≥2 multiway call bumps `kernels.intersections` exactly once,
     // and every other level's calls are ticked exactly, so the innermost
-    // count is the difference.
+    // count is the difference. Each call is one hit per participant.
     if program.count_fast && program.attrs_len > 0 {
         let last = program.attrs_len - 1;
-        if program.levels[last].steps.len() >= 2 {
+        let steps = program.levels[last].steps.len();
+        if steps >= 2 {
             let outer = program
                 .levels
                 .iter()
@@ -379,69 +404,45 @@ fn fold_node_profile(ctx: &mut GjContext<'_>, program: &JoinProgram) -> NodeProf
             let samples = ctx.level_prof[last].samples;
             ctx.level_prof[last].ticks = samples.saturating_mul(crate::gj::CLOCK_SAMPLE_MASK + 1);
         }
+        let hits = ctx.level_prof[last].ticks.wrapping_mul(steps as u64);
+        work.count_fast_hits = work.count_fast_hits.wrapping_add(hits);
     }
-    // Reconstruct the per-(atom,depth) participation counts from the
-    // per-level invocation ticks: every profiled call at `level` consults
-    // exactly the static `program.levels[level].steps`, so the hot loop
-    // only ticks one per-level counter and the cells are written here,
-    // once per node, instead of per intersection.
-    for (level, lp) in program.levels.iter().enumerate() {
-        let calls = ctx.level_prof[level].ticks;
-        if calls == 0 {
-            continue;
-        }
-        let innermost_count = program.count_fast && level + 1 == program.attrs_len;
-        for st in &lp.steps {
-            let cell = &mut ctx.work[st.atom][st.depth];
-            cell.intersections = cell.intersections.wrapping_add(calls);
-            if innermost_count {
-                cell.count_fast_hits = cell.count_fast_hits.wrapping_add(calls);
-            }
-        }
-    }
-    let mut work = WorkCounters::default();
-    for cells in &ctx.work {
-        for c in cells {
-            work.count_fast_hits = work.count_fast_hits.wrapping_add(c.count_fast_hits);
-        }
-    }
-    work.values_scanned = kernels.values_scanned;
-    work.intersections = kernels.intersections;
-    work.merge_kernels = kernels.merge_kernels;
-    work.gallop_kernels = kernels.gallop_kernels;
-    work.bitset_kernels = kernels.bitset_kernels;
-    NodeProfile {
-        ns: 0,
-        rows: 0,
-        sink_merge_ns: ctx.sink_merge_ns,
-        work,
-        levels: ctx
-            .level_prof
-            .iter()
-            .map(|lt| {
-                // `ns` and `values` accumulated only over the sampled
-                // calls (see `sample_clock`); scale back up by the exact
-                // tick/sample ratio to estimate the full level.
-                let scale = |x: u64| {
-                    if lt.samples > 0 {
-                        (x as u128 * lt.ticks as u128 / lt.samples as u128) as u64
-                    } else {
-                        x
-                    }
-                };
-                LevelProfile {
-                    ns: scale(lt.ns),
-                    values: scale(lt.values),
+    work.merge(&WorkCounters {
+        values_scanned: kernels.values_scanned,
+        intersections: kernels.intersections,
+        merge_kernels: kernels.merge_kernels,
+        gallop_kernels: kernels.gallop_kernels,
+        bitset_kernels: kernels.bitset_kernels,
+        ..WorkCounters::default()
+    });
+    let mut children: Vec<Span> = ctx
+        .level_prof
+        .iter()
+        .enumerate()
+        .filter_map(|(k, lt)| {
+            // `ns` and `values` accumulated only over the sampled calls
+            // (see `sample_clock`); scale back up by the exact
+            // tick/sample ratio to estimate the full level.
+            let scale = |x: u64| {
+                if lt.samples > 0 {
+                    (x as u128 * lt.ticks as u128 / lt.samples as u128) as u64
+                } else {
+                    x
                 }
-            })
-            .collect(),
-        workers: std::mem::take(&mut ctx.worker_profiles),
-    }
+            };
+            let (ns, values) = (scale(lt.ns), scale(lt.values));
+            (ns > 0 || values > 0)
+                .then(|| Span::new(format!("level {k}"), start, ns).with_value("values", values))
+        })
+        .collect();
+    children.append(&mut ctx.threads);
+    children
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Scheduler;
     use crate::storage::MemCatalog;
     use eh_query::parse_rule;
 
@@ -681,41 +682,135 @@ mod tests {
         let p = profiled.profile.expect("profile requested");
         assert!(p.observed_work() > 0, "values were scanned: {p:?}");
         assert!(p.work.count_fast_hits > 0, "innermost count path profiled");
-        assert!(!p.nodes.is_empty());
-        // Parallel runs record worker balance and the same totals shape.
+        assert_eq!(p.root.value("observed_work"), Some(p.observed_work()));
+        // Parallel runs observe the same totals.
         let cfg = Config::default().with_profile(true).with_threads(4);
         let par = execute_rule(&rule, &cat, &cfg).unwrap();
         assert_eq!(plain.scalar(), par.relation.scalar());
-        let pp = par.profile.unwrap();
-        assert!(pp.observed_work() > 0);
-        assert!(
-            pp.nodes.iter().any(|n| !n.workers.is_empty()),
-            "worker profiles recorded: {pp:?}"
-        );
+        assert_eq!(par.profile.unwrap().work, p.work);
     }
 
-    #[test]
-    fn profile_spans_cover_the_whole_execution() {
-        // A 2-path listing spends most of its time after the join; the
-        // profile must say where. Big enough (20 000 edges) that the
-        // untimed glue between the spans is noise.
+    /// 20 000 edges: big enough that the untimed glue between the spans
+    /// is noise, and that every node has a level-0 range to split.
+    fn listing_catalog() -> MemCatalog {
         let rows: Vec<[u32; 2]> = (0..20_000u32)
             .map(|i| [i % 1_999, i.wrapping_mul(2_654_435_761) % 1_999])
             .collect();
         let mut cat = MemCatalog::new();
         cat.insert("E", Relation::from_rows(2, rows));
+        cat
+    }
+
+    fn keys(span: &Span) -> Vec<&str> {
+        span.values.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
+    fn names(spans: &[Span]) -> Vec<&str> {
+        spans.iter().map(|s| s.name.as_str()).collect()
+    }
+
+    fn end(span: &Span) -> u64 {
+        span.start_ns_rel + span.elapsed_ns
+    }
+
+    #[test]
+    fn profile_span_tree_skeleton() {
+        // A 2-path listing spends most of its time after the join; the
+        // tree must say where, in disjoint intervals measured from the
+        // query's start.
+        let cat = listing_catalog();
         let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
         let cfg = Config::default().with_profile(true);
-        let p = execute_rule(&rule, &cat, &cfg).unwrap().profile.unwrap();
-        assert_eq!(p.nodes.len(), 2);
-        assert!(p.top_down_ns > 0 && p.finalize_ns > 0, "{p:?}");
-        let spans = p.nodes.iter().map(|n| n.ns).sum::<u64>() + p.top_down_ns + p.finalize_ns;
-        assert!(spans <= p.total_ns, "{spans} of {}", p.total_ns);
-        assert!(spans * 10 >= p.total_ns * 9, "{spans} of {}", p.total_ns);
+        let run = execute_rule(&rule, &cat, &cfg).unwrap();
+        let p = run.profile.unwrap();
+        let root = &p.root;
+        assert_eq!((root.name.as_str(), root.start_ns_rel), ("query", 0));
+        assert!(
+            p.estimated_work.is_some(),
+            "catalog stats make the order cost-based"
+        );
+        assert_eq!(keys(root), ["rows", "observed_work", "estimated_work"]);
+        assert_eq!(root.value("rows"), Some(run.relation.rows().len() as u64));
+        assert_eq!(
+            names(&root.children),
+            ["node 0", "node 1", "top-down", "finalize"]
+        );
+        for node in &root.children[..2] {
+            assert_eq!(keys(node), ["rows"], "{node:?}");
+            assert!(!node.children.is_empty(), "{node:?}");
+            for (k, level) in node.children.iter().enumerate() {
+                assert_eq!(level.name, format!("level {k}"), "{node:?}");
+                assert_eq!(keys(level), ["values"]);
+                assert_eq!(level.start_ns_rel, node.start_ns_rel);
+            }
+        }
+        for phase in &root.children[2..] {
+            assert!(phase.values.is_empty() && phase.children.is_empty());
+        }
+        for pair in root.children.windows(2) {
+            assert!(end(&pair[0]) <= pair[1].start_ns_rel, "{pair:?}");
+        }
+        assert!(end(&root.children[3]) <= root.elapsed_ns, "{root:?}");
+        let covered: u64 = root.children.iter().map(|c| c.elapsed_ns).sum();
+        assert!(covered <= root.elapsed_ns, "{covered} of {root:?}");
+        assert!(covered * 10 >= root.elapsed_ns * 9, "{covered} of {root:?}");
+        assert!(root.children[2].elapsed_ns > 0 && root.children[3].elapsed_ns > 0);
         // A plan that skips the pass reports no time in it.
         let count = parse_rule("C(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.").unwrap();
-        let p = execute_rule(&count, &cat, &cfg).unwrap().profile.unwrap();
-        assert!(p.top_down_ns < p.total_ns / 10, "{p:?}");
+        let root = execute_rule(&count, &cat, &cfg)
+            .unwrap()
+            .profile
+            .unwrap()
+            .root;
+        assert_eq!(root.children[root.children.len() - 2].name, "top-down");
+        assert!(root.children[root.children.len() - 2].elapsed_ns < root.elapsed_ns / 10);
+    }
+
+    #[test]
+    fn parallel_nodes_carry_one_thread_span_per_worker() {
+        let cat = listing_catalog();
+        let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
+        for scheduler in [Scheduler::Morsel, Scheduler::Static] {
+            let cfg = Config::default()
+                .with_profile(true)
+                .with_threads(4)
+                .with_scheduler(scheduler);
+            let run = execute_rule(&rule, &cat, &cfg).unwrap();
+            let root = run.profile.unwrap().root;
+            assert_eq!(names(&root.children[..2]), ["node 0", "node 1"]);
+            for node in &root.children[..2] {
+                assert!(node.value("workers").is_none(), "{node:?}");
+                let threads: Vec<&Span> = node
+                    .children
+                    .iter()
+                    .filter(|c| c.name.starts_with("thread "))
+                    .collect();
+                match scheduler {
+                    Scheduler::Morsel => assert_eq!(threads.len(), 4, "{node:?}"),
+                    Scheduler::Static => assert!((1..=4).contains(&threads.len()), "{node:?}"),
+                }
+                for (k, t) in threads.iter().enumerate() {
+                    assert_eq!(t.name, format!("thread {k}"));
+                    assert_eq!(keys(t), ["morsels", "values"]);
+                    assert!(t.start_ns_rel >= node.start_ns_rel && end(t) <= end(node));
+                }
+                if node.name == "node 1" {
+                    // The root node's workers split exactly its range.
+                    let values: u64 = threads.iter().filter_map(|t| t.value("values")).sum();
+                    assert!(run.level0 > 0);
+                    assert_eq!(values, run.level0, "{scheduler:?}");
+                }
+            }
+        }
+        // A serial run has no worker lanes.
+        let cfg = Config::default().with_profile(true);
+        let root = execute_rule(&rule, &cat, &cfg)
+            .unwrap()
+            .profile
+            .unwrap()
+            .root;
+        let rendered = root.render();
+        assert!(!rendered.contains("thread "), "{rendered}");
     }
 
     #[test]

@@ -47,10 +47,7 @@ pub use storage::{Catalog, CatalogStats, ColumnExtent, MemCatalog, Relation};
 
 // Profiling vocabulary, re-exported so executor callers can consume
 // query profiles without depending on `eh_obs` directly.
-pub use eh_obs::{
-    profile_to_span, LevelProfile, NodeProfile, QueryProfile, Span, Trace, TraceId, WorkCounters,
-    WorkerProfile,
-};
+pub use eh_obs::{QueryProfile, Span, Trace, TraceId, WorkCounters};
 
 // The engine's flat columnar tuple format, re-exported for callers that
 // construct relations directly.

@@ -31,7 +31,7 @@ use crate::config::Scheduler;
 use crate::gj::{child_sample, step_value};
 use crate::program::{GjContext, JoinProgram};
 use crate::sink::Sink;
-use eh_obs::WorkerProfile;
+use eh_obs::Span;
 use eh_semiring::Carrier;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,7 +43,7 @@ use std::time::Instant;
 /// [`step_value`] binds by); `range` is this process's slice of it.
 /// `ctx` is the post-prologue context the workers fork from; its cursors
 /// are not advanced, but each worker's profiling tally is merged back
-/// into it.
+/// into it and, when profiling, each worker's `thread k` span appended.
 pub(crate) fn run<K: Carrier>(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
@@ -58,15 +58,16 @@ pub(crate) fn run<K: Carrier>(
     let locals: Vec<Sink> = match ctx.cfg.scheduler {
         Scheduler::Morsel => {
             let morsel = ctx.cfg.effective_morsel(range.len(), threads);
-            let profiling = ctx.cfg.profile;
             let cursor = AtomicUsize::new(range.start);
             let mut workers: Vec<GjContext<'_>> = (0..threads).map(|_| ctx.fork()).collect();
             let mut chunks = std::thread::scope(|scope| {
                 let handles: Vec<_> = workers
                     .drain(..)
-                    .map(|mut local| {
+                    .enumerate()
+                    .map(|(k, mut local)| {
                         let cursor = &cursor;
                         scope.spawn(move || {
+                            let clock = local.origin.map(|origin| (origin, Instant::now()));
                             // One sink per claimed chunk, tagged with its
                             // range start: merging in range order below
                             // makes the ⊕ fold order independent of which
@@ -96,20 +97,16 @@ pub(crate) fn run<K: Carrier>(
                                 }
                                 claimed.push((start, chunk_sink));
                             }
-                            (claimed, local.take_tally(), seen)
+                            let thread = thread_span(k, clock, claimed.len(), seen);
+                            (claimed, local.take_tally(), thread)
                         })
                     })
                     .collect();
                 let mut chunks = Vec::new();
                 for h in handles {
-                    let (claimed, tally, seen) = h.join().expect("worker thread panicked");
+                    let (claimed, tally, thread) = h.join().expect("worker thread panicked");
                     ctx.merge_tally(&tally);
-                    if profiling {
-                        ctx.worker_profiles.push(WorkerProfile {
-                            morsels: claimed.len() as u64,
-                            values: seen,
-                        });
-                    }
+                    ctx.threads.extend(thread);
                     chunks.extend(claimed);
                 }
                 chunks
@@ -124,10 +121,12 @@ pub(crate) fn run<K: Carrier>(
                 let handles: Vec<_> = range
                     .clone()
                     .step_by(chunk)
-                    .map(|start| {
+                    .enumerate()
+                    .map(|(k, start)| {
                         let end = (start + chunk).min(range.end);
                         let mut local = ctx_ref.fork();
                         scope.spawn(move || {
+                            let clock = local.origin.map(|origin| (origin, Instant::now()));
                             let mut local_sink = shape.chunk(program.op);
                             for idx in start..end {
                                 let v = candidates[idx];
@@ -142,44 +141,54 @@ pub(crate) fn run<K: Carrier>(
                                     child_sample(v, idx),
                                 );
                             }
-                            (local_sink, local.take_tally(), (end - start) as u64)
+                            // Static partitioning: one contiguous chunk per
+                            // worker.
+                            let seen = (end - start) as u64;
+                            let thread = thread_span(k, clock, 1, seen);
+                            (local_sink, local.take_tally(), thread)
                         })
                     })
                     .collect();
                 let mut sinks = Vec::new();
                 let mut tallies = Vec::new();
                 for h in handles {
-                    let (s, t, seen) = h.join().expect("worker thread panicked");
+                    let (s, t, thread) = h.join().expect("worker thread panicked");
                     sinks.push(s);
-                    tallies.push((t, seen));
+                    tallies.push((t, thread));
                 }
                 (sinks, tallies)
             });
-            for (t, seen) in &tallies {
-                ctx.merge_tally(t);
-                if ctx.cfg.profile {
-                    // Static partitioning: one contiguous chunk per worker.
-                    ctx.worker_profiles.push(WorkerProfile {
-                        morsels: 1,
-                        values: *seen,
-                    });
-                }
+            for (t, thread) in tallies {
+                ctx.merge_tally(&t);
+                ctx.threads.extend(thread);
             }
             sinks
         }
     };
     // Merge per-thread sinks.
-    let merge_started = if ctx.cfg.profile {
-        Some(Instant::now())
-    } else {
-        None
-    };
+    let merge_started = ctx.cfg.profile.then(Instant::now);
     for local in locals {
         sink.merge::<K>(local);
     }
     if let Some(t) = merge_started {
         ctx.sink_merge_ns += t.elapsed().as_nanos() as u64;
     }
+}
+
+/// Worker `k`'s span when profiling (`clock` holds the query's start and
+/// the worker's): its busy time, the morsels it claimed and the level-0
+/// values it processed.
+fn thread_span(
+    k: usize,
+    clock: Option<(Instant, Instant)>,
+    morsels: usize,
+    seen: u64,
+) -> Option<Span> {
+    clock.map(|(origin, started)| {
+        Span::timed(format!("thread {k}"), origin, started, Instant::now())
+            .with_value("morsels", morsels as u64)
+            .with_value("values", seen)
+    })
 }
 
 #[cfg(test)]

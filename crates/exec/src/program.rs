@@ -21,11 +21,12 @@ use crate::config::Config;
 use crate::executor::{ExecError, NodeResult};
 use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::storage::{Catalog, Relation};
-use eh_obs::{WorkCounters, WorkerProfile};
+use eh_obs::Span;
 use eh_semiring::{AggOp, DynValue};
 use eh_set::{KernelStats, MultiwayScratch};
 use eh_trie::{NodeId, Trie, TrieNode, TupleBuffer};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A reusable per-level set-value scratch buffer (not a tuple table —
 /// one flat run of candidate values per Generic-Join level).
@@ -267,35 +268,33 @@ pub(crate) struct GjContext<'a> {
     /// Reusable multiway-intersection intermediates (shared across levels:
     /// only live while one level's merge or count is being computed).
     pub(crate) mw: MultiwayScratch,
-    /// Profiling work counters, `work[atom][stack depth]`, preallocated
-    /// so the recursion only bumps fields (only when [`Config::profile`]
-    /// is on).
-    pub(crate) work: Vec<Vec<WorkCounters>>,
     /// Profiling: one [`LevelTally`] per attribute level, consolidated so
     /// the hot path's per-call tick costs one bounds check on one cache
     /// line (see [`crate::gj::sample_clock`]).
     pub(crate) level_prof: Vec<LevelTally>,
     /// Profiling: time spent folding per-worker sinks (parallel only).
     pub(crate) sink_merge_ns: u64,
-    /// Profiling: one entry per parallel worker (morsels claimed,
-    /// level-0 values processed).
-    pub(crate) worker_profiles: Vec<WorkerProfile>,
+    /// Profiling: the query's start, which every span offset counts
+    /// from (`None` when [`Config::profile`] is off).
+    pub(crate) origin: Option<Instant>,
+    /// Profiling: one `thread k` span per parallel worker (busy time,
+    /// morsels claimed, level-0 values processed).
+    pub(crate) threads: Vec<Span>,
     /// Engine configuration (intersection kernels, scheduler knobs).
     pub(crate) cfg: &'a Config,
 }
 
 /// Profiling state a parallel worker hands back to the parent context:
-/// its work counters, level timings, and kernel-dispatch stats, drained
-/// from the worker's forked context after its share of the join.
+/// its level timings and kernel-dispatch stats, drained from the
+/// worker's forked context after its share of the join.
 pub(crate) struct WorkerTally {
-    pub(crate) work: Vec<Vec<WorkCounters>>,
     pub(crate) level_prof: Vec<LevelTally>,
     pub(crate) kernels: KernelStats,
 }
 
 /// Per-level profiling accumulators. `ticks` counts every profiled
 /// merge/count call (exact — it is both the sampling trigger and the
-/// per-cell participation source); `samples`, `ns`, and `values` are
+/// count fast path's hit source); `samples`, `ns`, and `values` are
 /// recorded only on the sampled calls (1 in `CLOCK_SAMPLE_MASK + 1`),
 /// so readers scale them by `ticks / samples` (see
 /// [`crate::gj::sample_clock`]).
@@ -335,19 +334,15 @@ impl<'a> GjContext<'a> {
             .zip(&program.tries)
             .map(|(spec, trie)| AtomExec::new(spec, trie))
             .collect();
-        let work = atoms
-            .iter()
-            .map(|a| vec![WorkCounters::default(); a.stack.len()])
-            .collect();
         GjContext {
             atoms,
             bindings: vec![0; attrs_len],
             scratch: vec![ValueBuf::new(); attrs_len],
             mw: MultiwayScratch::new(),
-            work,
             level_prof: vec![LevelTally::default(); attrs_len],
             sink_merge_ns: 0,
-            worker_profiles: Vec::new(),
+            origin: None,
+            threads: Vec::new(),
             cfg,
         }
     }
@@ -361,14 +356,10 @@ impl<'a> GjContext<'a> {
             bindings: vec![0; self.bindings.len()],
             scratch: vec![ValueBuf::new(); self.scratch.len()],
             mw: MultiwayScratch::new(),
-            work: self
-                .atoms
-                .iter()
-                .map(|a| vec![WorkCounters::default(); a.stack.len()])
-                .collect(),
             level_prof: vec![LevelTally::default(); self.level_prof.len()],
             sink_merge_ns: 0,
-            worker_profiles: Vec::new(),
+            origin: self.origin,
+            threads: Vec::new(),
             cfg: self.cfg,
         }
     }
@@ -377,7 +368,6 @@ impl<'a> GjContext<'a> {
     /// (used by workers just before their contexts are dropped).
     pub(crate) fn take_tally(&mut self) -> WorkerTally {
         WorkerTally {
-            work: std::mem::take(&mut self.work),
             level_prof: std::mem::take(&mut self.level_prof),
             kernels: self.mw.stats.take(),
         }
@@ -386,11 +376,6 @@ impl<'a> GjContext<'a> {
     /// Fold a worker's tally back into this context. Plain wrapping adds
     /// throughout, so the fold order across workers doesn't matter.
     pub(crate) fn merge_tally(&mut self, tally: &WorkerTally) {
-        for (mine, theirs) in self.work.iter_mut().zip(&tally.work) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                m.merge(t);
-            }
-        }
         for (m, t) in self.level_prof.iter_mut().zip(&tally.level_prof) {
             m.merge(t);
         }

@@ -4,14 +4,16 @@
 //! set-intersection behavior; this crate makes that measurable instead of
 //! asserted. Three layers, all zero-dependency:
 //!
-//! * [`WorkCounters`] — fixed-size `u64` counter blocks the Generic-Join
-//!   recursion bumps per `(atom, depth)` with plain field increments (no
-//!   allocation, no atomics — blocks are per-worker and merged at join
-//!   end).
-//! * [`QueryProfile`] — what one query execution actually did: per-level
-//!   span timings, per-worker morsel balance, sink merge time, rows, and
-//!   the folded work counters, next to the planner's estimated cost so
-//!   misestimates become visible per query.
+//! * [`WorkCounters`] — one fixed-size `u64` counter block per query:
+//!   the kernel dispatcher charges its per-worker scratch with plain
+//!   field increments (no allocation, no atomics), and the executor folds
+//!   those, plus the count fast path's reconstructed call count, once per
+//!   node.
+//! * [`QueryProfile`] — what one query execution actually did: the
+//!   planner's estimated work and the folded counters next to the span
+//!   tree the executor records where it measures (per-node and per-level
+//!   timings, per-worker busy time and morsel balance, sink merge time,
+//!   rows), so misestimates become visible per query.
 //! * [`MetricsRegistry`] + [`LatencyHistogram`] — lock-free named atomic
 //!   counters and fixed log₂-bucketed latency histograms for long-running
 //!   services (the query server; the cluster coordinator keeps one
@@ -24,9 +26,7 @@
 
 pub mod trace;
 
-pub use trace::{
-    profile_to_span, SlowQueryEntry, SlowQueryLog, Span, Trace, TraceId, MAX_SPAN_DEPTH,
-};
+pub use trace::{SlowQueryEntry, SlowQueryLog, Span, Trace, TraceId, MAX_SPAN_DEPTH};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,14 +49,24 @@ pub fn bucket_floor(bucket: usize) -> u64 {
     }
 }
 
+/// Inclusive upper edge of a bucket (`0`, `1`, `3`, `7`, ...):
+/// `u64::MAX` for the top bucket and for any larger index, which a
+/// decoded `Stats` frame may carry.
+pub fn bucket_upper(bucket: usize) -> u64 {
+    match bucket {
+        0..=63 => (1u64 << bucket) - 1,
+        _ => u64::MAX,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Hot-path work counters
 // ---------------------------------------------------------------------------
 
-/// A fixed-size block of work counters owned per `(atom, depth)` by the
-/// join context (and folded per query in [`QueryProfile`]). Everything
-/// is a plain `u64` field bump — safe inside the `alloc-free` regions
-/// of the Generic-Join recursion and the set kernels.
+/// A fixed-size block of work counters, folded per node into
+/// [`QueryProfile::work`]. Everything is a plain `u64` field bump — safe
+/// inside the `alloc-free` regions of the Generic-Join recursion and the
+/// set kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Values fed into intersections (Σ participating set lengths) —
@@ -92,102 +102,30 @@ impl WorkCounters {
         self.count_fast_hits = self.count_fast_hits.wrapping_add(other.count_fast_hits);
         self.relayouts = self.relayouts.wrapping_add(other.relayouts);
     }
-
-    /// Total kernel dispatches across all three families.
-    pub fn total_kernels(&self) -> u64 {
-        self.merge_kernels
-            .wrapping_add(self.gallop_kernels)
-            .wrapping_add(self.bitset_kernels)
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_zero(&self) -> bool {
-        *self == WorkCounters::default()
-    }
 }
-
-/// Counter glossary: `(field, what it counts)` — one row per
-/// [`WorkCounters`] field, for docs and metric renderers.
-pub const WORK_COUNTER_GLOSSARY: &[(&str, &str)] = &[
-    (
-        "values_scanned",
-        "values fed into intersections (sum of participating set lengths)",
-    ),
-    ("intersections", "multiway intersection calls"),
-    (
-        "merge_kernels",
-        "two-pointer / SIMD-shuffle merge dispatches",
-    ),
-    ("gallop_kernels", "exponential-search probe dispatches"),
-    ("bitset_kernels", "bitset / block kernel dispatches"),
-    ("count_fast_hits", "innermost count-fast-path hits"),
-    (
-        "relayouts",
-        "always 0 (runtime re-layout is gone); removed in a benchmark-only follow-up",
-    ),
-];
 
 // ---------------------------------------------------------------------------
 // Query profiles
 // ---------------------------------------------------------------------------
 
-/// Span timing + candidate count for one attribute level of one node.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LevelProfile {
-    /// Nanoseconds spent merging this level's candidate values.
-    pub ns: u64,
-    /// Candidate values produced at this level (counted by the
-    /// count-fast path too, which never materializes them).
-    pub values: u64,
-}
-
-/// Per-worker morsel balance for one node's parallel run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerProfile {
-    /// Morsels (work chunks) this worker claimed.
-    pub morsels: u64,
-    /// Level-0 values this worker processed.
-    pub values: u64,
-}
-
-/// What one GHD node's join actually did.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NodeProfile {
-    /// Wall time for the node's whole join (build + recursion + merge).
-    pub ns: u64,
-    /// Tuples the node's sink produced.
-    pub rows: u64,
-    /// Time merging per-worker sinks (zero for serial runs).
-    pub sink_merge_ns: u64,
-    /// Folded work counters for the node (all atoms, all depths, plus
-    /// the kernel dispatch counts from the multiway scratch).
-    pub work: WorkCounters,
-    /// Per-attribute-level spans, in global attribute order.
-    pub levels: Vec<LevelProfile>,
-    /// One entry per worker (empty for serial runs).
-    pub workers: Vec<WorkerProfile>,
-}
-
-/// A query execution profile: assembled by the executor when
-/// `Config::profile` is on and attached to the query result.
+/// A query execution profile: recorded by the executor when
+/// `Config::profile` is on and attached to the query result. The span
+/// tree *is* the profile — `\trace`, the slow-query log and the wire
+/// carry `root` as it stands — and the two scalars beside it are what a
+/// reader compares without walking it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryProfile {
-    /// Wall time of the whole plan execution.
-    pub total_ns: u64,
-    /// Rows in the final result.
-    pub rows: u64,
     /// The planner's estimated intersection work, when the attribute
     /// order was cost-based (`None` for structural orders).
     pub estimated_work: Option<f64>,
     /// Work counters folded across every node.
     pub work: WorkCounters,
-    /// One entry per executed GHD node, bottom-up order.
-    pub nodes: Vec<NodeProfile>,
-    /// Wall time of the Yannakakis top-down pass (zero when the plan
-    /// skips it: every head variable already sits in the root).
-    pub top_down_ns: u64,
-    /// Wall time of the final projection, sort and duplicate fold.
-    pub finalize_ns: u64,
+    /// The `query` span (`rows`, `observed_work`, rounded
+    /// `estimated_work`): one `node i` child per executed GHD node in
+    /// bottom-up order (`rows`, `sink_merge_ns` when > 0; `level k` and,
+    /// for a parallel run, `thread k` children), then `top-down` and
+    /// `finalize`. Offsets count from the query's start.
+    pub root: Span,
 }
 
 impl QueryProfile {
@@ -198,16 +136,11 @@ impl QueryProfile {
         self.work.values_scanned
     }
 
-    /// Fold one node's profile into the query totals.
-    pub fn push_node(&mut self, node: NodeProfile) {
-        self.work.merge(&node.work);
-        self.nodes.push(node);
-    }
-
-    /// Render the estimated-vs-observed comparison plus per-node spans,
-    /// the `\explain` extension. One line per fact; stable prefixes so
-    /// smoke tests can grep.
+    /// Render the estimated-vs-observed comparison plus the span tree's
+    /// phases, the `\explain` extension. One line per fact; stable
+    /// prefixes so smoke tests can grep.
     pub fn render(&self) -> String {
+        let ms = |ns: u64| ns as f64 / 1e6;
         let mut out = String::new();
         match self.estimated_work {
             Some(est) => out.push_str(&format!(
@@ -225,43 +158,49 @@ impl QueryProfile {
              count-fast hits {}\n",
             w.intersections, w.merge_kernels, w.gallop_kernels, w.bitset_kernels, w.count_fast_hits
         ));
+        let value = |s: &Span, key: &str| s.value(key).unwrap_or(0);
         out.push_str(&format!(
             "profile: {} rows in {:.3} ms\n",
-            self.rows,
-            self.total_ns as f64 / 1e6
+            value(&self.root, "rows"),
+            ms(self.root.elapsed_ns)
         ));
-        for (i, n) in self.nodes.iter().enumerate() {
-            out.push_str(&format!(
-                "  node {i}: {:.3} ms, {} rows, sink merge {:.3} ms\n",
-                n.ns as f64 / 1e6,
-                n.rows,
-                n.sink_merge_ns as f64 / 1e6
-            ));
-            for (lvl, l) in n.levels.iter().enumerate() {
-                if l.values == 0 && l.ns == 0 {
-                    continue;
-                }
+        for phase in &self.root.children {
+            if !phase.name.starts_with("node ") {
                 out.push_str(&format!(
-                    "    level {lvl}: {} values, {:.3} ms\n",
-                    l.values,
-                    l.ns as f64 / 1e6
+                    "  {}: {:.3} ms\n",
+                    phase.name,
+                    ms(phase.elapsed_ns)
                 ));
+                continue;
             }
-            if !n.workers.is_empty() {
-                let morsels: Vec<String> =
-                    n.workers.iter().map(|w| w.morsels.to_string()).collect();
+            out.push_str(&format!(
+                "  {}: {:.3} ms, {} rows, sink merge {:.3} ms\n",
+                phase.name,
+                ms(phase.elapsed_ns),
+                value(phase, "rows"),
+                ms(value(phase, "sink_merge_ns"))
+            ));
+            let mut morsels = Vec::new();
+            for c in &phase.children {
+                if c.name.starts_with("thread ") {
+                    morsels.push(value(c, "morsels").to_string());
+                } else {
+                    out.push_str(&format!(
+                        "    {}: {} values, {:.3} ms\n",
+                        c.name,
+                        value(c, "values"),
+                        ms(c.elapsed_ns)
+                    ));
+                }
+            }
+            if !morsels.is_empty() {
                 out.push_str(&format!(
                     "    workers: {} (morsels {})\n",
-                    n.workers.len(),
+                    morsels.len(),
                     morsels.join("/")
                 ));
             }
         }
-        out.push_str(&format!(
-            "  top-down: {:.3} ms\n  finalize: {:.3} ms\n",
-            self.top_down_ns as f64 / 1e6,
-            self.finalize_ns as f64 / 1e6
-        ));
         out
     }
 }
@@ -363,8 +302,8 @@ impl HistogramSnapshot {
     }
 
     /// Upper-bound estimate of the `p`-th percentile (`0.0..=1.0`): the
-    /// floor of the first bucket whose cumulative count reaches
-    /// `p * count`, doubled (bucket upper edge). Coarse by design —
+    /// [`bucket_upper`] edge of the first bucket whose cumulative count
+    /// reaches `p * count`. Coarse by design —
     /// log₂ buckets trade precision for a fixed, lock-free footprint.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
@@ -373,9 +312,10 @@ impl HistogramSnapshot {
         let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
         let mut cum = 0u64;
         for (i, &b) in self.buckets.iter().enumerate() {
-            cum += b;
+            // Decoded bucket counts need not sum to `count`.
+            cum = cum.saturating_add(b);
             if cum >= target.max(1) {
-                return bucket_floor(i + 1).max(1) - 1;
+                return bucket_upper(i);
             }
         }
         u64::MAX
@@ -513,7 +453,7 @@ impl MetricsSnapshot {
             prometheus_line(&mut out, prefix, &format!("{base}_count{labels}"), h.count);
             prometheus_line(&mut out, prefix, &format!("{base}_sum{labels}"), h.sum);
             for (bucket, c) in h.nonzero() {
-                let le = bucket_floor(bucket + 1).max(1) - 1;
+                let le = bucket_upper(bucket);
                 let sep = if labels.is_empty() { "" } else { "," };
                 let inner = labels.trim_start_matches('{').trim_end_matches('}');
                 prometheus_line(
@@ -547,6 +487,37 @@ mod tests {
         assert_eq!(bucket_floor(0), 0);
         assert_eq!(bucket_floor(1), 1);
         assert_eq!(bucket_floor(64), 1 << 63);
+        assert_eq!(bucket_upper(0), 0);
+        assert_eq!(bucket_upper(1), 1);
+        assert_eq!(bucket_upper(7), 127);
+        assert_eq!(bucket_upper(63), u64::MAX / 2);
+        assert_eq!(bucket_upper(64), u64::MAX);
+        assert_eq!(bucket_upper(u32::MAX as usize), u64::MAX);
+    }
+
+    #[test]
+    fn top_bucket_percentile_is_the_largest_value() {
+        // Bucket 64's upper edge is 2^64 - 1, not a shift past the word.
+        let h = LatencyHistogram::new();
+        h.record(u64::MAX);
+        assert_eq!(h.snapshot().percentile(0.5), u64::MAX);
+        // Decoded counts may overshoot `count`: the running sum saturates.
+        let mut s = HistogramSnapshot {
+            count: 1,
+            ..HistogramSnapshot::default()
+        };
+        s.buckets[3] = u64::MAX;
+        s.buckets[64] = u64::MAX;
+        assert_eq!(s.percentile(1.0), 7);
+        let text = MetricsSnapshot {
+            counters: Vec::new(),
+            hists: vec![("lat".into(), s)],
+        }
+        .render_prometheus("eh_");
+        assert!(
+            text.contains("eh_lat_bucket{le=\"18446744073709551615\"} "),
+            "{text}"
+        );
     }
 
     #[test]
@@ -616,18 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn work_counters_total_and_zero() {
-        let mut w = WorkCounters::default();
-        assert!(w.is_zero());
-        w.merge_kernels = 2;
-        w.gallop_kernels = 3;
-        w.bitset_kernels = 5;
-        assert_eq!(w.total_kernels(), 10);
-        assert!(!w.is_zero());
-        assert_eq!(WORK_COUNTER_GLOSSARY.len(), 7);
-    }
-
-    #[test]
     fn histogram_percentiles_are_bucket_coarse() {
         let h = LatencyHistogram::new();
         for v in [10u64, 20, 30, 1000] {
@@ -677,40 +636,65 @@ mod tests {
         assert!(text.contains("eh_plain_bucket{le=\"0\"} 1\n"), "{text}");
     }
 
+    /// The span tree behind README's `\explain` sample block.
+    fn readme_profile() -> QueryProfile {
+        let level = |k: usize, ns: u64, values: u64| {
+            Span::new(format!("level {k}"), 0, ns).with_value("values", values)
+        };
+        let node = Span::new("node 0", 0, 143_000)
+            .with_value("rows", 2)
+            .with_child(level(0, 108_000, 4))
+            .with_child(level(1, 1_000, 8))
+            .with_child(level(2, 1_000, 0));
+        QueryProfile {
+            estimated_work: Some(168.0),
+            work: WorkCounters {
+                values_scanned: 48,
+                intersections: 11,
+                merge_kernels: 11,
+                ..WorkCounters::default()
+            },
+            root: Span::new("query", 0, 149_000)
+                .with_value("rows", 2)
+                .with_value("observed_work", 48)
+                .with_value("estimated_work", 168)
+                .with_child(node)
+                .with_child(Span::new("top-down", 143_000, 0))
+                .with_child(Span::new("finalize", 143_000, 2_000)),
+        }
+    }
+
     #[test]
-    fn profile_render_reports_estimated_vs_observed() {
-        let mut p = QueryProfile {
-            estimated_work: Some(123.4),
-            rows: 7,
-            total_ns: 1_500_000,
-            top_down_ns: 250_000,
-            finalize_ns: 125_000,
-            ..QueryProfile::default()
-        };
-        let mut node = NodeProfile {
-            ns: 1_000_000,
-            rows: 7,
-            ..NodeProfile::default()
-        };
-        node.work.values_scanned = 456;
-        node.work.intersections = 12;
-        node.levels.push(LevelProfile {
-            ns: 900,
-            values: 34,
-        });
-        node.workers.push(WorkerProfile {
-            morsels: 3,
-            values: 20,
-        });
-        p.push_node(node);
-        assert_eq!(p.observed_work(), 456);
+    fn profile_render_is_the_readme_sample() {
+        let readme = include_str!("../../../README.md");
+        let open = "renders it after the loop nest:\n\n```text\n";
+        let start = readme.find(open).expect("README keeps the sample") + open.len();
+        let len = readme[start..].find("```").expect("sample block closes");
+        assert_eq!(readme_profile().render(), &readme[start..start + len]);
+    }
+
+    #[test]
+    fn profile_render_reports_workers_and_structural_orders() {
+        let mut p = readme_profile();
+        let node = &mut p.root.children[0];
+        node.values.push(("sink_merge_ns".into(), 250_000));
+        for (k, morsels) in [3, 1].into_iter().enumerate() {
+            node.children.push(
+                Span::new(format!("thread {k}"), 0, 100_000)
+                    .with_value("morsels", morsels)
+                    .with_value("values", 2),
+            );
+        }
         let text = p.render();
-        assert!(text.contains("estimated 123.4"), "{text}");
-        assert!(text.contains("observed 456"), "{text}");
-        assert!(text.contains("node 0"), "{text}");
-        assert!(text.contains("morsels 3"), "{text}");
-        assert!(text.contains("  top-down: 0.250 ms\n"), "{text}");
-        assert!(text.contains("  finalize: 0.125 ms\n"), "{text}");
+        assert!(
+            text.contains("  node 0: 0.143 ms, 2 rows, sink merge 0.250 ms\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("    workers: 2 (morsels 3/1)\n  top-down: "),
+            "{text}"
+        );
+        assert!(!text.contains("thread"), "{text}");
         // Structural orders say so instead of printing an estimate.
         let q = QueryProfile::default();
         assert!(q.render().contains("estimated n/a (structural order)"));

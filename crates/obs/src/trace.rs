@@ -17,10 +17,11 @@
 //! encoding lives in `eh_storage::trace_wire` next to the rest of the
 //! bounds-checked decode vocabulary.
 
-use crate::{QueryProfile, WorkCounters};
+use crate::WorkCounters;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Trace ids
@@ -74,7 +75,7 @@ impl std::fmt::Display for TraceId {
 // ---------------------------------------------------------------------------
 
 /// Maximum span-tree depth accepted anywhere (builders and decoders).
-/// Real trees are ~4 deep (query → node → level); the cap exists so a
+/// Real trees are ~4 deep (query → node → level or thread); the cap exists so a
 /// hostile wire payload cannot drive recursive code to stack overflow.
 pub const MAX_SPAN_DEPTH: usize = 64;
 
@@ -109,6 +110,22 @@ impl Span {
             values: Vec::new(),
             children: Vec::new(),
         }
+    }
+
+    /// The span over `[started, ended)`, placed at its offset from
+    /// `origin` — the owning process's query start.
+    pub fn timed(
+        name: impl Into<String>,
+        origin: Instant,
+        started: Instant,
+        ended: Instant,
+    ) -> Span {
+        let ns = |d: std::time::Duration| d.as_nanos() as u64;
+        Span::new(
+            name,
+            ns(started.saturating_duration_since(origin)),
+            ns(ended.saturating_duration_since(started)),
+        )
     }
 
     /// Attach a named scalar attribute (builder style).
@@ -226,62 +243,6 @@ impl Trace {
             self.root.render()
         )
     }
-}
-
-// ---------------------------------------------------------------------------
-// Profile → span conversion
-// ---------------------------------------------------------------------------
-
-/// Convert a [`QueryProfile`] into a [`Span`] tree.
-///
-/// GHD nodes execute bottom-up and sequentially, so node spans are laid
-/// end-to-end at cumulative offsets. Attribute levels *interleave*
-/// inside the Generic-Join recursion (level `k+1` runs inside level
-/// `k`'s loop), so level spans all start at their node's offset and
-/// their elapsed times are totals, not disjoint intervals — the same
-/// reading `QueryProfile::render` gives them.
-///
-/// The root span carries the profile's scalars as values: `rows`,
-/// `observed_work` (values scanned) and — when the attribute order was
-/// cost-based — the planner's `estimated_work`, rounded.
-pub fn profile_to_span(name: &str, profile: &QueryProfile) -> Span {
-    let mut root = Span::new(name, 0, profile.total_ns)
-        .with_value("rows", profile.rows)
-        .with_value("observed_work", profile.observed_work());
-    if let Some(est) = profile.estimated_work {
-        root.values
-            .push(("estimated_work".into(), est.round() as u64));
-    }
-    let mut cursor = 0u64;
-    for (i, node) in profile.nodes.iter().enumerate() {
-        let mut ns = Span::new(format!("node {i}"), cursor, node.ns).with_value("rows", node.rows);
-        if node.sink_merge_ns > 0 {
-            ns.values.push(("sink_merge_ns".into(), node.sink_merge_ns));
-        }
-        if !node.workers.is_empty() {
-            ns.values
-                .push(("workers".into(), node.workers.len() as u64));
-        }
-        for (lvl, l) in node.levels.iter().enumerate() {
-            if l.values == 0 && l.ns == 0 {
-                continue;
-            }
-            ns.children.push(
-                Span::new(format!("level {lvl}"), cursor, l.ns).with_value("values", l.values),
-            );
-        }
-        cursor = cursor.saturating_add(node.ns);
-        root.children.push(ns);
-    }
-    // What runs after the last node: the top-down pass, then finalize.
-    for (name, ns) in [
-        ("top-down", profile.top_down_ns),
-        ("finalize", profile.finalize_ns),
-    ] {
-        root.children.push(Span::new(name, cursor, ns));
-        cursor = cursor.saturating_add(ns);
-    }
-    root
 }
 
 // ---------------------------------------------------------------------------
@@ -457,7 +418,6 @@ impl SlowQueryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LevelProfile, NodeProfile};
 
     #[test]
     fn trace_ids_are_unique_and_nonzero() {
@@ -487,37 +447,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_converts_to_cumulative_node_spans() {
-        let mut p = QueryProfile {
-            total_ns: 360,
-            rows: 7,
-            top_down_ns: 50,
-            finalize_ns: 10,
-            ..QueryProfile::default()
-        };
-        p.push_node(NodeProfile {
-            ns: 100,
-            rows: 3,
-            levels: vec![LevelProfile { ns: 40, values: 5 }],
-            ..NodeProfile::default()
-        });
-        p.push_node(NodeProfile {
-            ns: 200,
-            rows: 7,
-            ..NodeProfile::default()
-        });
-        let span = profile_to_span("query", &p);
-        assert_eq!(span.elapsed_ns, 360);
-        assert_eq!(span.children[0].start_ns_rel, 0);
-        assert_eq!(span.children[1].start_ns_rel, 100);
-        // The post-join phases follow the last node, end to end.
-        let tail: Vec<(&str, u64, u64)> = span.children[2..]
-            .iter()
-            .map(|c| (c.name.as_str(), c.start_ns_rel, c.elapsed_ns))
-            .collect();
-        assert_eq!(tail, [("top-down", 300, 50), ("finalize", 350, 10)]);
-        assert_eq!(span.children[0].children[0].name, "level 0");
-        assert_eq!(span.hottest_leaf(), "query/node 1");
+    fn timed_spans_measure_from_the_origin() {
+        use std::time::Duration;
+        let origin = Instant::now();
+        let started = origin + Duration::from_nanos(5);
+        let s = Span::timed("node 0", origin, started, started + Duration::from_nanos(7));
+        assert_eq!((s.start_ns_rel, s.elapsed_ns), (5, 7));
+        // An instant before the origin clamps to offset 0, never wraps.
+        let early = Span::timed("x", started, origin, started);
+        assert_eq!((early.start_ns_rel, early.elapsed_ns), (0, 5));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::protocol::{
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::server::Shared;
-use eh_core::{profile_to_span, Config, Database, Prepared, QueryResult, Scheduler};
+use eh_core::{Config, Database, Prepared, QueryResult, Scheduler};
 use eh_obs::{SlowQueryEntry, Trace};
 use eh_storage::trace_wire::encode_trace;
 use eh_storage::wire::ResultBatch;
@@ -252,6 +252,11 @@ pub(crate) fn run_session<S: Read + Write>(shared: &Shared, stream: S) {
 }
 
 impl Session {
+    /// The engine configuration this session executes under.
+    pub(crate) fn config(&self) -> &Config {
+        &self.config
+    }
+
     /// A fresh session, its engine config seeded from the database's.
     pub(crate) fn new(shared: &Shared) -> Session {
         Session {
@@ -471,19 +476,21 @@ impl Session {
             Some(plan) => plan.execute_with(&db, &cfg),
             None => db.query_ref_with(text, &cfg),
         };
-        let result = result.map_err(|e| e.to_string())?;
+        let mut result = result.map_err(|e| e.to_string())?;
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         // Recursive rules execute unprofiled: a traced request then
-        // gets rows with no span tree.
-        let spans = trace.zip(result.profile()).map(|(trace_id, profile)| {
-            let root = match shard {
-                Some((index, count)) => format!("shard {index}/{count}"),
-                None => "query".to_string(),
-            };
+        // gets rows with no span tree. The profile's tree ships as it
+        // stands; a shard's root is renamed so a stitched trace tells
+        // the lanes apart.
+        let spans = trace.zip(result.take_profile()).map(|(trace_id, profile)| {
+            let mut root = profile.root;
+            if let Some((index, count)) = shard {
+                root.name = format!("shard {index}/{count}");
+            }
             Trace {
                 trace_id,
                 work: profile.work,
-                root: profile_to_span(&root, profile),
+                root,
             }
         });
         // The hot span comes from the span tree when the run was traced;

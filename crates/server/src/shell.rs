@@ -154,9 +154,10 @@ fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
 
 /// Split input into statements. A statement is complete at a `;` or
 /// newline boundary once it either is a backslash command (except
-/// `\prepare` and `\trace`, which carry a query) or ends with `.` — so
-/// the `;` inside `C(;w:long) :- ...; w=<<COUNT(*)>>.` never splits a
-/// query. Returns complete statements plus the unfinished remainder.
+/// `\prepare`, `\trace` and `\explain`, which carry a query) or ends
+/// with `.` — so the `;` inside `C(;w:long) :- ...; w=<<COUNT(*)>>.`
+/// never splits a query. Returns complete statements plus the unfinished
+/// remainder.
 fn split_partial(input: &str) -> (Vec<String>, String) {
     let mut out = Vec::new();
     let mut acc = String::new();
@@ -164,7 +165,9 @@ fn split_partial(input: &str) -> (Vec<String>, String) {
         if ch == ';' || ch == '\n' {
             let t = acc.trim();
             let is_meta = t.starts_with('\\');
-            let wants_query = t.starts_with("\\prepare") || t.starts_with("\\trace");
+            let wants_query = ["\\prepare", "\\trace", "\\explain"]
+                .iter()
+                .any(|m| t.starts_with(m));
             let complete = if wants_query || !is_meta {
                 t.ends_with('.')
             } else {
@@ -350,8 +353,11 @@ impl Shell {
     /// lanes) how the level-0 range split (estimated share) against
     /// where the time actually went (observed share).
     fn explain(&mut self, query: &str) -> Result<String, String> {
-        if let Backend::Embedded { shared, .. } = &self.backend {
-            return shared.db.read().explain(query).map_err(|e| e.to_string());
+        if let Backend::Embedded { shared, session } = &self.backend {
+            let db = shared.db.read();
+            return db
+                .explain_with(query, session.config())
+                .map_err(|e| e.to_string());
         }
         let outcome = self.traced(query)?;
         let rows = outcome.result.num_rows();
@@ -560,7 +566,7 @@ fn render_metrics_prometheus(s: &ServerStats) -> String {
             prometheus_line(&mut out, "eh_", &format!("frame_ns_count{label}"), f.count);
             prometheus_line(&mut out, "eh_", &format!("frame_ns_sum{label}"), f.total_ns);
             for &(b, c) in &f.buckets {
-                let le = eh_obs::bucket_floor(b as usize + 1).max(1) - 1;
+                let le = eh_obs::bucket_upper(b as usize);
                 prometheus_line(
                     &mut out,
                     "eh_",
@@ -1027,6 +1033,13 @@ mod tests {
             }
         }
         assert!(run(&mut embedded, "Q(x) :- Nope(x,y).").starts_with("error: "));
+        // `\set threads 2` reaches \explain in both modes: the embedded
+        // profile counts the workers, the remote span tree lists them.
+        let explain = "\\explain T(x,y,z) :- E(x,y),E(y,z),E(x,z).";
+        let out = run(&mut embedded, explain);
+        assert!(out.contains("\n    workers: 2 (morsels "), "{out}");
+        let out = run(&mut remote, explain);
+        assert!(out.contains("\n    thread 1 @"), "{out}");
         drop(remote);
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -1038,6 +1051,11 @@ mod tests {
         assert_eq!(
             stmts,
             vec!["\\trace C(;w:long) :- E(x,y); w=<<COUNT(*)>>.", "\\slow 5"]
+        );
+        let stmts = split_statements("\\explain C(;w:long) :- E(x,y); w=<<COUNT(*)>>.; \\slow");
+        assert_eq!(
+            stmts,
+            vec!["\\explain C(;w:long) :- E(x,y); w=<<COUNT(*)>>.", "\\slow"]
         );
     }
 
@@ -1093,5 +1111,29 @@ mod tests {
         assert!(run(&mut shell, "\\metrics").contains("plan_cache"));
         assert!(run(&mut shell, "\\metrics --json").contains("eh_epoch 0\n"));
         assert!(run(&mut shell, "\\metrics bogus").contains("--json"));
+    }
+
+    #[test]
+    fn prometheus_survives_out_of_range_peer_buckets() {
+        // Bucket indices come off the wire unchecked: the top bucket and
+        // anything past it render with the largest edge, not a shift
+        // overflow.
+        use crate::protocol::{FrameStat, StatsExt};
+        let stats = ServerStats {
+            ext: Some(StatsExt {
+                frames: vec![FrameStat {
+                    name: "query".into(),
+                    count: 2,
+                    total_ns: 7,
+                    buckets: vec![(64, 1), (u32::MAX, u64::MAX)],
+                }],
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let prom = render_metrics_prometheus(&stats);
+        let top = "eh_frame_ns_bucket{frame=\"query\",le=\"18446744073709551615\"}";
+        assert_eq!(prom.matches(top).count(), 2, "{prom}");
+        assert!(render_metrics_text(&stats).contains("query"));
     }
 }

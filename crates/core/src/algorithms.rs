@@ -2,7 +2,7 @@
 //! (paper Table 1) with the setup rules the paper keeps in the database
 //! (`InvDeg`, `N`, the `'start'` constant).
 
-use crate::database::{CoreError, Database};
+use crate::database::{CoreError, Database, Prepared};
 use crate::Config;
 use eh_exec::{Relation, TupleBuffer};
 use eh_graph::Graph;
@@ -58,14 +58,14 @@ pub fn pagerank(graph: &Graph, iterations: u32, config: Config) -> Result<Vec<f6
 }
 
 /// A prepared PageRank computation: database setup (Edge/InvDeg tries,
-/// the `N` scalar) is paid in [`PageRankRunner::new`]; [`run`] executes
-/// only the paper's two-rule program, matching the paper's methodology of
-/// excluding load/index time (§5.1.3).
+/// the `N` scalar) and compiling the paper's two-rule program are paid
+/// in [`PageRankRunner::new`]; [`run`] only executes it, matching the
+/// paper's methodology of excluding load/index time (§5.1.3).
 ///
 /// [`run`]: PageRankRunner::run
 pub struct PageRankRunner {
     db: Database,
-    program: String,
+    program: Prepared,
     num_nodes: u32,
 }
 
@@ -85,10 +85,10 @@ impl PageRankRunner {
         );
         db.register("InvDeg", Relation::from_buffer(nodes, AggOp::Sum));
         db.register_scalar("N", DynValue::F64(graph.num_nodes.max(1) as f64));
-        let program = format!(
+        let program = db.prepare(&format!(
             "PageRank(x;y:float) :- Edge(x,z); y=1/N.\n\
              PageRank(x;y:float)*[i={iterations}] :- Edge(x,z),PageRank(z),InvDeg(z); y=0.15+0.85*<<SUM(z)>>."
-        );
+        ))?;
         let mut runner = PageRankRunner {
             db,
             program,
@@ -101,7 +101,7 @@ impl PageRankRunner {
 
     /// Execute the PageRank program, returning per-node ranks.
     pub fn run(&mut self) -> Result<Vec<f64>, CoreError> {
-        let out = self.db.query(&self.program)?;
+        let out = self.program.execute(&self.db)?;
         let mut ranks = vec![0.0f64; self.num_nodes as usize];
         for (row, v) in out.annotated_rows() {
             ranks[row[0] as usize] = v.as_f64();
@@ -119,11 +119,13 @@ pub fn sssp(graph: &Graph, start: u32, config: Config) -> Result<Vec<u32>, CoreE
 }
 
 /// A prepared SSSP computation (setup excluded from [`run`] timing, like
-/// [`PageRankRunner`]).
+/// [`PageRankRunner`]); the start node is pinned between its two rules.
 ///
 /// [`run`]: SsspRunner::run
 pub struct SsspRunner {
     db: Database,
+    base: Prepared,
+    fixpoint: Prepared,
     start: u32,
     num_nodes: u32,
 }
@@ -134,8 +136,12 @@ impl SsspRunner {
         let mut db = Database::with_config(config);
         db.load_graph("Edge", graph);
         db.define_const("start", start);
+        let base = db.prepare("SSSP(x;y:int) :- Edge('start',x); y=1.")?;
+        let fixpoint = db.prepare("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.")?;
         let mut runner = SsspRunner {
             db,
+            base,
+            fixpoint,
             start,
             num_nodes: graph.num_nodes,
         };
@@ -145,18 +151,20 @@ impl SsspRunner {
 
     /// Execute the SSSP program, returning per-node hop distances.
     pub fn run(&mut self) -> Result<Vec<u32>, CoreError> {
-        self.db.query("SSSP(x;y:int) :- Edge('start',x); y=1.")?;
-        // Pin the start node at distance 0 (the paper's rule leaves it
-        // implicit; MIN-merge keeps it at 0 thereafter).
-        let base = self.db.relation("SSSP").cloned().unwrap();
-        let mut tuples = base.rows().clone();
-        tuples.fill_annotations(DynValue::U64(1)); // base rule sets y=1
-        tuples.push_annotated(&[self.start], DynValue::U64(0));
+        let base = self.base.execute(&self.db)?;
+        // Pin the start node at distance 0 (implicit in the paper's rule),
+        // in key order: the base stays canonical, so recursion need not sort.
+        let rows = base.relation().rows();
+        let at = rows.flat().partition_point(|&k| k < self.start);
+        let ys = rows.annotations().expect("the base rule sets y=1");
+        let (mut keys, mut ys) = (rows.flat().to_vec(), ys.to_vec());
+        keys.insert(at, self.start);
+        ys.insert(at, DynValue::U64(0));
+        let mut tuples = TupleBuffer::from_flat(1, keys);
+        tuples.set_annotations(ys);
         self.db
             .register("SSSP", Relation::from_buffer(tuples, AggOp::Min));
-        let out = self
-            .db
-            .query("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.")?;
+        let out = self.fixpoint.execute(&self.db)?;
         let mut dist = vec![u32::MAX; self.num_nodes as usize];
         for (row, v) in out.annotated_rows() {
             dist[row[0] as usize] = v.as_u64() as u32;
@@ -229,5 +237,72 @@ mod tests {
         let eh = sssp(&g, start, Config::default()).unwrap();
         let bfs = eh_baselines::lowlevel::sssp_bfs(&g, start);
         assert_eq!(eh, bfs);
+    }
+
+    /// Names of a span's children, in order.
+    fn names(span: &crate::Span) -> Vec<&str> {
+        span.children.iter().map(|c| c.name.as_str()).collect()
+    }
+
+    /// The children of `span` cover at least 90 % of it.
+    fn covered(span: &crate::Span) -> bool {
+        let inside: u64 = span.children.iter().map(|c| c.elapsed_ns).sum();
+        inside * 10 >= span.elapsed_ns * 9
+    }
+
+    #[test]
+    fn recursion_is_traced_one_span_per_iteration() {
+        let g = gen::power_law(3000, 60_000, 2.3, 5).symmetrize();
+        let profiled = Config::default().with_profile(true);
+        // PageRank: the base rule, then exactly five iterations.
+        let pr = PageRankRunner::new(&g, 5, Config::default()).unwrap();
+        let out = pr.program.execute_with(&pr.db, &profiled).unwrap();
+        let root = &out.profile().expect("a profiled program").root;
+        assert_eq!(root.name, "query");
+        assert_eq!(names(root), ["rule 0", "rule 1"]);
+        let iterations = &root.children[1];
+        let want: Vec<String> = (0..5).map(|k| format!("iteration {k}")).collect();
+        assert_eq!(names(iterations), want);
+        assert!(covered(iterations), "{}", root.render());
+        assert!(iterations.start_ns_rel >= root.children[0].start_ns_rel);
+        // SSSP: the fixpoint alone, one span per iteration until the
+        // frontier empties.
+        let start = g.max_degree_node();
+        let sssp = SsspRunner::new(&g, start, Config::default()).unwrap();
+        let out = sssp.fixpoint.execute_with(&sssp.db, &profiled).unwrap();
+        let p = out.profile().expect("a profiled fixpoint");
+        let root = &p.root;
+        assert!(root.children.len() > 1, "{}", root.render());
+        for (k, it) in root.children.iter().enumerate() {
+            assert_eq!(it.name, format!("iteration {k}"));
+            assert!(it.value("rows_in").unwrap() > 0);
+        }
+        assert_eq!(root.children.last().unwrap().value("rows_out"), Some(0));
+        assert_eq!(root.value("rows"), Some(out.num_rows() as u64));
+        assert!(p.work.values_scanned > 0);
+        assert!(covered(root), "{}", root.render());
+    }
+
+    #[test]
+    fn profiling_does_not_change_recursive_answers() {
+        let g = gen::power_law(500, 3_000, 2.3, 9);
+        let start = g.max_degree_node();
+        let bits = |out: crate::QueryResult| {
+            let annots = out.relation().annotations().unwrap();
+            let bits: Vec<u64> = annots.iter().map(|v| v.as_f64().to_bits()).collect();
+            (out.rows().clone(), bits)
+        };
+        for threads in [1, 4] {
+            let cfg = Config::default().with_threads(threads);
+            let pr = PageRankRunner::new(&g, 5, cfg).unwrap();
+            let sssp = SsspRunner::new(&g, start, cfg).unwrap();
+            let run = |profile: bool| {
+                let cfg = cfg.with_profile(profile);
+                let ranks = pr.program.execute_with(&pr.db, &cfg).unwrap();
+                let dist = sssp.fixpoint.execute_with(&sssp.db, &cfg).unwrap();
+                (bits(ranks), bits(dist))
+            };
+            assert_eq!(run(false), run(true), "threads {threads}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::result::QueryResult;
 use eh_exec::{
-    execute_recursive_rule, execute_rule, Catalog, Config, ExecError, Executed, MemCatalog,
-    Relation, TupleBuffer,
+    execute_recursive_rule, Catalog, Config, ExecError, MemCatalog, PhysicalPlan, QueryProfile,
+    Relation, Span, TupleBuffer,
 };
 use eh_graph::Graph;
 use eh_query::{parse_program, Rule};
@@ -15,6 +15,7 @@ use eh_storage::{
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
+use std::time::Instant;
 
 /// Top-level error type.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,8 +83,7 @@ impl Default for Database {
 /// dictionary makes the atom empty rather than falling back to integer
 /// parsing) — under an overlay of the heads earlier rules of the same
 /// program produced, so later rules see them without anything being
-/// registered in the database. Prepared statements run under the empty
-/// overlay.
+/// registered in the database.
 struct OverlayView<'a> {
     mem: &'a MemCatalog,
     types: &'a StorageCatalog,
@@ -193,15 +193,6 @@ impl Database {
 
     fn bump_epoch(&mut self) {
         self.epoch += 1;
-    }
-
-    /// The executor's view of the stored relations alone (no overlay).
-    fn view(&self) -> OverlayView<'_> {
-        OverlayView {
-            mem: &self.catalog,
-            types: &self.types,
-            local: &[],
-        }
     }
 
     /// Register a binary edge relation from (src, dst) pairs — loaded
@@ -467,16 +458,16 @@ impl Database {
         self.catalog.remove(name)
     }
 
-    /// Parse and execute a program (one or more rules, in order). Each
-    /// rule's result is stored under its head name and visible to later
-    /// rules; the last rule's result is returned.
-    ///
-    /// Recursive rules (`*` heads) use the stored relation of the same
-    /// name as the base case, per the paper's PageRank/SSSP programs.
+    /// [`Database::prepare`] and execute a program (one or more rules, in
+    /// order), storing each rule's result under its head name; the last
+    /// one is returned. Recursive rules (`*` heads) use the relation of
+    /// the same name as the base case, per the paper's PageRank/SSSP
+    /// programs. An execution error still leaves the heads that ran stored.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, CoreError> {
+        let prepared = self.prepare(text)?;
         let mut heads = Vec::new();
         let config = self.config;
-        let outcome = self.run_program(text, &config, &mut heads);
+        let outcome = prepared.run(self, &config, &mut heads);
         // The one copy of a result `query` makes: the caller's. Every
         // head itself moves into the catalog below.
         let returned = outcome.is_ok().then(|| heads.last().cloned()).flatten();
@@ -497,85 +488,36 @@ impl Database {
             self.bump_epoch();
         }
         outcome?;
-        let mut result = returned.expect("parser guarantees at least one rule");
+        let mut result = returned.expect("a program has at least one rule");
         result.schema = self.types.schema(&result.name).cloned();
         Ok(result)
     }
 
-    /// Execute a program read-only: like [`Database::query`], but takes
-    /// `&self` and stores nothing — each rule's result lives in a
-    /// per-call overlay visible to later rules in the same program, and
-    /// the catalog epoch is untouched. This is the read path of a
-    /// concurrent query service: many sessions execute in parallel under
-    /// a read lock while loads take the write lock.
+    /// [`Database::query`] read-only — [`Database::prepare`], then
+    /// [`Prepared::execute`]: the catalog and its epoch are untouched, so
+    /// many sessions of a query service execute in parallel under a read
+    /// lock while loads take the write lock.
     pub fn query_ref(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.query_ref_with(text, &self.config)
+        self.prepare(text)?.execute(self)
     }
 
-    /// [`Database::query_ref`] under an explicit engine configuration
-    /// (per-session thread-count / scheduler overrides).
-    pub fn query_ref_with(&self, text: &str, config: &Config) -> Result<QueryResult, CoreError> {
-        let mut heads = Vec::new();
-        self.run_program(text, config, &mut heads)?;
-        Ok(heads.pop().expect("parser guarantees at least one rule"))
-    }
-
-    /// The program runner: execute `text`'s rules in order, each under
-    /// an overlay of the heads before it, pushing every rule's result
-    /// onto `heads` — which therefore holds what ran even when a later
-    /// rule fails.
-    fn run_program(
-        &self,
-        text: &str,
-        config: &Config,
-        heads: &mut Vec<QueryResult>,
-    ) -> Result<(), CoreError> {
-        let program = parse_program(text).map_err(|e| CoreError::Parse(e.to_string()))?;
-        for rule in &program.rules {
-            eh_query::validate_rule(rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
-            let name = rule.head.relation.clone();
-            let view = OverlayView {
-                mem: &self.catalog,
-                types: &self.types,
-                local: heads,
-            };
-            let out = if rule.head.recursion.is_some() || rule.is_recursive() {
-                let initial = view.relation(&name).cloned().ok_or_else(|| {
-                    CoreError::Invalid(format!("recursive rule '{name}' has no base case relation"))
-                })?;
-                // Recursive rules run unprofiled: the profile vocabulary
-                // describes one plan execution, not an iteration sequence.
-                Executed {
-                    relation: execute_recursive_rule(rule, initial, &view, config)?,
-                    level0: 0,
-                    profile: None,
-                }
-            } else {
-                execute_rule(rule, &view, config)?
-            };
-            let annotated = out.relation.is_annotated();
-            let schema = self.head_schema(rule, heads, annotated, out.relation.combine());
-            heads.push(QueryResult {
-                name,
-                relation: out.relation,
-                schema: Some(schema),
-                profile: out.profile,
-                level0: out.level0,
-            });
-        }
-        Ok(())
-    }
-
-    /// Typed schema of a rule's *key* columns: each head variable
+    /// Schema of the head of `rule`, planned as `plan`. Each key variable
     /// inherits the dictionary domain of the first body-atom column that
-    /// binds it, so decoded output maps ids back to the loader's
-    /// original keys — including across chained rules: `overlay` holds
-    /// the heads of earlier rules in the same program and is consulted
-    /// before the registered catalog.
-    fn infer_key_schema(&self, rule: &Rule, overlay: &[QueryResult]) -> RelationSchema {
+    /// binds it (an `earlier` rule's head, else the typed catalog), so
+    /// output decodes to the loader's keys. An annotation column follows
+    /// when the head declares one or the rule recurses; the aggregate's ⊕
+    /// (else `Sum`) is the one a cluster coordinator folds shards with.
+    /// An invalid inferred schema (`T(x,x)` repeats a column name) falls
+    /// back to the positional one: results must stay wire-encodable.
+    fn head_schema(
+        &self,
+        rule: &Rule,
+        plan: &PhysicalPlan,
+        earlier: &[Statement],
+    ) -> RelationSchema {
         let key_domain = |relation: &str, pos: usize| -> Option<String> {
-            match derived(overlay, relation) {
-                Some(head) => derived_domain(head, pos),
+            match earlier.iter().rev().find(|s| s.name() == relation) {
+                Some(s) => s.schema.key_columns().nth(pos)?.1.domain_key(),
                 None => self.types.key_domain(relation, pos),
             }
         };
@@ -602,23 +544,7 @@ impl Database {
                 .columns
                 .push(def.unwrap_or_else(|| ColumnDef::new(var, ColumnType::U32)));
         }
-        schema
-    }
-
-    /// Schema of `rule`'s head relation: [`Database::infer_key_schema`]
-    /// completed with the annotation column (if the relation carries
-    /// one) and its combine op. Inference can produce an invalid schema
-    /// (a head like `T(x,x)` repeats a column name); the positional
-    /// form then stands in — the result must stay encodable as a wire
-    /// batch.
-    fn head_schema(
-        &self,
-        rule: &Rule,
-        overlay: &[QueryResult],
-        annotated: bool,
-        combine: AggOp,
-    ) -> RelationSchema {
-        let mut schema = self.infer_key_schema(rule, overlay);
+        let annotated = is_recursive(rule) || rule.head.annotation.is_some();
         if annotated {
             let name = rule.head.annotation.as_ref().map_or("annot", |a| &a.name);
             schema.columns.push(ColumnDef::new(name, ColumnType::F64));
@@ -626,7 +552,7 @@ impl Database {
         if schema.validate().is_err() {
             schema = positional_schema(&rule.head.relation, rule.head.key_vars.len(), annotated);
         }
-        schema.combining(combine)
+        schema.combining(plan.agg.as_ref().map_or(AggOp::Sum, |a| a.op))
     }
 
     /// Access the underlying catalog (for advanced integrations).
@@ -634,43 +560,68 @@ impl Database {
         &self.catalog
     }
 
-    /// Compile a single non-recursive rule once for repeated execution —
-    /// query compilation (GHD search, LP solves, code generation) is paid
-    /// here, not per run, matching the paper's measurement methodology
-    /// (§5.1.3 excludes compilation time).
+    /// Compile a program — one or more rules, recursive ones included —
+    /// once for repeated execution (paper §5.1.3 excludes compilation
+    /// time); every rule is validated and planned before anything runs.
+    /// A recursive rule is planned without statistics, any other against
+    /// the catalog's — except for relations earlier rules of the program
+    /// define: they do not exist yet (a stored namesake is stale).
     pub fn prepare(&self, text: &str) -> Result<Prepared, CoreError> {
-        let rule = eh_query::parse_rule(text).map_err(|e| CoreError::Parse(e.to_string()))?;
-        eh_query::validate_rule(&rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
-        if rule.head.recursion.is_some() || rule.is_recursive() {
-            return Err(CoreError::Invalid(
-                "prepare() supports non-recursive rules; use query() for recursion".into(),
-            ));
+        let program = parse_program(text).map_err(|e| CoreError::Parse(e.message))?;
+        let mut statements: Vec<Statement> = Vec::with_capacity(program.rules.len());
+        for rule in program.rules {
+            eh_query::validate_rule(&rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
+            let plan = if is_recursive(&rule) {
+                eh_ghd::plan_rule(&rule, &self.config.plan)
+                    .map(|ghd| PhysicalPlan::compile(&rule, &ghd))
+            } else {
+                let unborn = Unborn(&self.catalog, &statements);
+                eh_exec::compile_rule(&rule, &unborn, &self.config)
+            };
+            let plan = plan.map_err(CoreError::Invalid)?;
+            let schema = self.head_schema(&rule, &plan, &statements);
+            statements.push(Statement { rule, plan, schema });
         }
-        let plan =
-            eh_exec::compile_rule(&rule, &self.view(), &self.config).map_err(CoreError::Invalid)?;
-        // Key-column provenance is captured now, so prepared results
-        // decode exactly like query() results (body relations the typed
-        // catalog doesn't know yet at prepare time decode as u32). The
-        // head aggregate's ⊕ is stamped into the schema (query() results
-        // get it from the executed relation): a cluster coordinator
-        // folds per-shard partial batches with exactly this operator.
-        let combine = plan.agg.as_ref().map_or(AggOp::Sum, |a| a.op);
-        let schema = self.head_schema(&rule, &[], rule.head.annotation.is_some(), combine);
-        Ok(Prepared {
-            name: rule.head.relation.clone(),
-            plan,
-            schema,
-        })
+        Ok(Prepared { statements })
     }
 }
 
-/// A compiled statement, executable repeatedly without re-planning.
-pub struct Prepared {
-    name: String,
-    plan: eh_exec::PhysicalPlan,
-    /// Inferred key-column schema: lets results decode typed values
-    /// without registering anything in the database.
+/// Whether `rule` is evaluated to a fixpoint (or for a fixed number of
+/// iterations) rather than once.
+fn is_recursive(rule: &Rule) -> bool {
+    rule.head.recursion.is_some() || rule.is_recursive()
+}
+
+/// The stored catalog as [`Database::prepare`] plans a rule against it:
+/// the heads of earlier rules of the same program do not exist yet.
+struct Unborn<'a>(&'a MemCatalog, &'a [Statement]);
+
+impl Catalog for Unborn<'_> {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        let unborn = self.1.iter().any(|s| s.name() == name);
+        self.0.relation(name).filter(|_| !unborn)
+    }
+}
+
+/// One compiled rule of a [`Prepared`] program, with the schema its
+/// result decodes by (nothing is registered in the database).
+struct Statement {
+    rule: Rule,
+    plan: PhysicalPlan,
     schema: RelationSchema,
+}
+
+impl Statement {
+    fn name(&self) -> &str {
+        &self.rule.head.relation
+    }
+}
+
+/// A compiled program, executable repeatedly without re-planning: one
+/// statement per rule, run in order, each under an overlay of the heads
+/// before it.
+pub struct Prepared {
+    statements: Vec<Statement>,
 }
 
 impl Prepared {
@@ -679,31 +630,106 @@ impl Prepared {
         self.execute_with(db, &db.config)
     }
 
-    /// [`Prepared::execute`] under an explicit engine configuration —
-    /// server sessions execute one shared compiled plan under their own
-    /// thread-count/scheduler overrides, a traced request turns
-    /// `profile` on, and a cluster worker sets `shard` to run one
-    /// level-0 slice (the result then reports the slice's size through
-    /// [`QueryResult::level0_values`]).
+    /// [`Prepared::execute`] under a session's own configuration. A
+    /// cluster worker's `shard` runs one level-0 slice (its size is
+    /// [`QueryResult::level0_values`]) only if [`Prepared::shard_mergeable`];
+    /// otherwise the program runs in full.
     pub fn execute_with(&self, db: &Database, config: &Config) -> Result<QueryResult, CoreError> {
-        let out = eh_exec::execute(&self.plan, &db.view(), config)?;
-        Ok(QueryResult {
-            name: self.name.clone(),
-            relation: out.relation,
-            schema: Some(self.schema.clone()),
-            profile: out.profile,
-            level0: out.level0,
-        })
+        let mut heads = Vec::with_capacity(self.statements.len());
+        self.run(db, config, &mut heads)?;
+        Ok(heads.pop().expect("a program has at least one rule"))
     }
 
-    /// Head relation name of the compiled rule.
+    /// Whether a shard of this program's answer ⊕-merges into the whole:
+    /// one non-recursive rule whose plan is shard-mergeable.
+    pub fn shard_mergeable(&self) -> bool {
+        matches!(&self.statements[..], [s] if !is_recursive(&s.rule) && s.plan.shard_mergeable())
+    }
+
+    /// Head relation name of the program's last rule.
     pub fn name(&self) -> &str {
-        &self.name
+        self.last().name()
     }
 
-    /// The compiled physical plan (inspectable via `render()`).
-    pub fn plan(&self) -> &eh_exec::PhysicalPlan {
-        &self.plan
+    /// The compiled physical plan of the program's last rule
+    /// (inspectable via `render()`).
+    pub fn plan(&self) -> &PhysicalPlan {
+        &self.last().plan
+    }
+
+    fn last(&self) -> &Statement {
+        self.statements
+            .last()
+            .expect("a program has at least one rule")
+    }
+
+    /// Execute the statements in order, pushing every result onto
+    /// `heads` — which therefore holds what ran even when a later one
+    /// fails. Profiled, a program of several rules returns, on its last
+    /// result, a `query` root with one `rule k` child per rule: that
+    /// rule's own tree, offsets counted from the program's start.
+    fn run(
+        &self,
+        db: &Database,
+        config: &Config,
+        heads: &mut Vec<QueryResult>,
+    ) -> Result<(), CoreError> {
+        let mut config = *config;
+        config.shard = config.shard.filter(|_| self.shard_mergeable());
+        let origin = config.profile.then(Instant::now);
+        let mut offsets = Vec::new();
+        for st in &self.statements {
+            offsets.extend(origin.map(|o| o.elapsed().as_nanos() as u64));
+            let view = OverlayView {
+                mem: &db.catalog,
+                types: &db.types,
+                local: heads,
+            };
+            let name = st.name();
+            let out = if is_recursive(&st.rule) {
+                let base = view.relation(name).cloned().ok_or_else(|| {
+                    CoreError::Invalid(format!("recursive rule '{name}' has no base case relation"))
+                })?;
+                execute_recursive_rule(&st.rule, &st.plan, base, &view, &config)?
+            } else {
+                eh_exec::execute(&st.plan, &view, &config)?
+            };
+            let annotated = st.schema.annot_column().is_some();
+            debug_assert_eq!(out.relation.is_annotated(), annotated, "{name}'s schema");
+            heads.push(QueryResult {
+                name: name.to_string(),
+                relation: out.relation,
+                schema: Some(st.schema.clone()),
+                profile: out.profile,
+                level0: out.level0,
+            });
+        }
+        if let (Some(origin), true) = (origin, heads.len() > 1) {
+            let mut program = QueryProfile::default();
+            for (k, (head, offset)) in heads.iter_mut().zip(offsets).enumerate() {
+                let p = head
+                    .profile
+                    .take()
+                    .expect("a profiled rule carries a profile");
+                program.work.merge(&p.work);
+                let mut span = p.root;
+                span.name = format!("rule {k}");
+                shift(&mut span, offset);
+                program.root.children.push(span);
+            }
+            let last = heads.last_mut().expect("more than one rule ran");
+            program.close(origin, Instant::now(), last.relation.len());
+            last.profile = Some(program);
+        }
+        Ok(())
+    }
+}
+
+/// Move every span of a tree `by` nanoseconds later.
+fn shift(span: &mut Span, by: u64) {
+    span.start_ns_rel += by;
+    for child in &mut span.children {
+        shift(child, by);
     }
 }
 
@@ -715,6 +741,14 @@ mod tests {
     fn parse_errors_surface() {
         let mut db = Database::new();
         assert!(matches!(db.query("not a rule"), Err(CoreError::Parse(_))));
+    }
+
+    #[test]
+    fn parse_errors_say_so_once() {
+        let err = Database::new().query_ref("Q(x :- E(x).").unwrap_err();
+        assert!(matches!(err, CoreError::Parse(_)), "{err:?}");
+        let text = err.to_string();
+        assert_eq!(text.matches("parse error: ").count(), 1, "{text}");
     }
 
     #[test]

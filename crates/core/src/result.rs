@@ -15,7 +15,7 @@ pub struct QueryResult {
     pub(crate) relation: Relation,
     pub(crate) schema: Option<RelationSchema>,
     /// Execution profile, present when the run was configured with
-    /// `Config::profile` (recursive rules execute unprofiled).
+    /// `Config::profile`.
     pub(crate) profile: Option<QueryProfile>,
     /// Level-0 values the root node's scheduler loop owned (see
     /// [`eh_exec::Executed::level0`]).

@@ -207,17 +207,11 @@ pub fn execute(
         (&mut profile, origin, top_down_started, finalize_started)
     {
         let ended = Instant::now();
-        let mut root = Span::timed("query", origin, origin, ended)
-            .with_value("rows", relation.rows().len() as u64)
-            .with_value("observed_work", p.observed_work());
-        if let Some(est) = p.estimated_work {
-            root = root.with_value("estimated_work", est.round() as u64);
-        }
-        root.children = std::mem::take(&mut p.root.children);
+        p.close(origin, ended, relation.rows().len());
         let phases = [("top-down", t0, t1), ("finalize", t1, ended)];
-        root.children
+        p.root
+            .children
             .extend(phases.map(|(name, a, b)| Span::timed(name, origin, a, b)));
-        p.root = root;
     }
     Ok(Executed {
         relation,

@@ -10,13 +10,15 @@
 //! operator".
 
 use crate::config::Config;
-use crate::executor::{execute, ExecError};
+use crate::executor::{execute, ExecError, Executed};
 use crate::plan::PhysicalPlan;
 use crate::storage::{Catalog, Relation};
+use eh_obs::{QueryProfile, Span};
 use eh_query::ast::Recursion;
 use eh_query::Rule;
 use eh_semiring::{AggOp, DynValue};
 use eh_trie::TupleBuffer;
+use std::time::Instant;
 
 /// A catalog overlay that substitutes one relation (the recursive one)
 /// without mutating the base catalog.
@@ -45,7 +47,12 @@ impl Catalog for Overlay<'_> {
 }
 
 /// Evaluate a recursive rule to convergence, starting from `initial` (the
-/// result of the rule's base case). Returns the final relation.
+/// result of the rule's base case). `plan` is the rule's compiled body:
+/// every iteration re-executes it (the paper: recursion "boils down to a
+/// simple unrolling of the join algorithm" — compilation is not repeated
+/// per iteration). Under [`Config::profile`] the result carries a `query`
+/// span with one `iteration k` child per executed iteration (`rows_in`,
+/// `rows_out`) and the iterations' work summed.
 ///
 /// The running state is always *canonical* buffers — annotated, strictly
 /// key-ascending — which is also what every iteration's result is, so
@@ -54,10 +61,14 @@ impl Catalog for Overlay<'_> {
 /// naive evaluation, `Runs` and a galloping one for seminaive).
 pub fn execute_recursive_rule(
     rule: &Rule,
+    plan: &PhysicalPlan,
     initial: Relation,
     catalog: &dyn Catalog,
     cfg: &Config,
-) -> Result<Relation, ExecError> {
+) -> Result<Executed, ExecError> {
+    let origin = Instant::now();
+    let mut profile = cfg.profile.then(QueryProfile::default);
+    let name = rule.head.relation.as_str();
     let criterion = rule.head.recursion.unwrap_or(Recursion::Fixpoint);
     let op = rule
         .agg
@@ -65,115 +76,77 @@ pub fn execute_recursive_rule(
         .and_then(|a| a.expr.agg_op())
         .map(crate::plan::convert_op)
         .unwrap_or(AggOp::Count);
-    // Compile once; every iteration re-executes the same physical plan
-    // (the paper: recursion "boils down to a simple unrolling of the join
-    // algorithm" — compilation is not repeated per iteration).
-    let ghd_plan = eh_ghd::plan_rule(rule, &cfg.plan).map_err(ExecError::Plan)?;
-    let plan = PhysicalPlan::compile(rule, &ghd_plan);
     // A user-registered base case may be unsorted or repeat keys:
     // canonicalise it under the rule's own ⊕.
     let mut base = initial.rows().clone();
     base.fill_annotations(op.one());
-    let initial = Relation::from_buffer(base.into_sorted_dedup(op), op);
+    let mut input = Relation::from_buffer(base.into_sorted_dedup(op), op);
+    // Seminaive evaluation (paper: SSSP) joins only the *frontier* of
+    // changed tuples — the first is all of them — merges improvements
+    // into `state` with ⊕ and stops when the frontier empties. Naive
+    // evaluation (PageRank) re-derives the whole relation each iteration.
     let seminaive = !cfg.force_naive_recursion && op.is_monotone();
-    if seminaive {
-        seminaive_loop(rule, &plan, initial, catalog, cfg, op, criterion)
-    } else {
-        naive_loop(rule, &plan, initial, catalog, cfg, op, criterion)
-    }
-}
-
-/// Naive evaluation: re-derive the whole relation each iteration (a simple
-/// unrolling of the join — paper: PageRank).
-#[allow(clippy::too_many_arguments)]
-fn naive_loop(
-    rule: &Rule,
-    plan: &PhysicalPlan,
-    initial: Relation,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-    op: AggOp,
-    criterion: Recursion,
-) -> Result<Relation, ExecError> {
-    let name = rule.head.relation.as_str();
-    let mut current = initial;
+    let mut state = seminaive.then(|| Runs(vec![input.rows().clone()]));
     let max_iters = match criterion {
         Recursion::Iterations(n) => n,
+        _ if seminaive => 1_000_000,
         _ => 10_000,
     };
-    for _ in 0..max_iters {
-        let next = {
-            let overlay = Overlay {
-                base: catalog,
-                name,
-                rel: &current,
-            };
-            execute(plan, &overlay, cfg)?.relation
+    for k in 0..max_iters {
+        let started = Instant::now();
+        let overlay = Overlay {
+            base: catalog,
+            name,
+            rel: &input,
         };
-        match criterion {
+        let out = execute(plan, &overlay, cfg)?;
+        let rows_in = input.len();
+        let (next, converged) = match (&mut state, criterion) {
+            // Only strict improvements form the next frontier.
+            (Some(state), _) => {
+                let frontier = state.absorb(out.relation.rows(), op);
+                let empty = frontier.is_empty();
+                (Relation::from_buffer(frontier, op), empty)
+            }
             // Fixed-iteration rules (PageRank) recompute the whole relation
             // each round: replacement semantics.
-            Recursion::Iterations(_) => {
-                current = next;
-            }
+            (None, Recursion::Iterations(_)) => (out.relation, false),
             // Fixpoint rules follow the paper's Kleene semantics: "new
             // tuples are added to R" — merge with ⊕ until nothing changes.
-            Recursion::Fixpoint => {
-                let (merged, changed) = merge(current.rows(), next.rows(), op);
-                current = Relation::from_buffer(merged, op);
-                if !changed {
-                    return Ok(current);
-                }
+            (None, Recursion::Fixpoint) => {
+                let (merged, changed) = merge(input.rows(), out.relation.rows(), op);
+                (Relation::from_buffer(merged, op), !changed)
             }
-            Recursion::Epsilon(eps) => {
-                let delta = max_delta(current.rows(), next.rows(), op);
-                current = next;
-                if delta <= eps {
-                    return Ok(current);
-                }
+            (None, Recursion::Epsilon(eps)) => {
+                let delta = max_delta(input.rows(), out.relation.rows(), op);
+                (out.relation, delta <= eps)
             }
+        };
+        input = next;
+        if let (Some(p), Some(join)) = (&mut profile, out.profile) {
+            p.work.merge(&join.work);
+            let span = Span::timed(format!("iteration {k}"), origin, started, Instant::now());
+            p.root.children.push(
+                span.with_value("rows_in", rows_in as u64)
+                    .with_value("rows_out", input.len() as u64),
+            );
         }
-    }
-    Ok(current)
-}
-
-/// Seminaive evaluation: evaluate the body against the *frontier* of
-/// changed tuples only, merge improvements with `⊕`, and stop when the
-/// frontier empties (paper: SSSP).
-#[allow(clippy::too_many_arguments)]
-fn seminaive_loop(
-    rule: &Rule,
-    plan: &PhysicalPlan,
-    initial: Relation,
-    catalog: &dyn Catalog,
-    cfg: &Config,
-    op: AggOp,
-    criterion: Recursion,
-) -> Result<Relation, ExecError> {
-    let name = rule.head.relation.as_str();
-    // The running fixpoint state; the first frontier is all of it.
-    let mut state = Runs(vec![initial.rows().clone()]);
-    let mut frontier = initial;
-    let max_iters = match criterion {
-        Recursion::Iterations(n) => n,
-        _ => 1_000_000,
-    };
-    for _ in 0..max_iters {
-        if frontier.is_empty() {
+        if converged {
             break;
         }
-        let derived = {
-            let overlay = Overlay {
-                base: catalog,
-                name,
-                rel: &frontier,
-            };
-            execute(plan, &overlay, cfg)?.relation
-        };
-        // Only strict improvements form the next frontier.
-        frontier = Relation::from_buffer(state.absorb(derived.rows(), op), op);
     }
-    Ok(Relation::from_buffer(state.into_buffer(op), op))
+    let relation = match state {
+        Some(state) => Relation::from_buffer(state.into_buffer(op), op),
+        None => input,
+    };
+    if let Some(p) = &mut profile {
+        p.close(origin, Instant::now(), relation.len());
+    }
+    Ok(Executed {
+        relation,
+        level0: 0,
+        profile,
+    })
 }
 
 /// The seminaive fixpoint state: every key derived so far with its best
@@ -358,6 +331,14 @@ mod tests {
         cat
     }
 
+    /// Plan `rule` as a prepared statement does, then evaluate it.
+    fn recurse(rule: &Rule, initial: Relation, cat: &dyn Catalog, cfg: &Config) -> Relation {
+        let plan = PhysicalPlan::compile(rule, &eh_ghd::plan_rule(rule, &cfg.plan).unwrap());
+        execute_recursive_rule(rule, &plan, initial, cat, cfg)
+            .unwrap()
+            .relation
+    }
+
     fn dist_of(rel: &Relation, node: u32) -> Option<u64> {
         rel.rows()
             .iter()
@@ -377,7 +358,7 @@ mod tests {
         assert_eq!(dist_of(&initial, 1), Some(1));
         assert_eq!(dist_of(&initial, 3), Some(1));
         let rec = parse_rule("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.").unwrap();
-        let out = execute_recursive_rule(&rec, initial, &cat, &Config::default()).unwrap();
+        let out = recurse(&rec, initial, &cat, &Config::default());
         assert_eq!(dist_of(&out, 1), Some(1));
         assert_eq!(dist_of(&out, 2), Some(2), "via 1, not 3→2 (also 2)");
         assert_eq!(dist_of(&out, 3), Some(1), "shortcut edge");
@@ -391,12 +372,12 @@ mod tests {
             .unwrap()
             .relation;
         let rec = parse_rule("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.").unwrap();
-        let semi = execute_recursive_rule(&rec, initial.clone(), &cat, &Config::default()).unwrap();
+        let semi = recurse(&rec, initial.clone(), &cat, &Config::default());
         let cfg = Config {
             force_naive_recursion: true,
             ..Config::default()
         };
-        let naive = execute_recursive_rule(&rec, initial, &cat, &cfg).unwrap();
+        let naive = recurse(&rec, initial, &cat, &cfg);
         for node in 1..4u32 {
             assert_eq!(dist_of(&semi, node), dist_of(&naive, node), "node {node}");
         }
@@ -415,7 +396,7 @@ mod tests {
             AggOp::Sum,
         );
         let rec = parse_rule("P(x;y:float)*[i=3] :- E(x,z),P(z); y=<<SUM(z)>>.").unwrap();
-        let out = execute_recursive_rule(&rec, initial, &cat, &Config::default()).unwrap();
+        let out = recurse(&rec, initial, &cat, &Config::default());
         // After odd number of swaps: values exchanged.
         let annots = out.annotations().unwrap();
         assert_eq!(out.rows().flat(), &[0, 1]);
@@ -436,7 +417,7 @@ mod tests {
             AggOp::Sum,
         );
         let rec = parse_rule("P(x;y:float)*[c=0.001] :- E(x,z),P(z); y=0.5*<<SUM(z)>>.").unwrap();
-        let out = execute_recursive_rule(&rec, initial, &cat, &Config::default()).unwrap();
+        let out = recurse(&rec, initial, &cat, &Config::default());
         let annots = out.annotations().unwrap();
         assert!(annots[0].as_f64() <= 0.002, "decayed close to zero");
     }
@@ -541,7 +522,7 @@ mod tests {
                 force_naive_recursion: naive,
                 ..Config::default()
             };
-            let out = execute_recursive_rule(&rec, initial.clone(), &cat, &cfg).unwrap();
+            let out = recurse(&rec, initial.clone(), &cat, &cfg);
             assert!(out.rows().is_strictly_sorted(), "naive={naive}");
             assert_eq!(dist_of(&out, 1), Some(1), "naive={naive}");
             assert_eq!(dist_of(&out, 2), Some(2), "naive={naive}");
@@ -564,7 +545,7 @@ mod tests {
             .unwrap()
             .relation;
         let rec = parse_rule("R(x;y:int)* :- Edge(w,x),R(w); y=<<MIN(w)>>+1.").unwrap();
-        let out = execute_recursive_rule(&rec, initial, &cat, &Config::default()).unwrap();
+        let out = recurse(&rec, initial, &cat, &Config::default());
         assert_eq!(dist_of(&out, 4), Some(4));
         assert_eq!(out.len(), 4);
     }

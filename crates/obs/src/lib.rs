@@ -136,6 +136,20 @@ impl QueryProfile {
         self.work.values_scanned
     }
 
+    /// Make `root` the `query` span over `[origin, ended)`, keeping its
+    /// children: `rows`, `observed_work` and, for a cost-based order,
+    /// the rounded `estimated_work`, in that order.
+    pub fn close(&mut self, origin: std::time::Instant, ended: std::time::Instant, rows: usize) {
+        let mut root = Span::timed("query", origin, origin, ended)
+            .with_value("rows", rows as u64)
+            .with_value("observed_work", self.observed_work());
+        if let Some(est) = self.estimated_work {
+            root = root.with_value("estimated_work", est.round() as u64);
+        }
+        root.children = std::mem::take(&mut self.root.children);
+        self.root = root;
+    }
+
     /// Render the estimated-vs-observed comparison plus the span tree's
     /// phases, the `\explain` extension. One line per fact; stable
     /// prefixes so smoke tests can grep.

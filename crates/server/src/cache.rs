@@ -25,22 +25,6 @@ use eh_core::Prepared;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Whether a query text is the shape the plan cache can hold: exactly
-/// one non-recursive rule. Checked before compiling so multi-rule
-/// programs and fixpoints neither double-parse through a doomed
-/// `prepare` nor count as cache misses.
-pub fn is_preparable(text: &str) -> bool {
-    match eh_query::parse_program(text) {
-        Ok(p) => {
-            p.rules.len() == 1 && {
-                let r = &p.rules[0];
-                r.head.recursion.is_none() && !r.is_recursive()
-            }
-        }
-        Err(_) => false,
-    }
-}
-
 /// An LRU cache of compiled plans, keyed by normalized query text and
 /// guarded by the catalog epoch of the database they were compiled
 /// against.
@@ -146,8 +130,8 @@ impl PlanCache {
 
     /// Look up a plan for `text` valid at `epoch`; counts a hit when
     /// found. Absence counts nothing — the miss counter tracks actual
-    /// compilations (it bumps in [`PlanCache::insert`]), so uncacheable
-    /// traffic (multi-rule programs, recursion) never inflates it.
+    /// compilations (it bumps in [`PlanCache::insert`]), so a text that
+    /// fails to compile never inflates it.
     pub fn lookup(&mut self, epoch: u64, text: &str) -> Option<Arc<Prepared>> {
         self.sync(epoch);
         let key = Self::normalize(text);
@@ -424,20 +408,45 @@ mod tests {
     }
 
     #[test]
-    fn programs_and_fixpoints_are_neither_cached_nor_counted() {
+    fn programs_and_fixpoints_are_cached_like_rules() {
         let shared = shared(8);
-        let db = shared.db.read();
-        for text in [
-            "A(x,z) :- E(x,y),E(y,z). B(z) :- A('0',z).",
-            "R(x;y:int)* :- E(w,x),R(w); y=<<MIN(w)>>+1.",
-        ] {
-            assert!(shared.cached_plan_gated(&db, text).unwrap().is_none());
+        let program = "A(x,z) :- E(x,y),E(y,z). B(z) :- A('0',z).";
+        let fixpoint = "R(x;y:int)* :- E(w,x),R(w); y=<<MIN(w)>>+1.";
+        for (k, text) in [program, fixpoint].into_iter().enumerate() {
+            let (first, hit) = plan(&shared, text);
+            assert!(!hit, "{text}");
+            let (again, hit) = plan(&shared, text);
+            assert!(hit, "{text}");
+            assert!(Arc::ptr_eq(&first, &again), "{text}");
+            let cache = shared.cache.lock();
+            let compiled = k as u64 + 1;
+            assert_eq!((cache.len() as u64, cache.misses()), (compiled, compiled));
         }
-        assert!(shared
-            .cached_plan_gated(&db, "T(x,y) :- E(x,y).")
-            .unwrap()
-            .is_some());
-        let cache = shared.cache.lock();
-        assert_eq!((cache.len(), cache.misses()), (1, 1));
+        // The fixpoint runs from the stored base case R; re-registering
+        // the base (an epoch bump) re-prepares it, and the answer comes
+        // from the new base.
+        let distances = |base: &[(u32, u64)]| {
+            let (keys, annots) = base
+                .iter()
+                .map(|&(node, d)| (vec![node], eh_semiring::DynValue::U64(d)))
+                .unzip();
+            let base = Relation::from_annotated_rows(1, keys, annots, eh_semiring::AggOp::Min);
+            shared.db.write().register("R", base);
+            let (stmt, hit) = plan(&shared, fixpoint);
+            let out = stmt.execute(&shared.db.read()).unwrap();
+            let dist: Vec<(u32, u64)> = (out.rows().iter())
+                .zip(out.relation().annotations().unwrap())
+                .map(|(row, d)| (row[0], d.as_u64()))
+                .collect();
+            (dist, hit)
+        };
+        // E: 0→1, 1→2, 0→2.
+        let (from_zero, hit) = distances(&[(0, 0)]);
+        assert!(!hit, "the epoch bump discarded the cached fixpoint");
+        assert_eq!(from_zero, vec![(0, 0), (1, 1), (2, 1)]);
+        let (from_one, hit) = distances(&[(1, 5)]);
+        assert!(!hit);
+        assert_eq!(from_one, vec![(1, 5), (2, 6)]);
+        assert!(plan(&shared, fixpoint).1, "an unchanged epoch hits");
     }
 }

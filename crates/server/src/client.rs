@@ -186,8 +186,7 @@ pub struct ExecOutcome {
     /// The result, or the shard's partial of it.
     pub result: ResultSet,
     /// The server's span tree, present iff the request carried a trace
-    /// id and the plan could be profiled (recursive rules cannot). Its
-    /// root span carries `rows`, `observed_work` and, for cost-based
+    /// id. Its root span carries `rows`, `observed_work` and, for cost-based
     /// orders, `estimated_work` as values.
     pub trace: Option<Trace>,
 }

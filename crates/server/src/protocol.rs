@@ -533,8 +533,7 @@ pub enum Response {
         /// partial of it.
         batch: Vec<u8>,
         /// `eh_storage::trace_wire::encode_trace` output, tagged with
-        /// the request's trace id: present iff the request carried one
-        /// and the plan could be profiled (recursive rules cannot).
+        /// the request's trace id: present iff the request carried one.
         spans: Option<Vec<u8>>,
     },
     /// A statement was compiled (or fetched from the shared cache).

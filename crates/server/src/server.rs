@@ -139,9 +139,10 @@ impl Shared {
         self
     }
 
-    /// Fetch-or-compile a plan for `text` against `db` (the caller
+    /// Fetch-or-compile the program `text` against `db` (the caller
     /// already holds the database read lock and passes the guard's
-    /// target); the flag says whether it was a cache hit.
+    /// target); the flag says whether it was a cache hit. Every text —
+    /// rule, multi-rule program or fixpoint — runs through here.
     pub fn cached_plan(
         &self,
         db: &Database,
@@ -150,37 +151,12 @@ impl Shared {
         if let Some(plan) = self.cache.lock().lookup(db.epoch(), text) {
             return Ok((plan, true));
         }
-        Ok((self.compile(db, text)?, false))
-    }
-
-    /// The ad-hoc query path: cached plan if present (no parsing at
-    /// all), compile-and-cache if the text is a single non-recursive
-    /// rule, `None` for programs/fixpoints the session should run
-    /// uncached.
-    pub fn cached_plan_gated(
-        &self,
-        db: &Database,
-        text: &str,
-    ) -> Result<Option<Arc<Prepared>>, CoreError> {
-        if let Some(plan) = self.cache.lock().lookup(db.epoch(), text) {
-            return Ok(Some(plan));
-        }
-        if !crate::cache::is_preparable(text) {
-            return Ok(None);
-        }
-        self.compile(db, text).map(Some)
-    }
-
-    /// A cache miss: compile, then insert. The cache mutex is held only
-    /// around the map lookup and insert — compilation itself runs
-    /// unlocked, so a slow GHD search never serializes other sessions'
-    /// cache hits.
-    fn compile(&self, db: &Database, text: &str) -> Result<Arc<Prepared>, CoreError> {
+        // A miss compiles unlocked, so a slow GHD search never serializes
+        // other sessions' cache hits.
         let plan = Arc::new(db.prepare(text)?);
-        self.cache
-            .lock()
-            .insert(db.epoch(), text, Arc::clone(&plan));
-        Ok(plan)
+        let mut cache = self.cache.lock();
+        cache.insert(db.epoch(), text, Arc::clone(&plan));
+        Ok((plan, false))
     }
 
     /// Snapshot of the server statistics against `db` (the caller holds

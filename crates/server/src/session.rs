@@ -411,9 +411,9 @@ impl Session {
         Ok(())
     }
 
-    /// Run a query: resolve the plan, execute it (or, for programs and
-    /// fixpoints, the read-only program runner), feed the slow log, and
-    /// encode the answer. `Err` is the message of the `Error` frame.
+    /// Run a query: resolve the compiled program, execute it, feed the
+    /// slow log, and encode the answer. `Err` is the message of the
+    /// `Error` frame.
     fn exec(
         &mut self,
         shared: &Shared,
@@ -440,48 +440,30 @@ impl Session {
                     stmt.plan = plan;
                     stmt.epoch = db.epoch();
                 }
-                (Some(Arc::clone(&stmt.plan)), stmt.text.as_str())
+                (Arc::clone(&stmt.plan), stmt.text.as_str())
             }
             ExecTarget::Text(text) => {
                 shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-                // Single-rule non-recursive texts run through the shared
-                // plan cache, so repeated ad-hoc queries amortize
-                // compilation exactly like prepared statements (a cached
-                // text executes without re-parsing at all); multi-rule
-                // programs and recursion take the uncached read-only
-                // path, still under the read lock.
-                let plan = shared.cached_plan_gated(&db, text);
-                (plan.map_err(|e| e.to_string())?, text.as_str())
+                // A cached text executes without re-parsing at all.
+                let (plan, _) = shared.cached_plan(&db, text).map_err(|e| e.to_string())?;
+                (plan, text.as_str())
             }
         };
         // A trace id turns profiling on: the span tree comes home in the
-        // response, tagged with that id. Untraced requests run with no
-        // timing inside the join.
+        // response, tagged with that id. A program whose partial results
+        // do not ⊕-merge (`Prepared::shard_mergeable`) executes in FULL
+        // and answers `sharded: false`: the coordinator then keeps one
+        // worker's batch, so a cluster still answers every query.
         let mut cfg = self.config.with_profile(trace.is_some());
-        // Shardable = single non-recursive rule (the cacheable set)
-        // whose partial results ⊕-merge (trivial head expression).
-        // Everything else executes in FULL and answers `sharded: false`:
-        // the coordinator then keeps exactly one worker's batch, so a
-        // cluster still answers every query the single-process engine
-        // does — it just doesn't scale the non-mergeable ones.
-        let sharded = match (shard, &plan) {
-            (Some((index, count)), Some(plan)) if plan.plan().shard_mergeable() => {
-                cfg = cfg.with_shard(index, count);
-                true
-            }
-            _ => false,
-        };
+        if let Some((index, count)) = shard {
+            cfg = cfg.with_shard(index, count);
+        }
+        let sharded = shard.is_some() && plan.shard_mergeable();
         let started = Instant::now();
-        let result = match &plan {
-            Some(plan) => plan.execute_with(&db, &cfg),
-            None => db.query_ref_with(text, &cfg),
-        };
-        let mut result = result.map_err(|e| e.to_string())?;
+        let mut result = plan.execute_with(&db, &cfg).map_err(|e| e.to_string())?;
         let elapsed_ns = started.elapsed().as_nanos() as u64;
-        // Recursive rules execute unprofiled: a traced request then
-        // gets rows with no span tree. The profile's tree ships as it
-        // stands; a shard's root is renamed so a stitched trace tells
-        // the lanes apart.
+        // The profile's tree ships as it stands; a shard's root is
+        // renamed so a stitched trace tells the lanes apart.
         let spans = trace.zip(result.take_profile()).map(|(trace_id, profile)| {
             let mut root = profile.root;
             if let Some((index, count)) = shard {

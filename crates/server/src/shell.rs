@@ -69,7 +69,8 @@ OPTIONS:
 STATEMENTS (separated by ';' or newline):
   Rule(x,y) :- Edge(x,y).        run a query (read-only)
   A(x) :- E(x,y). B(y) :- A(y).  multi-rule program: keep it on ONE line
-                                 (later rules see earlier heads)
+                                 (later rules see earlier heads; compiled,
+                                 cached and traced whole, recursion too)
   \\l FILE [NAME]                 load a CSV/TSV (header line drives types)
   \\d                             list relations
   \\prepare NAME QUERY            compile once through the plan cache
@@ -361,11 +362,9 @@ impl Shell {
         }
         let outcome = self.traced(query)?;
         let rows = outcome.result.num_rows();
-        let Some(trace) = outcome.trace else {
-            return Ok(format!(
-                "no profile: plan executes unprofiled (recursive rule); {rows} rows\n"
-            ));
-        };
+        let trace = outcome
+            .trace
+            .ok_or("a traced query came back without its trace")?;
         let shards = ShardReport::from_trace(&trace.root);
         Ok(if shards.is_empty() {
             format!("profiled remotely ({rows} rows):\n{}", trace.root.render())
@@ -384,12 +383,10 @@ impl Shell {
     fn trace(&mut self, query: &str) -> Result<String, String> {
         let outcome = self.traced(query)?;
         let rows = outcome.result.num_rows();
-        Ok(match outcome.trace {
-            Some(trace) => format!("{}({rows} rows)\n", trace.render()),
-            None => {
-                format!("no trace: plan executes unprofiled (recursive rule)\n({rows} rows)\n")
-            }
-        })
+        let trace = outcome
+            .trace
+            .ok_or("a traced query came back without its trace")?;
+        Ok(format!("{}({rows} rows)\n", trace.render()))
     }
 
     /// `\metrics`: the `Stats` frame again, in full — counters plus the
@@ -979,6 +976,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The paper's SSSP shape over a loaded `E`: a base rule, then a
+    /// MIN fixpoint that reads it.
+    const FIXPOINT: &str =
+        "S(x;y:int) :- E('0',x); y=1. S(x;y:int)* :- E(w,x),S(w); y=<<MIN(w)>>+1.";
+
     /// Embedded == remote by construction: the same script, statement
     /// by statement, through an in-process session and through a socket
     /// session, prints identical output — results, confirmations, error
@@ -994,6 +996,7 @@ mod tests {
         let mut embedded = Shell::new(Backend::embedded(Database::new()));
         let mut remote = Shell::new(Backend::Remote(EhClient::connect(&addr).expect("connect")));
         let load = format!("\\l {} E", tsv.display());
+        let prepare_fixpoint = format!("\\prepare s {FIXPOINT}");
         let script = [
             load.as_str(),
             "\\d",
@@ -1005,6 +1008,13 @@ mod tests {
             "\\exec t",
             "\\set threads 2",
             "T(x,y,z) :- E(x,y),E(y,z),E(x,z).",
+            // A fixpoint program, ad hoc twice (the second run hits the
+            // plan cache) and as a prepared statement.
+            FIXPOINT,
+            FIXPOINT,
+            &prepare_fixpoint,
+            "\\exec s",
+            "Q(x :- E(x).",
             "\\set slow_ms 0",
             // Regression: the embedded shell's \exec used to skip the
             // slow log. Both entries below must show up in \slow.
@@ -1033,6 +1043,11 @@ mod tests {
             }
         }
         assert!(run(&mut embedded, "Q(x) :- Nope(x,y).").starts_with("error: "));
+        // Distances from node 0 over 0→1, 1→2, 0→2.
+        let out = run(&mut embedded, FIXPOINT);
+        assert!(out.ends_with("1\t1\n2\t1\n(2 rows)\n"), "{out}");
+        let out = run(&mut remote, "Q(x :- E(x).");
+        assert_eq!(out.matches("parse error: ").count(), 1, "{out}");
         // `\set threads 2` reaches \explain in both modes: the embedded
         // profile counts the workers, the remote span tree lists them.
         let explain = "\\explain T(x,y,z) :- E(x,y),E(y,z),E(x,z).";

@@ -79,12 +79,6 @@ fn expected_bytes(db: &Database, query: &str) -> Vec<u8> {
     batch_from_result(db, &result).encode().expect("encode")
 }
 
-/// In-process answer for non-preparable programs (the read-only path).
-fn expected_bytes_program(db: &Database, program: &str) -> Vec<u8> {
-    let result = db.query_ref(program).expect("reference program");
-    batch_from_result(db, &result).encode().expect("encode")
-}
-
 /// Spawn `n` shard workers, each a full `eh_server` over a Unix socket
 /// loaded with identical data (same bytes, same order — dictionaries
 /// and ids agree across the fleet).
@@ -206,13 +200,13 @@ fn non_mergeable_plans_fall_back_to_full_execution() {
         cluster.last_reports()
     );
 
-    // Multi-rule programs take the read-only path (not preparable), so
-    // they also run full on each worker.
+    // Multi-rule programs are not shard-mergeable, so they also run
+    // full on each worker.
     let program = "H(x,z) :- G(x,y),G(y,z). F(z) :- H('0',z).";
     let got = cluster.query(program).expect("cluster program");
     assert_eq!(
         got.raw_bytes(),
-        &expected_bytes_program(&reference, program)[..],
+        &expected_bytes(&reference, program)[..],
         "program answer diverged"
     );
     assert!(cluster.last_reports().iter().all(|r| !r.sharded));

@@ -105,19 +105,28 @@ fn trace_exec_round_trips_spans_and_batch() {
         assert!(trace.root.value("estimated_work").is_some(), "{rendered}");
     }
 
-    // Multi-rule programs take the read-only path; whether or not that
-    // path yields a profile, the rows must be exact and any trace that
-    // does come back must be well-formed.
+    // A multi-rule program is traced like a rule: one `rule k` child
+    // per rule, each that rule's own tree, and exact rows.
     let program = "H(x,z) :- G(x,y),G(y,z). F(z) :- H('0',z).";
     let out = client.trace_exec(program).expect("program trace");
-    if let Some(t) = &out.trace {
-        assert_ne!(t.trace_id, 0);
+    let trace = out.trace.expect("programs profile");
+    assert_ne!(trace.trace_id, 0);
+    let rules: Vec<&str> = trace
+        .root
+        .children
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(rules, ["rule 0", "rule 1"]);
+    for rule in &trace.root.children {
+        assert!(rule.children.iter().any(|c| c.name == "node 0"), "{rule:?}");
+        assert!(rule.start_ns_rel >= trace.root.start_ns_rel);
     }
-    let result = reference.query_ref(program).expect("reference program");
-    let expected = batch_from_result(&reference, &result)
-        .encode()
-        .expect("encode");
-    assert_eq!(out.result.raw_bytes(), &expected[..]);
+    assert_eq!(trace.root.value("rows"), Some(out.result.num_rows() as u64));
+    assert_eq!(
+        out.result.raw_bytes(),
+        &expected_bytes(&reference, program)[..]
+    );
 
     client.quit().expect("quit");
     for s in servers {

@@ -1,5 +1,5 @@
-//! Benchmark harness utilities shared by the Criterion benches and the
-//! `paper-tables` binary.
+//! Benchmark harness utilities shared by the `paper_tables` binary and
+//! the `eh_bench` examples.
 //!
 //! Measurement methodology follows paper §5.1.3: index (trie) construction
 //! is excluded — queries are *prepared* (run once to warm every cached
@@ -24,20 +24,8 @@ impl PreparedQuery {
     /// Build the database, register the graph as `Edge`, compile the rule,
     /// and run it once so every trie the plan needs is materialized.
     pub fn new(graph: &Graph, config: Config, query: &str) -> PreparedQuery {
-        Self::with_setup(graph, config, query, |_| {})
-    }
-
-    /// Like [`PreparedQuery::new`] with extra setup on the database (extra
-    /// relations, constants) before warming.
-    pub fn with_setup(
-        graph: &Graph,
-        config: Config,
-        query: &str,
-        setup: impl FnOnce(&mut Database),
-    ) -> PreparedQuery {
         let mut db = Database::with_config(config);
         db.load_graph("Edge", graph);
-        setup(&mut db);
         let stmt = db.prepare(query).expect("query must compile");
         let mut pq = PreparedQuery { db, stmt };
         let _ = pq.run();
@@ -51,11 +39,6 @@ impl PreparedQuery {
             .expect("prepared query must run")
             .scalar_u64()
             .unwrap_or(0)
-    }
-
-    /// Access the underlying database.
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
     }
 }
 

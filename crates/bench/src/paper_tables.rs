@@ -14,9 +14,8 @@
 use crate::{measure, measure_once, queries, ratio, secs, PreparedQuery, Table};
 use eh_core::{Config, Database, Scheduler};
 use eh_graph::{apply_ordering, compute_ordering, gen, paper_datasets, Graph, OrderingScheme};
-use eh_semiring::{AggOp, DynValue};
 use eh_set::{IntersectConfig, LayoutKind, Set};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const TARGETS: &str =
     "fig5|fig6|fig7|table3|table4|table5|table6|table7|table8|table9|table10|table11|table13|skew|loaded|storage-smoke|all";
@@ -93,38 +92,96 @@ fn tuned(cfg: Config) -> Config {
     }
 }
 
+/// A parsed `paper_tables` command line.
+struct Args {
+    /// The target to run: the first argument that is neither a flag nor
+    /// a flag's value; `loaded` with `--load` and none given, else `all`.
+    target: String,
+    scale: f64,
+    threads: Option<usize>,
+    morsel: Option<usize>,
+    load: Option<String>,
+    json: Option<String>,
+}
+
+fn usage() -> String {
+    format!(
+        "usage: paper_tables [{TARGETS}] [--scale S] [--threads N] [--morsel M] [--load PATH] [--json PATH]"
+    )
+}
+
+/// Parse the arguments after the program name. `--help`/`-h` anywhere
+/// selects the help target; an unknown flag, a flag without its value,
+/// a malformed number, a non-positive scale or a second target is an
+/// error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        target: String::new(),
+        scale: 0.1,
+        threads: None,
+        morsel: None,
+        load: None,
+        json: None,
+    };
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        parsed.target = "help".into();
+        return Ok(parsed);
+    }
+    let mut target = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            if let Some(first) = target.replace(arg.clone()) {
+                return Err(format!("two targets given: '{first}' and '{arg}'"));
+            }
+            continue;
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{arg} needs a value"))?
+            .clone();
+        let number = |what: &str| format!("{arg} expects {what}, got '{value}'");
+        match arg.as_str() {
+            "--scale" => match value.parse::<f64>() {
+                Ok(s) if s.is_finite() && s > 0.0 => parsed.scale = s,
+                _ => return Err(number("a positive number")),
+            },
+            "--threads" => parsed.threads = Some(value.parse().map_err(|_| number("a count"))?),
+            "--morsel" => parsed.morsel = Some(value.parse().map_err(|_| number("a count"))?),
+            "--load" => parsed.load = Some(value),
+            "--json" => parsed.json = Some(value),
+            _ => return Err(format!("unknown flag '{arg}'")),
+        }
+    }
+    parsed.target = match target {
+        Some(t) => t,
+        None if parsed.load.is_some() => "loaded".into(),
+        None => "all".into(),
+    };
+    Ok(parsed)
+}
+
 pub fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let scale = flag("--scale")
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.1);
-    let threads = flag("--threads").and_then(|s| s.parse::<usize>().ok());
+    let Args {
+        target,
+        scale,
+        threads,
+        morsel,
+        load,
+        json,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("paper_tables: {e}");
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    });
     let _ = THREADS.set(threads);
-    let morsel = flag("--morsel").and_then(|s| s.parse::<usize>().ok());
     let _ = MORSEL.set(morsel);
-    let load = flag("--load");
-    let json = flag("--json");
     if json.is_some() {
         let _ = JSON_SINK.set(std::sync::Mutex::new(Vec::new()));
     }
-    // `--load` without an explicit target runs the paper's queries over
-    // the external dataset.
-    let which = match args.first().map(String::as_str) {
-        // `--help` anywhere must reach the help arm, not fall through to
-        // a full `all` run.
-        _ if args.iter().any(|a| a == "--help" || a == "-h") => "--help",
-        Some(w) if !w.starts_with("--") => w,
-        _ if load.is_some() => "loaded",
-        _ => "all",
-    };
     let reps = 3;
-    match which {
+    match target.as_str() {
         "fig5" => fig5(),
         "fig6" => fig6(),
         "fig7" => fig7(),
@@ -157,10 +214,8 @@ pub fn main() {
             table13(scale);
             skew(scale, reps);
         }
-        "--help" | "-h" | "help" => {
-            println!(
-                "usage: paper_tables [{TARGETS}] [--scale S] [--threads N] [--morsel M] [--load PATH] [--json PATH]"
-            );
+        "help" => {
+            println!("{}", usage());
             println!();
             println!("Regenerates the paper's evaluation tables/figures on synthetic");
             println!("dataset analogs. --scale (default 0.1) shrinks the generated");
@@ -184,7 +239,8 @@ pub fn main() {
             println!("(table, dataset, query, config, median_us, rows) as JSON.");
         }
         other => {
-            eprintln!("unknown target '{other}'; use {TARGETS} (or --help)");
+            eprintln!("paper_tables: unknown target '{other}'");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     }
@@ -726,6 +782,54 @@ fn table7(scale: f64, reps: usize) {
         ]);
     }
     println!("(paper: Galois ≤3x faster than EH; PowerGraph/SociaLite ~10x slower)");
+    table7_high_diameter(reps);
+}
+
+/// SSSP where the seminaive frontier is a row or two for thousands of
+/// iterations (paths, a road-like grid): the other end from the
+/// low-diameter analogs above, where it is most of the graph. Fixed
+/// sizes, independent of `--scale`. Time per node must not grow with the
+/// path's length: path_20k's ns/node over path_5k's is ≈ 1 when each
+/// iteration costs its frontier, not the state so far. Exits non-zero if
+/// any distance disagrees with the low-level BFS.
+fn table7_high_diameter(reps: usize) {
+    println!("\n== Table 7 (high diameter): SSSP from node 0 ==");
+    let t = Table::new(&[
+        ("dataset", 12),
+        ("nodes", 8),
+        ("diameter", 8),
+        ("EH[s]", 10),
+        ("ns/node", 10),
+    ]);
+    let mut wrong = Vec::new();
+    for (name, g) in [
+        ("path_5k", gen::grid(5_000, 1)),
+        ("path_20k", gen::grid(20_000, 1)),
+        ("grid_150x150", gen::grid(150, 150)),
+    ] {
+        let mut runner = eh_core::algorithms::SsspRunner::new(&g, 0, tuned(Config::default()))
+            .expect("the SSSP program compiles");
+        let mut run = || runner.run().expect("SSSP on a generated graph runs");
+        let dists = run();
+        let want = eh_baselines::lowlevel::sssp_bfs(&g, 0);
+        let d = measure(reps, &mut run);
+        let nodes = g.num_nodes as u64;
+        record("table7", name, "sssp", "EH", d, nodes);
+        t.row(&[
+            name.into(),
+            nodes.to_string(),
+            want.iter().max().copied().unwrap_or(0).to_string(),
+            secs(d),
+            format!("{:.0}", d.as_nanos() as f64 / nodes as f64),
+        ]);
+        if dists != want {
+            wrong.push(name);
+        }
+    }
+    if !wrong.is_empty() {
+        eprintln!("table7 FAILED: SSSP distances disagree with the low-level BFS on {wrong:?}");
+        std::process::exit(1);
+    }
 }
 
 // ---------------------------------------------------------------- Table 8
@@ -995,25 +1099,53 @@ fn table13(scale: f64) {
     println!("(paper: push-down worth up to four orders of magnitude)");
 }
 
-/// Unused-table guard (keeps the binary honest about coverage).
-#[allow(dead_code)]
-fn coverage() -> &'static [&'static str] {
-    &[
-        "fig5", "fig6", "fig7", "table3", "table4", "table5", "table6", "table7", "table8",
-        "table9", "table10", "table11", "table13",
-    ]
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn the_target_is_the_first_bare_argument() {
+        let a = parse(&["--scale", "0.01", "fig5"]).unwrap();
+        assert_eq!((a.target.as_str(), a.scale), ("fig5", 0.01));
+        let a = parse(&["table3", "--threads", "2", "--morsel", "64"]).unwrap();
+        assert_eq!(
+            (a.target.as_str(), a.threads, a.morsel),
+            ("table3", Some(2), Some(64))
+        );
+        // A flag's value is never the target, even when it looks like one.
+        let a = parse(&["--json", "fig5", "table7"]).unwrap();
+        assert_eq!(
+            (a.target.as_str(), a.json.as_deref()),
+            ("table7", Some("fig5"))
+        );
+    }
+
+    #[test]
+    fn defaults_without_a_target() {
+        let a = parse(&[]).unwrap();
+        assert_eq!((a.target.as_str(), a.scale, a.threads), ("all", 0.1, None));
+        assert_eq!(parse(&["--load", "e.tsv"]).unwrap().target, "loaded");
+        assert_eq!(parse(&["fig5", "-h"]).unwrap().target, "help");
+        assert_eq!(parse(&["--scale", "abc", "--help"]).unwrap().target, "help");
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors() {
+        for bad in [
+            &["fig5", "--scale", "abc"][..],
+            &["fig5", "--scale", "0"],
+            &["fig5", "--scale", "NaN"],
+            &["table3", "--threads", "two"],
+            &["table3", "--morsel", "-4"],
+            &["table3", "--threads"],
+            &["table3", "--frobnicate", "1"],
+            &["table3", "table5"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }
-
-#[allow(unused_imports)]
-use eh_exec as _;
-#[allow(unused_imports)]
-use eh_ghd as _;
-#[allow(unused_imports)]
-use eh_query as _;
-#[allow(unused_imports)]
-use eh_trie as _;
-
-// Silence unused warnings for re-exported helper types used only in some
-// subcommands.
-#[allow(dead_code)]
-fn _unused(_: &Database, _: AggOp, _: DynValue, _: &Graph, _: &Instant) {}

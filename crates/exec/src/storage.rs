@@ -49,28 +49,7 @@ pub struct ColumnExtent {
 }
 
 /// Cache of materialized tries, keyed by attribute order + layout policy.
-type TrieCache = HashMap<(Vec<usize>, LayoutPolicyKey), Arc<Trie>>;
-
-/// Hashable stand-in for [`LayoutPolicy`] (which holds no Eq-unfriendly
-/// data but lives in another crate without Hash).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum LayoutPolicyKey {
-    FixedUint,
-    FixedBitset,
-    FixedBlock,
-    SetLevel,
-    BlockLevel,
-}
-
-fn policy_key(p: LayoutPolicy) -> LayoutPolicyKey {
-    match p {
-        LayoutPolicy::Fixed(eh_set::LayoutKind::Uint) => LayoutPolicyKey::FixedUint,
-        LayoutPolicy::Fixed(eh_set::LayoutKind::Bitset) => LayoutPolicyKey::FixedBitset,
-        LayoutPolicy::Fixed(eh_set::LayoutKind::Block) => LayoutPolicyKey::FixedBlock,
-        LayoutPolicy::SetLevel => LayoutPolicyKey::SetLevel,
-        LayoutPolicy::BlockLevel => LayoutPolicyKey::BlockLevel,
-    }
-}
+type TrieCache = HashMap<(Vec<usize>, LayoutPolicy), Arc<Trie>>;
 
 impl Clone for Relation {
     fn clone(&self) -> Self {
@@ -183,7 +162,7 @@ impl Relation {
     /// `threads` workers (cache misses only; the result is identical).
     pub fn trie_threads(&self, order: &[usize], policy: LayoutPolicy, threads: usize) -> Arc<Trie> {
         assert_eq!(order.len(), self.arity(), "order must cover all columns");
-        let key = (order.to_vec(), policy_key(policy));
+        let key = (order.to_vec(), policy);
         if let Some(t) = self.tries.read().get(&key) {
             return Arc::clone(t);
         }

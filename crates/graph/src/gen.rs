@@ -147,6 +147,24 @@ pub fn complete(n: u32) -> Graph {
     Graph::from_dense(n, edges)
 }
 
+/// The undirected `cols × rows` grid (both edge directions), node `v` at
+/// column `v % cols` and row `v / cols`; a path of `n` nodes is
+/// `grid(n, 1)`. Its diameter is `cols + rows - 2`, so SSSP from node 0
+/// runs that many seminaive iterations over a frontier of one
+/// anti-diagonal — the high-diameter end of the analytics workloads.
+pub fn grid(cols: u32, rows: u32) -> Graph {
+    let mut edges = Vec::new();
+    for v in 0..cols * rows {
+        if v % cols + 1 < cols {
+            edges.extend([(v, v + 1), (v + 1, v)]);
+        }
+        if v / cols + 1 < rows {
+            edges.extend([(v, v + cols), (v + cols, v)]);
+        }
+    }
+    Graph::from_dense(cols * rows, edges)
+}
+
 /// A "barbell-rich" graph: dense cluster + sparse path tail, used to
 /// exercise GHD early aggregation where the two-triangle structure matters.
 pub fn clustered(n_cluster: u32, n_tail: u32, seed: u64) -> Graph {
@@ -273,6 +291,28 @@ mod tests {
             }
         }
         assert_eq!(tri, 120);
+    }
+
+    #[test]
+    fn grid_edge_count_and_symmetry() {
+        // A c×r grid has r(c-1) horizontal and c(r-1) vertical undirected
+        // edges, each emitted in both directions.
+        for (cols, rows) in [(1, 1), (7, 1), (1, 5), (4, 3), (10, 10)] {
+            let g = grid(cols, rows);
+            assert_eq!(g.num_nodes, cols * rows);
+            let undirected = rows * (cols - 1) + cols * (rows - 1);
+            assert_eq!(g.num_edges(), 2 * undirected as usize, "{cols}x{rows}");
+            for &(s, d) in &g.edges {
+                assert!(s.abs_diff(d) == 1 || s.abs_diff(d) == cols);
+                assert!(
+                    g.edges.binary_search(&(d, s)).is_ok(),
+                    "missing reverse of ({s},{d})"
+                );
+            }
+        }
+        // A path: the interior nodes have degree 2, the ends degree 1.
+        let deg = grid(6, 1).total_degrees();
+        assert_eq!(deg, vec![2, 4, 4, 4, 4, 2]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum LayoutLevel {
 
 /// Layout policy handed to trie construction: either a forced layout
 /// (relation level / ablations) or an automatic per-set or per-block choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LayoutPolicy {
     /// Force every set to one layout (relation-level decision; `Uint` is
     /// the paper's `-R` ablation).

@@ -96,28 +96,13 @@ fn pagerank_and_sssp_match_lowlevel_under_every_configuration() {
     }
 }
 
-/// Undirected `cols × rows` grid, node `v` at column `v % cols`; a path
-/// is `grid(n, 1)`.
-fn grid(cols: u32, rows: u32) -> Graph {
-    let mut edges = Vec::new();
-    for v in 0..cols * rows {
-        if v % cols + 1 < cols {
-            edges.extend([(v, v + 1), (v + 1, v)]);
-        }
-        if v / cols + 1 < rows {
-            edges.extend([(v, v + cols), (v + cols, v)]);
-        }
-    }
-    Graph::from_dense(cols * rows, edges)
-}
-
 #[test]
 fn high_diameter_sssp_matches_lowlevel() {
     // The other end from the power-law graphs above: thousands of
     // seminaive iterations whose frontier is one or two rows (a path) or
     // one anti-diagonal (a grid), so the fixpoint state grows by new runs
     // far smaller than itself and every iteration takes the sorted sink.
-    for (gname, g) in [("path", grid(1_500, 1)), ("grid", grid(30, 30))] {
+    for (gname, g) in [("path", gen::grid(1_500, 1)), ("grid", gen::grid(30, 30))] {
         let want = lowlevel::sssp_bfs(&g, 0);
         assert_eq!(
             want.iter().max(),
@@ -134,7 +119,7 @@ fn high_diameter_sssp_matches_lowlevel() {
             );
         }
     }
-    let g = grid(200, 1);
+    let g = gen::grid(200, 1);
     let naive = Config {
         force_naive_recursion: true,
         ..Config::default()
@@ -147,7 +132,7 @@ fn a_tiny_frontier_takes_the_sorted_sink() {
     // Same rule body, same dense Edge ids: the sink follows the size of
     // the smallest input, so a recursion's two-row frontier never
     // allocates or drains an array over the whole id space.
-    let g = grid(5_000, 1);
+    let g = gen::grid(5_000, 1);
     let mut db = Database::new();
     db.load_graph("Edge", &g);
     db.register("SSSP", Relation::from_rows(1, vec![[0u32]]));

@@ -230,6 +230,7 @@ impl Database {
     /// Register a typed schema and encode `rows` through the catalog's
     /// dictionary domains (strings/64-bit keys → dense u32 ids, `f64`
     /// payloads → the annotation column). Returns the stored row count.
+    /// A failed load leaves the relation and its schema as they were.
     pub fn load_typed(
         &mut self,
         schema: RelationSchema,
@@ -237,10 +238,9 @@ impl Database {
     ) -> Result<usize, CoreError> {
         let name = schema.name.clone();
         let combine = schema.combine;
-        self.types.register_schema(schema)?;
-        let buf = self
-            .types
-            .encode_rows(&name, rows.iter().map(|r| r.as_slice()))?;
+        let buf = self.types.load_under_schema(schema, |types, schema| {
+            types.encode_rows(&schema.name, rows.iter().map(|r| r.as_slice()))
+        })?;
         let n = buf.len();
         self.catalog
             .insert(&name, Relation::from_buffer(buf, combine));
@@ -963,6 +963,24 @@ mod tests {
         assert!(
             db2.relation("Bad").is_none(),
             "aborted load must not resurface in images"
+        );
+    }
+
+    #[test]
+    fn failed_load_typed_keeps_the_previous_schema() {
+        let mut db = Database::new();
+        db.load_edges("E", &[(0, 1)]);
+        let (before, epoch) = (db.storage().schema("E").cloned(), db.epoch());
+        // The first value encodes "x" as id 0 before the second fails.
+        let schema = RelationSchema::parse("E(a:str@user, b:str@user)").unwrap();
+        let row = vec![TypedValue::Str("x".into()), TypedValue::U32(1)];
+        assert!(db.load_typed(schema, &[row]).is_err());
+        assert_eq!(db.storage().schema("E").cloned(), before);
+        assert_eq!(db.epoch(), epoch);
+        let out = db.query("T(x,y) :- E(x,y).").unwrap();
+        assert_eq!(
+            out.typed_rows(&db),
+            vec![vec![TypedValue::U32(0), TypedValue::U32(1)]]
         );
     }
 

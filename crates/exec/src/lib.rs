@@ -12,8 +12,10 @@
 //!   `program`), then the allocation-free recursion in `gj` —
 //!   monomorphised over the node's `(AggOp, carrier)` pair — runs one
 //!   loop per attribute in the global order, each loop body an
-//!   [`eh_set::intersect()`] pass over the tries that contain the
-//!   attribute, with all scratch owned by a per-node `GjContext`;
+//!   [`eh_set::intersect::intersect_all_with`] (or, at a counted innermost
+//!   level, [`eh_set::intersect::count_all_with`]) pass over the tries
+//!   that contain the attribute, with all scratch owned by a per-node
+//!   `GjContext`;
 //! * **across threads** — the morsel-driven level-0 scheduler in
 //!   `parallel` (workers pull fixed-size value chunks off an atomic
 //!   cursor; a static-partition baseline remains as the ablation),

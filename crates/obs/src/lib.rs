@@ -410,31 +410,6 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// Snapshot every counter and histogram for reporting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
-                .collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`MetricsRegistry`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` per counter, registration order.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, snapshot)` per histogram, registration order.
-    pub hists: Vec<(String, HistogramSnapshot)>,
 }
 
 /// Format one Prometheus-style exposition line: `name{labels} value`.
@@ -445,41 +420,6 @@ pub fn prometheus_line(out: &mut String, prefix: &str, name: &str, value: u64) {
     out.push(' ');
     out.push_str(&value.to_string());
     out.push('\n');
-}
-
-impl MetricsSnapshot {
-    /// Prometheus-style text exposition: one `name{label} value` line
-    /// per counter, and `_count` / `_sum` / per-populated-`_bucket`
-    /// lines per histogram. `prefix` namespaces every line (e.g.
-    /// `"eh_"`).
-    pub fn render_prometheus(&self, prefix: &str) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            prometheus_line(&mut out, prefix, name, *v);
-        }
-        for (name, h) in &self.hists {
-            // Split inline labels off the base name so the suffix lands
-            // on the metric name, not inside the braces.
-            let (base, labels) = match name.find('{') {
-                Some(i) => (&name[..i], &name[i..]),
-                None => (name.as_str(), ""),
-            };
-            prometheus_line(&mut out, prefix, &format!("{base}_count{labels}"), h.count);
-            prometheus_line(&mut out, prefix, &format!("{base}_sum{labels}"), h.sum);
-            for (bucket, c) in h.nonzero() {
-                let le = bucket_upper(bucket);
-                let sep = if labels.is_empty() { "" } else { "," };
-                let inner = labels.trim_start_matches('{').trim_end_matches('}');
-                prometheus_line(
-                    &mut out,
-                    prefix,
-                    &format!("{base}_bucket{{{inner}{sep}le=\"{le}\"}}"),
-                    c,
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -523,15 +463,6 @@ mod tests {
         s.buckets[3] = u64::MAX;
         s.buckets[64] = u64::MAX;
         assert_eq!(s.percentile(1.0), 7);
-        let text = MetricsSnapshot {
-            counters: Vec::new(),
-            hists: vec![("lat".into(), s)],
-        }
-        .render_prometheus("eh_");
-        assert!(
-            text.contains("eh_lat_bucket{le=\"18446744073709551615\"} "),
-            "{text}"
-        );
     }
 
     #[test]
@@ -627,27 +558,6 @@ mod tests {
         assert_eq!(m.get("bytes_in"), 10);
         assert_eq!(m.get("nope"), 0);
         assert_eq!(m.histogram("lat{frame=\"query\"}").unwrap().count(), 1);
-        let snap = m.snapshot();
-        assert_eq!(snap.counters, vec![("bytes_in".to_string(), 10)]);
-        assert_eq!(snap.hists.len(), 1);
-    }
-
-    #[test]
-    fn prometheus_rendering_shapes_lines() {
-        let m = MetricsRegistry::with(&["bytes_in"], &["lat{frame=\"query\"}", "plain"]);
-        m.add("bytes_in", 3);
-        m.observe("lat{frame=\"query\"}", 100);
-        m.observe("plain", 0);
-        let text = m.snapshot().render_prometheus("eh_");
-        assert!(text.contains("eh_bytes_in 3\n"), "{text}");
-        assert!(text.contains("eh_lat_count{frame=\"query\"} 1\n"), "{text}");
-        assert!(text.contains("eh_lat_sum{frame=\"query\"} 100\n"), "{text}");
-        assert!(
-            text.contains("eh_lat_bucket{frame=\"query\",le=\"127\"} 1\n"),
-            "{text}"
-        );
-        assert!(text.contains("eh_plain_count 1\n"), "{text}");
-        assert!(text.contains("eh_plain_bucket{le=\"0\"} 1\n"), "{text}");
     }
 
     /// The span tree behind README's `\explain` sample block.

@@ -83,6 +83,11 @@ pub(crate) fn error(e: impl std::fmt::Display) -> Response {
     }
 }
 
+/// The most worker threads a client may ask for with `threads`: every
+/// query spawns that many scoped threads, and a count the OS cannot
+/// provide panics the session instead of answering.
+const MAX_THREADS: u64 = 256;
+
 /// A prepared statement pinned to a session: the shared plan plus the
 /// catalog epoch and normalized text it was compiled at, so execution
 /// can detect staleness and re-prepare.
@@ -390,7 +395,14 @@ impl Session {
             parsed.map_err(|_| format!("{key} wants a number, got '{value}'"))
         };
         match key {
-            "threads" => self.config = self.config.with_threads(number()? as usize),
+            "threads" => match number()? {
+                n if n > MAX_THREADS => {
+                    return Err(format!(
+                        "threads must be 0 (auto) to {MAX_THREADS}, got {n}"
+                    ))
+                }
+                n => self.config = self.config.with_threads(n as usize),
+            },
             "morsel" => self.config = self.config.with_morsel(number()? as usize),
             "scheduler" => {
                 self.config = self.config.with_scheduler(match value {

@@ -50,7 +50,7 @@ impl BitsetSet {
 
     /// Construct directly from parts (no block may be all-zero): builds
     /// the rank directory and decides [`Self::dense_base`].
-    pub(crate) fn from_parts(offsets: Vec<u32>, blocks: Vec<Block>) -> BitsetSet {
+    fn from_parts(offsets: Vec<u32>, blocks: Vec<Block>) -> BitsetSet {
         debug_assert_eq!(offsets.len(), blocks.len());
         let mut ranks = Vec::with_capacity(offsets.len());
         let mut acc = 0u32;
@@ -243,21 +243,6 @@ impl Iterator for BitsetIter<'_> {
             self.bits = self.set.blocks[self.block][self.word];
         }
     }
-}
-
-/// bitset ∩ bitset: intersect the offset arrays with the uint kernel, then
-/// AND matching blocks (dropping blocks that come out empty).
-pub fn intersect_bitset_bitset(a: &BitsetSet, b: &BitsetSet, simd_on: bool) -> BitsetSet {
-    let mut offsets = Vec::new();
-    let mut blocks = Vec::new();
-    for_common_blocks(a, b, |blk, ba, bb| {
-        let anded = and_blocks(ba, bb, simd_on);
-        if anded.iter().any(|w| *w != 0) {
-            offsets.push(blk);
-            blocks.push(anded);
-        }
-    });
-    BitsetSet::from_parts(offsets, blocks)
 }
 
 // lint:region-start(alloc-free): bitset kernels Generic-Join calls per loop level — they append to caller buffers and walk caller cursors
@@ -464,20 +449,12 @@ mod tests {
     fn bitset_and_bitset() {
         let a = bs(&[1, 2, 3, 300, 301, 600]);
         let b = bs(&[2, 3, 4, 301, 999]);
-        let r = intersect_bitset_bitset(&a, &b, true);
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![2, 3, 301]);
+        for simd_on in [true, false] {
+            let mut out = Vec::new();
+            values_bitset_bitset(&a, &b, simd_on, &mut out);
+            assert_eq!(out, vec![2, 3, 301]);
+        }
         assert_eq!(count_bitset_bitset(&a, &b), 3);
-        let r2 = intersect_bitset_bitset(&a, &b, false);
-        assert_eq!(r2, r);
-    }
-
-    #[test]
-    fn empty_blocks_dropped() {
-        let a = bs(&[1, 300]);
-        let b = bs(&[2, 300]);
-        let r = intersect_bitset_bitset(&a, &b, true);
-        assert_eq!(r.offsets().len(), 1, "block 0 ANDs to zero and is dropped");
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![300]);
     }
 
     #[test]

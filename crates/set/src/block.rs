@@ -24,13 +24,6 @@ pub enum BlockData {
 }
 
 impl BlockData {
-    fn len(&self) -> usize {
-        match self {
-            BlockData::Sparse(v) => v.len(),
-            BlockData::Dense(b) => simd::block_count(b) as usize,
-        }
-    }
-
     fn bytes(&self) -> usize {
         match self {
             BlockData::Sparse(v) => v.len(),
@@ -68,8 +61,7 @@ impl BlockSet {
     /// Build from sorted, deduplicated values, choosing sparse/dense per
     /// block by [`DENSE_THRESHOLD`].
     pub fn from_sorted(values: &[u32]) -> BlockSet {
-        let mut ids: Vec<u32> = Vec::new();
-        let mut data: Vec<BlockData> = Vec::new();
+        let mut set = BlockSet::default();
         let mut i = 0usize;
         while i < values.len() {
             let blk = block_of(values[i]);
@@ -78,37 +70,24 @@ impl BlockSet {
                 j += 1;
             }
             let run = &values[i..j];
-            ids.push(blk);
+            set.ids.push(blk);
+            set.ranks.push(set.card as u32);
+            set.card += run.len();
             if run.len() >= DENSE_THRESHOLD {
                 let mut b = [0u64; BLOCK_WORDS];
                 for &v in run {
                     let bit = bit_of(v);
                     b[(bit / 64) as usize] |= 1u64 << (bit % 64);
                 }
-                data.push(BlockData::Dense(b));
+                set.data.push(BlockData::Dense(b));
             } else {
-                data.push(BlockData::Sparse(
+                set.data.push(BlockData::Sparse(
                     run.iter().map(|&v| bit_of(v) as u8).collect(),
                 ));
             }
             i = j;
         }
-        Self::from_parts(ids, data)
-    }
-
-    fn from_parts(ids: Vec<u32>, data: Vec<BlockData>) -> BlockSet {
-        let mut ranks = Vec::with_capacity(ids.len());
-        let mut acc = 0u32;
-        for d in &data {
-            ranks.push(acc);
-            acc += d.len() as u32;
-        }
-        BlockSet {
-            ids,
-            data,
-            ranks,
-            card: acc as usize,
-        }
+        set
     }
 
     /// Number of elements.
@@ -126,19 +105,6 @@ impl BlockSet {
         self.ids.len() * 4
             + self.ranks.len() * 4
             + self.data.iter().map(BlockData::bytes).sum::<usize>()
-    }
-
-    /// Fraction of blocks stored dense (diagnostics for Fig. 6).
-    pub fn dense_fraction(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let dense = self
-            .data
-            .iter()
-            .filter(|d| matches!(d, BlockData::Dense(_)))
-            .count();
-        dense as f64 / self.data.len() as f64
     }
 
     /// Membership test.
@@ -267,30 +233,6 @@ impl Iterator for BlockSetIter<'_> {
     }
 }
 
-/// block ∩ block: merge the block-id arrays; per matching block dispatch on
-/// the four sparse/dense combinations.
-pub fn intersect_block_block(a: &BlockSet, b: &BlockSet, simd_on: bool) -> BlockSet {
-    let mut ids = Vec::new();
-    let mut data = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.ids.len() && j < b.ids.len() {
-        let (x, y) = (a.ids[i], b.ids[j]);
-        if x == y {
-            if let Some(d) = intersect_block_data(&a.data[i], &b.data[j], simd_on) {
-                ids.push(x);
-                data.push(d);
-            }
-            i += 1;
-            j += 1;
-        } else if x < y {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    BlockSet::from_parts(ids, data)
-}
-
 // lint:region-start(alloc-free): composite-layout kernels Generic-Join calls per loop level — count, or append to the caller's buffer
 /// Count-only block ∩ block.
 pub fn count_block_block(a: &BlockSet, b: &BlockSet) -> usize {
@@ -407,54 +349,6 @@ fn push_block_refs(id: u32, a: BlockRef<'_>, b: BlockRef<'_>, simd_on: bool, out
 }
 // lint:region-end(alloc-free)
 
-fn intersect_block_data(a: &BlockData, b: &BlockData, simd_on: bool) -> Option<BlockData> {
-    use BlockData::*;
-    let out = match (a, b) {
-        (Dense(x), Dense(y)) => {
-            let anded = if simd_on {
-                simd::and_block(x, y)
-            } else {
-                simd::and_block_scalar(x, y)
-            };
-            if anded.iter().all(|w| *w == 0) {
-                return None;
-            }
-            Dense(anded)
-        }
-        (Sparse(xs), Sparse(ys)) => {
-            let mut out = Vec::new();
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < xs.len() && j < ys.len() {
-                if xs[i] == ys[j] {
-                    out.push(xs[i]);
-                    i += 1;
-                    j += 1;
-                } else if xs[i] < ys[j] {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            if out.is_empty() {
-                return None;
-            }
-            Sparse(out)
-        }
-        (Sparse(xs), Dense(y)) | (Dense(y), Sparse(xs)) => {
-            let out: Vec<u8> = xs
-                .iter()
-                .copied()
-                .filter(|&o| y[(o / 64) as usize] & (1u64 << (o % 64)) != 0)
-                .collect();
-            if out.is_empty() {
-                return None;
-            }
-            Sparse(out)
-        }
-    };
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,7 +362,6 @@ mod tests {
         assert_eq!(s.len(), 203);
         assert!(matches!(s.data[0], BlockData::Sparse(_)));
         assert!(matches!(s.data[1], BlockData::Dense(_)));
-        assert!((s.dense_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(s.iter().collect::<Vec<_>>(), vals);
     }
 
@@ -501,20 +394,12 @@ mod tests {
             .copied()
             .filter(|v| b_vals.contains(v))
             .collect();
-        let r = intersect_block_block(&a, &b, true);
-        assert_eq!(r.iter().collect::<Vec<_>>(), expect);
+        for simd_on in [true, false] {
+            let mut out = Vec::new();
+            values_block_block(&a, &b, simd_on, &mut out);
+            assert_eq!(out, expect);
+        }
         assert_eq!(count_block_block(&a, &b), expect.len());
-        let r2 = intersect_block_block(&a, &b, false);
-        assert_eq!(r2.iter().collect::<Vec<_>>(), expect);
-    }
-
-    #[test]
-    fn empty_result_blocks_are_dropped() {
-        let a = BlockSet::from_sorted(&[1, 2, 3]);
-        let b = BlockSet::from_sorted(&[4, 5, 6]);
-        let r = intersect_block_block(&a, &b, true);
-        assert!(r.is_empty());
-        assert_eq!(r.ids.len(), 0);
     }
 
     #[test]
@@ -523,7 +408,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         assert_eq!(s.max(), None);
-        assert_eq!(s.dense_fraction(), 0.0);
     }
 
     #[test]

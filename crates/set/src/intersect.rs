@@ -1,6 +1,12 @@
-//! The intersection dispatcher: one entry point over every pair of layouts.
+//! The intersection dispatcher: streaming entry points over every pair of
+//! layouts.
 //!
-//! [`intersect`] and [`intersect_count`] dispatch on the layout pair and the
+//! [`intersect_values`] and [`intersect_count`] run one 2-way
+//! intersection; [`intersect_all_with`] and [`count_all_with`] (and their
+//! slice wrappers [`intersect_all_into`] and [`count_all_into`]) run the
+//! n-way intersection of a Generic-Join loop level. Each either appends the
+//! ascending result values to a caller buffer or counts them — no entry
+//! point builds a result set. They dispatch on the layout pair and the
 //! [`IntersectConfig`] (SIMD on/off for the `-S` ablation, algorithm
 //! optimizer on/off for the `-RA` ablation). All kernels preserve the min
 //! property (paper §2.1, §4.2), so Generic-Join built on top of this module
@@ -8,21 +14,8 @@
 
 use crate::bitset::{self, BitsetSet};
 use crate::block;
-use crate::uint::{self, UintSet};
+use crate::uint;
 use crate::Set;
-
-/// Which uint∩uint algorithm to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IntersectAlgo {
-    /// Scalar two-pointer merge.
-    MergeScalar,
-    /// SIMD shuffling (SSE all-vs-all compare).
-    Shuffle,
-    /// Exponential search from the smaller set.
-    Gallop,
-    /// EmptyHeaded default: gallop at ≥32:1 cardinality ratio, else shuffle.
-    Hybrid,
-}
 
 /// Kernel configuration — the execution-engine ablation knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,43 +108,6 @@ impl KernelStats {
         self.values_scanned += (a_len + b_len) as u64;
         self.bitset_kernels += 1;
     }
-}
-
-/// Intersect two sets, materializing the result. The result layout follows
-/// the paper's rule: it is at most as dense as the sparser input, so
-/// uint×anything yields uint, bitset×bitset yields bitset, composite
-/// combinations stay composite.
-pub fn intersect(a: &Set, b: &Set, cfg: &IntersectConfig) -> Set {
-    match (a, b) {
-        (Set::Bitset(x), Set::Bitset(y)) => {
-            Set::Bitset(bitset::intersect_bitset_bitset(x, y, cfg.simd))
-        }
-        (Set::Block(x), Set::Block(y)) => Set::Block(block::intersect_block_block(x, y, cfg.simd)),
-        _ => {
-            let mut out = Vec::new();
-            intersect_values(a, b, cfg, &mut out);
-            Set::Uint(UintSet::new(out))
-        }
-    }
-}
-
-/// Intersect many sets left-to-right, smallest-first (the standard
-/// Generic-Join ordering: start from the smallest set so every step is
-/// bounded by the smallest input).
-pub fn intersect_all(sets: &[&Set], cfg: &IntersectConfig) -> Set {
-    if sets.is_empty() {
-        return Set::empty();
-    }
-    let mut order: Vec<usize> = (0..sets.len()).collect();
-    order.sort_by_key(|&i| sets[i].len());
-    let mut acc = sets[order[0]].clone();
-    for &i in &order[1..] {
-        if acc.is_empty() {
-            break;
-        }
-        acc = intersect(&acc, sets[i], cfg);
-    }
-    acc
 }
 
 // lint:region-start(alloc-free): Generic-Join calls these once per loop level — they only count, or append to caller buffers; MultiwayScratch exists so the multiway chain never allocates per call
@@ -288,18 +244,6 @@ pub fn intersect_count(a: &Set, b: &Set, cfg: &IntersectConfig) -> usize {
 /// where only the ascending value stream is needed, not a layout.
 pub fn intersect_values(a: &Set, b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
     pair_values(a, b, cfg, &mut KernelStats::default(), out);
-}
-
-/// Intersect a sorted value slice (a materialized intermediate) with a set,
-/// appending the surviving values to `out`.
-pub fn intersect_values_slice(a: &[u32], b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
-    slice_values(a, b, cfg, &mut KernelStats::default(), out);
-}
-
-/// Count the intersection of a sorted value slice with a set without
-/// materializing it.
-pub fn count_values_slice(a: &[u32], b: &Set, cfg: &IntersectConfig) -> usize {
-    slice_count(a, b, cfg, &mut KernelStats::default())
 }
 
 /// Reusable buffers for multiway intersections: an index ordering plus two
@@ -504,9 +448,8 @@ where
 }
 
 /// Intersect many sets smallest-first, writing the result *values* into a
-/// caller-provided buffer and reusing `scratch` for intermediates — the
-/// allocation-free counterpart of [`intersect_all`]. `out` is appended to,
-/// not cleared.
+/// caller-provided buffer and reusing `scratch` for intermediates. `out` is
+/// appended to, not cleared.
 pub fn intersect_all_into(
     sets: &[&Set],
     cfg: &IntersectConfig,
@@ -576,6 +519,25 @@ mod tests {
         a.iter().filter(|x| b.contains(x)).copied().collect()
     }
 
+    /// The n-way model: the first set's values that every other set's
+    /// value list holds. It reads the sets only through their iterators.
+    fn naive_all(sets: &[&Set]) -> Vec<u32> {
+        let Some((first, rest)) = sets.split_first() else {
+            return Vec::new();
+        };
+        let rest: Vec<Vec<u32>> = rest.iter().map(|s| s.to_vec()).collect();
+        first
+            .iter()
+            .filter(|v| rest.iter().all(|r| r.binary_search(v).is_ok()))
+            .collect()
+    }
+
+    fn values(a: &Set, b: &Set, cfg: &IntersectConfig) -> Vec<u32> {
+        let mut out = Vec::new();
+        intersect_values(a, b, cfg, &mut out);
+        out
+    }
+
     const KINDS: [LayoutKind; 3] = [Uint, Bitset, Block];
 
     #[test]
@@ -588,8 +550,7 @@ mod tests {
             for kb in KINDS {
                 let a = mk(&a_vals, ka);
                 let b = mk(&b_vals, kb);
-                let r = intersect(&a, &b, &cfg);
-                assert_eq!(r.to_vec(), expect, "{ka:?} x {kb:?}");
+                assert_eq!(values(&a, &b, &cfg), expect, "{ka:?} x {kb:?}");
                 assert_eq!(
                     intersect_count(&a, &b, &cfg),
                     expect.len(),
@@ -607,47 +568,29 @@ mod tests {
         let cfg = IntersectConfig::no_simd();
         for ka in KINDS {
             for kb in KINDS {
-                let r = intersect(&mk(&a_vals, ka), &mk(&b_vals, kb), &cfg);
-                assert_eq!(r.to_vec(), expect, "{ka:?} x {kb:?}");
+                let (a, b) = (mk(&a_vals, ka), mk(&b_vals, kb));
+                assert_eq!(values(&a, &b, &cfg), expect, "{ka:?} x {kb:?}");
+                assert_eq!(intersect_count(&a, &b, &cfg), expect.len());
             }
         }
     }
 
     #[test]
-    fn result_layout_rule() {
-        let cfg = IntersectConfig::default();
-        let u = mk(&[1, 2, 3], Uint);
-        let b = mk(&[2, 3, 4], Bitset);
-        assert_eq!(intersect(&u, &b, &cfg).kind(), Uint);
-        assert_eq!(intersect(&b, &b, &cfg).kind(), Bitset);
-        assert_eq!(intersect(&u, &u, &cfg).kind(), Uint);
-    }
-
-    #[test]
-    fn intersect_all_multiway() {
+    fn intersect_all_into_multiway() {
         let cfg = IntersectConfig::default();
         let a = mk(&(0..100).collect::<Vec<_>>(), Uint);
         let b = mk(&(0..100).filter(|v| v % 2 == 0).collect::<Vec<_>>(), Bitset);
         let c = mk(&(0..100).filter(|v| v % 3 == 0).collect::<Vec<_>>(), Uint);
-        let r = intersect_all(&[&a, &b, &c], &cfg);
+        let mut got = Vec::new();
+        intersect_all_into(&[&a, &b, &c], &cfg, &mut MultiwayScratch::new(), &mut got);
         let expect: Vec<u32> = (0..100).filter(|v| v % 6 == 0).collect();
-        assert_eq!(r.to_vec(), expect);
+        assert_eq!(got, expect);
     }
 
     #[test]
-    fn intersect_all_empty_args() {
-        let cfg = IntersectConfig::default();
-        assert!(intersect_all(&[], &cfg).is_empty());
-        let a = mk(&[], Uint);
-        let b = mk(&[1, 2], Uint);
-        assert!(intersect_all(&[&a, &b], &cfg).is_empty());
-    }
-
-    #[test]
-    fn intersect_all_into_matches_intersect_all_every_pairing() {
+    fn intersect_all_into_matches_model_every_pairing() {
         // Every LayoutKind pairing (and triple), full/scalar/merge-only
-        // configs: the buffered multiway path must agree with the
-        // materializing one.
+        // configs: the multiway entry points must agree with the model.
         let a_vals: Vec<u32> = (0..500).map(|i| i * 2).collect();
         let b_vals: Vec<u32> = (0..500).map(|i| i * 3).collect();
         let c_vals: Vec<u32> = (0..800).collect();
@@ -661,7 +604,7 @@ mod tests {
                 for kb in KINDS {
                     let a = mk(&a_vals, ka);
                     let b = mk(&b_vals, kb);
-                    let expect = intersect_all(&[&a, &b], &cfg).to_vec();
+                    let expect = naive_all(&[&a, &b]);
                     let mut got = Vec::new();
                     intersect_all_into(&[&a, &b], &cfg, &mut scratch, &mut got);
                     assert_eq!(got, expect, "{ka:?} x {kb:?} under {cfg:?}");
@@ -672,7 +615,7 @@ mod tests {
                     );
                     for kc in KINDS {
                         let c = mk(&c_vals, kc);
-                        let expect3 = intersect_all(&[&a, &b, &c], &cfg).to_vec();
+                        let expect3 = naive_all(&[&a, &b, &c]);
                         let mut got3 = Vec::new();
                         intersect_all_into(&[&a, &b, &c], &cfg, &mut scratch, &mut got3);
                         assert_eq!(got3, expect3, "{ka:?} x {kb:?} x {kc:?} under {cfg:?}");
@@ -771,14 +714,14 @@ mod tests {
         v
     }
 
-    /// Both multiway entry points against the materializing oracle.
+    /// Both multiway entry points against the model.
     fn assert_multiway_agrees(sets: &[&Set], scratch: &mut MultiwayScratch, what: &str) {
         for cfg in [
             IntersectConfig::full(),
             IntersectConfig::no_simd(),
             IntersectConfig::no_algorithms(),
         ] {
-            let expect = intersect_all(sets, &cfg).to_vec();
+            let expect = naive_all(sets);
             let mut got = vec![7]; // appended to, never cleared
             intersect_all_into(sets, &cfg, scratch, &mut got);
             assert_eq!(got[0], 7, "{what}");
@@ -792,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn kway_kernels_match_intersect_all() {
+    fn kway_kernels_match_model() {
         // k ∈ {3,4,5} × {all-bitset, mixed layouts} × three densities
         // (1/2, 1/5, 1/40 of a 2 000-value range), block-edge values in.
         let mut scratch = MultiwayScratch::new();
@@ -926,16 +869,18 @@ mod tests {
 
     #[test]
     fn values_slice_kernels_match_naive() {
+        // The chain's accumulator step: a sorted slice against each layout.
         let cfg = IntersectConfig::default();
+        let mut stats = KernelStats::default();
         let a: Vec<u32> = (0..300).map(|i| i * 2).collect();
         let b_vals: Vec<u32> = (0..300).map(|i| i * 3).collect();
         let expect = naive(&a, &b_vals);
         for kb in KINDS {
             let b = mk(&b_vals, kb);
             let mut out = Vec::new();
-            intersect_values_slice(&a, &b, &cfg, &mut out);
+            slice_values(&a, &b, &cfg, &mut stats, &mut out);
             assert_eq!(out, expect, "slice x {kb:?}");
-            assert_eq!(count_values_slice(&a, &b, &cfg), expect.len());
+            assert_eq!(slice_count(&a, &b, &cfg, &mut stats), expect.len());
         }
     }
 
@@ -999,7 +944,7 @@ mod tests {
         let small = mk(&[5, 500, 50_000], Uint);
         let large_vals: Vec<u32> = (0..=10_000).map(|i| i * 5).collect();
         let large = mk(&large_vals, Uint);
-        let r = intersect(&small, &large, &cfg);
-        assert_eq!(r.to_vec(), vec![5, 500, 50_000]);
+        assert_eq!(values(&small, &large, &cfg), vec![5, 500, 50_000]);
+        assert_eq!(intersect_count(&large, &small, &cfg), 3);
     }
 }

@@ -25,17 +25,6 @@ pub enum LayoutKind {
     Block,
 }
 
-/// Granularity at which layout decisions are made (paper §4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LayoutLevel {
-    /// One layout for the whole relation.
-    Relation,
-    /// Per-set decision (EmptyHeaded default).
-    Set,
-    /// Per-256-value-block decision (composite layout).
-    Block,
-}
-
 /// Layout policy handed to trie construction: either a forced layout
 /// (relation level / ablations) or an automatic per-set or per-block choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -82,16 +71,6 @@ pub fn choose_layout(values: &[u32]) -> LayoutKind {
     } else {
         LayoutKind::Uint
     }
-}
-
-/// Density of a sorted set over its own range (helper shared with skew
-/// statistics and benchmarks).
-pub fn range_density(values: &[u32]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let range = (values[values.len() - 1] - values[0]) as f64 + 1.0;
-    values.len() as f64 / range
 }
 
 #[cfg(test)]
@@ -148,12 +127,5 @@ mod tests {
         let p = LayoutPolicy::BlockLevel;
         let v: Vec<u32> = (0..100).collect();
         assert_eq!(p.build(&v).kind(), LayoutKind::Block);
-    }
-
-    #[test]
-    fn density_helper() {
-        assert_eq!(range_density(&[]), 0.0);
-        assert!((range_density(&[0, 1, 2, 3]) - 1.0).abs() < 1e-12);
-        assert!((range_density(&[0, 9]) - 0.2).abs() < 1e-12);
     }
 }

@@ -16,9 +16,10 @@
 //! by the block size), which is what makes Generic-Join worst-case optimal.
 //!
 //! Kernels come in SIMD (SSE/AVX2, runtime-detected) and scalar flavours so
-//! the paper's `-S` ablation (Table 11) can be reproduced, and in
-//! materializing and count-only variants (aggregate queries never
-//! materialize, paper §5.3).
+//! the paper's `-S` ablation (Table 11) can be reproduced. Every entry point
+//! in [`intersect`] streams: it appends the result values to a caller
+//! buffer or only counts them (aggregate queries never materialize, paper
+//! §5.3), so Generic-Join's loop levels reuse their buffers.
 
 pub mod bitset;
 pub mod block;
@@ -26,16 +27,15 @@ pub mod intersect;
 pub mod layout;
 pub mod oracle;
 pub mod simd;
-pub mod skew;
 pub mod uint;
 
 pub use bitset::BitsetSet;
 pub use block::BlockSet;
 pub use intersect::{
-    count_all_into, intersect, intersect_all, intersect_all_into, intersect_count, IntersectAlgo,
-    IntersectConfig, KernelStats, MultiwayScratch,
+    count_all_into, intersect_all_into, intersect_count, IntersectConfig, KernelStats,
+    MultiwayScratch,
 };
-pub use layout::{choose_layout, LayoutKind, LayoutLevel, LayoutPolicy};
+pub use layout::{choose_layout, LayoutKind, LayoutPolicy};
 pub use uint::UintSet;
 
 /// Number of bits per bitset block — the width of an AVX register

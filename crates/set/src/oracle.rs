@@ -60,15 +60,6 @@ pub fn oracle_intersect(a: &[u32], b: &[u32], cfg: &IntersectConfig) -> OracleOu
     }
 }
 
-/// Sum of oracle-best times over a workload of intersections. This is the
-/// denominator of Table 4's "relative time to the oracle" rows.
-pub fn oracle_total(pairs: &[(&[u32], &[u32])], cfg: &IntersectConfig) -> Duration {
-    pairs
-        .iter()
-        .map(|(a, b)| oracle_intersect(a, b, cfg).best)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,13 +81,5 @@ mod tests {
         for (_, d) in &out.all {
             assert!(out.best <= *d);
         }
-    }
-
-    #[test]
-    fn oracle_total_sums() {
-        let a: Vec<u32> = (0..64).collect();
-        let b: Vec<u32> = (32..96).collect();
-        let t = oracle_total(&[(&a, &b), (&b, &a)], &IntersectConfig::default());
-        assert!(t > Duration::ZERO);
     }
 }

@@ -33,13 +33,6 @@ impl UintSet {
         UintSet { values }
     }
 
-    /// Build from arbitrary values: sorts and deduplicates.
-    pub fn from_unsorted(mut values: Vec<u32>) -> UintSet {
-        values.sort_unstable();
-        values.dedup();
-        UintSet { values }
-    }
-
     /// The underlying sorted slice.
     pub fn values(&self) -> &[u32] {
         &self.values
@@ -248,14 +241,6 @@ mod tests {
 
     fn naive(a: &[u32], b: &[u32]) -> Vec<u32> {
         a.iter().filter(|x| b.contains(x)).copied().collect()
-    }
-
-    #[test]
-    fn from_unsorted_dedups() {
-        let s = UintSet::from_unsorted(vec![5, 1, 5, 3, 1]);
-        assert_eq!(s.values(), &[1, 3, 5]);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.bytes(), 12);
     }
 
     #[test]

@@ -158,13 +158,9 @@ impl StorageCatalog {
         reader: R,
         opts: &CsvOptions,
     ) -> Result<(TupleBuffer, LoadReport), StorageError> {
-        let previous = self.schema(&schema.name).cloned();
-        self.register_schema(schema.clone())?;
-        let result = self.stream_rows(&schema, reader, opts, opts.has_header, 0);
-        if result.is_err() {
-            self.restore_schema(&schema.name, previous);
-        }
-        result
+        self.load_under_schema(schema, |cat, schema| {
+            cat.stream_rows(schema, reader, opts, opts.has_header, 0)
+        })
     }
 
     /// Load records whose first line is a `name:type[@domain]` header
@@ -195,28 +191,10 @@ impl StorageCatalog {
                 columns,
                 combine: eh_semiring::AggOp::Sum,
             };
-            let previous = self.schema(relation).cloned();
-            self.register_schema(schema.clone())?;
             // Header already consumed; don't skip another line.
-            let result = self.stream_rows(&schema, reader, opts, false, consumed);
-            if result.is_err() {
-                self.restore_schema(relation, previous);
-            }
-            return result;
-        }
-    }
-
-    /// Put a relation's schema back to its pre-load state (rollback on
-    /// a failed load). Domains keep any keys the aborted load encoded —
-    /// they are append-only and shared, so extra entries are harmless.
-    fn restore_schema(&mut self, relation: &str, previous: Option<RelationSchema>) {
-        match previous {
-            Some(schema) => {
-                let _ = self.register_schema(schema);
-            }
-            None => {
-                self.remove_schema(relation);
-            }
+            return self.load_under_schema(schema, |cat, schema| {
+                cat.stream_rows(schema, reader, opts, false, consumed)
+            });
         }
     }
 

@@ -165,6 +165,33 @@ impl StorageCatalog {
         Ok(())
     }
 
+    /// Register `schema` and run `load` under it; if `load` fails, put
+    /// the relation's previous schema back (or remove it if there was
+    /// none), so a failed load leaves the schemas as they were. Every
+    /// loader goes through here. Domains keep any keys the aborted load
+    /// encoded — they are append-only and shared, so extra entries are
+    /// harmless.
+    pub fn load_under_schema<T>(
+        &mut self,
+        schema: RelationSchema,
+        load: impl FnOnce(&mut StorageCatalog, &RelationSchema) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        let previous = self.schema(&schema.name).cloned();
+        self.register_schema(schema.clone())?;
+        let result = load(self, &schema);
+        if result.is_err() {
+            match previous {
+                Some(previous) => {
+                    let _ = self.register_schema(previous);
+                }
+                None => {
+                    self.remove_schema(&schema.name);
+                }
+            }
+        }
+        result
+    }
+
     /// Schema of a relation, if registered.
     pub fn schema(&self, relation: &str) -> Option<&RelationSchema> {
         self.schemas.get(relation)

@@ -1,9 +1,10 @@
 //! Property-based tests for the set layer: every layout and kernel
 //! combination must agree with a `BTreeSet` model.
 
+use emptyheaded::set::intersect::intersect_values;
 use emptyheaded::set::{
-    count_all_into, intersect, intersect_all_into, intersect_count, range_rank, IntersectConfig,
-    LayoutKind, MultiwayScratch, Set,
+    count_all_into, intersect_all_into, intersect_count, range_rank, IntersectConfig, LayoutKind,
+    MultiwayScratch, Set,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -13,6 +14,36 @@ fn arb_values(max_len: usize, max_val: u32) -> impl Strategy<Value = Vec<u32>> {
 }
 
 const KINDS: [LayoutKind; 3] = [LayoutKind::Uint, LayoutKind::Bitset, LayoutKind::Block];
+
+/// Every layout pair under every `simd` × `algorithm_optimizer` config.
+fn every_pair_and_config() -> impl Iterator<Item = (LayoutKind, LayoutKind, IntersectConfig)> {
+    KINDS.into_iter().flat_map(|ka| {
+        KINDS.into_iter().flat_map(move |kb| {
+            [(true, true), (true, false), (false, true), (false, false)].map(
+                move |(simd, algorithm_optimizer)| {
+                    let cfg = IntersectConfig {
+                        simd,
+                        algorithm_optimizer,
+                    };
+                    (ka, kb, cfg)
+                },
+            )
+        })
+    })
+}
+
+/// `a ∩ b` through both 2-way streaming paths — `intersect_values` with
+/// `intersect_count`, and the multiway entry points at n = 2 (a two-atom
+/// loop level) — as `(values, count)` per path.
+fn two_way(a: &Set, b: &Set, cfg: &IntersectConfig) -> [(Vec<u32>, usize); 2] {
+    let mut values = Vec::new();
+    intersect_values(a, b, cfg, &mut values);
+    let mut scratch = MultiwayScratch::new();
+    let mut multi = Vec::new();
+    intersect_all_into(&[a, b], cfg, &mut scratch, &mut multi);
+    let multi_count = count_all_into(&[a, b], cfg, &mut scratch);
+    [(values, intersect_count(a, b, cfg)), (multi, multi_count)]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -50,24 +81,15 @@ proptest! {
     fn intersection_matches_model(
         a in arb_values(300, 5_000),
         b in arb_values(300, 5_000),
-        simd in any::<bool>(),
-        algo in any::<bool>(),
     ) {
         let ma: BTreeSet<u32> = a.iter().copied().collect();
         let mb: BTreeSet<u32> = b.iter().copied().collect();
         let expect: Vec<u32> = ma.intersection(&mb).copied().collect();
-        let cfg = IntersectConfig { simd, algorithm_optimizer: algo };
-        for ka in KINDS {
-            for kb in KINDS {
-                let sa = Set::from_sorted(&a, ka);
-                let sb = Set::from_sorted(&b, kb);
-                let r = intersect(&sa, &sb, &cfg);
-                prop_assert_eq!(r.to_vec(), expect.clone(), "{:?}x{:?}", ka, kb);
-                prop_assert_eq!(
-                    intersect_count(&sa, &sb, &cfg),
-                    expect.len(),
-                    "count {:?}x{:?}", ka, kb
-                );
+        for (ka, kb, cfg) in every_pair_and_config() {
+            let sa = Set::from_sorted(&a, ka);
+            let sb = Set::from_sorted(&b, kb);
+            for got in two_way(&sa, &sb, &cfg) {
+                prop_assert_eq!(got, (expect.clone(), expect.len()), "{:?}x{:?} {:?}", ka, kb, cfg);
             }
         }
     }
@@ -77,27 +99,30 @@ proptest! {
         small in arb_values(8, 100_000),
         large in arb_values(2_000, 100_000),
     ) {
-        // Exercises the galloping path (ratio > 32:1).
+        // Exercises the galloping path (ratio > 32:1), from either side.
         let ms: BTreeSet<u32> = small.iter().copied().collect();
         let ml: BTreeSet<u32> = large.iter().copied().collect();
         let expect: Vec<u32> = ms.intersection(&ml).copied().collect();
-        let cfg = IntersectConfig::default();
-        let sa = Set::from_sorted(&small, LayoutKind::Uint);
-        let sb = Set::from_sorted(&large, LayoutKind::Uint);
-        prop_assert_eq!(intersect(&sa, &sb, &cfg).to_vec(), expect.clone());
-        prop_assert_eq!(intersect(&sb, &sa, &cfg).to_vec(), expect);
+        for (ka, kb, cfg) in every_pair_and_config() {
+            let sa = Set::from_sorted(&small, ka);
+            let sb = Set::from_sorted(&large, kb);
+            for got in two_way(&sa, &sb, &cfg).into_iter().chain(two_way(&sb, &sa, &cfg)) {
+                prop_assert_eq!(got, (expect.clone(), expect.len()), "{:?}x{:?} {:?}", ka, kb, cfg);
+            }
+        }
     }
 
     #[test]
     fn multiway_matches_model(
-        inputs in prop::collection::vec(arb_values(400, 3_000), 3..6),
+        inputs in prop::collection::vec(arb_values(400, 3_000), 2..6),
         kinds in prop::collection::vec(0usize..3, 5),
         all_bitsets in any::<bool>(),
         simd in any::<bool>(),
         algo in any::<bool>(),
     ) {
-        // 3- to 5-way: the fused k-way bitset pass when every layout is a
-        // bitset, the probe or the mixed-layout chain otherwise.
+        // 2- to 5-way: the 2-way dispatch at n = 2; above it the fused
+        // k-way bitset pass when every layout is a bitset, the probe or the
+        // mixed-layout chain otherwise.
         let mut model: BTreeSet<u32> = inputs[0].iter().copied().collect();
         for v in &inputs[1..] {
             let other: BTreeSet<u32> = v.iter().copied().collect();
@@ -159,16 +184,20 @@ proptest! {
 fn intersection_is_commutative_and_idempotent() {
     let a: Vec<u32> = (0..500).map(|i| i * 3).collect();
     let b: Vec<u32> = (0..500).map(|i| i * 7 + 1).collect();
-    let cfg = IntersectConfig::default();
-    for ka in KINDS {
-        for kb in KINDS {
-            let sa = Set::from_sorted(&a, ka);
-            let sb = Set::from_sorted(&b, kb);
-            let ab = intersect(&sa, &sb, &cfg).to_vec();
-            let ba = intersect(&sb, &sa, &cfg).to_vec();
-            assert_eq!(ab, ba, "{ka:?} x {kb:?}");
-            let aa = intersect(&sa, &sa, &cfg).to_vec();
-            assert_eq!(aa, a, "{ka:?} self-intersection");
+    for (ka, kb, cfg) in every_pair_and_config() {
+        let sa = Set::from_sorted(&a, ka);
+        let sb = Set::from_sorted(&b, kb);
+        assert_eq!(
+            two_way(&sa, &sb, &cfg),
+            two_way(&sb, &sa, &cfg),
+            "{ka:?} x {kb:?} {cfg:?}"
+        );
+        for got in two_way(&sa, &sa, &cfg) {
+            assert_eq!(
+                got,
+                (a.clone(), a.len()),
+                "{ka:?} self-intersection {cfg:?}"
+            );
         }
     }
 }

@@ -528,3 +528,36 @@ fn tcp_transport_answers_identically() {
     server.shutdown();
     tcp_server.shutdown();
 }
+
+/// `threads` is bounded: a count past the cap gets an `Error` frame that
+/// names the range and leaves the session's setting alone, so the same
+/// connection goes on answering queries. Every query spawns that many
+/// workers, and a count the OS cannot provide panics the session thread.
+#[test]
+fn an_out_of_range_thread_count_is_refused_and_the_session_still_answers() {
+    let (server, addr) = spawn_loaded_server();
+    let reference = reference_db();
+    let mut client = EhClient::connect(&addr).expect("connect");
+    match client.set_option("threads", "200000") {
+        Err(ClientError::Server(message)) => {
+            assert!(message.contains("0 (auto) to 256"), "{message}")
+        }
+        other => panic!("threads 200000 must be refused, got {other:?}"),
+    }
+    let query = QUERIES[0];
+    let answer = client.query(query).expect("query after the refusal");
+    assert_eq!(
+        answer.raw_bytes(),
+        expected_bytes(&reference, query, &Config::default())
+    );
+    client
+        .set_option("threads", "256")
+        .expect("the cap itself is allowed");
+    let answer = client.query(query).expect("query at the cap");
+    assert_eq!(
+        answer.raw_bytes(),
+        expected_bytes(&reference, query, &Config::default().with_threads(256))
+    );
+    client.quit().expect("quit");
+    server.shutdown();
+}

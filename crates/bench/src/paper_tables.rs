@@ -9,7 +9,7 @@
 //! Absolute times differ from the paper (48-core Xeon vs this machine,
 //! real graphs vs analogs); the *relative* structure — who wins, by
 //! roughly what factor, where the crossovers fall — is the reproduction
-//! target. See EXPERIMENTS.md for the side-by-side record.
+//! target. See README's "Benchmarks and paper tables".
 
 use crate::{measure, measure_once, queries, ratio, secs, PreparedQuery, Table};
 use eh_core::{Config, Database, Scheduler};

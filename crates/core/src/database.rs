@@ -418,12 +418,6 @@ impl Database {
         self.catalog.relation(name).map(|r| r.rows().len() as u64)
     }
 
-    /// Size of a dictionary domain (distinct encoded values), by domain
-    /// key — the cost model's proxy for attribute active-domain size.
-    pub fn dictionary_size(&self, domain: &str) -> Option<usize> {
-        self.types.domain(domain).map(|d| d.len())
-    }
-
     /// Compile a rule and render the physical plan — the chosen attribute
     /// order (cost-based when catalog statistics exist, structural
     /// otherwise), its estimated cost, and the loop nest per GHD node —
@@ -886,6 +880,29 @@ mod tests {
         assert_eq!(out.num_rows(), 2);
         let typed = out.typed_rows(&db);
         assert!(typed.contains(&vec![TypedValue::Str("a".into())]));
+    }
+
+    #[test]
+    fn max_keeps_minus_infinity_absorbing_across_a_join() {
+        // MAX's ⊕-identity is −∞; a join (⊗) with it must stay −∞, not
+        // turn into (−∞)·(−∞) = +∞ and win the fold.
+        let mut db = Database::new();
+        for (name, w) in [("R", 3.0), ("S", 2.0)] {
+            let schema = RelationSchema::parse(&format!("{name}(x:u32, w:f64)")).unwrap();
+            let rows = [(1, f64::NEG_INFINITY), (2, w)]
+                .map(|(x, w)| vec![TypedValue::U32(x), TypedValue::F64(w)]);
+            db.load_typed(schema, &rows).unwrap();
+        }
+        let out = db.query("Q(;m:float) :- R(x),S(x); m=<<MAX(x)>>.").unwrap();
+        assert_eq!(out.scalar_f64(), Some(6.0));
+        let out = db
+            .query("G(x;m:float) :- R(x),S(x); m=<<MAX(x)>>.")
+            .unwrap();
+        assert_eq!(
+            out.annotation_for(&[1]),
+            Some(DynValue::F64(f64::NEG_INFINITY))
+        );
+        assert_eq!(out.annotation_for(&[2]), Some(DynValue::F64(6.0)));
     }
 
     #[test]

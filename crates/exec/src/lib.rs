@@ -3,8 +3,8 @@
 //! The query compiler hands this crate a [`eh_ghd::GhdPlan`]; "code
 //! generation" (paper §3.3) becomes construction of an explicit
 //! [`plan::PhysicalPlan`] — the same loop nest the paper's C++ generator
-//! emits, as an interpretable IR over the trie/set kernels (see DESIGN.md's
-//! substitution table). Execution then runs:
+//! emits, as an interpretable IR over the trie/set kernels (see README's
+//! "What the loop nest knows before it runs"). Execution then runs:
 //!
 //! * **within each GHD node** — the generic worst-case optimal join
 //!   (Algorithm 1): each node is first compiled into a `JoinProgram`

@@ -9,7 +9,7 @@
 //! Figure 1 so plans stay inspectable.
 
 use eh_ghd::GhdPlan;
-use eh_query::ast::{AggOp as QueryAggOp, Expr};
+use eh_query::ast::Expr;
 use eh_query::Rule;
 use eh_semiring::AggOp;
 
@@ -102,13 +102,12 @@ impl PhysicalPlan {
             // Expressions without an aggregate node (initialization rules
             // like `y = 1/N`) still need a carrier semiring; pick it from
             // the declared annotation type so floats stay floats.
-            let op = match a.expr.agg_op() {
-                Some(op) => convert_op(op),
-                None => match rule.head.annotation.as_ref().map(|an| an.ty.as_str()) {
+            let op = a.expr.agg_op().unwrap_or_else(|| {
+                match rule.head.annotation.as_ref().map(|an| an.ty.as_str()) {
                     Some("float") | Some("double") => AggOp::Sum,
                     _ => AggOp::Count,
-                },
-            };
+                }
+            });
             AggSpec {
                 op,
                 expr: a.expr.clone(),
@@ -354,16 +353,6 @@ fn compile_atom(atom: &eh_query::BodyAtom, atom_index: usize, attrs: &[String]) 
         const_prefix: const_positions.into_iter().map(|(_, c)| c).collect(),
         attr_levels: var_positions.into_iter().map(|(_, ai)| ai).collect(),
         secondary: false,
-    }
-}
-
-/// Convert the query AST's operator enum to the semiring crate's.
-pub fn convert_op(op: QueryAggOp) -> AggOp {
-    match op {
-        QueryAggOp::Count => AggOp::Count,
-        QueryAggOp::Sum => AggOp::Sum,
-        QueryAggOp::Min => AggOp::Min,
-        QueryAggOp::Max => AggOp::Max,
     }
 }
 

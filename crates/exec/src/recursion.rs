@@ -74,7 +74,6 @@ pub fn execute_recursive_rule(
         .agg
         .as_ref()
         .and_then(|a| a.expr.agg_op())
-        .map(crate::plan::convert_op)
         .unwrap_or(AggOp::Count);
     // A user-registered base case may be unsorted or repeat keys:
     // canonicalise it under the rule's own ⊕.

@@ -180,8 +180,9 @@ impl Relation {
                 max,
             });
         }
-        self.tries.write().insert(key, Arc::clone(&trie));
-        trie
+        // Two sessions may miss at once; the first build to land wins, so a
+        // cached trie is never replaced.
+        Arc::clone(self.tries.write().entry(key).or_insert(trie))
     }
 
     /// Identity-order trie.
@@ -341,6 +342,30 @@ mod tests {
         let rev = r.trie(&[1, 0], LayoutPolicy::SetLevel);
         assert_eq!(rev.select(&[10]).unwrap().to_vec(), vec![1]);
         assert_eq!(rev.root().set.to_vec(), vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn concurrent_misses_share_the_first_build() {
+        // Four sessions miss on the same order at once; each builds, but
+        // only the first build is cached and every caller gets that one.
+        let data: Vec<u32> = (0..400_000u32).flat_map(|i| [i % 997, i]).collect();
+        let r = Relation::from_buffer(TupleBuffer::from_flat(2, data), AggOp::Count);
+        let barrier = std::sync::Barrier::new(4);
+        let tries: Vec<Arc<Trie>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        r.trie(&[1, 0], LayoutPolicy::SetLevel)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let cached = r.trie(&[1, 0], LayoutPolicy::SetLevel);
+        for t in &tries {
+            assert!(Arc::ptr_eq(t, &cached), "a cached trie was replaced");
+        }
     }
 
     #[test]

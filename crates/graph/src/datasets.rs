@@ -32,7 +32,8 @@ pub struct DatasetSpec {
     pub exponent: f64,
     /// Seed for reproducibility.
     pub seed: u64,
-    /// Original density skew from paper Table 3 (for EXPERIMENTS.md).
+    /// Original density skew from paper Table 3 (`paper_tables table3`
+    /// prints it beside the analog's).
     pub paper_skew: f64,
     /// Original description.
     pub description: &'static str,

@@ -4,7 +4,7 @@
 //! EmptyHeaded's evaluation runs on six real social/citation graphs. Those
 //! exact files are not shipped here; [`datasets`] generates scaled synthetic
 //! analogs whose degree distributions match each dataset's published
-//! density-skew profile (see DESIGN.md's substitution table). Real SNAP
+//! density-skew profile (`paper_tables table3` prints both). Real SNAP
 //! edge-list files load through [`Graph::from_tsv`] when available.
 
 pub mod datasets;

@@ -1,52 +1,6 @@
 //! Abstract syntax tree for the EmptyHeaded query language.
 
-use std::fmt;
-
-/// Aggregation operators available inside `<<...>>`.
-///
-/// Mirrors `eh_semiring::AggOp`; the query crate stays dependency-free so
-/// the compiler stack layers cleanly (`query → ghd → exec`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AggOp {
-    /// `COUNT` — counting semiring.
-    Count,
-    /// `SUM` — real semiring.
-    Sum,
-    /// `MIN` — tropical semiring (monotone → seminaive recursion).
-    Min,
-    /// `MAX` — max semiring (monotone → seminaive recursion).
-    Max,
-}
-
-impl AggOp {
-    /// Parse the operator name.
-    pub fn parse(name: &str) -> Option<AggOp> {
-        match name.to_ascii_uppercase().as_str() {
-            "COUNT" => Some(AggOp::Count),
-            "SUM" => Some(AggOp::Sum),
-            "MIN" => Some(AggOp::Min),
-            "MAX" => Some(AggOp::Max),
-            _ => None,
-        }
-    }
-
-    /// Monotone aggregates admit seminaive recursion (paper §3.3.2).
-    pub fn is_monotone(self) -> bool {
-        matches!(self, AggOp::Min | AggOp::Max)
-    }
-}
-
-impl fmt::Display for AggOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggOp::Count => "COUNT",
-            AggOp::Sum => "SUM",
-            AggOp::Min => "MIN",
-            AggOp::Max => "MAX",
-        };
-        f.write_str(s)
-    }
-}
+pub use eh_semiring::AggOp;
 
 /// A term in a body atom: a variable or a constant (selection predicate).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -311,14 +265,5 @@ mod tests {
         };
         assert_eq!(rule.body_vars(), vec!["x", "y", "z"]);
         assert!(!rule.is_recursive());
-    }
-
-    #[test]
-    fn monotonicity() {
-        assert!(AggOp::Min.is_monotone());
-        assert!(!AggOp::Sum.is_monotone());
-        assert_eq!(AggOp::parse("count"), Some(AggOp::Count));
-        assert_eq!(AggOp::parse("median"), None);
-        assert_eq!(AggOp::Sum.to_string(), "SUM");
     }
 }

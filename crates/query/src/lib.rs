@@ -26,13 +26,7 @@ pub use validate::{validate_rule, ValidationError};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eh_semiring_reexport::AggOp;
-
-    // eh-query deliberately has no dependency on eh-semiring; the AggOp in
-    // the AST is this crate's own enum mirroring the semiring ops.
-    mod eh_semiring_reexport {
-        pub use crate::ast::AggOp;
-    }
+    use crate::ast::AggOp;
 
     #[test]
     fn paper_table1_queries_all_parse() {

@@ -1,10 +1,11 @@
-//! Dynamically-typed aggregation values and operators.
+//! The aggregate operators, their [`Carrier`] semirings, and
+//! dynamically-typed annotation values.
 //!
 //! The query layer doesn't know annotation types at compile time (the user
-//! writes `w:long` / `y:float` in the rule head, paper Table 1), so the
-//! executor manipulates annotations through [`DynValue`] and [`AggOp`].
-
-use crate::{Count, MaxF64, MinPlus, Semiring, SumF64};
+//! writes `w:long` / `y:float` in the rule head, paper Table 1), so
+//! annotations cross the sink/relation boundary as [`DynValue`]s tagged
+//! with an [`AggOp`]; inside a plan node the executor runs the operator's
+//! [`Carrier`] over plain `u64`/`f64`.
 
 /// Run `$body` with `$K` naming the [`Carrier`] of the runtime operator
 /// `$op` — the one place a dynamic `AggOp` becomes a type.
@@ -189,7 +190,7 @@ pub struct CountOp;
 impl Carrier for CountOp {
     u64_carrier!();
     const OP: AggOp = AggOp::Count;
-    const ZERO: u64 = Count::ZERO.0;
+    const ZERO: u64 = 0;
     const ONE: u64 = 1;
     #[inline(always)]
     fn plus(a: u64, b: u64) -> u64 {
@@ -212,7 +213,7 @@ pub struct SumOp;
 impl Carrier for SumOp {
     f64_carrier!();
     const OP: AggOp = AggOp::Sum;
-    const ZERO: f64 = SumF64::ZERO.0;
+    const ZERO: f64 = 0.0;
     const ONE: f64 = 1.0;
     #[inline(always)]
     fn plus(a: f64, b: f64) -> f64 {
@@ -236,7 +237,7 @@ pub struct MinOp;
 impl Carrier for MinOp {
     u64_carrier!();
     const OP: AggOp = AggOp::Min;
-    const ZERO: u64 = MinPlus::ZERO.0 as u64;
+    const ZERO: u64 = u32::MAX as u64;
     const ONE: u64 = 0;
     #[inline(always)]
     fn plus(a: u64, b: u64) -> u64 {
@@ -256,14 +257,15 @@ impl Carrier for MinOp {
     }
 }
 
-/// `MAX` over `f64`: `max` (the left operand wins ties and NaNs), `×`.
+/// `MAX` over `f64`: `max` (the left operand wins ties and NaNs), `×`
+/// with `−∞` (the ⊕-identity) absorbing, as `MIN`'s `∞` does.
 #[derive(Clone, Copy, Debug)]
 pub struct MaxOp;
 
 impl Carrier for MaxOp {
     f64_carrier!();
     const OP: AggOp = AggOp::Max;
-    const ZERO: f64 = MaxF64::ZERO.0;
+    const ZERO: f64 = f64::NEG_INFINITY;
     const ONE: f64 = 1.0;
     #[inline(always)]
     fn plus(a: f64, b: f64) -> f64 {
@@ -275,7 +277,11 @@ impl Carrier for MaxOp {
     }
     #[inline(always)]
     fn times(a: f64, b: f64) -> f64 {
-        a * b
+        if a == Self::ZERO || b == Self::ZERO {
+            Self::ZERO
+        } else {
+            a * b
+        }
     }
     #[inline(always)]
     fn repeat(x: f64, _count: usize) -> f64 {
@@ -379,6 +385,55 @@ mod tests {
         assert!(AggOp::Max.is_monotone());
         assert!(!AggOp::Count.is_monotone());
         assert!(!AggOp::Sum.is_monotone());
+    }
+
+    /// The commutative-semiring laws of `K` over `vals` (which must
+    /// include `ZERO`): identities, annihilation by `ZERO`,
+    /// commutativity, associativity and distributivity of `⊗` over `⊕`.
+    fn check_laws<K: Carrier>(vals: &[K::T]) {
+        let (plus, times, op) = (K::plus, K::times, K::OP);
+        for &a in vals {
+            assert_eq!(plus(a, K::ZERO), a, "{op:?}: additive identity");
+            assert_eq!(times(a, K::ONE), a, "{op:?}: multiplicative identity");
+            assert_eq!(times(a, K::ZERO), K::ZERO, "{op:?}: ZERO ⊗ {a:?}");
+            for &b in vals {
+                assert_eq!(plus(a, b), plus(b, a), "{op:?}: ⊕ commutes");
+                assert_eq!(times(a, b), times(b, a), "{op:?}: ⊗ commutes");
+                for &c in vals {
+                    let at = format!("{op:?} at {a:?}, {b:?}, {c:?}");
+                    assert_eq!(plus(plus(a, b), c), plus(a, plus(b, c)), "⊕ assoc, {at}");
+                    assert_eq!(
+                        times(times(a, b), c),
+                        times(a, times(b, c)),
+                        "⊗ assoc, {at}"
+                    );
+                    let (l, r) = (times(a, plus(b, c)), plus(times(a, b), times(a, c)));
+                    assert_eq!(l, r, "distributivity, {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carrier_semiring_laws() {
+        // Wrapping arithmetic is the ring of integers mod 2^64.
+        check_laws::<CountOp>(&[0, 1, 2, 7, 100, u64::MAX]);
+        // Dyadic values: every sum and product here is exact in f64.
+        check_laws::<SumOp>(&[0.0, 0.5, 1.0, 2.0, 3.0]);
+        // Products stay below the absorbing u32::MAX.
+        check_laws::<MinOp>(&[MinOp::ZERO, 0, 1, 5, 1000]);
+        check_laws::<MaxOp>(&[MaxOp::ZERO, 0.0, 0.5, 1.0, 2.0, 4.0]);
+    }
+
+    #[test]
+    fn min_relaxes_one_sssp_step() {
+        // d(v) = min over in-neighbours u of d(u) + 1 is ⊕ over ⊗ in the
+        // tropical semiring; an unreachable neighbour contributes nothing.
+        let step = [3, 7, MinOp::ZERO]
+            .into_iter()
+            .map(|d| MinOp::times(d, 1))
+            .fold(MinOp::ZERO, MinOp::plus);
+        assert_eq!(step, 4);
     }
 
     #[test]

@@ -297,40 +297,6 @@ impl StorageCatalog {
         Ok(buf)
     }
 
-    /// Encode one value for a specific input column of a relation,
-    /// allocating a fresh id on first sight.
-    pub fn encode_value(
-        &mut self,
-        relation: &str,
-        column: usize,
-        value: &TypedValue,
-    ) -> Result<u32, StorageError> {
-        let schema = self
-            .schemas
-            .get(relation)
-            .ok_or_else(|| StorageError::Schema(format!("no schema for relation '{relation}'")))?;
-        let col = schema
-            .columns
-            .get(column)
-            .ok_or_else(|| StorageError::Schema(format!("'{relation}' has no column {column}")))?;
-        match (col.domain_key(), value) {
-            (None, TypedValue::U32(v)) => Ok(*v),
-            (None, v) => Err(StorageError::Schema(format!(
-                "column '{}' of '{relation}' does not encode {v}",
-                col.name
-            ))),
-            (Some(key), v) => {
-                let col_name = col.name.clone();
-                let dom = self.domains.get_mut(&key).expect("registered domain");
-                dom.encode(v).map_err(|_| {
-                    StorageError::Schema(format!(
-                        "column '{col_name}' of '{relation}' does not encode {v}"
-                    ))
-                })
-            }
-        }
-    }
-
     /// Read-only id lookup of field text against a relation's key column
     /// `key_index` (position among key columns, i.e. the stored tuple
     /// column). `None` when the key is absent or unparsable.
@@ -381,15 +347,6 @@ impl StorageCatalog {
             None => Some(TypedValue::U32(id)),
             Some(key) => self.domains.get(&key)?.decode(id),
         }
-    }
-
-    /// Decode an id through a named domain; `None` domain (or an id the
-    /// domain never assigned) decodes as pass-through `U32`.
-    pub fn decode_in_domain(&self, domain: Option<&str>, id: u32) -> TypedValue {
-        domain
-            .and_then(|d| self.domains.get(d))
-            .and_then(|dom| dom.decode(id))
-            .unwrap_or(TypedValue::U32(id))
     }
 
     /// Domain key of a relation's key column `key_index` (stored-tuple

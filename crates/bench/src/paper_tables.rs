@@ -24,10 +24,6 @@ const TARGETS: &str =
 /// (None = flag absent, keep each config's default of 1 worker).
 static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
 
-/// `--morsel N` override: pins the morsel size on every engine config
-/// (None = flag absent, auto-size).
-static MORSEL: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-
 /// Machine-readable timing sink, enabled by `--json <path>`; human
 /// output is unchanged whether or not it is active.
 static JSON_SINK: std::sync::OnceLock<std::sync::Mutex<Vec<String>>> = std::sync::OnceLock::new();
@@ -82,12 +78,8 @@ fn flush_json(path: &str, scale: f64) {
 /// Apply the run-wide `--threads` pin to a config, so benchmark numbers
 /// are reproducible on shared machines regardless of core count.
 fn tuned(cfg: Config) -> Config {
-    let cfg = match THREADS.get().copied().flatten() {
+    match THREADS.get().copied().flatten() {
         Some(n) => cfg.with_threads(n),
-        None => cfg,
-    };
-    match MORSEL.get().copied().flatten() {
-        Some(m) => cfg.with_morsel(m),
         None => cfg,
     }
 }
@@ -99,15 +91,12 @@ struct Args {
     target: String,
     scale: f64,
     threads: Option<usize>,
-    morsel: Option<usize>,
     load: Option<String>,
     json: Option<String>,
 }
 
 fn usage() -> String {
-    format!(
-        "usage: paper_tables [{TARGETS}] [--scale S] [--threads N] [--morsel M] [--load PATH] [--json PATH]"
-    )
+    format!("usage: paper_tables [{TARGETS}] [--scale S] [--threads N] [--load PATH] [--json PATH]")
 }
 
 /// Parse the arguments after the program name. `--help`/`-h` anywhere
@@ -119,7 +108,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         target: String::new(),
         scale: 0.1,
         threads: None,
-        morsel: None,
         load: None,
         json: None,
     };
@@ -147,7 +135,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 _ => return Err(number("a positive number")),
             },
             "--threads" => parsed.threads = Some(value.parse().map_err(|_| number("a count"))?),
-            "--morsel" => parsed.morsel = Some(value.parse().map_err(|_| number("a count"))?),
             "--load" => parsed.load = Some(value),
             "--json" => parsed.json = Some(value),
             _ => return Err(format!("unknown flag '{arg}'")),
@@ -167,7 +154,6 @@ pub fn main() {
         target,
         scale,
         threads,
-        morsel,
         load,
         json,
     } = parse_args(&args).unwrap_or_else(|e| {
@@ -176,7 +162,6 @@ pub fn main() {
         std::process::exit(2);
     });
     let _ = THREADS.set(threads);
-    let _ = MORSEL.set(morsel);
     if json.is_some() {
         let _ = JSON_SINK.set(std::sync::Mutex::new(Vec::new()));
     }
@@ -221,8 +206,7 @@ pub fn main() {
             println!("dataset analogs. --scale (default 0.1) shrinks the generated");
             println!("graphs; use 1.0 for full-size runs. --threads pins the engine's");
             println!("worker count (0 = auto-detect) so runs on shared machines are");
-            println!("reproducible; default is 1 (serial). --morsel pins the morsel");
-            println!("size of the parallel level-0 scheduler (0 = auto-size).");
+            println!("reproducible; default is 1 (serial).");
             println!();
             println!("The 'skew' target generates a preferential-attachment power-law");
             println!("graph and compares serial vs static-partition vs morsel-driven");
@@ -1111,11 +1095,8 @@ mod tests {
     fn the_target_is_the_first_bare_argument() {
         let a = parse(&["--scale", "0.01", "fig5"]).unwrap();
         assert_eq!((a.target.as_str(), a.scale), ("fig5", 0.01));
-        let a = parse(&["table3", "--threads", "2", "--morsel", "64"]).unwrap();
-        assert_eq!(
-            (a.target.as_str(), a.threads, a.morsel),
-            ("table3", Some(2), Some(64))
-        );
+        let a = parse(&["table3", "--threads", "2"]).unwrap();
+        assert_eq!((a.target.as_str(), a.threads), ("table3", Some(2)));
         // A flag's value is never the target, even when it looks like one.
         let a = parse(&["--json", "fig5", "table7"]).unwrap();
         assert_eq!(
@@ -1140,12 +1121,13 @@ mod tests {
             &["fig5", "--scale", "0"],
             &["fig5", "--scale", "NaN"],
             &["table3", "--threads", "two"],
-            &["table3", "--morsel", "-4"],
             &["table3", "--threads"],
             &["table3", "--frobnicate", "1"],
             &["table3", "table5"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+        let err = parse(&["table3", "--morsel", "4"]).err();
+        assert_eq!(err.as_deref(), Some("unknown flag '--morsel'"));
     }
 }

@@ -98,7 +98,7 @@ fn derived<'a>(local: &'a [QueryResult], name: &str) -> Option<&'a QueryResult> 
 
 /// Dictionary domain of key column `pos` of an overlay entry.
 fn derived_domain(head: &QueryResult, pos: usize) -> Option<String> {
-    let (_, col) = head.schema.as_ref()?.key_columns().nth(pos)?;
+    let (_, col) = head.schema.key_columns().nth(pos)?;
     col.domain_key()
 }
 
@@ -134,7 +134,7 @@ impl Catalog for OverlayView<'_> {
 /// information (edge lists, generated graphs, derived results with no
 /// typed provenance) — everything in the database has *a* schema, so
 /// whole-database images always round-trip.
-fn implicit_schema(name: &str, rel: &Relation) -> RelationSchema {
+pub(crate) fn implicit_schema(name: &str, rel: &Relation) -> RelationSchema {
     positional_schema(name, rel.arity(), rel.is_annotated()).combining(rel.combine())
 }
 
@@ -430,8 +430,8 @@ impl Database {
         self.explain_with(text, &self.config)
     }
 
-    /// [`Database::explain`], executing under `cfg` (threads, scheduler,
-    /// morsel size) instead of the database's own configuration.
+    /// [`Database::explain`], executing under `cfg` (threads, scheduler)
+    /// instead of the database's own configuration.
     pub fn explain_with(&self, text: &str, cfg: &Config) -> Result<String, CoreError> {
         let prepared = self.prepare(text)?;
         let mut out = prepared.plan().render();
@@ -466,24 +466,31 @@ impl Database {
         // head itself moves into the catalog below.
         let returned = outcome.is_ok().then(|| heads.last().cloned()).flatten();
         // Commit every head that ran, even when a later rule failed.
+        let mut registered = None;
         for head in heads {
-            let typed = head.schema.map(|s| self.types.register_schema(s));
-            if !matches!(typed, Some(Ok(()))) {
-                // Inference produced a conflicting schema (e.g. a domain
-                // reused at another carrier type): fall back to untyped.
-                let _ = self
-                    .types
-                    .register_schema(implicit_schema(&head.name, &head.relation));
-            }
+            let schema = match self.types.register_schema(head.schema.clone()) {
+                Ok(()) => head.schema,
+                Err(_) => {
+                    // Inference produced a conflicting schema (e.g. a
+                    // domain reused at another carrier type): fall back
+                    // to untyped.
+                    let implicit = implicit_schema(&head.name, &head.relation);
+                    self.types
+                        .register_schema(implicit.clone())
+                        .expect("implicit u32 schemas are always valid");
+                    implicit
+                }
+            };
             self.catalog.insert(&head.name, head.relation);
             // Bump per registered rule (not once at the end): a later
             // rule failing must not leave the catalog changed with the
             // epoch — and therefore every plan cache — stale.
             self.bump_epoch();
+            registered = Some(schema);
         }
         outcome?;
         let mut result = returned.expect("a program has at least one rule");
-        result.schema = self.types.schema(&result.name).cloned();
+        result.schema = registered.expect("the returned head was registered");
         Ok(result)
     }
 
@@ -693,7 +700,7 @@ impl Prepared {
             heads.push(QueryResult {
                 name: name.to_string(),
                 relation: out.relation,
-                schema: Some(st.schema.clone()),
+                schema: st.schema.clone(),
                 profile: out.profile,
                 level0: out.level0,
             });
@@ -1096,11 +1103,13 @@ mod tests {
     fn query_ref_duplicate_head_vars_get_a_valid_schema() {
         let db = social();
         let out = db.query_ref("D(x,x) :- Follows(x,y).").unwrap();
-        let schema = out.schema().expect("schema carried");
-        assert!(schema.validate().is_ok(), "fallback schema must encode");
+        assert!(
+            out.schema().validate().is_ok(),
+            "fallback schema must encode"
+        );
         let stmt = db.prepare("D(x,x) :- Follows(x,y).").unwrap();
         let prepared = stmt.execute(&db).unwrap();
-        assert!(prepared.schema().unwrap().validate().is_ok());
+        assert!(prepared.schema().validate().is_ok());
         assert_eq!(prepared.rows(), out.rows());
     }
 
@@ -1203,7 +1212,7 @@ mod tests {
                     // What `query` returned is what it stored.
                     let stored = db.relation(b.name()).unwrap();
                     assert_eq!(stored.rows(), b.rows(), "{program}");
-                    assert_eq!(db.storage().schema(b.name()), b.schema(), "{program}");
+                    assert_eq!(db.storage().schema(b.name()), Some(b.schema()), "{program}");
                 }
                 (Err(a), Err(b)) => assert_eq!(a, b, "{program}"),
                 (a, b) => panic!("{program}: query_ref {a:?} vs query {b:?}"),

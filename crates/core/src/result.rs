@@ -6,14 +6,14 @@ use eh_semiring::DynValue;
 use eh_storage::{Domain, RelationSchema, TypedValue};
 
 /// The result of a query: the head relation's name and contents, plus
-/// the inferred key-column schema used to decode ids back to typed
-/// values (carried here so prepared-statement results decode exactly
-/// like `query()` results, without touching the database).
+/// the head's schema used to decode ids back to typed values (carried
+/// here so prepared-statement results decode exactly like `query()`
+/// results, without looking the head up in the database).
 #[derive(Clone, Debug)]
 pub struct QueryResult {
     pub(crate) name: String,
     pub(crate) relation: Relation,
-    pub(crate) schema: Option<RelationSchema>,
+    pub(crate) schema: RelationSchema,
     /// Execution profile, present when the run was configured with
     /// `Config::profile`.
     pub(crate) profile: Option<QueryProfile>,
@@ -42,20 +42,13 @@ impl QueryResult {
     }
 
     /// Per-output-column dictionary domains, resolved once (the decode
-    /// loops below touch only a `Vec` index per cell). Falls back to the
-    /// database's registered schema when the result carries none.
+    /// loops below touch only a `Vec` index per cell).
     fn column_domains<'a>(&'a self, db: &'a Database) -> Vec<Option<&'a Domain>> {
-        let schema = self
+        let mut domains: Vec<Option<&Domain>> = self
             .schema
-            .as_ref()
-            .or_else(|| db.storage().schema(&self.name));
-        let mut domains: Vec<Option<&Domain>> = match schema {
-            Some(s) => s
-                .key_columns()
-                .map(|(_, col)| col.domain_key().and_then(|k| db.storage().domain(&k)))
-                .collect(),
-            None => Vec::new(),
-        };
+            .key_columns()
+            .map(|(_, col)| col.domain_key().and_then(|k| db.storage().domain(&k)))
+            .collect();
         domains.resize(self.relation.arity(), None);
         domains
     }
@@ -65,11 +58,11 @@ impl QueryResult {
         &self.name
     }
 
-    /// The inferred key-column schema carried by this result (used to
-    /// decode ids to typed values; `None` for results constructed
-    /// without typed provenance).
-    pub fn schema(&self) -> Option<&RelationSchema> {
-        self.schema.as_ref()
+    /// The head's schema carried by this result (used to decode ids to
+    /// typed values): the one the rule's head inferred, or — for
+    /// [`Database::query`] — the one it registered.
+    pub fn schema(&self) -> &RelationSchema {
+        &self.schema
     }
 
     /// The underlying relation.
@@ -184,8 +177,8 @@ mod tests {
     fn result(name: &str, relation: Relation) -> QueryResult {
         QueryResult {
             name: name.into(),
+            schema: crate::database::implicit_schema(name, &relation),
             relation,
-            schema: None,
             profile: None,
             level0: 0,
         }

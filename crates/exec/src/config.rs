@@ -3,17 +3,19 @@
 use eh_ghd::PlanOptions;
 use eh_set::{IntersectConfig, LayoutKind, LayoutPolicy};
 
-/// How the parallel runtime hands level-0 work to its workers.
+/// How the parallel runtime cuts the level-0 range into the chunks its
+/// workers claim off one shared atomic cursor (the scheduler picks only
+/// the chunk size, see [`Config::effective_morsel`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Workers pull fixed-size *morsels* of the level-0 value range off a
-    /// shared atomic cursor, so a straggler value (a power-law hub) stalls
-    /// only its own morsel while idle workers keep draining the rest.
+    /// Small *morsels*, ~8 per worker, so a straggler value (a power-law
+    /// hub) stalls only its own morsel while idle workers keep draining
+    /// the rest.
     #[default]
     Morsel,
-    /// One contiguous range per worker, fixed up front. Simple but skew-
-    /// blind: the worker that draws the hub range becomes the straggler.
-    /// Kept as the ablation baseline for the morsel scheduler.
+    /// One contiguous ⌈len/threads⌉ chunk per worker. Simple but skew-
+    /// blind: the worker that draws the hub's chunk becomes the
+    /// straggler. Kept as the ablation baseline for the morsel scheduler.
     Static,
 }
 
@@ -40,9 +42,6 @@ pub struct Config {
     /// Level-0 work distribution for multi-threaded runs (default: morsel-
     /// driven; [`Scheduler::Static`] is the skew-blind ablation baseline).
     pub scheduler: Scheduler,
-    /// Morsel size in level-0 values: `None` (the default) auto-sizes from
-    /// the value count and worker count, `Some(n)` pins it (benchmarks).
-    pub morsel_size: Option<usize>,
     /// Force naive recursion even for monotone aggregates (ablation; the
     /// engine normally picks seminaive for MIN/MAX, paper §3.3.2).
     pub force_naive_recursion: bool,
@@ -72,7 +71,6 @@ impl Default for Config {
             plan: PlanOptions::default(),
             threads: Some(1),
             scheduler: Scheduler::Morsel,
-            morsel_size: None,
             force_naive_recursion: false,
             profile: false,
             shard: None,
@@ -125,12 +123,6 @@ impl Config {
         self
     }
 
-    /// Pin the morsel size (0 = auto-size).
-    pub fn with_morsel(mut self, morsel: usize) -> Config {
-        self.morsel_size = if morsel == 0 { None } else { Some(morsel) };
-        self
-    }
-
     /// Select the level-0 work-distribution scheme.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Config {
         self.scheduler = scheduler;
@@ -152,14 +144,17 @@ impl Config {
         self
     }
 
-    /// Resolve the morsel size for a level-0 range of `len` values split
-    /// across `threads` workers. Auto-sizing targets ~8 morsels per worker
-    /// so skewed values re-balance, floored at 1 and capped so tiny inputs
-    /// don't degenerate into per-value dispatch overhead.
+    /// The chunk size, in level-0 values, that [`Config::scheduler`] cuts
+    /// a range of `len` values into for `threads` workers.
+    /// [`Scheduler::Morsel`] targets ~8 morsels per worker so skewed values
+    /// re-balance; the 4096 cap keeps morsels small on big inputs, and
+    /// tiny inputs get the floor of 1. [`Scheduler::Static`] cuts one
+    /// ⌈len/threads⌉ chunk per worker.
     pub fn effective_morsel(&self, len: usize, threads: usize) -> usize {
-        match self.morsel_size {
-            Some(n) => n.max(1),
-            None => (len / (threads.max(1) * 8)).clamp(1, 4096),
+        let threads = threads.max(1);
+        match self.scheduler {
+            Scheduler::Morsel => (len / (threads * 8)).clamp(1, 4096),
+            Scheduler::Static => len.div_ceil(threads).max(1),
         }
     }
 
@@ -235,23 +230,18 @@ mod tests {
     }
 
     #[test]
-    fn morsel_knob_semantics() {
-        assert_eq!(Config::default().scheduler, Scheduler::Morsel);
-        assert_eq!(Config::default().morsel_size, None);
-        let pinned = Config::default().with_morsel(64);
-        assert_eq!(pinned.morsel_size, Some(64));
-        assert_eq!(pinned.effective_morsel(1_000_000, 4), 64);
-        let auto = Config::default().with_morsel(0);
-        assert_eq!(auto.morsel_size, None);
-        // Auto-sizing: ~8 morsels per worker, floored at 1, capped at 4096.
-        assert_eq!(auto.effective_morsel(0, 4), 1);
-        assert_eq!(auto.effective_morsel(320, 4), 10);
-        assert_eq!(auto.effective_morsel(100_000_000, 2), 4096);
-        assert_eq!(
-            Config::default()
-                .with_scheduler(Scheduler::Static)
-                .scheduler,
-            Scheduler::Static
-        );
+    fn scheduler_chunk_sizes() {
+        let morsel = Config::default();
+        assert_eq!(morsel.scheduler, Scheduler::Morsel);
+        // ~8 morsels per worker, floored at 1, capped at 4096.
+        assert_eq!(morsel.effective_morsel(0, 4), 1);
+        assert_eq!(morsel.effective_morsel(320, 4), 10);
+        assert_eq!(morsel.effective_morsel(100_000_000, 2), 4096);
+        // One ⌈len/threads⌉ chunk per worker.
+        let fixed = Config::default().with_scheduler(Scheduler::Static);
+        assert_eq!(fixed.scheduler, Scheduler::Static);
+        assert_eq!(fixed.effective_morsel(0, 4), 1);
+        assert_eq!(fixed.effective_morsel(10, 4), 3);
+        assert_eq!(fixed.effective_morsel(100_000_000, 2), 50_000_000);
     }
 }

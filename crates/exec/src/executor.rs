@@ -374,7 +374,7 @@ fn node_children(
     work: &mut WorkCounters,
     start: u64,
 ) -> Vec<Span> {
-    let kernels = ctx.mw.stats.take();
+    let kernels = std::mem::take(&mut ctx.mw.stats);
     // The innermost count fast path keeps no per-call tick (see `gj`):
     // reconstruct its exact call count from the kernel-dispatch stats.
     // Every n≥2 multiway call bumps `kernels.intersections` exactly once,
@@ -401,14 +401,7 @@ fn node_children(
         let hits = ctx.level_prof[last].ticks.wrapping_mul(steps as u64);
         work.count_fast_hits = work.count_fast_hits.wrapping_add(hits);
     }
-    work.merge(&WorkCounters {
-        values_scanned: kernels.values_scanned,
-        intersections: kernels.intersections,
-        merge_kernels: kernels.merge_kernels,
-        gallop_kernels: kernels.gallop_kernels,
-        bitset_kernels: kernels.bitset_kernels,
-        ..WorkCounters::default()
-    });
+    work.merge(&kernels);
     let mut children: Vec<Span> = ctx
         .level_prof
         .iter()
@@ -779,21 +772,24 @@ mod tests {
                     .iter()
                     .filter(|c| c.name.starts_with("thread "))
                     .collect();
-                match scheduler {
-                    Scheduler::Morsel => assert_eq!(threads.len(), 4, "{node:?}"),
-                    Scheduler::Static => assert!((1..=4).contains(&threads.len()), "{node:?}"),
-                }
+                // Both schedulers spawn every worker.
+                assert_eq!(threads.len(), 4, "{node:?}");
                 for (k, t) in threads.iter().enumerate() {
                     assert_eq!(t.name, format!("thread {k}"));
                     assert_eq!(keys(t), ["morsels", "values"]);
                     assert!(t.start_ns_rel >= node.start_ns_rel && end(t) <= end(node));
                 }
+                let sum = |key: &str| -> u64 { threads.iter().filter_map(|t| t.value(key)).sum() };
+                let values = sum("values");
                 if node.name == "node 1" {
                     // The root node's workers split exactly its range.
-                    let values: u64 = threads.iter().filter_map(|t| t.value("values")).sum();
                     assert!(run.level0 > 0);
                     assert_eq!(values, run.level0, "{scheduler:?}");
                 }
+                // Which worker claims which chunk races; how many chunks
+                // the range is cut into does not.
+                let chunk = cfg.effective_morsel(values as usize, 4) as u64;
+                assert_eq!(sum("morsels"), values.div_ceil(chunk), "{scheduler:?}");
             }
         }
         // A serial run has no worker lanes.

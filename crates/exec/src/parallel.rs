@@ -3,31 +3,34 @@
 //!
 //! The level-0 merged values are computed **once** by the caller through
 //! the same prologue the serial path uses ([`crate::gj::fill_level`]);
-//! this module only decides which worker binds which values:
+//! this module only decides which worker binds which values. Every
+//! worker pulls contiguous chunks of the level-0 range off a shared
+//! atomic cursor; the [`Scheduler`](crate::Scheduler) picks only the
+//! chunk size ([`crate::Config::effective_morsel`]):
 //!
-//! * [`Scheduler::Morsel`] (the default): workers pull fixed-size chunks
-//!   off a shared atomic cursor. A power-law hub whose subtree dominates
-//!   the work stalls only its own morsel — idle workers keep draining the
+//! * [`Scheduler::Morsel`](crate::Scheduler::Morsel) (the default): ~8
+//!   morsels per worker. A power-law hub whose subtree dominates the
+//!   work stalls only its own morsel — idle workers keep draining the
 //!   rest of the range, which is the standard cure for partition skew in
 //!   in-memory engines (morsel-driven parallelism).
-//! * [`Scheduler::Static`]: one contiguous range per worker, fixed up
-//!   front — the paper's original strategy, kept as the skew-blind
-//!   ablation baseline.
+//! * [`Scheduler::Static`](crate::Scheduler::Static): `threads` chunks
+//!   of ⌈len/threads⌉ values — the paper's original contiguous
+//!   partition, kept as the skew-blind ablation baseline: the worker
+//!   holding the hub's chunk straggles. (A worker that finishes its chunk
+//!   before another worker starts may claim that chunk too.)
 //!
 //! Each worker forks the context (tries stay shared behind `Arc`; scratch
-//! is per-worker) and emits into private [`Sink`]s; sinks merge
-//! afterwards (scalars by `⊕`, everything else by appending or replaying
-//! its contributions), and so do the workers' profiling tallies — nothing
-//! else flows back. Under the morsel scheduler workers keep **one sink per
-//! claimed chunk** and the chunks merge in range order: the chunk→value
-//! mapping is fixed (only the chunk→worker mapping races), so the final
-//! `⊕` fold order is bit-deterministic run-to-run even for
-//! non-associative `f64` sums, not just for exact integer aggregates —
-//! and for a keyed group-by it is the serial order outright.
+//! is per-worker) and emits into **one private [`Sink`] per claimed
+//! chunk**; afterwards the chunk sinks merge in range order (scalars by
+//! `⊕`, everything else by appending or replaying its contributions), and
+//! the workers' profiling tallies fold back — nothing else flows back.
+//! The chunk→value mapping is fixed (only the chunk→worker mapping
+//! races), so the final `⊕` fold order is bit-deterministic run-to-run
+//! even for non-associative `f64` sums, not just for exact integer
+//! aggregates — and for a keyed group-by it is the serial order outright.
 //! Within one worker, values still arrive in ascending order (the cursor
 //! only moves forward), so the monotone rank hints stay effective.
 
-use crate::config::Scheduler;
 use crate::gj::{child_sample, step_value};
 use crate::program::{GjContext, JoinProgram};
 use crate::sink::Sink;
@@ -38,7 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Run level 0 over `candidates[range]` with `threads` workers and fold
-/// the per-worker sinks into `sink`. `candidates` is the whole level-0
+/// the per-chunk sinks into `sink`. `candidates` is the whole level-0
 /// list, so a value's index in it is its candidate position (what
 /// [`step_value`] binds by); `range` is this process's slice of it.
 /// `ctx` is the post-prologue context the workers fork from; its cursors
@@ -55,119 +58,64 @@ pub(crate) fn run<K: Carrier>(
 ) {
     // Workers only read the node's sink, to shape their chunk sinks.
     let shape: &Sink = sink;
-    let locals: Vec<Sink> = match ctx.cfg.scheduler {
-        Scheduler::Morsel => {
-            let morsel = ctx.cfg.effective_morsel(range.len(), threads);
-            let cursor = AtomicUsize::new(range.start);
-            let mut workers: Vec<GjContext<'_>> = (0..threads).map(|_| ctx.fork()).collect();
-            let mut chunks = std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .drain(..)
-                    .enumerate()
-                    .map(|(k, mut local)| {
-                        let cursor = &cursor;
-                        scope.spawn(move || {
-                            let clock = local.origin.map(|origin| (origin, Instant::now()));
-                            // One sink per claimed chunk, tagged with its
-                            // range start: merging in range order below
-                            // makes the ⊕ fold order independent of which
-                            // worker won each chunk.
-                            let mut claimed: Vec<(usize, Sink)> = Vec::new();
-                            let mut seen = 0u64;
-                            loop {
-                                let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                                if start >= range.end {
-                                    break;
-                                }
-                                let end = (start + morsel).min(range.end);
-                                seen += (end - start) as u64;
-                                let mut chunk_sink = shape.chunk(program.op);
-                                for idx in start..end {
-                                    let v = candidates[idx];
-                                    step_value::<K>(
-                                        program,
-                                        &mut local,
-                                        0,
-                                        v,
-                                        idx,
-                                        base_product,
-                                        &mut chunk_sink,
-                                        child_sample(v, idx),
-                                    );
-                                }
-                                claimed.push((start, chunk_sink));
-                            }
-                            let thread = thread_span(k, clock, claimed.len(), seen);
-                            (claimed, local.take_tally(), thread)
-                        })
-                    })
-                    .collect();
-                let mut chunks = Vec::new();
-                for h in handles {
-                    let (claimed, tally, thread) = h.join().expect("worker thread panicked");
-                    ctx.merge_tally(&tally);
-                    ctx.threads.extend(thread);
-                    chunks.extend(claimed);
-                }
-                chunks
-            });
-            chunks.sort_unstable_by_key(|&(start, _)| start);
-            chunks.into_iter().map(|(_, s)| s).collect()
+    let morsel = ctx.cfg.effective_morsel(range.len(), threads);
+    let cursor = AtomicUsize::new(range.start);
+    let mut workers: Vec<GjContext<'_>> = (0..threads).map(|_| ctx.fork()).collect();
+    let mut chunks = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .drain(..)
+            .enumerate()
+            .map(|(k, mut local)| {
+                let cursor = &cursor;
+                scope.spawn(move || {
+                    let clock = local.origin.map(|origin| (origin, Instant::now()));
+                    // One sink per claimed chunk, tagged with its range
+                    // start: merging in range order below makes the ⊕
+                    // fold order independent of which worker won each
+                    // chunk.
+                    let mut claimed: Vec<(usize, Sink)> = Vec::new();
+                    let mut seen = 0u64;
+                    loop {
+                        let start = cursor.fetch_add(morsel, Ordering::Relaxed);
+                        if start >= range.end {
+                            break;
+                        }
+                        let end = (start + morsel).min(range.end);
+                        seen += (end - start) as u64;
+                        let mut chunk_sink = shape.chunk(program.op);
+                        for idx in start..end {
+                            let v = candidates[idx];
+                            step_value::<K>(
+                                program,
+                                &mut local,
+                                0,
+                                v,
+                                idx,
+                                base_product,
+                                &mut chunk_sink,
+                                child_sample(v, idx),
+                            );
+                        }
+                        claimed.push((start, chunk_sink));
+                    }
+                    let thread = thread_span(k, clock, claimed.len(), seen);
+                    (claimed, local.take_tally(), thread)
+                })
+            })
+            .collect();
+        let mut chunks = Vec::new();
+        for h in handles {
+            let (claimed, tally, thread) = h.join().expect("worker thread panicked");
+            ctx.merge_tally(&tally);
+            ctx.threads.extend(thread);
+            chunks.extend(claimed);
         }
-        Scheduler::Static => {
-            let chunk = range.len().div_ceil(threads);
-            let ctx_ref = &*ctx;
-            let (sinks, tallies) = std::thread::scope(|scope| {
-                let handles: Vec<_> = range
-                    .clone()
-                    .step_by(chunk)
-                    .enumerate()
-                    .map(|(k, start)| {
-                        let end = (start + chunk).min(range.end);
-                        let mut local = ctx_ref.fork();
-                        scope.spawn(move || {
-                            let clock = local.origin.map(|origin| (origin, Instant::now()));
-                            let mut local_sink = shape.chunk(program.op);
-                            for idx in start..end {
-                                let v = candidates[idx];
-                                step_value::<K>(
-                                    program,
-                                    &mut local,
-                                    0,
-                                    v,
-                                    idx,
-                                    base_product,
-                                    &mut local_sink,
-                                    child_sample(v, idx),
-                                );
-                            }
-                            // Static partitioning: one contiguous chunk per
-                            // worker.
-                            let seen = (end - start) as u64;
-                            let thread = thread_span(k, clock, 1, seen);
-                            (local_sink, local.take_tally(), thread)
-                        })
-                    })
-                    .collect();
-                let mut sinks = Vec::new();
-                let mut tallies = Vec::new();
-                for h in handles {
-                    let (s, t, thread) = h.join().expect("worker thread panicked");
-                    sinks.push(s);
-                    tallies.push((t, thread));
-                }
-                (sinks, tallies)
-            });
-            for (t, thread) in tallies {
-                ctx.merge_tally(&t);
-                ctx.threads.extend(thread);
-            }
-            sinks
-        }
-    };
-    // Merge per-thread sinks.
+        chunks
+    });
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    // Merge the chunk sinks in range order.
     let merge_started = ctx.cfg.profile.then(Instant::now);
-    for local in locals {
+    for (_, local) in chunks {
         sink.merge::<K>(local);
     }
     if let Some(t) = merge_started {
@@ -248,27 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn tiny_morsels_still_correct() {
-        // Morsel size 1 maximizes cursor contention and chunk churn; the
-        // result must not change.
-        let cat = skewed_catalog();
-        let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
-        let serial = execute_rule(&rule, &cat, &Config::default())
-            .unwrap()
-            .relation;
-        for morsel in [1usize, 2, 7, 1000] {
-            let cfg = Config::default().with_threads(4).with_morsel(morsel);
-            let par = execute_rule(&rule, &cat, &cfg).unwrap().relation;
-            assert_eq!(serial.scalar(), par.scalar(), "morsel={morsel}");
-        }
-    }
-
-    #[test]
     fn morsel_float_sums_are_bit_deterministic() {
         // f64 ⊕ is not associative, so determinism requires the fold
         // order to be fixed: per-chunk sinks merged in range order make
-        // the result depend only on the morsel size, not on which worker
-        // won which chunk or on the thread count.
+        // the result depend only on the chunk partition (thread count ×
+        // scheduler), not on which worker won which chunk.
         use eh_semiring::{AggOp, DynValue};
         let mut rows: Vec<Vec<u32>> = Vec::new();
         let mut weights: Vec<DynValue> = Vec::new();
@@ -284,21 +216,14 @@ mod tests {
             Relation::from_annotated_rows(2, rows, weights, AggOp::Sum),
         );
         let rule = parse_rule("S(;w:float) :- W(x,y),W(y,z); w=<<SUM(z)>>.").unwrap();
-        let pinned = |threads: usize| {
-            Config::default()
-                .with_threads(threads)
-                .with_morsel(4)
-                .with_scheduler(Scheduler::Morsel)
-        };
-        let first = execute_rule(&rule, &cat, &pinned(4)).unwrap().relation;
-        for _ in 0..5 {
-            let again = execute_rule(&rule, &cat, &pinned(4)).unwrap().relation;
-            assert_eq!(first.scalar(), again.scalar(), "run-to-run");
+        for scheduler in [Scheduler::Morsel, Scheduler::Static] {
+            let cfg = Config::default().with_threads(4).with_scheduler(scheduler);
+            let first = execute_rule(&rule, &cat, &cfg).unwrap().relation;
+            for _ in 0..5 {
+                let again = execute_rule(&rule, &cat, &cfg).unwrap().relation;
+                assert_eq!(first.scalar(), again.scalar(), "{scheduler:?} run-to-run");
+            }
         }
-        // Same morsel size, different worker count: same chunk partition,
-        // same fold order, bit-identical result.
-        let other = execute_rule(&rule, &cat, &pinned(2)).unwrap().relation;
-        assert_eq!(first.scalar(), other.scalar(), "across thread counts");
     }
 
     #[test]

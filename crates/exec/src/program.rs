@@ -21,9 +21,9 @@ use crate::config::Config;
 use crate::executor::{ExecError, NodeResult};
 use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::storage::{Catalog, Relation};
-use eh_obs::Span;
+use eh_obs::{Span, WorkCounters};
 use eh_semiring::{AggOp, DynValue};
-use eh_set::{KernelStats, MultiwayScratch};
+use eh_set::MultiwayScratch;
 use eh_trie::{NodeId, Trie, TrieNode, TupleBuffer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -289,7 +289,7 @@ pub(crate) struct GjContext<'a> {
 /// worker's forked context after its share of the join.
 pub(crate) struct WorkerTally {
     pub(crate) level_prof: Vec<LevelTally>,
-    pub(crate) kernels: KernelStats,
+    pub(crate) kernels: WorkCounters,
 }
 
 /// Per-level profiling accumulators. `ticks` counts every profiled
@@ -369,7 +369,7 @@ impl<'a> GjContext<'a> {
     pub(crate) fn take_tally(&mut self) -> WorkerTally {
         WorkerTally {
             level_prof: std::mem::take(&mut self.level_prof),
-            kernels: self.mw.stats.take(),
+            kernels: std::mem::take(&mut self.mw.stats),
         }
     }
 

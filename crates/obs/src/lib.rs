@@ -69,16 +69,19 @@ pub fn bucket_upper(bucket: usize) -> u64 {
 /// set kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// Values fed into intersections (Σ participating set lengths) —
-    /// the observed analogue of the cost model's estimated work.
+    /// Σ kernel input lengths: both operands of every 2-way kernel
+    /// (intermediate accumulators of a chain included), every participant
+    /// once for a single-pass k-way kernel (probe-smallest, k-way bitset
+    /// AND) — the observed analogue of the cost model's estimated work.
     pub values_scanned: u64,
-    /// Multiway intersection calls this cell participated in.
+    /// Multiway intersection calls (n ≥ 2).
     pub intersections: u64,
     /// Two-pointer / SIMD-shuffle merge kernel dispatches.
     pub merge_kernels: u64,
-    /// Gallop (exponential-search probe) kernel dispatches.
+    /// Gallop (exponential-search / rank-probe) kernel dispatches.
     pub gallop_kernels: u64,
-    /// Bitset / block kernel dispatches.
+    /// Bitset / block kernel dispatches; a k-way bitset AND pass counts
+    /// `k − 1`, one per pairwise AND it fuses.
     pub bitset_kernels: u64,
     /// Innermost count-fast-path hits (aggregate-only queries).
     pub count_fast_hits: u64,

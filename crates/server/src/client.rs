@@ -405,8 +405,8 @@ impl EhClient {
         expect_stats(self.round_trip(&Request::Stats)?)
     }
 
-    /// Set a session-scoped engine option (`threads`, `scheduler`,
-    /// `morsel`).
+    /// Set an option: the session-scoped `threads` or `scheduler`, or
+    /// the server-wide `slow_ms`.
     pub fn set_option(&mut self, key: &str, value: &str) -> Result<String, ClientError> {
         expect_ok(self.round_trip(&Request::SetOption {
             key: key.into(),

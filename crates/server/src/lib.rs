@@ -20,9 +20,9 @@
 //!   changed schema.
 //! * [`session`] — one thread per connection around a request handler
 //!   that needs no socket (the embedded shell drives it in-process);
-//!   per-session engine-config overrides (`threads`, `scheduler`,
-//!   `morsel`); transparent re-preparation when the catalog moves under
-//!   a pinned statement.
+//!   per-session engine-config overrides (`threads`, `scheduler`);
+//!   transparent re-preparation when the catalog moves under a pinned
+//!   statement.
 //! * [`server`] — accept loops over TCP and Unix-domain sockets around
 //!   a [`Shared`] state holding `RwLock<Database>`: concurrent readers
 //!   execute (shared, compiled) plans in parallel, loads take the write

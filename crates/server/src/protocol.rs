@@ -197,8 +197,8 @@ pub enum Request {
     ListRelations,
     /// Server + plan-cache statistics.
     Stats,
-    /// Set a session-scoped engine option (`threads`, `scheduler`,
-    /// `morsel`); affects only this connection's executions.
+    /// Set an option: `threads` and `scheduler` affect only this
+    /// connection's executions, `slow_ms` the server-wide slow log.
     SetOption {
         /// Option name.
         key: String,

@@ -30,17 +30,17 @@ use eh_core::{Config, Database, Prepared, QueryResult, Scheduler};
 use eh_obs::{SlowQueryEntry, Trace};
 use eh_storage::trace_wire::encode_trace;
 use eh_storage::wire::ResultBatch;
-use eh_storage::{CsvOptions, Delimiter, RelationSchema, StorageError};
+use eh_storage::{CsvOptions, Delimiter, StorageError};
 use std::io::{self, Read, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Build the wire batch for a query result: the result's schema (or a
-/// positional u32 fallback), its tuples, and every dictionary domain
-/// the schema references — self-describing, so the client decodes
-/// typed values with no further round-trips.
+/// Build the wire batch for a query result: the result's schema, its
+/// tuples, and every dictionary domain the schema references —
+/// self-describing, so the client decodes typed values with no further
+/// round-trips.
 ///
 /// Known tradeoff: referenced domains ship *whole* (the batch format
 /// keeps dense id → key indexing), so a small result over a huge
@@ -48,17 +48,7 @@ use std::time::Instant;
 /// to the ids present needs a sparse-domain wire format — noted for a
 /// follow-up; for the paper-scale datasets the dictionaries are small.
 pub fn batch_from_result(db: &Database, result: &QueryResult) -> ResultBatch {
-    let schema = result
-        .schema()
-        .cloned()
-        .or_else(|| db.storage().schema(result.name()).cloned())
-        .unwrap_or_else(|| {
-            let mut s = RelationSchema::new(result.name());
-            for i in 0..result.relation().arity() {
-                s = s.column(&format!("c{i}"), eh_storage::ColumnType::U32);
-            }
-            s
-        });
+    let schema = result.schema().clone();
     let mut domains = Vec::new();
     for (_, col) in schema.key_columns() {
         if let Some(key) = col.domain_key() {
@@ -99,8 +89,8 @@ struct SessionStmt {
 
 /// Per-connection state.
 pub(crate) struct Session {
-    /// Session-scoped engine configuration (thread count, scheduler,
-    /// morsel size) applied to every execution on this connection.
+    /// Session-scoped engine configuration (thread count, scheduler)
+    /// applied to every execution on this connection.
     config: Config,
     /// Statement `id` (1-based, as `Prepared` reported it) is entry
     /// `id - 1`.
@@ -386,9 +376,9 @@ impl Session {
         }
     }
 
-    /// Apply one option. `threads`, `scheduler` and `morsel` are this
-    /// session's engine config; `slow_ms` is the *server-wide*
-    /// slow-query threshold (the log is shared state, not session state).
+    /// Apply one option. `threads` and `scheduler` are this session's
+    /// engine config; `slow_ms` is the *server-wide* slow-query threshold
+    /// (the log is shared state, not session state).
     fn set_option(&mut self, shared: &Shared, key: &str, value: &str) -> Result<(), String> {
         let number = || {
             let parsed = value.parse::<u64>();
@@ -403,7 +393,6 @@ impl Session {
                 }
                 n => self.config = self.config.with_threads(n as usize),
             },
-            "morsel" => self.config = self.config.with_morsel(number()? as usize),
             "scheduler" => {
                 self.config = self.config.with_scheduler(match value {
                     "morsel" => Scheduler::Morsel,
@@ -416,7 +405,7 @@ impl Session {
                 .set_threshold_ns(number()?.saturating_mul(1_000_000)),
             other => {
                 return Err(format!(
-                    "unknown option '{other}' (threads|scheduler|morsel|slow_ms)"
+                    "unknown option '{other}' (threads|scheduler|slow_ms)"
                 ))
             }
         }

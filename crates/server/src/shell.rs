@@ -82,7 +82,7 @@ STATEMENTS (separated by ';' or newline):
                                  (cluster: one stitched trace, per-worker lanes)
   \\slow [N]                      recent slow-query log entries (default 10;
                                  threshold via \\set slow_ms MS)
-  \\set KEY VALUE                 threads | scheduler | morsel | slow_ms
+  \\set KEY VALUE                 threads | scheduler | slow_ms
   \\timing                        toggle per-statement timing
   \\stats                         server / plan-cache statistics
   \\metrics [--json]              frame latency / byte-count metrics
@@ -952,6 +952,10 @@ mod tests {
         // \trace runs profiled and prints a span tree + row count; with
         // threshold 0 every statement lands in the slow-query log.
         assert_eq!(run(&mut shell, "\\set slow_ms 0"), "slow_ms = 0\n");
+        assert_eq!(
+            run(&mut shell, "\\set morsel 4"),
+            "error: unknown option 'morsel' (threads|scheduler|slow_ms)\n"
+        );
         let out = run(&mut shell, "\\trace T(x,y,z) :- E(x,y),E(y,z),E(x,z).");
         assert!(out.starts_with("trace "), "{out}");
         assert!(out.contains("kernels:"), "{out}");

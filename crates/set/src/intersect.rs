@@ -16,6 +16,7 @@ use crate::bitset::{self, BitsetSet};
 use crate::block;
 use crate::uint;
 use crate::Set;
+use eh_obs::WorkCounters;
 
 /// Kernel configuration — the execution-engine ablation knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,54 +61,12 @@ impl IntersectConfig {
     }
 }
 
-/// Kernel-dispatch counters for the intersection paths. Owned by the
-/// [`MultiwayScratch`] so hot-path recording stays a plain field bump —
-/// no atomics, no allocation — and readers drain them between joins with
-/// [`KernelStats::take`]. Every counter is charged *by the dispatch arm
-/// that picks the kernel*, from the lengths it already holds, so the
-/// counts explain which code path did the work and cost no second pass
-/// over the operands.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Multiway intersection calls (n ≥ 2).
-    pub intersections: u64,
-    /// Σ kernel input lengths: both operands of every 2-way kernel
-    /// (intermediate accumulators of a chain included), every participant
-    /// once for a single-pass k-way kernel (probe-smallest, k-way bitset
-    /// AND) — the observed analogue of the cost model's intersection-work
-    /// estimate.
-    pub values_scanned: u64,
-    /// Two-pointer / SIMD-shuffle merge dispatches.
-    pub merge_kernels: u64,
-    /// Gallop (exponential-search / rank-probe) dispatches.
-    pub gallop_kernels: u64,
-    /// Bitset or block kernel dispatches; a k-way bitset AND pass counts
-    /// `k − 1`, one per pairwise AND it fuses.
-    pub bitset_kernels: u64,
-}
-
-impl KernelStats {
-    /// Fold another block into this one (wrapping, order-independent).
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.intersections = self.intersections.wrapping_add(other.intersections);
-        self.values_scanned = self.values_scanned.wrapping_add(other.values_scanned);
-        self.merge_kernels = self.merge_kernels.wrapping_add(other.merge_kernels);
-        self.gallop_kernels = self.gallop_kernels.wrapping_add(other.gallop_kernels);
-        self.bitset_kernels = self.bitset_kernels.wrapping_add(other.bitset_kernels);
-    }
-
-    /// Drain the counters, leaving zeros behind.
-    pub fn take(&mut self) -> KernelStats {
-        std::mem::take(self)
-    }
-
-    /// Charge one bitset-family (any bitset or composite operand) kernel
-    /// over operands of `a_len` and `b_len` values.
-    #[inline(always)]
-    fn bitset_kernel(&mut self, a_len: usize, b_len: usize) {
-        self.values_scanned += (a_len + b_len) as u64;
-        self.bitset_kernels += 1;
-    }
+/// Charge one bitset-family (any bitset or composite operand) kernel
+/// over operands of `a_len` and `b_len` values.
+#[inline(always)]
+fn bitset_kernel(stats: &mut WorkCounters, a_len: usize, b_len: usize) {
+    stats.values_scanned += (a_len + b_len) as u64;
+    stats.bitset_kernels += 1;
 }
 
 // lint:region-start(alloc-free): Generic-Join calls these once per loop level — they only count, or append to caller buffers; MultiwayScratch exists so the multiway chain never allocates per call
@@ -116,7 +75,7 @@ impl IntersectConfig {
     /// leaves the choice to the hybrid kernel: the class charged is the
     /// branch [`uint::gallop_pays_off`] sends that kernel down.
     #[inline]
-    fn charge_uint_uint(&self, a_len: usize, b_len: usize, stats: &mut KernelStats) -> bool {
+    fn charge_uint_uint(&self, a_len: usize, b_len: usize, stats: &mut WorkCounters) -> bool {
         stats.values_scanned += (a_len + b_len) as u64;
         if self.algorithm_optimizer && uint::gallop_pays_off(a_len, b_len) {
             stats.gallop_kernels += 1;
@@ -129,7 +88,7 @@ impl IntersectConfig {
     /// uint ∩ uint values: the hybrid kernel (gallop on ≥32:1 skew,
     /// shuffle/merge otherwise), or plain scalar merge under `-RA`.
     #[inline]
-    fn uint_uint(&self, a: &[u32], b: &[u32], stats: &mut KernelStats, out: &mut Vec<u32>) {
+    fn uint_uint(&self, a: &[u32], b: &[u32], stats: &mut WorkCounters, out: &mut Vec<u32>) {
         if self.charge_uint_uint(a.len(), b.len(), stats) {
             uint::intersect_hybrid(a, b, self.simd, out);
         } else {
@@ -139,7 +98,7 @@ impl IntersectConfig {
 
     /// Count-only twin of [`Self::uint_uint`].
     #[inline]
-    fn uint_uint_count(&self, a: &[u32], b: &[u32], stats: &mut KernelStats) -> usize {
+    fn uint_uint_count(&self, a: &[u32], b: &[u32], stats: &mut WorkCounters) -> usize {
         if self.charge_uint_uint(a.len(), b.len(), stats) {
             uint::count_hybrid(a, b, self.simd)
         } else {
@@ -154,42 +113,42 @@ fn pair_values(
     a: &Set,
     b: &Set,
     cfg: &IntersectConfig,
-    stats: &mut KernelStats,
+    stats: &mut WorkCounters,
     out: &mut Vec<u32>,
 ) {
     match (a, b) {
         (Set::Uint(x), Set::Uint(y)) => cfg.uint_uint(x.values(), y.values(), stats, out),
         (Set::Uint(x), y) | (y, Set::Uint(x)) => slice_values(x.values(), y, cfg, stats, out),
         (Set::Bitset(x), Set::Bitset(y)) => {
-            stats.bitset_kernel(x.len(), y.len());
+            bitset_kernel(stats, x.len(), y.len());
             bitset::values_bitset_bitset(x, y, cfg.simd, out);
         }
         (Set::Block(x), Set::Block(y)) => {
-            stats.bitset_kernel(x.len(), y.len());
+            bitset_kernel(stats, x.len(), y.len());
             block::values_block_block(x, y, cfg.simd, out);
         }
         (Set::Bitset(x), Set::Block(y)) | (Set::Block(y), Set::Bitset(x)) => {
-            stats.bitset_kernel(x.len(), y.len());
+            bitset_kernel(stats, x.len(), y.len());
             block::values_bitset_block(x, y, cfg.simd, out);
         }
     }
 }
 
 /// Count-only twin of [`pair_values`].
-fn pair_count(a: &Set, b: &Set, cfg: &IntersectConfig, stats: &mut KernelStats) -> usize {
+fn pair_count(a: &Set, b: &Set, cfg: &IntersectConfig, stats: &mut WorkCounters) -> usize {
     match (a, b) {
         (Set::Uint(x), Set::Uint(y)) => cfg.uint_uint_count(x.values(), y.values(), stats),
         (Set::Uint(x), y) | (y, Set::Uint(x)) => slice_count(x.values(), y, cfg, stats),
         (Set::Bitset(x), Set::Bitset(y)) => {
-            stats.bitset_kernel(x.len(), y.len());
+            bitset_kernel(stats, x.len(), y.len());
             bitset::count_bitset_bitset(x, y)
         }
         (Set::Block(x), Set::Block(y)) => {
-            stats.bitset_kernel(x.len(), y.len());
+            bitset_kernel(stats, x.len(), y.len());
             block::count_block_block(x, y)
         }
         (Set::Bitset(x), Set::Block(y)) | (Set::Block(y), Set::Bitset(x)) => {
-            stats.bitset_kernel(x.len(), y.len());
+            bitset_kernel(stats, x.len(), y.len());
             block::count_bitset_block(x, y)
         }
     }
@@ -202,32 +161,32 @@ fn slice_values(
     a: &[u32],
     b: &Set,
     cfg: &IntersectConfig,
-    stats: &mut KernelStats,
+    stats: &mut WorkCounters,
     out: &mut Vec<u32>,
 ) {
     match b {
         Set::Uint(y) => cfg.uint_uint(a, y.values(), stats, out),
         Set::Bitset(y) => {
-            stats.bitset_kernel(a.len(), y.len());
+            bitset_kernel(stats, a.len(), y.len());
             bitset::intersect_uint_bitset(a, y, out);
         }
         Set::Block(y) => {
-            stats.bitset_kernel(a.len(), y.len());
+            bitset_kernel(stats, a.len(), y.len());
             out.extend(a.iter().filter(|&&v| y.contains(v)));
         }
     }
 }
 
 /// Count-only twin of [`slice_values`].
-fn slice_count(a: &[u32], b: &Set, cfg: &IntersectConfig, stats: &mut KernelStats) -> usize {
+fn slice_count(a: &[u32], b: &Set, cfg: &IntersectConfig, stats: &mut WorkCounters) -> usize {
     match b {
         Set::Uint(y) => cfg.uint_uint_count(a, y.values(), stats),
         Set::Bitset(y) => {
-            stats.bitset_kernel(a.len(), y.len());
+            bitset_kernel(stats, a.len(), y.len());
             bitset::count_uint_bitset(a, y)
         }
         Set::Block(y) => {
-            stats.bitset_kernel(a.len(), y.len());
+            bitset_kernel(stats, a.len(), y.len());
             a.iter().filter(|&&v| y.contains(v)).count()
         }
     }
@@ -236,14 +195,14 @@ fn slice_count(a: &[u32], b: &Set, cfg: &IntersectConfig, stats: &mut KernelStat
 /// Count an intersection without materializing it (used by aggregate-only
 /// queries, where the innermost Generic-Join loop is a pure count).
 pub fn intersect_count(a: &Set, b: &Set, cfg: &IntersectConfig) -> usize {
-    pair_count(a, b, cfg, &mut KernelStats::default())
+    pair_count(a, b, cfg, &mut WorkCounters::default())
 }
 
 /// Intersect two sets writing the result *values* into a caller-provided
 /// buffer — the allocation-free fast path for Generic-Join's loop levels,
 /// where only the ascending value stream is needed, not a layout.
 pub fn intersect_values(a: &Set, b: &Set, cfg: &IntersectConfig, out: &mut Vec<u32>) {
-    pair_values(a, b, cfg, &mut KernelStats::default(), out);
+    pair_values(a, b, cfg, &mut WorkCounters::default(), out);
 }
 
 /// Reusable buffers for multiway intersections: an index ordering plus two
@@ -260,9 +219,14 @@ pub struct MultiwayScratch {
     pong: Vec<u32>,
     /// Per-set monotone rank cursors for the probe-smallest path.
     cursors: Vec<usize>,
-    /// Kernel-dispatch counters, recorded as plain field bumps on every
-    /// multiway call and drained by profiling readers.
-    pub stats: KernelStats,
+    /// Kernel-dispatch counters (`intersections`, `values_scanned` and
+    /// the three kernel classes), recorded as plain field bumps — no
+    /// atomics, no allocation — and drained by profiling readers with
+    /// [`std::mem::take`]. Every counter is charged *by the dispatch arm
+    /// that picks the kernel*, from the lengths it already holds, so the
+    /// counts explain which code path did the work and cost no second
+    /// pass over the operands.
+    pub stats: WorkCounters,
 }
 
 impl MultiwayScratch {
@@ -814,18 +778,18 @@ mod tests {
         let total: u64 = sets.iter().map(|s| s.len() as u64).sum();
         for cfg in [IntersectConfig::full(), IntersectConfig::no_algorithms()] {
             count_all_into(&refs, &cfg, &mut scratch);
-            let counted = scratch.stats.take();
+            let counted = std::mem::take(&mut scratch.stats);
             assert_eq!(
                 counted,
-                KernelStats {
+                WorkCounters {
                     intersections: 1,
                     values_scanned: total,
                     bitset_kernels: 3,
-                    ..KernelStats::default()
+                    ..WorkCounters::default()
                 }
             );
             intersect_all_into(&refs, &cfg, &mut scratch, &mut Vec::new());
-            assert_eq!(scratch.stats.take(), counted);
+            assert_eq!(std::mem::take(&mut scratch.stats), counted);
         }
     }
 
@@ -841,37 +805,41 @@ mod tests {
             for kb in KINDS {
                 let (a, b) = (mk(&a_vals, ka), mk(&b_vals, kb));
                 count_all_into(&[&a, &b], &cfg, &mut scratch);
-                let counted = scratch.stats.take();
+                let counted = std::mem::take(&mut scratch.stats);
                 let uints = ka == Uint && kb == Uint;
                 assert_eq!(
                     counted,
-                    KernelStats {
+                    WorkCounters {
                         intersections: 1,
                         values_scanned: 900,
                         merge_kernels: uints as u64,
                         bitset_kernels: !uints as u64,
-                        ..KernelStats::default()
+                        ..WorkCounters::default()
                     },
                     "{ka:?} x {kb:?}"
                 );
                 intersect_all_into(&[&b, &a], &cfg, &mut scratch, &mut Vec::new());
-                assert_eq!(scratch.stats.take(), counted, "{kb:?} x {ka:?} values");
+                assert_eq!(
+                    std::mem::take(&mut scratch.stats),
+                    counted,
+                    "{kb:?} x {ka:?} values"
+                );
             }
         }
         // An empty side gallops (0 : n is past any ratio) unless the
         // optimizer is off.
         let (e, b) = (mk(&[], Uint), mk(&b_vals, Uint));
         count_all_into(&[&e, &b], &cfg, &mut scratch);
-        assert_eq!(scratch.stats.take().gallop_kernels, 1);
+        assert_eq!(std::mem::take(&mut scratch.stats).gallop_kernels, 1);
         count_all_into(&[&e, &b], &IntersectConfig::no_algorithms(), &mut scratch);
-        assert_eq!(scratch.stats.take().merge_kernels, 1);
+        assert_eq!(std::mem::take(&mut scratch.stats).merge_kernels, 1);
     }
 
     #[test]
     fn values_slice_kernels_match_naive() {
         // The chain's accumulator step: a sorted slice against each layout.
         let cfg = IntersectConfig::default();
-        let mut stats = KernelStats::default();
+        let mut stats = WorkCounters::default();
         let a: Vec<u32> = (0..300).map(|i| i * 2).collect();
         let b_vals: Vec<u32> = (0..300).map(|i| i * 3).collect();
         let expect = naive(&a, &b_vals);
@@ -898,44 +866,38 @@ mod tests {
 
         // 2-way, balanced uints, optimizer off → merge kernel.
         intersect_all_into(&[&mid, &big], &merging, &mut scratch, &mut out);
-        let s = scratch.stats.take();
+        let s = std::mem::take(&mut scratch.stats);
         assert_eq!((s.intersections, s.merge_kernels), (1, 1));
         assert_eq!((s.gallop_kernels, s.bitset_kernels), (0, 0));
 
         // 2-way, ≥32:1 skew with the optimizer on → gallop.
         out.clear();
         intersect_all_into(&[&big, &small], &full, &mut scratch, &mut out);
-        let s = scratch.stats.take();
+        let s = std::mem::take(&mut scratch.stats);
         assert_eq!((s.intersections, s.gallop_kernels), (1, 1));
 
         // 2-way with a bitset participant → bitset family.
         let dense = mk(&big_vals, Bitset);
         out.clear();
         intersect_all_into(&[&mid, &dense], &full, &mut scratch, &mut out);
-        let s = scratch.stats.take();
+        let s = std::mem::take(&mut scratch.stats);
         assert_eq!((s.intersections, s.bitset_kernels), (1, 1));
 
         // 3-way probe path → one gallop per non-smallest participant.
         out.clear();
         intersect_all_into(&[&big, &small, &mid], &full, &mut scratch, &mut out);
-        let s = scratch.stats.take();
+        let s = std::mem::take(&mut scratch.stats);
         assert_eq!((s.intersections, s.gallop_kernels), (1, 2));
 
         // 3-way merge chain (optimizer off) → two merge steps, and the
         // count path classifies identically.
         out.clear();
         intersect_all_into(&[&big, &small, &mid], &merging, &mut scratch, &mut out);
-        let chained = scratch.stats.take();
+        let chained = std::mem::take(&mut scratch.stats);
         count_all_into(&[&big, &small, &mid], &merging, &mut scratch);
-        assert_eq!(scratch.stats.take(), chained);
+        assert_eq!(std::mem::take(&mut scratch.stats), chained);
         assert_eq!(chained.intersections, 1);
         assert_eq!(chained.merge_kernels + chained.gallop_kernels, 2);
-
-        // Stats merge is a plain wrapping fold.
-        let mut acc = KernelStats::default();
-        acc.merge(&chained);
-        acc.merge(&KernelStats::default());
-        assert_eq!(acc, chained);
     }
 
     #[test]

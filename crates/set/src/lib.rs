@@ -32,8 +32,7 @@ pub mod uint;
 pub use bitset::BitsetSet;
 pub use block::BlockSet;
 pub use intersect::{
-    count_all_into, intersect_all_into, intersect_count, IntersectConfig, KernelStats,
-    MultiwayScratch,
+    count_all_into, intersect_all_into, intersect_count, IntersectConfig, MultiwayScratch,
 };
 pub use layout::{choose_layout, LayoutKind, LayoutPolicy};
 pub use uint::UintSet;

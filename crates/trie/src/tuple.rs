@@ -27,8 +27,14 @@
 //! ([`TupleBuffer::sort_perm`]: the same passes over row *indices*, then
 //! one gather) — moving a wide row once per pass costs more than the
 //! indirection saves — and that sort doubles as the test oracle for the
-//! packed one. Both are stable, so duplicate rows' annotations ⊕-fold in
-//! original row order whichever ran. Large builds fan out over
+//! packed one. Of the benchmark's statements, only `cluster_scatter`'s
+//! triangle listing `TL(x,y,z)` reaches it: its arity-3 sink buffer goes
+//! through `sink::finalize` → [`TupleBuffer::into_sorted_dedup`], two
+//! sorts per operation (9 466 and 255 rows under `--smoke`). A planner
+//! that priced output order, emitting rows already in head order, would
+//! skip both. The packed and the permutation sort are both stable, so
+//! duplicate rows' annotations ⊕-fold in original row order whichever
+//! ran. Large builds fan out over
 //! `std::thread::scope` (chunks sorted independently, then
 //! [`merge_sorted_runs`]).
 

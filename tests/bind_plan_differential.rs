@@ -14,8 +14,7 @@
 //! run must equal the oracle bit for bit, whatever plan the config
 //! compiles. Two non-dyadic SUMs pin fold-order rule 2 on top: within
 //! one config (one plan), a one-key and a two-key group-by are
-//! bit-identical across thread counts, schedulers, morsel sizes and
-//! profiling.
+//! bit-identical across thread counts, schedulers and profiling.
 
 use emptyheaded::exec::{compile_rule, execute_rule, Config, MemCatalog, Relation, Scheduler};
 use emptyheaded::query::parse_rule;
@@ -292,16 +291,11 @@ fn a_two_key_float_sum_is_bit_identical_however_the_level0_range_is_split() {
             assert!(serial.len() > 100, "{space}: {} groups", serial.len());
             for threads in [1usize, 2, 4] {
                 for scheduler in [Scheduler::Morsel, Scheduler::Static] {
-                    for morsel in [1usize, 0] {
-                        let cfg = base
-                            .with_threads(threads)
-                            .with_scheduler(scheduler)
-                            .with_morsel(morsel);
-                        assert!(
-                            answer(&cat, &cfg) == serial,
-                            "{space} ids, x{threads} {scheduler:?} morsel={morsel}\nunder {base:?}"
-                        );
-                    }
+                    let cfg = base.with_threads(threads).with_scheduler(scheduler);
+                    assert!(
+                        answer(&cat, &cfg) == serial,
+                        "{space} ids, x{threads} {scheduler:?}\nunder {base:?}"
+                    );
                 }
             }
         }

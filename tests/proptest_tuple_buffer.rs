@@ -46,8 +46,8 @@ fn catalog_with(rel: Relation) -> MemCatalog {
     cat
 }
 
-/// Assert serial == static fan-out == morsel for every ablation config
-/// over the paper's pattern-query shapes. Exact-count queries only: u64
+/// Assert serial == static fan-out == morsel at threads {2, 3, 4} for
+/// every ablation config over the paper's pattern-query shapes. Exact-count queries only: u64
 /// `⊕` is order-independent, so every scheduler must reproduce the serial
 /// result bit-for-bit.
 fn scheduler_differential(cat: &MemCatalog) {
@@ -59,21 +59,15 @@ fn scheduler_differential(cat: &MemCatalog) {
         let rule = parse_rule(q).unwrap();
         for base in all_configs() {
             let serial = execute_rule(&rule, cat, &base).unwrap().relation;
-            for (scheduler, morsel) in [
-                (Scheduler::Static, 0usize),
-                (Scheduler::Morsel, 0),
-                (Scheduler::Morsel, 1),
-                (Scheduler::Morsel, 5),
-            ] {
-                let cfg = base
-                    .with_threads(3)
-                    .with_scheduler(scheduler)
-                    .with_morsel(morsel);
-                let par = execute_rule(&rule, cat, &cfg).unwrap().relation;
-                let label = format!("{q} {scheduler:?} morsel={morsel} base={base:?}");
-                assert_eq!(serial.rows(), par.rows(), "{label}");
-                assert_eq!(serial.annotations(), par.annotations(), "{label}");
-                assert_eq!(serial.scalar(), par.scalar(), "{label}");
+            for threads in [2usize, 3, 4] {
+                for scheduler in [Scheduler::Static, Scheduler::Morsel] {
+                    let cfg = base.with_threads(threads).with_scheduler(scheduler);
+                    let par = execute_rule(&rule, cat, &cfg).unwrap().relation;
+                    let label = format!("{q} {scheduler:?} x{threads} base={base:?}");
+                    assert_eq!(serial.rows(), par.rows(), "{label}");
+                    assert_eq!(serial.annotations(), par.annotations(), "{label}");
+                    assert_eq!(serial.scalar(), par.scalar(), "{label}");
+                }
             }
         }
     }

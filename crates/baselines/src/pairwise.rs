@@ -45,15 +45,6 @@ pub fn triangle_count(edges: &[(u32, u32)]) -> u64 {
     count
 }
 
-/// Two-path count (used to measure the intermediate-result blowup).
-pub fn two_path_count(edges: &[(u32, u32)]) -> u64 {
-    let idx = by_src(edges);
-    edges
-        .iter()
-        .map(|&(_, y)| idx.get(&y).map_or(0, |zs| zs.len() as u64))
-        .sum()
-}
-
 /// 4-clique counting with pairwise joins: triangles ⋈ edges with three
 /// closing probes.
 pub fn four_clique_count(edges: &[(u32, u32)]) -> u64 {
@@ -197,16 +188,13 @@ mod tests {
     }
 
     #[test]
-    fn two_path_blowup_quadratic_on_star() {
-        // Star pruned: hub id 0 under degree order; edges (i, 0).
+    fn star_has_no_triangles() {
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for i in 1..=50u32 {
             edges.push((0, i));
             edges.push((i, 0));
         }
         let g = eh_graph::Graph::from_dense(51, edges);
-        // Undirected star: two-paths through the hub = 50*50.
-        assert_eq!(two_path_count(&g.edges), 50 * 50 + 50);
         assert_eq!(triangle_count(&g.edges), 0);
     }
 

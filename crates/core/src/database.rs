@@ -377,13 +377,6 @@ impl Database {
         &self.types
     }
 
-    /// Dictionary id of a typed value in a relation's key column
-    /// `column` (stored-tuple position), if present. Type-checked: a
-    /// `U64(5)` never resolves through a string column's `"5"`.
-    pub fn id_of(&self, relation: &str, column: usize, value: &TypedValue) -> Option<u32> {
-        self.types.lookup_key_value(relation, column, value)
-    }
-
     /// Bind a query-text constant (e.g. `'start'`) to a node id.
     pub fn define_const(&mut self, text: &str, id: u32) {
         self.catalog.define_const(text, id);
@@ -955,20 +948,6 @@ mod tests {
             .iter()
             .flatten()
             .all(|v| matches!(v, TypedValue::Str(_))));
-    }
-
-    #[test]
-    fn id_of_is_type_checked() {
-        let mut db = Database::new();
-        let schema = RelationSchema::parse("R(k:str)").unwrap();
-        db.load_typed(schema, &[vec![TypedValue::Str("5".into())]])
-            .unwrap();
-        assert_eq!(db.id_of("R", 0, &TypedValue::Str("5".into())), Some(0));
-        assert_eq!(
-            db.id_of("R", 0, &TypedValue::U64(5)),
-            None,
-            "a u64 must not resolve through a string column"
-        );
     }
 
     #[test]

@@ -186,10 +186,12 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let rel = Relation::from_annotated_rows(
-            1,
-            vec![vec![3], vec![7]],
-            vec![DynValue::U64(10), DynValue::U64(20)],
+        let rel = Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                1,
+                &[vec![3], vec![7]],
+                vec![DynValue::U64(10), DynValue::U64(20)],
+            ),
             AggOp::Sum,
         );
         let r = result("Q", rel);

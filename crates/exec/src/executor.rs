@@ -437,7 +437,10 @@ mod tests {
         let mut cat = MemCatalog::new();
         cat.insert(
             "E",
-            Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![1, 3]]),
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 2], vec![2, 3], vec![1, 3]]),
+                AggOp::Sum,
+            ),
         );
         cat
     }
@@ -483,8 +486,14 @@ mod tests {
             .flat_map(|x| (0..100u32).map(move |y| vec![x, 1000 + y]))
             .collect();
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, e_rows));
-        cat.insert("F", Relation::from_rows(2, f_rows));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &e_rows), AggOp::Sum),
+        );
+        cat.insert(
+            "F",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &f_rows), AggOp::Sum),
+        );
         let rule = parse_rule("C(;w:long) :- E(x,y),F(x,y); w=<<COUNT(*)>>.").unwrap();
         let cached = || {
             cat.relation("E")
@@ -527,7 +536,10 @@ mod tests {
             }
         }
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, edges));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &edges), AggOp::Sum),
+        );
         cat
     }
 
@@ -602,7 +614,10 @@ mod tests {
             }
         }
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, edges));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &edges), AggOp::Sum),
+        );
         let rule = parse_rule(
             "B(;w:long) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c); w=<<COUNT(*)>>.",
         )
@@ -684,7 +699,10 @@ mod tests {
             .map(|i| [i % 1_999, i.wrapping_mul(2_654_435_761) % 1_999])
             .collect();
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, rows));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum),
+        );
         cat
     }
 
@@ -815,7 +833,10 @@ mod tests {
             }
         }
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, edges));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &edges), AggOp::Sum),
+        );
         let rule = parse_rule(
             "B(;w:long) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c); w=<<COUNT(*)>>.",
         )
@@ -856,7 +877,10 @@ mod tests {
             }
         }
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, edges));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &edges), AggOp::Sum),
+        );
         let rule = parse_rule(
             "S(;w:long) :- E(x,y),E(y,z),E(x,z),E(x,'0'),E('0',a),E(a,b),E(b,c),E(a,c); w=<<COUNT(*)>>.",
         )
@@ -884,7 +908,10 @@ mod tests {
         edges.push((3, 0));
         let rows: Vec<Vec<u32>> = edges.into_iter().map(|(a, b)| vec![a, b]).collect();
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, rows));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum),
+        );
         let rule =
             parse_rule("B(x,y,z,a,b,c) :- E(x,y),E(y,z),E(x,z),E(x,a),E(a,b),E(b,c),E(a,c).")
                 .unwrap();

@@ -408,12 +408,17 @@ mod tests {
     use crate::executor::execute_rule;
     use crate::storage::{MemCatalog, Relation};
     use eh_query::parse_rule;
+    use eh_semiring::AggOp;
+    use eh_trie::TupleBuffer;
 
     fn path_catalog() -> MemCatalog {
         let mut cat = MemCatalog::new();
         cat.insert(
             "E",
-            Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![1, 3]]),
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 2], vec![2, 3], vec![1, 3]]),
+                AggOp::Sum,
+            ),
         );
         cat
     }
@@ -492,10 +497,12 @@ mod tests {
         let mut cat = MemCatalog::new();
         cat.insert(
             "W",
-            Relation::from_annotated_rows(
-                2,
-                vec![vec![0, 1], vec![1, 2], vec![1, 3]],
-                vec![DynValue::F64(2.0), DynValue::F64(3.0), DynValue::F64(5.0)],
+            Relation::from_buffer(
+                TupleBuffer::from_annotated_rows(
+                    2,
+                    &[vec![0, 1], vec![1, 2], vec![1, 3]],
+                    vec![DynValue::F64(2.0), DynValue::F64(3.0), DynValue::F64(5.0)],
+                ),
                 AggOp::Sum,
             ),
         );

@@ -59,6 +59,7 @@ pub use eh_trie::TupleBuffer;
 mod tests {
     use super::*;
     use eh_query::parse_rule;
+    use eh_semiring::AggOp;
 
     fn triangle_catalog() -> MemCatalog {
         // Directed triangle edges over a toy graph:
@@ -72,7 +73,10 @@ mod tests {
             vec![0, 3],
         ];
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, edges));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &edges), AggOp::Sum),
+        );
         cat
     }
 

@@ -145,6 +145,8 @@ mod tests {
     use crate::executor::execute_rule;
     use crate::storage::{MemCatalog, Relation};
     use eh_query::parse_rule;
+    use eh_semiring::AggOp;
+    use eh_trie::TupleBuffer;
 
     /// A skewed graph: one hub connected to everything plus a sparse tail.
     fn skewed_catalog() -> MemCatalog {
@@ -157,7 +159,10 @@ mod tests {
             rows.push(vec![i, i + 1]);
         }
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, rows));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum),
+        );
         cat
     }
 
@@ -213,7 +218,10 @@ mod tests {
         let mut cat = MemCatalog::new();
         cat.insert(
             "W",
-            Relation::from_annotated_rows(2, rows, weights, AggOp::Sum),
+            Relation::from_buffer(
+                TupleBuffer::from_annotated_rows(2, &rows, weights),
+                AggOp::Sum,
+            ),
         );
         let rule = parse_rule("S(;w:float) :- W(x,y),W(y,z); w=<<SUM(z)>>.").unwrap();
         for scheduler in [Scheduler::Morsel, Scheduler::Static] {
@@ -229,7 +237,13 @@ mod tests {
     #[test]
     fn more_threads_than_values_is_fine() {
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, vec![vec![0, 1], vec![1, 2]]));
+        cat.insert(
+            "E",
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 2]]),
+                AggOp::Sum,
+            ),
+        );
         let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
         let serial = execute_rule(&rule, &cat, &Config::default())
             .unwrap()

@@ -610,14 +610,19 @@ mod tests {
         let mut cat = MemCatalog::new();
         cat.insert(
             "E",
-            Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![0, 2]]),
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 2], vec![0, 2]]),
+                AggOp::Sum,
+            ),
         );
         cat.insert(
             "W",
-            Relation::from_annotated_rows(
-                2,
-                vec![vec![0, 1], vec![1, 2]],
-                vec![DynValue::F64(0.5), DynValue::F64(2.0)],
+            Relation::from_buffer(
+                TupleBuffer::from_annotated_rows(
+                    2,
+                    &[vec![0, 1], vec![1, 2]],
+                    vec![DynValue::F64(0.5), DynValue::F64(2.0)],
+                ),
                 AggOp::Sum,
             ),
         );

@@ -326,7 +326,10 @@ mod tests {
             rows.push(vec![b, a]);
         }
         let mut cat = MemCatalog::new();
-        cat.insert("Edge", Relation::from_rows(2, rows));
+        cat.insert(
+            "Edge",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum),
+        );
         cat
     }
 
@@ -387,11 +390,19 @@ mod tests {
         // P(x;y)*[i=3] :- E(x,z),P(z); y=<<SUM(z)>> on a 2-cycle with
         // initial value 1: each iteration swaps values, sum stays 1.
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, vec![vec![0, 1], vec![1, 0]]));
-        let initial = Relation::from_annotated_rows(
-            1,
-            vec![vec![0], vec![1]],
-            vec![DynValue::F64(1.0), DynValue::F64(2.0)],
+        cat.insert(
+            "E",
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 0]]),
+                AggOp::Sum,
+            ),
+        );
+        let initial = Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                1,
+                &[vec![0], vec![1]],
+                vec![DynValue::F64(1.0), DynValue::F64(2.0)],
+            ),
             AggOp::Sum,
         );
         let rec = parse_rule("P(x;y:float)*[i=3] :- E(x,z),P(z); y=<<SUM(z)>>.").unwrap();
@@ -408,11 +419,19 @@ mod tests {
         // Contraction y = 0.5 * old value on a self-referential structure:
         // single node with self-loop... use 2-cycle with damping expr.
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, vec![vec![0, 1], vec![1, 0]]));
-        let initial = Relation::from_annotated_rows(
-            1,
-            vec![vec![0], vec![1]],
-            vec![DynValue::F64(1.0), DynValue::F64(1.0)],
+        cat.insert(
+            "E",
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 0]]),
+                AggOp::Sum,
+            ),
+        );
+        let initial = Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                1,
+                &[vec![0], vec![1]],
+                vec![DynValue::F64(1.0), DynValue::F64(1.0)],
+            ),
             AggOp::Sum,
         );
         let rec = parse_rule("P(x;y:float)*[c=0.001] :- E(x,z),P(z); y=0.5*<<SUM(z)>>.").unwrap();
@@ -509,10 +528,12 @@ mod tests {
         // key order, and was registered under SUM: the recursion must
         // canonicalise it with MIN — the rule's ⊕ — not add the two up.
         let cat = sssp_catalog();
-        let initial = Relation::from_annotated_rows(
-            1,
-            vec![vec![3], vec![1], vec![1]],
-            vec![DynValue::U64(1), DynValue::U64(7), DynValue::U64(1)],
+        let initial = Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                1,
+                &[vec![3], vec![1], vec![1]],
+                vec![DynValue::U64(1), DynValue::U64(7), DynValue::U64(1)],
+            ),
             AggOp::Sum,
         );
         let rec = parse_rule("SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.").unwrap();
@@ -537,7 +558,10 @@ mod tests {
         let mut cat = MemCatalog::new();
         cat.insert(
             "Edge",
-            Relation::from_rows(2, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4]]),
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4]]),
+                AggOp::Sum,
+            ),
         );
         let base = parse_rule("R(x;y:int) :- Edge('0',x); y=1.").unwrap();
         let initial = execute_rule(&base, &cat, &Config::default())

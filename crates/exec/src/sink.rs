@@ -907,8 +907,14 @@ mod tests {
         let mut cat = MemCatalog::new();
         let dense: Vec<[u32; 2]> = (0..50u32).map(|i| [i, (i * 7) % 50]).collect();
         let sparse: Vec<[u32; 2]> = dense.iter().map(|r| [u32::MAX - 60 + r[0], r[1]]).collect();
-        cat.insert("D", Relation::from_rows(2, dense));
-        cat.insert("S", Relation::from_rows(2, sparse));
+        cat.insert(
+            "D",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &dense), AggOp::Sum),
+        );
+        cat.insert(
+            "S",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &sparse), AggOp::Sum),
+        );
         let grouped = |rel: &str| format!("G(x;w:long) :- {rel}(x,y); w=<<COUNT(*)>>.");
         assert_eq!(
             plan_sink_kinds(&plan_for(&grouped("D")), &cat),
@@ -935,8 +941,14 @@ mod tests {
         // A two-row frontier against 50 ids still fills a presence word
         // per row; against 5 000 it would not — sorted, whatever the ids.
         let wide: Vec<[u32; 2]> = (0..5000u32).map(|i| [i, (i + 1) % 5000]).collect();
-        cat.insert("W", Relation::from_rows(2, wide));
-        cat.insert("F", Relation::from_rows(1, vec![[3u32], [4]]));
+        cat.insert(
+            "W",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &wide), AggOp::Sum),
+        );
+        cat.insert(
+            "F",
+            Relation::from_buffer(TupleBuffer::from_rows(1, &[[3u32], [4]]), AggOp::Sum),
+        );
         let via = |rel: &str| format!("G(y;w:long) :- {rel}(x,y),F(x); w=<<COUNT(*)>>.");
         assert_eq!(
             plan_sink_kinds(&plan_for(&via("D")), &cat),

@@ -75,25 +75,6 @@ impl Relation {
         }
     }
 
-    /// Unannotated relation from per-row tuples (convenience seam for
-    /// tests and examples).
-    pub fn from_rows<R: AsRef<[u32]>>(arity: usize, rows: Vec<R>) -> Relation {
-        Relation::from_buffer(TupleBuffer::from_rows(arity, &rows), AggOp::Sum)
-    }
-
-    /// Annotated relation from per-row tuples and parallel values.
-    pub fn from_annotated_rows<R: AsRef<[u32]>>(
-        arity: usize,
-        rows: Vec<R>,
-        annots: Vec<DynValue>,
-        combine: AggOp,
-    ) -> Relation {
-        Relation::from_buffer(
-            TupleBuffer::from_annotated_rows(arity, &rows, annots),
-            combine,
-        )
-    }
-
     /// A scalar relation (arity 0) holding one annotation value.
     pub fn new_scalar(value: DynValue) -> Relation {
         let mut tuples = TupleBuffer::nullary(1);
@@ -183,12 +164,6 @@ impl Relation {
         // Two sessions may miss at once; the first build to land wins, so a
         // cached trie is never replaced.
         Arc::clone(self.tries.write().entry(key).or_insert(trie))
-    }
-
-    /// Identity-order trie.
-    pub fn trie_default(&self, policy: LayoutPolicy) -> Arc<Trie> {
-        let order: Vec<usize> = (0..self.arity()).collect();
-        self.trie(&order, policy)
     }
 
     /// Planner statistics: row count plus per-column distinct counts.
@@ -334,7 +309,10 @@ mod tests {
 
     #[test]
     fn trie_caching_and_reordering() {
-        let r = Relation::from_rows(2, vec![vec![1, 10], vec![2, 20], vec![1, 30]]);
+        let r = Relation::from_buffer(
+            TupleBuffer::from_rows(2, &[vec![1, 10], vec![2, 20], vec![1, 30]]),
+            AggOp::Sum,
+        );
         let fwd = r.trie(&[0, 1], LayoutPolicy::SetLevel);
         let fwd2 = r.trie(&[0, 1], LayoutPolicy::SetLevel);
         assert!(Arc::ptr_eq(&fwd, &fwd2), "cache hit");
@@ -371,32 +349,23 @@ mod tests {
     #[test]
     fn policies_cached_separately() {
         let rows: Vec<Vec<u32>> = (0..600u32).map(|i| vec![0, i]).collect();
-        let r = Relation::from_rows(2, rows);
+        let r = Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum);
         let auto = r.trie(&[0, 1], LayoutPolicy::SetLevel);
         let uint = r.trie(&[0, 1], LayoutPolicy::Fixed(eh_set::LayoutKind::Uint));
         assert_ne!(auto.layout_census(), uint.layout_census());
     }
 
     #[test]
-    fn buffer_relation_equals_rows_relation() {
-        let rows = vec![vec![1u32, 10], vec![2, 20], vec![1, 30]];
-        let via_rows = Relation::from_rows(2, rows.clone());
-        let via_buffer = Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum);
-        assert_eq!(via_rows.rows(), via_buffer.rows());
-        let a = via_rows.trie(&[0, 1], LayoutPolicy::SetLevel);
-        let b = via_buffer.trie(&[0, 1], LayoutPolicy::SetLevel);
-        assert_eq!(a.scan(), b.scan());
-    }
-
-    #[test]
     fn annotated_relation_roundtrip() {
-        let r = Relation::from_annotated_rows(
-            1,
-            vec![vec![3], vec![5]],
-            vec![DynValue::F64(0.5), DynValue::F64(0.25)],
+        let r = Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                1,
+                &[vec![3], vec![5]],
+                vec![DynValue::F64(0.5), DynValue::F64(0.25)],
+            ),
             AggOp::Sum,
         );
-        let t = r.trie_default(LayoutPolicy::SetLevel);
+        let t = r.trie(&[0], LayoutPolicy::SetLevel);
         assert_eq!(t.annotation(&[3]), Some(DynValue::F64(0.5)));
         assert_eq!(t.annotation(&[5]), Some(DynValue::F64(0.25)));
     }
@@ -412,30 +381,36 @@ mod tests {
     #[test]
     fn stats_scan_and_trie_seed_agree() {
         // Column 0 has 2 distinct values, column 1 has 4; one duplicate row.
-        let r = Relation::from_rows(
-            2,
-            vec![
-                vec![1, 10],
-                vec![2, 20],
-                vec![1, 30],
-                vec![2, 40],
-                vec![1, 10],
-            ],
+        let r = Relation::from_buffer(
+            TupleBuffer::from_rows(
+                2,
+                &[
+                    vec![1, 10],
+                    vec![2, 20],
+                    vec![1, 30],
+                    vec![2, 40],
+                    vec![1, 10],
+                ],
+            ),
+            AggOp::Sum,
         );
         let scanned = r.stats();
         assert_eq!(scanned.cardinality, 5);
         assert_eq!(scanned.distinct, vec![2, 4]);
         // A fresh relation seeded through trie builds reports identical
         // distinct counts (the root set is the first column's value set).
-        let r2 = Relation::from_rows(
-            2,
-            vec![
-                vec![1, 10],
-                vec![2, 20],
-                vec![1, 30],
-                vec![2, 40],
-                vec![1, 10],
-            ],
+        let r2 = Relation::from_buffer(
+            TupleBuffer::from_rows(
+                2,
+                &[
+                    vec![1, 10],
+                    vec![2, 20],
+                    vec![1, 30],
+                    vec![2, 40],
+                    vec![1, 10],
+                ],
+            ),
+            AggOp::Sum,
         );
         r2.trie(&[0, 1], LayoutPolicy::SetLevel);
         r2.trie(&[1, 0], LayoutPolicy::SetLevel);
@@ -447,7 +422,13 @@ mod tests {
     #[test]
     fn catalog_relation_stats_default() {
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, vec![vec![0, 1], vec![0, 2]]));
+        cat.insert(
+            "E",
+            Relation::from_buffer(
+                TupleBuffer::from_rows(2, &[vec![0, 1], vec![0, 2]]),
+                AggOp::Sum,
+            ),
+        );
         let st = cat.relation_stats("E").unwrap();
         assert_eq!(st.cardinality, 2);
         assert_eq!(st.distinct, vec![1, 2]);
@@ -461,7 +442,10 @@ mod tests {
     #[test]
     fn catalog_lookup_and_consts() {
         let mut cat = MemCatalog::new();
-        cat.insert("E", Relation::from_rows(2, vec![vec![0, 1]]));
+        cat.insert(
+            "E",
+            Relation::from_buffer(TupleBuffer::from_rows(2, &[vec![0, 1]]), AggOp::Sum),
+        );
         cat.define_const("start", 7);
         assert!(cat.relation("E").is_some());
         assert!(cat.relation("missing").is_none());

@@ -118,18 +118,6 @@ pub fn paper_datasets() -> Vec<DatasetSpec> {
     ]
 }
 
-/// The small subset of analogs suitable for quick tests and CI.
-pub fn small_datasets() -> Vec<DatasetSpec> {
-    paper_datasets()
-        .into_iter()
-        .map(|mut d| {
-            d.nodes = (d.nodes / 10).max(64);
-            d.edges = (d.edges / 10).max(256);
-            d
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,8 +132,8 @@ mod tests {
 
     #[test]
     fn analogs_generate_nonempty() {
-        for spec in small_datasets() {
-            let g = spec.generate_scaled(0.2);
+        for spec in paper_datasets() {
+            let g = spec.generate_scaled(0.02);
             assert!(g.num_edges() > 0, "{}", spec.name);
             assert!(g.num_nodes > 0);
         }

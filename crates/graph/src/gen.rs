@@ -165,26 +165,6 @@ pub fn grid(cols: u32, rows: u32) -> Graph {
     Graph::from_dense(cols * rows, edges)
 }
 
-/// A "barbell-rich" graph: dense cluster + sparse path tail, used to
-/// exercise GHD early aggregation where the two-triangle structure matters.
-pub fn clustered(n_cluster: u32, n_tail: u32, seed: u64) -> Graph {
-    let mut g = complete(n_cluster);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = n_cluster + n_tail;
-    let mut edges = std::mem::take(&mut g.edges);
-    for i in n_cluster..n {
-        // Chain the tail and attach it to a random cluster node.
-        let prev = if i == n_cluster {
-            rng.gen_range(0..n_cluster)
-        } else {
-            i - 1
-        };
-        edges.push((prev, i));
-        edges.push((i, prev));
-    }
-    Graph::from_dense(n, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,13 +293,5 @@ mod tests {
         // A path: the interior nodes have degree 2, the ends degree 1.
         let deg = grid(6, 1).total_degrees();
         assert_eq!(deg, vec![2, 4, 4, 4, 4, 2]);
-    }
-
-    #[test]
-    fn clustered_connects_tail() {
-        let g = clustered(10, 5, 3);
-        assert_eq!(g.num_nodes, 15);
-        let deg = g.total_degrees();
-        assert!(deg.iter().all(|&d| d > 0), "no isolated nodes");
     }
 }

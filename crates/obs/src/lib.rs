@@ -41,14 +41,6 @@ pub fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
-/// Human-readable lower bound of a bucket (`0`, `1`, `2`, `4`, ...).
-pub fn bucket_floor(bucket: usize) -> u64 {
-    match bucket {
-        0 => 0,
-        b => 1u64 << (b - 1),
-    }
-}
-
 /// Inclusive upper edge of a bucket (`0`, `1`, `3`, `7`, ...):
 /// `u64::MAX` for the top bucket and for any larger index, which a
 /// decoded `Stats` frame may carry.
@@ -441,9 +433,6 @@ mod tests {
         assert_eq!(bucket_of(u64::MAX), 64);
         assert_eq!(bucket_of(u64::MAX / 2), 63);
         assert!(bucket_of(u64::MAX) < N_BUCKETS);
-        assert_eq!(bucket_floor(0), 0);
-        assert_eq!(bucket_floor(1), 1);
-        assert_eq!(bucket_floor(64), 1 << 63);
         assert_eq!(bucket_upper(0), 0);
         assert_eq!(bucket_upper(1), 1);
         assert_eq!(bucket_upper(7), 127);

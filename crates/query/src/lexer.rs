@@ -7,7 +7,9 @@ use std::fmt;
 pub enum Token {
     /// Identifier (relation or variable name).
     Ident(String),
-    /// Numeric literal (integer or float).
+    /// Integer literal: its exact value, never rounded through `f64`.
+    Int(u64),
+    /// Decimal literal.
     Number(f64),
     /// Quoted string constant (single or double quotes).
     Str(String),
@@ -49,6 +51,7 @@ impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
+            Token::Int(n) => write!(f, "{n}"),
             Token::Number(n) => write!(f, "{n}"),
             Token::Str(s) => write!(f, "'{s}'"),
             Token::Implies => write!(f, ":-"),
@@ -173,16 +176,14 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'\'' | b'"' => {
-                let quote = c;
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some(ch) if ch == quote => break,
-                        Some(ch) => s.push(ch as char),
-                        None => return Err((start, "unterminated string".into())),
-                    }
-                }
-                Token::Str(s)
+                // The text between the quotes, as written: the quotes are
+                // ASCII, so the slice ends on UTF-8 boundaries.
+                let Some(len) = self.src[self.pos..].iter().position(|&ch| ch == c) else {
+                    return Err((start, "unterminated string".into()));
+                };
+                let text = std::str::from_utf8(&self.src[self.pos..self.pos + len]).unwrap();
+                self.pos += len + 1;
+                Token::Str(text.to_string())
             }
             c if c.is_ascii_digit() => {
                 let mut end = self.pos;
@@ -201,10 +202,12 @@ impl<'a> Lexer<'a> {
                 }
                 let text = std::str::from_utf8(&self.src[start..end]).unwrap();
                 self.pos = end;
-                let n: f64 = text
-                    .parse()
-                    .map_err(|e| (start, format!("bad number {text}: {e}")))?;
-                Token::Number(n)
+                let tok = if text.contains('.') {
+                    text.parse().map(Token::Number).map_err(|e| e.to_string())
+                } else {
+                    text.parse().map(Token::Int).map_err(|e| e.to_string())
+                };
+                tok.map_err(|e| (start, format!("bad number {text}: {e}")))?
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let mut end = self.pos;
@@ -285,14 +288,26 @@ mod tests {
         assert_eq!(*toks.last().unwrap(), Token::Dot);
         // integer followed by terminating dot:
         let toks = lex("y=1.");
-        assert!(matches!(toks[2], Token::Number(n) if n == 1.0));
+        assert_eq!(toks[2], Token::Int(1));
         assert_eq!(*toks.last().unwrap(), Token::Dot);
+        // integers keep their exact u64 value:
+        assert_eq!(lex("9007199254740993"), vec![Token::Int(9007199254740993)]);
+        assert_eq!(lex("007"), vec![Token::Int(7)]);
+        assert_eq!(lex("18446744073709551615"), vec![Token::Int(u64::MAX)]);
+        assert!(Lexer::new("18446744073709551616").tokenize().is_err());
     }
 
     #[test]
     fn strings_both_quotes() {
         assert_eq!(lex("'abc'"), vec![Token::Str("abc".into())]);
         assert_eq!(lex("\"abc\""), vec![Token::Str("abc".into())]);
+    }
+
+    #[test]
+    fn strings_keep_non_ascii_text() {
+        assert_eq!(lex("'café'"), vec![Token::Str("café".into())]);
+        assert_eq!(lex("\"日本 ü\""), vec![Token::Str("日本 ü".into())]);
+        assert!(Lexer::new("'café").tokenize().is_err());
     }
 
     #[test]

@@ -157,6 +157,7 @@ impl Parser {
                 let kind = self.ident()?;
                 self.expect(&Token::Eq)?;
                 let n = match self.bump() {
+                    Some(Token::Int(n)) => n as f64,
                     Some(Token::Number(n)) => n,
                     other => {
                         return err(format!(
@@ -199,6 +200,7 @@ impl Parser {
         match self.bump() {
             Some(Token::Ident(s)) => Ok(Term::Var(s)),
             Some(Token::Str(s)) => Ok(Term::Const(s)),
+            Some(Token::Int(n)) => Ok(Term::Const(n.to_string())),
             Some(Token::Number(n)) => Ok(Term::Const(format_const(n))),
             other => err(format!("expected term, found {other:?}")),
         }
@@ -243,6 +245,7 @@ impl Parser {
 
     fn unit(&mut self) -> Result<Expr, ParseError> {
         match self.bump() {
+            Some(Token::Int(n)) => Ok(Expr::Num(n as f64)),
             Some(Token::Number(n)) => Ok(Expr::Num(n)),
             Some(Token::Ident(name)) => Ok(Expr::ScalarRef(name)),
             Some(Token::LParen) => {
@@ -274,8 +277,8 @@ impl Parser {
     }
 }
 
-/// Render a numeric constant the way the dictionary will see it (integers
-/// without a trailing `.0`).
+/// Render a decimal constant the way the dictionary will see it (whole
+/// values without a trailing `.0`).
 fn format_const(n: f64) -> String {
     if n.fract() == 0.0 && n.abs() < 1e15 {
         format!("{}", n as i64)

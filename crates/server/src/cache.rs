@@ -5,12 +5,15 @@
 //! physical plan — and the compiled artifact is cheap to run. A
 //! multi-session server should therefore pay compilation once *per
 //! distinct query text*, not once per request: [`PlanCache`] is an LRU
-//! map from normalized query text to the shared [`Prepared`] plan
+//! map from the exact query text to the shared [`Prepared`] plan
 //! (`Arc`, so concurrent readers execute one compiled artifact in
-//! parallel). The cache itself only maps and counts: compiling on a
-//! miss is [`crate::Shared::cached_plan`]'s job, which holds the cache
-//! mutex around `lookup` and `insert` but not around the compilation
-//! between them.
+//! parallel). Different texts never share a plan: a reformatted copy
+//! of a query (other whitespace or comments) compiles once more and
+//! answers the same, and no second tokeniser has to agree with the
+//! lexer on which texts are equal. The cache itself only maps and
+//! counts: compiling on a miss is [`crate::Shared::cached_plan`]'s
+//! job, which holds the cache mutex around `lookup` and `insert` but
+//! not around the compilation between them.
 //!
 //! Correctness is epoch-based: every catalog mutation
 //! (`register` / `drop_relation` / `load_*`) bumps
@@ -25,7 +28,7 @@ use eh_core::Prepared;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An LRU cache of compiled plans, keyed by normalized query text and
+/// An LRU cache of compiled plans, keyed by the exact query text and
 /// guarded by the catalog epoch of the database they were compiled
 /// against.
 pub struct PlanCache {
@@ -59,63 +62,6 @@ impl PlanCache {
         }
     }
 
-    /// Canonical cache key: surrounding whitespace trimmed, internal
-    /// runs collapsed to one space — `T(x,y) :- E(x,y).` and its
-    /// reformatted variants share one compiled plan. Two asymmetries
-    /// mirror the lexer exactly, because a key collision between
-    /// semantically different texts serves the wrong plan: quoted
-    /// string constants are copied verbatim (the lexer accepts any
-    /// bytes between `'` or `"` pairs, no escapes), so `R(x,'a b')`
-    /// and `R(x,'a  b')` never share a key; and `#`/`//` comments are
-    /// dropped to end-of-line (the lexer never sees them), so texts
-    /// differing only in comments *do* share one, and a newline that
-    /// ends a comment can never be collapsed into joining the comment
-    /// with the rule that follows it.
-    pub fn normalize(text: &str) -> String {
-        let mut out = String::with_capacity(text.len());
-        let mut in_ws = false;
-        let mut chars = text.chars().peekable();
-        while let Some(ch) = chars.next() {
-            if ch == '#' || (ch == '/' && chars.peek() == Some(&'/')) {
-                // Comment: skip to end-of-line; the terminating newline
-                // still separates tokens (a lone `/` stays literal —
-                // it's the lexer's Slash token).
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        break;
-                    }
-                }
-                in_ws = true;
-                continue;
-            }
-            // The lexer's whitespace set is ASCII-only: a Unicode space
-            // (U+00A0, U+2028, ...) is a parse error there, so it must
-            // stay a distinct key byte here — collapsing it would let
-            // an unparseable text hit a valid query's cached plan.
-            if ch.is_ascii_whitespace() {
-                in_ws = true;
-                continue;
-            }
-            if in_ws && !out.is_empty() {
-                out.push(' ');
-            }
-            in_ws = false;
-            out.push(ch);
-            if ch == '\'' || ch == '"' {
-                // Inside a string constant: verbatim until the matching
-                // quote (an unterminated string copies to the end —
-                // such a text fails to parse, but its key stays exact).
-                for c in chars.by_ref() {
-                    out.push(c);
-                    if c == ch {
-                        break;
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Discard everything if `epoch` differs from the epoch the cached
     /// plans were compiled against. Every lookup and insert does this;
     /// the `Stats` frame calls it directly so reported entry and
@@ -134,9 +80,8 @@ impl PlanCache {
     /// fails to compile never inflates it.
     pub fn lookup(&mut self, epoch: u64, text: &str) -> Option<Arc<Prepared>> {
         self.sync(epoch);
-        let key = Self::normalize(text);
         self.tick += 1;
-        match self.entries.get_mut(&key) {
+        match self.entries.get_mut(text) {
             Some(e) => {
                 e.last_used = self.tick;
                 self.hits += 1;
@@ -152,8 +97,7 @@ impl PlanCache {
     pub fn insert(&mut self, epoch: u64, text: &str, plan: Arc<Prepared>) {
         self.sync(epoch);
         self.misses += 1;
-        let key = Self::normalize(text);
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+        if !self.entries.contains_key(text) && self.entries.len() >= self.capacity {
             if let Some(lru) = self
                 .entries
                 .iter()
@@ -165,7 +109,7 @@ impl PlanCache {
         }
         self.tick += 1;
         self.entries.insert(
-            key,
+            text.to_owned(),
             Entry {
                 plan,
                 last_used: self.tick,
@@ -208,7 +152,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::Shared;
-    use eh_core::{Database, Relation};
+    use eh_core::{Database, Relation, TupleBuffer};
 
     fn edges_db() -> Database {
         let mut db = Database::new();
@@ -240,87 +184,21 @@ mod tests {
     }
 
     #[test]
-    fn normalization_shares_plans_across_whitespace() {
+    fn a_reformatted_text_compiles_once_more_and_answers_the_same() {
         let shared = shared(8);
-        let (p1, _) = plan(&shared, "T(x,y) :- E(x,y).");
-        let (p2, hit) = plan(&shared, "  T(x,y)   :-\n\tE(x,y).  ");
-        assert!(hit);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(
-            PlanCache::normalize("  a\t\tb \n c "),
-            "a b c",
-            "runs collapse"
-        );
-    }
-
-    #[test]
-    fn normalization_preserves_whitespace_inside_string_constants() {
-        // Different queries — whitespace inside quotes is data.
-        assert_ne!(
-            PlanCache::normalize("R(x,'a b')."),
-            PlanCache::normalize("R(x,'a  b').")
-        );
-        assert_eq!(PlanCache::normalize("R(x, 'a\t b')."), "R(x, 'a\t b').");
-        // Outside the quotes, runs still collapse.
-        assert_eq!(
-            PlanCache::normalize("R( x ,  'a  b' ,\n y )."),
-            "R( x , 'a  b' , y )."
-        );
-        // Double quotes too, and the other quote char is plain data
-        // inside a string (mirrors the lexer: no escapes, any bytes).
-        assert_eq!(
-            PlanCache::normalize("R(\"a ' b\",   x)."),
-            "R(\"a ' b\", x)."
-        );
-        assert_eq!(PlanCache::normalize("R('a \" b',   x)."), "R('a \" b', x).");
-        // Unterminated string: the tail is kept verbatim.
-        assert_eq!(PlanCache::normalize("R('a  b"), "R('a  b");
-    }
-
-    #[test]
-    fn normalization_mirrors_the_lexers_comment_handling() {
-        // A one-rule text whose comment swallows a second rule vs a
-        // two-rule text where a newline ends the comment: different
-        // programs, so they must never share a key (collapsing the
-        // newline used to merge them — and serve the one-rule plan for
-        // the two-rule program).
-        let one_rule = "T(x) :- E(x,y). # note U(x) :- E(y,x).";
-        let two_rules = "T(x) :- E(x,y). # note\nU(x) :- E(y,x).";
-        assert_eq!(PlanCache::normalize(one_rule), "T(x) :- E(x,y).");
-        assert_eq!(
-            PlanCache::normalize(two_rules),
-            "T(x) :- E(x,y). U(x) :- E(y,x)."
-        );
-        // `//` comments too, and texts differing only in comments share
-        // a key (the lexer never sees comments).
-        assert_eq!(
-            PlanCache::normalize("T(x,y) :- E(x,y). // cached\n"),
-            PlanCache::normalize("T(x,y) :- E(x,y).")
-        );
-        // A quote inside a comment is part of the comment, not the
-        // start of a string constant.
-        assert_eq!(
-            PlanCache::normalize("T(x,y) :- # don't\n E(x,y)."),
-            "T(x,y) :- E(x,y)."
-        );
-        // A lone `/` is the division token, not a comment.
-        assert_eq!(PlanCache::normalize("a /  b"), "a / b");
-        // `#` inside a string constant is data, not a comment.
-        assert_eq!(PlanCache::normalize("R('a # b',  x)."), "R('a # b', x).");
-    }
-
-    #[test]
-    fn non_ascii_whitespace_is_not_collapsed() {
-        // U+00A0 is a parse error to the (ASCII-only) lexer, so a text
-        // containing it must never share a key with the valid query.
-        assert_ne!(
-            PlanCache::normalize("T(x,y)\u{00A0}:- E(x,y)."),
-            PlanCache::normalize("T(x,y) :- E(x,y).")
-        );
-        assert_ne!(
-            PlanCache::normalize("T(x,y)\u{2028}:- E(x,y)."),
-            PlanCache::normalize("T(x,y) :- E(x,y).")
-        );
+        let q = "T(x,y) :- E(x,y).";
+        let reformatted = "  T(x,y)   :-\n\tE(x,y).  # listing\n";
+        let (p1, hit1) = plan(&shared, q);
+        let (p2, hit2) = plan(&shared, reformatted);
+        assert!(!hit1 && !hit2, "different texts never share a plan");
+        assert!(!Arc::ptr_eq(&p1, &p2));
+        let db = shared.db.read();
+        let (a, b) = (p1.execute(&db).unwrap(), p2.execute(&db).unwrap());
+        assert_eq!(a.num_rows(), 3);
+        assert_eq!(a.rows(), b.rows(), "byte-identical answers");
+        drop(db);
+        let cache = shared.cache.lock();
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 0, 2));
     }
 
     #[test]
@@ -329,13 +207,23 @@ mod tests {
         let (plan, _) = plan(&shared, "T(x,y) :- E(x,y).");
         let epoch = shared.db.read().epoch();
         let mut cache = shared.cache.lock();
-        // Same shape, different string constants: must occupy separate
-        // slots so neither ever serves the other's plan.
-        cache.insert(epoch, "R(x) :- S(x,'a b').", Arc::clone(&plan));
-        cache.insert(epoch, "R(x) :- S(x,'a  b').", Arc::clone(&plan));
-        assert_eq!(cache.len(), 3);
-        assert!(cache.lookup(epoch, "R(x) :- S(x,'a  b').").is_some());
-        assert!(cache.lookup(epoch, "R(x) :-  S(x,'a b').").is_some());
+        // Same shape, different string constants; a comment that
+        // swallows a second rule vs a newline that ends it: each text
+        // occupies its own slot, so none ever serves another's plan.
+        let texts = [
+            "R(x) :- S(x,'a b').",
+            "R(x) :- S(x,'a  b').",
+            "T(x) :- E(x,y). # note U(x) :- E(y,x).",
+            "T(x) :- E(x,y). # note\nU(x) :- E(y,x).",
+        ];
+        for text in texts {
+            cache.insert(epoch, text, Arc::clone(&plan));
+        }
+        assert_eq!(cache.len(), 1 + texts.len());
+        for text in texts {
+            assert!(cache.lookup(epoch, text).is_some(), "{text}");
+        }
+        assert!(cache.lookup(epoch, "R(x) :-  S(x,'a b').").is_none());
     }
 
     #[test]
@@ -369,7 +257,10 @@ mod tests {
             db.drop_relation("E");
             db.register(
                 "E",
-                Relation::from_rows(3, vec![vec![0u32, 1, 2], vec![3, 4, 5]]),
+                Relation::from_buffer(
+                    TupleBuffer::from_rows(3, &[vec![0u32, 1, 2], vec![3, 4, 5]]),
+                    eh_semiring::AggOp::Sum,
+                ),
             );
         }
 
@@ -426,11 +317,14 @@ mod tests {
         // the base (an epoch bump) re-prepares it, and the answer comes
         // from the new base.
         let distances = |base: &[(u32, u64)]| {
-            let (keys, annots) = base
+            let (keys, annots): (Vec<_>, _) = base
                 .iter()
                 .map(|&(node, d)| (vec![node], eh_semiring::DynValue::U64(d)))
                 .unzip();
-            let base = Relation::from_annotated_rows(1, keys, annots, eh_semiring::AggOp::Min);
+            let base = Relation::from_buffer(
+                TupleBuffer::from_annotated_rows(1, &keys, annots),
+                eh_semiring::AggOp::Min,
+            );
             shared.db.write().register("R", base);
             let (stmt, hit) = plan(&shared, fixpoint);
             let out = stmt.execute(&shared.db.read()).unwrap();

@@ -79,7 +79,7 @@ pub(crate) fn error(e: impl std::fmt::Display) -> Response {
 const MAX_THREADS: u64 = 256;
 
 /// A prepared statement pinned to a session: the shared plan plus the
-/// catalog epoch and normalized text it was compiled at, so execution
+/// catalog epoch and the exact text it was compiled at, so execution
 /// can detect staleness and re-prepare.
 struct SessionStmt {
     epoch: u64,

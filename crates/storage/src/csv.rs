@@ -94,12 +94,6 @@ impl CsvOptions {
         }
     }
 
-    /// Same options without a header line.
-    pub fn no_header(mut self) -> CsvOptions {
-        self.has_header = false;
-        self
-    }
-
     /// Same options, skipping malformed rows instead of erroring.
     pub fn skip_malformed(mut self) -> CsvOptions {
         self.malformed = MalformedPolicy::Skip;
@@ -386,7 +380,14 @@ mod tests {
         let data = "100,0.5\n7,1.25\n";
         let mut cat = StorageCatalog::new();
         let (buf, rep) = cat
-            .load_csv_schema(schema, Cursor::new(data), &CsvOptions::csv().no_header())
+            .load_csv_schema(
+                schema,
+                Cursor::new(data),
+                &CsvOptions {
+                    has_header: false,
+                    ..CsvOptions::csv()
+                },
+            )
             .unwrap();
         assert_eq!(rep.rows, 2);
         assert_eq!(buf.arity(), 1);

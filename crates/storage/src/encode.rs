@@ -89,16 +89,6 @@ impl Domain {
         }
     }
 
-    /// Id of an already-encoded key, if present (read-only lookup).
-    pub fn lookup(&self, value: &TypedValue) -> Option<u32> {
-        match (self, value) {
-            (Domain::U64(d), TypedValue::U64(v)) => d.get(v),
-            (Domain::I64(d), TypedValue::I64(v)) => d.get(v),
-            (Domain::Str(d), TypedValue::Str(v)) => d.get(v),
-            _ => None,
-        }
-    }
-
     /// Id for field text parsed as the carrier type, if present
     /// (string domains probe with the borrowed text, no allocation).
     pub fn lookup_text(&self, text: &str) -> Option<u32> {
@@ -306,25 +296,6 @@ impl StorageCatalog {
         match col.domain_key() {
             None => text.parse().ok(),
             Some(key) => self.domains.get(&key)?.lookup_text(text),
-        }
-    }
-
-    /// Read-only, type-checked id lookup of a typed value against a
-    /// relation's key column `key_index`. `None` on an absent key *or* a
-    /// carrier mismatch — a `U64(5)` never resolves to the unrelated
-    /// string key `"5"`.
-    pub fn lookup_key_value(
-        &self,
-        relation: &str,
-        key_index: usize,
-        value: &TypedValue,
-    ) -> Option<u32> {
-        let schema = self.schemas.get(relation)?;
-        let (_, col) = schema.key_columns().nth(key_index)?;
-        match (col.domain_key(), value) {
-            (None, TypedValue::U32(v)) => Some(*v),
-            (None, _) => None,
-            (Some(key), v) => self.domains.get(&key)?.lookup(v),
         }
     }
 

@@ -292,29 +292,6 @@ impl TypedValue {
             TypedValue::Str(_) => ColumnType::Str,
         }
     }
-
-    /// Parse field text as the given column type.
-    pub fn parse_as(text: &str, ty: ColumnType) -> Result<TypedValue, String> {
-        match ty {
-            ColumnType::U32 => text
-                .parse()
-                .map(TypedValue::U32)
-                .map_err(|_| format!("'{text}' is not a u32")),
-            ColumnType::U64 => text
-                .parse()
-                .map(TypedValue::U64)
-                .map_err(|_| format!("'{text}' is not a u64")),
-            ColumnType::I64 => text
-                .parse()
-                .map(TypedValue::I64)
-                .map_err(|_| format!("'{text}' is not an i64")),
-            ColumnType::F64 => text
-                .parse()
-                .map(TypedValue::F64)
-                .map_err(|_| format!("'{text}' is not an f64")),
-            ColumnType::Str => Ok(TypedValue::Str(text.to_string())),
-        }
-    }
 }
 
 impl fmt::Display for TypedValue {
@@ -418,22 +395,5 @@ mod tests {
             .column("c", ColumnType::U64);
         assert_eq!(s.columns[0].domain_key(), s.columns[1].domain_key());
         assert_eq!(s.columns[2].domain_key().as_deref(), Some("u64"));
-    }
-
-    #[test]
-    fn typed_value_parse() {
-        assert_eq!(
-            TypedValue::parse_as("42", ColumnType::U64).unwrap(),
-            TypedValue::U64(42)
-        );
-        assert_eq!(
-            TypedValue::parse_as("-3", ColumnType::I64).unwrap(),
-            TypedValue::I64(-3)
-        );
-        assert!(TypedValue::parse_as("x", ColumnType::U32).is_err());
-        assert_eq!(
-            TypedValue::parse_as("0.5", ColumnType::F64).unwrap(),
-            TypedValue::F64(0.5)
-        );
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::tuple::TupleBuffer;
 use crate::{NodeId, Trie, TrieNode};
-use eh_semiring::{AggOp, DynValue};
+use eh_semiring::AggOp;
 use eh_set::LayoutPolicy;
 
 /// Builder for [`Trie`]s.
@@ -52,22 +52,6 @@ impl TrieBuilder {
     pub fn threads(mut self, threads: usize) -> TrieBuilder {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Build an unannotated trie from per-row tuples (convenience seam
-    /// for tests/examples; hot paths use [`TrieBuilder::build_buffer`]).
-    /// Per-row arity is asserted by the buffer conversion.
-    pub fn build<R: AsRef<[u32]>>(&self, rows: &[R]) -> Trie {
-        self.build_buffer(&TupleBuffer::from_rows(self.arity, rows))
-    }
-
-    /// Build an annotated trie from per-row tuples and parallel values.
-    pub fn build_annotated<R: AsRef<[u32]>>(&self, rows: &[R], annots: &[DynValue]) -> Trie {
-        self.build_buffer(&TupleBuffer::from_annotated_rows(
-            self.arity,
-            rows,
-            annots.to_vec(),
-        ))
     }
 
     /// Build a trie from a flat columnar buffer — the engine's path. The
@@ -213,6 +197,7 @@ impl TrieBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eh_semiring::DynValue;
 
     #[test]
     fn annotated_build_figure2() {
@@ -225,7 +210,8 @@ mod tests {
             DynValue::F64(9.5),
             DynValue::F64(6.4),
         ];
-        let t = TrieBuilder::new(2).build_annotated(&rows, &annots);
+        let t =
+            TrieBuilder::new(2).build_buffer(&TupleBuffer::from_annotated_rows(2, &rows, annots));
         assert!(t.is_annotated());
         assert_eq!(t.annotation(&[0, 3]), Some(DynValue::F64(9.5)));
         assert_eq!(t.annotation(&[0, 4]), Some(DynValue::F64(1.7)));
@@ -235,21 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn buffer_build_matches_row_build() {
-        let rows = vec![vec![0, 4], vec![1, 0], vec![0, 3], vec![2, 1], vec![1, 0]];
-        let via_rows = TrieBuilder::new(2).build(&rows);
-        let via_buffer = TrieBuilder::new(2).build_buffer(&TupleBuffer::from_rows(2, &rows));
-        assert_eq!(via_rows.scan(), via_buffer.scan());
-        assert_eq!(via_rows.tuple_count(), via_buffer.tuple_count());
-    }
-
-    #[test]
     fn parallel_build_matches_serial() {
         let rows: Vec<Vec<u32>> = (0..500u32)
             .map(|i| vec![i.wrapping_mul(2654435761) % 40, i % 23])
             .collect();
-        let serial = TrieBuilder::new(2).build(&rows);
-        let parallel = TrieBuilder::new(2).threads(4).build(&rows);
+        let buf = TupleBuffer::from_rows(2, &rows);
+        let serial = TrieBuilder::new(2).build_buffer(&buf);
+        let parallel = TrieBuilder::new(2).threads(4).build_buffer(&buf);
         assert_eq!(serial.scan(), parallel.scan());
     }
 
@@ -277,7 +255,7 @@ mod tests {
         let annots = vec![DynValue::F64(2.0), DynValue::F64(3.0)];
         let t = TrieBuilder::new(2)
             .combine(AggOp::Sum)
-            .build_annotated(&rows, &annots);
+            .build_buffer(&TupleBuffer::from_annotated_rows(2, &rows, annots));
         assert_eq!(t.tuple_count(), 1);
         assert_eq!(t.annotation(&[1, 2]), Some(DynValue::F64(5.0)));
     }
@@ -288,14 +266,14 @@ mod tests {
         let annots = vec![DynValue::U64(7), DynValue::U64(3), DynValue::U64(5)];
         let t = TrieBuilder::new(2)
             .combine(AggOp::Min)
-            .build_annotated(&rows, &annots);
+            .build_buffer(&TupleBuffer::from_annotated_rows(2, &rows, annots));
         assert_eq!(t.annotation(&[1, 2]), Some(DynValue::U64(3)));
     }
 
     #[test]
     fn unannotated_scan_has_no_values() {
         let rows = vec![vec![1, 2], vec![3, 4]];
-        let t = TrieBuilder::new(2).build(&rows);
+        let t = TrieBuilder::new(2).build_buffer(&TupleBuffer::from_rows(2, &rows));
         assert!(!t.is_annotated());
         for (_, a) in t.scan() {
             assert!(a.is_none());
@@ -303,25 +281,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row arity mismatch")]
-    fn arity_mismatch_panics() {
-        let rows = vec![vec![1, 2, 3]];
-        TrieBuilder::new(2).build(&rows);
-    }
-
-    #[test]
-    #[should_panic(expected = "one annotation per row")]
-    fn annotation_length_mismatch_panics() {
-        let rows = vec![vec![1, 2]];
-        TrieBuilder::new(2).build_annotated(&rows, &[]);
-    }
-
-    #[test]
     fn forced_uint_policy() {
         let rows: Vec<Vec<u32>> = (0..1000u32).map(|i| vec![0, i]).collect();
         let t = TrieBuilder::new(2)
             .policy(LayoutPolicy::Fixed(eh_set::LayoutKind::Uint))
-            .build(&rows);
+            .build_buffer(&TupleBuffer::from_rows(2, &rows));
         let (uint, bitset, block) = t.layout_census();
         assert_eq!(bitset + block, 0);
         assert_eq!(uint, 2);

@@ -131,17 +131,6 @@ impl<K: Eq + Hash + Clone> Dictionary<K> {
             .map(|(i, k)| (k.clone(), i as u32))
             .collect();
     }
-
-    /// Encode a whole column, in order (output pre-sized from the
-    /// iterator's length hint).
-    pub fn encode_column<I: IntoIterator<Item = K>>(&mut self, col: I) -> Vec<u32> {
-        let it = col.into_iter();
-        let mut out = Vec::with_capacity(it.size_hint().0);
-        for k in it {
-            out.push(self.encode(k));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,13 +185,6 @@ mod tests {
         d.encode(1u64);
         d.encode(2u64);
         d.remap(&[0, 0]);
-    }
-
-    #[test]
-    fn encode_column() {
-        let mut d = Dictionary::new();
-        let ids = d.encode_column(vec![5u64, 7, 5, 9]);
-        assert_eq!(ids, vec![0, 1, 0, 2]);
     }
 
     #[test]

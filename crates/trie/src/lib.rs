@@ -254,12 +254,6 @@ impl Trie {
         }
     }
 
-    /// Build a trie of `arity` columns from rows (convenience over
-    /// [`TrieBuilder`]).
-    pub fn from_rows<R: AsRef<[u32]>>(rows: &[R], arity: usize, policy: LayoutPolicy) -> Trie {
-        TrieBuilder::new(arity).policy(policy).build(rows)
-    }
-
     /// Build a trie from a flat columnar buffer (convenience over
     /// [`TrieBuilder::build_buffer`]).
     pub fn from_buffer(tuples: &TupleBuffer, policy: LayoutPolicy) -> Trie {
@@ -281,7 +275,10 @@ mod tests {
 
     #[test]
     fn build_and_select() {
-        let t = Trie::from_rows(&edge_rows(), 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(
+            &TupleBuffer::from_rows(2, &edge_rows()),
+            LayoutPolicy::SetLevel,
+        );
         assert_eq!(t.arity(), 2);
         assert_eq!(t.tuple_count(), 4);
         assert_eq!(t.root().set.to_vec(), vec![0, 1, 2]);
@@ -293,7 +290,10 @@ mod tests {
 
     #[test]
     fn contains_tuples() {
-        let t = Trie::from_rows(&edge_rows(), 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(
+            &TupleBuffer::from_rows(2, &edge_rows()),
+            LayoutPolicy::SetLevel,
+        );
         assert!(t.contains(&[0, 3]));
         assert!(t.contains(&[2, 1]));
         assert!(!t.contains(&[0, 5]));
@@ -302,7 +302,10 @@ mod tests {
 
     #[test]
     fn scan_is_sorted_and_complete() {
-        let t = Trie::from_rows(&edge_rows(), 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(
+            &TupleBuffer::from_rows(2, &edge_rows()),
+            LayoutPolicy::SetLevel,
+        );
         let tuples: Vec<Vec<u32>> = t.scan().into_iter().map(|(t, _)| t).collect();
         assert_eq!(tuples, vec![vec![0, 3], vec![0, 4], vec![1, 0], vec![2, 1]]);
     }
@@ -319,7 +322,7 @@ mod tests {
     #[test]
     fn duplicate_rows_collapse() {
         let rows = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
-        let t = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(2, &rows), LayoutPolicy::SetLevel);
         assert_eq!(t.tuple_count(), 2);
         assert_eq!(t.select(&[1]).unwrap().to_vec(), vec![2, 3]);
     }
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn unary_relation() {
         let rows = vec![vec![5], vec![1], vec![5], vec![9]];
-        let t = Trie::from_rows(&rows, 1, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(1, &rows), LayoutPolicy::SetLevel);
         assert_eq!(t.tuple_count(), 3);
         assert_eq!(t.root().set.to_vec(), vec![1, 5, 9]);
     }
@@ -335,7 +338,7 @@ mod tests {
     #[test]
     fn ternary_relation() {
         let rows = vec![vec![1, 2, 3], vec![1, 2, 4], vec![1, 5, 6], vec![2, 0, 0]];
-        let t = Trie::from_rows(&rows, 3, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(3, &rows), LayoutPolicy::SetLevel);
         assert_eq!(t.tuple_count(), 4);
         assert_eq!(t.select(&[1]).unwrap().to_vec(), vec![2, 5]);
         assert_eq!(t.select(&[1, 2]).unwrap().to_vec(), vec![3, 4]);
@@ -345,7 +348,7 @@ mod tests {
     #[test]
     fn level_census_splits_by_depth() {
         let rows: Vec<Vec<u32>> = (0..600u32).map(|i| vec![0, i]).collect();
-        let t = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(2, &rows), LayoutPolicy::SetLevel);
         assert_eq!(t.level_census(0), (1, 0, 0), "root {{0}} is a tiny uint");
         assert_eq!(t.level_census(1), (0, 1, 0), "dense leaf is a bitset");
         assert_eq!(t.level_census(2), (0, 0, 0), "past the last level");
@@ -354,7 +357,7 @@ mod tests {
     #[test]
     fn layout_census_counts_everything() {
         let rows: Vec<Vec<u32>> = (0..600u32).map(|i| vec![0, i]).collect();
-        let t = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(2, &rows), LayoutPolicy::SetLevel);
         let (uint, bitset, block) = t.layout_census();
         // root {0} is uint (tiny), the dense child set 0..600 is a bitset.
         assert_eq!(uint, 1);

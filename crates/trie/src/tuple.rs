@@ -103,8 +103,9 @@ impl TupleBuffer {
         }
     }
 
-    /// Adapter from row-per-allocation form (kept as a convenience seam
-    /// for tests and examples; the engine's hot paths never use it).
+    /// Adapter from row-per-allocation form: the one way tests and
+    /// examples turn rows into tuples (the engine's hot paths never use
+    /// it).
     pub fn from_rows<R: AsRef<[u32]>>(arity: usize, rows: &[R]) -> TupleBuffer {
         let mut buf = TupleBuffer::with_capacity(arity, rows.len());
         for r in rows {
@@ -900,6 +901,18 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut b = TupleBuffer::new(2);
         b.push_row(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn from_rows_checks_each_rows_arity() {
+        TupleBuffer::from_rows(2, &[vec![1u32, 2, 3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one annotation per row")]
+    fn from_annotated_rows_needs_one_annotation_per_row() {
+        TupleBuffer::from_annotated_rows(2, &[vec![1u32, 2]], vec![]);
     }
 
     #[test]

@@ -135,11 +135,17 @@ fn a_tiny_frontier_takes_the_sorted_sink() {
     let g = gen::grid(5_000, 1);
     let mut db = Database::new();
     db.load_graph("Edge", &g);
-    db.register("SSSP", Relation::from_rows(1, vec![[0u32]]));
+    db.register(
+        "SSSP",
+        Relation::from_buffer(TupleBuffer::from_rows(1, &[[0u32]]), AggOp::Sum),
+    );
     let plan_kinds = |frontier: Vec<[u32; 1]>| {
         let mut catalog = MemCatalog::new();
         catalog.insert("Edge", db.relation("Edge").unwrap().clone());
-        catalog.insert("SSSP", Relation::from_rows(1, frontier));
+        catalog.insert(
+            "SSSP",
+            Relation::from_buffer(TupleBuffer::from_rows(1, &frontier), AggOp::Sum),
+        );
         let body = "SP(x;y:int) :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.";
         plan_sink_kinds(db.prepare(body).unwrap().plan(), &catalog)
     };

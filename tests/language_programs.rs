@@ -2,7 +2,7 @@
 //! SSSP programs end-to-end through the public API.
 
 use emptyheaded::semiring::{AggOp, DynValue};
-use emptyheaded::{Config, Database, Relation};
+use emptyheaded::{Config, Database, Relation, TupleBuffer};
 
 fn cycle_graph(n: u32) -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
@@ -70,19 +70,23 @@ fn annotated_relations_flow_through_joins() {
     let mut db = Database::new();
     db.register(
         "M",
-        Relation::from_annotated_rows(
-            2,
-            vec![vec![0, 0], vec![0, 1], vec![1, 1]],
-            vec![DynValue::F64(2.0), DynValue::F64(3.0), DynValue::F64(4.0)],
+        Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                2,
+                &[vec![0, 0], vec![0, 1], vec![1, 1]],
+                vec![DynValue::F64(2.0), DynValue::F64(3.0), DynValue::F64(4.0)],
+            ),
             AggOp::Sum,
         ),
     );
     db.register(
         "V",
-        Relation::from_annotated_rows(
-            1,
-            vec![vec![0], vec![1]],
-            vec![DynValue::F64(10.0), DynValue::F64(100.0)],
+        Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                1,
+                &[vec![0], vec![1]],
+                vec![DynValue::F64(10.0), DynValue::F64(100.0)],
+            ),
             AggOp::Sum,
         ),
     );
@@ -99,10 +103,12 @@ fn min_aggregation_over_annotations() {
     let mut db = Database::new();
     db.register(
         "D",
-        Relation::from_annotated_rows(
-            2,
-            vec![vec![0, 1], vec![0, 2], vec![1, 2]],
-            vec![DynValue::U64(5), DynValue::U64(2), DynValue::U64(9)],
+        Relation::from_buffer(
+            TupleBuffer::from_annotated_rows(
+                2,
+                &[vec![0, 1], vec![0, 2], vec![1, 2]],
+                vec![DynValue::U64(5), DynValue::U64(2), DynValue::U64(9)],
+            ),
             AggOp::Min,
         ),
     );

@@ -7,7 +7,7 @@
 //! fold is exact under any association and equality is exact.
 
 use emptyheaded::semiring::{AggOp, DynValue};
-use emptyheaded::{Config, Database, Relation};
+use emptyheaded::{Config, Database, Relation, TupleBuffer};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -36,12 +36,21 @@ fn annot(op: AggOp, w: u32) -> DynValue {
 
 fn load(db: &mut Database, op: AggOp, r: &BTreeMap<(u32, u32), u32>, s: &BTreeMap<u32, u32>) {
     let rows: Vec<[u32; 2]> = r.keys().map(|&(x, z)| [x, z]).collect();
-    db.register("Plain", Relation::from_rows(2, rows.clone()));
+    db.register(
+        "Plain",
+        Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum),
+    );
     let annots = r.values().map(|&w| annot(op, w)).collect();
-    db.register("R", Relation::from_annotated_rows(2, rows, annots, op));
+    db.register(
+        "R",
+        Relation::from_buffer(TupleBuffer::from_annotated_rows(2, &rows, annots), op),
+    );
     let rows: Vec<[u32; 1]> = s.keys().map(|&z| [z]).collect();
     let annots = s.values().map(|&w| annot(op, w)).collect();
-    db.register("S", Relation::from_annotated_rows(1, rows, annots, op));
+    db.register(
+        "S",
+        Relation::from_buffer(TupleBuffer::from_annotated_rows(1, &rows, annots), op),
+    );
 }
 
 fn groups_of(result: &emptyheaded::QueryResult) -> Groups {

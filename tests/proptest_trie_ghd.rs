@@ -3,7 +3,7 @@
 use emptyheaded::ghd::{enumerate_ghds, plan_rule, Hypergraph, PlanOptions};
 use emptyheaded::query::parse_rule;
 use emptyheaded::set::LayoutPolicy;
-use emptyheaded::trie::Trie;
+use emptyheaded::trie::{Trie, TupleBuffer};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -19,7 +19,7 @@ proptest! {
 
     #[test]
     fn trie_scan_equals_sorted_distinct_rows(rows in arb_rows(2, 50, 200)) {
-        let t = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(2, &rows), LayoutPolicy::SetLevel);
         let expect: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
         let got: Vec<Vec<u32>> = t.scan().into_iter().map(|(r, _)| r).collect();
         prop_assert_eq!(got.len(), expect.len());
@@ -31,14 +31,14 @@ proptest! {
 
     #[test]
     fn trie_contains_agrees_with_rows(rows in arb_rows(3, 20, 150), probe in prop::collection::vec(0u32..20, 3)) {
-        let t = Trie::from_rows(&rows, 3, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(3, &rows), LayoutPolicy::SetLevel);
         let expect = rows.iter().any(|r| r == &probe);
         prop_assert_eq!(t.contains(&probe), expect);
     }
 
     #[test]
     fn trie_select_matches_prefix_filter(rows in arb_rows(2, 30, 150), x in 0u32..30) {
-        let t = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
+        let t = Trie::from_buffer(&TupleBuffer::from_rows(2, &rows), LayoutPolicy::SetLevel);
         let expect: BTreeSet<u32> = rows
             .iter()
             .filter(|r| r[0] == x)
@@ -57,9 +57,10 @@ proptest! {
 
     #[test]
     fn trie_layout_policies_agree(rows in arb_rows(2, 64, 300)) {
-        let a = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
-        let b = Trie::from_rows(&rows, 2, LayoutPolicy::Fixed(emptyheaded::set::LayoutKind::Uint));
-        let c = Trie::from_rows(&rows, 2, LayoutPolicy::BlockLevel);
+        let buf = TupleBuffer::from_rows(2, &rows);
+        let a = Trie::from_buffer(&buf, LayoutPolicy::SetLevel);
+        let b = Trie::from_buffer(&buf, LayoutPolicy::Fixed(emptyheaded::set::LayoutKind::Uint));
+        let c = Trie::from_buffer(&buf, LayoutPolicy::BlockLevel);
         let sa: Vec<_> = a.scan().into_iter().map(|(r, _)| r).collect();
         let sb: Vec<_> = b.scan().into_iter().map(|(r, _)| r).collect();
         let sc: Vec<_> = c.scan().into_iter().map(|(r, _)| r).collect();

@@ -31,7 +31,7 @@ fn arb_edges(max_node: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32,
 /// The two construction paths under test.
 fn legacy_and_columnar(edges: &[(u32, u32)]) -> (Relation, Relation) {
     let rows: Vec<Vec<u32>> = edges.iter().map(|&(a, b)| vec![a, b]).collect();
-    let legacy = Relation::from_rows(2, rows);
+    let legacy = Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum);
     let mut buf = TupleBuffer::new(2);
     for &(a, b) in edges {
         buf.push_row(&[a, b]);
@@ -257,7 +257,7 @@ proptest! {
             .map(|&(a, b)| DynValue::F64((a * 31 + b + 1) as f64 / 7.0))
             .collect();
         let rows: Vec<Vec<u32>> = edges.iter().map(|&(a, b)| vec![a, b]).collect();
-        let legacy = Relation::from_annotated_rows(2, rows, weights.clone(), AggOp::Sum);
+        let legacy = Relation::from_buffer(TupleBuffer::from_annotated_rows(2, &rows, weights.clone()), AggOp::Sum);
         let mut buf = TupleBuffer::new(2);
         for (&(a, b), &w) in edges.iter().zip(&weights) {
             buf.push_annotated(&[a, b], w);

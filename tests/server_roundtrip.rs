@@ -291,11 +291,10 @@ fn concurrent_writers_never_corrupt_readers() {
     server.shutdown();
 }
 
-/// Regression for the plan-cache key: whitespace inside a quoted
-/// string constant is data, so two anchored queries differing only
-/// there are *different* queries and must never share a cached plan
-/// (the old normalize collapsed the quotes' interior and served the
-/// first query's plan — wrong answers — for the second).
+/// The plan cache keys on the exact text, and different texts never
+/// share a plan: two anchored queries differing only in whitespace
+/// inside a quoted string constant each get their own plan and their
+/// own answer.
 #[test]
 fn string_constants_differing_only_in_quoted_whitespace_stay_distinct() {
     let (server, addr) = spawn_loaded_server();

@@ -31,6 +31,6 @@ fn main() {
             gp.attr_order
         );
         let pp = PhysicalPlan::compile(&rule, &gp);
-        println!("{}", pp.render());
+        println!("{}", pp.render(&rule.consts));
     }
 }

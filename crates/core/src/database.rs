@@ -6,7 +6,7 @@ use eh_exec::{
     Relation, Span, TupleBuffer,
 };
 use eh_graph::Graph;
-use eh_query::{parse_program, Rule};
+use eh_query::{parse_program, Program, Rule};
 use eh_semiring::{AggOp, DynValue};
 use eh_storage::{
     ColumnDef, ColumnType, CsvOptions, LoadReport, RelationSchema, StorageCatalog, StorageError,
@@ -15,6 +15,7 @@ use eh_storage::{
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Top-level error type.
@@ -427,7 +428,11 @@ impl Database {
     /// instead of the database's own configuration.
     pub fn explain_with(&self, text: &str, cfg: &Config) -> Result<String, CoreError> {
         let prepared = self.prepare(text)?;
-        let mut out = prepared.plan().render();
+        let params = prepared
+            .params
+            .last()
+            .expect("a program has at least one rule");
+        let mut out = prepared.plan().render(params);
         let cfg = cfg.with_profile(true);
         if let Ok(result) = prepared.execute_with(self, &cfg) {
             if let Some(profile) = result.profile() {
@@ -556,14 +561,22 @@ impl Database {
 
     /// Compile a program — one or more rules, recursive ones included —
     /// once for repeated execution (paper §5.1.3 excludes compilation
-    /// time); every rule is validated and planned before anything runs.
-    /// A recursive rule is planned without statistics, any other against
-    /// the catalog's — except for relations earlier rules of the program
-    /// define: they do not exist yet (a stored namesake is stale).
+    /// time): [`parse`], then [`Database::compile`].
     pub fn prepare(&self, text: &str) -> Result<Prepared, CoreError> {
-        let program = parse_program(text).map_err(|e| CoreError::Parse(e.message))?;
+        self.compile(parse(text)?)
+    }
+
+    /// Validate and plan every rule of a parsed program before anything
+    /// runs. A recursive rule is planned without statistics, any other
+    /// against the catalog's — except for relations earlier rules of the
+    /// program define: they do not exist yet (a stored namesake is
+    /// stale). The plans read only the constants' slots; their values
+    /// stay with the returned [`Prepared`], and [`Prepared::bind`] swaps
+    /// them without planning again.
+    pub fn compile(&self, program: Program) -> Result<Prepared, CoreError> {
         let mut statements: Vec<Statement> = Vec::with_capacity(program.rules.len());
-        for rule in program.rules {
+        let mut params = Vec::with_capacity(program.rules.len());
+        for mut rule in program.rules {
             eh_query::validate_rule(&rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
             let plan = if is_recursive(&rule) {
                 eh_ghd::plan_rule(&rule, &self.config.plan)
@@ -574,10 +587,19 @@ impl Database {
             };
             let plan = plan.map_err(CoreError::Invalid)?;
             let schema = self.head_schema(&rule, &plan, &statements);
+            params.push(std::mem::take(&mut rule.consts));
             statements.push(Statement { rule, plan, schema });
         }
-        Ok(Prepared { statements })
+        Ok(Prepared {
+            statements: statements.into(),
+            params,
+        })
     }
+}
+
+/// Parse a program's text; a failure is a [`CoreError::Parse`].
+pub fn parse(text: &str) -> Result<Program, CoreError> {
+    parse_program(text).map_err(|e| CoreError::Parse(e.message))
 }
 
 /// Whether `rule` is evaluated to a fixpoint (or for a fixed number of
@@ -598,7 +620,8 @@ impl Catalog for Unborn<'_> {
 }
 
 /// One compiled rule of a [`Prepared`] program, with the schema its
-/// result decodes by (nothing is registered in the database).
+/// result decodes by (nothing is registered in the database). The rule
+/// keeps its constant slots; their values are the [`Prepared`]'s.
 struct Statement {
     rule: Rule,
     plan: PhysicalPlan,
@@ -613,12 +636,34 @@ impl Statement {
 
 /// A compiled program, executable repeatedly without re-planning: one
 /// statement per rule, run in order, each under an overlay of the heads
-/// before it.
+/// before it, with the values bound to each rule's constant slots.
+/// Cloning or [`Prepared::bind`]ing shares the compiled statements.
+#[derive(Clone)]
 pub struct Prepared {
-    statements: Vec<Statement>,
+    statements: Arc<[Statement]>,
+    /// Per statement, the values of its constant slots.
+    params: Vec<Vec<String>>,
 }
 
 impl Prepared {
+    /// The same compiled program with `program`'s constants bound in
+    /// place of these — no planning, no compiling. `program` must have
+    /// the shape this one was compiled from ([`Program::shape`]), which
+    /// a plan cache keyed on the shape guarantees.
+    pub fn bind(&self, program: Program) -> Prepared {
+        let params: Vec<Vec<String>> = program.rules.into_iter().map(|r| r.consts).collect();
+        let same_slots = params.len() == self.params.len()
+            && params
+                .iter()
+                .zip(&self.params)
+                .all(|(a, b)| a.len() == b.len());
+        assert!(same_slots, "bind needs a program of the compiled shape");
+        Prepared {
+            statements: Arc::clone(&self.statements),
+            params,
+        }
+    }
+
     /// Execute against the database's current relations.
     pub fn execute(&self, db: &Database) -> Result<QueryResult, CoreError> {
         self.execute_with(db, &db.config)
@@ -672,7 +717,7 @@ impl Prepared {
         config.shard = config.shard.filter(|_| self.shard_mergeable());
         let origin = config.profile.then(Instant::now);
         let mut offsets = Vec::new();
-        for st in &self.statements {
+        for (st, params) in self.statements.iter().zip(&self.params) {
             offsets.extend(origin.map(|o| o.elapsed().as_nanos() as u64));
             let view = OverlayView {
                 mem: &db.catalog,
@@ -684,9 +729,9 @@ impl Prepared {
                 let base = view.relation(name).cloned().ok_or_else(|| {
                     CoreError::Invalid(format!("recursive rule '{name}' has no base case relation"))
                 })?;
-                execute_recursive_rule(&st.rule, &st.plan, base, &view, &config)?
+                execute_recursive_rule(&st.rule, &st.plan, params, base, &view, &config)?
             } else {
-                eh_exec::execute(&st.plan, &view, &config)?
+                eh_exec::execute(&st.plan, params, &view, &config)?
             };
             let annotated = st.schema.annot_column().is_some();
             debug_assert_eq!(out.relation.is_annotated(), annotated, "{name}'s schema");

@@ -20,7 +20,7 @@ pub mod algorithms;
 pub mod database;
 pub mod result;
 
-pub use database::{CoreError, Database, Prepared};
+pub use database::{parse, CoreError, Database, Prepared};
 pub use eh_exec::{
     Config, QueryProfile, Relation, Scheduler, Span, Trace, TraceId, TupleBuffer, WorkCounters,
 };

@@ -103,7 +103,7 @@ pub fn execute_rule(
     cfg: &Config,
 ) -> Result<Executed, ExecError> {
     let plan = compile_rule(rule, catalog, cfg).map_err(ExecError::Plan)?;
-    execute(&plan, catalog, cfg)
+    execute(&plan, &rule.consts, catalog, cfg)
 }
 
 /// Plan `rule` against `catalog`'s statistics and compile the physical
@@ -118,8 +118,9 @@ pub fn compile_rule(
     Ok(PhysicalPlan::compile(rule, &ghd_plan))
 }
 
-/// Execute a compiled physical plan — the engine's one entry point;
-/// profiling and sharding are read off `cfg`.
+/// Execute a compiled physical plan with `params` bound to its constant
+/// slots — the engine's one entry point; profiling and sharding are read
+/// off `cfg`.
 ///
 /// Under [`Config::shard`] only the ROOT node is sharded: children run in
 /// full on every shard (broadcast inputs), so the top-down assembly sees
@@ -130,6 +131,7 @@ pub fn compile_rule(
 /// so the merged fold order — independent of thread count.
 pub fn execute(
     plan: &PhysicalPlan,
+    params: &[String],
     catalog: &dyn Catalog,
     cfg: &Config,
 ) -> Result<Executed, ExecError> {
@@ -176,6 +178,7 @@ pub fn execute(
         let result = run_node(
             node,
             plan,
+            params,
             catalog,
             cfg,
             &results,
@@ -226,6 +229,7 @@ pub fn execute(
 fn run_node(
     node: &PlanNode,
     plan: &PhysicalPlan,
+    params: &[String],
     catalog: &dyn Catalog,
     cfg: &Config,
     results: &[Option<NodeResult>],
@@ -237,7 +241,7 @@ fn run_node(
 ) -> Result<NodeResult, ExecError> {
     // Profiling: the query's origin and this node's start.
     let mut profile = profile.map(|(p, origin)| (p, origin, Instant::now()));
-    let build = crate::program::build_node(node, plan, catalog, cfg, results, is_agg, op)?;
+    let build = crate::program::build_node(node, plan, params, catalog, cfg, results, is_agg, op)?;
     let program = JoinProgram::compile(
         node.attrs.len(),
         output_positions(node),
@@ -549,7 +553,7 @@ mod tests {
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let full = execute(&plan, &cat, &cfg).unwrap().relation;
+        let full = execute(&plan, &rule.consts, &cat, &cfg).unwrap().relation;
         let want = full.scalar().unwrap().as_u64();
         assert!(want > 0);
         for n in [1u32, 2, 3, 5, 8] {
@@ -561,7 +565,7 @@ mod tests {
                     relation: rel,
                     level0,
                     ..
-                } = execute(&plan, &cat, &shard_cfg).unwrap();
+                } = execute(&plan, &rule.consts, &cat, &shard_cfg).unwrap();
                 // Scalar plans always emit exactly one row, even for an
                 // empty shard (the ⊕-identity) — the coordinator never
                 // needs a missing-row special case.
@@ -582,12 +586,14 @@ mod tests {
         let rule = parse_rule("P(x,z) :- E(x,y),E(y,z).").unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let full = execute(&plan, &cat, &cfg).unwrap().relation;
+        let full = execute(&plan, &rule.consts, &cat, &cfg).unwrap().relation;
         for n in [2u32, 4] {
             let mut merged = TupleBuffer::new(2);
             for k in 0..n {
                 let shard_cfg = cfg.with_shard(k, n);
-                let rel = execute(&plan, &cat, &shard_cfg).unwrap().relation;
+                let rel = execute(&plan, &rule.consts, &cat, &shard_cfg)
+                    .unwrap()
+                    .relation;
                 merged.append(rel.rows());
             }
             // Rows may repeat across shards after projection (two root
@@ -624,7 +630,7 @@ mod tests {
         .unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let want = execute(&plan, &cat, &cfg)
+        let want = execute(&plan, &rule.consts, &cat, &cfg)
             .unwrap()
             .relation
             .scalar()
@@ -633,7 +639,7 @@ mod tests {
         for n in [2u32, 3] {
             let got: u64 = (0..n)
                 .map(|k| {
-                    execute(&plan, &cat, &cfg.with_shard(k, n))
+                    execute(&plan, &rule.consts, &cat, &cfg.with_shard(k, n))
                         .unwrap()
                         .relation
                         .scalar()
@@ -651,7 +657,7 @@ mod tests {
         let rule = parse_rule("C(;w:long) :- E(x,y),E(y,z),E(x,z); w=<<COUNT(*)>>.").unwrap();
         let cfg = Config::default();
         let plan = compile(&rule, &cat, &cfg);
-        let want = execute(&plan, &cat, &cfg)
+        let want = execute(&plan, &rule.consts, &cat, &cfg)
             .unwrap()
             .relation
             .scalar()
@@ -660,7 +666,7 @@ mod tests {
         let threaded = cfg.with_threads(4);
         let got: u64 = (0..3u32)
             .map(|k| {
-                execute(&plan, &cat, &threaded.with_shard(k, 3))
+                execute(&plan, &rule.consts, &cat, &threaded.with_shard(k, 3))
                     .unwrap()
                     .relation
                     .scalar()

@@ -24,8 +24,9 @@ pub struct AtomPlan {
     /// push-down within the node, paper App. B.1), then variable positions
     /// by node-attribute order.
     pub trie_order: Vec<usize>,
-    /// Constants (unresolved query text) occupying the first trie levels.
-    pub const_prefix: Vec<String>,
+    /// Slots (`$k` of the rule's constants) occupying the first trie
+    /// levels; execution resolves the values bound to them.
+    pub const_prefix: Vec<usize>,
     /// For each trie level after the constants, the index of the bound
     /// attribute in the node's `attrs`.
     pub attr_levels: Vec<usize>,
@@ -278,8 +279,9 @@ impl PhysicalPlan {
     }
 
     /// Render the plan as the pseudo-code loop nest of paper Figure 1,
-    /// headed by the chosen attribute order and its estimated cost.
-    pub fn render(&self) -> String {
+    /// headed by the chosen attribute order and its estimated cost; a
+    /// selection shows the value `params` binds to its slot.
+    pub fn render(&self, params: &[String]) -> String {
         let mut out = String::new();
         out.push_str(&format!("order: {}", self.attr_order.join(" ")));
         match self.estimated_cost {
@@ -309,7 +311,9 @@ impl PhysicalPlan {
                         if a.const_prefix.is_empty() {
                             format!("π_{attr} {}", a.relation)
                         } else {
-                            format!("π_{attr} {}[{}]", a.relation, a.const_prefix.join(","))
+                            let values: Vec<&str> =
+                                a.const_prefix.iter().map(|&k| params[k].as_str()).collect();
+                            format!("π_{attr} {}[{}]", a.relation, values.join(","))
                         }
                     })
                     .collect();
@@ -326,11 +330,11 @@ impl PhysicalPlan {
 /// the node-local attribute order.
 fn compile_atom(atom: &eh_query::BodyAtom, atom_index: usize, attrs: &[String]) -> AtomPlan {
     use eh_query::Term;
-    let mut const_positions: Vec<(usize, String)> = Vec::new();
+    let mut const_positions: Vec<(usize, usize)> = Vec::new();
     let mut var_positions: Vec<(usize, usize)> = Vec::new(); // (position, attr idx)
     for (pos, term) in atom.terms.iter().enumerate() {
         match term {
-            Term::Const(c) => const_positions.push((pos, c.clone())),
+            Term::Const(k) => const_positions.push((pos, *k)),
             Term::Var(v) => {
                 let ai = attrs
                     .iter()
@@ -413,15 +417,16 @@ mod tests {
     fn selection_constants_lead_trie_order() {
         let p = compile("Q(x) :- E('5',x).");
         let atom = &p.root().atoms[0];
-        assert_eq!(atom.const_prefix, vec!["5"]);
+        assert_eq!(atom.const_prefix, vec![0]);
         assert_eq!(atom.trie_order, vec![0, 1]);
         assert_eq!(atom.attr_levels, vec![0]);
+        assert!(p.render(&["5".into()]).contains("π_x E[5]"));
     }
 
     #[test]
     fn render_mentions_loops() {
         let p = compile("T(x,y,z) :- E(x,y),E(y,z),E(x,z).");
-        let s = p.render();
+        let s = p.render(&[]);
         assert!(s.contains("for"));
         assert!(s.contains("∩"));
         assert!(s.contains("node v0"));
@@ -447,7 +452,8 @@ mod tests {
         let gp = plan_rule_with_stats(&rule, &PlanOptions::default(), &OneRel).unwrap();
         let p = PhysicalPlan::compile(&rule, &gp);
         assert!(p.estimated_cost.is_some());
-        assert!(p.render().contains("cost-based"), "{}", p.render());
+        let s = p.render(&rule.consts);
+        assert!(s.contains("cost-based"), "{s}");
     }
 
     #[test]

@@ -397,10 +397,13 @@ pub(crate) struct NodeBuild {
 }
 
 /// Build every atom of a node: the plan's own atoms plus one trie per
-/// child result joined in over its interface attributes.
+/// child result joined in over its interface attributes. `params` are
+/// the values bound to the rule's constant slots.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_node(
     node: &PlanNode,
     plan: &PhysicalPlan,
+    params: &[String],
     catalog: &dyn Catalog,
     cfg: &Config,
     results: &[Option<NodeResult>],
@@ -412,7 +415,7 @@ pub(crate) fn build_node(
     let mut base_product = op.one();
     let mut empty = false;
     for ap in &node.atoms {
-        match build_atom(ap, node, catalog, cfg, is_agg, op)? {
+        match build_atom(ap, node, params, catalog, cfg, is_agg, op)? {
             BuiltAtom::Live(a, trie) => {
                 atoms.push(a);
                 tries.push(trie);
@@ -483,6 +486,7 @@ enum BuiltAtom {
 fn build_atom(
     ap: &AtomPlan,
     node: &PlanNode,
+    params: &[String],
     catalog: &dyn Catalog,
     cfg: &Config,
     is_agg: bool,
@@ -502,11 +506,11 @@ fn build_atom(
     // Resolve and descend the constant prefix once (selection push-down
     // within the node: selections are the first trie levels).
     let mut consts = Vec::with_capacity(ap.const_prefix.len());
-    for (i, c) in ap.const_prefix.iter().enumerate() {
+    for (i, &slot) in ap.const_prefix.iter().enumerate() {
         // trie_order leads with the constant positions, so the source
         // column of constant i is trie_order[i] — typed catalogs resolve
         // through that column's dictionary domain.
-        match catalog.resolve_const_at(&ap.relation, ap.trie_order[i], c) {
+        match catalog.resolve_const_at(&ap.relation, ap.trie_order[i], &params[slot]) {
             Some(id) => consts.push(id),
             None => return Ok(BuiltAtom::Empty),
         }
@@ -632,7 +636,7 @@ mod tests {
         let is_agg = plan.agg.is_some();
         let op = plan.agg.as_ref().map_or(AggOp::Count, |a| a.op);
         let node = plan.root();
-        let build = build_node(node, &plan, &cat, cfg, &[], is_agg, op).unwrap();
+        let build = build_node(node, &plan, &rule.consts, &cat, cfg, &[], is_agg, op).unwrap();
         let output_levels: Vec<usize> = node
             .output_attrs
             .iter()

@@ -52,7 +52,8 @@ impl Catalog for Overlay<'_> {
 /// simple unrolling of the join algorithm" — compilation is not repeated
 /// per iteration). Under [`Config::profile`] the result carries a `query`
 /// span with one `iteration k` child per executed iteration (`rows_in`,
-/// `rows_out`) and the iterations' work summed.
+/// `rows_out`) and the iterations' work summed. `params` are the values
+/// bound to the rule's constant slots.
 ///
 /// The running state is always *canonical* buffers — annotated, strictly
 /// key-ascending — which is also what every iteration's result is, so
@@ -62,6 +63,7 @@ impl Catalog for Overlay<'_> {
 pub fn execute_recursive_rule(
     rule: &Rule,
     plan: &PhysicalPlan,
+    params: &[String],
     initial: Relation,
     catalog: &dyn Catalog,
     cfg: &Config,
@@ -98,7 +100,7 @@ pub fn execute_recursive_rule(
             name,
             rel: &input,
         };
-        let out = execute(plan, &overlay, cfg)?;
+        let out = execute(plan, params, &overlay, cfg)?;
         let rows_in = input.len();
         let (next, converged) = match (&mut state, criterion) {
             // Only strict improvements form the next frontier.
@@ -336,7 +338,7 @@ mod tests {
     /// Plan `rule` as a prepared statement does, then evaluate it.
     fn recurse(rule: &Rule, initial: Relation, cat: &dyn Catalog, cfg: &Config) -> Relation {
         let plan = PhysicalPlan::compile(rule, &eh_ghd::plan_rule(rule, &cfg.plan).unwrap());
-        execute_recursive_rule(rule, &plan, initial, cat, cfg)
+        execute_recursive_rule(rule, &plan, &rule.consts, initial, cat, cfg)
             .unwrap()
             .relation
     }

@@ -15,8 +15,9 @@ pub struct Hyperedge {
     pub relation: String,
     /// Vertex ids of the atom's variables, in positional order.
     pub vars: Vec<usize>,
-    /// Equality selections `(position_in_atom, constant)`.
-    pub selections: Vec<(usize, String)>,
+    /// Equality selections `(position_in_atom, slot)`: the constant is
+    /// the rule's slot `$k`, so equal slots mean equal constants.
+    pub selections: Vec<(usize, usize)>,
 }
 
 impl Hyperedge {
@@ -51,7 +52,7 @@ impl Hypergraph {
         for (pos, term) in atom.terms.iter().enumerate() {
             match term {
                 Term::Var(name) => vars.push(self.vertex_id(name)),
-                Term::Const(c) => selections.push((pos, c.clone())),
+                Term::Const(k) => selections.push((pos, *k)),
             }
         }
         self.edges.push(Hyperedge {
@@ -205,7 +206,7 @@ mod tests {
         let rule = parse_rule("Q(x) :- Edge('start',x),P(x,y).").unwrap();
         let hg = Hypergraph::from_rule(&rule);
         assert_eq!(hg.edges[0].vars.len(), 1);
-        assert_eq!(hg.edges[0].selections, vec![(0, "start".to_string())]);
+        assert_eq!(hg.edges[0].selections, vec![(0, 0)]);
         assert!(hg.edges[0].has_selection());
         assert!(!hg.edges[1].has_selection());
         // x shares the selected atom.

@@ -179,7 +179,7 @@ struct AtomSignature<'h> {
     /// The position each variable column binds.
     columns: Vec<Option<usize>>,
     /// The constants on the other columns.
-    selections: &'h [(usize, String)],
+    selections: &'h [(usize, usize)],
     /// A filter-only copy of a selection atom another node joins.
     copy: bool,
 }
@@ -614,6 +614,7 @@ mod tests {
             },
             body: vec![],
             agg: None,
+            consts: vec![],
         };
         assert!(plan_rule(&rule, &PlanOptions::default()).is_err());
     }

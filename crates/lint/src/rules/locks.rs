@@ -8,8 +8,9 @@
 //! flagged (out-of-order acquisition is how AB/BA deadlocks are born;
 //! equal rank means the order between the two was never declared).
 //! Known-expensive calls (`prepare`/`compile`/`plan`/`ghd` — query
-//! compilation and GHD search) are flagged under the `cache` mutex,
-//! which sits on the hot path of every request.
+//! compilation and GHD search — and `parse`/`bind`, the per-request
+//! work of a cache hit) are flagged under the `cache` mutex, which sits
+//! on the hot path of every request.
 //!
 //! Guard extents are tracked lexically:
 //! - `let g = x.lock();` lives to the end of the enclosing block, or
@@ -39,7 +40,7 @@ fn rank_of(recv: &str) -> Option<u8> {
 }
 
 /// Calls too expensive to make while the plan-cache mutex is held.
-const EXPENSIVE: &[&str] = &["prepare", "compile", "plan", "ghd"];
+const EXPENSIVE: &[&str] = &["prepare", "compile", "plan", "ghd", "parse", "bind"];
 
 #[derive(Debug)]
 enum GuardKind {
@@ -66,7 +67,7 @@ impl Rule for LockDiscipline {
     }
 
     fn description(&self) -> &'static str {
-        "respect lock order db -> cache -> conns/sessions; no expensive calls (prepare/compile/plan/ghd) under the cache mutex"
+        "respect lock order db -> cache -> conns/sessions; no expensive calls (prepare/compile/plan/ghd/parse/bind) under the cache mutex"
     }
 
     fn applies(&self, path: &str) -> Option<Scope> {

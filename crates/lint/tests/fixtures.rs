@@ -523,6 +523,24 @@ fn bad(shared: &Shared, text: &str) {
 }
 
 #[test]
+fn locks_flag_binding_a_cached_template_under_cache_mutex() {
+    let src = "\
+fn bad(shared: &Shared, program: Program) {
+    if let Some(t) = shared.cache.lock().lookup(&program.shape()) {
+        return t.bind(program);
+    }
+    let hit = {
+        let mut cache = shared.cache.lock();
+        cache.lookup(&program.shape())
+    };
+    hit.map(|t| t.bind(program))
+}
+";
+    let f = run("crates/server/src/server.rs", src);
+    assert_eq!(lines_of(&f, "lock-discipline"), vec![3]);
+}
+
+#[test]
 fn locks_expensive_call_outside_guard_passes() {
     let src = "\
 fn good(shared: &Shared, text: &str) {

@@ -7,8 +7,10 @@ pub use eh_semiring::AggOp;
 pub enum Term {
     /// Named variable.
     Var(String),
-    /// Constant literal — an equality selection on that position.
-    Const(String),
+    /// Constant — an equality selection on that position — held as its
+    /// slot `$k` in [`Rule::consts`]. Plans read only the slot, so one
+    /// plan serves every binding of the rule's constants.
+    Const(usize),
 }
 
 impl Term {
@@ -36,10 +38,10 @@ impl BodyAtom {
         self.terms.iter().filter_map(Term::as_var)
     }
 
-    /// Positions holding constants: `(position, constant)`.
-    pub fn selections(&self) -> impl Iterator<Item = (usize, &str)> {
+    /// Positions holding constants: `(position, slot)`.
+    pub fn selections(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.terms.iter().enumerate().filter_map(|(i, t)| match t {
-            Term::Const(c) => Some((i, c.as_str())),
+            Term::Const(k) => Some((i, *k)),
             Term::Var(_) => None,
         })
     }
@@ -168,6 +170,11 @@ pub struct Rule {
     pub body: Vec<BodyAtom>,
     /// Optional aggregation clause.
     pub agg: Option<AggExpr>,
+    /// The body's distinct constants in first-appearance order: slot `$k`
+    /// of every [`Term::Const`] is `consts[k]`. Equal constants share a
+    /// slot, so the equality pattern a plan may exploit is part of the
+    /// rule's shape ([`Program::shape`]); the values are not.
+    pub consts: Vec<String>,
 }
 
 impl Rule {
@@ -236,10 +243,10 @@ mod tests {
     fn body_atom_helpers() {
         let atom = BodyAtom {
             relation: "Edge".into(),
-            terms: vec![Term::Const("start".into()), Term::Var("x".into())],
+            terms: vec![Term::Const(0), Term::Var("x".into())],
         };
         assert_eq!(atom.vars().collect::<Vec<_>>(), vec!["x"]);
-        assert_eq!(atom.selections().collect::<Vec<_>>(), vec![(0, "start")]);
+        assert_eq!(atom.selections().collect::<Vec<_>>(), vec![(0, 0)]);
     }
 
     #[test]
@@ -262,6 +269,7 @@ mod tests {
                 },
             ],
             agg: None,
+            consts: Vec::new(),
         };
         assert_eq!(rule.body_vars(), vec!["x", "y", "z"]);
         assert!(!rule.is_recursive());

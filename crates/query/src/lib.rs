@@ -16,6 +16,7 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
+pub mod print;
 pub mod validate;
 
 pub use ast::{AggExpr, Annotation, BodyAtom, Expr, HeadAtom, Program, Recursion, Rule, Term};
@@ -81,7 +82,8 @@ mod tests {
     #[test]
     fn selection_constants() {
         let r = parse_rule("Q(x) :- Edge('start',x).").unwrap();
-        assert_eq!(r.body[0].terms[0], Term::Const("start".to_string()));
+        assert_eq!(r.body[0].terms[0], Term::Const(0));
+        assert_eq!(r.consts, vec!["start"]);
         assert_eq!(r.body[0].terms[1], Term::Var("x".to_string()));
     }
 }

@@ -48,7 +48,11 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = Lexer::new(src).tokenize().map_err(|(pos, m)| ParseError {
         message: format!("at byte {pos}: {m}"),
     })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        consts: Vec::new(),
+    };
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.rule()?);
@@ -71,6 +75,8 @@ pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The current rule's constants, by slot.
+    consts: Vec<String>,
 }
 
 impl Parser {
@@ -128,7 +134,12 @@ impl Parser {
             None
         };
         self.expect(&Token::Dot)?;
-        Ok(Rule { head, body, agg })
+        Ok(Rule {
+            head,
+            body,
+            agg,
+            consts: std::mem::take(&mut self.consts),
+        })
     }
 
     fn head(&mut self) -> Result<HeadAtom, ParseError> {
@@ -197,13 +208,22 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            Some(Token::Ident(s)) => Ok(Term::Var(s)),
-            Some(Token::Str(s)) => Ok(Term::Const(s)),
-            Some(Token::Int(n)) => Ok(Term::Const(n.to_string())),
-            Some(Token::Number(n)) => Ok(Term::Const(format_const(n))),
-            other => err(format!("expected term, found {other:?}")),
-        }
+        let value = match self.bump() {
+            Some(Token::Ident(s)) => return Ok(Term::Var(s)),
+            Some(Token::Str(s)) => s,
+            Some(Token::Int(n)) => n.to_string(),
+            Some(Token::Number(n)) => format_const(n),
+            other => return err(format!("expected term, found {other:?}")),
+        };
+        // Lift the constant into its slot: equal values share one.
+        let slot = match self.consts.iter().position(|c| *c == value) {
+            Some(k) => k,
+            None => {
+                self.consts.push(value);
+                self.consts.len() - 1
+            }
+        };
+        Ok(Term::Const(slot))
     }
 
     fn agg_clause(&mut self) -> Result<AggExpr, ParseError> {
@@ -335,8 +355,33 @@ mod tests {
     #[test]
     fn selection_string_and_number() {
         let r = parse_rule("Q(x) :- Edge('start',x),P(x,7).").unwrap();
-        assert_eq!(r.body[0].terms[0], Term::Const("start".into()));
-        assert_eq!(r.body[1].terms[1], Term::Const("7".into()));
+        assert_eq!(r.body[0].terms[0], Term::Const(0));
+        assert_eq!(r.body[1].terms[1], Term::Const(1));
+        assert_eq!(r.consts, vec!["start", "7"]);
+    }
+
+    #[test]
+    fn constants_are_lifted_into_slots_per_rule() {
+        // Equal values share a slot whatever their spelling (`7`, `'7'`,
+        // `007`); each rule numbers its own from 0.
+        let p = parse_program("A(x) :- E('7',x),E(x,7),E(007,'b'). B(y) :- E('b',y).").unwrap();
+        let slots =
+            |r: &Rule| -> Vec<Term> { r.body.iter().flat_map(|a| a.terms.clone()).collect() };
+        let x = || Term::Var("x".into());
+        assert_eq!(
+            slots(&p.rules[0]),
+            vec![
+                Term::Const(0),
+                x(),
+                x(),
+                Term::Const(0),
+                Term::Const(0),
+                Term::Const(1)
+            ]
+        );
+        assert_eq!(p.rules[0].consts, vec!["7", "b"]);
+        assert_eq!(p.rules[1].body[0].terms[0], Term::Const(0));
+        assert_eq!(p.rules[1].consts, vec!["b"]);
     }
 
     #[test]

@@ -2,34 +2,31 @@
 //!
 //! EmptyHeaded's whole design bet (paper §3) is that a query is
 //! compiled once — parse → GHD decomposition → attribute-ordered
-//! physical plan — and the compiled artifact is cheap to run. A
-//! multi-session server should therefore pay compilation once *per
-//! distinct query text*, not once per request: [`PlanCache`] is an LRU
-//! map from the exact query text to the shared [`Prepared`] plan
-//! (`Arc`, so concurrent readers execute one compiled artifact in
-//! parallel). Different texts never share a plan: a reformatted copy
-//! of a query (other whitespace or comments) compiles once more and
-//! answers the same, and no second tokeniser has to agree with the
-//! lexer on which texts are equal. The cache itself only maps and
-//! counts: compiling on a miss is [`crate::Shared::cached_plan`]'s
-//! job, which holds the cache mutex around `lookup` and `insert` but
-//! not around the compilation between them.
+//! physical plan — and the compiled artifact is cheap to run. A server
+//! pays compilation once *per query shape*: [`PlanCache`] is an LRU map
+//! from a program's shape ([`eh_query::Program::shape`]: its canonical
+//! print with each distinct body constant lifted into a slot `$k`) to
+//! the compiled template, `Arc`-shared by concurrent readers. No plan
+//! depends on a constant's value, so `N(y) :- E('7',y).` and
+//! `N(y) :- E('8',y).` share one, each bound to its own value
+//! ([`eh_core::Prepared::bind`]); equal constants share a slot, so
+//! `E('7',x),E('7',y)` and `E('7',x),E('8',y)` are two shapes. The
+//! cache only maps and counts: [`crate::Shared::cached_plan`] parses,
+//! binds and compiles, holding the mutex around `lookup` and `insert`.
 //!
 //! Correctness is epoch-based: every catalog mutation
 //! (`register` / `drop_relation` / `load_*`) bumps
-//! [`eh_core::Database::epoch`], and every cache operation carries the epoch of
-//! the database it is about to run against. An epoch mismatch discards
-//! the whole cache — a plan compiled against a dropped or re-registered
-//! schema is never returned, so no stale plan ever runs against a
-//! changed catalog (see `stale_plans_never_survive_a_schema_change`
-//! below for the drop/re-register-with-different-arity regression).
+//! [`eh_core::Database::epoch`], and every cache operation carries the
+//! epoch of the database it is about to run against. A mismatch
+//! discards the whole cache, so no stale plan ever runs against a
+//! changed catalog (`stale_plans_never_survive_a_schema_change`).
 
 use eh_core::Prepared;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An LRU cache of compiled plans, keyed by the exact query text and
-/// guarded by the catalog epoch of the database they were compiled
+/// An LRU cache of compiled plan templates, keyed by the query's shape
+/// and guarded by the catalog epoch of the database they were compiled
 /// against.
 pub struct PlanCache {
     capacity: usize,
@@ -74,14 +71,14 @@ impl PlanCache {
         }
     }
 
-    /// Look up a plan for `text` valid at `epoch`; counts a hit when
-    /// found. Absence counts nothing — the miss counter tracks actual
-    /// compilations (it bumps in [`PlanCache::insert`]), so a text that
-    /// fails to compile never inflates it.
-    pub fn lookup(&mut self, epoch: u64, text: &str) -> Option<Arc<Prepared>> {
+    /// Look up the template compiled for `shape` valid at `epoch`;
+    /// counts a hit when found. Absence counts nothing — the miss counter
+    /// tracks actual compilations (it bumps in [`PlanCache::insert`]), so
+    /// a text that fails to compile never inflates it.
+    pub fn lookup(&mut self, epoch: u64, shape: &str) -> Option<Arc<Prepared>> {
         self.sync(epoch);
         self.tick += 1;
-        match self.entries.get_mut(text) {
+        match self.entries.get_mut(shape) {
             Some(e) => {
                 e.last_used = self.tick;
                 self.hits += 1;
@@ -94,10 +91,10 @@ impl PlanCache {
     /// Insert a plan compiled at `epoch` (counted as one miss — a paid
     /// compilation), evicting the least-recently used entry if the
     /// cache is full.
-    pub fn insert(&mut self, epoch: u64, text: &str, plan: Arc<Prepared>) {
+    pub fn insert(&mut self, epoch: u64, shape: String, plan: Arc<Prepared>) {
         self.sync(epoch);
         self.misses += 1;
-        if !self.entries.contains_key(text) && self.entries.len() >= self.capacity {
+        if !self.entries.contains_key(&shape) && self.entries.len() >= self.capacity {
             if let Some(lru) = self
                 .entries
                 .iter()
@@ -109,7 +106,7 @@ impl PlanCache {
         }
         self.tick += 1;
         self.entries.insert(
-            text.to_owned(),
+            shape,
             Entry {
                 plan,
                 last_used: self.tick,
@@ -166,8 +163,13 @@ mod tests {
     }
 
     /// Fetch-or-compile through the server's one caching path.
-    fn plan(shared: &Shared, text: &str) -> (Arc<Prepared>, bool) {
+    fn plan(shared: &Shared, text: &str) -> (Prepared, bool) {
         shared.cached_plan(&shared.db.read(), text).unwrap()
+    }
+
+    /// Whether two bindings share one compiled template.
+    fn same_template(a: &Prepared, b: &Prepared) -> bool {
+        std::ptr::eq(a.plan(), b.plan())
     }
 
     #[test]
@@ -178,52 +180,61 @@ mod tests {
         let (p2, hit2) = plan(&shared, q);
         assert!(!hit1);
         assert!(hit2);
-        assert!(Arc::ptr_eq(&p1, &p2), "one shared compiled artifact");
+        assert!(same_template(&p1, &p2), "one shared compiled artifact");
         let cache = shared.cache.lock();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
-    fn a_reformatted_text_compiles_once_more_and_answers_the_same() {
+    fn a_reformatted_text_hits_the_same_plan_and_answers_the_same() {
         let shared = shared(8);
         let q = "T(x,y) :- E(x,y).";
         let reformatted = "  T(x,y)   :-\n\tE(x,y).  # listing\n";
         let (p1, hit1) = plan(&shared, q);
         let (p2, hit2) = plan(&shared, reformatted);
-        assert!(!hit1 && !hit2, "different texts never share a plan");
-        assert!(!Arc::ptr_eq(&p1, &p2));
+        assert!(!hit1 && hit2, "one shape, one plan");
+        assert!(same_template(&p1, &p2));
         let db = shared.db.read();
         let (a, b) = (p1.execute(&db).unwrap(), p2.execute(&db).unwrap());
         assert_eq!(a.num_rows(), 3);
         assert_eq!(a.rows(), b.rows(), "byte-identical answers");
         drop(db);
         let cache = shared.cache.lock();
-        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 0, 2));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, 1, 1));
     }
 
     #[test]
-    fn string_constants_differing_in_whitespace_are_distinct_entries() {
+    fn one_template_different_bound_values_different_answers() {
+        // E: 0→1, 1→2, 0→2. Constants differing in value — or only in
+        // quoted whitespace — bind to one template and answer for
+        // their own value; a comment that swallows a second rule vs a
+        // newline that ends it are two shapes.
         let shared = shared(8);
-        let (plan, _) = plan(&shared, "T(x,y) :- E(x,y).");
-        let epoch = shared.db.read().epoch();
-        let mut cache = shared.cache.lock();
-        // Same shape, different string constants; a comment that
-        // swallows a second rule vs a newline that ends it: each text
-        // occupies its own slot, so none ever serves another's plan.
-        let texts = [
-            "R(x) :- S(x,'a b').",
-            "R(x) :- S(x,'a  b').",
-            "T(x) :- E(x,y). # note U(x) :- E(y,x).",
-            "T(x) :- E(x,y). # note\nU(x) :- E(y,x).",
+        let answers = [
+            ("A(y) :- E('0',y).", vec![vec![1], vec![2]]),
+            ("A(y) :- E(1,y).", vec![vec![2]]),
+            ("A(y) :- E(' 0',y).", vec![]),
+            ("A(y) :- E('0 ',y).", vec![]),
+            ("A(y) :- E(2,y).", vec![]),
         ];
-        for text in texts {
-            cache.insert(epoch, text, Arc::clone(&plan));
+        let (first, _) = plan(&shared, answers[0].0);
+        for (text, want) in &answers {
+            let (p, _) = plan(&shared, text);
+            assert!(same_template(&first, &p), "{text}");
+            let got = p.execute(&shared.db.read()).unwrap();
+            let got: Vec<Vec<u32>> = got.rows().iter().map(<[u32]>::to_vec).collect();
+            assert_eq!(&got, want, "{text}");
         }
-        assert_eq!(cache.len(), 1 + texts.len());
-        for text in texts {
-            assert!(cache.lookup(epoch, text).is_some(), "{text}");
+        {
+            let cache = shared.cache.lock();
+            let n = answers.len() as u64;
+            assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, n, 1));
         }
-        assert!(cache.lookup(epoch, "R(x) :-  S(x,'a b').").is_none());
+        let (one, _) = plan(&shared, "T(x) :- E(x,y). # note U(x) :- E(y,x).");
+        let (two, hit) = plan(&shared, "T(x) :- E(x,y). # note\nU(x) :- E(y,x).");
+        assert!(!hit && !same_template(&one, &two));
+        assert_eq!(one.name(), "T");
+        assert_eq!(two.name(), "U");
     }
 
     #[test]
@@ -267,7 +278,7 @@ mod tests {
         let (new_plan, hit) = plan(&shared, q);
         assert!(!hit, "epoch change must invalidate the cached plan");
         assert!(
-            !Arc::ptr_eq(&old_plan, &new_plan),
+            !same_template(&old_plan, &new_plan),
             "a fresh plan was compiled"
         );
         assert!(shared.cache.lock().invalidations() >= 1);
@@ -308,7 +319,7 @@ mod tests {
             assert!(!hit, "{text}");
             let (again, hit) = plan(&shared, text);
             assert!(hit, "{text}");
-            assert!(Arc::ptr_eq(&first, &again), "{text}");
+            assert!(same_template(&first, &again), "{text}");
             let cache = shared.cache.lock();
             let compiled = k as u64 + 1;
             assert_eq!((cache.len() as u64, cache.misses()), (compiled, compiled));

@@ -13,8 +13,9 @@
 //!   `Stats`, `SetOption` and `SlowLog` do the rest. Results travel as
 //!   [`eh_storage::ResultBatch`]es so string columns decode
 //!   client-side.
-//! * [`cache`] — the shared LRU [`PlanCache`] keyed by the exact query
-//!   text and invalidated by the catalog epoch: any
+//! * [`cache`] — the shared LRU [`PlanCache`] keyed by the query's
+//!   shape (constants lifted into slots) and invalidated by the catalog
+//!   epoch: any
 //!   `register`/`drop_relation`/`load_csv` bumps
 //!   [`eh_core::Database::epoch`], so no stale plan ever runs against a
 //!   changed schema.

@@ -141,21 +141,24 @@ impl Shared {
 
     /// Fetch-or-compile the program `text` against `db` (the caller
     /// already holds the database read lock and passes the guard's
-    /// target); the flag says whether it was a cache hit. Every text —
-    /// rule, multi-rule program or fixpoint — runs through here.
-    pub fn cached_plan(
-        &self,
-        db: &Database,
-        text: &str,
-    ) -> Result<(Arc<Prepared>, bool), CoreError> {
-        if let Some(plan) = self.cache.lock().lookup(db.epoch(), text) {
-            return Ok((plan, true));
+    /// target); the flag says whether it was a cache hit. Every text's
+    /// shape finds the template its constants are bound to.
+    pub fn cached_plan(&self, db: &Database, text: &str) -> Result<(Prepared, bool), CoreError> {
+        let program = eh_core::parse(text)?;
+        let shape = program.shape();
+        // The guard dies with this block: binding runs unlocked.
+        let template = {
+            let mut cache = self.cache.lock();
+            cache.lookup(db.epoch(), &shape)
+        };
+        if let Some(template) = template {
+            return Ok((template.bind(program), true));
         }
         // A miss compiles unlocked, so a slow GHD search never serializes
         // other sessions' cache hits.
-        let plan = Arc::new(db.prepare(text)?);
-        let mut cache = self.cache.lock();
-        cache.insert(db.epoch(), text, Arc::clone(&plan));
+        let plan = db.compile(program)?;
+        let template = Arc::new(plan.clone());
+        self.cache.lock().insert(db.epoch(), shape, template);
         Ok((plan, false))
     }
 

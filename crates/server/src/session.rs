@@ -34,7 +34,6 @@ use eh_storage::{CsvOptions, Delimiter, StorageError};
 use std::io::{self, Read, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Build the wire batch for a query result: the result's schema, its
@@ -78,13 +77,13 @@ pub(crate) fn error(e: impl std::fmt::Display) -> Response {
 /// provide panics the session instead of answering.
 const MAX_THREADS: u64 = 256;
 
-/// A prepared statement pinned to a session: the shared plan plus the
-/// catalog epoch and the exact text it was compiled at, so execution
-/// can detect staleness and re-prepare.
+/// A prepared statement pinned to a session: the shared plan bound to
+/// the statement's constants, plus the catalog epoch and the exact text
+/// it was compiled at, so execution can detect staleness and re-prepare.
 struct SessionStmt {
     epoch: u64,
     text: String,
-    plan: Arc<Prepared>,
+    plan: Prepared,
 }
 
 /// Per-connection state.
@@ -441,11 +440,10 @@ impl Session {
                     stmt.plan = plan;
                     stmt.epoch = db.epoch();
                 }
-                (Arc::clone(&stmt.plan), stmt.text.as_str())
+                (stmt.plan.clone(), stmt.text.as_str())
             }
             ExecTarget::Text(text) => {
                 shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-                // A cached text executes without re-parsing at all.
                 let (plan, _) = shared.cached_plan(&db, text).map_err(|e| e.to_string())?;
                 (plan, text.as_str())
             }
@@ -518,7 +516,7 @@ impl Session {
 fn _assert_send_sync() {
     fn check<T: Send + Sync>() {}
     // Shared plans cross session threads; the compiler proves it here.
-    check::<Arc<Prepared>>();
+    check::<Prepared>();
     check::<StorageError>();
 }
 

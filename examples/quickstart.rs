@@ -40,5 +40,5 @@ fn main() {
     );
     println!("attribute order: {:?}", plan.attr_order);
     let physical = emptyheaded::exec::PhysicalPlan::compile(&rule, &plan);
-    println!("\ngenerated loop nest:\n{}", physical.render());
+    println!("\ngenerated loop nest:\n{}", physical.render(&rule.consts));
 }

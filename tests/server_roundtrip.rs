@@ -291,10 +291,10 @@ fn concurrent_writers_never_corrupt_readers() {
     server.shutdown();
 }
 
-/// The plan cache keys on the exact text, and different texts never
-/// share a plan: two anchored queries differing only in whitespace
-/// inside a quoted string constant each get their own plan and their
-/// own answer.
+/// The plan cache keys on a query's shape, never on its constants'
+/// values: two anchored queries differing only in whitespace inside a
+/// quoted string constant share one plan, and each binds its own
+/// constant and gets its own answer.
 #[test]
 fn string_constants_differing_only_in_quoted_whitespace_stay_distinct() {
     let (server, addr) = spawn_loaded_server();

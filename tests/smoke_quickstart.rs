@@ -42,7 +42,7 @@ fn quickstart_pipeline_end_to_end() {
     assert_eq!(plan.attr_order.len(), 3);
 
     let physical = emptyheaded::exec::PhysicalPlan::compile(&rule, &plan);
-    let rendered = physical.render();
+    let rendered = physical.render(&rule.consts);
     assert!(
         !rendered.is_empty(),
         "physical plan should render a loop nest"

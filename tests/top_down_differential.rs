@@ -217,7 +217,11 @@ fn run(rule: &Rule, cat: &MemCatalog, cfg: &Config, shards: u32) -> Answer {
             } else {
                 *cfg
             };
-            execute(&plan, cat, &cfg).unwrap().relation.rows().clone()
+            execute(&plan, &rule.consts, cat, &cfg)
+                .unwrap()
+                .relation
+                .rows()
+                .clone()
         })
         .collect();
     let combine = plan.agg.as_ref().map_or(AggOp::Count, |a| a.op);
@@ -257,7 +261,7 @@ fn oracle(rule: &Rule, cat: &MemCatalog) -> Answer {
         for (i, row) in relation.rows().iter().enumerate() {
             let mut bound = Vec::new();
             let consistent = body.terms.iter().zip(row).all(|(term, &value)| match term {
-                Term::Const(c) => c.parse() == Ok(value),
+                Term::Const(k) => rule.consts[*k].parse() == Ok(value),
                 Term::Var(v) => match binding.get(v) {
                     Some(&held) => held == value,
                     None => {

@@ -59,7 +59,7 @@ pub struct PlanNode {
     /// If `Some(j)`, this node's result equals node `j`'s — reuse it
     /// (paper App. B.2).
     pub equiv_to: Option<usize>,
-    /// Estimated intersection work of this node under the planner's cost
+    /// Estimated kernel work of this node under the planner's cost
     /// model (`None` when statistics were missing). Paired against the
     /// observed per-node work counters by `\explain`.
     pub estimated_cost: Option<f64>,
@@ -88,7 +88,7 @@ pub struct PhysicalPlan {
     pub agg: Option<AggSpec>,
     /// True when the top-down pass is unnecessary.
     pub skip_top_down: bool,
-    /// Estimated intersection work of the chosen attribute order under the
+    /// Estimated kernel work of the chosen attribute order under the
     /// planner's cost model — `None` when catalog statistics were missing
     /// (structural order fallback) or cost-based ordering was disabled.
     pub estimated_cost: Option<f64>,
@@ -445,6 +445,7 @@ mod tests {
                 (name == "E").then(|| RelationStats {
                     cardinality: 1_000,
                     distinct: vec![100, 500],
+                    freq_sq: Vec::new(),
                 })
             }
         }

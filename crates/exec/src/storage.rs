@@ -15,7 +15,7 @@
 use eh_ghd::RelationStats;
 use eh_semiring::{AggOp, DynValue};
 use eh_set::LayoutPolicy;
-use eh_trie::{Trie, TrieBuilder, TupleBuffer};
+use eh_trie::{Trie, TrieBuilder, TrieNode, TupleBuffer};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,23 +27,28 @@ pub struct Relation {
     /// ⊕ used to combine duplicate-tuple annotations.
     combine: AggOp,
     tries: RwLock<TrieCache>,
-    /// Per-column distinct count and largest id, filled opportunistically
-    /// at trie build (the root set of a trie ordered `[c, ...]` is exactly
-    /// column `c`'s distinct values) and on demand otherwise. A
+    /// Per-column distinct count, Σf² and largest id, filled
+    /// opportunistically at trie build (the root of a trie ordered
+    /// `[c, ...]` holds exactly column `c`'s distinct values, and the
+    /// tuples below each of them) and on demand otherwise. A
     /// `Relation`'s tuples are immutable — catalog mutations replace the
     /// whole relation — so the cache can never go stale; the database's
     /// epoch machinery invalidates at that granularity.
     columns: RwLock<Vec<Option<ColumnExtent>>>,
 }
 
-/// What one column's id space looks like: how many distinct ids it holds
-/// and the largest of them. The planner reads `distinct`; the executor
-/// compares the two to decide whether a group-by keyed on the column can
-/// fold into a flat id-indexed array (see [`crate::plan_sink_kinds`]).
+/// What one column's id space looks like: how many distinct ids it holds,
+/// how skewed their frequencies are, and the largest of them. The planner
+/// reads `distinct` and `freq_sq`; the executor compares `distinct` with
+/// `max` to decide whether a group-by keyed on the column can fold into a
+/// flat id-indexed array (see [`crate::plan_sink_kinds`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ColumnExtent {
     /// Number of distinct ids in the column.
     pub distinct: u64,
+    /// Σf²: over the column's ids, each id's number of stored tuples,
+    /// squared (see [`RelationStats::freq_sq`]).
+    pub freq_sq: u64,
     /// Largest id in the column.
     pub max: u32,
 }
@@ -154,32 +159,43 @@ impl Relation {
             .threads(threads);
         let trie = Arc::new(builder.build_owned(reordered));
         // Opportunistic stats seeding: the root set of this trie holds
-        // exactly the distinct values of the order's first source column.
+        // exactly the distinct values of the order's first source column,
+        // and the tuples below each one are its frequency — unless the
+        // build merged duplicate rows, which the column scan counts. Then
+        // the scan computes the extent, so either way the statistics are
+        // the same whichever trie was built first.
         if let (Some(&first), Some(max)) = (order.first(), trie.root().set.max()) {
-            self.columns.write()[first].get_or_insert(ColumnExtent {
-                distinct: trie.root().set.len() as u64,
-                max,
-            });
+            if trie.tuple_count() == self.len() {
+                self.columns.write()[first].get_or_insert_with(|| ColumnExtent {
+                    distinct: trie.root().set.len() as u64,
+                    freq_sq: root_freq_sq(&trie),
+                    max,
+                });
+            }
         }
         // Two sessions may miss at once; the first build to land wins, so a
         // cached trie is never replaced.
         Arc::clone(self.tries.write().entry(key).or_insert(trie))
     }
 
-    /// Planner statistics: row count plus per-column distinct counts.
-    /// Distinct counts are cached — seeded at trie build where possible,
+    /// Planner statistics: row count plus per-column distinct counts and
+    /// Σf². Both are cached — seeded at trie build where possible,
     /// computed by a one-off column scan otherwise — so repeated calls
     /// (one per atom per planning pass) are O(columns) lookups.
     pub fn stats(&self) -> RelationStats {
+        let extents: Vec<Option<ColumnExtent>> =
+            (0..self.arity()).map(|c| self.column_extent(c)).collect();
         RelationStats {
             cardinality: self.tuples.len() as u64,
-            distinct: (0..self.arity())
-                .map(|c| self.column_extent(c).map_or(0, |e| e.distinct))
+            distinct: extents
+                .iter()
+                .map(|e| e.map_or(0, |e| e.distinct))
                 .collect(),
+            freq_sq: extents.iter().map(|e| e.map_or(0, |e| e.freq_sq)).collect(),
         }
     }
 
-    /// Distinct count and largest id of one column (cached, see
+    /// Distinct count, Σf² and largest id of one column (cached, see
     /// [`Relation::stats`]). `None` for an out-of-range column or an empty
     /// relation.
     pub fn column_extent(&self, column: usize) -> Option<ColumnExtent> {
@@ -198,10 +214,16 @@ impl Relation {
             .copied()
             .collect();
         vals.sort_unstable();
-        vals.dedup();
+        let max = *vals.last()?;
+        let (mut distinct, mut freq_sq) = (0u64, 0u64);
+        for run in vals.chunk_by(|a, b| a == b) {
+            distinct += 1;
+            freq_sq = freq_sq.saturating_add((run.len() as u64).pow(2));
+        }
         let extent = ColumnExtent {
-            distinct: vals.len() as u64,
-            max: *vals.last()?,
+            distinct,
+            freq_sq,
+            max,
         };
         self.columns.write()[column] = Some(extent);
         Some(extent)
@@ -214,6 +236,24 @@ impl Relation {
         }
         Some(self.column_extent(column).map_or(0, |e| e.distinct))
     }
+}
+
+/// Σf² of a trie's first column: the number of tuples below each root
+/// value, squared and summed.
+fn root_freq_sq(trie: &Trie) -> u64 {
+    fn tuples_below(trie: &Trie, node: &TrieNode, depth: usize) -> u64 {
+        if depth + 1 >= trie.arity() {
+            return node.set.len() as u64;
+        }
+        let below = |&c: &u32| tuples_below(trie, trie.node(c), depth + 1);
+        node.children.iter().map(below).sum()
+    }
+    let root = trie.root();
+    if trie.arity() == 1 {
+        return root.set.len() as u64;
+    }
+    let squared = |&c: &u32| tuples_below(trie, trie.node(c), 1).pow(2);
+    root.children.iter().map(squared).sum()
 }
 
 /// The executor's access to named relations and constant resolution.
@@ -380,43 +420,49 @@ mod tests {
 
     #[test]
     fn stats_scan_and_trie_seed_agree() {
-        // Column 0 has 2 distinct values, column 1 has 4; one duplicate row.
-        let r = Relation::from_buffer(
-            TupleBuffer::from_rows(
-                2,
-                &[
-                    vec![1, 10],
-                    vec![2, 20],
-                    vec![1, 30],
-                    vec![2, 40],
-                    vec![1, 10],
-                ],
-            ),
-            AggOp::Sum,
-        );
-        let scanned = r.stats();
+        // Column 0 has 2 distinct values, column 1 has 4; one duplicate
+        // row. Σf² counts stored rows: 3² + 2² and 2² + 1 + 1 + 1.
+        let rows = [
+            vec![1, 10],
+            vec![2, 20],
+            vec![1, 30],
+            vec![2, 40],
+            vec![1, 10],
+        ];
+        let fresh = || Relation::from_buffer(TupleBuffer::from_rows(2, &rows), AggOp::Sum);
+        let scanned = fresh().stats();
         assert_eq!(scanned.cardinality, 5);
         assert_eq!(scanned.distinct, vec![2, 4]);
-        // A fresh relation seeded through trie builds reports identical
-        // distinct counts (the root set is the first column's value set).
-        let r2 = Relation::from_buffer(
-            TupleBuffer::from_rows(
-                2,
-                &[
-                    vec![1, 10],
-                    vec![2, 20],
-                    vec![1, 30],
-                    vec![2, 40],
-                    vec![1, 10],
-                ],
-            ),
-            AggOp::Sum,
-        );
-        r2.trie(&[0, 1], LayoutPolicy::SetLevel);
-        r2.trie(&[1, 0], LayoutPolicy::SetLevel);
-        assert_eq!(r2.stats(), scanned);
-        assert_eq!(r2.column_distinct(0), Some(2));
-        assert_eq!(r2.column_distinct(2), None);
+        assert_eq!(scanned.freq_sq, vec![13, 7]);
+        // A fresh relation whose tries were built first reports the same
+        // statistics in either build order: the builds merged the
+        // duplicate row, so they leave Σf² to the scan.
+        for orders in [[[0, 1], [1, 0]], [[1, 0], [0, 1]]] {
+            let r = fresh();
+            for order in orders {
+                r.trie(&order, LayoutPolicy::SetLevel);
+            }
+            assert_eq!(r.stats(), scanned);
+            assert_eq!(r.column_distinct(0), Some(2));
+            assert_eq!(r.column_distinct(2), None);
+        }
+        // Without duplicates the builds seed every column they lead, and
+        // the seeds equal the scan, for binary and ternary tries alike.
+        for arity in [2, 3] {
+            let flat: Vec<u32> = (0..60u32)
+                .flat_map(|i| [i % 7, i, i % 5][..arity].to_vec())
+                .collect();
+            let scan =
+                Relation::from_buffer(TupleBuffer::from_flat(arity, flat.clone()), AggOp::Sum);
+            let seeded = Relation::from_buffer(TupleBuffer::from_flat(arity, flat), AggOp::Sum);
+            for first in 0..arity {
+                let mut order: Vec<usize> = (0..arity).collect();
+                order.swap(0, first);
+                seeded.trie(&order, LayoutPolicy::SetLevel);
+            }
+            assert!(seeded.columns.read().iter().all(Option::is_some));
+            assert_eq!(seeded.stats(), scan.stats());
+        }
     }
 
     #[test]
@@ -432,6 +478,7 @@ mod tests {
         let st = cat.relation_stats("E").unwrap();
         assert_eq!(st.cardinality, 2);
         assert_eq!(st.distinct, vec![1, 2]);
+        assert_eq!(st.freq_sq, vec![4, 2]);
         assert!(cat.relation_stats("missing").is_none());
         // The planner-facing adapter sees the same numbers.
         use eh_ghd::StatsSource;

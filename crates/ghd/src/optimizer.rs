@@ -1,7 +1,7 @@
 //! GHD selection, attribute ordering, selection push-down, and redundant
 //! node elimination (paper §3.2, Appendix B).
 
-use crate::cost::{cmp_cost, edge_stats, order_node, NoStats, RelationStats, StatsSource};
+use crate::cost::{edge_stats, order_node, sort_by_cost, NoStats, RelationStats, StatsSource};
 use crate::decompose::{enumerate_ghds, single_node_ghd, Ghd, GhdNode};
 use crate::hypergraph::Hypergraph;
 use eh_query::Rule;
@@ -52,7 +52,7 @@ pub struct GhdPlan {
     /// True when the top-down Yannakakis pass can be skipped because every
     /// output attribute already appears in the root node (App. B.2).
     pub skip_top_down: bool,
-    /// Estimated total intersection work under the chosen order, from the
+    /// Estimated total kernel work under the chosen order, from the
     /// statistics cost model. `None` when statistics were unavailable (or
     /// the cost-based order is disabled) and the structural order was used.
     pub estimated_cost: Option<f64>,
@@ -71,7 +71,7 @@ pub fn plan_rule(rule: &Rule, opts: &PlanOptions) -> Result<GhdPlan, String> {
 
 /// Compile a rule into a [`GhdPlan`], consulting `stats` to score
 /// candidate attribute orders and to break GHD-choice ties by estimated
-/// intersection work (when `opts.cost_based_order` is set and the source
+/// kernel work (when `opts.cost_based_order` is set and the source
 /// has statistics for every relation of the rule).
 pub fn plan_rule_with_stats(
     rule: &Rule,
@@ -205,18 +205,8 @@ impl<'h> Context<'h> {
     /// costs and equivalences that order implies.
     fn analyse(&self, ghd: &Ghd) -> Analysis {
         let mut order: Vec<usize> = Vec::new();
-        let mut seen = vec![false; self.hg.num_vars()];
         let mut node_costs = Vec::new();
-        ghd.root.preorder(&mut |node| {
-            let (local, cost) = self.node_order(node);
-            node_costs.push(cost);
-            for v in local {
-                if !seen[v] {
-                    seen[v] = true;
-                    order.push(v);
-                }
-            }
-        });
+        self.order_subtree(&ghd.root, None, &mut order, &mut node_costs);
         let equiv = if self.dedup {
             self.equivalences(&ghd.root, &order)
         } else {
@@ -229,15 +219,67 @@ impl<'h> Context<'h> {
         }
     }
 
+    /// Order `node` and then its children, pre-order, appending the
+    /// attributes each adds to `order` and each node's cost to `costs`.
+    fn order_subtree(
+        &self,
+        node: &GhdNode,
+        parent: Option<&GhdNode>,
+        order: &mut Vec<usize>,
+        costs: &mut Vec<Option<f64>>,
+    ) {
+        let (local, cost) = self.node_order(node, &self.lead(node, parent, order));
+        costs.push(cost);
+        for v in local {
+            if !order.contains(&v) {
+                order.push(v);
+            }
+        }
+        for child in &node.children {
+            self.order_subtree(child, Some(node), order, costs);
+        }
+    }
+
+    /// The variables that, leading `node`'s order in this sequence, let
+    /// its rows reach their consumer without a sort or a seek: the head
+    /// variables when the root emits the result rows, the interface with
+    /// the parent (in the order the parent already fixed) for any other
+    /// node, and its children's interfaces for a root that joins them.
+    fn lead(&self, node: &GhdNode, parent: Option<&GhdNode>, order: &[usize]) -> Vec<usize> {
+        if let Some(parent) = parent {
+            let shared = |v: &&usize| parent.chi.contains(v) && node.chi.contains(v);
+            return order.iter().filter(shared).copied().collect();
+        }
+        if !self.head.is_empty() && self.head.iter().all(|v| node.chi.contains(v)) {
+            return self.head.clone();
+        }
+        let shared = |v: &usize| node.children.iter().any(|c| c.chi.contains(v));
+        self.structural_order(node)
+            .into_iter()
+            .filter(shared)
+            .collect()
+    }
+
     /// Within-node order: attributes with selections come first (App. B.1
     /// "Within a Node"), then — when the catalog has statistics — by the
     /// beam-searched cost-model order, falling back to how many of the
-    /// node's relations contain them (descending).
-    fn node_order(&self, node: &GhdNode) -> (Vec<usize>, Option<f64>) {
-        let sel_first: Vec<bool> = node.chi.iter().map(|v| self.selected.contains(v)).collect();
-        if let Some((order, cost)) = order_node(self.hg, node, &node.chi, &sel_first, &self.stats) {
-            return (order, Some(cost));
+    /// node's relations contain them (descending). The structural order
+    /// is also the cost model's last tie-break; before it, ties prefer
+    /// orders that start with `lead` (see [`Context::lead`]).
+    fn node_order(&self, node: &GhdNode, lead: &[usize]) -> (Vec<usize>, Option<f64>) {
+        let local = self.structural_order(node);
+        let sel_first: Vec<bool> = local.iter().map(|v| self.selected.contains(v)).collect();
+        let at = |v: &usize| local.iter().position(|l| l == v);
+        let lead: Vec<usize> = lead.iter().filter_map(at).collect();
+        match order_node(self.hg, node, &local, &sel_first, &lead, &self.stats) {
+            Some((order, cost)) => (order, Some(cost)),
+            None => (local, None),
         }
+    }
+
+    /// The structural within-node order: selected attributes first, then
+    /// by how many of the node's relations contain them (descending).
+    fn structural_order(&self, node: &GhdNode) -> Vec<usize> {
         let mut local = node.chi.clone();
         local.sort_by_key(|&v| {
             let freq = node
@@ -251,7 +293,7 @@ impl<'h> Context<'h> {
                 v,
             )
         });
-        (local, None)
+        local
     }
 
     /// Pre-order node equivalence (paper App. B.2): `result[i] = Some(j)`
@@ -336,8 +378,9 @@ impl<'h> Context<'h> {
 /// Pick the minimum-width GHD; tie-break toward maximal selection depth
 /// (push-down across nodes), then toward more reusable (equivalent) nodes
 /// (App. B.2 dedup pays off only if the shape exposes equivalent subtrees),
-/// then by estimated intersection work when statistics are available,
-/// then toward fewer nodes, then toward fewer total attributes. Width and
+/// then by estimated kernel work when statistics are available (within
+/// the cost model's tolerance, see [`sort_by_cost`]), then toward fewer
+/// nodes, then toward fewer total attributes. Width and
 /// selection depth need no attribute order, so only the candidates tied
 /// on both are analysed.
 fn choose_ghd(cx: &Context, push_down: bool) -> (Ghd, Analysis) {
@@ -372,13 +415,17 @@ fn choose_ghd(cx: &Context, push_down: bool) -> (Ghd, Analysis) {
         })
         .collect();
     let reused = |a: &Analysis| a.equiv.iter().flatten().count();
-    analysed.sort_by(|(ga, a), (gb, b)| {
-        reused(b)
-            .cmp(&reused(a))
-            .then_with(|| cmp_cost(a.cost(), b.cost()))
-            .then_with(|| ga.node_count().cmp(&gb.node_count()))
-            .then_with(|| total_chi(&ga.root).cmp(&total_chi(&gb.root)))
-    });
+    let most = analysed.iter().map(|(_, a)| reused(a)).max().unwrap_or(0);
+    analysed.retain(|(_, a)| reused(a) == most);
+    sort_by_cost(
+        &mut analysed,
+        |(_, a)| a.cost(),
+        |(ga, _), (gb, _)| {
+            ga.node_count()
+                .cmp(&gb.node_count())
+                .then_with(|| total_chi(&ga.root).cmp(&total_chi(&gb.root)))
+        },
+    );
     analysed.swap_remove(0)
 }
 
@@ -490,6 +537,7 @@ mod tests {
                 Some(RelationStats {
                     cardinality: 1000,
                     distinct: vec![100, 50],
+                    freq_sq: Vec::new(),
                 })
             }
         }
@@ -639,6 +687,7 @@ mod tests {
                 RelationStats {
                     cardinality: 1_000_000,
                     distinct: vec![100_000, 50_000],
+                    freq_sq: Vec::new(),
                 },
             ),
             (
@@ -646,6 +695,7 @@ mod tests {
                 RelationStats {
                     cardinality: 1_000_000,
                     distinct: vec![50_000, 4],
+                    freq_sq: Vec::new(),
                 },
             ),
             (
@@ -653,6 +703,7 @@ mod tests {
                 RelationStats {
                     cardinality: 1_000_000,
                     distinct: vec![100_000, 4],
+                    freq_sq: Vec::new(),
                 },
             ),
         ]));

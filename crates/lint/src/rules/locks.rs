@@ -13,11 +13,13 @@
 //! on the hot path of every request.
 //!
 //! Guard extents are tracked lexically:
-//! - `let g = x.lock();` lives to the end of the enclosing block, or
-//!   an explicit `drop(g)`.
-//! - Temporaries (`x.lock().get(..)`, `if let Some(v) = x.lock().get(..)`)
-//!   live to the end of their statement — for `if let`, through the
-//!   whole `if`/`else` chain, matching Rust 2021 temporary lifetimes.
+//! - `let g = x.lock();` (or `x.lock().unwrap()`/`.expect(..)`) binds
+//!   the guard, which lives to the end of the enclosing block, or an
+//!   explicit `drop(g)`.
+//! - Temporaries (`x.lock().get(..)`, `let v = x.lock().get(..);`,
+//!   `if let Some(v) = x.lock().get(..)`) live to the end of their
+//!   statement — for `if let`, through the whole `if`/`else` chain,
+//!   matching Rust 2021 temporary lifetimes.
 //!
 //! Receivers not in the rank table (`stdout`, iterators, tries, …) are
 //! ignored, as are `.read(..)`/`.write(..)` calls that take arguments
@@ -44,8 +46,8 @@ const EXPENSIVE: &[&str] = &["prepare", "compile", "plan", "ghd", "parse", "bind
 
 #[derive(Debug)]
 enum GuardKind {
-    /// `let g = x.lock();` — dies when the enclosing block closes, or
-    /// at `drop(g)`.
+    /// `let g = x.lock();` — the guard itself is bound, so it dies when
+    /// the enclosing block closes, or at `drop(g)`.
     Block { depth: usize, name: Option<String> },
     /// Statement temporary — dies at `;` at its depth, or at a `}`
     /// returning to its depth (unless an `else` continues the
@@ -173,7 +175,7 @@ impl Rule for LockDiscipline {
                     }
                 }
                 let kind = match &pending_let {
-                    Some((d, name)) if *d == depth => GuardKind::Block {
+                    Some((d, name)) if *d == depth && binds_guard(toks, i) => GuardKind::Block {
                         depth,
                         name: name.clone(),
                     },
@@ -211,6 +213,36 @@ fn acquisition_at<'a>(toks: &'a [Token<'a>], i: usize) -> Option<(&'a str, u8)> 
         return None;
     }
     rank_of(recv.text).map(|r| (recv.text, r))
+}
+
+/// Whether the acquisition whose `.` is `toks[i]` ends its statement,
+/// bare or through `.unwrap()`/`.expect(..)`, so a `let` binds the guard
+/// itself. Any other method call on it consumes a temporary guard,
+/// which Rust drops at the end of the statement.
+fn binds_guard(toks: &[Token<'_>], i: usize) -> bool {
+    let mut j = i + 4; // past `. lock ( )`
+    if toks.get(j).is_some_and(|t| t.is_punct('.'))
+        && toks
+            .get(j + 1)
+            .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"))
+        && toks.get(j + 2).is_some_and(|t| t.is_punct('('))
+    {
+        let mut open = 0usize;
+        j += 2;
+        while let Some(t) = toks.get(j) {
+            if t.is_punct('(') {
+                open += 1;
+            } else if t.is_punct(')') {
+                open -= 1;
+                if open == 0 {
+                    break;
+                }
+            }
+            j += 1;
+        }
+        j += 1;
+    }
+    toks.get(j).is_some_and(|t| t.is_punct(';'))
 }
 
 /// Name bound by `let [mut] <name> = …`, if simple.

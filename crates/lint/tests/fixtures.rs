@@ -541,6 +541,38 @@ fn bad(shared: &Shared, program: Program) {
 }
 
 #[test]
+fn locks_let_of_a_call_on_the_guard_holds_it_one_statement() {
+    // The guard is a temporary of the `let` statement: Rust drops it at
+    // the `;`, so nothing after that line runs under the cache mutex.
+    let src = "\
+fn good(shared: &Shared, program: Program) -> Prepared {
+    let template = shared.cache.lock().lookup(&program.shape());
+    if let Some(t) = template {
+        return t.bind(program);
+    }
+    let compiled = shared.db.read().compile(program);
+    shared.cache.lock().insert(compiled.clone());
+    compiled
+}
+";
+    assert!(run("crates/server/src/server.rs", src).is_empty());
+}
+
+#[test]
+fn locks_let_of_an_unwrapped_guard_holds_it_to_block_end() {
+    let src = "\
+fn bad(shared: &Shared, text: &str) {
+    let cache = shared.cache.lock().unwrap();
+    let plan = db.prepare(text);
+    let held = shared.cache.lock().expect(\"poisoned\");
+    let db = shared.db.read();
+}
+";
+    let f = run("crates/server/src/server.rs", src);
+    assert_eq!(lines_of(&f, "lock-discipline"), vec![3, 4, 5, 5]);
+}
+
+#[test]
 fn locks_expensive_call_outside_guard_passes() {
     let src = "\
 fn good(shared: &Shared, text: &str) {

@@ -110,7 +110,7 @@ impl WorkCounters {
 /// reader compares without walking it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryProfile {
-    /// The planner's estimated intersection work, when the attribute
+    /// The planner's estimated kernel work, when the attribute
     /// order was cost-based (`None` for structural orders).
     pub estimated_work: Option<f64>,
     /// Work counters folded across every node.

@@ -146,11 +146,8 @@ impl Shared {
     pub fn cached_plan(&self, db: &Database, text: &str) -> Result<(Prepared, bool), CoreError> {
         let program = eh_core::parse(text)?;
         let shape = program.shape();
-        // The guard dies with this block: binding runs unlocked.
-        let template = {
-            let mut cache = self.cache.lock();
-            cache.lookup(db.epoch(), &shape)
-        };
+        // The guard is this statement's temporary: binding runs unlocked.
+        let template = self.cache.lock().lookup(db.epoch(), &shape);
         if let Some(template) = template {
             return Ok((template.bind(program), true));
         }

@@ -77,57 +77,126 @@ impl Default for Database {
     }
 }
 
-/// The executor's view of a [`Database`]: relations from the engine
-/// catalog, constants resolved through the typed catalog's dictionary
-/// domains when the column is dictionary-backed (so `Follows('alice',x)`
-/// means the *same* `alice` the loader encoded; a key absent from the
-/// dictionary makes the atom empty rather than falling back to integer
-/// parsing) — under an overlay of the heads earlier rules of the same
-/// program produced, so later rules see them without anything being
-/// registered in the database.
-struct OverlayView<'a> {
-    mem: &'a MemCatalog,
+/// What each relation name means at one point of a program: the one view
+/// every rule is planned and run against. A name denotes the newest head
+/// an earlier rule of the program produced, else the stored relation —
+/// nothing a program derives is registered in the database. A constant
+/// at a column resolves through that relation's schema
+/// ([`ProgramView::domain_of`]).
+struct ProgramView<'a> {
+    stored: &'a MemCatalog,
     types: &'a StorageCatalog,
-    /// Rule order; a later head shadows an earlier one of the same name.
-    local: &'a [QueryResult],
+    heads: Heads<'a>,
 }
 
-/// The newest overlay entry named `name`.
-fn derived<'a>(local: &'a [QueryResult], name: &str) -> Option<&'a QueryResult> {
-    local.iter().rev().find(|d| d.name == name)
+/// The heads of the rules before the current point of a program, oldest
+/// first.
+#[derive(Clone, Copy)]
+enum Heads<'a> {
+    /// At plan time a head is a name and a schema. Its relation does not
+    /// exist yet, so it hides a stored namesake (whose statistics are not
+    /// the head's).
+    Compiled(&'a [Statement]),
+    /// At run time a head has its relation too. A recursive rule's running
+    /// state, when it has one, is the newest head.
+    Computed(&'a [QueryResult], Option<(&'a Statement, &'a Relation)>),
 }
 
-/// Dictionary domain of key column `pos` of an overlay entry.
-fn derived_domain(head: &QueryResult, pos: usize) -> Option<String> {
-    let (_, col) = head.schema.key_columns().nth(pos)?;
-    col.domain_key()
+impl<'a> Heads<'a> {
+    /// The newest head named `name`: its schema, and its relation once
+    /// computed.
+    fn find(self, name: &str) -> Option<(&'a RelationSchema, Option<&'a Relation>)> {
+        match self {
+            Heads::Compiled(statements) => statements
+                .iter()
+                .rev()
+                .find(|s| s.name() == name)
+                .map(|s| (&s.schema, None)),
+            Heads::Computed(_, Some((s, state))) if s.name() == name => {
+                Some((&s.schema, Some(state)))
+            }
+            Heads::Computed(results, _) => results
+                .iter()
+                .rev()
+                .find(|r| r.name == name)
+                .map(|r| (&r.schema, Some(&r.relation))),
+        }
+    }
 }
 
-impl Catalog for OverlayView<'_> {
+impl Catalog for ProgramView<'_> {
     fn relation(&self, name: &str) -> Option<&Relation> {
-        derived(self.local, name)
-            .map(|d| &d.relation)
-            .or_else(|| self.mem.relation(name))
+        match self.heads.find(name) {
+            Some((_, relation)) => relation,
+            None => self.stored.relation(name),
+        }
     }
 
-    fn resolve_const(&self, text: &str) -> Option<u32> {
-        self.mem.resolve_const(text)
-    }
-
+    /// A dictionary column resolves through its domain, and a key absent
+    /// from it empties the atom (so `Follows('alice',x)` means the `alice`
+    /// the loader encoded, never an integer parse). Any other column
+    /// resolves through the named constants, then as an integer.
     fn resolve_const_at(&self, relation: &str, column: usize, text: &str) -> Option<u32> {
-        // Overlay results inherit domains from the rules that produced
-        // them; resolve constants through those dictionaries first.
-        if let Some(head) = derived(self.local, relation) {
-            return match derived_domain(head, column) {
-                Some(key) => self.types.domain(&key)?.lookup_text(text),
-                None => self.mem.resolve_const(text),
-            };
+        match self.domain_of(relation, column) {
+            Some(domain) => self.types.domain(&domain)?.lookup_text(text),
+            None => self.stored.resolve_const(text),
         }
-        if self.types.key_is_dictionary(relation, column) {
-            self.types.lookup_key_text(relation, column, text)
-        } else {
-            self.mem.resolve_const(text)
+    }
+}
+
+impl ProgramView<'_> {
+    /// Dictionary domain of key column `key_pos` of `relation` at this
+    /// point of the program: the newest head's schema's, else the typed
+    /// catalog's. `None` for a pass-through column or an unknown relation.
+    fn domain_of(&self, relation: &str, key_pos: usize) -> Option<String> {
+        let schema = match self.heads.find(relation) {
+            Some((schema, _)) => schema,
+            None => self.types.schema(relation)?,
+        };
+        schema.key_columns().nth(key_pos)?.1.domain_key()
+    }
+
+    /// Schema of the head of `rule`, planned as `plan`. Each key variable
+    /// inherits the dictionary domain of the first body-atom column that
+    /// binds it, so output decodes to the loader's keys. An annotation
+    /// column follows when the head declares one or the rule recurses;
+    /// the aggregate's ⊕ (else `Sum`) is the one a cluster coordinator
+    /// folds shards with. An invalid inferred schema (`T(x,x)` repeats a
+    /// column name) falls back to the positional one: results must stay
+    /// wire-encodable.
+    fn head_schema(&self, rule: &Rule, plan: &PhysicalPlan) -> RelationSchema {
+        let mut schema = RelationSchema::new(&rule.head.relation);
+        for var in &rule.head.key_vars {
+            let mut def: Option<ColumnDef> = None;
+            'atoms: for atom in &rule.body {
+                for (pos, term) in atom.terms.iter().enumerate() {
+                    if term.as_var() != Some(var.as_str()) {
+                        continue;
+                    }
+                    if let Some(domain) = self.domain_of(&atom.relation, pos) {
+                        let carrier = self
+                            .types
+                            .domain(&domain)
+                            .map(|d| d.carrier())
+                            .unwrap_or(ColumnType::U32);
+                        def = Some(ColumnDef::with_domain(var, carrier, &domain));
+                        break 'atoms;
+                    }
+                }
+            }
+            schema
+                .columns
+                .push(def.unwrap_or_else(|| ColumnDef::new(var, ColumnType::U32)));
         }
+        let annotated = is_recursive(rule) || rule.head.annotation.is_some();
+        if annotated {
+            let name = rule.head.annotation.as_ref().map_or("annot", |a| &a.name);
+            schema.columns.push(ColumnDef::new(name, ColumnType::F64));
+        }
+        if schema.validate().is_err() {
+            schema = positional_schema(&rule.head.relation, rule.head.key_vars.len(), annotated);
+        }
+        schema.combining(plan.agg.as_ref().map_or(AggOp::Sum, |a| a.op))
     }
 }
 
@@ -395,7 +464,7 @@ impl Database {
     /// cache never goes stale because catalog mutations replace whole
     /// [`Relation`] values (and bump the epoch).
     pub fn relation_stats(&self, name: &str) -> Option<eh_ghd::RelationStats> {
-        self.catalog.relation_stats(name)
+        self.relation(name).map(Relation::stats)
     }
 
     /// Distinct count of one column of a stored relation (cached; see
@@ -500,60 +569,6 @@ impl Database {
         self.prepare(text)?.execute(self)
     }
 
-    /// Schema of the head of `rule`, planned as `plan`. Each key variable
-    /// inherits the dictionary domain of the first body-atom column that
-    /// binds it (an `earlier` rule's head, else the typed catalog), so
-    /// output decodes to the loader's keys. An annotation column follows
-    /// when the head declares one or the rule recurses; the aggregate's ⊕
-    /// (else `Sum`) is the one a cluster coordinator folds shards with.
-    /// An invalid inferred schema (`T(x,x)` repeats a column name) falls
-    /// back to the positional one: results must stay wire-encodable.
-    fn head_schema(
-        &self,
-        rule: &Rule,
-        plan: &PhysicalPlan,
-        earlier: &[Statement],
-    ) -> RelationSchema {
-        let key_domain = |relation: &str, pos: usize| -> Option<String> {
-            match earlier.iter().rev().find(|s| s.name() == relation) {
-                Some(s) => s.schema.key_columns().nth(pos)?.1.domain_key(),
-                None => self.types.key_domain(relation, pos),
-            }
-        };
-        let mut schema = RelationSchema::new(&rule.head.relation);
-        for var in &rule.head.key_vars {
-            let mut def: Option<ColumnDef> = None;
-            'atoms: for atom in &rule.body {
-                for (pos, term) in atom.terms.iter().enumerate() {
-                    if term.as_var() != Some(var.as_str()) {
-                        continue;
-                    }
-                    if let Some(domain) = key_domain(&atom.relation, pos) {
-                        let carrier = self
-                            .types
-                            .domain(&domain)
-                            .map(|d| d.carrier())
-                            .unwrap_or(ColumnType::U32);
-                        def = Some(ColumnDef::with_domain(var, carrier, &domain));
-                        break 'atoms;
-                    }
-                }
-            }
-            schema
-                .columns
-                .push(def.unwrap_or_else(|| ColumnDef::new(var, ColumnType::U32)));
-        }
-        let annotated = is_recursive(rule) || rule.head.annotation.is_some();
-        if annotated {
-            let name = rule.head.annotation.as_ref().map_or("annot", |a| &a.name);
-            schema.columns.push(ColumnDef::new(name, ColumnType::F64));
-        }
-        if schema.validate().is_err() {
-            schema = positional_schema(&rule.head.relation, rule.head.key_vars.len(), annotated);
-        }
-        schema.combining(plan.agg.as_ref().map_or(AggOp::Sum, |a| a.op))
-    }
-
     /// Access the underlying catalog (for advanced integrations).
     pub fn catalog(&self) -> &MemCatalog {
         &self.catalog
@@ -578,15 +593,19 @@ impl Database {
         let mut params = Vec::with_capacity(program.rules.len());
         for mut rule in program.rules {
             eh_query::validate_rule(&rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
+            let view = ProgramView {
+                stored: &self.catalog,
+                types: &self.types,
+                heads: Heads::Compiled(&statements),
+            };
             let plan = if is_recursive(&rule) {
                 eh_ghd::plan_rule(&rule, &self.config.plan)
                     .map(|ghd| PhysicalPlan::compile(&rule, &ghd))
             } else {
-                let unborn = Unborn(&self.catalog, &statements);
-                eh_exec::compile_rule(&rule, &unborn, &self.config)
+                eh_exec::compile_rule(&rule, &view, &self.config)
             };
             let plan = plan.map_err(CoreError::Invalid)?;
-            let schema = self.head_schema(&rule, &plan, &statements);
+            let schema = view.head_schema(&rule, &plan);
             params.push(std::mem::take(&mut rule.consts));
             statements.push(Statement { rule, plan, schema });
         }
@@ -608,17 +627,6 @@ fn is_recursive(rule: &Rule) -> bool {
     rule.head.recursion.is_some() || rule.is_recursive()
 }
 
-/// The stored catalog as [`Database::prepare`] plans a rule against it:
-/// the heads of earlier rules of the same program do not exist yet.
-struct Unborn<'a>(&'a MemCatalog, &'a [Statement]);
-
-impl Catalog for Unborn<'_> {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        let unborn = self.1.iter().any(|s| s.name() == name);
-        self.0.relation(name).filter(|_| !unborn)
-    }
-}
-
 /// One compiled rule of a [`Prepared`] program, with the schema its
 /// result decodes by (nothing is registered in the database). The rule
 /// keeps its constant slots; their values are the [`Prepared`]'s.
@@ -635,8 +643,9 @@ impl Statement {
 }
 
 /// A compiled program, executable repeatedly without re-planning: one
-/// statement per rule, run in order, each under an overlay of the heads
-/// before it, with the values bound to each rule's constant slots.
+/// statement per rule, run in order, each against the program's view of
+/// the heads before it, with the values bound to each rule's constant
+/// slots.
 /// Cloning or [`Prepared::bind`]ing shares the compiled statements.
 #[derive(Clone)]
 pub struct Prepared {
@@ -719,17 +728,24 @@ impl Prepared {
         let mut offsets = Vec::new();
         for (st, params) in self.statements.iter().zip(&self.params) {
             offsets.extend(origin.map(|o| o.elapsed().as_nanos() as u64));
-            let view = OverlayView {
-                mem: &db.catalog,
+            let ran: &[QueryResult] = heads;
+            let view = ProgramView {
+                stored: &db.catalog,
                 types: &db.types,
-                local: heads,
+                heads: Heads::Computed(ran, None),
             };
             let name = st.name();
             let out = if is_recursive(&st.rule) {
-                let base = view.relation(name).cloned().ok_or_else(|| {
+                let base = view.relation(name).ok_or_else(|| {
                     CoreError::Invalid(format!("recursive rule '{name}' has no base case relation"))
                 })?;
-                execute_recursive_rule(&st.rule, &st.plan, params, base, &view, &config)?
+                execute_recursive_rule(&st.rule, base, &config, |state| {
+                    let view = ProgramView {
+                        heads: Heads::Computed(ran, Some((st, state))),
+                        ..view
+                    };
+                    eh_exec::execute(&st.plan, params, &view, &config)
+                })?
             } else {
                 eh_exec::execute(&st.plan, params, &view, &config)?
             };
@@ -1197,6 +1213,8 @@ mod tests {
             ),
             // The second rule fails: the first still commits.
             (edges, "D(x,y) :- Edge(y,x).\nBad(q) :- Nope(q,r).", &["D"]),
+            // Recursion over a dictionary domain, anchored on a string.
+            (social, SOCIAL_SSSP, &["S", "S"]),
         ];
         for (setup, program, heads) in cases {
             let mut db = setup();
@@ -1242,6 +1260,73 @@ mod tests {
                 (a, b) => panic!("{program}: query_ref {a:?} vs query {b:?}"),
             }
         }
+        // Both paths decode the string-keyed fixpoint to names and hops.
+        let mut db = social();
+        let by_ref = db.query_ref(SOCIAL_SSSP).unwrap();
+        let by_query = db.query(SOCIAL_SSSP).unwrap();
+        for out in [by_ref, by_query] {
+            let hops: Vec<(TypedValue, u64)> = out
+                .typed_rows(&db)
+                .into_iter()
+                .zip(out.relation().annotations().unwrap())
+                .map(|(row, hops)| (row[0].clone(), hops.as_u64()))
+                .collect();
+            let name = |s: &str| TypedValue::Str(s.into());
+            assert_eq!(
+                hops,
+                [
+                    (name("alice"), 3),
+                    (name("bob"), 1),
+                    (name("carol"), 2),
+                    (name("dave"), 3)
+                ]
+            );
+        }
+    }
+
+    /// SSSP from `'alice'` over [`social`]'s `Follows`.
+    const SOCIAL_SSSP: &str = "S(x;y:int) :- Follows('alice',x); y=1.\n\
+                               S(x;y:int)* :- Follows(w,x),S(w); y=<<MIN(w)>>+1.";
+
+    #[test]
+    fn program_view_resolves_through_the_newest_schema() {
+        let mut db = Database::new();
+        let schema = RelationSchema::parse("Follows(src:str@user, dst:str@user)").unwrap();
+        let row = vec![TypedValue::Str("x".into()), TypedValue::Str("y".into())];
+        db.load_typed(schema, &[row]).unwrap();
+        db.load_edges("E", &[(5, 6)]);
+        db.define_const("start", 7);
+        let view = |heads| ProgramView {
+            stored: &db.catalog,
+            types: &db.types,
+            heads,
+        };
+        // No heads: the typed catalog's domains. A dictionary column never
+        // falls back to an integer parse; any other column resolves named
+        // constants, then integers.
+        let stored = view(Heads::Compiled(&[]));
+        assert_eq!(stored.resolve_const_at("Follows", 1, "y"), Some(1));
+        assert_eq!(stored.resolve_const_at("Follows", 1, "nope"), None);
+        assert_eq!(stored.resolve_const_at("Follows", 1, "0"), None);
+        assert_eq!(stored.domain_of("Follows", 0).as_deref(), Some("user"));
+        assert_eq!(stored.resolve_const_at("E", 0, "start"), Some(7));
+        assert_eq!(stored.resolve_const_at("E", 0, "42"), Some(42));
+        assert_eq!(stored.resolve_const_at("E", 0, "nope"), None);
+        // A compiled head named `Follows` (u32 keys, copied from `E`)
+        // hides the stored one: its relation and its domains.
+        let program = db.prepare("Follows(a,b) :- E(a,b).").unwrap();
+        let compiled = view(Heads::Compiled(&program.statements));
+        assert!(compiled.relation("Follows").is_none());
+        assert_eq!(compiled.domain_of("Follows", 0), None);
+        assert_eq!(compiled.resolve_const_at("Follows", 1, "42"), Some(42));
+        // Computed, it is the newest relation of its name.
+        let running = db.relation("E").unwrap();
+        let computed = view(Heads::Computed(
+            &[],
+            Some((&program.statements[0], running)),
+        ));
+        assert_eq!(computed.relation("Follows").unwrap().rows(), running.rows());
+        assert_eq!(computed.resolve_const_at("Follows", 1, "start"), Some(7));
     }
 
     #[test]

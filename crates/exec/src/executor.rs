@@ -113,8 +113,7 @@ pub fn compile_rule(
     catalog: &dyn Catalog,
     cfg: &Config,
 ) -> Result<PhysicalPlan, String> {
-    let stats = crate::storage::CatalogStats(catalog);
-    let ghd_plan = eh_ghd::plan_rule_with_stats(rule, &cfg.plan, &stats)?;
+    let ghd_plan = eh_ghd::plan_rule_with_stats(rule, &cfg.plan, &catalog)?;
     Ok(PhysicalPlan::compile(rule, &ghd_plan))
 }
 

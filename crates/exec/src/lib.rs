@@ -45,7 +45,7 @@ pub use executor::{
 };
 pub use plan::{PhysicalPlan, PlanNode};
 pub use recursion::execute_recursive_rule;
-pub use storage::{Catalog, CatalogStats, ColumnExtent, MemCatalog, Relation};
+pub use storage::{Catalog, ColumnExtent, MemCatalog, Relation};
 
 // Profiling vocabulary, re-exported so executor callers can consume
 // query profiles without depending on `eh_obs` directly.

@@ -10,9 +10,8 @@
 //! operator".
 
 use crate::config::Config;
-use crate::executor::{execute, ExecError, Executed};
-use crate::plan::PhysicalPlan;
-use crate::storage::{Catalog, Relation};
+use crate::executor::{ExecError, Executed};
+use crate::storage::Relation;
 use eh_obs::{QueryProfile, Span};
 use eh_query::ast::Recursion;
 use eh_query::Rule;
@@ -20,40 +19,15 @@ use eh_semiring::{AggOp, DynValue};
 use eh_trie::TupleBuffer;
 use std::time::Instant;
 
-/// A catalog overlay that substitutes one relation (the recursive one)
-/// without mutating the base catalog.
-struct Overlay<'a> {
-    base: &'a dyn Catalog,
-    name: &'a str,
-    rel: &'a Relation,
-}
-
-impl Catalog for Overlay<'_> {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        if name == self.name {
-            Some(self.rel)
-        } else {
-            self.base.relation(name)
-        }
-    }
-
-    fn resolve_const(&self, text: &str) -> Option<u32> {
-        self.base.resolve_const(text)
-    }
-
-    fn resolve_const_at(&self, relation: &str, column: usize, text: &str) -> Option<u32> {
-        self.base.resolve_const_at(relation, column, text)
-    }
-}
-
 /// Evaluate a recursive rule to convergence, starting from `initial` (the
-/// result of the rule's base case). `plan` is the rule's compiled body:
-/// every iteration re-executes it (the paper: recursion "boils down to a
-/// simple unrolling of the join algorithm" — compilation is not repeated
-/// per iteration). Under [`Config::profile`] the result carries a `query`
-/// span with one `iteration k` child per executed iteration (`rows_in`,
-/// `rows_out`) and the iterations' work summed. `params` are the values
-/// bound to the rule's constant slots.
+/// result of the rule's base case). `iterate` runs the rule's compiled
+/// body once over the running state it is handed — the caller's program
+/// view reads that state as the newest relation of the rule's head name
+/// (the paper: recursion "boils down to a simple unrolling of the join
+/// algorithm" — compilation is not repeated per iteration). Under
+/// [`Config::profile`] the result carries a `query` span with one
+/// `iteration k` child per executed iteration (`rows_in`, `rows_out`) and
+/// the iterations' work summed.
 ///
 /// The running state is always *canonical* buffers — annotated, strictly
 /// key-ascending — which is also what every iteration's result is, so
@@ -62,15 +36,12 @@ impl Catalog for Overlay<'_> {
 /// naive evaluation, `Runs` and a galloping one for seminaive).
 pub fn execute_recursive_rule(
     rule: &Rule,
-    plan: &PhysicalPlan,
-    params: &[String],
-    initial: Relation,
-    catalog: &dyn Catalog,
+    initial: &Relation,
     cfg: &Config,
+    mut iterate: impl FnMut(&Relation) -> Result<Executed, ExecError>,
 ) -> Result<Executed, ExecError> {
     let origin = Instant::now();
     let mut profile = cfg.profile.then(QueryProfile::default);
-    let name = rule.head.relation.as_str();
     let criterion = rule.head.recursion.unwrap_or(Recursion::Fixpoint);
     let op = rule
         .agg
@@ -95,12 +66,7 @@ pub fn execute_recursive_rule(
     };
     for k in 0..max_iters {
         let started = Instant::now();
-        let overlay = Overlay {
-            base: catalog,
-            name,
-            rel: &input,
-        };
-        let out = execute(plan, params, &overlay, cfg)?;
+        let out = iterate(&input)?;
         let rows_in = input.len();
         let (next, converged) = match (&mut state, criterion) {
             // Only strict improvements form the next frontier.
@@ -315,8 +281,9 @@ fn max_delta(a: &TupleBuffer, b: &TupleBuffer, op: AggOp) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute_rule;
-    use crate::storage::MemCatalog;
+    use crate::executor::{execute, execute_rule};
+    use crate::plan::PhysicalPlan;
+    use crate::storage::{Catalog, MemCatalog};
     use eh_query::parse_rule;
 
     /// Undirected path 0-1-2-3 plus shortcut 0-3.
@@ -335,12 +302,21 @@ mod tests {
         cat
     }
 
-    /// Plan `rule` as a prepared statement does, then evaluate it.
-    fn recurse(rule: &Rule, initial: Relation, cat: &dyn Catalog, cfg: &Config) -> Relation {
+    /// Plan `rule` as a prepared statement does, then evaluate it, each
+    /// iteration over a copy of `cat` holding the running state under the
+    /// rule's head name.
+    fn recurse(rule: &Rule, initial: Relation, cat: &MemCatalog, cfg: &Config) -> Relation {
         let plan = PhysicalPlan::compile(rule, &eh_ghd::plan_rule(rule, &cfg.plan).unwrap());
-        execute_recursive_rule(rule, &plan, &rule.consts, initial, cat, cfg)
-            .unwrap()
-            .relation
+        let mut view = MemCatalog::new();
+        for name in cat.names() {
+            view.insert(name, cat.relation(name).unwrap().clone());
+        }
+        execute_recursive_rule(rule, &initial, cfg, |state| {
+            view.insert(&rule.head.relation, state.clone());
+            execute(&plan, &rule.consts, &view, cfg)
+        })
+        .unwrap()
+        .relation
     }
 
     fn dist_of(rel: &Relation, node: u32) -> Option<u64> {

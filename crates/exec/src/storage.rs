@@ -261,38 +261,21 @@ pub trait Catalog: Sync {
     /// Look up a relation by name.
     fn relation(&self, name: &str) -> Option<&Relation>;
 
-    /// Resolve a query-text constant (e.g. `'start'` or `'42'`) to its
-    /// dictionary-encoded id. The default parses integers directly —
-    /// callers with string dictionaries override this.
-    fn resolve_const(&self, text: &str) -> Option<u32> {
-        text.parse().ok()
-    }
-
-    /// Resolve a constant appearing at a specific column of a specific
-    /// relation. Typed catalogs override this to consult the column's
-    /// dictionary domain (so `Follows('alice', x)` encodes `alice`
-    /// through the same dictionary the loader used); the default ignores
-    /// the position. `None` means the key cannot match — the executor
+    /// Resolve a query-text constant (e.g. `'alice'` or `'42'`) appearing
+    /// at column `column` of `relation` to its dictionary-encoded id.
+    /// Typed catalogs consult the column's dictionary domain (so
+    /// `Follows('alice', x)` encodes `alice` through the same dictionary
+    /// the loader used). `None` means the key cannot match — the executor
     /// turns the atom into an empty result.
-    fn resolve_const_at(&self, relation: &str, column: usize, text: &str) -> Option<u32> {
-        let _ = (relation, column);
-        self.resolve_const(text)
-    }
-
-    /// Planner statistics for a named relation, O(1) after the relation's
-    /// first computation (see [`Relation::stats`]).
-    fn relation_stats(&self, name: &str) -> Option<RelationStats> {
-        self.relation(name).map(|r| r.stats())
-    }
+    fn resolve_const_at(&self, relation: &str, column: usize, text: &str) -> Option<u32>;
 }
 
-/// Adapter exposing a [`Catalog`] to the planner as a
-/// [`eh_ghd::StatsSource`], so `eh_ghd` stays ignorant of executor types.
-pub struct CatalogStats<'a>(pub &'a dyn Catalog);
-
-impl eh_ghd::StatsSource for CatalogStats<'_> {
+/// The planner reads a catalog's statistics through this impl, so
+/// `eh_ghd` stays ignorant of executor types: O(1) after the relation's
+/// first computation (see [`Relation::stats`]).
+impl eh_ghd::StatsSource for &dyn Catalog {
     fn stats(&self, name: &str) -> Option<RelationStats> {
-        self.0.relation_stats(name)
+        self.relation(name).map(Relation::stats)
     }
 }
 
@@ -328,18 +311,25 @@ impl MemCatalog {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.relations.keys().map(String::as_str)
     }
+
+    /// Resolve a query-text constant through the named constants, else
+    /// as an integer.
+    pub fn resolve_const(&self, text: &str) -> Option<u32> {
+        self.constants
+            .get(text)
+            .copied()
+            .or_else(|| text.parse().ok())
+    }
 }
 
+/// Untyped: every column resolves through [`MemCatalog::resolve_const`].
 impl Catalog for MemCatalog {
     fn relation(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name)
     }
 
-    fn resolve_const(&self, text: &str) -> Option<u32> {
-        self.constants
-            .get(text)
-            .copied()
-            .or_else(|| text.parse().ok())
+    fn resolve_const_at(&self, _relation: &str, _column: usize, text: &str) -> Option<u32> {
+        self.resolve_const(text)
     }
 }
 
@@ -466,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn catalog_relation_stats_default() {
+    fn catalog_stats_source() {
         let mut cat = MemCatalog::new();
         cat.insert(
             "E",
@@ -475,15 +465,13 @@ mod tests {
                 AggOp::Sum,
             ),
         );
-        let st = cat.relation_stats("E").unwrap();
+        use eh_ghd::StatsSource;
+        let src: &dyn Catalog = &cat;
+        let st = src.stats("E").unwrap();
         assert_eq!(st.cardinality, 2);
         assert_eq!(st.distinct, vec![1, 2]);
         assert_eq!(st.freq_sq, vec![4, 2]);
-        assert!(cat.relation_stats("missing").is_none());
-        // The planner-facing adapter sees the same numbers.
-        use eh_ghd::StatsSource;
-        let src = CatalogStats(&cat);
-        assert_eq!(src.stats("E"), Some(st));
+        assert!(src.stats("missing").is_none());
     }
 
     #[test]

@@ -140,8 +140,8 @@ impl WireDelimiter {
 pub enum ExecTarget {
     /// Query text: one or more rules, `.`-terminated. Parsed, planned
     /// and executed read-only; results are not registered server-side
-    /// (rules within one program see each other through the executor's
-    /// overlay).
+    /// (rules within one program see each other's heads through the
+    /// program's view).
     Text(String),
     /// A statement id from [`Response::Prepared`].
     Stmt(u64),

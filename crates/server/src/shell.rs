@@ -934,8 +934,8 @@ mod tests {
         assert!(out.contains("(3 rows)"), "{out}");
         let out = run(&mut shell, "\\d");
         assert!(out.contains("E\trows=3"), "{out}");
-        // A one-line multi-rule program runs as one read-only overlay
-        // program: rule 2 sees rule 1's head.
+        // A one-line multi-rule program runs as one read-only program:
+        // rule 2 sees rule 1's head.
         let out = run(
             &mut shell,
             "Hop2(x,z) :- E(x,y),E(y,z). From(z) :- Hop2('0',z).",

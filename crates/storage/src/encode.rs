@@ -287,28 +287,6 @@ impl StorageCatalog {
         Ok(buf)
     }
 
-    /// Read-only id lookup of field text against a relation's key column
-    /// `key_index` (position among key columns, i.e. the stored tuple
-    /// column). `None` when the key is absent or unparsable.
-    pub fn lookup_key_text(&self, relation: &str, key_index: usize, text: &str) -> Option<u32> {
-        let schema = self.schemas.get(relation)?;
-        let (_, col) = schema.key_columns().nth(key_index)?;
-        match col.domain_key() {
-            None => text.parse().ok(),
-            Some(key) => self.domains.get(&key)?.lookup_text(text),
-        }
-    }
-
-    /// Whether a relation's key column `key_index` is dictionary-backed
-    /// (so unresolvable constants must not fall back to integer parsing).
-    pub fn key_is_dictionary(&self, relation: &str, key_index: usize) -> bool {
-        self.schemas
-            .get(relation)
-            .and_then(|s| s.key_columns().nth(key_index))
-            .map(|(_, c)| c.ty.is_dictionary())
-            .unwrap_or(false)
-    }
-
     /// Decode a stored id of a relation's key column `key_index` back to
     /// its typed value. Pass-through columns decode as `U32`.
     pub fn decode_key(&self, relation: &str, key_index: usize, id: u32) -> Option<TypedValue> {
@@ -318,14 +296,6 @@ impl StorageCatalog {
             None => Some(TypedValue::U32(id)),
             Some(key) => self.domains.get(&key)?.decode(id),
         }
-    }
-
-    /// Domain key of a relation's key column `key_index` (stored-tuple
-    /// position), `None` for pass-through columns.
-    pub fn key_domain(&self, relation: &str, key_index: usize) -> Option<String> {
-        let schema = self.schemas.get(relation)?;
-        let (_, col) = schema.key_columns().nth(key_index)?;
-        col.domain_key()
     }
 }
 
@@ -410,9 +380,6 @@ mod tests {
             cat.decode_key("Follows", 0, 0),
             Some(TypedValue::Str("x".into()))
         );
-        assert_eq!(cat.lookup_key_text("Follows", 1, "y"), Some(1));
-        assert_eq!(cat.lookup_key_text("Follows", 1, "nope"), None);
-        assert!(cat.key_is_dictionary("Follows", 0));
     }
 
     #[test]
